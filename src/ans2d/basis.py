@@ -73,19 +73,37 @@ def basis_wavevectors(grid: TorusGrid, n: int) -> list[tuple[int, int]]:
     return out[:n]
 
 
-def galerkin_project_raw(coeffs: np.ndarray, grid: TorusGrid, n: int) -> np.ndarray:
-    """Span projection onto the first n basis elements; supports batch axes."""
+def galerkin_mask(grid: TorusGrid, n: int) -> tuple[np.ndarray, tuple[int, int] | None]:
+    """Modes the level-n projection keeps whole, plus its split pair.
+
+    Returns a read-only boolean (n1, n2) mask over both members of every
+    fully kept pair and, for odd n, the canonical wavevector of the last
+    pair, of which only the cosine element is kept (None for even n).
+    """
     pairs = enumerate_pairs(grid, (n + 1) // 2)
     mask = np.zeros((grid.n1, grid.n2), dtype=bool)
     full = pairs if n % 2 == 0 else pairs[:-1]
     for kc in full:
         mask[grid.index_of(kc)] = True
         mask[grid.index_of((-kc[0], -kc[1]))] = True
-    out = _leray_raw(coeffs * mask, grid)
-    if n % 2 == 1:
+    mask.flags.writeable = False
+    return mask, (pairs[-1] if n % 2 == 1 else None)
+
+
+def galerkin_project_raw(coeffs: np.ndarray, grid: TorusGrid, n: int,
+                         mask: tuple[np.ndarray, tuple[int, int] | None] | None = None
+                         ) -> np.ndarray:
+    """Span projection onto the first n basis elements; supports batch axes.
+
+    mask is galerkin_mask(grid, n), built here when not given.  The result
+    is Leray-projected, dealiased and mean-free.
+    """
+    keep, split = galerkin_mask(grid, n) if mask is None else mask
+    out = _leray_raw(coeffs * keep, grid)
+    if split is not None:
         # split pair: retain only the cosine component, i.e. the real part of
         # the solenoidal amplitude at the canonical representative
-        kc = pairs[-1]
+        kc = split
         norm = np.hypot(kc[0], kc[1])
         d = np.array([-kc[1], kc[0]], dtype=np.float64) / norm
         i, j = grid.index_of(kc)

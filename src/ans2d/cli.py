@@ -25,7 +25,7 @@ import numpy as np
 from . import det as det_mod
 from . import norms as norms_mod
 from . import sde as sde_mod
-from .basis import basis_element
+from .basis import basis_element, max_level
 from .config import echo_config, load_config
 from .ensemble import EnsembleConfig, moment_bound_report, run_ensemble
 from .errors import BlowUpError, ConfigError, GateError
@@ -116,6 +116,12 @@ def _det_config(cfg: dict[str, Any]) -> det_mod.DetConfig:
         raise ConfigError(str(exc)) from exc
 
 
+def _check_level(grid: TorusGrid, key: str, n: int) -> None:
+    if not 1 <= n <= max_level(grid):
+        raise ConfigError(f"{key}={n} must lie in [1, {max_level(grid)}], the basis "
+                          f"elements of the {grid.n1}x{grid.n2} grid")
+
+
 def _sde_config(cfg: dict[str, Any]) -> sde_mod.SdeConfig:
     try:
         return sde_mod.SdeConfig(
@@ -169,6 +175,7 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
     grid = _grid(cfg)
     u0 = _initial_field(grid, cfg)
     scfg = _sde_config(cfg)
+    _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
     model = _noise_model(cfg)
     gate_ok = True
     gate_text = "no noise"
@@ -207,9 +214,12 @@ def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> C
                              base_seed=cfg["ensemble.base_seed"],
                              levels=cfg["ensemble.levels"],
                              batch=cfg["ensemble.batch"],
-                             require_gates=not args.force)
+                             require_gates=not args.force,
+                             eta=cfg["noise.eta"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for level in ens.levels:
+        _check_level(grid, "ensemble.levels", level)
     report = run_ensemble(u0, model, scfg, ens)
     rows = moment_bound_report(report)
     header = list(rows[0].keys())
@@ -305,7 +315,10 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
     gate = condition_c_gate(condition_c_bounds(model, eta=cfg["noise.eta"]))
     if not gate.uniqueness_ok and not args.force:
         return 1, [], {"kind": "sde", "uniqueness_gate": False, "gate": gate.describe()}
-    rep = sde_mod.pathwise_uniqueness_experiment(u0, v0, model, _sde_config(cfg), tol=tol)
+    scfg = _sde_config(cfg)
+    _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
+    rep = sde_mod.pathwise_uniqueness_experiment(u0, v0, model, scfg, tol=tol,
+                                                 eta=cfg["noise.eta"])
     rows = zip(rep.t, rep.w_l2_sq, rep.q, rep.growth)
     _write_csv(out / "uniqueness_series.csv", ("t", "w_l2_sq", "q", "growth"), list(rows))
     verdicts = {"kind": "sde", "passed": rep.passed, "c1": rep.c1,

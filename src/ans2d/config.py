@@ -8,10 +8,12 @@ key set in schema order so a run's effective configuration round-trips.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
 from .errors import ConfigError
+from .noise import DEFAULT_ETA
 
 
 def _parse_bool(text: str) -> bool:
@@ -21,6 +23,27 @@ def _parse_bool(text: str) -> bool:
     if low in ("false", "no", "off", "0"):
         return False
     raise ValueError(f"not a boolean: {text!r}")
+
+
+def _parse_finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
+def _parse_positive(text: str) -> float:
+    value = _parse_finite(text)
+    if value <= 0.0:
+        raise ValueError(f"must be > 0, got {value!r}")
+    return value
+
+
+def _parse_count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"must be >= 0, got {value}")
+    return value
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
@@ -60,35 +83,35 @@ SCHEMA: tuple[_Key, ...] = (
     _Key("grid.n2", int, 32),
     _str_key("init.kind", "taylor-green",
              ("taylor-green", "shear-x1", "shear-x2", "random", "zero")),
-    _Key("init.amplitude", float, 1.0),
+    _Key("init.amplitude", _parse_finite, 1.0),
     _Key("init.band", int, 3),
     _Key("init.seed", int, 0),
-    _Key("det.dt", float, 1e-3),
-    _Key("det.t_end", float, 1.0),
+    _Key("det.dt", _parse_finite, 1e-3),
+    _Key("det.t_end", _parse_finite, 1.0),
     _str_key("det.integrator", "if-rk2", ("if-rk2", "if-rk4", "if-euler")),
-    _Key("det.eps_v", float, 0.0),
-    _Key("det.snapshot_every", int, 0),
-    _Key("sde.dt", float, 1e-3),
-    _Key("sde.t_end", float, 1.0),
+    _Key("det.eps_v", _parse_finite, 0.0),
+    _Key("det.snapshot_every", _parse_count, 0),
+    _Key("sde.dt", _parse_finite, 1e-3),
+    _Key("sde.t_end", _parse_finite, 1.0),
     _Key("sde.galerkin_n", int, 8),
     _Key("sde.seed", int, 0),
     _str_key("sde.scheme", "em-if", ("em-if",)),
     _Key("sde.drop_nonlinearity", _parse_bool, False),
-    _Key("sde.alpha_tilde", float, 0.5),
-    _Key("sde.snapshot_every", int, 0),
+    _Key("sde.alpha_tilde", _parse_finite, 0.5),
+    _Key("sde.snapshot_every", _parse_count, 0),
     _str_key("noise.c_recipes", ""),
     _str_key("noise.b_recipes", ""),
     _str_key("noise.g", "one", ("one", "zero", "tanh", "sin")),
-    _Key("noise.eta", float, 0.1),
-    _Key("noise.budget_margin", float, 1.0),
+    _Key("noise.eta", _parse_positive, DEFAULT_ETA),
+    _Key("noise.budget_margin", _parse_finite, 1.0),
     _Key("ensemble.n_paths", int, 100),
     _Key("ensemble.base_seed", int, 0),
     _Key("ensemble.levels", _parse_levels, (8, 16, 32), fmt=_fmt_levels),
     _Key("ensemble.batch", int, 500),
     _str_key("uniqueness.kind", "det", ("det", "sde")),
-    _Key("uniqueness.perturbation", float, 1e-8),
+    _Key("uniqueness.perturbation", _parse_finite, 1e-8),
     _str_key("uniqueness.pert_mode", "1,0"),
-    _Key("uniqueness.tol", float, 0.05),
+    _Key("uniqueness.tol", _parse_finite, 0.05),
     _Key("verify.n_fields", int, 100),
     _Key("verify.band", int, 5),
     _Key("verify.seed", int, 0),

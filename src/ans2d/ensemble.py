@@ -19,10 +19,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GateError
-from .noise import NoiseModel, condition_c_bounds, condition_c_gate, GateResult
+from .noise import (
+    DEFAULT_ETA,
+    GateResult,
+    NoiseModel,
+    condition_c_bounds,
+    condition_c_gate,
+    sample_wiener_increment,
+)
 from .norms import l2_norm_sq
 from .sde import SdeConfig, _run_batched, weighted_h01_series
-from .noise import sample_wiener_increment
 from .spectral import SpectralField
 
 
@@ -33,6 +39,7 @@ class EnsembleConfig:
     levels: tuple[int, ...] = (8, 16, 32)
     batch: int = 500
     require_gates: bool = True
+    eta: float = DEFAULT_ETA  # Peter-Paul split of the gate constants
 
     def __post_init__(self):
         if self.n_paths < 2:
@@ -92,20 +99,18 @@ def _level_estimates(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig
             for j in range(b)
         ])
         c0 = np.repeat(c0_single[None], b, axis=0)
-        run = _run_batched(c0, u0.grid, model, cfg_n, incs, with_diag=True)
+        # the moments read no Hilbert-Schmidt column
+        run = _run_batched(c0, u0.grid, model, cfg_n, incs, with_diag=True, with_hs=False)
         d = run.diag
         h10 = d["l2_sq"] + d["d1_sq"]
         sl = slice(done, done + b)
         samples["sup_l2"][sl] = d["l2_sq"].max(axis=0)
         samples["int_h10"][sl] = np.sum(0.5 * dt * (h10[:-1] + h10[1:]), axis=0)
         samples["sup_l2_4"][sl] = (d["l2_sq"] ** 2).max(axis=0)
-        for j in range(b):
-            ws = weighted_h01_series(run.t, d["d1_sq"][:, j], d["d1d2_sq"][:, j],
-                                     d["d2_sq"][:, j], d["cross"][:, j],
-                                     d["h01_sq"][:, j], d["h11_sq"][:, j],
-                                     cfg_n.alpha_tilde)
-            samples["sup_wh01"][done + j] = ws.weighted_h01.max()
-            samples["int_wh11"][done + j] = ws.int_weighted_h11[-1]
+        ws = weighted_h01_series(run.t, d["d1_sq"], d["d1d2_sq"], d["d2_sq"], d["cross"],
+                                 d["h01_sq"], d["h11_sq"], cfg_n.alpha_tilde)
+        samples["sup_wh01"][sl] = ws.weighted_h01.max(axis=0)
+        samples["int_wh11"][sl] = ws.int_weighted_h11[-1]
         done += b
 
     def stat(name: str) -> tuple[float, float]:
@@ -135,11 +140,8 @@ def run_ensemble(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
     Raises GateError when the noise constants violate the existence gate and
     require_gates is set; a blow-up on any path aborts the whole ensemble.
     """
-    if model is not None:
-        gate = condition_c_gate(condition_c_bounds(model))
-    else:
-        gate = condition_c_gate(condition_c_bounds(
-            NoiseModel(c=(), b=(), g_kind="zero", m1=0.0, m2=0.0, cg=0.0)))
+    empty = NoiseModel(c=(), b=(), g_kind="zero", m1=0.0, m2=0.0, cg=0.0)
+    gate = condition_c_gate(condition_c_bounds(empty if model is None else model, eta=ens.eta))
     if ens.require_gates and not gate.existence_ok:
         raise GateError(f"existence gate violated: {gate.describe()}")
 

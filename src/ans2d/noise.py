@@ -33,6 +33,7 @@ from .spectral import SpectralField, TorusGrid
 EXISTENCE_K2_LIMIT = 2.0 / 11.0
 EXISTENCE_KT2_LIMIT = 2.0 / 5.0
 UNIQUENESS_L2_LIMIT = 2.0 / 5.0
+DEFAULT_ETA = 0.1  # Peter-Paul split weight of the growth and Lipschitz constants
 
 _TERM_RE = re.compile(
     r"(?P<sign>[+-])?\s*(?P<amp>\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)"
@@ -204,23 +205,33 @@ def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
     return gen.standard_normal((n_steps, n_modes)) * np.sqrt(dt)
 
 
-def _sigma_raw(model: NoiseModel, coeffs: np.ndarray, grid: TorusGrid,
+def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, d1u_phys: np.ndarray,
                y: np.ndarray, c_arr: np.ndarray, b_arr: np.ndarray) -> np.ndarray:
-    """sigma(u) y before projection; supports batch axes on coeffs and y.
+    """sigma(u) y before projection, from physical samples of u and d1 u.
 
-    coeffs: (..., 2, n1, n2); y: (..., n_modes).  Returns physical samples.
+    u_phys, d1u_phys: (..., 2, n1, n2); y: (..., n_modes); batch axes
+    broadcast.  Returns physical samples.
     """
     cf = np.tensordot(y, c_arr, axes=([-1], [0]))  # (..., n1, n2)
     bf = np.tensordot(y, b_arr, axes=([-1], [0]))
-    lead = np.broadcast_shapes(coeffs.shape[:-3], y.shape[:-1])
-    out = np.zeros(lead + (2, grid.n1, grid.n2))
+    lead = np.broadcast_shapes(u_phys.shape[:-3], y.shape[:-1])
+    out = np.zeros(lead + u_phys.shape[-3:])
     if np.any(cf != 0.0):
-        k1 = grid.k1.astype(np.float64)
-        d1u = spectral._phys(coeffs * (1j * k1), grid.n_points)
-        out += cf[..., None, :, :] * d1u
+        out += cf[..., None, :, :] * d1u_phys
     if np.any(bf != 0.0):
-        u_phys = spectral._phys(coeffs, grid.n_points)
         out += bf[..., None, :, :] * model.g_eval(u_phys)
+    return out
+
+
+def _sigma_spec(model: NoiseModel, coeffs: np.ndarray, grid: TorusGrid,
+                y: np.ndarray) -> np.ndarray:
+    """sigma(u) y as coefficients: dealiased, Leray-projected, mean-free."""
+    c_arr, b_arr = model.coefficient_fields(grid)
+    u_phys, d1u_phys, _ = spectral._phys_grad(coeffs, grid)
+    phys = _sigma_raw(model, u_phys, d1u_phys, y, c_arr, b_arr)
+    out = spectral._spec(phys, grid.n_points) * grid.dealias_mask
+    out = spectral._leray_raw(out, grid)
+    out[..., :, 0, 0] = 0.0
     return out
 
 
@@ -229,25 +240,12 @@ def apply_sigma(model: NoiseModel, u: SpectralField, y: np.ndarray) -> SpectralF
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (model.n_modes,):
         raise ValueError(f"y must have shape ({model.n_modes},), got {y.shape}")
-    grid = u.grid
-    c_arr, b_arr = model.coefficient_fields(grid)
-    phys = _sigma_raw(model, u.coeffs, grid, y, c_arr, b_arr)
-    coeffs = spectral._spec(phys, grid.n_points) * grid.dealias_mask
-    coeffs = spectral._leray_raw(coeffs, grid)
-    coeffs[..., :, 0, 0] = 0.0
-    return SpectralField(grid, coeffs)
+    return SpectralField(u.grid, _sigma_spec(model, u.coeffs, u.grid, y))
 
 
 def sigma_channels(model: NoiseModel, u: SpectralField) -> np.ndarray:
     """All projected channel fields sigma(u) psi_j, shape (n_modes, 2, n1, n2)."""
-    grid = u.grid
-    c_arr, b_arr = model.coefficient_fields(grid)
-    eye = np.eye(model.n_modes)
-    phys = _sigma_raw(model, u.coeffs[None], grid, eye, c_arr, b_arr)
-    coeffs = spectral._spec(phys, grid.n_points) * grid.dealias_mask
-    coeffs = spectral._leray_raw(coeffs, grid)
-    coeffs[..., :, 0, 0] = 0.0
-    return coeffs
+    return _sigma_spec(model, u.coeffs[None], u.grid, np.eye(model.n_modes))
 
 
 def hs_norm_sq(model: NoiseModel, u: SpectralField, weight: np.ndarray | None = None,
@@ -291,7 +289,7 @@ class ConditionCConstants:
         }
 
 
-def condition_c_bounds(model: NoiseModel, eta: float = 0.1) -> ConditionCConstants:
+def condition_c_bounds(model: NoiseModel, eta: float = DEFAULT_ETA) -> ConditionCConstants:
     """Constants for the three growth bounds and the Lipschitz bound.
 
     With budgets M1, M2, Cg and split weight eta:
@@ -350,7 +348,7 @@ def _diag_norm_sq(coeffs: np.ndarray, w: np.ndarray) -> float:
 
 
 def condition_c_empirical_check(model: NoiseModel, fields: Sequence[SpectralField],
-                                eta: float = 0.1,
+                                eta: float = DEFAULT_ETA,
                                 report: NormReport | None = None) -> NormReport:
     """Audit every growth/Lipschitz inequality on sample fields.
 

@@ -20,9 +20,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .basis import basis_element, basis_wavevectors, galerkin_project_raw, max_level
+from .basis import basis_element, galerkin_mask, galerkin_project_raw, max_level
 from .errors import BlowUpError
-from .noise import NoiseModel, condition_c_bounds, sample_wiener_increment
+from .noise import (
+    DEFAULT_ETA,
+    NoiseModel,
+    _sigma_raw,
+    condition_c_bounds,
+    sample_wiener_increment,
+    sigma_channels,
+)
 from .norms import MEASURE
 from .spectral import SpectralField, TorusGrid
 
@@ -58,7 +65,13 @@ class SdeConfig:
 
 
 class _Stepper:
-    """Precomputed batched update for one (grid, model, config) triple."""
+    """Precomputed batched update for one (grid, model, config) triple.
+
+    The step loop synthesizes (u, d1 u, d2 u) of a state once (synth) and
+    hands the samples, and the advection built from them, to drift,
+    noise_increment, hs_sq and _diag_row; each of these also accepts bare
+    (..., 2, n1, n2) coefficient arrays and then synthesizes on its own.
+    """
 
     def __init__(self, grid: TorusGrid, model: NoiseModel | None, cfg: SdeConfig):
         if cfg.galerkin_n > max_level(grid):
@@ -73,68 +86,77 @@ class _Stepper:
         self.ef = np.exp(-cfg.dt * k1 ** 2) * np.ones((1, grid.n2))
         self.k1 = k1
         self.k2 = grid.k2.astype(np.float64)
+        self.gmask = galerkin_mask(grid, cfg.galerkin_n)
         self.n_modes = 0 if model is None else model.n_modes
+        self.silent = self.n_modes == 0 or model.is_zero
         self.additive_channels = None
-        if model is not None:
-            self.c_arr, self.b_arr = model.coefficient_fields(grid)
-            if model.is_additive and model.n_modes > 0:
-                from .noise import sigma_channels
-
+        if not self.silent:
+            if model.is_additive:
                 chans = sigma_channels(model, spectral.zeros_spectral(grid))
-                self.additive_channels = galerkin_project_raw(chans, grid, cfg.galerkin_n)
+                self.additive_channels = self.pn(chans)
+            else:
+                self.c_arr, self.b_arr = model.coefficient_fields(grid)
+        multiplicative = not self.silent and self.additive_channels is None
+        self.needs_phys = multiplicative or not cfg.drop_nonlinearity
 
     def pn(self, coeffs: np.ndarray) -> np.ndarray:
-        return galerkin_project_raw(coeffs, self.grid, self.cfg.galerkin_n)
+        return galerkin_project_raw(coeffs, self.grid, self.cfg.galerkin_n, self.gmask)
 
-    def drift(self, coeffs: np.ndarray) -> np.ndarray:
+    def synth(self, coeffs: np.ndarray) -> np.ndarray | None:
+        """Stacked (u, d1 u, d2 u) samples, or None when no layer reads them."""
+        return spectral._phys_grad(coeffs, self.grid) if self.needs_phys else None
+
+    def advection(self, coeffs: np.ndarray, phys: np.ndarray | None = None) -> np.ndarray | None:
+        if self.cfg.drop_nonlinearity:
+            return None
+        return spectral._advection_raw(coeffs, self.grid, phys)
+
+    def drift(self, coeffs: np.ndarray, adv: np.ndarray | None = None) -> np.ndarray:
+        """-P_n (u.grad u); adv may carry the advection of coeffs."""
         if self.cfg.drop_nonlinearity:
             return np.zeros_like(coeffs)
-        adv = spectral._advection_raw(coeffs, self.grid)
-        return -self.pn(spectral._leray_raw(adv, self.grid))
+        if adv is None:
+            adv = self.advection(coeffs)
+        return -self.pn(adv)
 
-    def noise_increment(self, coeffs: np.ndarray, dw: np.ndarray) -> np.ndarray:
+    def _sigma(self, u: np.ndarray, d1u: np.ndarray, y: np.ndarray) -> np.ndarray:
+        """P_n sigma(u) y of a multiplicative model from samples of u and d1 u."""
+        sig = _sigma_raw(self.model, u, d1u, y, self.c_arr, self.b_arr)
+        return self.pn(spectral._spec(sig, self.grid.n_points))
+
+    def noise_increment(self, coeffs: np.ndarray, dw: np.ndarray,
+                        phys: np.ndarray | None = None) -> np.ndarray:
         """P_n sigma(u) dW for a batch; dw has shape (..., n_modes)."""
-        if self.model is None or self.n_modes == 0 or self.model.is_zero:
+        if self.silent:
             return np.zeros_like(coeffs)
         if self.additive_channels is not None:
             return np.tensordot(dw, self.additive_channels, axes=([-1], [0]))
-        from .noise import _sigma_raw
-
-        phys = _sigma_raw(self.model, coeffs, self.grid, dw, self.c_arr, self.b_arr)
-        out = spectral._spec(phys, self.grid.n_points) * self.grid.dealias_mask
-        out = spectral._leray_raw(out, self.grid)
-        out[..., :, 0, 0] = 0.0
-        return self.pn(out)
+        u, d1u, _ = self.synth(coeffs) if phys is None else phys
+        return self._sigma(u, d1u, dw)
 
     def step(self, coeffs: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        return self.ef * (coeffs + self.cfg.dt * self.drift(coeffs)
-                          + self.noise_increment(coeffs, dw))
+        phys = self.synth(coeffs)
+        return self.ef * (coeffs + self.cfg.dt * self.drift(coeffs, self.advection(coeffs, phys))
+                          + self.noise_increment(coeffs, dw, phys))
 
-    def hs_sq(self, coeffs: np.ndarray) -> np.ndarray:
+    def hs_sq(self, coeffs: np.ndarray, phys: np.ndarray | None = None) -> np.ndarray:
         """||P_n sigma(u) Pi||_HS^2 per batch entry."""
         lead = coeffs.shape[:-3]
-        if self.model is None or self.n_modes == 0:
+        if self.silent:
             return np.zeros(lead)
         if self.additive_channels is not None:
             val = float(MEASURE * np.sum(np.abs(self.additive_channels) ** 2))
             return np.full(lead, val)
-        total = np.zeros(lead)
-        eye = np.eye(self.n_modes)
-        for j in range(self.n_modes):
-            from .noise import _sigma_raw
-
-            phys = _sigma_raw(self.model, coeffs, self.grid, eye[j], self.c_arr, self.b_arr)
-            chan = spectral._spec(phys, self.grid.n_points) * self.grid.dealias_mask
-            chan = spectral._leray_raw(chan, self.grid)
-            chan[..., :, 0, 0] = 0.0
-            chan = self.pn(chan)
-            total += MEASURE * np.sum(np.abs(chan) ** 2, axis=(-3, -2, -1))
-        return total
+        u, d1u, _ = self.synth(coeffs) if phys is None else phys
+        # all channels at once: a channel axis before the field axes
+        chans = self._sigma(u[..., None, :, :, :], d1u[..., None, :, :, :], np.eye(self.n_modes))
+        return MEASURE * np.sum(np.abs(chans) ** 2, axis=(-4, -3, -2, -1))
 
 
 def _diag_row(stepper: _Stepper, coeffs: np.ndarray, noise_work: np.ndarray,
-              with_hs: bool) -> dict[str, np.ndarray]:
-    grid = stepper.grid
+              with_hs: bool, adv: np.ndarray | None = None,
+              phys: np.ndarray | None = None) -> dict[str, np.ndarray]:
+    """Diagnostics of a batch; adv and phys may carry the step's shared work."""
     k1sq = stepper.k1 ** 2
     k2sq = stepper.k2 ** 2
     p = np.abs(coeffs) ** 2
@@ -147,9 +169,10 @@ def _diag_row(stepper: _Stepper, coeffs: np.ndarray, noise_work: np.ndarray,
     if stepper.cfg.drop_nonlinearity:
         cross = np.zeros_like(l2)
     else:
-        adv = spectral._advection_raw(coeffs, grid)
+        if adv is None:
+            adv = stepper.advection(coeffs, phys)
         cross = MEASURE * np.sum(k2sq * adv * np.conj(coeffs), axis=axes).real
-    hs = stepper.hs_sq(coeffs) if with_hs else np.zeros_like(l2)
+    hs = stepper.hs_sq(coeffs, phys) if with_hs else np.zeros_like(l2)
     return {"l2_sq": l2, "d1_sq": d1, "d2_sq": d2, "d1d2_sq": d1d2,
             "h01_sq": l2 + d2, "h11_sq": h11, "cross": cross,
             "noise_work": noise_work, "hs_sq": hs}
@@ -166,19 +189,24 @@ class BatchedRun:
 def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
                  cfg: SdeConfig, increments: np.ndarray, with_diag: bool = True,
                  with_hs: bool = True, on_step=None) -> BatchedRun:
-    """Advance a (B, 2, n1, n2) batch; increments is (B, n_steps, n_modes)."""
+    """Advance a (B, 2, n1, n2) batch; increments is (B, n_steps, n_modes).
+
+    with_hs adds the Hilbert-Schmidt column hs_sq, one more sigma(u)
+    evaluation per channel and row; it reads 0 when left out.
+    """
     stepper = _Stepper(grid, model, cfg)
     n_steps = cfg.n_steps
     dt = cfg.dt
-    c = stepper.pn(coeffs0.copy())
+    c = stepper.pn(coeffs0)
     bsize = c.shape[0]
     t = np.arange(n_steps + 1) * dt
     diag = {name: np.zeros((n_steps + 1, bsize)) for name in DIAG_NAMES} if with_diag else {}
     states: list[tuple[float, np.ndarray]] = []
 
-    def record(i: int, noise_work: np.ndarray) -> None:
+    def record(i: int, noise_work: np.ndarray, adv: np.ndarray | None,
+               phys: np.ndarray | None) -> None:
         if with_diag:
-            row = _diag_row(stepper, c, noise_work, with_hs)
+            row = _diag_row(stepper, c, noise_work, with_hs, adv, phys)
             for name in DIAG_NAMES:
                 diag[name][i] = row[name]
         if cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == n_steps):
@@ -186,22 +214,27 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
         if on_step is not None:
             on_step(i, c)
 
-    record(0, np.zeros(bsize))
     l2_0 = float(np.max(MEASURE * np.sum(np.abs(c) ** 2, axis=(1, 2, 3))))
-    for i in range(1, n_steps + 1):
-        dw = increments[:, i - 1, :]
-        sig = stepper.noise_increment(c, dw)
+    work = np.zeros(bsize)
+    for i in range(n_steps + 1):
+        # one synthesis and one advection per state feed its row and its step
+        shared = i < n_steps or with_diag
+        phys = stepper.synth(c) if shared else None
+        adv = stepper.advection(c, phys) if shared else None
+        record(i, work, adv, phys)
+        if i == n_steps:
+            break
+        sig = stepper.noise_increment(c, increments[:, i, :], phys)
         work = MEASURE * np.sum(sig * np.conj(c), axis=(1, 2, 3)).real
-        c = stepper.ef * (c + dt * stepper.drift(c) + sig)
+        c = stepper.ef * (c + dt * stepper.drift(c, adv) + sig)
         if not np.all(np.isfinite(c)):
-            raise BlowUpError("non-finite coefficients", last_finite_time=(i - 1) * dt)
+            raise BlowUpError("non-finite coefficients", last_finite_time=i * dt)
         l2_now = float(np.max(MEASURE * np.sum(np.abs(c) ** 2, axis=(1, 2, 3))))
         if l2_0 > 0.0 and l2_now > cfg.blowup_factor ** 2 * l2_0:
             raise BlowUpError(
                 f"L2 norm exceeded {cfg.blowup_factor:.1e} x initial",
-                last_finite_time=(i - 1) * dt,
+                last_finite_time=i * dt,
             )
-        record(i, work)
 
     return BatchedRun(t=t, diag=diag, final=c, states=states)
 
@@ -223,10 +256,14 @@ def step_sde(u: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
 
 @dataclass
 class WeightedSeries:
-    """Damped vertical-energy series built from recorded diagnostics."""
+    """Damped vertical-energy series built from recorded diagnostics.
 
-    big_c: float
-    c_emp_sup: float
+    big_c and c_emp_sup are per path: scalars for one path, (B,) arrays for
+    (n_steps+1, B) columns.
+    """
+
+    big_c: float | np.ndarray
+    c_emp_sup: float | np.ndarray
     h: np.ndarray
     weighted_h01: np.ndarray
     int_weighted_h11: np.ndarray
@@ -239,20 +276,20 @@ def weighted_h01_series(t: np.ndarray, d1_sq: np.ndarray, d1d2_sq: np.ndarray,
 
     C(alpha) = sup(c_emp)^2 / (4 alpha) converts the realized trilinear
     constant through Young's inequality with weight alpha on ||d1 d2 u||^2.
+    Columns run over time on axis 0: (n_steps+1,) for one path or
+    (n_steps+1, B) for a batch, each path with its own sup and C(alpha).
     """
     denom = np.sqrt(d1d2_sq * d1_sq * d2_sq)
     with np.errstate(divide="ignore", invalid="ignore"):
         c_emp = np.where(denom > 0.0, np.abs(cross) / denom, 0.0)
-    c_sup = float(np.max(c_emp)) if len(c_emp) else 0.0
+    c_sup = np.max(c_emp, axis=0, initial=0.0)
     big_c = c_sup ** 2 / (4.0 * alpha_tilde)
+    half_dt = 0.5 * np.diff(t).reshape((-1,) + (1,) * (d1_sq.ndim - 1))
     h = np.zeros_like(d1_sq)
-    if len(t) > 1:
-        dt_steps = np.diff(t)
-        h[1:] = np.cumsum(0.5 * dt_steps * (d1_sq[:-1] + d1_sq[1:])) * 2.0 * big_c
+    h[1:] = np.cumsum(half_dt * (d1_sq[:-1] + d1_sq[1:]), axis=0) * 2.0 * big_c
     damped_h11 = np.exp(-h) * h11_sq
     int_wh11 = np.zeros_like(h)
-    if len(t) > 1:
-        int_wh11[1:] = np.cumsum(0.5 * np.diff(t) * (damped_h11[:-1] + damped_h11[1:]))
+    int_wh11[1:] = np.cumsum(half_dt * (damped_h11[:-1] + damped_h11[1:]), axis=0)
     return WeightedSeries(big_c=big_c, c_emp_sup=c_sup, h=h,
                           weighted_h01=np.exp(-h) * h01_sq,
                           int_weighted_h11=int_wh11)
@@ -359,7 +396,8 @@ class PathwiseUniquenessReport:
 def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
                                    model: NoiseModel, cfg: SdeConfig,
                                    beta_hat: float = 0.5,
-                                   tol: float = 0.05) -> PathwiseUniquenessReport:
+                                   tol: float = 0.05,
+                                   eta: float = DEFAULT_ETA) -> PathwiseUniquenessReport:
     """Drive two solutions with the same Wiener path and audit their gap.
 
     Identical inputs must stay bitwise identical: both rows of the batch see
@@ -374,7 +412,8 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     C(alpha) = (3/4) (4 alpha)^{-1/3} 2^{1/3} c1^{4/3}), and
     G(t) = (1 + 4/beta_hat) L1 t is the Gronwall factor of the Lipschitz
     channel of the noise; the dissipation margin 2 - 2 alpha - L2 > 0 and
-    the martingale fluctuation are covered by the slack.
+    the martingale fluctuation are covered by the slack.  L1 is taken with
+    the Peter-Paul split eta of the noise gates.
     """
     if not 0.0 < beta_hat < 1.0:
         raise ValueError("beta_hat must lie in (0, 1)")
@@ -423,7 +462,7 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     q = np.zeros(n_steps + 1)
     for i in range(1, n_steps + 1):
         q[i] = q[i - 1] + 0.5 * cfg.dt * (dissip[i - 1] + dissip[i]) * 2.0 * c_alpha
-    l1 = condition_c_bounds(model).l1
+    l1 = condition_c_bounds(model, eta=eta).l1
     growth = (1.0 + 4.0 / beta_hat) * l1 * t
 
     if bitwise[0]:

@@ -152,8 +152,17 @@ def inverse_transform(u: SpectralField, check: bool = True) -> PhysicalField:
 
 
 def _phys(coeffs: np.ndarray, n_points: int) -> np.ndarray:
-    # unchecked synthesis for internal pipelines; supports leading batch axes
-    return np.fft.ifft2(coeffs, axes=(-2, -1)).real * n_points
+    """Unchecked synthesis for internal pipelines; supports leading batch axes.
+
+    Precondition: coeffs is Hermitian, c(-k) = conj(c(k)), and band-limited
+    below the Nyquist row and column (as every dealiased field and its
+    derivatives are).  Only the k2 >= 0 half is read, through one real
+    inverse transform; on such input the result equals the real part of the
+    complex synthesis up to rounding.
+    """
+    n1, n2 = coeffs.shape[-2:]
+    half = coeffs[..., : n2 // 2 + 1]
+    return np.fft.irfft2(half, s=(n1, n2), axes=(-2, -1)) * n_points
 
 
 def _spec(samples: np.ndarray, n_points: int) -> np.ndarray:
@@ -206,15 +215,26 @@ def zero_mean(u: SpectralField) -> SpectralField:
     return out
 
 
-def _advection_raw(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Dealiased spectral u.grad(u) for (..., 2, n1, n2) coefficient arrays."""
-    n = grid.n_points
+def _phys_grad(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Physical samples of (u, d1 u, d2 u), stacked on a new leading axis.
+
+    One batched synthesis call: per-call FFT overhead dominates small grids.
+    """
     k1 = grid.k1.astype(np.float64)
     k2 = grid.k2.astype(np.float64)
-    # one batched synthesis call: per-call FFT overhead dominates small grids
-    u, d1u, d2u = _phys(np.stack((coeffs, coeffs * (1j * k1), coeffs * (1j * k2))), n)
+    return _phys(np.stack((coeffs, coeffs * (1j * k1), coeffs * (1j * k2))), grid.n_points)
+
+
+def _advection_raw(coeffs: np.ndarray, grid: TorusGrid,
+                   phys: np.ndarray | None = None) -> np.ndarray:
+    """Dealiased spectral u.grad(u) for (..., 2, n1, n2) coefficient arrays.
+
+    phys may carry the caller's _phys_grad(coeffs, grid), to share one
+    synthesis with other consumers of the same state.
+    """
+    u, d1u, d2u = _phys_grad(coeffs, grid) if phys is None else phys
     adv = u[..., 0:1, :, :] * d1u + u[..., 1:2, :, :] * d2u
-    out = _spec(adv, n) * grid.dealias_mask
+    out = _spec(adv, grid.n_points) * grid.dealias_mask
     out[..., :, 0, 0] = 0.0  # advection of a solenoidal field has zero mean
     return out
 

@@ -117,3 +117,16 @@ def test_max_level_counts(grid16):
         enumerate_pairs(grid16, n_pairs + 1)
     with pytest.raises(ValueError):
         galerkin_project(basis_element(grid16, (0, 1)), -1)
+
+
+def test_galerkin_mask_is_read_only_and_reusable(grid16, make_field):
+    from ans2d.basis import galerkin_mask, galerkin_project_raw
+
+    u = make_field(grid16, band=5, seed=11).coeffs
+    for n in (6, 7):
+        mask = galerkin_mask(grid16, n)
+        keep, split = mask
+        assert not keep.flags.writeable
+        assert (split is None) == (n % 2 == 0)
+        np.testing.assert_array_equal(galerkin_project_raw(u, grid16, n, mask),
+                                      galerkin_project_raw(u, grid16, n))

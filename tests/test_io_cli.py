@@ -300,3 +300,39 @@ def test_cli_manifest_reproducibility_fields(tmp_path):
     effective = parse_config(man["config"])
     assert effective["grid.n1"] == 16
     assert effective["init.seed"] == 5
+
+
+def test_cli_gates_honour_noise_eta(tmp_path):
+    # K2 = (1 + eta) M1 with M1 = 0.1296: below 2/11 at eta = 0.1, above at 0.9
+    cfg = _write_cfg(tmp_path, "noise.c_recipes = 0.18*cos(0,1)\nnoise.b_recipes = \n")
+    assert main(["run-sde", "--config", cfg, "--out", str(tmp_path / "ok")]) == 0
+    cfg = _write_cfg(tmp_path, "noise.c_recipes = 0.18*cos(0,1)\nnoise.b_recipes = \n"
+                               "noise.eta = 0.9\n")
+    assert main(["run-sde", "--config", cfg, "--out", str(tmp_path / "sde")]) == 1
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "ens")]) == 1
+
+
+def test_cli_galerkin_level_above_max_is_config_error(tmp_path):
+    cfg = _write_cfg(tmp_path, "grid.n1 = 8\ngrid.n2 = 8\ninit.band = 2\n"
+                               "sde.galerkin_n = 200\n")
+    assert main(["run-sde", "--config", cfg, "--out", str(tmp_path / "sde")]) == 2
+    cfg = _write_cfg(tmp_path, "grid.n1 = 8\ngrid.n2 = 8\ninit.band = 2\n"
+                               "ensemble.levels = 4,200\n")
+    assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "ens")]) == 2
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_non_finite_float_is_config_error(tmp_path, value):
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config(f"det.dt = {value}")
+    cfg = _write_cfg(tmp_path, f"det.dt = {value}\n")
+    assert main(["run-det", "--config", cfg, "--out", str(tmp_path / "det")]) == 2
+
+
+@pytest.mark.parametrize("key", ["det.snapshot_every", "sde.snapshot_every"])
+def test_cli_negative_snapshot_every_is_config_error(tmp_path, key):
+    with pytest.raises(ConfigError, match=">= 0"):
+        parse_config(f"{key} = -1")
+    cfg = _write_cfg(tmp_path, f"{key} = -3\n")
+    command = "run-det" if key.startswith("det") else "run-sde"
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2

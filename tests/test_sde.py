@@ -192,3 +192,84 @@ def test_blowup_guard_in_batched_run(grid16, make_field):
 
     with pytest.raises(BlowUpError):
         run_sde(u0, None, cfg)
+
+
+def _batch_run(grid, make_field, with_hs, n_paths=3, t_end=0.02):
+    from ans2d.sde import _run_batched
+
+    u0 = make_field(grid, band=3, seed=14)
+    model = _model_small()
+    cfg = SdeConfig(dt=2e-3, t_end=t_end, galerkin_n=9, seed=6)
+    incs = np.stack([sample_wiener_increment(model.n_modes, cfg.n_steps, cfg.dt, cfg.seed, j)
+                     for j in range(n_paths)])
+    c0 = np.repeat(u0.coeffs[None], n_paths, axis=0)
+    return _run_batched(c0, grid, model, cfg, incs, with_hs=with_hs)
+
+
+def test_hs_column_is_the_only_one_with_hs_changes(grid16, make_field):
+    lean = _batch_run(grid16, make_field, with_hs=False)
+    full = _batch_run(grid16, make_field, with_hs=True)
+    np.testing.assert_array_equal(lean.final, full.final)
+    for name in lean.diag:
+        if name != "hs_sq":
+            np.testing.assert_array_equal(lean.diag[name], full.diag[name])
+    assert np.all(lean.diag["hs_sq"] == 0.0)
+    assert np.all(full.diag["hs_sq"] > 0.0)
+
+
+def test_batched_hs_matches_channel_norms(grid16, make_field):
+    # all channels in one sigma evaluation agree with hs_norm_sq per state
+    from ans2d.noise import hs_norm_sq
+
+    full = _batch_run(grid16, make_field, with_hs=True, n_paths=2)
+    u = SpectralField(grid16, full.final[1])
+    expected = hs_norm_sq(_model_small(), u, galerkin_n=9)
+    assert full.diag["hs_sq"][-1, 1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_batched_engine_one_step_matches_step_sde(grid16, make_field):
+    from ans2d.sde import _run_batched
+
+    u0g = galerkin_project_raw(make_field(grid16, band=3, seed=15).coeffs, grid16, 9)
+    model = _model_small()
+    cfg = SdeConfig(dt=1e-3, t_end=1e-3, galerkin_n=9, seed=3)
+    incs = sample_wiener_increment(model.n_modes, 1, cfg.dt, cfg.seed, 0)
+    run = _run_batched(u0g[None], grid16, model, cfg, incs[None])
+    stepped = step_sde(SpectralField(grid16, u0g), model, cfg, incs[0]).coeffs
+    scale = float(np.max(np.abs(stepped)))
+    assert np.max(np.abs(run.final[0] - stepped)) <= 1e-13 * scale
+
+
+def test_step_loop_shares_one_synthesis_per_state(grid16, make_field, monkeypatch):
+    # per state: one _phys call (u, d1 u, d2 u), one advection, one sigma(u)
+    from ans2d import basis, sde, spectral
+
+    calls = {"phys": 0, "adv": 0, "sigma": 0, "pairs": 0}
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(spectral, "_phys", counting("phys", spectral._phys))
+    monkeypatch.setattr(spectral, "_advection_raw", counting("adv", spectral._advection_raw))
+    monkeypatch.setattr(sde, "_sigma_raw", counting("sigma", sde._sigma_raw))
+    monkeypatch.setattr(basis, "enumerate_pairs", counting("pairs", basis.enumerate_pairs))
+    run = _batch_run(grid16, make_field, with_hs=False)
+    n_steps = len(run.t) - 1
+    assert calls == {"phys": n_steps + 1, "adv": n_steps + 1, "sigma": n_steps, "pairs": 1}
+
+
+def test_weighted_series_batch_matches_per_path(grid16, make_field):
+    run = _batch_run(grid16, make_field, with_hs=False, n_paths=5, t_end=0.04)
+    d = run.diag
+    cols = ("d1_sq", "d1d2_sq", "d2_sq", "cross", "h01_sq", "h11_sq")
+    batch = weighted_h01_series(run.t, *(d[name] for name in cols), 0.4)
+    assert batch.c_emp_sup.shape == (5,)
+    for j in range(5):
+        one = weighted_h01_series(run.t, *(d[name][:, j] for name in cols), 0.4)
+        assert batch.c_emp_sup[j] == one.c_emp_sup
+        assert batch.big_c[j] == one.big_c
+        for field in ("h", "weighted_h01", "int_weighted_h11"):
+            np.testing.assert_array_equal(getattr(batch, field)[:, j], getattr(one, field))

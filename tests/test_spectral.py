@@ -182,3 +182,26 @@ def test_random_solenoidal_band_guard(grid16):
     with pytest.raises(ValueError):
         random_solenoidal_field(grid16, band=6, amplitude=1.0,
                                 rng=np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("n1,n2", [(16, 16), (32, 32), (16, 24)])
+def test_real_synthesis_matches_complex(n1, n2):
+    # _phys reads only the k2 >= 0 half: on Hermitian band-limited input it
+    # must agree with the complex synthesis, for the field and its gradient
+    from ans2d.spectral import _phys, _phys_grad
+
+    grid = TorusGrid(n1, n2)
+    rng = np.random.default_rng(n1 + n2)
+    band = min(n1, n2) // 3
+    batch = np.stack([random_solenoidal_field(grid, band=band, amplitude=1.0, rng=rng).coeffs
+                      for _ in range(3)])
+    k1 = grid.k1.astype(np.float64)
+    k2 = grid.k2.astype(np.float64)
+    for c in (batch, batch * (1j * k1), batch * (1j * k2)):
+        ref = np.fft.ifft2(c, axes=(-2, -1)).real * grid.n_points
+        got = _phys(c, grid.n_points)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    stacked = _phys_grad(batch, grid)
+    assert stacked.shape == (3,) + batch.shape
+    np.testing.assert_array_equal(stacked[2], _phys(batch * (1j * k2), grid.n_points))
