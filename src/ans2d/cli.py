@@ -30,6 +30,7 @@ from .config import echo_config, load_config
 from .ensemble import EnsembleConfig, moment_bound_report, run_ensemble
 from .errors import BlowUpError, ConfigError, GateError
 from .noise import NoiseModel, condition_c_bounds, condition_c_gate, make_model
+from .norms import cumulative_trapezoid
 from .snapshots import write_snapshot
 from .spectral import (
     SpectralField,
@@ -134,13 +135,6 @@ def _sde_config(cfg: dict[str, Any]) -> sde_mod.SdeConfig:
         raise ConfigError(str(exc)) from exc
 
 
-def _cumulative_trapezoid(t: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(y)
-    if len(t) > 1:
-        out[1:] = np.cumsum(0.5 * np.diff(t) * (y[:-1] + y[1:]))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # subcommands; each returns (exit_code, outputs, verdicts)
 
@@ -186,8 +180,8 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
         if not gate_ok and not args.force:
             return 1, [], {"existence_gate": False, "gate": gate_text}
     traj = sde_mod.run_sde(u0, model, scfg)
-    int_d1 = _cumulative_trapezoid(traj.t, traj.diag["d1_sq"])
-    int_d1d2 = _cumulative_trapezoid(traj.t, traj.diag["d1d2_sq"])
+    int_d1 = cumulative_trapezoid(traj.diag["d1_sq"], np.diff(traj.t))
+    int_d1d2 = cumulative_trapezoid(traj.diag["d1d2_sq"], np.diff(traj.t))
     rows = zip(traj.t, traj.diag["l2_sq"], traj.diag["d1_sq"], traj.diag["d2_sq"],
                traj.diag["d1d2_sq"], int_d1, int_d1d2, traj.weighted.h,
                traj.weighted.weighted_h01, traj.diag["noise_work"],
@@ -389,6 +383,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _failure(prefix: str, exc: Exception) -> dict[str, Any]:
+    """Report a run-ending error on stderr; returns its manifest entry."""
+    print(f"{prefix}: {exc}", file=sys.stderr)
+    return {"class": type(exc).__name__, "message": str(exc)}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     try:
@@ -398,35 +398,42 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     started = time.monotonic()
     timestamp = datetime.now(timezone.utc).isoformat()
+    cfg = None
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    outputs: list[str] = []
+    verdicts: dict[str, Any] = {}
+    error = None
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
             for key in ("init.seed", "sde.seed", "ensemble.base_seed", "verify.seed"):
                 cfg[key] = args.seed
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         code, outputs, verdicts = _COMMANDS[args.command](cfg, out, args)
     except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, error = 2, _failure("error", exc)
     except GateError as exc:
-        print(f"gate violation: {exc}", file=sys.stderr)
-        return 1
+        code, error = 1, _failure("gate violation", exc)
     except BlowUpError as exc:
-        print(f"blow-up: {exc}", file=sys.stderr)
-        return 3
+        code, error = 3, _failure("blow-up", exc)
+        error["last_finite_time"] = exc.last_finite_time
 
+    # every outcome leaves a manifest; config and seeds are null when the
+    # config itself could not be loaded
     manifest = {
         "command": args.command,
         "timestamp": timestamp,
         "wall_time_s": time.monotonic() - started,
-        "seeds": {key: cfg[key] for key in
-                  ("init.seed", "sde.seed", "ensemble.base_seed", "verify.seed")},
-        "config": echo_config(cfg),
+        "seeds": None if cfg is None else {
+            key: cfg[key] for key in ("init.seed", "sde.seed", "ensemble.base_seed",
+                                      "verify.seed")},
+        "config": None if cfg is None else echo_config(cfg),
         "outputs": outputs,
         "verdicts": verdicts,
         "exit_code": code,
     }
+    if error is not None:
+        manifest["error"] = error
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")

@@ -17,7 +17,15 @@ import numpy as np
 
 from . import spectral
 from .basis import basis_element
-from .norms import MEASURE, l2_inner, l2_norm_sq
+from .norms import (
+    MEASURE,
+    cumulative_trapezoid,
+    d2_pairing,
+    l2_inner,
+    l2_norm_sq,
+    norm_rows,
+    trilinear_ratio,
+)
 from .spectral import SpectralField, TorusGrid
 
 INTEGRATORS = ("if-rk2", "if-rk4", "if-euler")
@@ -67,13 +75,6 @@ class Trajectory:
     int_d1d2_sq: np.ndarray
     states: list[tuple[float, SpectralField]] = field(default_factory=list)
 
-    def state_at(self, step_idx: int) -> SpectralField:
-        target = step_idx * self.config.dt
-        for t, state in self.states:
-            if abs(t - target) <= 1e-12 * max(1.0, target):
-                return state
-        raise ValueError(f"step {step_idx} (t={target:.6g}) was not stored")
-
 
 def linear_symbol(grid: TorusGrid, eps_v: float) -> np.ndarray:
     k1 = grid.k1.astype(np.float64)
@@ -121,27 +122,6 @@ def _make_stepper(grid: TorusGrid, cfg: DetConfig) -> Callable[[np.ndarray], np.
     return step
 
 
-def _norm_row(coeffs: np.ndarray, grid: TorusGrid) -> tuple[float, float, float, float]:
-    k1sq = grid.k1.astype(np.float64) ** 2
-    k2sq = grid.k2.astype(np.float64) ** 2
-    p = np.abs(coeffs) ** 2
-    l2 = float(MEASURE * p.sum())
-    d1 = float(MEASURE * (k1sq * p).sum())
-    d2 = float(MEASURE * (k2sq * p).sum())
-    d1d2 = float(MEASURE * (k1sq * k2sq * p).sum())
-    return l2, d1, d2, d1d2
-
-
-def _cross_from_adv(adv: np.ndarray, coeffs: np.ndarray, grid: TorusGrid) -> float:
-    k2sq = grid.k2.astype(np.float64) ** 2
-    return float(MEASURE * np.sum(k2sq * adv * np.conj(coeffs)).real)
-
-
-def _cross_term(coeffs: np.ndarray, grid: TorusGrid) -> float:
-    """(d2(u.grad u), d2 u) from the dealiased advection spectrum."""
-    return _cross_from_adv(spectral._advection_raw(coeffs, grid), coeffs, grid)
-
-
 def prepare_initial(u0: SpectralField) -> SpectralField:
     """Mean-free, solenoidal, dealiased copy of the initial data."""
     u = spectral.zero_mean(spectral.leray_project(spectral.dealias(u0)))
@@ -157,27 +137,17 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
     dt = cfg.dt
 
     cols = {name: np.zeros(n_steps + 1) for name in
-            ("t", "l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "cross",
-             "int_d1_sq", "int_d2_sq", "int_d1d2_sq")}
+            ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "cross")}
     states: list[tuple[float, SpectralField]] = []
 
     def record(i: int, coeffs: np.ndarray, adv: np.ndarray) -> None:
-        t = i * dt
-        l2, d1, d2, d1d2 = _norm_row(coeffs, grid)
-        cols["t"][i] = t
-        cols["l2_sq"][i] = l2
-        cols["d1_sq"][i] = d1
-        cols["d2_sq"][i] = d2
-        cols["d1d2_sq"][i] = d1d2
-        cols["cross"][i] = _cross_from_adv(adv, coeffs, grid)
-        if i > 0:
-            for intname, src in (("int_d1_sq", "d1_sq"), ("int_d2_sq", "d2_sq"),
-                                 ("int_d1d2_sq", "d1d2_sq")):
-                cols[intname][i] = cols[intname][i - 1] + 0.5 * dt * (
-                    cols[src][i - 1] + cols[src][i])
+        row = norm_rows(coeffs, grid)
+        for name in ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq"):
+            cols[name][i] = row[name]
+        cols["cross"][i] = d2_pairing(adv, coeffs, grid)
         keep = cfg.snapshot_every > 0 and i % cfg.snapshot_every == 0
         if keep or i == 0 or i == n_steps:
-            states.append((t, SpectralField(grid, coeffs.copy())))
+            states.append((i * dt, SpectralField(grid, coeffs.copy())))
 
     # one advection evaluation per state feeds both the cross-term
     # diagnostic and the first integrator stage
@@ -191,8 +161,10 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
         adv = spectral._advection_raw(c, grid)
         record(i, c, adv)
 
-    return Trajectory(grid=grid, config=cfg, states=states,
-                      **{k: v for k, v in cols.items()})
+    return Trajectory(grid=grid, config=cfg, t=np.arange(n_steps + 1) * dt, states=states,
+                      int_d1_sq=cumulative_trapezoid(cols["d1_sq"], dt),
+                      int_d2_sq=cumulative_trapezoid(cols["d2_sq"], dt),
+                      int_d1d2_sq=cumulative_trapezoid(cols["d1d2_sq"], dt), **cols)
 
 
 # ---------------------------------------------------------------------------
@@ -244,9 +216,7 @@ def h01_certificate(traj: Trajectory, slack: float = 1e-6) -> H01Report:
     more than slack * its initial value at any step, which also yields
     ||d2 u(t)||^2 <= ||d2 u(0)||^2 exp(2C int ||d1 u||^2).
     """
-    denom = np.sqrt(traj.d1d2_sq * traj.d1_sq * traj.d2_sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_emp = np.where(denom > 0.0, np.abs(traj.cross) / denom, 0.0)
+    c_emp = trilinear_ratio(traj.cross, np.sqrt(traj.d1d2_sq * traj.d1_sq * traj.d2_sq))
     c_sup = float(np.max(c_emp))
     big_c = 0.5 * c_sup ** 2  # Young split with half weight on ||d1 d2 u||^2
     weighted = np.exp(-2.0 * big_c * traj.int_d1_sq) * traj.d2_sq
@@ -315,6 +285,71 @@ def weak_form_residual(traj: Trajectory, test_mode: tuple[int, int],
     return integral - chi_v[0] * a[0] + chi_v[-1] * a[-1]
 
 
+class _GapAudit:
+    """Two-solution gap audit shared by the deterministic and stochastic runs.
+
+    record() takes the (2, 2, n1, n2) pair (u, v) of each step and keeps the
+    gap row of w = u - v against the base solution b (one of u, v):
+
+        ||w||^2, the trilinear pairing |(w.grad b, w)| (physical space),
+        its bound ||d1 w||^{1/2} ( ||d1 b||^{1/2} + ||d2 b||^{1/2} )
+            ||d1 d2 b||^{1/2} ||w||^{3/2},
+        the dissipation ( ||d1 b||^{2/3} + ||d2 b||^{2/3} ) ||d1 d2 b||^{2/3}.
+
+    verdict() turns the rows into the measured constant c1, the absorbed
+    exponent q(t) = 2 C int dissipation, C = young(c1), and the check
+
+        exp(-q(t)) ||w(t)||^2 <= ||w(0)||^2 exp(gronwall(t)) (1 + tol).
+
+    Identical inputs short-circuit to an exact-zero check: both rows of the
+    pair see identical arithmetic, so w stays bitwise zero.
+    """
+
+    def __init__(self, grid: TorusGrid, dt: float, n_steps: int, base: int):
+        self.grid = grid
+        self.dt = dt
+        self.base = base
+        self.t = np.arange(n_steps + 1) * dt
+        self.w_l2 = np.zeros(n_steps + 1)
+        self.tri = np.zeros(n_steps + 1)
+        self.den = np.zeros(n_steps + 1)
+        self.dissip = np.zeros(n_steps + 1)
+        self.bitwise = True
+
+    def record(self, i: int, pair: np.ndarray) -> None:
+        grid = self.grid
+        w = pair[0] - pair[1]
+        b = pair[self.base]
+        self.bitwise = self.bitwise and bool(np.all(pair[0] == pair[1]))
+        wn = norm_rows(w, grid)
+        bn = norm_rows(b, grid)
+        d1, d2, d1d2 = bn["d1_sq"], bn["d2_sq"], bn["d1d2_sq"]
+        self.w_l2[i] = wn["l2_sq"]
+        self.dissip[i] = (d1 ** (1.0 / 3.0) + d2 ** (1.0 / 3.0)) * d1d2 ** (1.0 / 3.0)
+        k1 = grid.k1.astype(np.float64)
+        k2 = grid.k2.astype(np.float64)
+        wp, d1bp, d2bp = spectral._phys(np.stack((w, b * (1j * k1), b * (1j * k2))),
+                                        grid.n_points)
+        self.tri[i] = abs(float(np.sum((wp[0:1] * d1bp + wp[1:2] * d2bp) * wp)
+                                * grid.cell_area))
+        self.den[i] = (wn["d1_sq"] ** 0.25 * (d1 ** 0.25 + d2 ** 0.25) * d1d2 ** 0.25
+                       * self.w_l2[i] ** 0.75)
+
+    def verdict(self, young: Callable[[float], float], gronwall: float | np.ndarray,
+                tol: float) -> tuple[float, float, np.ndarray, float, bool]:
+        """(c1, C, q, max_ratio, passed) of the recorded rows."""
+        c1 = float(np.max(trilinear_ratio(self.tri, self.den)))
+        big_c = young(c1)
+        q = cumulative_trapezoid(self.dissip, self.dt) * 2.0 * big_c
+        if self.bitwise:
+            return c1, big_c, q, 0.0, bool(np.all(self.w_l2 == 0.0))
+        lhs = np.exp(-q) * self.w_l2
+        bound = self.w_l2[0] * np.exp(gronwall) * (1.0 + tol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            max_ratio = float(np.max(np.where(bound > 0.0, lhs / bound, np.inf)))
+        return c1, big_c, q, max_ratio, bool(np.all(lhs <= bound))
+
+
 @dataclass
 class UniquenessReport:
     t: np.ndarray
@@ -331,8 +366,8 @@ def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
                           tol: float = 0.05) -> UniquenessReport:
     """Two-solution stability audit.
 
-    Runs u and v in lockstep and checks the difference w = u - v against
-    ||w(t)||^2 <= ||w(0)||^2 exp(E(t)) (1 + tol) with
+    Runs u and v in lockstep, as one batch, and checks the difference
+    w = u - v against ||w(t)||^2 <= ||w(0)||^2 exp(E(t)) (1 + tol) with
 
         E(t) = 2 C0 int ( ||d1 v||^{2/3} + ||d2 v||^{2/3} ) ||d1 d2 v||^{2/3} ds
 
@@ -342,71 +377,26 @@ def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
              ( ||d1 v||^{1/2} + ||d2 v||^{1/2} ) ||d1 d2 v||^{1/2} ||w||^{3/2} )
 
     through Young's inequality with elastic weight 1/2 on ||d1 w||^2.
-    Identical inputs short-circuit to an exact-zero check: the two runs
-    perform identical arithmetic, so w stays bitwise zero.
+    Identical inputs short-circuit to an exact-zero check.  A blow-up of
+    either solution raises BlowUpError.
     """
     grid = u0.grid
     step = _make_stepper(grid, cfg)
-    cu = prepare_initial(u0).coeffs
-    cv = prepare_initial(v0).coeffs
-    n_steps = cfg.n_steps
+    c = np.stack((prepare_initial(u0).coeffs, prepare_initial(v0).coeffs))
     dt = cfg.dt
-    k1 = grid.k1.astype(np.float64)
-    k2 = grid.k2.astype(np.float64)
+    audit = _GapAudit(grid, dt, cfg.n_steps, base=1)
+    audit.record(0, c)
+    l2_0 = float(np.max(MEASURE * np.sum(np.abs(c) ** 2, axis=(1, 2, 3))))
+    for i in range(1, cfg.n_steps + 1):
+        c = step(c)
+        l2_now = float(np.max(MEASURE * np.sum(np.abs(c) ** 2, axis=(1, 2, 3))))
+        spectral.check_finite(c, l2_now, l2_0, t_last=(i - 1) * dt, guard=cfg.blowup_factor)
+        audit.record(i, c)
 
-    t = np.arange(n_steps + 1) * dt
-    w_l2 = np.zeros(n_steps + 1)
-    ratio_den = np.zeros(n_steps + 1)  # trilinear denominator
-    tri = np.zeros(n_steps + 1)        # |(w.grad v, w)|
-    dissip = np.zeros(n_steps + 1)     # ( ||d1 v||^{2/3}+||d2 v||^{2/3} ) ||d1d2 v||^{2/3}
-    bitwise = True
-
-    def record(i: int, cu_: np.ndarray, cv_: np.ndarray) -> None:
-        nonlocal bitwise
-        w = cu_ - cv_
-        bitwise = bitwise and bool(np.all(cu_ == cv_))
-        p = np.abs(w) ** 2
-        w_l2[i] = MEASURE * p.sum()
-        w_d1 = MEASURE * float((k1 ** 2 * p).sum())
-        _, d1v, d2v, d1d2v = _norm_row(cv_, grid)
-        dissip[i] = (d1v ** (1.0 / 3.0) + d2v ** (1.0 / 3.0)) * d1d2v ** (1.0 / 3.0)
-        # (w.grad v, w) via physical-space products
-        wphys = spectral._phys(w, grid.n_points)
-        d1vp = spectral._phys(cv_ * (1j * k1), grid.n_points)
-        d2vp = spectral._phys(cv_ * (1j * k2), grid.n_points)
-        adv = wphys[0:1] * d1vp + wphys[1:2] * d2vp
-        tri[i] = abs(float(np.sum(adv * wphys) * grid.cell_area))
-        ratio_den[i] = (w_d1 ** 0.25
-                        * (d1v ** 0.25 + d2v ** 0.25) * d1d2v ** 0.25
-                        * w_l2[i] ** 0.75)
-
-    record(0, cu, cv)
-    l2u0 = float(MEASURE * np.sum(np.abs(cu) ** 2))
-    for i in range(1, n_steps + 1):
-        cu = step(cu)
-        cv = step(cv)
-        spectral.check_finite(cu, float(MEASURE * np.sum(np.abs(cu) ** 2)), l2u0,
-                              t_last=(i - 1) * dt, guard=cfg.blowup_factor)
-        record(i, cu, cv)
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(ratio_den > 0.0, tri / ratio_den, 0.0)
-    c1 = float(np.max(ratios))
-    c0 = 0.75 * c1 ** (4.0 / 3.0)
-    growth = np.zeros(n_steps + 1)
-    for i in range(1, n_steps + 1):
-        growth[i] = growth[i - 1] + 0.5 * dt * (dissip[i - 1] + dissip[i]) * 2.0 * c0
-
-    if bitwise:
-        passed = bool(np.all(w_l2 == 0.0))
-        max_ratio = 0.0
-    else:
-        bound = w_l2[0] * np.exp(growth) * (1.0 + tol)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            max_ratio = float(np.max(np.where(bound > 0, w_l2 / bound, np.inf)))
-        passed = bool(np.all(w_l2 <= bound))
-    return UniquenessReport(t=t, w_l2_sq=w_l2, growth=growth, c1=c1, c0=c0,
-                            bitwise_zero=bitwise, max_ratio=max_ratio, passed=passed)
+    c1, c0, growth, max_ratio, passed = audit.verdict(
+        lambda c1: 0.75 * c1 ** (4.0 / 3.0), 0.0, tol)
+    return UniquenessReport(t=audit.t, w_l2_sq=audit.w_l2, growth=growth, c1=c1, c0=c0,
+                            bitwise_zero=audit.bitwise, max_ratio=max_ratio, passed=passed)
 
 
 def eps_sweep(u0: SpectralField, cfg: DetConfig, eps_values: list[float]) -> list[float]:

@@ -14,10 +14,11 @@ ensemble verdict is max/min <= 2.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .det import prepare_initial
 from .errors import GateError
 from .noise import (
     DEFAULT_ETA,
@@ -27,7 +28,7 @@ from .noise import (
     condition_c_gate,
     sample_wiener_increment,
 )
-from .norms import l2_norm_sq
+from .norms import cumulative_trapezoid, l2_norm_sq
 from .sde import SdeConfig, _run_batched, weighted_h01_series
 from .spectral import SpectralField
 
@@ -80,10 +81,6 @@ class EnsembleReport:
 
 def _level_estimates(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
                      ens: EnsembleConfig, level: int) -> MomentEstimates:
-    from dataclasses import replace
-
-    from .det import prepare_initial
-
     cfg_n = replace(cfg, galerkin_n=level)
     c0_single = prepare_initial(u0).coeffs
     n_modes = 0 if model is None else model.n_modes
@@ -102,10 +99,9 @@ def _level_estimates(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig
         # the moments read no Hilbert-Schmidt column
         run = _run_batched(c0, u0.grid, model, cfg_n, incs, with_diag=True, with_hs=False)
         d = run.diag
-        h10 = d["l2_sq"] + d["d1_sq"]
         sl = slice(done, done + b)
         samples["sup_l2"][sl] = d["l2_sq"].max(axis=0)
-        samples["int_h10"][sl] = np.sum(0.5 * dt * (h10[:-1] + h10[1:]), axis=0)
+        samples["int_h10"][sl] = cumulative_trapezoid(d["l2_sq"] + d["d1_sq"], dt)[-1]
         samples["sup_l2_4"][sl] = (d["l2_sq"] ** 2).max(axis=0)
         ws = weighted_h01_series(run.t, d["d1_sq"], d["d1d2_sq"], d["d2_sq"], d["cross"],
                                  d["h01_sq"], d["h11_sq"], cfg_n.alpha_tilde)
@@ -144,8 +140,6 @@ def run_ensemble(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
     gate = condition_c_gate(condition_c_bounds(empty if model is None else model, eta=ens.eta))
     if ens.require_gates and not gate.existence_ok:
         raise GateError(f"existence gate violated: {gate.describe()}")
-
-    from .det import prepare_initial
 
     levels = [_level_estimates(u0, model, cfg, ens, lvl) for lvl in ens.levels]
     c_hats = [lv.c_hat for lv in levels]

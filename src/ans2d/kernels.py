@@ -1,13 +1,12 @@
-"""Direct-summation advection kernels used as the FFT-free oracle.
+"""Direct-summation advection kernel used as the FFT-free oracle.
 
-Two interchangeable backends compute the truncated convolution
+The kernel computes the truncated convolution
 
     B_m(k) = sum_q  u_j(q) * i (k - q)_j * u_m(k - q)
 
-over all mode pairs that stay inside the grid's wavevector range:
-a numba-jitted quadruple loop and a numpy/scipy fallback built on direct
-2-d convolution.  Selection order: explicit ``backend=`` argument, then the
-ANS2D_ORACLE_BACKEND environment variable ('numba' | 'numpy' | 'auto').
+over all mode pairs that stay inside the grid's wavevector range, by direct
+2-d convolution.  The module imports scipy.signal, which is slow to load,
+so it is imported only when the oracle runs.
 
 Arrays here use the centered layout: index a along an axis of length n
 holds wavevector k = a - (n//2 - 1), so k runs over -n/2+1 .. n/2.
@@ -15,70 +14,15 @@ holds wavevector k = a - (n//2 - 1), so k runs over -n/2+1 .. n/2.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 from scipy.signal import convolve2d
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def resolve_backend(backend: str | None = None) -> str:
-    choice = backend or os.environ.get("ANS2D_ORACLE_BACKEND", "auto")
-    if choice not in ("auto", "numba", "numpy"):
-        raise ValueError(f"unknown oracle backend {choice!r}")
-    if choice == "auto":
-        return "numba" if HAS_NUMBA else "numpy"
-    if choice == "numba" and not HAS_NUMBA:
-        raise RuntimeError("numba backend requested but numba is not importable")
-    return choice
-
-
-@njit(cache=True)
-def _direct_advection_numba(u: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:  # pragma: no cover - jitted
-    n1 = u.shape[1]
-    n2 = u.shape[2]
-    lo1, hi1 = k1[0], k1[n1 - 1]
-    lo2, hi2 = k2[0], k2[n2 - 1]
-    out = np.zeros((2, n1, n2), dtype=np.complex128)
-    for a in range(n1):
-        for b in range(n2):
-            # q = (k1[a], k2[b]) pairs with every p = (k1[c], k2[d])
-            uq1 = u[0, a, b]
-            uq2 = u[1, a, b]
-            if uq1 == 0 and uq2 == 0:
-                continue
-            for c in range(n1):
-                kk1 = k1[a] + k1[c]
-                if kk1 < lo1 or kk1 > hi1:
-                    continue
-                ia = kk1 - lo1
-                for d in range(n2):
-                    kk2 = k2[b] + k2[d]
-                    if kk2 < lo2 or kk2 > hi2:
-                        continue
-                    ib = kk2 - lo2
-                    factor = 1j * (k1[c] * uq1 + k2[d] * uq2)
-                    out[0, ia, ib] += factor * u[0, c, d]
-                    out[1, ia, ib] += factor * u[1, c, d]
-    return out
-
-
-def _direct_advection_numpy(u: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np.ndarray:
-    n1, n2 = u.shape[1], u.shape[2]
+def direct_advection(u_centered: np.ndarray, n1: int, n2: int) -> np.ndarray:
+    """Truncated convolution of u.grad(u) on centered coefficients (2, n1, n2)."""
+    k1 = np.arange(n1, dtype=np.int64) - (n1 // 2 - 1)
+    k2 = np.arange(n2, dtype=np.int64) - (n2 // 2 - 1)
+    u = np.ascontiguousarray(u_centered, dtype=np.complex128)
     d1 = u * (1j * k1[None, :, None])
     d2 = u * (1j * k2[None, None, :])
     out = np.zeros_like(u)
@@ -87,14 +31,3 @@ def _direct_advection_numpy(u: np.ndarray, k1: np.ndarray, k2: np.ndarray) -> np
         # full linear convolution covers k in [2*lo, 2*hi]; cut the grid window
         out[m] = full[n1 // 2 - 1:n1 // 2 - 1 + n1, n2 // 2 - 1:n2 // 2 - 1 + n2]
     return out
-
-
-def direct_advection(u_centered: np.ndarray, n1: int, n2: int,
-                     backend: str | None = None) -> np.ndarray:
-    """Truncated convolution of u.grad(u) on centered coefficients (2, n1, n2)."""
-    k1 = np.arange(n1, dtype=np.int64) - (n1 // 2 - 1)
-    k2 = np.arange(n2, dtype=np.int64) - (n2 // 2 - 1)
-    u = np.ascontiguousarray(u_centered, dtype=np.complex128)
-    if resolve_backend(backend) == "numba":
-        return _direct_advection_numba(u, k1, k2)
-    return _direct_advection_numpy(u, k1, k2)

@@ -27,7 +27,7 @@ from typing import Sequence
 import numpy as np
 
 from . import spectral
-from .norms import MEASURE, NormReport
+from .norms import MEASURE, NormReport, norm_rows
 from .spectral import SpectralField, TorusGrid
 
 EXISTENCE_K2_LIMIT = 2.0 / 11.0
@@ -361,16 +361,11 @@ def condition_c_empirical_check(model: NoiseModel, fields: Sequence[SpectralFiel
     cc = condition_c_bounds(model, eta=eta)
     for idx, u in enumerate(fields):
         grid = u.grid
-        k1sq = grid.k1.astype(np.float64) ** 2
-        k2sq = grid.k2.astype(np.float64) ** 2
-        p = np.abs(u.coeffs) ** 2
-        l2 = float(MEASURE * p.sum())
-        d1 = float(MEASURE * (k1sq * p).sum())
-        d2 = float(MEASURE * (k2sq * p).sum())
-        d1d2 = float(MEASURE * (k1sq * k2sq * p).sum())
+        rows = norm_rows(u.coeffs, grid)
+        l2, d1, d2, d1d2 = (float(rows[k]) for k in ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq"))
         chans = sigma_channels(model, u)
         hm1_w = 1.0 / (1.0 + grid.ksq)
-        h01_w = 1.0 + k2sq
+        h01_w = 1.0 + grid.k2.astype(np.float64) ** 2
         hs_l2 = _diag_norm_sq(chans, np.ones_like(hm1_w))
         hs_hm1 = _diag_norm_sq(chans, hm1_w)
         hs_h01 = _diag_norm_sq(chans, h01_w)
@@ -380,11 +375,9 @@ def condition_c_empirical_check(model: NoiseModel, fields: Sequence[SpectralFiel
                    cc.kt0 + cc.kt1 * (l2 + d2) + cc.kt2 * (d1 + d1d2), cc.kt2)
     for idx in range(len(fields) - 1):
         u, v = fields[idx], fields[idx + 1]
-        w = SpectralField(u.grid, u.coeffs - v.coeffs)
-        pw = np.abs(w.coeffs) ** 2
-        wl2 = float(MEASURE * pw.sum())
-        wd1 = float(MEASURE * (u.grid.k1.astype(np.float64) ** 2 * pw).sum())
+        w = norm_rows(u.coeffs - v.coeffs, u.grid)
         diff = sigma_channels(model, u) - sigma_channels(model, v)
         hs_diff = float(MEASURE * np.sum(np.abs(diff) ** 2))
-        report.add(f"lipschitz[{idx}]", hs_diff, cc.l1 * wl2 + cc.l2 * wd1, cc.l2)
+        report.add(f"lipschitz[{idx}]", hs_diff,
+                   cc.l1 * w["l2_sq"] + cc.l2 * w["d1_sq"], cc.l2)
     return report

@@ -53,6 +53,53 @@ def h01_inner(u: SpectralField, v: SpectralField) -> float:
     return float(MEASURE * np.sum(w * u.coeffs * np.conj(v.coeffs)).real)
 
 
+# ---------------------------------------------------------------------------
+# certificate toolkit: batch-aware pieces shared by every a priori audit
+
+
+def norm_rows(coeffs: np.ndarray, grid: TorusGrid) -> dict[str, np.ndarray]:
+    """Squared anisotropic norms of (..., 2, n1, n2) coefficient arrays.
+
+    ||u||^2, ||d1 u||^2, ||d2 u||^2, ||d1 d2 u||^2 and the H^{1,1} norm
+    with weight (1 + k1^2)(1 + k2^2); the sums run over the last three axes,
+    so batch axes are kept (0-d arrays for a single field).
+    """
+    k1sq = grid.k1.astype(np.float64) ** 2
+    k2sq = grid.k2.astype(np.float64) ** 2
+    p = np.abs(coeffs) ** 2
+    axes = (-3, -2, -1)
+    return {"l2_sq": MEASURE * p.sum(axis=axes),
+            "d1_sq": MEASURE * (k1sq * p).sum(axis=axes),
+            "d2_sq": MEASURE * (k2sq * p).sum(axis=axes),
+            "d1d2_sq": MEASURE * (k1sq * k2sq * p).sum(axis=axes),
+            "h11_sq": MEASURE * ((1.0 + k1sq) * (1.0 + k2sq) * p).sum(axis=axes)}
+
+
+def d2_pairing(f: np.ndarray, u: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """(d2 f, d2 u) of (..., 2, n1, n2) coefficient arrays, per batch entry."""
+    k2sq = grid.k2.astype(np.float64) ** 2
+    return MEASURE * np.sum(k2sq * f * np.conj(u), axis=(-3, -2, -1)).real
+
+
+def trilinear_ratio(pairing: np.ndarray, denom: np.ndarray) -> np.ndarray:
+    """Realized constant |pairing| / denom of a trilinear bound; 0 where denom is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0.0, np.abs(pairing) / denom, 0.0)
+
+
+def cumulative_trapezoid(y: np.ndarray, dx: float | np.ndarray) -> np.ndarray:
+    """Running trapezoid integral of y along axis 0, starting from 0.
+
+    dx is the constant step or the len(y) - 1 steps; trailing (batch) axes
+    of y are integrated independently.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    dx = np.reshape(dx, np.shape(dx) + (1,) * (y.ndim - np.ndim(dx)))
+    out = np.zeros_like(y)
+    out[1:] = np.cumsum(dx * (y[1:] + y[:-1]) / 2, axis=0)
+    return out
+
+
 def _lp_along(samples: np.ndarray, p: float, axis: int, h: float) -> np.ndarray:
     if np.isinf(p):
         return np.max(np.abs(samples), axis=axis)

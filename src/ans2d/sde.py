@@ -21,7 +21,7 @@ import numpy as np
 
 from . import spectral
 from .basis import basis_element, galerkin_mask, galerkin_project_raw, max_level
-from .errors import BlowUpError
+from .det import _GapAudit, prepare_initial
 from .noise import (
     DEFAULT_ETA,
     NoiseModel,
@@ -30,7 +30,7 @@ from .noise import (
     sample_wiener_increment,
     sigma_channels,
 )
-from .norms import MEASURE
+from .norms import MEASURE, cumulative_trapezoid, d2_pairing, norm_rows, trilinear_ratio
 from .spectral import SpectralField, TorusGrid
 
 DIAG_NAMES = ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "h01_sq", "h11_sq",
@@ -82,10 +82,7 @@ class _Stepper:
         self.grid = grid
         self.model = model
         self.cfg = cfg
-        k1 = grid.k1.astype(np.float64)
-        self.ef = np.exp(-cfg.dt * k1 ** 2) * np.ones((1, grid.n2))
-        self.k1 = k1
-        self.k2 = grid.k2.astype(np.float64)
+        self.ef = np.exp(-cfg.dt * grid.k1.astype(np.float64) ** 2) * np.ones((1, grid.n2))
         self.gmask = galerkin_mask(grid, cfg.galerkin_n)
         self.n_modes = 0 if model is None else model.n_modes
         self.silent = self.n_modes == 0 or model.is_zero
@@ -157,25 +154,17 @@ def _diag_row(stepper: _Stepper, coeffs: np.ndarray, noise_work: np.ndarray,
               with_hs: bool, adv: np.ndarray | None = None,
               phys: np.ndarray | None = None) -> dict[str, np.ndarray]:
     """Diagnostics of a batch; adv and phys may carry the step's shared work."""
-    k1sq = stepper.k1 ** 2
-    k2sq = stepper.k2 ** 2
-    p = np.abs(coeffs) ** 2
-    axes = (-3, -2, -1)
-    l2 = MEASURE * p.sum(axis=axes)
-    d1 = MEASURE * (k1sq * p).sum(axis=axes)
-    d2 = MEASURE * (k2sq * p).sum(axis=axes)
-    d1d2 = MEASURE * (k1sq * k2sq * p).sum(axis=axes)
-    h11 = MEASURE * ((1.0 + k1sq) * (1.0 + k2sq) * p).sum(axis=axes)
+    row = norm_rows(coeffs, stepper.grid)
+    l2 = row["l2_sq"]
     if stepper.cfg.drop_nonlinearity:
         cross = np.zeros_like(l2)
     else:
         if adv is None:
             adv = stepper.advection(coeffs, phys)
-        cross = MEASURE * np.sum(k2sq * adv * np.conj(coeffs), axis=axes).real
+        cross = d2_pairing(adv, coeffs, stepper.grid)
     hs = stepper.hs_sq(coeffs, phys) if with_hs else np.zeros_like(l2)
-    return {"l2_sq": l2, "d1_sq": d1, "d2_sq": d2, "d1d2_sq": d1d2,
-            "h01_sq": l2 + d2, "h11_sq": h11, "cross": cross,
-            "noise_work": noise_work, "hs_sq": hs}
+    row.update(h01_sq=l2 + row["d2_sq"], cross=cross, noise_work=noise_work, hs_sq=hs)
+    return row
 
 
 @dataclass
@@ -227,14 +216,8 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
         sig = stepper.noise_increment(c, increments[:, i, :], phys)
         work = MEASURE * np.sum(sig * np.conj(c), axis=(1, 2, 3)).real
         c = stepper.ef * (c + dt * stepper.drift(c, adv) + sig)
-        if not np.all(np.isfinite(c)):
-            raise BlowUpError("non-finite coefficients", last_finite_time=i * dt)
         l2_now = float(np.max(MEASURE * np.sum(np.abs(c) ** 2, axis=(1, 2, 3))))
-        if l2_0 > 0.0 and l2_now > cfg.blowup_factor ** 2 * l2_0:
-            raise BlowUpError(
-                f"L2 norm exceeded {cfg.blowup_factor:.1e} x initial",
-                last_finite_time=i * dt,
-            )
+        spectral.check_finite(c, l2_now, l2_0, t_last=i * dt, guard=cfg.blowup_factor)
 
     return BatchedRun(t=t, diag=diag, final=c, states=states)
 
@@ -279,20 +262,14 @@ def weighted_h01_series(t: np.ndarray, d1_sq: np.ndarray, d1d2_sq: np.ndarray,
     Columns run over time on axis 0: (n_steps+1,) for one path or
     (n_steps+1, B) for a batch, each path with its own sup and C(alpha).
     """
-    denom = np.sqrt(d1d2_sq * d1_sq * d2_sq)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        c_emp = np.where(denom > 0.0, np.abs(cross) / denom, 0.0)
+    c_emp = trilinear_ratio(cross, np.sqrt(d1d2_sq * d1_sq * d2_sq))
     c_sup = np.max(c_emp, axis=0, initial=0.0)
     big_c = c_sup ** 2 / (4.0 * alpha_tilde)
-    half_dt = 0.5 * np.diff(t).reshape((-1,) + (1,) * (d1_sq.ndim - 1))
-    h = np.zeros_like(d1_sq)
-    h[1:] = np.cumsum(half_dt * (d1_sq[:-1] + d1_sq[1:]), axis=0) * 2.0 * big_c
-    damped_h11 = np.exp(-h) * h11_sq
-    int_wh11 = np.zeros_like(h)
-    int_wh11[1:] = np.cumsum(half_dt * (damped_h11[:-1] + damped_h11[1:]), axis=0)
+    steps = np.diff(t)
+    h = cumulative_trapezoid(d1_sq, steps) * 2.0 * big_c
     return WeightedSeries(big_c=big_c, c_emp_sup=c_sup, h=h,
                           weighted_h01=np.exp(-h) * h01_sq,
-                          int_weighted_h11=int_wh11)
+                          int_weighted_h11=cumulative_trapezoid(np.exp(-h) * h11_sq, steps))
 
 
 @dataclass
@@ -317,8 +294,6 @@ def run_sde(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig) -> SdeT
     grid = u0.grid
     n_modes = 0 if model is None else model.n_modes
     incs = sample_wiener_increment(n_modes, cfg.n_steps, cfg.dt, cfg.seed, 0)[None]
-    from .det import prepare_initial
-
     run = _run_batched(prepare_initial(u0).coeffs[None], grid, model, cfg, incs)
     diag = {name: run.diag[name][:, 0] for name in DIAG_NAMES}
     weighted = weighted_h01_series(run.t, diag["d1_sq"], diag["d1d2_sq"],
@@ -351,8 +326,6 @@ def ito_isometry_audit(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
                        n_paths: int, n_se: float = 5.0) -> ItoAuditReport:
     """Check the discrete energy balance against the quadratic variation."""
     grid = u0.grid
-    from .det import prepare_initial
-
     c0 = np.repeat(prepare_initial(u0).coeffs[None], n_paths, axis=0)
     incs = np.stack([
         sample_wiener_increment(model.n_modes, cfg.n_steps, cfg.dt, cfg.seed, j)
@@ -360,8 +333,7 @@ def ito_isometry_audit(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
     ])
     run = _run_batched(c0, grid, model, cfg, incs)
     dt = cfg.dt
-    d1 = run.diag["d1_sq"]
-    int_d1 = 0.5 * dt * (d1[:-1] + d1[1:]).sum(axis=0)
+    int_d1 = cumulative_trapezoid(run.diag["d1_sq"], dt)[-1]
     balance = run.diag["l2_sq"][-1] - run.diag["l2_sq"][0] + 2.0 * int_d1
     quad = np.sum(run.diag["hs_sq"][:-1] * dt, axis=0)  # left Riemann sum
     work = 2.0 * np.sum(run.diag["noise_work"], axis=0)
@@ -417,65 +389,21 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     """
     if not 0.0 < beta_hat < 1.0:
         raise ValueError("beta_hat must lie in (0, 1)")
-    grid = u0.grid
-    from .det import prepare_initial
-
     n_steps = cfg.n_steps
     incs_one = sample_wiener_increment(model.n_modes, n_steps, cfg.dt, cfg.seed, 0)
     incs = np.stack([incs_one, incs_one])  # same path for both rows
     c0 = np.stack([prepare_initial(u0).coeffs, prepare_initial(v0).coeffs])
+    audit = _GapAudit(u0.grid, cfg.dt, n_steps, base=0)
+    _run_batched(c0, u0.grid, model, cfg, incs, with_diag=False, on_step=audit.record)
 
-    k1sq = grid.k1.astype(np.float64) ** 2
-    k2sq = grid.k2.astype(np.float64) ** 2
-    w_l2 = np.zeros(n_steps + 1)
-    w_d1 = np.zeros(n_steps + 1)
-    tri = np.zeros(n_steps + 1)
-    dissip = np.zeros(n_steps + 1)
-    den = np.zeros(n_steps + 1)
-    bitwise = [True]
-
-    def on_step(i: int, c: np.ndarray) -> None:
-        w = c[0] - c[1]
-        bitwise[0] = bitwise[0] and bool(np.all(c[0] == c[1]))
-        pw = np.abs(w) ** 2
-        w_l2[i] = MEASURE * pw.sum()
-        w_d1[i] = MEASURE * (k1sq * pw).sum()
-        pu = np.abs(c[0]) ** 2
-        d1u = MEASURE * (k1sq * pu).sum()
-        d2u = MEASURE * (k2sq * pu).sum()
-        d1d2u = MEASURE * (k1sq * k2sq * pu).sum()
-        dissip[i] = (d1u ** (1.0 / 3.0) + d2u ** (1.0 / 3.0)) * d1d2u ** (1.0 / 3.0)
-        wp = spectral._phys(w, grid.n_points)
-        d1up = spectral._phys(c[0] * 1j * grid.k1.astype(np.float64), grid.n_points)
-        d2up = spectral._phys(c[0] * 1j * grid.k2.astype(np.float64), grid.n_points)
-        tri[i] = abs(float(np.sum((wp[0:1] * d1up + wp[1:2] * d2up) * wp) * grid.cell_area))
-        den[i] = (w_d1[i] ** 0.25 * (d1u ** 0.25 + d2u ** 0.25) * d1d2u ** 0.25
-                  * w_l2[i] ** 0.75)
-
-    run = _run_batched(c0, grid, model, cfg, incs, with_diag=False, on_step=on_step)
-    t = run.t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratios = np.where(den > 0.0, tri / den, 0.0)
-    c1 = float(np.max(ratios))
     alpha = cfg.alpha_tilde
-    c_alpha = 0.75 * (4.0 * alpha) ** (-1.0 / 3.0) * 2.0 ** (1.0 / 3.0) * c1 ** (4.0 / 3.0)
-    q = np.zeros(n_steps + 1)
-    for i in range(1, n_steps + 1):
-        q[i] = q[i - 1] + 0.5 * cfg.dt * (dissip[i - 1] + dissip[i]) * 2.0 * c_alpha
     l1 = condition_c_bounds(model, eta=eta).l1
-    growth = (1.0 + 4.0 / beta_hat) * l1 * t
-
-    if bitwise[0]:
-        passed = bool(np.all(w_l2 == 0.0))
-        max_ratio = 0.0
-    else:
-        lhs = np.exp(-q) * w_l2
-        bound = w_l2[0] * np.exp(growth) * (1.0 + tol)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            max_ratio = float(np.max(np.where(bound > 0.0, lhs / bound, np.inf)))
-        passed = bool(np.all(lhs <= bound))
-    return PathwiseUniquenessReport(t=t, w_l2_sq=w_l2, q=q, growth=growth, c1=c1,
-                                    c_alpha=c_alpha, l1=l1, bitwise_zero=bitwise[0],
+    growth = (1.0 + 4.0 / beta_hat) * l1 * audit.t
+    c1, c_alpha, q, max_ratio, passed = audit.verdict(
+        lambda c1: 0.75 * (4.0 * alpha) ** (-1.0 / 3.0) * 2.0 ** (1.0 / 3.0) * c1 ** (4.0 / 3.0),
+        growth, tol)
+    return PathwiseUniquenessReport(t=audit.t, w_l2_sq=audit.w_l2, q=q, growth=growth, c1=c1,
+                                    c_alpha=c_alpha, l1=l1, bitwise_zero=audit.bitwise,
                                     max_ratio=max_ratio, passed=passed)
 
 

@@ -249,20 +249,19 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, _advection_raw(u.coeffs, u.grid))
 
 
-def nonlinear_term_oracle(u: SpectralField, backend: str | None = None) -> SpectralField:
+def nonlinear_term_oracle(u: SpectralField) -> SpectralField:
     """Advection term by direct truncated convolution, no FFT in the product.
 
     Quadratic in the mode count per output mode, so guarded to grids with
-    n1*n2 <= 1024.  Backend 'numba' or 'numpy' may be forced; default follows
-    the ANS2D_ORACLE_BACKEND environment variable.
+    n1*n2 <= 1024.
     """
-    from . import kernels
+    from . import kernels  # scipy.signal loads slowly; only the oracle needs it
 
     grid = u.grid
     if grid.n_points > 1024:
         raise ValueError(f"oracle limited to n1*n2 <= 1024, got {grid.n_points}")
     centered = to_centered(u.coeffs, grid)
-    out_centered = kernels.direct_advection(centered, grid.n1, grid.n2, backend=backend)
+    out_centered = kernels.direct_advection(centered, grid.n1, grid.n2)
     return SpectralField(grid, from_centered(out_centered, grid))
 
 

@@ -127,6 +127,14 @@ def test_uniqueness_perturbed_initial_data(grid32, make_field):
     assert report.c1 > 0.0 and report.max_ratio <= 1.0
 
 
+def test_uniqueness_guards_both_solutions(grid16, make_field):
+    # only v blows up: u = 0 stays finite, so a guard on u alone never fires
+    v0 = make_field(grid16, band=5, amplitude=200.0, seed=1)
+    with pytest.raises(BlowUpError) as info:
+        uniqueness_experiment(zeros_spectral(grid16), v0, DetConfig(dt=0.2, t_end=4.0))
+    assert 0.0 <= info.value.last_finite_time < 4.0
+
+
 def test_mollify_damping(grid16, make_field):
     u = make_field(grid16, band=5, seed=13)
     eps = 0.3

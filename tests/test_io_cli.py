@@ -1,5 +1,8 @@
 import csv
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -267,7 +270,8 @@ def test_cli_config_error_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("grid.n1 = seven\n")
     assert main(["run-det", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
-    assert main(["run-det", "--config", str(tmp_path / "absent.cfg")]) == 2
+    assert main(["run-det", "--config", str(tmp_path / "absent.cfg"),
+                 "--out", str(tmp_path / "y")]) == 2
     assert main(["no-such-command"]) == 2
     assert main(["plot-data", "--out", str(tmp_path / "p")]) == 2  # no input
 
@@ -336,3 +340,57 @@ def test_cli_negative_snapshot_every_is_config_error(tmp_path, key):
     cfg = _write_cfg(tmp_path, f"{key} = -3\n")
     command = "run-det" if key.startswith("det") else "run-sde"
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+def test_cli_manifest_on_config_error(tmp_path):
+    cfg = _write_cfg(tmp_path, "grid.n1 = 8\ngrid.n2 = 8\ninit.band = 2\n"
+                               "sde.galerkin_n = 200\n")
+    out = tmp_path / "sde"
+    assert main(["run-sde", "--config", cfg, "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["exit_code"] == 2 and man["outputs"] == [] and man["verdicts"] == {}
+    assert man["error"]["class"] == "ConfigError"
+    assert "galerkin_n=200" in man["error"]["message"]
+    assert parse_config(man["config"])["sde.galerkin_n"] == 200
+    # a config that cannot be loaded leaves a manifest without config and seeds
+    out = tmp_path / "absent"
+    assert main(["run-det", "--config", str(tmp_path / "absent.cfg"), "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["config"] is None and man["seeds"] is None
+    assert man["error"]["class"] == "ConfigError"
+
+
+def test_cli_manifest_on_gate_error(tmp_path):
+    cfg = _write_cfg(tmp_path, "noise.c_recipes = 2.0*cos(0,1)\n")
+    out = tmp_path / "ens"
+    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 1
+    man = _manifest(out)
+    assert man["exit_code"] == 1 and man["error"]["class"] == "GateError"
+    assert "last_finite_time" not in man["error"]
+
+
+def test_cli_manifest_on_blowup(tmp_path):
+    # v = u + 1e-8 e_(1,0) with a band-5, amplitude-200 u: both runs blow up
+    cfg = _write_cfg(tmp_path, "init.band = 5\ninit.amplitude = 200\ndet.dt = 0.2\n"
+                               "det.t_end = 4\nuniqueness.kind = det\n")
+    out = tmp_path / "uniq"
+    assert main(["uniqueness", "--config", cfg, "--out", str(out)]) == 3
+    man = _manifest(out)
+    assert man["exit_code"] == 3 and man["outputs"] == []
+    assert man["error"]["class"] == "BlowUpError"
+    assert 0.0 <= man["error"]["last_finite_time"] < 4.0
+    assert f"t={man['error']['last_finite_time']:.6g}" in man["error"]["message"]
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.signal alone takes over a second to import; only the oracle
+    # (kernels, imported on first use) may load scipy
+    import ans2d
+
+    src = str(Path(ans2d.__file__).resolve().parents[1])
+    script = (f"import sys; sys.path.insert(0, {src!r}); import ans2d.cli; "
+              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -1,10 +1,7 @@
 import numpy as np
 import pytest
 
-from ans2d.kernels import HAS_NUMBA, resolve_backend
 from ans2d.spectral import TorusGrid, dealias, nonlinear_term, nonlinear_term_oracle
-
-BACKENDS = ["numpy"] + (["numba"] if HAS_NUMBA else [])
 
 
 def _rel_err(a, b):
@@ -12,45 +9,13 @@ def _rel_err(a, b):
     return float(np.max(np.abs(a - b))) / scale
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_oracle_matches_pseudospectral(backend, make_field):
+def test_oracle_matches_pseudospectral(make_field):
     grid = TorusGrid(8, 8)
     for seed in range(10):
         u = make_field(grid, band=2, seed=seed)
         fast = nonlinear_term(u)
-        slow = dealias(nonlinear_term_oracle(u, backend=backend))
+        slow = dealias(nonlinear_term_oracle(u))
         assert _rel_err(fast.coeffs, slow.coeffs) <= 1e-12
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-def test_backends_agree_exactly(make_field):
-    grid = TorusGrid(8, 8)
-    u = make_field(grid, band=2, seed=42)
-    a = nonlinear_term_oracle(u, backend="numba")
-    b = nonlinear_term_oracle(u, backend="numpy")
-    assert _rel_err(a.coeffs, b.coeffs) <= 1e-13
-
-
-def test_env_flag_selects_backend(monkeypatch):
-    monkeypatch.setenv("ANS2D_ORACLE_BACKEND", "numpy")
-    assert resolve_backend(None) == "numpy"
-    monkeypatch.setenv("ANS2D_ORACLE_BACKEND", "auto")
-    assert resolve_backend(None) == ("numba" if HAS_NUMBA else "numpy")
-    monkeypatch.delenv("ANS2D_ORACLE_BACKEND")
-    assert resolve_backend("numpy") == "numpy"
-    with pytest.raises(ValueError):
-        resolve_backend("fortran")
-    monkeypatch.setenv("ANS2D_ORACLE_BACKEND", "fortran")
-    with pytest.raises(ValueError):
-        resolve_backend(None)
-
-
-def test_numba_request_without_numba():
-    if HAS_NUMBA:
-        assert resolve_backend("numba") == "numba"
-    else:
-        with pytest.raises(RuntimeError, match="numba"):
-            resolve_backend("numba")
 
 
 def test_oracle_size_guard(make_field):

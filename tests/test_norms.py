@@ -5,11 +5,14 @@ from ans2d.norms import (
     NormReport,
     check_anisotropic_embedding,
     check_minkowski,
+    cumulative_trapezoid,
     h01_inner,
     l2_inner,
     l2_norm_sq,
     mixed_norm,
+    norm_rows,
     sobolev_norm,
+    trilinear_ratio,
 )
 from ans2d.spectral import (
     PhysicalField,
@@ -120,3 +123,41 @@ def test_forward_transform_batch_friendly(grid16):
     f = np.cos(x1) * np.sin(2.0 * x2)
     c = forward_transform(PhysicalField(grid16, np.stack([f, 0 * f])))
     assert abs(c.mode((1, 2))[0] - (-0.25j)) <= 1e-14
+
+
+def test_norm_rows_keep_batch_axes(grid16, make_field):
+    fields = np.stack([make_field(grid16, band=4, seed=s).coeffs for s in range(3)])
+    batch = norm_rows(fields, grid16)
+    assert set(batch) == {"l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "h11_sq"}
+    for j in range(3):
+        one = norm_rows(fields[j], grid16)
+        for name, col in batch.items():
+            assert col.shape == (3,) and one[name].shape == ()
+            assert col[j] == one[name]  # same bits with or without batch axes
+    u = SpectralField(grid16, fields[0])
+    assert batch["l2_sq"][0] == pytest.approx(l2_norm_sq(u), rel=1e-14)
+    for name, (s1, s2) in (("d1_sq", (1, 0)), ("d2_sq", (0, 1)), ("d1d2_sq", (1, 1))):
+        assert batch[name][0] == pytest.approx(sobolev_norm(u, s1, s2, homogeneous=True) ** 2,
+                                               rel=1e-13)
+    assert batch["h11_sq"][0] == pytest.approx(sobolev_norm(u, 1, 1) ** 2, rel=1e-13)
+
+
+def test_cumulative_trapezoid_steps_and_batch_axes():
+    t = np.linspace(0.0, 1.0, 11)
+    y = np.stack([t ** 2, 2.0 * t], axis=1)  # two columns integrated independently
+    out = cumulative_trapezoid(y, 0.1)
+    assert out.shape == y.shape and np.all(out[0] == 0.0)
+    np.testing.assert_allclose(out[:, 1], t ** 2, atol=1e-15)  # exact for linear y
+    assert out[-1, 0] == pytest.approx(np.trapezoid(t ** 2, t), rel=1e-14)
+    np.testing.assert_allclose(cumulative_trapezoid(y, np.diff(t)), out, rtol=1e-14)
+    assert cumulative_trapezoid(np.array([3.0]), 0.1).tolist() == [0.0]
+    # the running sum of the step loop it replaced, bit for bit
+    ref = np.zeros_like(y)
+    for i in range(1, len(t)):
+        ref[i] = ref[i - 1] + 0.5 * 0.1 * (y[i - 1] + y[i])
+    np.testing.assert_array_equal(out, ref)
+
+
+def test_trilinear_ratio_is_zero_safe():
+    ratio = trilinear_ratio(np.array([-2.0, 1.0, 0.0]), np.array([4.0, 0.0, 0.0]))
+    assert ratio.tolist() == [0.5, 0.0, 0.0]
