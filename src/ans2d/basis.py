@@ -16,7 +16,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid, zeros_spectral, _leray_raw
+from .norms import MEASURE
+from .spectral import SpectralField, TorusGrid, zeros_spectral
+
+_AMP = 1.0 / (np.sqrt(2.0) * np.pi)  # unit L2 norm of a cosine or sine element
 
 
 def is_canonical(k: tuple[int, int]) -> bool:
@@ -33,16 +36,15 @@ def basis_element(grid: TorusGrid, k: tuple[int, int]) -> SpectralField:
     kc = k if is_canonical(k) else (-k[0], -k[1])
     norm = np.hypot(kc[0], kc[1])
     d = np.array([-kc[1], kc[0]], dtype=np.float64) / norm  # k_perp / |k|
-    amp = 1.0 / (np.sqrt(2.0) * np.pi)  # unit L2 norm on the torus
     f = zeros_spectral(grid)
     i, j = grid.index_of(kc)
     im, jm = grid.index_of((-kc[0], -kc[1]))
     if k == kc:  # cosine element
-        f.coeffs[:, i, j] = 0.5 * amp * d
-        f.coeffs[:, im, jm] = 0.5 * amp * d
+        f.coeffs[:, i, j] = 0.5 * _AMP * d
+        f.coeffs[:, im, jm] = 0.5 * _AMP * d
     else:  # sine element
-        f.coeffs[:, i, j] = -0.5j * amp * d
-        f.coeffs[:, im, jm] = 0.5j * amp * d
+        f.coeffs[:, i, j] = -0.5j * _AMP * d
+        f.coeffs[:, im, jm] = 0.5j * _AMP * d
     return f
 
 
@@ -73,48 +75,61 @@ def basis_wavevectors(grid: TorusGrid, n: int) -> list[tuple[int, int]]:
     return out[:n]
 
 
-def galerkin_mask(grid: TorusGrid, n: int) -> tuple[np.ndarray, tuple[int, int] | None]:
-    """Modes the level-n projection keeps whole, plus its split pair.
+class GalerkinFrame:
+    """Coordinate map of the level-n span: a field <-> its n inner products (u, e_j).
 
-    Returns a read-only boolean (n1, n2) mask over both members of every
-    fully kept pair and, for odd n, the canonical wavevector of the last
-    pair, of which only the cosine element is kept (None for even n).
+    Pair p has canonical wavevector kc and direction d = kc_perp/|kc|; its
+    cosine element has coefficient amp d/2 at kc and at -kc, its sine
+    element -i amp d/2 at kc and i amp d/2 at -kc, amp = 1/(sqrt(2) pi).
+    coords reads kc only, so its input must be Hermitian,
+    c(-k) = conj(c(k)) (as every real field's coefficients are):
+
+        (u, e_cos) = (2pi)^2 amp Re(d . u_hat(kc)),
+        (u, e_sin) = -(2pi)^2 amp Im(d . u_hat(kc)).
+
+    The gradient part of u drops out (d is orthogonal to kc).  lift
+    scatters coordinates back to (..., 2, n1, n2) coefficients.  Both use
+    index arrays over the pairs, never a dense basis matrix.  Element j is
+    an eigenfunction of d1^2 and d2^2 with eigenvalues -k1sq[j], -k2sq[j].
     """
-    pairs = enumerate_pairs(grid, (n + 1) // 2)
-    mask = np.zeros((grid.n1, grid.n2), dtype=bool)
-    full = pairs if n % 2 == 0 else pairs[:-1]
-    for kc in full:
-        mask[grid.index_of(kc)] = True
-        mask[grid.index_of((-kc[0], -kc[1]))] = True
-    mask.flags.writeable = False
-    return mask, (pairs[-1] if n % 2 == 1 else None)
+
+    def __init__(self, grid: TorusGrid, n: int):
+        pairs = np.array(enumerate_pairs(grid, (n + 1) // 2), dtype=np.int64).reshape(-1, 2)
+        self.grid = grid
+        self.n = n
+        self.plus = (pairs[:, 0] % grid.n1, pairs[:, 1] % grid.n2)
+        self.minus = (-pairs[:, 0] % grid.n1, -pairs[:, 1] % grid.n2)
+        self.dirs = np.stack((-pairs[:, 1], pairs[:, 0])) / np.hypot(pairs[:, 0], pairs[:, 1])
+        self.k1sq = np.repeat(pairs[:, 0] ** 2, 2)[:n].astype(np.float64)
+        self.k2sq = np.repeat(pairs[:, 1] ** 2, 2)[:n].astype(np.float64)
+
+    def coords(self, coeffs: np.ndarray) -> np.ndarray:
+        """(..., n) coordinates of Hermitian (..., 2, n1, n2) coefficients."""
+        i, j = self.plus
+        alpha = coeffs[..., 0, i, j] * self.dirs[0] + coeffs[..., 1, i, j] * self.dirs[1]
+        a = np.stack((alpha.real, -alpha.imag), axis=-1) * (MEASURE * _AMP)
+        return a.reshape(a.shape[:-2] + (-1,))[..., :self.n]
+
+    def lift(self, a: np.ndarray) -> np.ndarray:
+        """(..., 2, n1, n2) coefficients of the field with coordinates a."""
+        lead = a.shape[:-1]
+        pad = np.zeros(lead + (2 * len(self.plus[0]),))
+        pad[..., :self.n] = a
+        half = (pad[..., 0::2] - 1j * pad[..., 1::2])[..., None, :] * (0.5 * _AMP * self.dirs)
+        out = np.zeros(lead + (2, self.grid.n1, self.grid.n2), dtype=np.complex128)
+        out[..., :, self.plus[0], self.plus[1]] = half
+        out[..., :, self.minus[0], self.minus[1]] = np.conj(half)
+        return out
 
 
-def galerkin_project_raw(coeffs: np.ndarray, grid: TorusGrid, n: int,
-                         mask: tuple[np.ndarray, tuple[int, int] | None] | None = None
-                         ) -> np.ndarray:
+def galerkin_project_raw(coeffs: np.ndarray, grid: TorusGrid, n: int) -> np.ndarray:
     """Span projection onto the first n basis elements; supports batch axes.
 
-    mask is galerkin_mask(grid, n), built here when not given.  The result
-    is Leray-projected, dealiased and mean-free.
+    coeffs must be Hermitian (see GalerkinFrame).  The result is
+    solenoidal, dealiased and mean-free.
     """
-    keep, split = galerkin_mask(grid, n) if mask is None else mask
-    out = _leray_raw(coeffs * keep, grid)
-    if split is not None:
-        # split pair: retain only the cosine component, i.e. the real part of
-        # the solenoidal amplitude at the canonical representative
-        kc = split
-        norm = np.hypot(kc[0], kc[1])
-        d = np.array([-kc[1], kc[0]], dtype=np.float64) / norm
-        i, j = grid.index_of(kc)
-        im, jm = grid.index_of((-kc[0], -kc[1]))
-        alpha = coeffs[..., 0, i, j] * d[0] + coeffs[..., 1, i, j] * d[1]
-        re = alpha.real
-        out[..., 0, i, j] = re * d[0]
-        out[..., 1, i, j] = re * d[1]
-        out[..., 0, im, jm] = re * d[0]
-        out[..., 1, im, jm] = re * d[1]
-    return out
+    frame = GalerkinFrame(grid, n)
+    return frame.lift(frame.coords(coeffs))
 
 
 def galerkin_project(u: SpectralField, n: int) -> SpectralField:

@@ -127,7 +127,7 @@ def _sde_config(cfg: dict[str, Any]) -> sde_mod.SdeConfig:
     try:
         return sde_mod.SdeConfig(
             dt=cfg["sde.dt"], t_end=cfg["sde.t_end"], galerkin_n=cfg["sde.galerkin_n"],
-            seed=cfg["sde.seed"], scheme=cfg["sde.scheme"],
+            seed=cfg["sde.seed"],
             drop_nonlinearity=cfg["sde.drop_nonlinearity"],
             alpha_tilde=cfg["sde.alpha_tilde"],
             snapshot_every=cfg["sde.snapshot_every"])

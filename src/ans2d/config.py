@@ -95,7 +95,6 @@ SCHEMA: tuple[_Key, ...] = (
     _Key("sde.t_end", _parse_finite, 1.0),
     _Key("sde.galerkin_n", int, 8),
     _Key("sde.seed", int, 0),
-    _str_key("sde.scheme", "em-if", ("em-if",)),
     _Key("sde.drop_nonlinearity", _parse_bool, False),
     _Key("sde.alpha_tilde", _parse_finite, 0.5),
     _Key("sde.snapshot_every", _parse_count, 0),

@@ -89,32 +89,31 @@ def mollify(u: SpectralField, eps: float) -> SpectralField:
     return SpectralField(u.grid, u.coeffs * np.exp(-eps ** 2 * u.grid.ksq))
 
 
+def _advection(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    return spectral._advection_raw(spectral._phys_grad(coeffs, grid), grid)
+
+
 def _drift(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """-P(u.grad u), dealiased and mean-free; batch-friendly."""
-    return -spectral._leray_raw(spectral._advection_raw(coeffs, grid), grid)
+    return -spectral._leray_raw(_advection(coeffs, grid), grid)
 
 
-def _make_stepper(grid: TorusGrid, cfg: DetConfig) -> Callable[[np.ndarray], np.ndarray]:
+def _make_stepper(grid: TorusGrid, cfg: DetConfig
+                  ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     dt = cfg.dt
     ef = np.exp(dt * linear_symbol(grid, cfg.eps_v))
     eh = np.exp(0.5 * dt * linear_symbol(grid, cfg.eps_v))
 
-    # k1 may be passed in when the caller already evaluated the drift at c
+    # k1 is the drift at c, which the caller evaluates (and may share)
     if cfg.integrator == "if-euler":
-        def step(c: np.ndarray, k1: np.ndarray | None = None) -> np.ndarray:
-            if k1 is None:
-                k1 = _drift(c, grid)
+        def step(c: np.ndarray, k1: np.ndarray) -> np.ndarray:
             return ef * (c + dt * k1)
     elif cfg.integrator == "if-rk2":
-        def step(c: np.ndarray, k1: np.ndarray | None = None) -> np.ndarray:
-            if k1 is None:
-                k1 = _drift(c, grid)
+        def step(c: np.ndarray, k1: np.ndarray) -> np.ndarray:
             pred = ef * (c + dt * k1)
             return ef * c + 0.5 * dt * (ef * k1 + _drift(pred, grid))
     else:  # if-rk4
-        def step(c: np.ndarray, k1: np.ndarray | None = None) -> np.ndarray:
-            if k1 is None:
-                k1 = _drift(c, grid)
+        def step(c: np.ndarray, k1: np.ndarray) -> np.ndarray:
             k2 = _drift(eh * (c + 0.5 * dt * k1), grid)
             k3 = _drift(eh * c + 0.5 * dt * k2, grid)
             k4 = _drift(ef * c + dt * eh * k3, grid)
@@ -151,14 +150,14 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
 
     # one advection evaluation per state feeds both the cross-term
     # diagnostic and the first integrator stage
-    adv = spectral._advection_raw(c, grid)
+    adv = _advection(c, grid)
     record(0, c, adv)
     l2_sq0 = cols["l2_sq"][0]
     for i in range(1, n_steps + 1):
         c = step(c, -spectral._leray_raw(adv, grid))
         spectral.check_finite(c, float(MEASURE * np.sum(np.abs(c) ** 2)),
                               l2_sq0, t_last=(i - 1) * dt, guard=cfg.blowup_factor)
-        adv = spectral._advection_raw(c, grid)
+        adv = _advection(c, grid)
         record(i, c, adv)
 
     return Trajectory(grid=grid, config=cfg, t=np.arange(n_steps + 1) * dt, states=states,
@@ -388,7 +387,7 @@ def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
     audit.record(0, c)
     l2_0 = float(np.max(MEASURE * np.sum(np.abs(c) ** 2, axis=(1, 2, 3))))
     for i in range(1, cfg.n_steps + 1):
-        c = step(c)
+        c = step(c, _drift(c, grid))
         l2_now = float(np.max(MEASURE * np.sum(np.abs(c) ** 2, axis=(1, 2, 3))))
         spectral.check_finite(c, l2_now, l2_0, t_last=(i - 1) * dt, guard=cfg.blowup_factor)
         audit.record(i, c)

@@ -60,19 +60,30 @@ def h01_inner(u: SpectralField, v: SpectralField) -> float:
 def norm_rows(coeffs: np.ndarray, grid: TorusGrid) -> dict[str, np.ndarray]:
     """Squared anisotropic norms of (..., 2, n1, n2) coefficient arrays.
 
-    ||u||^2, ||d1 u||^2, ||d2 u||^2, ||d1 d2 u||^2 and the H^{1,1} norm
-    with weight (1 + k1^2)(1 + k2^2); the sums run over the last three axes,
-    so batch axes are kept (0-d arrays for a single field).
+    The power_rows of |u_hat|^2 over the wavevector grid, times the
+    measure; the sums run over the last three axes, so batch axes are kept
+    (0-d arrays for a single field).
     """
     k1sq = grid.k1.astype(np.float64) ** 2
     k2sq = grid.k2.astype(np.float64) ** 2
-    p = np.abs(coeffs) ** 2
-    axes = (-3, -2, -1)
-    return {"l2_sq": MEASURE * p.sum(axis=axes),
-            "d1_sq": MEASURE * (k1sq * p).sum(axis=axes),
-            "d2_sq": MEASURE * (k2sq * p).sum(axis=axes),
-            "d1d2_sq": MEASURE * (k1sq * k2sq * p).sum(axis=axes),
-            "h11_sq": MEASURE * ((1.0 + k1sq) * (1.0 + k2sq) * p).sum(axis=axes)}
+    rows = power_rows(np.abs(coeffs) ** 2, k1sq, k2sq, axes=(-3, -2, -1))
+    return {name: MEASURE * value for name, value in rows.items()}
+
+
+def power_rows(p: np.ndarray, k1sq: np.ndarray, k2sq: np.ndarray,
+               axes: int | tuple[int, ...]) -> dict[str, np.ndarray]:
+    """||u||^2, ||d1 u||^2, ||d2 u||^2, ||d1 d2 u||^2 and the H^{1,1} norm
+    with weight (1 + k1^2)(1 + k2^2), from a spectral power p.
+
+    p holds the power of each mode (or of each orthonormal coordinate) and
+    k1sq, k2sq the squared wavevector components it carries; the sums run
+    over axes.
+    """
+    return {"l2_sq": p.sum(axis=axes),
+            "d1_sq": (k1sq * p).sum(axis=axes),
+            "d2_sq": (k2sq * p).sum(axis=axes),
+            "d1d2_sq": (k1sq * k2sq * p).sum(axis=axes),
+            "h11_sq": ((1.0 + k1sq) * (1.0 + k2sq) * p).sum(axis=axes)}
 
 
 def d2_pairing(f: np.ndarray, u: np.ndarray, grid: TorusGrid) -> np.ndarray:

@@ -5,12 +5,16 @@ basis elements:
 
     u+ = exp(L dt) ( u + dt P_n P(-u.grad u) + P_n sigma(u) dW ),
 
-with L = -k1^2 applied exactly.  The engine is batched over trajectories:
-states are (B, 2, n1, n2) coefficient arrays and all per-step diagnostics
-come out as (n_steps+1, B) columns, which keeps path ensembles in pure
-array arithmetic.  Each trajectory draws its increments from a dedicated
-counter-based stream keyed by (seed, trajectory index), so any path can be
-replayed bit-for-bit regardless of batch layout.
+with L = -k1^2 applied exactly.  The engine steps the n real coordinates
+of the state in that basis (basis.GalerkinFrame), batched over
+trajectories as (B, n) arrays.  Every element is an eigenfunction of d1^2
+and d2^2, so exp(L dt), P_n, additive noise and every diagnostic norm act
+on the coordinates directly; only the advection and a multiplicative
+sigma(u) need the state on the grid, which is lifted once per step.
+Per-step diagnostics come out as (n_steps+1, B) columns, which keeps path
+ensembles in pure array arithmetic.  Each trajectory draws its increments
+from a dedicated counter-based stream keyed by (seed, trajectory index),
+so any path can be replayed bit-for-bit regardless of batch layout.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import spectral
-from .basis import basis_element, galerkin_mask, galerkin_project_raw, max_level
+from .basis import GalerkinFrame, basis_element, max_level
 from .det import _GapAudit, prepare_initial
 from .noise import (
     DEFAULT_ETA,
@@ -30,7 +34,7 @@ from .noise import (
     sample_wiener_increment,
     sigma_channels,
 )
-from .norms import MEASURE, cumulative_trapezoid, d2_pairing, norm_rows, trilinear_ratio
+from .norms import MEASURE, cumulative_trapezoid, power_rows, trilinear_ratio
 from .spectral import SpectralField, TorusGrid
 
 DIAG_NAMES = ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "h01_sq", "h11_sq",
@@ -43,7 +47,6 @@ class SdeConfig:
     t_end: float = 1.0
     galerkin_n: int = 8
     seed: int = 0
-    scheme: str = "em-if"
     drop_nonlinearity: bool = False
     alpha_tilde: float = 0.5
     snapshot_every: int = 0
@@ -52,8 +55,6 @@ class SdeConfig:
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
             raise ValueError("dt and t_end must be positive")
-        if self.scheme != "em-if":
-            raise ValueError(f"only the 'em-if' scheme is implemented, got {self.scheme!r}")
         if not 0.0 < self.alpha_tilde < 1.0:
             raise ValueError("alpha_tilde must lie in (0, 1)")
         if self.galerkin_n < 1:
@@ -67,10 +68,9 @@ class SdeConfig:
 class _Stepper:
     """Precomputed batched update for one (grid, model, config) triple.
 
-    The step loop synthesizes (u, d1 u, d2 u) of a state once (synth) and
-    hands the samples, and the advection built from them, to drift,
-    noise_increment, hs_sq and _diag_row; each of these also accepts bare
-    (..., 2, n1, n2) coefficient arrays and then synthesizes on its own.
+    States are (B, n) coordinates in the level-n frame.  The step loop
+    lifts a state to the grid and synthesizes (u, d1 u, d2 u) once (synth),
+    and hands the samples to drift, noise_increment and hs_sq.
     """
 
     def __init__(self, grid: TorusGrid, model: NoiseModel | None, cfg: SdeConfig):
@@ -82,87 +82,72 @@ class _Stepper:
         self.grid = grid
         self.model = model
         self.cfg = cfg
-        self.ef = np.exp(-cfg.dt * grid.k1.astype(np.float64) ** 2) * np.ones((1, grid.n2))
-        self.gmask = galerkin_mask(grid, cfg.galerkin_n)
+        self.frame = GalerkinFrame(grid, cfg.galerkin_n)
+        self.ef = np.exp(-cfg.dt * self.frame.k1sq)
         self.n_modes = 0 if model is None else model.n_modes
         self.silent = self.n_modes == 0 or model.is_zero
-        self.additive_channels = None
+        self.additive = None  # (n_modes, n) coordinates of the projected channels
         if not self.silent:
             if model.is_additive:
                 chans = sigma_channels(model, spectral.zeros_spectral(grid))
-                self.additive_channels = self.pn(chans)
+                self.additive = self.frame.coords(chans)
             else:
                 self.c_arr, self.b_arr = model.coefficient_fields(grid)
-        multiplicative = not self.silent and self.additive_channels is None
+        multiplicative = not self.silent and self.additive is None
         self.needs_phys = multiplicative or not cfg.drop_nonlinearity
 
-    def pn(self, coeffs: np.ndarray) -> np.ndarray:
-        return galerkin_project_raw(coeffs, self.grid, self.cfg.galerkin_n, self.gmask)
-
-    def synth(self, coeffs: np.ndarray) -> np.ndarray | None:
+    def synth(self, a: np.ndarray) -> np.ndarray | None:
         """Stacked (u, d1 u, d2 u) samples, or None when no layer reads them."""
-        return spectral._phys_grad(coeffs, self.grid) if self.needs_phys else None
+        return spectral._phys_grad(self.frame.lift(a), self.grid) if self.needs_phys else None
 
-    def advection(self, coeffs: np.ndarray, phys: np.ndarray | None = None) -> np.ndarray | None:
+    def drift(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
+        """Coordinates of -P_n (u.grad u); phys holds the samples of a."""
         if self.cfg.drop_nonlinearity:
-            return None
-        return spectral._advection_raw(coeffs, self.grid, phys)
-
-    def drift(self, coeffs: np.ndarray, adv: np.ndarray | None = None) -> np.ndarray:
-        """-P_n (u.grad u); adv may carry the advection of coeffs."""
-        if self.cfg.drop_nonlinearity:
-            return np.zeros_like(coeffs)
-        if adv is None:
-            adv = self.advection(coeffs)
-        return -self.pn(adv)
+            return np.zeros_like(a)
+        return -self.frame.coords(spectral._advection_raw(phys, self.grid))
 
     def _sigma(self, u: np.ndarray, d1u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """P_n sigma(u) y of a multiplicative model from samples of u and d1 u."""
+        """Coordinates of P_n sigma(u) y of a multiplicative model from samples of u, d1 u."""
         sig = _sigma_raw(self.model, u, d1u, y, self.c_arr, self.b_arr)
-        return self.pn(spectral._spec(sig, self.grid.n_points))
+        return self.frame.coords(spectral._spec(sig, self.grid.n_points))
 
-    def noise_increment(self, coeffs: np.ndarray, dw: np.ndarray,
-                        phys: np.ndarray | None = None) -> np.ndarray:
-        """P_n sigma(u) dW for a batch; dw has shape (..., n_modes)."""
+    def noise_increment(self, dw: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
+        """Coordinates of P_n sigma(u) dW; dw has shape (B, n_modes)."""
         if self.silent:
-            return np.zeros_like(coeffs)
-        if self.additive_channels is not None:
-            return np.tensordot(dw, self.additive_channels, axes=([-1], [0]))
-        u, d1u, _ = self.synth(coeffs) if phys is None else phys
+            return np.zeros(dw.shape[:-1] + (self.frame.n,))
+        if self.additive is not None:
+            # summed channel by channel: a BLAS product (dw @ additive) rounds
+            # differently for different batch shapes, so paths would no longer
+            # replay bit-for-bit across batch layouts
+            return np.sum(dw[..., :, None] * self.additive, axis=-2)
+        u, d1u, _ = phys
         return self._sigma(u, d1u, dw)
 
-    def step(self, coeffs: np.ndarray, dw: np.ndarray) -> np.ndarray:
-        phys = self.synth(coeffs)
-        return self.ef * (coeffs + self.cfg.dt * self.drift(coeffs, self.advection(coeffs, phys))
-                          + self.noise_increment(coeffs, dw, phys))
-
-    def hs_sq(self, coeffs: np.ndarray, phys: np.ndarray | None = None) -> np.ndarray:
+    def hs_sq(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
         """||P_n sigma(u) Pi||_HS^2 per batch entry."""
-        lead = coeffs.shape[:-3]
+        lead = a.shape[:-1]
         if self.silent:
             return np.zeros(lead)
-        if self.additive_channels is not None:
-            val = float(MEASURE * np.sum(np.abs(self.additive_channels) ** 2))
-            return np.full(lead, val)
-        u, d1u, _ = self.synth(coeffs) if phys is None else phys
+        if self.additive is not None:
+            return np.full(lead, float(np.sum(self.additive ** 2)))
+        u, d1u, _ = phys
         # all channels at once: a channel axis before the field axes
         chans = self._sigma(u[..., None, :, :, :], d1u[..., None, :, :, :], np.eye(self.n_modes))
-        return MEASURE * np.sum(np.abs(chans) ** 2, axis=(-4, -3, -2, -1))
+        return np.sum(chans ** 2, axis=(-2, -1))
 
 
-def _diag_row(stepper: _Stepper, coeffs: np.ndarray, noise_work: np.ndarray,
-              with_hs: bool, adv: np.ndarray | None = None,
-              phys: np.ndarray | None = None) -> dict[str, np.ndarray]:
-    """Diagnostics of a batch; adv and phys may carry the step's shared work."""
-    row = norm_rows(coeffs, stepper.grid)
+def _diag_row(stepper: _Stepper, a: np.ndarray, drift: np.ndarray, noise_work: np.ndarray,
+              with_hs: bool, phys: np.ndarray | None) -> dict[str, np.ndarray]:
+    """Diagnostics of a batch of coordinates a; drift and phys are the step's."""
+    frame = stepper.frame
+    row = power_rows(a ** 2, frame.k1sq, frame.k2sq, axes=-1)
     l2 = row["l2_sq"]
     if stepper.cfg.drop_nonlinearity:
         cross = np.zeros_like(l2)
     else:
-        if adv is None:
-            adv = stepper.advection(coeffs, phys)
-        cross = d2_pairing(adv, coeffs, stepper.grid)
-    hs = stepper.hs_sq(coeffs, phys) if with_hs else np.zeros_like(l2)
+        # on the span, (d2 (u.grad u), d2 u) = sum_j k2_j^2 (u.grad u, e_j) a_j
+        cross = np.sum(frame.k2sq * -drift * a, axis=-1)
+    hs = stepper.hs_sq(a, phys) if with_hs else np.zeros_like(l2)
     row.update(h01_sq=l2 + row["d2_sq"], cross=cross, noise_work=noise_work, hs_sq=hs)
     return row
 
@@ -180,61 +165,49 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
                  with_hs: bool = True, on_step=None) -> BatchedRun:
     """Advance a (B, 2, n1, n2) batch; increments is (B, n_steps, n_modes).
 
+    The batch is projected to the level-n coordinates and stepped there;
+    final, states and on_step see lifted (B, 2, n1, n2) coefficients.
     with_hs adds the Hilbert-Schmidt column hs_sq, one more sigma(u)
     evaluation per channel and row; it reads 0 when left out.
     """
     stepper = _Stepper(grid, model, cfg)
+    frame = stepper.frame
     n_steps = cfg.n_steps
     dt = cfg.dt
-    c = stepper.pn(coeffs0)
-    bsize = c.shape[0]
+    a = frame.coords(coeffs0)
+    bsize = a.shape[0]
     t = np.arange(n_steps + 1) * dt
     diag = {name: np.zeros((n_steps + 1, bsize)) for name in DIAG_NAMES} if with_diag else {}
     states: list[tuple[float, np.ndarray]] = []
 
-    def record(i: int, noise_work: np.ndarray, adv: np.ndarray | None,
+    def record(i: int, noise_work: np.ndarray, drift: np.ndarray | None,
                phys: np.ndarray | None) -> None:
         if with_diag:
-            row = _diag_row(stepper, c, noise_work, with_hs, adv, phys)
+            row = _diag_row(stepper, a, drift, noise_work, with_hs, phys)
             for name in DIAG_NAMES:
                 diag[name][i] = row[name]
         if cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == n_steps):
-            states.append((i * dt, c.copy()))
+            states.append((i * dt, frame.lift(a)))
         if on_step is not None:
-            on_step(i, c)
+            on_step(i, frame.lift(a))
 
-    l2_0 = float(np.max(MEASURE * np.sum(np.abs(c) ** 2, axis=(1, 2, 3))))
+    l2_0 = float(np.max(np.sum(a ** 2, axis=-1)))
     work = np.zeros(bsize)
     for i in range(n_steps + 1):
         # one synthesis and one advection per state feed its row and its step
         shared = i < n_steps or with_diag
-        phys = stepper.synth(c) if shared else None
-        adv = stepper.advection(c, phys) if shared else None
-        record(i, work, adv, phys)
+        phys = stepper.synth(a) if shared else None
+        drift = stepper.drift(a, phys) if shared else None
+        record(i, work, drift, phys)
         if i == n_steps:
             break
-        sig = stepper.noise_increment(c, increments[:, i, :], phys)
-        work = MEASURE * np.sum(sig * np.conj(c), axis=(1, 2, 3)).real
-        c = stepper.ef * (c + dt * stepper.drift(c, adv) + sig)
-        l2_now = float(np.max(MEASURE * np.sum(np.abs(c) ** 2, axis=(1, 2, 3))))
-        spectral.check_finite(c, l2_now, l2_0, t_last=i * dt, guard=cfg.blowup_factor)
+        sig = stepper.noise_increment(increments[:, i, :], phys)
+        work = np.sum(sig * a, axis=-1)
+        a = stepper.ef * (a + dt * drift + sig)
+        l2_now = float(np.max(np.sum(a ** 2, axis=-1)))
+        spectral.check_finite(a, l2_now, l2_0, t_last=i * dt, guard=cfg.blowup_factor)
 
-    return BatchedRun(t=t, diag=diag, final=c, states=states)
-
-
-def step_sde(u: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
-             dw: np.ndarray) -> SpectralField:
-    """One Euler-Maruyama update with exact linear flow.
-
-    With zero noise this reduces to the deterministic integrating-factor
-    Euler step on the Galerkin span.
-    """
-    stepper = _Stepper(u.grid, model, cfg)
-    dw = np.asarray(dw, dtype=np.float64)
-    expected = (stepper.n_modes,)
-    if dw.shape != expected:
-        raise ValueError(f"dw must have shape {expected}, got {dw.shape}")
-    return SpectralField(u.grid, stepper.step(u.coeffs, dw))
+    return BatchedRun(t=t, diag=diag, final=frame.lift(a), states=states)
 
 
 @dataclass

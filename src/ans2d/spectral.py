@@ -225,14 +225,13 @@ def _phys_grad(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     return _phys(np.stack((coeffs, coeffs * (1j * k1), coeffs * (1j * k2))), grid.n_points)
 
 
-def _advection_raw(coeffs: np.ndarray, grid: TorusGrid,
-                   phys: np.ndarray | None = None) -> np.ndarray:
-    """Dealiased spectral u.grad(u) for (..., 2, n1, n2) coefficient arrays.
+def _advection_raw(phys: np.ndarray, grid: TorusGrid) -> np.ndarray:
+    """Dealiased spectral u.grad(u) from stacked samples of (u, d1 u, d2 u).
 
-    phys may carry the caller's _phys_grad(coeffs, grid), to share one
-    synthesis with other consumers of the same state.
+    phys is _phys_grad(coeffs, grid), so that one synthesis of a state can
+    feed every consumer of it; batch axes are kept.
     """
-    u, d1u, d2u = _phys_grad(coeffs, grid) if phys is None else phys
+    u, d1u, d2u = phys
     adv = u[..., 0:1, :, :] * d1u + u[..., 1:2, :, :] * d2u
     out = _spec(adv, grid.n_points) * grid.dealias_mask
     out[..., :, 0, 0] = 0.0  # advection of a solenoidal field has zero mean
@@ -246,7 +245,7 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     mask makes the result exact on band-limited input (band <= n//3).  The
     output is not Leray-projected.
     """
-    return SpectralField(u.grid, _advection_raw(u.coeffs, u.grid))
+    return SpectralField(u.grid, _advection_raw(_phys_grad(u.coeffs, u.grid), u.grid))
 
 
 def nonlinear_term_oracle(u: SpectralField) -> SpectralField:

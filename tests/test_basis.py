@@ -119,14 +119,17 @@ def test_max_level_counts(grid16):
         galerkin_project(basis_element(grid16, (0, 1)), -1)
 
 
-def test_galerkin_mask_is_read_only_and_reusable(grid16, make_field):
-    from ans2d.basis import galerkin_mask, galerkin_project_raw
+@pytest.mark.parametrize("n", [1, 2, 7, 8, max_level(TorusGrid(16, 16))])
+def test_frame_coords_are_basis_inner_products(grid16, make_field, n):
+    from ans2d.basis import GalerkinFrame
 
-    u = make_field(grid16, band=5, seed=11).coeffs
-    for n in (6, 7):
-        mask = galerkin_mask(grid16, n)
-        keep, split = mask
-        assert not keep.flags.writeable
-        assert (split is None) == (n % 2 == 0)
-        np.testing.assert_array_equal(galerkin_project_raw(u, grid16, n, mask),
-                                      galerkin_project_raw(u, grid16, n))
+    u = make_field(grid16, band=5, seed=11)
+    frame = GalerkinFrame(grid16, n)
+    a = frame.coords(u.coeffs)
+    ks = basis_wavevectors(grid16, n)
+    expected = [l2_inner(u, basis_element(grid16, k)) for k in ks]
+    np.testing.assert_allclose(a, expected, rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(frame.coords(frame.lift(a)), a, rtol=0.0, atol=1e-14)
+    np.testing.assert_array_equal(frame.k1sq, [k[0] ** 2 for k in ks])
+    np.testing.assert_array_equal(frame.k2sq, [k[1] ** 2 for k in ks])
+    assert frame.coords(np.stack([u.coeffs] * 3)).shape == (3, n)

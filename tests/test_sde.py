@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from ans2d.basis import galerkin_project_raw, max_level
+from ans2d.basis import GalerkinFrame, galerkin_project, galerkin_project_raw, max_level
 from ans2d.det import DetConfig, run_det
-from ans2d.noise import make_model, sample_wiener_increment, sigma_channels
+from ans2d.noise import apply_sigma, make_model, sample_wiener_increment, sigma_channels
 from ans2d.sde import (
     SdeConfig,
     ito_isometry_audit,
@@ -11,11 +11,10 @@ from ans2d.sde import (
     pathwise_uniqueness_experiment,
     run_sde,
     single_mode_noise,
-    step_sde,
     undamped_mode_validation,
     weighted_h01_series,
 )
-from ans2d.spectral import SpectralField, TorusGrid, zeros_spectral
+from ans2d.spectral import SpectralField, TorusGrid, nonlinear_term, zeros_spectral
 
 
 def _model_small():
@@ -23,8 +22,6 @@ def _model_small():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SdeConfig(scheme="milstein")
     with pytest.raises(ValueError):
         SdeConfig(alpha_tilde=1.0)
     with pytest.raises(ValueError):
@@ -64,42 +61,80 @@ def test_galerkin_projection_is_invariant(grid16, make_field):
     np.testing.assert_allclose(traj.final.coeffs, again, atol=1e-14)
 
 
+def _manual_sde_step(u0, model, dt, n, dw):
+    # u1 = exp(-k1^2 dt) (u0 - dt P_n(u0.grad u0) + P_n sigma(u0) dW), from public operators
+    ef = np.exp(-dt * u0.grid.k1.astype(np.float64) ** 2)
+    adv = galerkin_project(nonlinear_term(u0), n).coeffs
+    noise = galerkin_project(apply_sigma(model, u0, dw), n).coeffs
+    return ef * (u0.coeffs - dt * adv + noise)
+
+
 def test_step_sde_matches_manual_update(grid16, make_field):
-    u0g = galerkin_project_raw(make_field(grid16, band=3, seed=4).coeffs, grid16, 8)
-    u0 = SpectralField(grid16, u0g)
+    # one step of the SDE engine; odd n splits a pair
+    from ans2d.sde import _run_batched
+
+    n = 9
+    u0 = galerkin_project(make_field(grid16, band=3, seed=15), n)
     model = _model_small()
-    cfg = SdeConfig(dt=1e-3, t_end=1e-3, galerkin_n=8)
-    dw = sample_wiener_increment(model.n_modes, 1, cfg.dt, 0)[0]
-    stepped = step_sde(u0, model, cfg, dw)
-    from ans2d.sde import _Stepper
-
-    st = _Stepper(grid16, model, cfg)
-    manual = st.ef * (u0.coeffs + cfg.dt * st.drift(u0.coeffs)
-                      + st.noise_increment(u0.coeffs, dw))
-    np.testing.assert_allclose(stepped.coeffs, manual, atol=0.0)
-    with pytest.raises(ValueError):
-        step_sde(u0, model, cfg, np.zeros(5))
+    cfg = SdeConfig(dt=1e-3, t_end=1e-3, galerkin_n=n, seed=3)
+    incs = sample_wiener_increment(model.n_modes, 1, cfg.dt, cfg.seed, 0)
+    run = _run_batched(u0.coeffs[None], grid16, model, cfg, incs[None])
+    expected = _manual_sde_step(u0, model, cfg.dt, n, incs[0])
+    scale = float(np.max(np.abs(expected)))
+    assert np.max(np.abs(run.final[0] - expected)) <= 1e-13 * scale
 
 
-def test_additive_fast_path_matches_channels(grid16, make_field):
+def test_batched_engine_one_step_matches_step_sde(grid16, make_field):
+    # a batch of distinct paths: each row takes its own one-step update
+    from ans2d.sde import _run_batched
+
+    n = 8
+    model = _model_small()
+    cfg = SdeConfig(dt=1e-3, t_end=1e-3, galerkin_n=n, seed=4)
+    u0s = [galerkin_project(make_field(grid16, band=3, seed=20 + j), n) for j in range(3)]
+    incs = np.stack([sample_wiener_increment(model.n_modes, 1, cfg.dt, cfg.seed, j)
+                     for j in range(3)])
+    run = _run_batched(np.stack([u.coeffs for u in u0s]), grid16, model, cfg, incs)
+    for j, u0 in enumerate(u0s):
+        expected = _manual_sde_step(u0, model, cfg.dt, n, incs[j, 0])
+        scale = float(np.max(np.abs(expected)))
+        assert np.max(np.abs(run.final[j] - expected)) <= 1e-13 * scale
+
+
+def test_additive_fast_path_matches_channels(grid16):
     model = make_model([], ["0.1*cos(1,0)", "0.05*sin(0,1)"], "one")
     assert model.is_additive
-    u0 = make_field(grid16, band=3, seed=5)
     cfg = SdeConfig(dt=1e-3, t_end=1e-3, galerkin_n=8)
     dw = np.array([0.3, -0.2])
     from ans2d.sde import _Stepper
 
     st = _Stepper(grid16, model, cfg)
-    batch_dw = np.stack([dw, 2.0 * dw, -dw])
-    fast = st.noise_increment(np.repeat(u0.coeffs[None], 3, axis=0), batch_dw)
-    chans = galerkin_project_raw(sigma_channels(model, zeros_spectral(grid16)), grid16, 8)
+    # additive noise reads no samples of the state
+    fast = st.noise_increment(np.stack([dw, 2.0 * dw, -dw]), None)
+    chans = GalerkinFrame(grid16, 8).coords(sigma_channels(model, zeros_spectral(grid16)))
     expected = dw[0] * chans[0] + dw[1] * chans[1]
     np.testing.assert_allclose(fast[0], expected, atol=1e-15)
     np.testing.assert_allclose(fast[1], 2.0 * expected, atol=1e-15)
     np.testing.assert_allclose(fast[2], -expected, atol=1e-15)
-    # increments that do not depend on the state broadcast over the batch
-    single = st.noise_increment(u0.coeffs[None], dw[None, :])
-    assert single.shape == (1, 2, 16, 16)
+    assert st.noise_increment(dw[None, :], None).shape == (1, 8)
+
+
+def test_additive_paths_replay_across_batch_layout(grid16, make_field):
+    # two additive channels sharing modes; single-path batches included
+    from ans2d.sde import _run_batched
+
+    model = make_model([], ["0.1*cos(1,0) + 0.05*cos(0,1)", "0.07*cos(1,0) - 0.04*cos(0,1)"],
+                       "one")
+    cfg = SdeConfig(dt=2e-3, t_end=0.02, galerkin_n=8, seed=5)
+    incs = np.stack([sample_wiener_increment(model.n_modes, cfg.n_steps, cfg.dt, cfg.seed, j)
+                     for j in range(5)])
+    c0 = np.repeat(make_field(grid16, band=3, seed=16).coeffs[None], 5, axis=0)
+    whole = _run_batched(c0, grid16, model, cfg, incs)
+    for rows in (slice(0, 2), slice(2, 4), slice(4, 5)):
+        part = _run_batched(c0[rows], grid16, model, cfg, incs[rows])
+        np.testing.assert_array_equal(part.final, whole.final[rows])
+        for name in part.diag:
+            np.testing.assert_array_equal(part.diag[name], whole.diag[name][:, rows])
 
 
 def test_weighted_series_recomputation(grid16, make_field):
@@ -225,19 +260,6 @@ def test_batched_hs_matches_channel_norms(grid16, make_field):
     u = SpectralField(grid16, full.final[1])
     expected = hs_norm_sq(_model_small(), u, galerkin_n=9)
     assert full.diag["hs_sq"][-1, 1] == pytest.approx(expected, rel=1e-12)
-
-
-def test_batched_engine_one_step_matches_step_sde(grid16, make_field):
-    from ans2d.sde import _run_batched
-
-    u0g = galerkin_project_raw(make_field(grid16, band=3, seed=15).coeffs, grid16, 9)
-    model = _model_small()
-    cfg = SdeConfig(dt=1e-3, t_end=1e-3, galerkin_n=9, seed=3)
-    incs = sample_wiener_increment(model.n_modes, 1, cfg.dt, cfg.seed, 0)
-    run = _run_batched(u0g[None], grid16, model, cfg, incs[None])
-    stepped = step_sde(SpectralField(grid16, u0g), model, cfg, incs[0]).coeffs
-    scale = float(np.max(np.abs(stepped)))
-    assert np.max(np.abs(run.final[0] - stepped)) <= 1e-13 * scale
 
 
 def test_step_loop_shares_one_synthesis_per_state(grid16, make_field, monkeypatch):
