@@ -108,7 +108,7 @@ class GalerkinFrame:
         i, j = self.plus
         alpha = coeffs[..., 0, i, j] * self.dirs[0] + coeffs[..., 1, i, j] * self.dirs[1]
         a = np.stack((alpha.real, -alpha.imag), axis=-1) * (MEASURE * _AMP)
-        return a.reshape(a.shape[:-2] + (-1,))[..., :self.n]
+        return a.reshape(a.shape[:-2] + (2 * a.shape[-2],))[..., :self.n]
 
     def lift(self, a: np.ndarray) -> np.ndarray:
         """(..., 2, n1, n2) coefficients of the field with coordinates a."""

@@ -6,6 +6,14 @@ integrating factor, so purely linear solutions (for example unidirectional
 shear) are reproduced to round-off.  Certificates re-derive the energy
 balance, the vertical-gradient decay, and a two-solution stability bound
 from recorded diagnostics, with all constants measured from the run itself.
+
+The dealiased, solenoidal, mean-free space the system lives in is the span
+of all max_level(grid) basis elements, so the state is its real coordinates
+in GalerkinFrame(grid, max_level(grid)): the deterministic system is the
+top Galerkin level of the stochastic engine.  Taking coordinates projects
+the initial data; run_det and uniqueness_experiment therefore require
+Hermitian input, c(-k) = conj(c(k)), as the SDE engine does.  Only the
+advection lifts a state to the grid.
 """
 
 from __future__ import annotations
@@ -16,14 +24,12 @@ from typing import Callable
 import numpy as np
 
 from . import spectral
-from .basis import basis_element
+from .basis import GalerkinFrame, basis_element, max_level
 from .norms import (
-    MEASURE,
     cumulative_trapezoid,
-    d2_pairing,
     l2_inner,
     l2_norm_sq,
-    norm_rows,
+    power_rows,
     trilinear_ratio,
 )
 from .spectral import SpectralField, TorusGrid
@@ -76,12 +82,6 @@ class Trajectory:
     states: list[tuple[float, SpectralField]] = field(default_factory=list)
 
 
-def linear_symbol(grid: TorusGrid, eps_v: float) -> np.ndarray:
-    k1 = grid.k1.astype(np.float64)
-    k2 = grid.k2.astype(np.float64)
-    return -(k1 ** 2) - eps_v ** 2 * k2 ** 2
-
-
 def mollify(u: SpectralField, eps: float) -> SpectralField:
     """Spectral smoothing: scale mode k by exp(-eps^2 |k|^2)."""
     if eps < 0.0:
@@ -89,20 +89,29 @@ def mollify(u: SpectralField, eps: float) -> SpectralField:
     return SpectralField(u.grid, u.coeffs * np.exp(-eps ** 2 * u.grid.ksq))
 
 
-def _advection(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return spectral._advection_raw(spectral._phys_grad(coeffs, grid), grid)
+def _drift(a: np.ndarray, frame: GalerkinFrame) -> np.ndarray:
+    """Coordinates of -P(u.grad u) for (..., n) coordinates a."""
+    grid = frame.grid
+    return -frame.coords(spectral._advection_raw(spectral._phys_grad(frame.lift(a), grid), grid))
 
 
-def _drift(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """-P(u.grad u), dealiased and mean-free; batch-friendly."""
-    return -spectral._leray_raw(_advection(coeffs, grid), grid)
+def _coord_rows(frame: GalerkinFrame, a: np.ndarray, drift: np.ndarray) -> dict[str, np.ndarray]:
+    """Squared norms of coordinates a (power_rows) and the cross pairing.
+
+    drift holds the coordinates of -P_n(u.grad u); on the span,
+    (d2 (u.grad u), d2 u) = sum_j k2_j^2 (u.grad u, e_j) a_j.
+    """
+    row = power_rows(a ** 2, frame.k1sq, frame.k2sq, axes=-1)
+    row["cross"] = np.sum(frame.k2sq * -drift * a, axis=-1)
+    return row
 
 
-def _make_stepper(grid: TorusGrid, cfg: DetConfig
+def _make_stepper(frame: GalerkinFrame, cfg: DetConfig
                   ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
     dt = cfg.dt
-    ef = np.exp(dt * linear_symbol(grid, cfg.eps_v))
-    eh = np.exp(0.5 * dt * linear_symbol(grid, cfg.eps_v))
+    symbol = frame.k1sq + cfg.eps_v ** 2 * frame.k2sq
+    ef = np.exp(-dt * symbol)
+    eh = np.exp(-0.5 * dt * symbol)
 
     # k1 is the drift at c, which the caller evaluates (and may share)
     if cfg.integrator == "if-euler":
@@ -111,27 +120,26 @@ def _make_stepper(grid: TorusGrid, cfg: DetConfig
     elif cfg.integrator == "if-rk2":
         def step(c: np.ndarray, k1: np.ndarray) -> np.ndarray:
             pred = ef * (c + dt * k1)
-            return ef * c + 0.5 * dt * (ef * k1 + _drift(pred, grid))
+            return ef * c + 0.5 * dt * (ef * k1 + _drift(pred, frame))
     else:  # if-rk4
         def step(c: np.ndarray, k1: np.ndarray) -> np.ndarray:
-            k2 = _drift(eh * (c + 0.5 * dt * k1), grid)
-            k3 = _drift(eh * c + 0.5 * dt * k2, grid)
-            k4 = _drift(ef * c + dt * eh * k3, grid)
+            k2 = _drift(eh * (c + 0.5 * dt * k1), frame)
+            k3 = _drift(eh * c + 0.5 * dt * k2, frame)
+            k4 = _drift(ef * c + dt * eh * k3, frame)
             return ef * c + dt / 6.0 * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
     return step
 
 
-def prepare_initial(u0: SpectralField) -> SpectralField:
-    """Mean-free, solenoidal, dealiased copy of the initial data."""
-    u = spectral.zero_mean(spectral.leray_project(spectral.dealias(u0)))
-    return u
-
-
 def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
-    """Advance the deterministic system and record per-step diagnostics."""
+    """Advance the deterministic system and record per-step diagnostics.
+
+    u0 must be Hermitian; the run starts from its projection onto the
+    dealiased, solenoidal, mean-free span.
+    """
     grid = u0.grid
-    step = _make_stepper(grid, cfg)
-    c = prepare_initial(u0).coeffs
+    frame = GalerkinFrame(grid, max_level(grid))
+    step = _make_stepper(frame, cfg)
+    a = frame.coords(u0.coeffs)
     n_steps = cfg.n_steps
     dt = cfg.dt
 
@@ -139,26 +147,25 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
             ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "cross")}
     states: list[tuple[float, SpectralField]] = []
 
-    def record(i: int, coeffs: np.ndarray, adv: np.ndarray) -> None:
-        row = norm_rows(coeffs, grid)
-        for name in ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq"):
+    def record(i: int, a: np.ndarray, drift: np.ndarray) -> None:
+        row = _coord_rows(frame, a, drift)
+        for name in cols:
             cols[name][i] = row[name]
-        cols["cross"][i] = d2_pairing(adv, coeffs, grid)
         keep = cfg.snapshot_every > 0 and i % cfg.snapshot_every == 0
         if keep or i == 0 or i == n_steps:
-            states.append((i * dt, SpectralField(grid, coeffs.copy())))
+            states.append((i * dt, SpectralField(grid, frame.lift(a))))
 
-    # one advection evaluation per state feeds both the cross-term
-    # diagnostic and the first integrator stage
-    adv = _advection(c, grid)
-    record(0, c, adv)
+    # one drift evaluation per state feeds both the cross-term diagnostic
+    # and the first integrator stage
+    drift = _drift(a, frame)
+    record(0, a, drift)
     l2_sq0 = cols["l2_sq"][0]
     for i in range(1, n_steps + 1):
-        c = step(c, -spectral._leray_raw(adv, grid))
-        spectral.check_finite(c, float(MEASURE * np.sum(np.abs(c) ** 2)),
-                              l2_sq0, t_last=(i - 1) * dt, guard=cfg.blowup_factor)
-        adv = _advection(c, grid)
-        record(i, c, adv)
+        a = step(a, drift)
+        spectral.check_finite(a, float(np.sum(a ** 2)), l2_sq0, t_last=(i - 1) * dt,
+                              guard=cfg.blowup_factor)
+        drift = _drift(a, frame)
+        record(i, a, drift)
 
     return Trajectory(grid=grid, config=cfg, t=np.arange(n_steps + 1) * dt, states=states,
                       int_d1_sq=cumulative_trapezoid(cols["d1_sq"], dt),
@@ -287,8 +294,9 @@ def weak_form_residual(traj: Trajectory, test_mode: tuple[int, int],
 class _GapAudit:
     """Two-solution gap audit shared by the deterministic and stochastic runs.
 
-    record() takes the (2, 2, n1, n2) pair (u, v) of each step and keeps the
-    gap row of w = u - v against the base solution b (one of u, v):
+    record() takes the (2, n) coordinates of the pair (u, v) in frame at
+    each step and keeps the gap row of w = u - v against the base solution
+    b (one of u, v):
 
         ||w||^2, the trilinear pairing |(w.grad b, w)| (physical space),
         its bound ||d1 w||^{1/2} ( ||d1 b||^{1/2} + ||d2 b||^{1/2} )
@@ -304,8 +312,8 @@ class _GapAudit:
     pair see identical arithmetic, so w stays bitwise zero.
     """
 
-    def __init__(self, grid: TorusGrid, dt: float, n_steps: int, base: int):
-        self.grid = grid
+    def __init__(self, frame: GalerkinFrame, dt: float, n_steps: int, base: int):
+        self.frame = frame
         self.dt = dt
         self.base = base
         self.t = np.arange(n_steps + 1) * dt
@@ -316,18 +324,22 @@ class _GapAudit:
         self.bitwise = True
 
     def record(self, i: int, pair: np.ndarray) -> None:
-        grid = self.grid
+        frame = self.frame
+        grid = frame.grid
         w = pair[0] - pair[1]
         b = pair[self.base]
         self.bitwise = self.bitwise and bool(np.all(pair[0] == pair[1]))
-        wn = norm_rows(w, grid)
-        bn = norm_rows(b, grid)
+        wn = power_rows(w ** 2, frame.k1sq, frame.k2sq, axes=-1)
+        bn = power_rows(b ** 2, frame.k1sq, frame.k2sq, axes=-1)
         d1, d2, d1d2 = bn["d1_sq"], bn["d2_sq"], bn["d1d2_sq"]
         self.w_l2[i] = wn["l2_sq"]
         self.dissip[i] = (d1 ** (1.0 / 3.0) + d2 ** (1.0 / 3.0)) * d1d2 ** (1.0 / 3.0)
+        # w is synthesized itself: u and v agree to many digits, so the
+        # difference of their samples would lose them
+        wc, bc = frame.lift(np.stack((w, b)))
         k1 = grid.k1.astype(np.float64)
         k2 = grid.k2.astype(np.float64)
-        wp, d1bp, d2bp = spectral._phys(np.stack((w, b * (1j * k1), b * (1j * k2))),
+        wp, d1bp, d2bp = spectral._phys(np.stack((wc, bc * (1j * k1), bc * (1j * k2))),
                                         grid.n_points)
         self.tri[i] = abs(float(np.sum((wp[0:1] * d1bp + wp[1:2] * d2bp) * wp)
                                 * grid.cell_area))
@@ -377,20 +389,21 @@ def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
 
     through Young's inequality with elastic weight 1/2 on ||d1 w||^2.
     Identical inputs short-circuit to an exact-zero check.  A blow-up of
-    either solution raises BlowUpError.
+    either solution raises BlowUpError.  u0 and v0 must be Hermitian.
     """
     grid = u0.grid
-    step = _make_stepper(grid, cfg)
-    c = np.stack((prepare_initial(u0).coeffs, prepare_initial(v0).coeffs))
+    frame = GalerkinFrame(grid, max_level(grid))
+    step = _make_stepper(frame, cfg)
+    a = frame.coords(np.stack((u0.coeffs, v0.coeffs)))
     dt = cfg.dt
-    audit = _GapAudit(grid, dt, cfg.n_steps, base=1)
-    audit.record(0, c)
-    l2_0 = float(np.max(MEASURE * np.sum(np.abs(c) ** 2, axis=(1, 2, 3))))
+    audit = _GapAudit(frame, dt, cfg.n_steps, base=1)
+    audit.record(0, a)
+    l2_0 = float(np.max(np.sum(a ** 2, axis=-1)))
     for i in range(1, cfg.n_steps + 1):
-        c = step(c, _drift(c, grid))
-        l2_now = float(np.max(MEASURE * np.sum(np.abs(c) ** 2, axis=(1, 2, 3))))
-        spectral.check_finite(c, l2_now, l2_0, t_last=(i - 1) * dt, guard=cfg.blowup_factor)
-        audit.record(i, c)
+        a = step(a, _drift(a, frame))
+        l2_now = float(np.max(np.sum(a ** 2, axis=-1)))
+        spectral.check_finite(a, l2_now, l2_0, t_last=(i - 1) * dt, guard=cfg.blowup_factor)
+        audit.record(i, a)
 
     c1, c0, growth, max_ratio, passed = audit.verdict(
         lambda c1: 0.75 * c1 ** (4.0 / 3.0), 0.0, tol)

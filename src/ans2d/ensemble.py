@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .det import prepare_initial
+from .basis import GalerkinFrame, max_level
 from .errors import GateError
 from .noise import (
     DEFAULT_ETA,
@@ -26,9 +26,8 @@ from .noise import (
     NoiseModel,
     condition_c_bounds,
     condition_c_gate,
-    sample_wiener_increment,
 )
-from .norms import cumulative_trapezoid, l2_norm_sq
+from .norms import cumulative_trapezoid
 from .sde import SdeConfig, _run_batched, weighted_h01_series
 from .spectral import SpectralField
 
@@ -79,27 +78,20 @@ class EnsembleReport:
     uniform_ok: bool
 
 
-def _level_estimates(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
-                     ens: EnsembleConfig, level: int) -> MomentEstimates:
-    cfg_n = replace(cfg, galerkin_n=level)
-    c0_single = prepare_initial(u0).coeffs
-    n_modes = 0 if model is None else model.n_modes
+def _level_estimates(u0: SpectralField, u0_l2: float, model: NoiseModel | None,
+                     cfg: SdeConfig, ens: EnsembleConfig, level: int) -> MomentEstimates:
+    cfg_n = replace(cfg, galerkin_n=level, seed=ens.base_seed)
     dt = cfg_n.dt
 
     samples = {name: np.zeros(ens.n_paths) for name in
                ("sup_l2", "int_h10", "sup_l2_4", "sup_wh01", "int_wh11")}
-    done = 0
-    while done < ens.n_paths:
-        b = min(ens.batch, ens.n_paths - done)
-        incs = np.stack([
-            sample_wiener_increment(n_modes, cfg_n.n_steps, dt, ens.base_seed, done + j)
-            for j in range(b)
-        ])
-        c0 = np.repeat(c0_single[None], b, axis=0)
+    for done in range(0, ens.n_paths, ens.batch):
+        paths = range(done, min(done + ens.batch, ens.n_paths))
         # the moments read no Hilbert-Schmidt column
-        run = _run_batched(c0, u0.grid, model, cfg_n, incs, with_diag=True, with_hs=False)
+        run = _run_batched(u0.coeffs, u0.grid, model, cfg_n, paths, with_diag=True,
+                           with_hs=False)
         d = run.diag
-        sl = slice(done, done + b)
+        sl = slice(done, paths.stop)
         samples["sup_l2"][sl] = d["l2_sq"].max(axis=0)
         samples["int_h10"][sl] = cumulative_trapezoid(d["l2_sq"] + d["d1_sq"], dt)[-1]
         samples["sup_l2_4"][sl] = (d["l2_sq"] ** 2).max(axis=0)
@@ -107,7 +99,6 @@ def _level_estimates(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig
                                  d["h01_sq"], d["h11_sq"], cfg_n.alpha_tilde)
         samples["sup_wh01"][sl] = ws.weighted_h01.max(axis=0)
         samples["int_wh11"][sl] = ws.int_weighted_h11[-1]
-        done += b
 
     def stat(name: str) -> tuple[float, float]:
         x = samples[name]
@@ -118,7 +109,6 @@ def _level_estimates(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig
     sup4, sup4_se = stat("sup_l2_4")
     swh, swh_se = stat("sup_wh01")
     iwh, iwh_se = stat("int_wh11")
-    u0_l2 = l2_norm_sq(SpectralField(u0.grid, c0_single))
     c_hat = (sup_l2 + int_h10) / (1.0 + u0_l2)
     return MomentEstimates(level=level, n_paths=ens.n_paths,
                            sup_l2_sq=sup_l2, sup_l2_sq_se=sup_l2_se,
@@ -141,11 +131,12 @@ def run_ensemble(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
     if ens.require_gates and not gate.existence_ok:
         raise GateError(f"existence gate violated: {gate.describe()}")
 
-    levels = [_level_estimates(u0, model, cfg, ens, lvl) for lvl in ens.levels]
+    # ||u0||^2 of the projection of u0 onto all basis elements of the grid
+    u0_l2 = float(np.sum(GalerkinFrame(u0.grid, max_level(u0.grid)).coords(u0.coeffs) ** 2))
+    levels = [_level_estimates(u0, u0_l2, model, cfg, ens, lvl) for lvl in ens.levels]
     c_hats = [lv.c_hat for lv in levels]
     spread = float(max(c_hats) / min(c_hats)) if min(c_hats) > 0 else float("inf")
-    return EnsembleReport(levels=levels, gate=gate,
-                          u0_l2_sq=l2_norm_sq(SpectralField(u0.grid, prepare_initial(u0).coeffs)),
+    return EnsembleReport(levels=levels, gate=gate, u0_l2_sq=u0_l2,
                           spread=spread, uniform_ok=bool(spread <= 2.0))
 
 

@@ -4,9 +4,9 @@ The diffusion maps a Wiener increment with components y_k to
 
     sigma(u) y = sum_k ( c_k(x) d1 u + b_k(x) g(u) ) y_k
 
-followed by dealiasing, Leray projection, and mean removal.  The c_k, b_k
-are finite trigonometric recipes; g acts componentwise, is bounded and
-Lipschitz.  Declared budgets:
+followed by the projection onto the dealiased, solenoidal, mean-free span
+of all basis elements of the grid.  The c_k, b_k are finite trigonometric
+recipes; g acts componentwise, is bounded and Lipschitz.  Declared budgets:
 
     M1 >= sum_k (sup|c_k| + sup|d1 c_k| + sup|d2 c_k|)^2
     M2 >= sum_k (sup|b_k|)^2   and   M2 >= sum_k (sup|d2 b_k|)^2
@@ -27,7 +27,8 @@ from typing import Sequence
 import numpy as np
 
 from . import spectral
-from .norms import MEASURE, NormReport, norm_rows
+from .basis import galerkin_project_raw, max_level
+from .norms import NormReport, norm_rows, weighted_coeff_sum_sq
 from .spectral import SpectralField, TorusGrid
 
 EXISTENCE_K2_LIMIT = 2.0 / 11.0
@@ -205,6 +206,22 @@ def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
     return gen.standard_normal((n_steps, n_modes)) * np.sqrt(dt)
 
 
+def _channel_sum(y: np.ndarray, arr: np.ndarray) -> np.ndarray:
+    """sum_k y[..., k] arr[k], for y of shape (..., n_modes) and arr (n_modes, ...).
+
+    Added channel by channel: a BLAS product (tensordot, @) rounds
+    differently for different batch shapes, so paths would no longer replay
+    bit-for-bit across batch layouts.
+    """
+    if not len(arr):  # a model without channels
+        return np.zeros(y.shape[:-1] + arr.shape[1:])
+    tail = (None,) * (arr.ndim - 1)
+    out = y[(..., 0) + tail] * arr[0]
+    for k in range(1, len(arr)):
+        out += y[(..., k) + tail] * arr[k]
+    return out
+
+
 def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, d1u_phys: np.ndarray,
                y: np.ndarray, c_arr: np.ndarray, b_arr: np.ndarray) -> np.ndarray:
     """sigma(u) y before projection, from physical samples of u and d1 u.
@@ -212,8 +229,8 @@ def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, d1u_phys: np.ndarray,
     u_phys, d1u_phys: (..., 2, n1, n2); y: (..., n_modes); batch axes
     broadcast.  Returns physical samples.
     """
-    cf = np.tensordot(y, c_arr, axes=([-1], [0]))  # (..., n1, n2)
-    bf = np.tensordot(y, b_arr, axes=([-1], [0]))
+    cf = _channel_sum(y, c_arr)  # (..., n1, n2)
+    bf = _channel_sum(y, b_arr)
     lead = np.broadcast_shapes(u_phys.shape[:-3], y.shape[:-1])
     out = np.zeros(lead + u_phys.shape[-3:])
     if np.any(cf != 0.0):
@@ -225,14 +242,12 @@ def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, d1u_phys: np.ndarray,
 
 def _sigma_spec(model: NoiseModel, coeffs: np.ndarray, grid: TorusGrid,
                 y: np.ndarray) -> np.ndarray:
-    """sigma(u) y as coefficients: dealiased, Leray-projected, mean-free."""
+    """sigma(u) y as coefficients, projected onto all basis elements of the grid
+    (dealiased, solenoidal, mean-free); coeffs must be Hermitian."""
     c_arr, b_arr = model.coefficient_fields(grid)
     u_phys, d1u_phys, _ = spectral._phys_grad(coeffs, grid)
     phys = _sigma_raw(model, u_phys, d1u_phys, y, c_arr, b_arr)
-    out = spectral._spec(phys, grid.n_points) * grid.dealias_mask
-    out = spectral._leray_raw(out, grid)
-    out[..., :, 0, 0] = 0.0
-    return out
+    return galerkin_project_raw(spectral._spec(phys, grid.n_points), grid, max_level(grid))
 
 
 def apply_sigma(model: NoiseModel, u: SpectralField, y: np.ndarray) -> SpectralField:
@@ -257,11 +272,8 @@ def hs_norm_sq(model: NoiseModel, u: SpectralField, weight: np.ndarray | None = 
     """
     chans = sigma_channels(model, u)
     if galerkin_n is not None:
-        from .basis import galerkin_project_raw
-
         chans = galerkin_project_raw(chans, u.grid, galerkin_n)
-    w = 1.0 if weight is None else weight
-    return float(MEASURE * np.sum(w * np.abs(chans) ** 2))
+    return weighted_coeff_sum_sq(chans, 1.0 if weight is None else weight)
 
 
 @dataclass(frozen=True)
@@ -343,10 +355,6 @@ def condition_c_gate(constants: ConditionCConstants) -> GateResult:
                       existence_ok=bool(existence), uniqueness_ok=bool(uniqueness))
 
 
-def _diag_norm_sq(coeffs: np.ndarray, w: np.ndarray) -> float:
-    return float(MEASURE * np.sum(w * np.abs(coeffs) ** 2))
-
-
 def condition_c_empirical_check(model: NoiseModel, fields: Sequence[SpectralField],
                                 eta: float = DEFAULT_ETA,
                                 report: NormReport | None = None) -> NormReport:
@@ -366,9 +374,9 @@ def condition_c_empirical_check(model: NoiseModel, fields: Sequence[SpectralFiel
         chans = sigma_channels(model, u)
         hm1_w = 1.0 / (1.0 + grid.ksq)
         h01_w = 1.0 + grid.k2.astype(np.float64) ** 2
-        hs_l2 = _diag_norm_sq(chans, np.ones_like(hm1_w))
-        hs_hm1 = _diag_norm_sq(chans, hm1_w)
-        hs_h01 = _diag_norm_sq(chans, h01_w)
+        hs_l2 = weighted_coeff_sum_sq(chans, 1.0)
+        hs_hm1 = weighted_coeff_sum_sq(chans, hm1_w)
+        hs_h01 = weighted_coeff_sum_sq(chans, h01_w)
         report.add(f"growth_hminus1[{idx}]", hs_hm1, cc.k0p + cc.k1p * l2, cc.k1p)
         report.add(f"growth_l2[{idx}]", hs_l2, cc.k0 + cc.k1 * l2 + cc.k2 * d1, cc.k2)
         report.add(f"growth_h01[{idx}]", hs_h01,
@@ -376,8 +384,7 @@ def condition_c_empirical_check(model: NoiseModel, fields: Sequence[SpectralFiel
     for idx in range(len(fields) - 1):
         u, v = fields[idx], fields[idx + 1]
         w = norm_rows(u.coeffs - v.coeffs, u.grid)
-        diff = sigma_channels(model, u) - sigma_channels(model, v)
-        hs_diff = float(MEASURE * np.sum(np.abs(diff) ** 2))
+        hs_diff = weighted_coeff_sum_sq(sigma_channels(model, u) - sigma_channels(model, v), 1.0)
         report.add(f"lipschitz[{idx}]", hs_diff,
                    cc.l1 * w["l2_sq"] + cc.l2 * w["d1_sq"], cc.l2)
     return report

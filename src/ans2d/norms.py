@@ -17,9 +17,9 @@ from .spectral import SpectralField, TorusGrid
 MEASURE = (2.0 * np.pi) ** 2
 
 
-def weighted_coeff_sum_sq(u: SpectralField, w: np.ndarray) -> float:
-    """(2pi)^2 * sum_k w(k) |u_hat(k)|^2 over both components."""
-    return float(MEASURE * np.sum(w * np.abs(u.coeffs) ** 2))
+def weighted_coeff_sum_sq(coeffs: np.ndarray, w: float | np.ndarray) -> float:
+    """(2pi)^2 * sum w(k) |c(k)|^2 over every axis of a coefficient array."""
+    return float(MEASURE * np.sum(w * np.abs(coeffs) ** 2))
 
 
 def sobolev_norm(u: SpectralField, s1: float, s2: float,
@@ -36,11 +36,11 @@ def sobolev_norm(u: SpectralField, s1: float, s2: float,
         w = w * (np.abs(k2) ** (2.0 * s2) if s2 != 0.0 else np.ones_like(k2))
     else:
         w = (1.0 + k1 ** 2) ** s1 * (1.0 + k2 ** 2) ** s2
-    return float(np.sqrt(weighted_coeff_sum_sq(u, w)))
+    return float(np.sqrt(weighted_coeff_sum_sq(u.coeffs, w)))
 
 
 def l2_norm_sq(u: SpectralField) -> float:
-    return float(MEASURE * np.sum(np.abs(u.coeffs) ** 2))
+    return weighted_coeff_sum_sq(u.coeffs, 1.0)
 
 
 def l2_inner(u: SpectralField, v: SpectralField) -> float:
@@ -84,12 +84,6 @@ def power_rows(p: np.ndarray, k1sq: np.ndarray, k2sq: np.ndarray,
             "d2_sq": (k2sq * p).sum(axis=axes),
             "d1d2_sq": (k1sq * k2sq * p).sum(axis=axes),
             "h11_sq": ((1.0 + k1sq) * (1.0 + k2sq) * p).sum(axis=axes)}
-
-
-def d2_pairing(f: np.ndarray, u: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """(d2 f, d2 u) of (..., 2, n1, n2) coefficient arrays, per batch entry."""
-    k2sq = grid.k2.astype(np.float64) ** 2
-    return MEASURE * np.sum(k2sq * f * np.conj(u), axis=(-3, -2, -1)).real
 
 
 def trilinear_ratio(pairing: np.ndarray, denom: np.ndarray) -> np.ndarray:
@@ -156,14 +150,11 @@ class NormReport:
         return [r for r in self.rows if not r[4]]
 
 
-def _scalar_d1(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
+def _scalar_grad(grid: TorusGrid, samples: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Samples of (d1 f, d2 f) for real scalar samples f, from one forward FFT."""
     c = np.fft.fft2(samples)
-    return np.fft.ifft2(1j * grid.k1.astype(np.float64) * c).real
-
-
-def _scalar_d2(grid: TorusGrid, samples: np.ndarray) -> np.ndarray:
-    c = np.fft.fft2(samples)
-    return np.fft.ifft2(1j * grid.k2.astype(np.float64) * c).real
+    return (np.fft.ifft2(1j * grid.k1.astype(np.float64) * c).real,
+            np.fft.ifft2(1j * grid.k2.astype(np.float64) * c).real)
 
 
 def check_anisotropic_embedding(grid: TorusGrid, samples: np.ndarray,
@@ -182,8 +173,7 @@ def check_anisotropic_embedding(grid: TorusGrid, samples: np.ndarray,
     h1 = 2.0 * np.pi / grid.n1
     h2 = 2.0 * np.pi / grid.n2
     l2 = float(np.sqrt(np.sum(samples ** 2) * h1 * h2))
-    d1 = _scalar_d1(grid, samples)
-    d2 = _scalar_d2(grid, samples)
+    d1, d2 = _scalar_grad(grid, samples)
     l2_d1 = float(np.sqrt(np.sum(d1 ** 2) * h1 * h2))
     l2_d2 = float(np.sqrt(np.sum(d2 ** 2) * h1 * h2))
 

@@ -7,34 +7,39 @@ basis elements:
 
 with L = -k1^2 applied exactly.  The engine steps the n real coordinates
 of the state in that basis (basis.GalerkinFrame), batched over
-trajectories as (B, n) arrays.  Every element is an eigenfunction of d1^2
-and d2^2, so exp(L dt), P_n, additive noise and every diagnostic norm act
-on the coordinates directly; only the advection and a multiplicative
-sigma(u) need the state on the grid, which is lifted once per step.
+trajectories as (B, n) arrays, and hands back coordinates: its final
+state, stored states and on_step callback see (B, n) arrays, which the
+frame lifts to coefficients where a caller needs a field.  Every element
+is an eigenfunction of d1^2 and d2^2, so exp(L dt), P_n, additive noise
+and every diagnostic norm act on the coordinates directly; only the
+advection and a multiplicative sigma(u) need the state on the grid, which
+is lifted once per step.  Initial coefficients must be Hermitian.
 Per-step diagnostics come out as (n_steps+1, B) columns, which keeps path
-ensembles in pure array arithmetic.  Each trajectory draws its increments
-from a dedicated counter-based stream keyed by (seed, trajectory index),
-so any path can be replayed bit-for-bit regardless of batch layout.
+ensembles in pure array arithmetic.  The engine draws each trajectory's
+increments from a dedicated counter-based stream keyed by (seed, path
+index), and every sum over noise channels runs channel by channel, so any
+path replays bit-for-bit regardless of batch layout, for every noise model.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
 
 from . import spectral
-from .basis import GalerkinFrame, basis_element, max_level
-from .det import _GapAudit, prepare_initial
+from .basis import GalerkinFrame, basis_element, basis_wavevectors, is_canonical, max_level
+from .det import _coord_rows, _GapAudit
 from .noise import (
     DEFAULT_ETA,
     NoiseModel,
+    _channel_sum,
     _sigma_raw,
     condition_c_bounds,
     sample_wiener_increment,
-    sigma_channels,
 )
-from .norms import MEASURE, cumulative_trapezoid, power_rows, trilinear_ratio
+from .norms import cumulative_trapezoid, trilinear_ratio
 from .spectral import SpectralField, TorusGrid
 
 DIAG_NAMES = ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "h01_sq", "h11_sq",
@@ -88,11 +93,10 @@ class _Stepper:
         self.silent = self.n_modes == 0 or model.is_zero
         self.additive = None  # (n_modes, n) coordinates of the projected channels
         if not self.silent:
+            self.c_arr, self.b_arr = model.coefficient_fields(grid)
             if model.is_additive:
-                chans = sigma_channels(model, spectral.zeros_spectral(grid))
-                self.additive = self.frame.coords(chans)
-            else:
-                self.c_arr, self.b_arr = model.coefficient_fields(grid)
+                zero = np.zeros((2, grid.n1, grid.n2))
+                self.additive = self._sigma(zero, zero, np.eye(self.n_modes))
         multiplicative = not self.silent and self.additive is None
         self.needs_phys = multiplicative or not cfg.drop_nonlinearity
 
@@ -116,10 +120,7 @@ class _Stepper:
         if self.silent:
             return np.zeros(dw.shape[:-1] + (self.frame.n,))
         if self.additive is not None:
-            # summed channel by channel: a BLAS product (dw @ additive) rounds
-            # differently for different batch shapes, so paths would no longer
-            # replay bit-for-bit across batch layouts
-            return np.sum(dw[..., :, None] * self.additive, axis=-2)
+            return _channel_sum(dw, self.additive)
         u, d1u, _ = phys
         return self._sigma(u, d1u, dw)
 
@@ -139,16 +140,10 @@ class _Stepper:
 def _diag_row(stepper: _Stepper, a: np.ndarray, drift: np.ndarray, noise_work: np.ndarray,
               with_hs: bool, phys: np.ndarray | None) -> dict[str, np.ndarray]:
     """Diagnostics of a batch of coordinates a; drift and phys are the step's."""
-    frame = stepper.frame
-    row = power_rows(a ** 2, frame.k1sq, frame.k2sq, axes=-1)
+    row = _coord_rows(stepper.frame, a, drift)
     l2 = row["l2_sq"]
-    if stepper.cfg.drop_nonlinearity:
-        cross = np.zeros_like(l2)
-    else:
-        # on the span, (d2 (u.grad u), d2 u) = sum_j k2_j^2 (u.grad u, e_j) a_j
-        cross = np.sum(frame.k2sq * -drift * a, axis=-1)
     hs = stepper.hs_sq(a, phys) if with_hs else np.zeros_like(l2)
-    row.update(h01_sq=l2 + row["d2_sq"], cross=cross, noise_work=noise_work, hs_sq=hs)
+    row.update(h01_sq=l2 + row["d2_sq"], noise_work=noise_work, hs_sq=hs)
     return row
 
 
@@ -156,17 +151,21 @@ def _diag_row(stepper: _Stepper, a: np.ndarray, drift: np.ndarray, noise_work: n
 class BatchedRun:
     t: np.ndarray
     diag: dict[str, np.ndarray]  # each (n_steps+1, B)
-    final: np.ndarray            # (B, 2, n1, n2)
-    states: list[tuple[float, np.ndarray]]
+    final: np.ndarray            # (B, n) coordinates
+    states: list[tuple[float, np.ndarray]]  # (B, n) coordinates
+    frame: GalerkinFrame         # lifts coordinates to coefficients
 
 
 def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
-                 cfg: SdeConfig, increments: np.ndarray, with_diag: bool = True,
+                 cfg: SdeConfig, paths: Sequence[int], with_diag: bool = True,
                  with_hs: bool = True, on_step=None) -> BatchedRun:
-    """Advance a (B, 2, n1, n2) batch; increments is (B, n_steps, n_modes).
+    """Advance one trajectory per index in paths, B = len(paths).
 
-    The batch is projected to the level-n coordinates and stepped there;
-    final, states and on_step see lifted (B, 2, n1, n2) coefficients.
+    Trajectory j draws its increments from the stream (cfg.seed, paths[j]);
+    a repeated index drives its rows with the same path.  coeffs0 holds
+    Hermitian initial coefficients, (2, n1, n2) shared by every row or
+    (B, 2, n1, n2).  The batch is projected to the level-n coordinates and
+    stepped there; final, states and on_step see (B, n) coordinates.
     with_hs adds the Hilbert-Schmidt column hs_sq, one more sigma(u)
     evaluation per channel and row; it reads 0 when left out.
     """
@@ -174,8 +173,10 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
     frame = stepper.frame
     n_steps = cfg.n_steps
     dt = cfg.dt
-    a = frame.coords(coeffs0)
-    bsize = a.shape[0]
+    increments = np.stack([sample_wiener_increment(stepper.n_modes, n_steps, dt, cfg.seed, j)
+                           for j in paths])
+    bsize = len(increments)
+    a = np.broadcast_to(frame.coords(coeffs0), (bsize, frame.n))
     t = np.arange(n_steps + 1) * dt
     diag = {name: np.zeros((n_steps + 1, bsize)) for name in DIAG_NAMES} if with_diag else {}
     states: list[tuple[float, np.ndarray]] = []
@@ -187,9 +188,9 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
             for name in DIAG_NAMES:
                 diag[name][i] = row[name]
         if cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == n_steps):
-            states.append((i * dt, frame.lift(a)))
+            states.append((i * dt, a))
         if on_step is not None:
-            on_step(i, frame.lift(a))
+            on_step(i, a)
 
     l2_0 = float(np.max(np.sum(a ** 2, axis=-1)))
     work = np.zeros(bsize)
@@ -207,7 +208,7 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
         l2_now = float(np.max(np.sum(a ** 2, axis=-1)))
         spectral.check_finite(a, l2_now, l2_0, t_last=i * dt, guard=cfg.blowup_factor)
 
-    return BatchedRun(t=t, diag=diag, final=frame.lift(a), states=states)
+    return BatchedRun(t=t, diag=diag, final=a, states=states, frame=frame)
 
 
 @dataclass
@@ -262,20 +263,19 @@ class SdeTrajectory:
 def run_sde(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig) -> SdeTrajectory:
     """Single stochastic trajectory with full diagnostics.
 
-    The path uses trajectory index 0 of the seed's increment stream.
+    The path uses trajectory index 0 of the seed's increment stream; u0
+    must be Hermitian.
     """
     grid = u0.grid
-    n_modes = 0 if model is None else model.n_modes
-    incs = sample_wiener_increment(n_modes, cfg.n_steps, cfg.dt, cfg.seed, 0)[None]
-    run = _run_batched(prepare_initial(u0).coeffs[None], grid, model, cfg, incs)
+    run = _run_batched(u0.coeffs, grid, model, cfg, (0,))
     diag = {name: run.diag[name][:, 0] for name in DIAG_NAMES}
     weighted = weighted_h01_series(run.t, diag["d1_sq"], diag["d1d2_sq"],
                                    diag["d2_sq"], diag["cross"], diag["h01_sq"],
                                    diag["h11_sq"], cfg.alpha_tilde)
-    states = [(t, SpectralField(grid, c[0])) for t, c in run.states]
-    return SdeTrajectory(grid=grid, config=cfg, t=run.t, diag=diag,
-                         weighted=weighted, final=SpectralField(grid, run.final[0]),
-                         states=states)
+    lift = run.frame.lift
+    return SdeTrajectory(grid=grid, config=cfg, t=run.t, diag=diag, weighted=weighted,
+                         final=SpectralField(grid, lift(run.final[0])),
+                         states=[(t, SpectralField(grid, lift(a[0]))) for t, a in run.states])
 
 
 @dataclass
@@ -298,13 +298,7 @@ class ItoAuditReport:
 def ito_isometry_audit(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
                        n_paths: int, n_se: float = 5.0) -> ItoAuditReport:
     """Check the discrete energy balance against the quadratic variation."""
-    grid = u0.grid
-    c0 = np.repeat(prepare_initial(u0).coeffs[None], n_paths, axis=0)
-    incs = np.stack([
-        sample_wiener_increment(model.n_modes, cfg.n_steps, cfg.dt, cfg.seed, j)
-        for j in range(n_paths)
-    ])
-    run = _run_batched(c0, grid, model, cfg, incs)
+    run = _run_batched(u0.coeffs, u0.grid, model, cfg, range(n_paths))
     dt = cfg.dt
     int_d1 = cumulative_trapezoid(run.diag["d1_sq"], dt)[-1]
     balance = run.diag["l2_sq"][-1] - run.diag["l2_sq"][0] + 2.0 * int_d1
@@ -362,12 +356,10 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     """
     if not 0.0 < beta_hat < 1.0:
         raise ValueError("beta_hat must lie in (0, 1)")
-    n_steps = cfg.n_steps
-    incs_one = sample_wiener_increment(model.n_modes, n_steps, cfg.dt, cfg.seed, 0)
-    incs = np.stack([incs_one, incs_one])  # same path for both rows
-    c0 = np.stack([prepare_initial(u0).coeffs, prepare_initial(v0).coeffs])
-    audit = _GapAudit(u0.grid, cfg.dt, n_steps, base=0)
-    _run_batched(c0, u0.grid, model, cfg, incs, with_diag=False, on_step=audit.record)
+    audit = _GapAudit(GalerkinFrame(u0.grid, cfg.galerkin_n), cfg.dt, cfg.n_steps, base=0)
+    # path 0 twice: both rows see the same increments
+    _run_batched(np.stack((u0.coeffs, v0.coeffs)), u0.grid, model, cfg, (0, 0),
+                 with_diag=False, on_step=audit.record)
 
     alpha = cfg.alpha_tilde
     l1 = condition_c_bounds(model, eta=eta).l1
@@ -415,33 +407,25 @@ class OuModeReport:
     passed: bool
 
 
-def _mode_amplitude_batch(coeffs: np.ndarray, grid: TorusGrid,
-                          mode: tuple[int, int]) -> np.ndarray:
-    """Coefficients along the cosine basis element of the mode pair."""
-    e = basis_element(grid, mode if mode[0] > 0 or (mode[0] == 0 and mode[1] > 0)
-                      else (-mode[0], -mode[1]))
-    return MEASURE * np.sum(coeffs * np.conj(e.coeffs), axis=(-3, -2, -1)).real
-
-
 def _run_mode_paths(mode: tuple[int, int], s: float, m0: float, n_paths: int,
                     cfg: SdeConfig, grid: TorusGrid,
                     batch: int = 2500) -> np.ndarray:
-    """Final-time amplitudes of the driven mode over n_paths trajectories."""
+    """Final-time amplitudes of the driven mode over n_paths trajectories.
+
+    The amplitude is the coordinate along the cosine element of the mode's pair.
+    """
     model = single_mode_noise(grid, mode, s)
-    e = basis_element(grid, mode)
-    u0 = SpectralField(grid, np.sqrt(m0) * e.coeffs)
+    u0 = np.sqrt(m0) * basis_element(grid, mode).coeffs
+    kc = tuple(mode) if is_canonical(mode) else (-mode[0], -mode[1])
+    wavevectors = basis_wavevectors(grid, cfg.galerkin_n)
+    if kc not in wavevectors:
+        raise ValueError(f"mode {tuple(mode)} is outside the first {cfg.galerkin_n} elements")
+    col = wavevectors.index(kc)
     finals = np.zeros(n_paths)
-    done = 0
-    while done < n_paths:
-        b = min(batch, n_paths - done)
-        incs = np.stack([
-            sample_wiener_increment(1, cfg.n_steps, cfg.dt, cfg.seed, done + j)
-            for j in range(b)
-        ])
-        c0 = np.repeat(u0.coeffs[None], b, axis=0)
-        run = _run_batched(c0, grid, model, cfg, incs, with_diag=False)
-        finals[done:done + b] = _mode_amplitude_batch(run.final, grid, mode)
-        done += b
+    for done in range(0, n_paths, batch):
+        paths = range(done, min(done + batch, n_paths))
+        run = _run_batched(u0, grid, model, cfg, paths, with_diag=False)
+        finals[done:paths.stop] = run.final[:, col]
     return finals
 
 

@@ -145,6 +145,7 @@ def test_hs_norm_options(grid16, make_field):
     assert weighted < full
     truncated = hs_norm_sq(model, u, galerkin_n=4)
     assert truncated <= full * (1.0 + 1e-12)
+    assert hs_norm_sq(make_model([], [], "one"), u) == 0.0  # no channels
 
 
 # ---------------------------------------------------------------------------

@@ -78,10 +78,11 @@ def test_step_sde_matches_manual_update(grid16, make_field):
     model = _model_small()
     cfg = SdeConfig(dt=1e-3, t_end=1e-3, galerkin_n=n, seed=3)
     incs = sample_wiener_increment(model.n_modes, 1, cfg.dt, cfg.seed, 0)
-    run = _run_batched(u0.coeffs[None], grid16, model, cfg, incs[None])
+    run = _run_batched(u0.coeffs, grid16, model, cfg, (0,))
+    assert run.final.shape == (1, n)
     expected = _manual_sde_step(u0, model, cfg.dt, n, incs[0])
     scale = float(np.max(np.abs(expected)))
-    assert np.max(np.abs(run.final[0] - expected)) <= 1e-13 * scale
+    assert np.max(np.abs(run.frame.lift(run.final[0]) - expected)) <= 1e-13 * scale
 
 
 def test_batched_engine_one_step_matches_step_sde(grid16, make_field):
@@ -94,11 +95,11 @@ def test_batched_engine_one_step_matches_step_sde(grid16, make_field):
     u0s = [galerkin_project(make_field(grid16, band=3, seed=20 + j), n) for j in range(3)]
     incs = np.stack([sample_wiener_increment(model.n_modes, 1, cfg.dt, cfg.seed, j)
                      for j in range(3)])
-    run = _run_batched(np.stack([u.coeffs for u in u0s]), grid16, model, cfg, incs)
+    run = _run_batched(np.stack([u.coeffs for u in u0s]), grid16, model, cfg, range(3))
     for j, u0 in enumerate(u0s):
         expected = _manual_sde_step(u0, model, cfg.dt, n, incs[j, 0])
         scale = float(np.max(np.abs(expected)))
-        assert np.max(np.abs(run.final[j] - expected)) <= 1e-13 * scale
+        assert np.max(np.abs(run.frame.lift(run.final[j]) - expected)) <= 1e-13 * scale
 
 
 def test_additive_fast_path_matches_channels(grid16):
@@ -119,22 +120,24 @@ def test_additive_fast_path_matches_channels(grid16):
     assert st.noise_increment(dw[None, :], None).shape == (1, 8)
 
 
-def test_additive_paths_replay_across_batch_layout(grid16, make_field):
-    # two additive channels sharing modes; single-path batches included
+@pytest.mark.parametrize("model", [
+    make_model([], ["0.1*cos(1,0) + 0.05*cos(0,1)", "0.07*cos(1,0) - 0.04*cos(0,1)"], "one"),
+    _model_small(),
+], ids=["additive", "tanh"])
+def test_additive_paths_replay_across_batch_layout(grid16, make_field, model):
+    # two noise channels sharing modes, additive or multiplicative; one batch
+    # of 9 paths against batches of 4, 2, 1 and 2
     from ans2d.sde import _run_batched
 
-    model = make_model([], ["0.1*cos(1,0) + 0.05*cos(0,1)", "0.07*cos(1,0) - 0.04*cos(0,1)"],
-                       "one")
     cfg = SdeConfig(dt=2e-3, t_end=0.02, galerkin_n=8, seed=5)
-    incs = np.stack([sample_wiener_increment(model.n_modes, cfg.n_steps, cfg.dt, cfg.seed, j)
-                     for j in range(5)])
-    c0 = np.repeat(make_field(grid16, band=3, seed=16).coeffs[None], 5, axis=0)
-    whole = _run_batched(c0, grid16, model, cfg, incs)
-    for rows in (slice(0, 2), slice(2, 4), slice(4, 5)):
-        part = _run_batched(c0[rows], grid16, model, cfg, incs[rows])
-        np.testing.assert_array_equal(part.final, whole.final[rows])
+    u0 = make_field(grid16, band=3, seed=16).coeffs
+    whole = _run_batched(u0, grid16, model, cfg, range(9))
+    for rows in (range(0, 4), range(4, 6), range(6, 7), range(7, 9)):
+        part = _run_batched(u0, grid16, model, cfg, rows)
+        sl = slice(rows.start, rows.stop)
+        np.testing.assert_array_equal(part.final, whole.final[sl])
         for name in part.diag:
-            np.testing.assert_array_equal(part.diag[name], whole.diag[name][:, rows])
+            np.testing.assert_array_equal(part.diag[name], whole.diag[name][:, sl])
 
 
 def test_weighted_series_recomputation(grid16, make_field):
@@ -206,6 +209,8 @@ def test_ou_validation_small():
         np.exp(-2.0 * 0.5) * 0.04 + 0.09 * (1.0 - np.exp(-2.0 * 0.5)) / 2.0, rel=1e-12)
     with pytest.raises(ValueError):
         ou_mode_validation((0, 1), s=0.3, m0=0.0, n_paths=10, cfg=cfg)
+    with pytest.raises(ValueError, match="outside the first 4"):
+        ou_mode_validation((2, 0), s=0.3, m0=0.0, n_paths=10, cfg=cfg)
     live = SdeConfig(dt=1e-3, t_end=0.1, galerkin_n=4, seed=1)
     with pytest.raises(ValueError, match="drop_nonlinearity"):
         ou_mode_validation((1, 0), s=0.3, m0=0.0, n_paths=10, cfg=live)
@@ -235,10 +240,7 @@ def _batch_run(grid, make_field, with_hs, n_paths=3, t_end=0.02):
     u0 = make_field(grid, band=3, seed=14)
     model = _model_small()
     cfg = SdeConfig(dt=2e-3, t_end=t_end, galerkin_n=9, seed=6)
-    incs = np.stack([sample_wiener_increment(model.n_modes, cfg.n_steps, cfg.dt, cfg.seed, j)
-                     for j in range(n_paths)])
-    c0 = np.repeat(u0.coeffs[None], n_paths, axis=0)
-    return _run_batched(c0, grid, model, cfg, incs, with_hs=with_hs)
+    return _run_batched(u0.coeffs, grid, model, cfg, range(n_paths), with_hs=with_hs)
 
 
 def test_hs_column_is_the_only_one_with_hs_changes(grid16, make_field):
@@ -257,7 +259,7 @@ def test_batched_hs_matches_channel_norms(grid16, make_field):
     from ans2d.noise import hs_norm_sq
 
     full = _batch_run(grid16, make_field, with_hs=True, n_paths=2)
-    u = SpectralField(grid16, full.final[1])
+    u = SpectralField(grid16, full.frame.lift(full.final[1]))
     expected = hs_norm_sq(_model_small(), u, galerkin_n=9)
     assert full.diag["hs_sq"][-1, 1] == pytest.approx(expected, rel=1e-12)
 
