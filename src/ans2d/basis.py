@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .norms import MEASURE
-from .spectral import SpectralField, TorusGrid, zeros_spectral
+from .spectral import SpectralField, TorusGrid, alias_free_band, zeros_spectral
 
 _AMP = 1.0 / (np.sqrt(2.0) * np.pi)  # unit L2 norm of a cosine or sine element
 
@@ -31,7 +31,7 @@ def basis_element(grid: TorusGrid, k: tuple[int, int]) -> SpectralField:
     k = (int(k[0]), int(k[1]))
     if k == (0, 0):
         raise ValueError("no basis element at k = 0")
-    if abs(k[0]) > grid.n1 // 3 or abs(k[1]) > grid.n2 // 3:
+    if abs(k[0]) > grid.band1 or abs(k[1]) > grid.band2:
         raise ValueError(f"wavevector {k} outside dealiased band of {grid.n1}x{grid.n2} grid")
     kc = k if is_canonical(k) else (-k[0], -k[1])
     norm = np.hypot(kc[0], kc[1])
@@ -50,29 +50,25 @@ def basis_element(grid: TorusGrid, k: tuple[int, int]) -> SpectralField:
 
 def enumerate_pairs(grid: TorusGrid, count: int) -> list[tuple[int, int]]:
     """First `count` canonical pair representatives in enumeration order."""
-    band1, band2 = grid.n1 // 3, grid.n2 // 3
-    pairs = [
-        (a, b)
-        for a in range(0, band1 + 1)
-        for b in range(-band2, band2 + 1)
-        if is_canonical((a, b))
-    ]
-    pairs.sort(key=lambda k: (k[0] ** 2 + k[1] ** 2, k[0], k[1]))
-    if count > len(pairs):
+    a, b = np.meshgrid(np.arange(grid.band1 + 1), np.arange(-grid.band2, grid.band2 + 1),
+                       indexing="ij")
+    a, b = a.ravel(), b.ravel()
+    canonical = (a > 0) | ((a == 0) & (b > 0))
+    a, b = a[canonical], b[canonical]
+    if count > len(a):
         raise ValueError(
-            f"{count} pairs requested but only {len(pairs)} fit the dealiased band"
+            f"{count} pairs requested but only {len(a)} fit the dealiased band"
         )
-    return pairs[:count]
+    order = np.lexsort((b, a, a * a + b * b))[:count]  # by |k|^2, then k1, then k2
+    return list(zip(a[order].tolist(), b[order].tolist()))
 
 
 def basis_wavevectors(grid: TorusGrid, n: int) -> list[tuple[int, int]]:
     """Wavevectors indexing the first n basis elements (cos, then sin, per pair)."""
-    pairs = enumerate_pairs(grid, (n + 1) // 2)
-    out: list[tuple[int, int]] = []
-    for kc in pairs:
-        out.append(kc)
-        out.append((-kc[0], -kc[1]))
-    return out[:n]
+    return [tuple(k) for k in GalerkinFrame(grid, n).wavevectors.tolist()]
+
+
+_FRAMES: dict[tuple[TorusGrid, int], "GalerkinFrame"] = {}
 
 
 class GalerkinFrame:
@@ -90,18 +86,35 @@ class GalerkinFrame:
     The gradient part of u drops out (d is orthogonal to kc).  lift
     scatters coordinates back to (..., 2, n1, n2) coefficients.  Both use
     index arrays over the pairs, never a dense basis matrix.  Element j is
-    an eigenfunction of d1^2 and d2^2 with eigenvalues -k1sq[j], -k2sq[j].
+    attached to wavevectors[j] and is an eigenfunction of d1^2 and d2^2
+    with eigenvalues -k1sq[j], -k2sq[j].
+
+    GalerkinFrame(grid, n) is built once per (grid, n) and shared, so its
+    arrays are read-only.
     """
 
-    def __init__(self, grid: TorusGrid, n: int):
+    def __new__(cls, grid: TorusGrid, n: int):
+        frame = _FRAMES.get((grid, n))
+        if frame is None:
+            frame = super().__new__(cls)
+            frame._build(grid, n)
+            _FRAMES[(grid, n)] = frame
+        return frame
+
+    def _build(self, grid: TorusGrid, n: int) -> None:
         pairs = np.array(enumerate_pairs(grid, (n + 1) // 2), dtype=np.int64).reshape(-1, 2)
         self.grid = grid
         self.n = n
         self.plus = (pairs[:, 0] % grid.n1, pairs[:, 1] % grid.n2)
         self.minus = (-pairs[:, 0] % grid.n1, -pairs[:, 1] % grid.n2)
         self.dirs = np.stack((-pairs[:, 1], pairs[:, 0])) / np.hypot(pairs[:, 0], pairs[:, 1])
-        self.k1sq = np.repeat(pairs[:, 0] ** 2, 2)[:n].astype(np.float64)
-        self.k2sq = np.repeat(pairs[:, 1] ** 2, 2)[:n].astype(np.float64)
+        # cosine element at kc, sine element at -kc
+        self.wavevectors = (np.repeat(pairs, 2, axis=0)
+                            * np.tile([[1], [-1]], (len(pairs), 1)))[:n]
+        self.k1sq = (self.wavevectors[:, 0] ** 2).astype(np.float64)
+        self.k2sq = (self.wavevectors[:, 1] ** 2).astype(np.float64)
+        for arr in (*self.plus, *self.minus, self.dirs, self.wavevectors, self.k1sq, self.k2sq):
+            arr.flags.writeable = False
 
     def coords(self, coeffs: np.ndarray) -> np.ndarray:
         """(..., n) coordinates of Hermitian (..., 2, n1, n2) coefficients."""
@@ -147,6 +160,27 @@ def galerkin_project(u: SpectralField, n: int) -> SpectralField:
 
 def max_level(grid: TorusGrid) -> int:
     """Number of basis elements available inside the dealiased band."""
-    band1, band2 = grid.n1 // 3, grid.n2 // 3
+    band1, band2 = grid.band1, grid.band2
     n_pairs = band1 * (2 * band2 + 1) + band2
     return 2 * n_pairs
+
+
+def quadrature_grid(grid: TorusGrid, n: int) -> TorusGrid:
+    """Smallest alias-free grid that holds the first n basis elements of grid.
+
+    Per axis: the smallest even m >= 4 whose alias-free band reaches the
+    largest |k_i| of the level's wavevectors, capped at the configured n_i.
+    Products of two level-n fields sampled there transform back without
+    aliasing onto the level's modes, so their level-n coordinates match
+    those taken on grid up to rounding; the level's enumeration is the same
+    on both grids.
+    """
+    reach = np.max(np.abs(GalerkinFrame(grid, n).wavevectors), axis=0)
+
+    def size(k: int, cap: int) -> int:
+        m = 4
+        while alias_free_band(m) < k:
+            m += 2
+        return min(m, cap)
+
+    return TorusGrid(size(reach[0], grid.n1), size(reach[1], grid.n2))

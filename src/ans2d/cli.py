@@ -28,7 +28,7 @@ from . import sde as sde_mod
 from .basis import basis_element, max_level
 from .config import echo_config, load_config
 from .ensemble import EnsembleConfig, moment_bound_report, run_ensemble
-from .errors import BlowUpError, ConfigError, GateError
+from .errors import BlowUpError, ConfigError, GateError, UsageError
 from .noise import NoiseModel, condition_c_bounds, condition_c_gate, make_model
 from .norms import cumulative_trapezoid
 from .snapshots import write_snapshot
@@ -232,7 +232,7 @@ def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> C
 def _cmd_verify(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
     rng = np.random.default_rng(cfg["verify.seed"])
-    band = min(cfg["verify.band"], grid.n1 // 3, grid.n2 // 3)
+    band = min(cfg["verify.band"], grid.band1, grid.band2)
     report = norms_mod.NormReport()
     for _ in range(cfg["verify.n_fields"]):
         u = random_solenoidal_field(grid, band=band, amplitude=1.0, rng=rng)
@@ -255,7 +255,7 @@ def _cmd_oracle_check(cfg: dict[str, Any], out: Path, args: argparse.Namespace) 
         raise ConfigError(
             f"direct convolution oracle is limited to n1*n2 <= 1024, got {grid.n1}x{grid.n2}")
     rng = np.random.default_rng(cfg["verify.seed"])
-    band = min(cfg["verify.band"], grid.n1 // 3, grid.n2 // 3)
+    band = min(cfg["verify.band"], grid.band1, grid.band2)
     tol = 1e-12
     rows = []
     worst = 0.0
@@ -356,8 +356,17 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse with its usage errors raised as UsageError; subparsers share the class."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        raise UsageError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ans2d",
         description="Simulation and estimate-verification harness for 2D "
                     "incompressible flow with horizontal-only viscosity.")
@@ -389,15 +398,43 @@ def _failure(prefix: str, exc: Exception) -> dict[str, Any]:
     return {"class": type(exc).__name__, "message": str(exc)}
 
 
+def _out_arg(argv: Sequence[str]) -> str | None:
+    """The last --out X or --out=X in argv, found without parsing it."""
+    out = None
+    for i, arg in enumerate(argv):
+        if arg == "--out" and i + 1 < len(argv):
+            out = argv[i + 1]
+        elif arg.startswith("--out="):
+            out = arg[len("--out="):]
+    return out
+
+
+def _write_manifest(out: Path, manifest: dict[str, Any]) -> None:
+    out.mkdir(parents=True, exist_ok=True)
+    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
+        json.dump(manifest, fh, indent=2)
+        fh.write("\n")
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    started = time.monotonic()
+    timestamp = datetime.now(timezone.utc).isoformat()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+    except UsageError as exc:
+        # already reported on stderr; the manifest needs --out to name a directory
+        out = _out_arg(argv)
+        if out is not None:
+            _write_manifest(Path(out), {
+                "command": None, "timestamp": timestamp,
+                "wall_time_s": time.monotonic() - started, "seeds": None, "config": None,
+                "outputs": [], "verdicts": {}, "exit_code": 2,
+                "error": {"class": "UsageError", "message": str(exc)}})
+        return 2
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
-    started = time.monotonic()
-    timestamp = datetime.now(timezone.utc).isoformat()
     cfg = None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -434,9 +471,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     }
     if error is not None:
         manifest["error"] = error
-    with open(out / "manifest.json", "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2)
-        fh.write("\n")
+    _write_manifest(out, manifest)
     for name, value in verdicts.items():
         print(f"{args.command}: {name} = {value}")
     return code

@@ -5,6 +5,10 @@ class ConfigError(ValueError):
     """Bad configuration text: unknown key, type mismatch, or invalid value."""
 
 
+class UsageError(ValueError):
+    """Bad command line: an unknown subcommand or option, or a missing value."""
+
+
 class SnapshotFormatError(ValueError):
     """Corrupt or truncated snapshot file.
 

@@ -12,8 +12,12 @@ state, stored states and on_step callback see (B, n) arrays, which the
 frame lifts to coefficients where a caller needs a field.  Every element
 is an eigenfunction of d1^2 and d2^2, so exp(L dt), P_n, additive noise
 and every diagnostic norm act on the coordinates directly; only the
-advection and a multiplicative sigma(u) need the state on the grid, which
-is lifted once per step.  Initial coefficients must be Hermitian.
+advection and a multiplicative sigma(u) need grid samples of the state,
+synthesized once per step.  The advection runs on the level's quadrature
+grid, the smallest alias-free grid holding its wavevectors
+(basis.quadrature_grid); a multiplicative sigma(u) is not band-limited, so
+with it the samples come from the configured grid instead.  Initial
+coefficients must be Hermitian.
 Per-step diagnostics come out as (n_steps+1, B) columns, which keeps path
 ensembles in pure array arithmetic.  The engine draws each trajectory's
 increments from a dedicated counter-based stream keyed by (seed, path
@@ -29,7 +33,7 @@ from typing import Sequence
 import numpy as np
 
 from . import spectral
-from .basis import GalerkinFrame, basis_element, basis_wavevectors, is_canonical, max_level
+from .basis import GalerkinFrame, basis_element, is_canonical, max_level, quadrature_grid
 from .det import _coord_rows, _GapAudit
 from .noise import (
     DEFAULT_ETA,
@@ -74,8 +78,13 @@ class _Stepper:
     """Precomputed batched update for one (grid, model, config) triple.
 
     States are (B, n) coordinates in the level-n frame.  The step loop
-    lifts a state to the grid and synthesizes (u, d1 u, d2 u) once (synth),
-    and hands the samples to drift, noise_increment and hs_sq.
+    lifts a state to the quadrature grid qgrid and synthesizes
+    (u, d1 u, d2 u) once (synth), and hands the samples to drift,
+    noise_increment and hs_sq.  qgrid is the level's smallest alias-free
+    grid (basis.quadrature_grid), which gives the advection coordinates of
+    the configured grid up to rounding.  A multiplicative sigma(u) is not
+    band-limited, so for it qgrid is the configured grid; additive channel
+    coordinates are taken on the configured grid once.
     """
 
     def __init__(self, grid: TorusGrid, model: NoiseModel | None, cfg: SdeConfig):
@@ -99,16 +108,18 @@ class _Stepper:
                 self.additive = self._sigma(zero, zero, np.eye(self.n_modes))
         multiplicative = not self.silent and self.additive is None
         self.needs_phys = multiplicative or not cfg.drop_nonlinearity
+        self.qgrid = grid if multiplicative else quadrature_grid(grid, cfg.galerkin_n)
+        self.qframe = GalerkinFrame(self.qgrid, cfg.galerkin_n)
 
     def synth(self, a: np.ndarray) -> np.ndarray | None:
-        """Stacked (u, d1 u, d2 u) samples, or None when no layer reads them."""
-        return spectral._phys_grad(self.frame.lift(a), self.grid) if self.needs_phys else None
+        """Stacked (u, d1 u, d2 u) samples on qgrid, or None when no layer reads them."""
+        return spectral._phys_grad(self.qframe.lift(a), self.qgrid) if self.needs_phys else None
 
     def drift(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
         """Coordinates of -P_n (u.grad u); phys holds the samples of a."""
         if self.cfg.drop_nonlinearity:
             return np.zeros_like(a)
-        return -self.frame.coords(spectral._advection_raw(phys, self.grid))
+        return -self.qframe.coords(spectral._advection_raw(phys, self.qgrid))
 
     def _sigma(self, u: np.ndarray, d1u: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Coordinates of P_n sigma(u) y of a multiplicative model from samples of u, d1 u."""
@@ -417,10 +428,10 @@ def _run_mode_paths(mode: tuple[int, int], s: float, m0: float, n_paths: int,
     model = single_mode_noise(grid, mode, s)
     u0 = np.sqrt(m0) * basis_element(grid, mode).coeffs
     kc = tuple(mode) if is_canonical(mode) else (-mode[0], -mode[1])
-    wavevectors = basis_wavevectors(grid, cfg.galerkin_n)
-    if kc not in wavevectors:
+    match = np.flatnonzero(np.all(GalerkinFrame(grid, cfg.galerkin_n).wavevectors == kc, axis=1))
+    if match.size == 0:
         raise ValueError(f"mode {tuple(mode)} is outside the first {cfg.galerkin_n} elements")
-    col = wavevectors.index(kc)
+    col = match[0]
     finals = np.zeros(n_paths)
     for done in range(0, n_paths, batch):
         paths = range(done, min(done + batch, n_paths))

@@ -25,6 +25,16 @@ def _wavenumbers(n: int) -> np.ndarray:
     return k.astype(np.int64)
 
 
+def alias_free_band(n: int) -> int:
+    """Largest band K whose quadratic products an n-point axis resolves.
+
+    Two fields of band K multiply to band 2K, and mode 2K aliases to
+    2K - n; the alias stays outside the band exactly when n > 3K, so
+    K = (n - 1) // 3 (Orszag's two-thirds rule).
+    """
+    return (n - 1) // 3
+
+
 @dataclass(frozen=True)
 class TorusGrid:
     """Uniform grid on [0, 2pi)^2 with n1 x n2 points (both even, >= 4)."""
@@ -59,10 +69,20 @@ class TorusGrid:
     def ksq(self) -> np.ndarray:
         return (self.k1 ** 2 + self.k2 ** 2).astype(np.float64)
 
+    @property
+    def band1(self) -> int:
+        """Largest alias-free |k1|; see alias_free_band."""
+        return alias_free_band(self.n1)
+
+    @property
+    def band2(self) -> int:
+        """Largest alias-free |k2|; see alias_free_band."""
+        return alias_free_band(self.n2)
+
     @cached_property
     def dealias_mask(self) -> np.ndarray:
-        """Two-thirds rule: keep |k1| <= n1//3 and |k2| <= n2//3."""
-        return (np.abs(self.k1) <= self.n1 // 3) & (np.abs(self.k2) <= self.n2 // 3)
+        """Two-thirds rule: keep |k1| <= band1 and |k2| <= band2."""
+        return (np.abs(self.k1) <= self.band1) & (np.abs(self.k2) <= self.band2)
 
     @property
     def n_points(self) -> int:
@@ -242,7 +262,7 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     """Dealiased pseudospectral advection term u.grad(u).
 
     Products are formed in physical space and transformed back; the 2/3-rule
-    mask makes the result exact on band-limited input (band <= n//3).  The
+    mask makes the result exact on band-limited input (band <= (n-1)//3).  The
     output is not Leray-projected.
     """
     return SpectralField(u.grid, _advection_raw(_phys_grad(u.coeffs, u.grid), u.grid))
@@ -318,7 +338,7 @@ def taylor_green(grid: TorusGrid, amplitude: float = 1.0) -> SpectralField:
 def random_solenoidal_field(grid: TorusGrid, band: int, amplitude: float,
                             rng: np.random.Generator) -> SpectralField:
     """Random mean-zero solenoidal field supported on 0 < max|k_i| <= band."""
-    if band > min(grid.n1, grid.n2) // 3:
+    if band > min(grid.band1, grid.band2):
         raise ValueError(f"band {band} exceeds dealiased range of {grid.n1}x{grid.n2} grid")
     raw = rng.standard_normal((2, grid.n1, grid.n2))
     coeffs = _spec(raw, grid.n_points)

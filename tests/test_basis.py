@@ -2,11 +2,14 @@ import numpy as np
 import pytest
 
 from ans2d.basis import (
+    GalerkinFrame,
     basis_element,
     basis_wavevectors,
     enumerate_pairs,
     galerkin_project,
+    is_canonical,
     max_level,
+    quadrature_grid,
 )
 from ans2d.norms import h01_inner, l2_inner, l2_norm_sq, sobolev_norm
 from ans2d.spectral import (
@@ -34,7 +37,7 @@ def test_element_guards(grid16):
     with pytest.raises(ValueError):
         basis_element(grid16, (0, 0))
     with pytest.raises(ValueError):
-        basis_element(grid16, (6, 0))  # outside the n//3 band
+        basis_element(grid16, (6, 0))  # outside the (n-1)//3 band
 
 
 def test_enumeration_order(grid16):
@@ -42,6 +45,16 @@ def test_enumeration_order(grid16):
     assert pairs == [(0, 1), (1, 0), (1, -1), (1, 1), (0, 2), (2, 0)]
     ks = basis_wavevectors(grid16, 5)
     assert ks == [(0, 1), (0, -1), (1, 0), (-1, 0), (1, -1)]
+
+
+@pytest.mark.parametrize("n1,n2", [(16, 16), (64, 64), (16, 40)])
+def test_enumeration_matches_sorted_reference(n1, n2):
+    grid = TorusGrid(n1, n2)
+    band1, band2 = (n1 - 1) // 3, (n2 - 1) // 3
+    ref = sorted(((a, b) for a in range(band1 + 1) for b in range(-band2, band2 + 1)
+                  if is_canonical((a, b))), key=lambda k: (k[0] ** 2 + k[1] ** 2, k[0], k[1]))
+    assert enumerate_pairs(grid, len(ref)) == ref
+    assert enumerate_pairs(grid, 7) == ref[:7]
 
 
 def test_gram_matrix_both_inner_products(grid16):
@@ -113,6 +126,8 @@ def test_max_level_counts(grid16):
     band = 16 // 3
     n_pairs = band * (2 * band + 1) + band
     assert max_level(grid16) == 2 * n_pairs
+    # 12 is divisible by 3: the alias-free band is 3, not 12 // 3 = 4
+    assert max_level(TorusGrid(12, 12)) == 2 * (3 * 7 + 3)
     with pytest.raises(ValueError):
         enumerate_pairs(grid16, n_pairs + 1)
     with pytest.raises(ValueError):
@@ -133,3 +148,41 @@ def test_frame_coords_are_basis_inner_products(grid16, make_field, n):
     np.testing.assert_array_equal(frame.k1sq, [k[0] ** 2 for k in ks])
     np.testing.assert_array_equal(frame.k2sq, [k[1] ** 2 for k in ks])
     assert frame.coords(np.stack([u.coeffs] * 3)).shape == (3, n)
+
+
+def test_frames_are_built_once_and_read_only(grid16):
+    frame = GalerkinFrame(grid16, 8)
+    assert GalerkinFrame(TorusGrid(16, 16), 8) is frame
+    assert GalerkinFrame(grid16, 9) is not frame
+    for arr in (*frame.plus, *frame.minus, frame.dirs, frame.wavevectors, frame.k1sq,
+                frame.k2sq):
+        with pytest.raises(ValueError):
+            arr[0] = 0
+
+
+def test_quadrature_grid_per_level(grid16):
+    # level 8 spans |k_i| <= 1, level 16 |k_i| <= 2, level 32 |k_i| <= 3
+    assert quadrature_grid(grid16, 8) == TorusGrid(4, 4)
+    assert quadrature_grid(grid16, 16) == TorusGrid(8, 8)
+    assert quadrature_grid(grid16, 32) == TorusGrid(10, 10)
+    assert quadrature_grid(grid16, max_level(grid16)) == grid16
+    # per axis: on 4x16 the band of axis 1 is 1, so level 12 reaches (1, 2)
+    assert quadrature_grid(TorusGrid(4, 16), 12) == TorusGrid(4, 8)
+    assert quadrature_grid(TorusGrid(16, 4), 12) == TorusGrid(8, 4)
+    assert quadrature_grid(TorusGrid(4, 16), max_level(TorusGrid(4, 16))) == TorusGrid(4, 16)
+    # the level's wavevectors come in the same order on the smaller grid
+    q = quadrature_grid(grid16, 32)
+    np.testing.assert_array_equal(GalerkinFrame(q, 32).wavevectors,
+                                  GalerkinFrame(grid16, 32).wavevectors)
+
+
+@pytest.mark.parametrize("n", [12, 18, 48])
+def test_drift_is_energy_neutral_at_max_level(n):
+    # (P(u.grad u), u) = 0 on the whole span; an aliased band breaks it
+    from ans2d.spectral import SpectralField, nonlinear_term
+
+    grid = TorusGrid(n, n)
+    frame = GalerkinFrame(grid, max_level(grid))
+    a = np.random.default_rng(n).standard_normal(frame.n)
+    drift = -frame.coords(nonlinear_term(SpectralField(grid, frame.lift(a))).coeffs)
+    assert abs(drift @ a) <= 1e-13 * np.linalg.norm(drift) * np.linalg.norm(a)

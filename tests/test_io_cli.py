@@ -325,6 +325,13 @@ def test_cli_galerkin_level_above_max_is_config_error(tmp_path):
     assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "ens")]) == 2
 
 
+def test_cli_level_beyond_alias_free_band_is_config_error(tmp_path):
+    # 12x12 holds 48 alias-free elements (band 3); level 60 needs band 4
+    cfg = _write_cfg(tmp_path, "grid.n1 = 12\ngrid.n2 = 12\ninit.band = 2\n"
+                               "sde.galerkin_n = 60\n")
+    assert main(["run-sde", "--config", cfg, "--out", str(tmp_path / "sde")]) == 2
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 def test_cli_non_finite_float_is_config_error(tmp_path, value):
     with pytest.raises(ConfigError, match="finite"):
@@ -358,6 +365,23 @@ def test_cli_manifest_on_config_error(tmp_path):
     man = _manifest(out)
     assert man["config"] is None and man["seeds"] is None
     assert man["error"]["class"] == "ConfigError"
+
+
+def test_cli_manifest_on_usage_error(tmp_path, capsys, monkeypatch):
+    # --out is found before parsing, so a bad command line still leaves a manifest
+    for argv, out in ((["no-such-command", "--out", str(tmp_path / "a")], "a"),
+                      (["run-det", "--bogus", f"--out={tmp_path / 'b'}"], "b")):
+        assert main(argv) == 2
+        man = _manifest(tmp_path / out)
+        assert man["exit_code"] == 2 and man["command"] is None
+        assert man["config"] is None and man["outputs"] == []
+        assert man["error"]["class"] == "UsageError"
+    assert "unrecognized arguments: --bogus" in man["error"]["message"]
+    assert "usage:" in capsys.readouterr().err
+    # without --out nothing is written, not even to the default directory
+    monkeypatch.chdir(tmp_path)
+    assert main(["no-such-command"]) == 2
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["a", "b"]
 
 
 def test_cli_manifest_on_gate_error(tmp_path):

@@ -1,9 +1,22 @@
 import numpy as np
 import pytest
 
-from ans2d.basis import GalerkinFrame, galerkin_project, galerkin_project_raw, max_level
+from ans2d.basis import (
+    GalerkinFrame,
+    galerkin_project,
+    galerkin_project_raw,
+    max_level,
+    quadrature_grid,
+)
 from ans2d.det import DetConfig, run_det
-from ans2d.noise import apply_sigma, make_model, sample_wiener_increment, sigma_channels
+from ans2d.noise import (
+    apply_sigma,
+    hs_norm_sq,
+    make_model,
+    sample_wiener_increment,
+    sigma_channels,
+)
+from ans2d.norms import h01_inner, l2_inner, norm_rows
 from ans2d.sde import (
     SdeConfig,
     ito_isometry_audit,
@@ -61,12 +74,18 @@ def test_galerkin_projection_is_invariant(grid16, make_field):
     np.testing.assert_allclose(traj.final.coeffs, again, atol=1e-14)
 
 
+def _manual_noise(u0, model, n, dw):
+    # P_n sigma(u0) dW, zero without a model
+    if model is None:
+        return np.zeros_like(u0.coeffs)
+    return galerkin_project(apply_sigma(model, u0, dw), n).coeffs
+
+
 def _manual_sde_step(u0, model, dt, n, dw):
     # u1 = exp(-k1^2 dt) (u0 - dt P_n(u0.grad u0) + P_n sigma(u0) dW), from public operators
     ef = np.exp(-dt * u0.grid.k1.astype(np.float64) ** 2)
     adv = galerkin_project(nonlinear_term(u0), n).coeffs
-    noise = galerkin_project(apply_sigma(model, u0, dw), n).coeffs
-    return ef * (u0.coeffs - dt * adv + noise)
+    return ef * (u0.coeffs - dt * adv + _manual_noise(u0, model, n, dw))
 
 
 def test_step_sde_matches_manual_update(grid16, make_field):
@@ -100,6 +119,57 @@ def test_batched_engine_one_step_matches_step_sde(grid16, make_field):
         expected = _manual_sde_step(u0, model, cfg.dt, n, incs[j, 0])
         scale = float(np.max(np.abs(expected)))
         assert np.max(np.abs(run.frame.lift(run.final[j]) - expected)) <= 1e-13 * scale
+
+
+def _manual_diag_row(u, model, n, work):
+    # one diagnostic row of state u from public operators on its own grid
+    row = {name: float(v) for name, v in norm_rows(u.coeffs, u.grid).items()}
+    adv = galerkin_project(nonlinear_term(u), n)
+    row.update(h01_sq=row["l2_sq"] + row["d2_sq"],
+               cross=h01_inner(adv, u) - l2_inner(adv, u),  # (d2 P_n(u.grad u), d2 u)
+               noise_work=work,
+               hs_sq=0.0 if model is None else hs_norm_sq(model, u, galerkin_n=n))
+    return row
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("model", [
+    make_model([], ["0.1*cos(1,0) + 0.05*cos(0,1)", "0.07*sin(1,1)"], "one"),
+    None,
+], ids=["additive", "no-noise"])
+def test_quadrature_grid_run_matches_manual_steps(grid16, make_field, model, n):
+    # the engine advects on the level's smaller quadrature grid; repeated
+    # manual steps on the configured grid give the same coordinates and rows
+    from ans2d.sde import _run_batched, _Stepper
+
+    cfg = SdeConfig(dt=2e-3, t_end=0.01, galerkin_n=n, seed=8)
+    assert _Stepper(grid16, model, cfg).qgrid == quadrature_grid(grid16, n) != grid16
+    n_modes = 0 if model is None else model.n_modes
+    u0 = make_field(grid16, band=3, seed=21)
+    run = _run_batched(u0.coeffs, grid16, model, cfg, (0, 1))
+    for path in (0, 1):
+        incs = sample_wiener_increment(n_modes, cfg.n_steps, cfg.dt, cfg.seed, path)
+        u = galerkin_project(u0, n)
+        rows = [_manual_diag_row(u, model, n, 0.0)]
+        for dw in incs:
+            work = l2_inner(SpectralField(grid16, _manual_noise(u, model, n, dw)), u)
+            u = SpectralField(grid16, _manual_sde_step(u, model, cfg.dt, n, dw))
+            rows.append(_manual_diag_row(u, model, n, work))
+        expected = GalerkinFrame(grid16, n).coords(u.coeffs)
+        scale = float(np.max(np.abs(expected)))
+        assert np.max(np.abs(run.final[path] - expected)) <= 1e-13 * scale
+        for name in run.diag:
+            col = np.array([row[name] for row in rows])
+            scale = max(float(np.max(np.abs(col))), 1e-300)
+            assert np.max(np.abs(run.diag[name][:, path] - col)) <= 1e-13 * scale, name
+
+
+def test_multiplicative_noise_keeps_configured_grid(grid16):
+    # sigma(u) is not band-limited: its samples come from the configured grid
+    from ans2d.sde import _Stepper
+
+    for n in (8, 32):
+        assert _Stepper(grid16, _model_small(), SdeConfig(galerkin_n=n)).qgrid == grid16
 
 
 def test_additive_fast_path_matches_channels(grid16):
@@ -280,6 +350,7 @@ def test_step_loop_shares_one_synthesis_per_state(grid16, make_field, monkeypatc
     monkeypatch.setattr(spectral, "_advection_raw", counting("adv", spectral._advection_raw))
     monkeypatch.setattr(sde, "_sigma_raw", counting("sigma", sde._sigma_raw))
     monkeypatch.setattr(basis, "enumerate_pairs", counting("pairs", basis.enumerate_pairs))
+    monkeypatch.setattr(basis, "_FRAMES", {})  # frames are cached: start from none
     run = _batch_run(grid16, make_field, with_hs=False)
     n_steps = len(run.t) - 1
     assert calls == {"phys": n_steps + 1, "adv": n_steps + 1, "sigma": n_steps, "pairs": 1}

@@ -98,10 +98,23 @@ def test_dealias_band_and_idempotence(make_field):
     grid = TorusGrid(12, 12)
     u = SpectralField(grid, np.ones((2, 12, 12), dtype=complex))
     v = dealias(u)
-    # keep |k_i| <= n_i // 3 = 4
-    kept = (np.abs(grid.k1) <= 4) & (np.abs(grid.k2) <= 4)
+    # keep |k_i| <= (n_i - 1) // 3 = 3: mode 2 * 4 would alias to 8 - 12 = -4
+    kept = (np.abs(grid.k1) <= 3) & (np.abs(grid.k2) <= 3)
     assert np.array_equal(v.coeffs[0] != 0, kept)
     assert np.array_equal(dealias(v).coeffs, v.coeffs)
+
+
+@pytest.mark.parametrize("n", [6, 12, 18])
+def test_nonlinear_term_matches_oracle_when_3_divides_n(n):
+    # a field filling the dealiased band of the grid: products must not alias
+    from ans2d.spectral import nonlinear_term_oracle
+
+    grid = TorusGrid(n, n)
+    raw = np.random.default_rng(n).standard_normal((2, n, n))
+    u = zero_mean(leray_project(dealias(forward_transform(PhysicalField(grid, raw)))))
+    fast = nonlinear_term(u).coeffs
+    slow = dealias(nonlinear_term_oracle(u)).coeffs
+    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(fast))
 
 
 def test_leray_single_mode(grid16):
