@@ -116,6 +116,14 @@ class GalerkinFrame:
         for arr in (*self.plus, *self.minus, self.dirs, self.wavevectors, self.k1sq, self.k2sq):
             arr.flags.writeable = False
 
+    def column(self, k: tuple[int, int]) -> int:
+        """Index of the element attached to wavevector k, as in basis_element."""
+        match = np.flatnonzero(np.all(self.wavevectors == (int(k[0]), int(k[1])), axis=1))
+        if match.size == 0:
+            raise ValueError(f"wavevector {tuple(k)} is outside the first {self.n} elements "
+                             f"of the {self.grid.n1}x{self.grid.n2} grid")
+        return int(match[0])
+
     def coords(self, coeffs: np.ndarray) -> np.ndarray:
         """(..., n) coordinates of Hermitian (..., 2, n1, n2) coefficients."""
         i, j = self.plus

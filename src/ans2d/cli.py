@@ -26,7 +26,7 @@ from . import det as det_mod
 from . import norms as norms_mod
 from . import sde as sde_mod
 from .basis import basis_element, max_level
-from .config import echo_config, load_config
+from .config import _parse_count, echo_config, load_config
 from .ensemble import EnsembleConfig, moment_bound_report, run_ensemble
 from .errors import BlowUpError, ConfigError, GateError, UsageError
 from .noise import NoiseModel, condition_c_bounds, condition_c_gate, make_model
@@ -112,7 +112,7 @@ def _det_config(cfg: dict[str, Any]) -> det_mod.DetConfig:
     try:
         return det_mod.DetConfig(
             dt=cfg["det.dt"], t_end=cfg["det.t_end"], integrator=cfg["det.integrator"],
-            eps_v=cfg["det.eps_v"], snapshot_every=cfg["det.snapshot_every"])
+            eps_v=cfg["det.eps_v"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -129,8 +129,7 @@ def _sde_config(cfg: dict[str, Any]) -> sde_mod.SdeConfig:
             dt=cfg["sde.dt"], t_end=cfg["sde.t_end"], galerkin_n=cfg["sde.galerkin_n"],
             seed=cfg["sde.seed"],
             drop_nonlinearity=cfg["sde.drop_nonlinearity"],
-            alpha_tilde=cfg["sde.alpha_tilde"],
-            snapshot_every=cfg["sde.snapshot_every"])
+            alpha_tilde=cfg["sde.alpha_tilde"])
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -152,8 +151,7 @@ def _cmd_run_det(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
                traj.int_d1_sq, traj.int_d1d2_sq, energy.residual, h01.c_emp,
                h01.weighted)
     _write_csv(out / "det_series.csv", DET_CSV_COLUMNS, list(rows))
-    final_t, final_state = traj.states[-1]
-    write_snapshot(out / "final_state.ans2", inverse_transform(final_state), final_t)
+    write_snapshot(out / "final_state.ans2", inverse_transform(traj.final), float(traj.t[-1]))
     verdicts = {
         "energy_certificate": energy.passed,
         "energy_rel_residual": energy.rel_to_initial,
@@ -187,8 +185,7 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
                traj.weighted.weighted_h01, traj.diag["noise_work"],
                traj.diag["hs_sq"])
     _write_csv(out / "sde_series.csv", SDE_CSV_COLUMNS, list(rows))
-    write_snapshot(out / "final_state.ans2", inverse_transform(traj.final),
-                   float(traj.t[-1]))
+    write_snapshot(out / "final_state.ans2", inverse_transform(traj.final), float(traj.t[-1]))
     verdicts = {
         "existence_gate": gate_ok,
         "gate": gate_text,
@@ -365,6 +362,14 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _seed_arg(text: str) -> int:
+    """--seed value, under the rule of the config's seed keys."""
+    try:
+        return _parse_count(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="ans2d",
@@ -383,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="path to a flat key=value config file")
         p.add_argument("--out", default="ans2d-out", help="output directory (created if missing)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_seed_arg, default=None, metavar="SEED",
                        help="override init.seed, sde.seed, ensemble.base_seed, verify.seed")
         p.add_argument("--force", action="store_true",
                        help="run even when a noise gate fails")

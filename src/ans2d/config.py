@@ -39,11 +39,15 @@ def _parse_positive(text: str) -> float:
     return value
 
 
-def _parse_count(text: str) -> int:
+def _parse_count(text: str, low: int = 0) -> int:
     value = int(text)
-    if value < 0:
-        raise ValueError(f"must be >= 0, got {value}")
+    if value < low:
+        raise ValueError(f"must be >= {low}, got {value}")
     return value
+
+
+def _parse_positive_count(text: str) -> int:
+    return _parse_count(text, low=1)
 
 
 def _parse_levels(text: str) -> tuple[int, ...]:
@@ -84,36 +88,34 @@ SCHEMA: tuple[_Key, ...] = (
     _str_key("init.kind", "taylor-green",
              ("taylor-green", "shear-x1", "shear-x2", "random", "zero")),
     _Key("init.amplitude", _parse_finite, 1.0),
-    _Key("init.band", int, 3),
-    _Key("init.seed", int, 0),
+    _Key("init.band", _parse_positive_count, 3),
+    _Key("init.seed", _parse_count, 0),
     _Key("det.dt", _parse_finite, 1e-3),
     _Key("det.t_end", _parse_finite, 1.0),
     _str_key("det.integrator", "if-rk2", ("if-rk2", "if-rk4", "if-euler")),
     _Key("det.eps_v", _parse_finite, 0.0),
-    _Key("det.snapshot_every", _parse_count, 0),
     _Key("sde.dt", _parse_finite, 1e-3),
     _Key("sde.t_end", _parse_finite, 1.0),
     _Key("sde.galerkin_n", int, 8),
-    _Key("sde.seed", int, 0),
+    _Key("sde.seed", _parse_count, 0),
     _Key("sde.drop_nonlinearity", _parse_bool, False),
     _Key("sde.alpha_tilde", _parse_finite, 0.5),
-    _Key("sde.snapshot_every", _parse_count, 0),
     _str_key("noise.c_recipes", ""),
     _str_key("noise.b_recipes", ""),
     _str_key("noise.g", "one", ("one", "zero", "tanh", "sin")),
     _Key("noise.eta", _parse_positive, DEFAULT_ETA),
     _Key("noise.budget_margin", _parse_finite, 1.0),
     _Key("ensemble.n_paths", int, 100),
-    _Key("ensemble.base_seed", int, 0),
+    _Key("ensemble.base_seed", _parse_count, 0),
     _Key("ensemble.levels", _parse_levels, (8, 16, 32), fmt=_fmt_levels),
     _Key("ensemble.batch", int, 500),
     _str_key("uniqueness.kind", "det", ("det", "sde")),
     _Key("uniqueness.perturbation", _parse_finite, 1e-8),
     _str_key("uniqueness.pert_mode", "1,0"),
     _Key("uniqueness.tol", _parse_finite, 0.05),
-    _Key("verify.n_fields", int, 100),
-    _Key("verify.band", int, 5),
-    _Key("verify.seed", int, 0),
+    _Key("verify.n_fields", _parse_positive_count, 100),
+    _Key("verify.band", _parse_positive_count, 5),
+    _Key("verify.seed", _parse_count, 0),
     _str_key("plot.input", ""),
 )
 

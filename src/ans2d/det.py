@@ -12,26 +12,20 @@ of all max_level(grid) basis elements, so the state is its real coordinates
 in GalerkinFrame(grid, max_level(grid)): the deterministic system is the
 top Galerkin level of the stochastic engine.  Taking coordinates projects
 the initial data; run_det and uniqueness_experiment therefore require
-Hermitian input, c(-k) = conj(c(k)), as the SDE engine does.  Only the
-advection lifts a state to the grid.
+Hermitian input, c(-k) = conj(c(k)), as the SDE engine does.  Stored
+states are coordinates too; only the advection and Trajectory.final lift.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
 from . import spectral
-from .basis import GalerkinFrame, basis_element, max_level
-from .norms import (
-    cumulative_trapezoid,
-    l2_inner,
-    l2_norm_sq,
-    power_rows,
-    trilinear_ratio,
-)
+from .basis import GalerkinFrame, max_level
+from .norms import cumulative_trapezoid, power_rows, trilinear_ratio
 from .spectral import SpectralField, TorusGrid
 
 INTEGRATORS = ("if-rk2", "if-rk4", "if-euler")
@@ -43,7 +37,7 @@ class DetConfig:
     t_end: float = 1.0
     integrator: str = "if-rk2"
     eps_v: float = 0.0  # vertical viscosity multiplier of the regularized system
-    snapshot_every: int = 0  # store full states every k steps; 0 = endpoints only
+    snapshot_every: int = 0  # store states every k steps; 0 = endpoints only
     blowup_factor: float = 1e6
 
     def __post_init__(self):
@@ -61,11 +55,13 @@ class DetConfig:
 
 @dataclass
 class Trajectory:
-    """Per-step diagnostics plus optionally stored states.
+    """Per-step diagnostics plus stored states.
 
     Squared norms are recorded at every step; int_* columns are running
     trapezoid integrals of the matching squared norm.  cross holds the
-    vertical advection pairing (d2(u.grad u), d2 u).
+    vertical advection pairing (d2(u.grad u), d2 u).  states holds the
+    (n_saved, n) coordinates in frame at the times states_t: both endpoints
+    and every config.snapshot_every steps.
     """
 
     grid: TorusGrid
@@ -79,7 +75,14 @@ class Trajectory:
     int_d1_sq: np.ndarray
     int_d2_sq: np.ndarray
     int_d1d2_sq: np.ndarray
-    states: list[tuple[float, SpectralField]] = field(default_factory=list)
+    states_t: np.ndarray
+    states: np.ndarray
+    frame: GalerkinFrame
+
+    @property
+    def final(self) -> SpectralField:
+        """The last stored state as a field."""
+        return SpectralField(self.grid, self.frame.lift(self.states[-1]))
 
 
 def mollify(u: SpectralField, eps: float) -> SpectralField:
@@ -145,7 +148,7 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
 
     cols = {name: np.zeros(n_steps + 1) for name in
             ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "cross")}
-    states: list[tuple[float, SpectralField]] = []
+    saved: list[tuple[int, np.ndarray]] = []  # (step, coordinates)
 
     def record(i: int, a: np.ndarray, drift: np.ndarray) -> None:
         row = _coord_rows(frame, a, drift)
@@ -153,7 +156,7 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
             cols[name][i] = row[name]
         keep = cfg.snapshot_every > 0 and i % cfg.snapshot_every == 0
         if keep or i == 0 or i == n_steps:
-            states.append((i * dt, SpectralField(grid, frame.lift(a))))
+            saved.append((i, a))
 
     # one drift evaluation per state feeds both the cross-term diagnostic
     # and the first integrator stage
@@ -167,7 +170,9 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
         drift = _drift(a, frame)
         record(i, a, drift)
 
-    return Trajectory(grid=grid, config=cfg, t=np.arange(n_steps + 1) * dt, states=states,
+    return Trajectory(grid=grid, config=cfg, t=np.arange(n_steps + 1) * dt,
+                      states_t=np.array([i for i, _ in saved]) * dt,
+                      states=np.stack([a for _, a in saved]), frame=frame,
                       int_d1_sq=cumulative_trapezoid(cols["d1_sq"], dt),
                       int_d2_sq=cumulative_trapezoid(cols["d2_sq"], dt),
                       int_d1d2_sq=cumulative_trapezoid(cols["d1d2_sq"], dt), **cols)
@@ -267,26 +272,21 @@ def weak_form_residual(traj: Trajectory, test_mode: tuple[int, int],
         - chi(0) (u0, e_k) + chi(t) (u(t), e_k)
 
     vanishes for exact solutions; trapezoid quadrature leaves O(dt^2).
-    Passing -k selects the sine element of the mode pair of k.
+    e_k is basis_element(grid, k): passing -k selects the sine element of
+    the mode pair of k.
     """
     if traj.config.snapshot_every != 1:
         raise ValueError("weak-form residual needs states at every step (snapshot_every=1)")
-    grid = traj.grid
-    ek = basis_element(grid, test_mode)
-    kc = test_mode if test_mode[0] > 0 or (test_mode[0] == 0 and test_mode[1] > 0) \
-        else (-test_mode[0], -test_mode[1])
+    frame = traj.frame
+    j = frame.column(test_mode)
+    a = traj.states[:, j]                       # (u, e_k)
+    b = -_drift(traj.states, frame)[:, j]       # (u.grad u, e_k)
     eps = traj.config.eps_v
-    n = len(traj.t)
-    a = np.zeros(n)       # (u, e_k)
-    b = np.zeros(n)       # (u.grad u, e_k)
-    for i in range(n):
-        _, state = traj.states[i]
-        a[i] = l2_inner(state, ek)
-        b[i] = l2_inner(spectral.nonlinear_term(state), ek)
     chi_v = np.array([chi.fn(t) for t in traj.t])
     dchi_v = np.array([chi.dfn(t) for t in traj.t])
-    # e_k is a single mode pair: (d1 u, d1 e_k) = k1^2 (u, e_k), same for d2
-    integrand = -dchi_v * a + chi_v * (kc[0] ** 2 + eps ** 2 * kc[1] ** 2) * a + chi_v * b
+    # e_k is an eigenfunction: (d1 u, d1 e_k) = k1^2 (u, e_k), same for d2
+    integrand = (-dchi_v * a + chi_v * (frame.k1sq[j] + eps ** 2 * frame.k2sq[j]) * a
+                 + chi_v * b)
     integral = float(np.trapezoid(integrand, traj.t))
     return integral - chi_v[0] * a[0] + chi_v[-1] * a[-1]
 
@@ -417,19 +417,12 @@ def eps_sweep(u0: SpectralField, cfg: DetConfig, eps_values: list[float]) -> lis
     Each eps run starts from mollified data mollify(u0, eps) and evolves with
     vertical viscosity eps^2; returns
     || u_eps - u_0 ||_{L2([0,T]; L2)} for each eps, computed by trapezoid
-    over per-step differences.
+    over the per-step sums of squared coordinate differences.
     """
-    from dataclasses import replace
-
-    base_cfg = replace(cfg, eps_v=0.0, snapshot_every=1)
-    base = run_det(u0, base_cfg)
+    base = run_det(u0, replace(cfg, eps_v=0.0, snapshot_every=1))
     out = []
     for eps in eps_values:
-        cfg_eps = replace(cfg, eps_v=eps, snapshot_every=1)
-        traj = run_det(mollify(u0, eps), cfg_eps)
-        diff_sq = np.array([
-            l2_norm_sq(SpectralField(u0.grid, traj.states[i][1].coeffs - base.states[i][1].coeffs))
-            for i in range(len(traj.t))
-        ])
+        traj = run_det(mollify(u0, eps), replace(cfg, eps_v=eps, snapshot_every=1))
+        diff_sq = np.sum((traj.states - base.states) ** 2, axis=1)
         out.append(float(np.sqrt(np.trapezoid(diff_sq, traj.t))))
     return out

@@ -4,9 +4,11 @@ The diffusion maps a Wiener increment with components y_k to
 
     sigma(u) y = sum_k ( c_k(x) d1 u + b_k(x) g(u) ) y_k
 
-followed by the projection onto the dealiased, solenoidal, mean-free span
-of all basis elements of the grid.  The c_k, b_k are finite trigonometric
-recipes; g acts componentwise, is bounded and Lipschitz.  Declared budgets:
+followed by the projection P_n onto the span of the first n basis
+elements; sigma_coords gives its n coordinates.  The public functions take
+all basis elements of the grid (the dealiased, solenoidal, mean-free span)
+and lift.  The c_k, b_k are finite trigonometric recipes; g acts
+componentwise, is bounded and Lipschitz.  Declared budgets:
 
     M1 >= sum_k (sup|c_k| + sup|d1 c_k| + sup|d2 c_k|)^2
     M2 >= sum_k (sup|b_k|)^2   and   M2 >= sum_k (sup|d2 b_k|)^2
@@ -27,8 +29,8 @@ from typing import Sequence
 import numpy as np
 
 from . import spectral
-from .basis import galerkin_project_raw, max_level
-from .norms import NormReport, norm_rows, weighted_coeff_sum_sq
+from .basis import GalerkinFrame, max_level
+from .norms import NormReport, norm_rows
 from .spectral import SpectralField, TorusGrid
 
 EXISTENCE_K2_LIMIT = 2.0 / 11.0
@@ -240,14 +242,24 @@ def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, d1u_phys: np.ndarray,
     return out
 
 
-def _sigma_spec(model: NoiseModel, coeffs: np.ndarray, grid: TorusGrid,
-                y: np.ndarray) -> np.ndarray:
-    """sigma(u) y as coefficients, projected onto all basis elements of the grid
-    (dealiased, solenoidal, mean-free); coeffs must be Hermitian."""
-    c_arr, b_arr = model.coefficient_fields(grid)
-    u_phys, d1u_phys, _ = spectral._phys_grad(coeffs, grid)
-    phys = _sigma_raw(model, u_phys, d1u_phys, y, c_arr, b_arr)
-    return galerkin_project_raw(spectral._spec(phys, grid.n_points), grid, max_level(grid))
+def sigma_coords(model: NoiseModel, frame: GalerkinFrame, phys: np.ndarray, y: np.ndarray,
+                 fields: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """(..., n) coordinates of P_n sigma(u) y in frame.
+
+    phys holds the stacked samples spectral._phys_grad gives on frame.grid,
+    of which u and d1 u are read; y: (..., n_modes); batch axes broadcast.
+    fields are model.coefficient_fields(frame.grid), sampled once by the caller.
+    """
+    sig = _sigma_raw(model, phys[0], phys[1], y, *fields)
+    return frame.coords(spectral._spec(sig, frame.grid.n_points))
+
+
+def _field_sigma_coords(model: NoiseModel, u: SpectralField, y: np.ndarray,
+                        n: int | None = None) -> tuple[np.ndarray, GalerkinFrame]:
+    """sigma_coords of a Hermitian field u at level n (default max_level), and the frame."""
+    frame = GalerkinFrame(u.grid, max_level(u.grid) if n is None else n)
+    phys = spectral._phys_grad(u.coeffs, u.grid)
+    return sigma_coords(model, frame, phys, y, model.coefficient_fields(u.grid)), frame
 
 
 def apply_sigma(model: NoiseModel, u: SpectralField, y: np.ndarray) -> SpectralField:
@@ -255,25 +267,23 @@ def apply_sigma(model: NoiseModel, u: SpectralField, y: np.ndarray) -> SpectralF
     y = np.asarray(y, dtype=np.float64)
     if y.shape != (model.n_modes,):
         raise ValueError(f"y must have shape ({model.n_modes},), got {y.shape}")
-    return SpectralField(u.grid, _sigma_spec(model, u.coeffs, u.grid, y))
+    a, frame = _field_sigma_coords(model, u, y)
+    return SpectralField(u.grid, frame.lift(a))
 
 
 def sigma_channels(model: NoiseModel, u: SpectralField) -> np.ndarray:
     """All projected channel fields sigma(u) psi_j, shape (n_modes, 2, n1, n2)."""
-    return _sigma_spec(model, u.coeffs[None], u.grid, np.eye(model.n_modes))
+    a, frame = _field_sigma_coords(model, u, np.eye(model.n_modes))
+    return frame.lift(a)
 
 
-def hs_norm_sq(model: NoiseModel, u: SpectralField, weight: np.ndarray | None = None,
-               galerkin_n: int | None = None) -> float:
-    """Squared Hilbert-Schmidt norm sum_j ||sigma(u) psi_j||^2.
+def hs_norm_sq(model: NoiseModel, u: SpectralField, galerkin_n: int | None = None) -> float:
+    """Squared Hilbert-Schmidt norm sum_j ||P_n sigma(u) psi_j||^2.
 
-    weight is an optional diagonal spectral weight (default L2); galerkin_n
-    additionally truncates each channel to the first n basis elements.
+    n is galerkin_n, by default every basis element of the grid.
     """
-    chans = sigma_channels(model, u)
-    if galerkin_n is not None:
-        chans = galerkin_project_raw(chans, u.grid, galerkin_n)
-    return weighted_coeff_sum_sq(chans, 1.0 if weight is None else weight)
+    a, _ = _field_sigma_coords(model, u, np.eye(model.n_modes), galerkin_n)
+    return float(np.sum(a ** 2))
 
 
 @dataclass(frozen=True)
@@ -367,24 +377,23 @@ def condition_c_empirical_check(model: NoiseModel, fields: Sequence[SpectralFiel
     if report is None:
         report = NormReport()
     cc = condition_c_bounds(model, eta=eta)
+    chans = []  # (n_modes, n) channel coordinates per field
     for idx, u in enumerate(fields):
-        grid = u.grid
-        rows = norm_rows(u.coeffs, grid)
+        rows = norm_rows(u.coeffs, u.grid)
         l2, d1, d2, d1d2 = (float(rows[k]) for k in ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq"))
-        chans = sigma_channels(model, u)
-        hm1_w = 1.0 / (1.0 + grid.ksq)
-        h01_w = 1.0 + grid.k2.astype(np.float64) ** 2
-        hs_l2 = weighted_coeff_sum_sq(chans, 1.0)
-        hs_hm1 = weighted_coeff_sum_sq(chans, hm1_w)
-        hs_h01 = weighted_coeff_sum_sq(chans, h01_w)
+        a, frame = _field_sigma_coords(model, u, np.eye(model.n_modes))
+        chans.append(a)
+        sq = a ** 2
+        hs_hm1 = float(np.sum(sq / (1.0 + frame.k1sq + frame.k2sq)))
+        hs_h01 = float(np.sum(sq * (1.0 + frame.k2sq)))
         report.add(f"growth_hminus1[{idx}]", hs_hm1, cc.k0p + cc.k1p * l2, cc.k1p)
-        report.add(f"growth_l2[{idx}]", hs_l2, cc.k0 + cc.k1 * l2 + cc.k2 * d1, cc.k2)
+        report.add(f"growth_l2[{idx}]", float(np.sum(sq)),
+                   cc.k0 + cc.k1 * l2 + cc.k2 * d1, cc.k2)
         report.add(f"growth_h01[{idx}]", hs_h01,
                    cc.kt0 + cc.kt1 * (l2 + d2) + cc.kt2 * (d1 + d1d2), cc.kt2)
     for idx in range(len(fields) - 1):
-        u, v = fields[idx], fields[idx + 1]
-        w = norm_rows(u.coeffs - v.coeffs, u.grid)
-        hs_diff = weighted_coeff_sum_sq(sigma_channels(model, u) - sigma_channels(model, v), 1.0)
+        w = norm_rows(fields[idx].coeffs - fields[idx + 1].coeffs, fields[idx].grid)
+        hs_diff = float(np.sum((chans[idx] - chans[idx + 1]) ** 2))
         report.add(f"lipschitz[{idx}]", hs_diff,
                    cc.l1 * w["l2_sq"] + cc.l2 * w["d1_sq"], cc.l2)
     return report

@@ -8,14 +8,14 @@ basis elements:
 with L = -k1^2 applied exactly.  The engine steps the n real coordinates
 of the state in that basis (basis.GalerkinFrame), batched over
 trajectories as (B, n) arrays, and hands back coordinates: its final
-state, stored states and on_step callback see (B, n) arrays, which the
-frame lifts to coefficients where a caller needs a field.  Every element
-is an eigenfunction of d1^2 and d2^2, so exp(L dt), P_n, additive noise
+state and on_step callback see (B, n) arrays, which the frame lifts to
+coefficients where a caller needs a field.  Every element is an
+eigenfunction of d1^2 and d2^2, so exp(L dt), P_n, additive noise
 and every diagnostic norm act on the coordinates directly; only the
-advection and a multiplicative sigma(u) need grid samples of the state,
-synthesized once per step.  The advection runs on the level's quadrature
-grid, the smallest alias-free grid holding its wavevectors
-(basis.quadrature_grid); a multiplicative sigma(u) is not band-limited, so
+advection and a multiplicative sigma(u) (noise.sigma_coords) need grid
+samples of the state, synthesized once per step.  The advection runs on
+the level's quadrature grid, the smallest alias-free grid holding its
+wavevectors (basis.quadrature_grid); a multiplicative sigma(u) is not band-limited, so
 with it the samples come from the configured grid instead.  Initial
 coefficients must be Hermitian.
 Per-step diagnostics come out as (n_steps+1, B) columns, which keeps path
@@ -27,7 +27,7 @@ path replays bit-for-bit regardless of batch layout, for every noise model.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -39,9 +39,9 @@ from .noise import (
     DEFAULT_ETA,
     NoiseModel,
     _channel_sum,
-    _sigma_raw,
     condition_c_bounds,
     sample_wiener_increment,
+    sigma_coords,
 )
 from .norms import cumulative_trapezoid, trilinear_ratio
 from .spectral import SpectralField, TorusGrid
@@ -58,7 +58,6 @@ class SdeConfig:
     seed: int = 0
     drop_nonlinearity: bool = False
     alpha_tilde: float = 0.5
-    snapshot_every: int = 0
     blowup_factor: float = 1e6
 
     def __post_init__(self):
@@ -93,7 +92,6 @@ class _Stepper:
                 f"galerkin_n={cfg.galerkin_n} exceeds the {max_level(grid)} basis "
                 f"elements of the {grid.n1}x{grid.n2} grid"
             )
-        self.grid = grid
         self.model = model
         self.cfg = cfg
         self.frame = GalerkinFrame(grid, cfg.galerkin_n)
@@ -102,10 +100,11 @@ class _Stepper:
         self.silent = self.n_modes == 0 or model.is_zero
         self.additive = None  # (n_modes, n) coordinates of the projected channels
         if not self.silent:
-            self.c_arr, self.b_arr = model.coefficient_fields(grid)
+            self.fields = model.coefficient_fields(grid)
             if model.is_additive:
-                zero = np.zeros((2, grid.n1, grid.n2))
-                self.additive = self._sigma(zero, zero, np.eye(self.n_modes))
+                zero = np.zeros((3, 2, grid.n1, grid.n2))  # samples of u = 0
+                self.additive = sigma_coords(model, self.frame, zero, np.eye(self.n_modes),
+                                             self.fields)
         multiplicative = not self.silent and self.additive is None
         self.needs_phys = multiplicative or not cfg.drop_nonlinearity
         self.qgrid = grid if multiplicative else quadrature_grid(grid, cfg.galerkin_n)
@@ -121,19 +120,13 @@ class _Stepper:
             return np.zeros_like(a)
         return -self.qframe.coords(spectral._advection_raw(phys, self.qgrid))
 
-    def _sigma(self, u: np.ndarray, d1u: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Coordinates of P_n sigma(u) y of a multiplicative model from samples of u, d1 u."""
-        sig = _sigma_raw(self.model, u, d1u, y, self.c_arr, self.b_arr)
-        return self.frame.coords(spectral._spec(sig, self.grid.n_points))
-
     def noise_increment(self, dw: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
         """Coordinates of P_n sigma(u) dW; dw has shape (B, n_modes)."""
         if self.silent:
             return np.zeros(dw.shape[:-1] + (self.frame.n,))
         if self.additive is not None:
             return _channel_sum(dw, self.additive)
-        u, d1u, _ = phys
-        return self._sigma(u, d1u, dw)
+        return sigma_coords(self.model, self.frame, phys, dw, self.fields)
 
     def hs_sq(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
         """||P_n sigma(u) Pi||_HS^2 per batch entry."""
@@ -142,9 +135,9 @@ class _Stepper:
             return np.zeros(lead)
         if self.additive is not None:
             return np.full(lead, float(np.sum(self.additive ** 2)))
-        u, d1u, _ = phys
         # all channels at once: a channel axis before the field axes
-        chans = self._sigma(u[..., None, :, :, :], d1u[..., None, :, :, :], np.eye(self.n_modes))
+        chans = sigma_coords(self.model, self.frame, phys[..., None, :, :, :],
+                             np.eye(self.n_modes), self.fields)
         return np.sum(chans ** 2, axis=(-2, -1))
 
 
@@ -163,7 +156,6 @@ class BatchedRun:
     t: np.ndarray
     diag: dict[str, np.ndarray]  # each (n_steps+1, B)
     final: np.ndarray            # (B, n) coordinates
-    states: list[tuple[float, np.ndarray]]  # (B, n) coordinates
     frame: GalerkinFrame         # lifts coordinates to coefficients
 
 
@@ -176,7 +168,7 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
     a repeated index drives its rows with the same path.  coeffs0 holds
     Hermitian initial coefficients, (2, n1, n2) shared by every row or
     (B, 2, n1, n2).  The batch is projected to the level-n coordinates and
-    stepped there; final, states and on_step see (B, n) coordinates.
+    stepped there; final and on_step see (B, n) coordinates.
     with_hs adds the Hilbert-Schmidt column hs_sq, one more sigma(u)
     evaluation per channel and row; it reads 0 when left out.
     """
@@ -190,7 +182,6 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
     a = np.broadcast_to(frame.coords(coeffs0), (bsize, frame.n))
     t = np.arange(n_steps + 1) * dt
     diag = {name: np.zeros((n_steps + 1, bsize)) for name in DIAG_NAMES} if with_diag else {}
-    states: list[tuple[float, np.ndarray]] = []
 
     def record(i: int, noise_work: np.ndarray, drift: np.ndarray | None,
                phys: np.ndarray | None) -> None:
@@ -198,8 +189,6 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
             row = _diag_row(stepper, a, drift, noise_work, with_hs, phys)
             for name in DIAG_NAMES:
                 diag[name][i] = row[name]
-        if cfg.snapshot_every > 0 and (i % cfg.snapshot_every == 0 or i == n_steps):
-            states.append((i * dt, a))
         if on_step is not None:
             on_step(i, a)
 
@@ -219,7 +208,7 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
         l2_now = float(np.max(np.sum(a ** 2, axis=-1)))
         spectral.check_finite(a, l2_now, l2_0, t_last=i * dt, guard=cfg.blowup_factor)
 
-    return BatchedRun(t=t, diag=diag, final=a, states=states, frame=frame)
+    return BatchedRun(t=t, diag=diag, final=a, frame=frame)
 
 
 @dataclass
@@ -265,10 +254,6 @@ class SdeTrajectory:
     diag: dict[str, np.ndarray]  # per-step scalars, shape (n_steps+1,)
     weighted: WeightedSeries
     final: SpectralField
-    states: list[tuple[float, SpectralField]] = field(default_factory=list)
-
-    def column(self, name: str) -> np.ndarray:
-        return self.diag[name]
 
 
 def run_sde(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig) -> SdeTrajectory:
@@ -283,10 +268,8 @@ def run_sde(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig) -> SdeT
     weighted = weighted_h01_series(run.t, diag["d1_sq"], diag["d1d2_sq"],
                                    diag["d2_sq"], diag["cross"], diag["h01_sq"],
                                    diag["h11_sq"], cfg.alpha_tilde)
-    lift = run.frame.lift
     return SdeTrajectory(grid=grid, config=cfg, t=run.t, diag=diag, weighted=weighted,
-                         final=SpectralField(grid, lift(run.final[0])),
-                         states=[(t, SpectralField(grid, lift(a[0]))) for t, a in run.states])
+                         final=SpectralField(grid, run.frame.lift(run.final[0])))
 
 
 @dataclass
@@ -428,10 +411,7 @@ def _run_mode_paths(mode: tuple[int, int], s: float, m0: float, n_paths: int,
     model = single_mode_noise(grid, mode, s)
     u0 = np.sqrt(m0) * basis_element(grid, mode).coeffs
     kc = tuple(mode) if is_canonical(mode) else (-mode[0], -mode[1])
-    match = np.flatnonzero(np.all(GalerkinFrame(grid, cfg.galerkin_n).wavevectors == kc, axis=1))
-    if match.size == 0:
-        raise ValueError(f"mode {tuple(mode)} is outside the first {cfg.galerkin_n} elements")
-    col = match[0]
+    col = GalerkinFrame(grid, cfg.galerkin_n).column(kc)
     finals = np.zeros(n_paths)
     for done in range(0, n_paths, batch):
         paths = range(done, min(done + batch, n_paths))

@@ -74,7 +74,7 @@ def test_criterion_01_shear_decay():
     traj = run_det(u0, DetConfig(dt=1e-3, t_end=1.0, integrator="if-rk2"))
     exact = l2_norm_sq(u0) * np.exp(-2.0 * traj.t)
     err = float(np.max(np.abs(traj.l2_sq - exact)) / l2_norm_sq(u0))
-    final = traj.states[-1][1]
+    final = traj.final
     state_err = float(np.max(np.abs(final.coeffs - np.exp(-1.0) * u0.coeffs)))
     elapsed = time.monotonic() - start
     ok = err <= 1e-10 and state_err <= 1e-10 and elapsed < 1.0

@@ -47,7 +47,7 @@ def test_vertical_shear_is_steady_without_vertical_viscosity(grid16):
     u0 = shear_field(grid16, axis=2)
     traj = run_det(u0, DetConfig(dt=1e-2, t_end=0.3, eps_v=0.0, snapshot_every=0))
     assert np.max(np.abs(traj.l2_sq - traj.l2_sq[0])) <= 1e-12
-    final = traj.states[-1][1]
+    final = traj.final
     np.testing.assert_allclose(final.coeffs, u0.coeffs, atol=1e-13)
 
 
@@ -98,6 +98,24 @@ def test_weak_form_needs_dense_states(grid16, make_field):
         weak_form_residual(traj, (1, 0), time_profile("one"))
     with pytest.raises(ValueError):
         time_profile("step")
+
+
+def test_weak_form_rejects_modes_without_an_element(grid16, make_field):
+    traj = run_det(make_field(grid16, band=3, seed=8),
+                   DetConfig(dt=1e-2, t_end=0.05, snapshot_every=1))
+    for mode in ((0, 0), (grid16.band1 + 1, 0)):
+        with pytest.raises(ValueError):
+            weak_form_residual(traj, mode, time_profile("one"))
+
+
+def test_trajectory_final_lifts_last_stored_coordinates(grid16, make_field):
+    traj = run_det(make_field(grid16, band=3, seed=16),
+                   DetConfig(dt=1e-2, t_end=0.05, snapshot_every=2))
+    np.testing.assert_allclose(traj.states_t, [0.0, 0.02, 0.04, 0.05], rtol=1e-15)
+    assert traj.states_t[-1] == traj.t[-1]
+    assert traj.states.shape == (4, traj.frame.n)
+    assert traj.final.grid == grid16
+    np.testing.assert_array_equal(traj.final.coeffs, traj.frame.lift(traj.states[-1]))
 
 
 def test_uniqueness_identical_inputs_bitwise(grid16, make_field):

@@ -342,11 +342,50 @@ def test_cli_non_finite_float_is_config_error(tmp_path, value):
 
 @pytest.mark.parametrize("key", ["det.snapshot_every", "sde.snapshot_every"])
 def test_cli_negative_snapshot_every_is_config_error(tmp_path, key):
-    with pytest.raises(ConfigError, match=">= 0"):
-        parse_config(f"{key} = -1")
+    # both keys are gone: no output read them, so they are unknown keys now
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config(f"{key} = 1")
     cfg = _write_cfg(tmp_path, f"{key} = -3\n")
     command = "run-det" if key.startswith("det") else "run-sde"
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+
+
+@pytest.mark.parametrize("key", ["init.seed", "sde.seed", "ensemble.base_seed", "verify.seed"])
+def test_cli_negative_seed_is_config_error(tmp_path, key):
+    with pytest.raises(ConfigError, match=">= 0"):
+        parse_config(f"{key} = -5")
+    out = tmp_path / "out"
+    assert main(["run-det", "--config", _write_cfg(tmp_path, f"{key} = -5\n"),
+                 "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["exit_code"] == 2 and man["error"]["class"] == "ConfigError"
+    assert key in man["error"]["message"]
+
+
+def test_cli_negative_seed_flag_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["run-det", "--config", _write_cfg(tmp_path), "--seed", "-1",
+                 "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["exit_code"] == 2 and man["error"]["class"] == "UsageError"
+    assert ">= 0" in man["error"]["message"]
+    assert "--seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line,commands", [
+    ("verify.n_fields = 0", ("verify", "oracle-check")),
+    ("verify.band = 0", ("verify", "oracle-check")),
+    ("init.band = -1", ("run-det",)),
+])
+def test_cli_vacuous_check_settings_are_config_errors(tmp_path, line, commands):
+    # no checks, or checks on identically zero fields, would pass vacuously
+    with pytest.raises(ConfigError, match=">= 1"):
+        parse_config(line)
+    cfg = _write_cfg(tmp_path, "grid.n1 = 8\ngrid.n2 = 8\n" + line + "\n")
+    for command in commands:
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 2
+        assert _manifest(out)["error"]["class"] == "ConfigError"
 
 
 def test_cli_manifest_on_config_error(tmp_path):

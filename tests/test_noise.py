@@ -17,6 +17,7 @@ from ans2d.noise import (
     sample_wiener_increment,
     sigma_channels,
 )
+from ans2d.norms import weighted_coeff_sum_sq
 from ans2d.spectral import (
     PhysicalField,
     TorusGrid,
@@ -141,8 +142,6 @@ def test_hs_norm_options(grid16, make_field):
     u = make_field(grid16, band=4, seed=4)
     full = hs_norm_sq(model, u)
     assert full > 0.0
-    weighted = hs_norm_sq(model, u, weight=1.0 / (1.0 + grid16.ksq))
-    assert weighted < full
     truncated = hs_norm_sq(model, u, galerkin_n=4)
     assert truncated <= full * (1.0 + 1e-12)
     assert hs_norm_sq(make_model([], [], "one"), u) == 0.0  # no channels
@@ -223,3 +222,23 @@ def test_empirical_growth_and_lipschitz_rows(grid16, make_field):
     assert any(n.startswith("growth_l2") for n in names)
     assert any(n.startswith("growth_h01") for n in names)
     assert any(n.startswith("lipschitz") for n in names)
+
+
+@pytest.mark.parametrize("n", [16, 18])
+def test_condition_c_rows_weight_channel_coordinates(make_field, n):
+    # coordinate weights of the frame against weighted sums over the lifted channels
+    grid = TorusGrid(n, n)
+    model = make_model(["0.05*cos(0,1)"], ["0.05*cos(1,0)", "0.02*sin(1,1)"], "tanh")
+    fields = [make_field(grid, band=4, seed=s, amplitude=a) for s, a in [(1, 0.5), (2, 2.0)]]
+    rows = {name: lhs for name, lhs, *_ in condition_c_empirical_check(model, fields).rows}
+    chans = [sigma_channels(model, u) for u in fields]
+    k2sq = grid.k2.astype(np.float64) ** 2
+    expected = {"lipschitz[0]": weighted_coeff_sum_sq(chans[0] - chans[1], 1.0)}
+    for idx, c in enumerate(chans):
+        expected[f"growth_hminus1[{idx}]"] = weighted_coeff_sum_sq(c, 1.0 / (1.0 + grid.ksq))
+        expected[f"growth_l2[{idx}]"] = weighted_coeff_sum_sq(c, 1.0)
+        expected[f"growth_h01[{idx}]"] = weighted_coeff_sum_sq(c, 1.0 + k2sq)
+    assert rows.keys() == expected.keys()
+    for name, value in expected.items():
+        assert value > 0.0
+        assert rows[name] == pytest.approx(value, rel=1e-13, abs=0.0)

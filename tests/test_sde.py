@@ -59,7 +59,7 @@ def test_zero_noise_reduces_to_deterministic_euler(grid16, make_field):
     dt, t_end = 2e-3, 0.1
     sde = run_sde(u0, None, SdeConfig(dt=dt, t_end=t_end, galerkin_n=max_level(grid16)))
     det = run_det(u0, DetConfig(dt=dt, t_end=t_end, integrator="if-euler", eps_v=0.0))
-    final_det = det.states[-1][1]
+    final_det = det.final
     scale = float(np.max(np.abs(final_det.coeffs)))
     assert np.max(np.abs(sde.final.coeffs - final_det.coeffs)) <= 1e-12 * scale
     np.testing.assert_allclose(sde.diag["l2_sq"], det.l2_sq, rtol=1e-12)
@@ -336,7 +336,7 @@ def test_batched_hs_matches_channel_norms(grid16, make_field):
 
 def test_step_loop_shares_one_synthesis_per_state(grid16, make_field, monkeypatch):
     # per state: one _phys call (u, d1 u, d2 u), one advection, one sigma(u)
-    from ans2d import basis, sde, spectral
+    from ans2d import basis, noise, spectral
 
     calls = {"phys": 0, "adv": 0, "sigma": 0, "pairs": 0}
 
@@ -348,7 +348,7 @@ def test_step_loop_shares_one_synthesis_per_state(grid16, make_field, monkeypatc
 
     monkeypatch.setattr(spectral, "_phys", counting("phys", spectral._phys))
     monkeypatch.setattr(spectral, "_advection_raw", counting("adv", spectral._advection_raw))
-    monkeypatch.setattr(sde, "_sigma_raw", counting("sigma", sde._sigma_raw))
+    monkeypatch.setattr(noise, "_sigma_raw", counting("sigma", noise._sigma_raw))
     monkeypatch.setattr(basis, "enumerate_pairs", counting("pairs", basis.enumerate_pairs))
     monkeypatch.setattr(basis, "_FRAMES", {})  # frames are cached: start from none
     run = _batch_run(grid16, make_field, with_hs=False)
