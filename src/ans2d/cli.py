@@ -294,7 +294,8 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
 
     if cfg["uniqueness.kind"] == "det":
         rep = det_mod.uniqueness_experiment(u0, v0, _det_config(cfg), tol=tol)
-        rows = zip(rep.t, rep.w_l2_sq, rep.growth)
+        # the deterministic exponent E(t) is the absorbed one, q
+        rows = zip(rep.t, rep.w_l2_sq, rep.q)
         _write_csv(out / "uniqueness_series.csv", ("t", "w_l2_sq", "growth"), list(rows))
         verdicts = {"kind": "det", "passed": rep.passed, "c1": rep.c1,
                     "bitwise_zero": rep.bitwise_zero, "max_ratio": rep.max_ratio}

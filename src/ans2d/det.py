@@ -12,14 +12,15 @@ of all max_level(grid) basis elements, so the state is its real coordinates
 in GalerkinFrame(grid, max_level(grid)): the deterministic system is the
 top Galerkin level of the stochastic engine.  Taking coordinates projects
 the initial data; run_det and uniqueness_experiment therefore require
-Hermitian input, c(-k) = conj(c(k)), as the SDE engine does.  Stored
-states are coordinates too; only the advection and Trajectory.final lift.
+Hermitian input, c(-k) = conj(c(k)), as the SDE engine does.  One march
+(_march) steps every run and hands each state, with its drift, to the
+audit reading it; only the advection and Trajectory.final lift.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -37,7 +38,6 @@ class DetConfig:
     t_end: float = 1.0
     integrator: str = "if-rk2"
     eps_v: float = 0.0  # vertical viscosity multiplier of the regularized system
-    snapshot_every: int = 0  # store states every k steps; 0 = endpoints only
     blowup_factor: float = 1e6
 
     def __post_init__(self):
@@ -55,13 +55,12 @@ class DetConfig:
 
 @dataclass
 class Trajectory:
-    """Per-step diagnostics plus stored states.
+    """Per-step diagnostics plus the final state.
 
     Squared norms are recorded at every step; int_* columns are running
     trapezoid integrals of the matching squared norm.  cross holds the
-    vertical advection pairing (d2(u.grad u), d2 u).  states holds the
-    (n_saved, n) coordinates in frame at the times states_t: both endpoints
-    and every config.snapshot_every steps.
+    vertical advection pairing (d2(u.grad u), d2 u).  final_coords holds
+    the (n,) coordinates in frame of the state at t[-1].
     """
 
     grid: TorusGrid
@@ -75,14 +74,13 @@ class Trajectory:
     int_d1_sq: np.ndarray
     int_d2_sq: np.ndarray
     int_d1d2_sq: np.ndarray
-    states_t: np.ndarray
-    states: np.ndarray
+    final_coords: np.ndarray
     frame: GalerkinFrame
 
     @property
     def final(self) -> SpectralField:
-        """The last stored state as a field."""
-        return SpectralField(self.grid, self.frame.lift(self.states[-1]))
+        """The final state as a field."""
+        return SpectralField(self.grid, self.frame.lift(self.final_coords))
 
 
 def mollify(u: SpectralField, eps: float) -> SpectralField:
@@ -133,6 +131,25 @@ def _make_stepper(frame: GalerkinFrame, cfg: DetConfig
     return step
 
 
+def _march(a: np.ndarray, frame: GalerkinFrame, cfg: DetConfig
+           ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """Yield (i, a, drift) for every state of a run from (..., n) coordinates a.
+
+    One drift evaluation per state feeds both its consumer and the first
+    integrator stage.  Every row of a batch is guarded against blow-up.
+    """
+    step = _make_stepper(frame, cfg)
+    l2_0 = float(np.max(np.sum(a ** 2, axis=-1)))
+    drift = _drift(a, frame)
+    yield 0, a, drift
+    for i in range(1, cfg.n_steps + 1):
+        a = step(a, drift)
+        spectral.check_finite(a, float(np.max(np.sum(a ** 2, axis=-1))), l2_0,
+                              t_last=(i - 1) * cfg.dt, guard=cfg.blowup_factor)
+        drift = _drift(a, frame)
+        yield i, a, drift
+
+
 def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
     """Advance the deterministic system and record per-step diagnostics.
 
@@ -141,38 +158,17 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
     """
     grid = u0.grid
     frame = GalerkinFrame(grid, max_level(grid))
-    step = _make_stepper(frame, cfg)
-    a = frame.coords(u0.coeffs)
     n_steps = cfg.n_steps
     dt = cfg.dt
-
     cols = {name: np.zeros(n_steps + 1) for name in
             ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "cross")}
-    saved: list[tuple[int, np.ndarray]] = []  # (step, coordinates)
-
-    def record(i: int, a: np.ndarray, drift: np.ndarray) -> None:
+    for i, a, drift in _march(frame.coords(u0.coeffs), frame, cfg):
         row = _coord_rows(frame, a, drift)
         for name in cols:
             cols[name][i] = row[name]
-        keep = cfg.snapshot_every > 0 and i % cfg.snapshot_every == 0
-        if keep or i == 0 or i == n_steps:
-            saved.append((i, a))
-
-    # one drift evaluation per state feeds both the cross-term diagnostic
-    # and the first integrator stage
-    drift = _drift(a, frame)
-    record(0, a, drift)
-    l2_sq0 = cols["l2_sq"][0]
-    for i in range(1, n_steps + 1):
-        a = step(a, drift)
-        spectral.check_finite(a, float(np.sum(a ** 2)), l2_sq0, t_last=(i - 1) * dt,
-                              guard=cfg.blowup_factor)
-        drift = _drift(a, frame)
-        record(i, a, drift)
 
     return Trajectory(grid=grid, config=cfg, t=np.arange(n_steps + 1) * dt,
-                      states_t=np.array([i for i, _ in saved]) * dt,
-                      states=np.stack([a for _, a in saved]), frame=frame,
+                      final_coords=a, frame=frame,
                       int_d1_sq=cumulative_trapezoid(cols["d1_sq"], dt),
                       int_d2_sq=cumulative_trapezoid(cols["d2_sq"], dt),
                       int_d1d2_sq=cumulative_trapezoid(cols["d1d2_sq"], dt), **cols)
@@ -261,11 +257,11 @@ def time_profile(name: str) -> TimeProfile:
     return profiles[name]
 
 
-def weak_form_residual(traj: Trajectory, test_mode: tuple[int, int],
+def weak_form_residual(u0: SpectralField, cfg: DetConfig, test_mode: tuple[int, int],
                        chi: TimeProfile) -> float:
-    """Weak-form defect against the test function chi(t) e_k(x).
+    """Weak-form defect of the run from u0 against the test function chi(t) e_k(x).
 
-    Needs states stored at every step (snapshot_every=1).  The residual
+    The residual
 
         int_0^t [ -chi'(s) (u, e_k) + chi(s) ((d1 u, d1 e_k)
                   + eps^2 (d2 u, d2 e_k) + (u.grad u, e_k)) ] ds
@@ -273,22 +269,43 @@ def weak_form_residual(traj: Trajectory, test_mode: tuple[int, int],
 
     vanishes for exact solutions; trapezoid quadrature leaves O(dt^2).
     e_k is basis_element(grid, k): passing -k selects the sine element of
-    the mode pair of k.
+    the mode pair of k.  (u.grad u, e_k) is read from the drift the run
+    computes anyway.
     """
-    if traj.config.snapshot_every != 1:
-        raise ValueError("weak-form residual needs states at every step (snapshot_every=1)")
-    frame = traj.frame
+    frame = GalerkinFrame(u0.grid, max_level(u0.grid))
     j = frame.column(test_mode)
-    a = traj.states[:, j]                       # (u, e_k)
-    b = -_drift(traj.states, frame)[:, j]       # (u.grad u, e_k)
-    eps = traj.config.eps_v
-    chi_v = np.array([chi.fn(t) for t in traj.t])
-    dchi_v = np.array([chi.dfn(t) for t in traj.t])
+    t = np.arange(cfg.n_steps + 1) * cfg.dt
+    a = np.zeros_like(t)                        # (u, e_k)
+    b = np.zeros_like(t)                        # (u.grad u, e_k)
+    for i, state, drift in _march(frame.coords(u0.coeffs), frame, cfg):
+        a[i], b[i] = state[j], -drift[j]
+    chi_v = np.array([chi.fn(s) for s in t])
+    dchi_v = np.array([chi.dfn(s) for s in t])
     # e_k is an eigenfunction: (d1 u, d1 e_k) = k1^2 (u, e_k), same for d2
-    integrand = (-dchi_v * a + chi_v * (frame.k1sq[j] + eps ** 2 * frame.k2sq[j]) * a
+    integrand = (-dchi_v * a + chi_v * (frame.k1sq[j] + cfg.eps_v ** 2 * frame.k2sq[j]) * a
                  + chi_v * b)
-    integral = float(np.trapezoid(integrand, traj.t))
+    integral = float(np.trapezoid(integrand, t))
     return integral - chi_v[0] * a[0] + chi_v[-1] * a[-1]
+
+
+@dataclass
+class GapReport:
+    """Verdict of a two-solution gap audit (see _GapAudit).
+
+    q is the absorbed exponent and growth the Gronwall exponent G(t); the
+    check is exp(-q) ||w||^2 <= ||w(0)||^2 exp(growth) (1 + tol).  big_c
+    is the Young constant applied to the measured trilinear constant c1.
+    """
+
+    t: np.ndarray
+    w_l2_sq: np.ndarray
+    q: np.ndarray
+    growth: np.ndarray
+    c1: float
+    big_c: float
+    bitwise_zero: bool
+    max_ratio: float
+    passed: bool
 
 
 class _GapAudit:
@@ -306,7 +323,7 @@ class _GapAudit:
     verdict() turns the rows into the measured constant c1, the absorbed
     exponent q(t) = 2 C int dissipation, C = young(c1), and the check
 
-        exp(-q(t)) ||w(t)||^2 <= ||w(0)||^2 exp(gronwall(t)) (1 + tol).
+        exp(-q(t)) ||w(t)||^2 <= ||w(0)||^2 exp(growth(t)) (1 + tol).
 
     Identical inputs short-circuit to an exact-zero check: both rows of the
     pair see identical arithmetic, so w stays bitwise zero.
@@ -336,45 +353,35 @@ class _GapAudit:
         self.dissip[i] = (d1 ** (1.0 / 3.0) + d2 ** (1.0 / 3.0)) * d1d2 ** (1.0 / 3.0)
         # w is synthesized itself: u and v agree to many digits, so the
         # difference of their samples would lose them
-        wc, bc = frame.lift(np.stack((w, b)))
-        k1 = grid.k1.astype(np.float64)
-        k2 = grid.k2.astype(np.float64)
-        wp, d1bp, d2bp = spectral._phys(np.stack((wc, bc * (1j * k1), bc * (1j * k2))),
-                                        grid.n_points)
+        wp = spectral._phys(frame.lift(w), grid.n_points)
+        _, d1bp, d2bp = spectral._phys_grad(frame.lift(b), grid)
         self.tri[i] = abs(float(np.sum((wp[0:1] * d1bp + wp[1:2] * d2bp) * wp)
                                 * grid.cell_area))
         self.den[i] = (wn["d1_sq"] ** 0.25 * (d1 ** 0.25 + d2 ** 0.25) * d1d2 ** 0.25
                        * self.w_l2[i] ** 0.75)
 
-    def verdict(self, young: Callable[[float], float], gronwall: float | np.ndarray,
-                tol: float) -> tuple[float, float, np.ndarray, float, bool]:
-        """(c1, C, q, max_ratio, passed) of the recorded rows."""
+    def verdict(self, young: Callable[[float], float], growth: float | np.ndarray,
+                tol: float) -> GapReport:
+        """The report of the recorded rows; young maps c1 to C."""
         c1 = float(np.max(trilinear_ratio(self.tri, self.den)))
         big_c = young(c1)
         q = cumulative_trapezoid(self.dissip, self.dt) * 2.0 * big_c
+        growth = np.zeros_like(self.t) + growth
         if self.bitwise:
-            return c1, big_c, q, 0.0, bool(np.all(self.w_l2 == 0.0))
-        lhs = np.exp(-q) * self.w_l2
-        bound = self.w_l2[0] * np.exp(gronwall) * (1.0 + tol)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            max_ratio = float(np.max(np.where(bound > 0.0, lhs / bound, np.inf)))
-        return c1, big_c, q, max_ratio, bool(np.all(lhs <= bound))
-
-
-@dataclass
-class UniquenessReport:
-    t: np.ndarray
-    w_l2_sq: np.ndarray
-    growth: np.ndarray       # the Gronwall exponent E(t)
-    c1: float
-    c0: float
-    bitwise_zero: bool
-    max_ratio: float
-    passed: bool
+            max_ratio, passed = 0.0, bool(np.all(self.w_l2 == 0.0))
+        else:
+            lhs = np.exp(-q) * self.w_l2
+            bound = self.w_l2[0] * np.exp(growth) * (1.0 + tol)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                max_ratio = float(np.max(np.where(bound > 0.0, lhs / bound, np.inf)))
+            passed = bool(np.all(lhs <= bound))
+        return GapReport(t=self.t, w_l2_sq=self.w_l2, q=q, growth=growth, c1=c1,
+                         big_c=big_c, bitwise_zero=self.bitwise, max_ratio=max_ratio,
+                         passed=passed)
 
 
 def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
-                          tol: float = 0.05) -> UniquenessReport:
+                          tol: float = 0.05) -> GapReport:
     """Two-solution stability audit.
 
     Runs u and v in lockstep, as one batch, and checks the difference
@@ -387,28 +394,16 @@ def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
         c1 = sup |(w.grad v, w)| / ( ||d1 w||^{1/2}
              ( ||d1 v||^{1/2} + ||d2 v||^{1/2} ) ||d1 d2 v||^{1/2} ||w||^{3/2} )
 
-    through Young's inequality with elastic weight 1/2 on ||d1 w||^2.
-    Identical inputs short-circuit to an exact-zero check.  A blow-up of
-    either solution raises BlowUpError.  u0 and v0 must be Hermitian.
+    through Young's inequality with elastic weight 1/2 on ||d1 w||^2.  The
+    report's q is E(t), its big_c is C0 and its growth is 0.  Identical
+    inputs short-circuit to an exact-zero check.  A blow-up of either
+    solution raises BlowUpError.  u0 and v0 must be Hermitian.
     """
-    grid = u0.grid
-    frame = GalerkinFrame(grid, max_level(grid))
-    step = _make_stepper(frame, cfg)
-    a = frame.coords(np.stack((u0.coeffs, v0.coeffs)))
-    dt = cfg.dt
-    audit = _GapAudit(frame, dt, cfg.n_steps, base=1)
-    audit.record(0, a)
-    l2_0 = float(np.max(np.sum(a ** 2, axis=-1)))
-    for i in range(1, cfg.n_steps + 1):
-        a = step(a, _drift(a, frame))
-        l2_now = float(np.max(np.sum(a ** 2, axis=-1)))
-        spectral.check_finite(a, l2_now, l2_0, t_last=(i - 1) * dt, guard=cfg.blowup_factor)
-        audit.record(i, a)
-
-    c1, c0, growth, max_ratio, passed = audit.verdict(
-        lambda c1: 0.75 * c1 ** (4.0 / 3.0), 0.0, tol)
-    return UniquenessReport(t=audit.t, w_l2_sq=audit.w_l2, growth=growth, c1=c1, c0=c0,
-                            bitwise_zero=audit.bitwise, max_ratio=max_ratio, passed=passed)
+    frame = GalerkinFrame(u0.grid, max_level(u0.grid))
+    audit = _GapAudit(frame, cfg.dt, cfg.n_steps, base=1)
+    for i, pair, _ in _march(frame.coords(np.stack((u0.coeffs, v0.coeffs))), frame, cfg):
+        audit.record(i, pair)
+    return audit.verdict(lambda c1: 0.75 * c1 ** (4.0 / 3.0), 0.0, tol)
 
 
 def eps_sweep(u0: SpectralField, cfg: DetConfig, eps_values: list[float]) -> list[float]:
@@ -417,12 +412,17 @@ def eps_sweep(u0: SpectralField, cfg: DetConfig, eps_values: list[float]) -> lis
     Each eps run starts from mollified data mollify(u0, eps) and evolves with
     vertical viscosity eps^2; returns
     || u_eps - u_0 ||_{L2([0,T]; L2)} for each eps, computed by trapezoid
-    over the per-step sums of squared coordinate differences.
+    over the per-step sums of squared coordinate differences.  The runs
+    advance in lockstep, so no trajectory is stored.
     """
-    base = run_det(u0, replace(cfg, eps_v=0.0, snapshot_every=1))
-    out = []
-    for eps in eps_values:
-        traj = run_det(mollify(u0, eps), replace(cfg, eps_v=eps, snapshot_every=1))
-        diff_sq = np.sum((traj.states - base.states) ** 2, axis=1)
-        out.append(float(np.sqrt(np.trapezoid(diff_sq, traj.t))))
-    return out
+    frame = GalerkinFrame(u0.grid, max_level(u0.grid))
+
+    def march(eps: float):
+        return _march(frame.coords(mollify(u0, eps).coeffs), frame, replace(cfg, eps_v=eps))
+
+    t = np.arange(cfg.n_steps + 1) * cfg.dt
+    diff_sq = np.zeros((len(eps_values), len(t)))
+    for (i, base, _), *runs in zip(march(0.0), *map(march, eps_values)):
+        for m, (_, a, _) in enumerate(runs):
+            diff_sq[m, i] = np.sum((a - base) ** 2)
+    return [float(np.sqrt(np.trapezoid(row, t))) for row in diff_sq]

@@ -123,6 +123,14 @@ def _g_funcs(kind: str):
     return table[kind]
 
 
+def required_budgets(c: Sequence[ScalarRecipe], b: Sequence[ScalarRecipe]
+                     ) -> tuple[float, float]:
+    """Smallest budgets (M1, M2) the recipes allow, as in the module docstring."""
+    m1 = sum((r.sup_bound() + r.sup_bound_d(1) + r.sup_bound_d(2)) ** 2 for r in c)
+    m2 = max(sum(r.sup_bound() ** 2 for r in b), sum(r.sup_bound_d(2) ** 2 for r in b))
+    return m1, m2
+
+
 @dataclass(frozen=True)
 class NoiseModel:
     """Coefficient recipes plus declared smoothness budgets."""
@@ -142,15 +150,11 @@ class NoiseModel:
             raise ValueError(
                 f"declared Cg={self.cg} below actual bound {max(g_sup, g_lip)} for g={self.g_kind!r}"
             )
-        sum_c = sum((r.sup_bound() + r.sup_bound_d(1) + r.sup_bound_d(2)) ** 2 for r in self.c)
-        if sum_c > self.m1 * (1.0 + 1e-12) + 1e-300:
-            raise ValueError(f"c recipes need M1 >= {sum_c:.6g}, declared {self.m1:.6g}")
-        sum_b0 = sum(r.sup_bound() ** 2 for r in self.b)
-        sum_b2 = sum(r.sup_bound_d(2) ** 2 for r in self.b)
-        if max(sum_b0, sum_b2) > self.m2 * (1.0 + 1e-12) + 1e-300:
-            raise ValueError(
-                f"b recipes need M2 >= {max(sum_b0, sum_b2):.6g}, declared {self.m2:.6g}"
-            )
+        m1, m2 = required_budgets(self.c, self.b)
+        if m1 > self.m1 * (1.0 + 1e-12) + 1e-300:
+            raise ValueError(f"c recipes need M1 >= {m1:.6g}, declared {self.m1:.6g}")
+        if m2 > self.m2 * (1.0 + 1e-12) + 1e-300:
+            raise ValueError(f"b recipes need M2 >= {m2:.6g}, declared {self.m2:.6g}")
 
     @property
     def n_modes(self) -> int:
@@ -187,12 +191,8 @@ def make_model(c_recipes: Sequence[str], b_recipes: Sequence[str], g_kind: str =
     c = c + tuple(ScalarRecipe(()) for _ in range(n - len(c)))
     b = b + tuple(ScalarRecipe(()) for _ in range(n - len(b)))
     _, g_sup, g_lip = _g_funcs(g_kind)
-    m1 = margin * sum((r.sup_bound() + r.sup_bound_d(1) + r.sup_bound_d(2)) ** 2 for r in c)
-    m2 = margin * max(
-        sum(r.sup_bound() ** 2 for r in b),
-        sum(r.sup_bound_d(2) ** 2 for r in b),
-    )
-    return NoiseModel(c=c, b=b, g_kind=g_kind, m1=m1, m2=m2,
+    m1, m2 = required_budgets(c, b)
+    return NoiseModel(c=c, b=b, g_kind=g_kind, m1=margin * m1, m2=margin * m2,
                       cg=max(g_sup, g_lip, 1e-12))
 
 

@@ -33,13 +33,15 @@ from typing import Sequence
 import numpy as np
 
 from . import spectral
-from .basis import GalerkinFrame, basis_element, is_canonical, max_level, quadrature_grid
-from .det import _coord_rows, _GapAudit
+from .basis import GalerkinFrame, is_canonical, max_level, quadrature_grid
+from .det import GapReport, _coord_rows, _GapAudit
 from .noise import (
     DEFAULT_ETA,
     NoiseModel,
+    ScalarRecipe,
     _channel_sum,
     condition_c_bounds,
+    required_budgets,
     sample_wiener_increment,
     sigma_coords,
 )
@@ -312,25 +314,11 @@ def ito_isometry_audit(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
                           work_se=work_se, passed=bool(ok))
 
 
-@dataclass
-class PathwiseUniquenessReport:
-    t: np.ndarray
-    w_l2_sq: np.ndarray
-    q: np.ndarray
-    growth: np.ndarray
-    c1: float
-    c_alpha: float
-    l1: float
-    bitwise_zero: bool
-    max_ratio: float
-    passed: bool
-
-
 def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
                                    model: NoiseModel, cfg: SdeConfig,
                                    beta_hat: float = 0.5,
                                    tol: float = 0.05,
-                                   eta: float = DEFAULT_ETA) -> PathwiseUniquenessReport:
+                                   eta: float = DEFAULT_ETA) -> GapReport:
     """Drive two solutions with the same Wiener path and audit their gap.
 
     Identical inputs must stay bitwise identical: both rows of the batch see
@@ -346,7 +334,8 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     G(t) = (1 + 4/beta_hat) L1 t is the Gronwall factor of the Lipschitz
     channel of the noise; the dissipation margin 2 - 2 alpha - L2 > 0 and
     the martingale fluctuation are covered by the slack.  L1 is taken with
-    the Peter-Paul split eta of the noise gates.
+    the Peter-Paul split eta of the noise gates.  The report's big_c is
+    C(alpha) and its growth is G(t).
     """
     if not 0.0 < beta_hat < 1.0:
         raise ValueError("beta_hat must lie in (0, 1)")
@@ -356,14 +345,10 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
                  with_diag=False, on_step=audit.record)
 
     alpha = cfg.alpha_tilde
-    l1 = condition_c_bounds(model, eta=eta).l1
-    growth = (1.0 + 4.0 / beta_hat) * l1 * audit.t
-    c1, c_alpha, q, max_ratio, passed = audit.verdict(
+    growth = (1.0 + 4.0 / beta_hat) * condition_c_bounds(model, eta=eta).l1 * audit.t
+    return audit.verdict(
         lambda c1: 0.75 * (4.0 * alpha) ** (-1.0 / 3.0) * 2.0 ** (1.0 / 3.0) * c1 ** (4.0 / 3.0),
         growth, tol)
-    return PathwiseUniquenessReport(t=audit.t, w_l2_sq=audit.w_l2, q=q, growth=growth, c1=c1,
-                                    c_alpha=c_alpha, l1=l1, bitwise_zero=audit.bitwise,
-                                    max_ratio=max_ratio, passed=passed)
 
 
 # ---------------------------------------------------------------------------
@@ -377,17 +362,14 @@ def single_mode_noise(grid: TorusGrid, mode: tuple[int, int], s: float) -> Noise
     of a cos(k.x) (1, 1) is a cos(k.x) (k_perp.(1,1)/|k|) k_perp/|k|, which
     is parallel to the cosine basis element; needs k1 != k2.
     """
-    from .noise import ScalarRecipe
-
     k1, k2 = int(mode[0]), int(mode[1])
     if k1 == k2:
         raise ValueError("mode with k1 == k2 projects to zero; pick k1 != k2")
     knorm = float(np.hypot(k1, k2))
     a = s * knorm / ((k1 - k2) * np.sqrt(2.0) * np.pi)
-    recipe = ScalarRecipe(((a, k1, k2, "cos"),))
-    m2 = max(recipe.sup_bound() ** 2, recipe.sup_bound_d(2) ** 2) * (1.0 + 1e-9)
-    return NoiseModel(c=(ScalarRecipe(()),), b=(recipe,), g_kind="one",
-                      m1=0.0, m2=m2, cg=1.0)
+    c, b = (ScalarRecipe(()),), (ScalarRecipe(((a, k1, k2, "cos"),)),)
+    m1, m2 = required_budgets(c, b)
+    return NoiseModel(c=c, b=b, g_kind="one", m1=m1, m2=m2 * (1.0 + 1e-9), cg=1.0)
 
 
 @dataclass
@@ -401,23 +383,47 @@ class OuModeReport:
     passed: bool
 
 
-def _run_mode_paths(mode: tuple[int, int], s: float, m0: float, n_paths: int,
-                    cfg: SdeConfig, grid: TorusGrid,
-                    batch: int = 2500) -> np.ndarray:
-    """Final-time amplitudes of the driven mode over n_paths trajectories.
+def _mode_law(mode: tuple[int, int], s: float, m0: float, n_paths: int, cfg: SdeConfig,
+              grid: TorusGrid | None, n_se: float, batch: int = 2500) -> OuModeReport:
+    """Second moment of the driven amplitude at t_end against its exact law.
 
-    The amplitude is the coordinate along the cosine element of the mode's pair.
+    The amplitude is the coordinate along the cosine element of the mode's
+    pair, the element single_mode_noise drives; every path starts there at
+    sqrt(m0).  The damped law (k1 != 0) gets an O(dt) discretization
+    allowance on top of n_se standard errors; the undamped one is exact.
     """
+    if not cfg.drop_nonlinearity:
+        raise ValueError("single-mode law requires drop_nonlinearity=True")
+    if grid is None:
+        side = 4 * max(1, abs(mode[0]), abs(mode[1]))
+        grid = TorusGrid(side, side)
     model = single_mode_noise(grid, mode, s)
-    u0 = np.sqrt(m0) * basis_element(grid, mode).coeffs
-    kc = tuple(mode) if is_canonical(mode) else (-mode[0], -mode[1])
-    col = GalerkinFrame(grid, cfg.galerkin_n).column(kc)
+    frame = GalerkinFrame(grid, cfg.galerkin_n)
+    col = frame.column(mode if is_canonical(mode) else (-mode[0], -mode[1]))
+    a0 = np.zeros(frame.n)
+    a0[col] = np.sqrt(m0)
+    u0 = frame.lift(a0)
     finals = np.zeros(n_paths)
     for done in range(0, n_paths, batch):
         paths = range(done, min(done + batch, n_paths))
         run = _run_batched(u0, grid, model, cfg, paths, with_diag=False)
         finals[done:paths.stop] = run.final[:, col]
-    return finals
+
+    lam = float(mode[0]) ** 2
+    t = cfg.n_steps * cfg.dt
+    sq = finals ** 2
+    est = float(np.mean(sq))
+    se = float(np.std(sq, ddof=1) / np.sqrt(n_paths))
+    if lam > 0.0:
+        decay = np.exp(-2.0 * lam * t)
+        exact = decay * m0 + s ** 2 * (1.0 - decay) / (2.0 * lam)
+        allowance = n_se * se + s ** 2 * cfg.dt + 2.0 * lam * cfg.dt * m0
+    else:
+        exact = s ** 2 * t
+        allowance = n_se * se
+    return OuModeReport(mode=tuple(mode), second_moment=est, exact=float(exact), se=se,
+                        allowance=float(allowance), n_paths=n_paths,
+                        passed=bool(abs(est - exact) <= allowance))
 
 
 def ou_mode_validation(mode: tuple[int, int], s: float, m0: float, n_paths: int,
@@ -436,22 +442,7 @@ def ou_mode_validation(mode: tuple[int, int], s: float, m0: float, n_paths: int,
     """
     if mode[0] == 0:
         raise ValueError("mode with k1 = 0 is undamped; use undamped_mode_validation")
-    if not cfg.drop_nonlinearity:
-        raise ValueError("single-mode law requires drop_nonlinearity=True")
-    if grid is None:
-        grid = TorusGrid(4 * max(1, abs(mode[0]), abs(mode[1])), 
-                         4 * max(1, abs(mode[0]), abs(mode[1])))
-    finals = _run_mode_paths(mode, s, np.sqrt(m0) ** 2, n_paths, cfg, grid)
-    lam = float(mode[0]) ** 2
-    t = cfg.n_steps * cfg.dt
-    exact = float(np.exp(-2.0 * lam * t) * m0 + s ** 2 * (1.0 - np.exp(-2.0 * lam * t)) / (2.0 * lam))
-    sq = finals ** 2
-    est = float(np.mean(sq))
-    se = float(np.std(sq, ddof=1) / np.sqrt(n_paths))
-    allowance = n_se * se + s ** 2 * cfg.dt + 2.0 * lam * cfg.dt * m0
-    return OuModeReport(mode=tuple(mode), second_moment=est, exact=exact, se=se,
-                        allowance=float(allowance), n_paths=n_paths,
-                        passed=bool(abs(est - exact) <= allowance))
+    return _mode_law(mode, s, m0, n_paths, cfg, grid, n_se)
 
 
 def undamped_mode_validation(mode: tuple[int, int], s: float, n_paths: int,
@@ -464,17 +455,4 @@ def undamped_mode_validation(mode: tuple[int, int], s: float, n_paths: int,
     """
     if mode[0] != 0:
         raise ValueError("growth case needs k1 = 0")
-    if not cfg.drop_nonlinearity:
-        raise ValueError("single-mode law requires drop_nonlinearity=True")
-    if grid is None:
-        grid = TorusGrid(4 * max(1, abs(mode[1])), 4 * max(1, abs(mode[1])))
-    finals = _run_mode_paths(mode, s, 0.0, n_paths, cfg, grid)
-    t = cfg.n_steps * cfg.dt
-    exact = s ** 2 * t
-    sq = finals ** 2
-    est = float(np.mean(sq))
-    se = float(np.std(sq, ddof=1) / np.sqrt(n_paths))
-    allowance = n_se * se
-    return OuModeReport(mode=tuple(mode), second_moment=est, exact=float(exact),
-                        se=se, allowance=float(allowance), n_paths=n_paths,
-                        passed=bool(abs(est - exact) <= allowance))
+    return _mode_law(mode, s, 0.0, n_paths, cfg, grid, n_se)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
+from ans2d import det as det_mod
 from ans2d.det import (
     DetConfig,
+    _march,
     energy_certificate,
     eps_sweep,
     h01_certificate,
@@ -45,7 +47,7 @@ def test_horizontal_shear_decays_exactly(grid16, integrator):
 
 def test_vertical_shear_is_steady_without_vertical_viscosity(grid16):
     u0 = shear_field(grid16, axis=2)
-    traj = run_det(u0, DetConfig(dt=1e-2, t_end=0.3, eps_v=0.0, snapshot_every=0))
+    traj = run_det(u0, DetConfig(dt=1e-2, t_end=0.3, eps_v=0.0))
     assert np.max(np.abs(traj.l2_sq - traj.l2_sq[0])) <= 1e-12
     final = traj.final
     np.testing.assert_allclose(final.coeffs, u0.coeffs, atol=1e-13)
@@ -86,36 +88,53 @@ def test_weak_form_residual_order(grid16, make_field, profile, mode):
     chi = time_profile(profile)
     res = []
     for dt in (4e-3, 2e-3):
-        traj = run_det(u0, DetConfig(dt=dt, t_end=0.2, snapshot_every=1))
-        res.append(abs(weak_form_residual(traj, mode, chi)))
+        res.append(abs(weak_form_residual(u0, DetConfig(dt=dt, t_end=0.2), mode, chi)))
     order = np.log2(res[0] / res[1])
     assert order >= 1.9
 
 
 def test_weak_form_needs_dense_states(grid16, make_field):
-    traj = run_det(make_field(grid16, band=3, seed=8), DetConfig(dt=1e-2, t_end=0.1))
-    with pytest.raises(ValueError, match="snapshot_every"):
-        weak_form_residual(traj, (1, 0), time_profile("one"))
     with pytest.raises(ValueError):
         time_profile("step")
 
 
 def test_weak_form_rejects_modes_without_an_element(grid16, make_field):
-    traj = run_det(make_field(grid16, band=3, seed=8),
-                   DetConfig(dt=1e-2, t_end=0.05, snapshot_every=1))
+    u0 = make_field(grid16, band=3, seed=8)
     for mode in ((0, 0), (grid16.band1 + 1, 0)):
         with pytest.raises(ValueError):
-            weak_form_residual(traj, mode, time_profile("one"))
+            weak_form_residual(u0, DetConfig(dt=1e-2, t_end=0.05), mode, time_profile("one"))
 
 
 def test_trajectory_final_lifts_last_stored_coordinates(grid16, make_field):
-    traj = run_det(make_field(grid16, band=3, seed=16),
-                   DetConfig(dt=1e-2, t_end=0.05, snapshot_every=2))
-    np.testing.assert_allclose(traj.states_t, [0.0, 0.02, 0.04, 0.05], rtol=1e-15)
-    assert traj.states_t[-1] == traj.t[-1]
-    assert traj.states.shape == (4, traj.frame.n)
+    u0 = make_field(grid16, band=3, seed=16)
+    traj = run_det(u0, DetConfig(dt=1e-2, t_end=0.05))
+    assert traj.final_coords.shape == (traj.frame.n,)
+    # the final coordinates are those of the last state of the march
+    *_, (_, last, _) = _march(traj.frame.coords(u0.coeffs), traj.frame, traj.config)
+    np.testing.assert_array_equal(traj.final_coords, last)
     assert traj.final.grid == grid16
-    np.testing.assert_array_equal(traj.final.coeffs, traj.frame.lift(traj.states[-1]))
+    np.testing.assert_array_equal(traj.final.coeffs, traj.frame.lift(traj.final_coords))
+
+
+def test_each_det_audit_evaluates_one_drift_per_state_and_stage(grid16, make_field,
+                                                                 monkeypatch):
+    # one drift per state, shared with the first IF-RK2 stage, plus the
+    # second stage of every step: 2 n + 1 evaluations for n steps
+    calls = []
+    drift = det_mod._drift
+    monkeypatch.setattr(det_mod, "_drift", lambda a, frame: calls.append(1) or drift(a, frame))
+    u0 = make_field(grid16, band=3, seed=17)
+    v0 = make_field(grid16, band=3, seed=18)
+    cfg = DetConfig(dt=1e-2, t_end=0.1, integrator="if-rk2")
+    audits = {
+        "run_det": lambda: run_det(u0, cfg),
+        "uniqueness_experiment": lambda: uniqueness_experiment(u0, v0, cfg),
+        "weak_form_residual": lambda: weak_form_residual(u0, cfg, (1, 0), time_profile("one")),
+    }
+    for name, audit in audits.items():
+        calls.clear()
+        audit()
+        assert len(calls) == 2 * cfg.n_steps + 1, name
 
 
 def test_uniqueness_identical_inputs_bitwise(grid16, make_field):
@@ -132,7 +151,7 @@ def test_uniqueness_against_zero_solution(grid16, make_field):
     report = uniqueness_experiment(u0, zeros_spectral(grid16), DetConfig(dt=2e-3, t_end=0.2))
     assert not report.bitwise_zero
     assert report.passed
-    assert np.all(report.growth == 0.0)  # zero solution has no dissipation terms
+    assert np.all(report.q == 0.0)  # zero solution has no dissipation terms
 
 
 def test_uniqueness_perturbed_initial_data(grid32, make_field):
@@ -168,6 +187,12 @@ def test_eps_sweep_strictly_decreasing(grid16, make_field):
     u0 = make_field(grid16, band=3, seed=14)
     dists = eps_sweep(u0, DetConfig(dt=5e-3, t_end=0.1), [0.2, 0.1, 0.05])
     assert dists[0] > dists[1] > dists[2] > 0.0
+
+
+def test_eps_sweep_at_zero_eps_is_exactly_zero(grid16, make_field):
+    # eps = 0 replays the base run's arithmetic, so every difference is 0
+    u0 = make_field(grid16, band=3, seed=14)
+    assert eps_sweep(u0, DetConfig(dt=5e-3, t_end=0.1), [0.0]) == [0.0]
 
 
 def test_blowup_detection(grid16, make_field):

@@ -14,6 +14,7 @@ from ans2d.noise import (
     condition_c_gate,
     hs_norm_sq,
     make_model,
+    required_budgets,
     sample_wiener_increment,
     sigma_channels,
 )
@@ -88,6 +89,25 @@ def test_make_model_budgets_tight():
     additive = make_model([], ["0.2*cos(1,0)"], "one")
     assert additive.is_additive and not additive.is_zero
     assert make_model([], [], "zero").is_zero
+
+
+def test_make_model_budgets_are_the_required_ones():
+    c_text, b_text = ["0.1*cos(1,0)", "0.05"], ["0.2*sin(0,1)", "0.1*cos(1,1)"]
+    model = make_model(c_text, b_text, "sin")
+    assert (model.m1, model.m2) == required_budgets(model.c, model.b)
+    scaled = make_model(c_text, b_text, "sin", margin=2.0)
+    assert (scaled.m1, scaled.m2) == (2.0 * model.m1, 2.0 * model.m2)
+
+
+def test_model_below_its_required_m2_is_rejected():
+    # the d2 bound dominates: sup|b| = 0.3, sup|d2 b| = 0.6
+    b = (ScalarRecipe.parse("0.3*cos(0,2)"),)
+    c = (ScalarRecipe(()),)
+    m1, m2 = required_budgets(c, b)
+    assert (m1, m2) == (0.0, pytest.approx(0.36))
+    NoiseModel(c=c, b=b, m1=m1, m2=m2)
+    with pytest.raises(ValueError, match="M2"):
+        NoiseModel(c=c, b=b, m1=m1, m2=0.09)
 
 
 # ---------------------------------------------------------------------------
