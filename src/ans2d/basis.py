@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from . import spectral
 from .norms import MEASURE
 from .spectral import SpectralField, TorusGrid, alias_free_band, zeros_spectral
 
@@ -85,7 +86,14 @@ class GalerkinFrame:
 
     The gradient part of u drops out (d is orthogonal to kc).  lift
     scatters coordinates back to (..., 2, n1, n2) coefficients.  Both use
-    index arrays over the pairs, never a dense basis matrix.  Element j is
+    index arrays over the pairs, never a dense basis matrix.
+
+    synth and analyse do the same on the k2 >= 0 half spectrum cut to the
+    level's columns 0 .. cols-1, cols = max |k2| + 1, through real
+    transforms (spectral._phys, spectral._spec).  There pair p sits at its
+    representative kr, which is kc, or -kc holding conj(c(kc)) when
+    kc2 < 0 (sign -1); a pair with kc2 = 0 also fills its mirror -kc in
+    column 0, which the inverse transform along k1 reads.  Element j is
     attached to wavevectors[j] and is an eigenfunction of d1^2 and d2^2
     with eigenvalues -k1sq[j], -k2sq[j].
 
@@ -113,7 +121,28 @@ class GalerkinFrame:
                             * np.tile([[1], [-1]], (len(pairs), 1)))[:n]
         self.k1sq = (self.wavevectors[:, 0] ** 2).astype(np.float64)
         self.k2sq = (self.wavevectors[:, 1] ** 2).astype(np.float64)
-        for arr in (*self.plus, *self.minus, self.dirs, self.wavevectors, self.k1sq, self.k2sq):
+        # half-spectrum maps: representative kr = sign * kc has kr2 >= 0
+        self.sign = np.where(pairs[:, 1] < 0, -1.0, 1.0)
+        rep = pairs * self.sign[:, None].astype(np.int64)
+        self.cols = int(np.max(rep[:, 1], initial=0)) + 1
+        self.half_at = rep[:, 0] % grid.n1 * self.cols + rep[:, 1]  # flat index of kr
+        # synthesis map over the n1 x cols half: each position reads pair p
+        # at kc (source p), at -kc (source n_pairs + p, conjugated) or
+        # nothing (source 2 n_pairs, a zero)
+        n_pairs = len(pairs)
+        mirror = np.flatnonzero(pairs[:, 1] == 0)
+        pos = np.concatenate((self.half_at, (-pairs[mirror, 0] % grid.n1) * self.cols))
+        src = np.concatenate((np.where(self.sign > 0, 0, n_pairs) + np.arange(n_pairs),
+                              n_pairs + mirror))
+        k = np.concatenate((rep, -pairs[mirror]))
+        self.half_src = np.full(grid.n1 * self.cols, 2 * n_pairs)
+        self.half_src[pos] = src
+        # (3, 2, n1 * cols): coefficient of (u, d1 u, d2 u) per unit alpha
+        self.half_gain = np.zeros((3, 2, grid.n1 * self.cols), dtype=np.complex128)
+        self.half_gain[:, :, pos] = (np.stack((np.ones(len(k)), *(1j * k.T)))[:, None, :]
+                                     * (0.5 * _AMP * self.dirs[:, src % n_pairs]))
+        for arr in (*self.plus, *self.minus, self.dirs, self.wavevectors, self.k1sq, self.k2sq,
+                    self.sign, self.half_at, self.half_src, self.half_gain):
             arr.flags.writeable = False
 
     def column(self, k: tuple[int, int]) -> int:
@@ -124,23 +153,55 @@ class GalerkinFrame:
                              f"of the {self.grid.n1}x{self.grid.n2} grid")
         return int(match[0])
 
+    def _from_pairs(self, re: np.ndarray, minus_im: np.ndarray) -> np.ndarray:
+        """(..., n) coordinates from Re and -Im of d . c(kc) per pair."""
+        a = np.stack((re, minus_im), axis=-1) * (MEASURE * _AMP)
+        return a.reshape(a.shape[:-2] + (2 * a.shape[-2],))[..., :self.n]
+
+    def _to_pairs(self, a: np.ndarray) -> np.ndarray:
+        """a_cos - i a_sin per pair for (..., n) coordinates a; an odd n pads a zero sine."""
+        pad = np.zeros(a.shape[:-1] + (2 * len(self.sign),))
+        pad[..., :self.n] = a
+        return pad[..., 0::2] - 1j * pad[..., 1::2]
+
     def coords(self, coeffs: np.ndarray) -> np.ndarray:
         """(..., n) coordinates of Hermitian (..., 2, n1, n2) coefficients."""
         i, j = self.plus
         alpha = coeffs[..., 0, i, j] * self.dirs[0] + coeffs[..., 1, i, j] * self.dirs[1]
-        a = np.stack((alpha.real, -alpha.imag), axis=-1) * (MEASURE * _AMP)
-        return a.reshape(a.shape[:-2] + (2 * a.shape[-2],))[..., :self.n]
+        return self._from_pairs(alpha.real, -alpha.imag)
 
     def lift(self, a: np.ndarray) -> np.ndarray:
         """(..., 2, n1, n2) coefficients of the field with coordinates a."""
         lead = a.shape[:-1]
-        pad = np.zeros(lead + (2 * len(self.plus[0]),))
-        pad[..., :self.n] = a
-        half = (pad[..., 0::2] - 1j * pad[..., 1::2])[..., None, :] * (0.5 * _AMP * self.dirs)
+        half = self._to_pairs(a)[..., None, :] * (0.5 * _AMP * self.dirs)
         out = np.zeros(lead + (2, self.grid.n1, self.grid.n2), dtype=np.complex128)
         out[..., :, self.plus[0], self.plus[1]] = half
         out[..., :, self.minus[0], self.minus[1]] = np.conj(half)
         return out
+
+    def lift_half(self, a: np.ndarray) -> np.ndarray:
+        """(3, ..., 2, n1, cols) half spectra of (u, d1 u, d2 u) for coordinates a."""
+        lead = a.shape[:-1]
+        z = self._to_pairs(a)
+        src = np.concatenate((z, np.conj(z), np.zeros(lead + (1,))), axis=-1)
+        # the gathered factor has its batch axes innermost; numpy would lay
+        # the product out like it, which is slow, so it goes into a C-ordered out
+        out = np.empty((3,) + lead + self.half_gain.shape[1:], dtype=np.complex128)
+        np.multiply(src[..., None, self.half_src],
+                    self.half_gain[(slice(None),) + (None,) * len(lead)], out=out)
+        return out.reshape(out.shape[:-1] + (self.grid.n1, self.cols))
+
+    def synth(self, a: np.ndarray) -> np.ndarray:
+        """(3, ..., 2, n1, n2) samples of (u, d1 u, d2 u) for coordinates a, in one call."""
+        return spectral._phys(self.lift_half(a), self.grid.n_points)
+
+    def analyse(self, samples: np.ndarray) -> np.ndarray:
+        """(..., n) coordinates of real (..., 2, n1, n2) samples, as coords of their FFT."""
+        half = spectral._spec(samples, self.grid.n_points, self.cols)
+        # np.take keeps the batch axes outermost (fancy indexing would not)
+        at = np.take(half.reshape(half.shape[:-2] + (self.half_src.size,)), self.half_at, axis=-1)
+        beta = at[..., 0, :] * self.dirs[0] + at[..., 1, :] * self.dirs[1]
+        return self._from_pairs(beta.real, -self.sign * beta.imag)  # conj where flipped
 
 
 def galerkin_project_raw(coeffs: np.ndarray, grid: TorusGrid, n: int) -> np.ndarray:

@@ -294,28 +294,26 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
 
     if cfg["uniqueness.kind"] == "det":
         rep = det_mod.uniqueness_experiment(u0, v0, _det_config(cfg), tol=tol)
-        # the deterministic exponent E(t) is the absorbed one, q
-        rows = zip(rep.t, rep.w_l2_sq, rep.q)
-        _write_csv(out / "uniqueness_series.csv", ("t", "w_l2_sq", "growth"), list(rows))
-        verdicts = {"kind": "det", "passed": rep.passed, "c1": rep.c1,
-                    "bitwise_zero": rep.bitwise_zero, "max_ratio": rep.max_ratio}
-        return (0 if rep.passed else 1), ["uniqueness_series.csv"], verdicts
-
-    model = _noise_model(cfg)
-    if model is None:
-        raise ConfigError("sde uniqueness needs a noise model (noise.c_recipes / noise.b_recipes)")
-    gate = condition_c_gate(condition_c_bounds(model, eta=cfg["noise.eta"]))
-    if not gate.uniqueness_ok and not args.force:
-        return 1, [], {"kind": "sde", "uniqueness_gate": False, "gate": gate.describe()}
-    scfg = _sde_config(cfg)
-    _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
-    rep = sde_mod.pathwise_uniqueness_experiment(u0, v0, model, scfg, tol=tol,
-                                                 eta=cfg["noise.eta"])
+        gate = None
+    else:
+        model = _noise_model(cfg)
+        if model is None:
+            raise ConfigError("sde uniqueness needs a noise model "
+                              "(noise.c_recipes / noise.b_recipes)")
+        gate = condition_c_gate(condition_c_bounds(model, eta=cfg["noise.eta"]))
+        if not gate.uniqueness_ok and not args.force:
+            return 1, [], {"kind": "sde", "uniqueness_gate": False, "gate": gate.describe()}
+        scfg = _sde_config(cfg)
+        _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
+        rep = sde_mod.pathwise_uniqueness_experiment(u0, v0, model, scfg, tol=tol,
+                                                     eta=cfg["noise.eta"])
+    # one layout for both kinds: the det growth G(t) is 0, its exponent E(t) is q
     rows = zip(rep.t, rep.w_l2_sq, rep.q, rep.growth)
     _write_csv(out / "uniqueness_series.csv", ("t", "w_l2_sq", "q", "growth"), list(rows))
-    verdicts = {"kind": "sde", "passed": rep.passed, "c1": rep.c1,
-                "uniqueness_gate": gate.uniqueness_ok,
-                "bitwise_zero": rep.bitwise_zero, "max_ratio": rep.max_ratio}
+    verdicts = {"kind": cfg["uniqueness.kind"], "passed": rep.passed, "c1": rep.c1}
+    if gate is not None:
+        verdicts["uniqueness_gate"] = gate.uniqueness_ok
+    verdicts.update(bitwise_zero=rep.bitwise_zero, max_ratio=rep.max_ratio)
     return (0 if rep.passed else 1), ["uniqueness_series.csv"], verdicts
 
 

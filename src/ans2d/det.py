@@ -92,8 +92,7 @@ def mollify(u: SpectralField, eps: float) -> SpectralField:
 
 def _drift(a: np.ndarray, frame: GalerkinFrame) -> np.ndarray:
     """Coordinates of -P(u.grad u) for (..., n) coordinates a."""
-    grid = frame.grid
-    return -frame.coords(spectral._advection_raw(spectral._phys_grad(frame.lift(a), grid), grid))
+    return -frame.analyse(spectral._advection_raw(frame.synth(a)))
 
 
 def _coord_rows(frame: GalerkinFrame, a: np.ndarray, drift: np.ndarray) -> dict[str, np.ndarray]:
@@ -353,8 +352,8 @@ class _GapAudit:
         self.dissip[i] = (d1 ** (1.0 / 3.0) + d2 ** (1.0 / 3.0)) * d1d2 ** (1.0 / 3.0)
         # w is synthesized itself: u and v agree to many digits, so the
         # difference of their samples would lose them
-        wp = spectral._phys(frame.lift(w), grid.n_points)
-        _, d1bp, d2bp = spectral._phys_grad(frame.lift(b), grid)
+        half = np.concatenate((frame.lift_half(w)[:1], frame.lift_half(b)[1:]))
+        wp, d1bp, d2bp = spectral._phys(half, grid.n_points)
         self.tri[i] = abs(float(np.sum((wp[0:1] * d1bp + wp[1:2] * d2bp) * wp)
                                 * grid.cell_area))
         self.den[i] = (wn["d1_sq"] ** 0.25 * (d1 ** 0.25 + d2 ** 0.25) * d1d2 ** 0.25

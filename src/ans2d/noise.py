@@ -246,19 +246,18 @@ def sigma_coords(model: NoiseModel, frame: GalerkinFrame, phys: np.ndarray, y: n
                  fields: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """(..., n) coordinates of P_n sigma(u) y in frame.
 
-    phys holds the stacked samples spectral._phys_grad gives on frame.grid,
-    of which u and d1 u are read; y: (..., n_modes); batch axes broadcast.
-    fields are model.coefficient_fields(frame.grid), sampled once by the caller.
+    phys holds the stacked samples frame.synth gives, of which u and d1 u
+    are read; y: (..., n_modes); batch axes broadcast.  fields are
+    model.coefficient_fields(frame.grid), sampled once by the caller.
     """
-    sig = _sigma_raw(model, phys[0], phys[1], y, *fields)
-    return frame.coords(spectral._spec(sig, frame.grid.n_points))
+    return frame.analyse(_sigma_raw(model, phys[0], phys[1], y, *fields))
 
 
 def _field_sigma_coords(model: NoiseModel, u: SpectralField, y: np.ndarray,
                         n: int | None = None) -> tuple[np.ndarray, GalerkinFrame]:
     """sigma_coords of a Hermitian field u at level n (default max_level), and the frame."""
     frame = GalerkinFrame(u.grid, max_level(u.grid) if n is None else n)
-    phys = spectral._phys_grad(u.coeffs, u.grid)
+    phys = spectral._phys_grad(u.coeffs[..., : u.grid.n2 // 2 + 1], u.grid)
     return sigma_coords(model, frame, phys, y, model.coefficient_fields(u.grid)), frame
 
 

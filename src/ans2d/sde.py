@@ -79,13 +79,14 @@ class _Stepper:
     """Precomputed batched update for one (grid, model, config) triple.
 
     States are (B, n) coordinates in the level-n frame.  The step loop
-    lifts a state to the quadrature grid qgrid and synthesizes
-    (u, d1 u, d2 u) once (synth), and hands the samples to drift,
-    noise_increment and hs_sq.  qgrid is the level's smallest alias-free
-    grid (basis.quadrature_grid), which gives the advection coordinates of
-    the configured grid up to rounding.  A multiplicative sigma(u) is not
-    band-limited, so for it qgrid is the configured grid; additive channel
-    coordinates are taken on the configured grid once.
+    synthesizes (u, d1 u, d2 u) of a state on the quadrature grid qgrid
+    once (synth, through the half-spectrum qframe.synth), and hands the
+    samples to drift, noise_increment and hs_sq.  qgrid is the level's
+    smallest alias-free grid (basis.quadrature_grid), which gives the
+    advection coordinates of the configured grid up to rounding.  A
+    multiplicative sigma(u) is not band-limited, so for it qgrid is the
+    configured grid; additive channel coordinates are taken on the
+    configured grid once.
     """
 
     def __init__(self, grid: TorusGrid, model: NoiseModel | None, cfg: SdeConfig):
@@ -114,13 +115,13 @@ class _Stepper:
 
     def synth(self, a: np.ndarray) -> np.ndarray | None:
         """Stacked (u, d1 u, d2 u) samples on qgrid, or None when no layer reads them."""
-        return spectral._phys_grad(self.qframe.lift(a), self.qgrid) if self.needs_phys else None
+        return self.qframe.synth(a) if self.needs_phys else None
 
     def drift(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
         """Coordinates of -P_n (u.grad u); phys holds the samples of a."""
         if self.cfg.drop_nonlinearity:
             return np.zeros_like(a)
-        return -self.qframe.coords(spectral._advection_raw(phys, self.qgrid))
+        return -self.qframe.analyse(spectral._advection_raw(phys))
 
     def noise_increment(self, dw: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
         """Coordinates of P_n sigma(u) dW; dw has shape (B, n_modes)."""

@@ -171,22 +171,29 @@ def inverse_transform(u: SpectralField, check: bool = True) -> PhysicalField:
     return PhysicalField(u.grid, samples)
 
 
-def _phys(coeffs: np.ndarray, n_points: int) -> np.ndarray:
+def _phys(half: np.ndarray, n_points: int) -> np.ndarray:
     """Unchecked synthesis for internal pipelines; supports leading batch axes.
 
-    Precondition: coeffs is Hermitian, c(-k) = conj(c(k)), and band-limited
-    below the Nyquist row and column (as every dealiased field and its
-    derivatives are).  Only the k2 >= 0 half is read, through one real
-    inverse transform; on such input the result equals the real part of the
-    complex synthesis up to rounding.
+    half holds the k2 >= 0 columns 0 .. cols-1 of Hermitian coefficients,
+    c(-k) = conj(c(k)), band-limited below the Nyquist row and column (as
+    every dealiased field and its derivatives are); column 0 must carry
+    both k and -k.  A complex inverse transform along k1 runs on those
+    columns only, then a real one along x2 zero-pads the columns above
+    them; n2 is n_points // n1.
     """
-    n1, n2 = coeffs.shape[-2:]
-    half = coeffs[..., : n2 // 2 + 1]
-    return np.fft.irfft2(half, s=(n1, n2), axes=(-2, -1)) * n_points
+    n1 = half.shape[-2]
+    rows = np.fft.ifft(half, axis=-2)
+    return np.fft.irfft(rows, n=n_points // n1, axis=-1) * n_points
 
 
-def _spec(samples: np.ndarray, n_points: int) -> np.ndarray:
-    return np.fft.fft2(samples, axes=(-2, -1)) / n_points
+def _spec(samples: np.ndarray, n_points: int, cols: int) -> np.ndarray:
+    """Coefficients of real samples in the k2 >= 0 columns 0 .. cols-1.
+
+    A real transform along x2 keeps the first cols columns, and a complex
+    one along x1 runs on those only.
+    """
+    half = np.fft.rfft(samples, axis=-1)[..., :cols]
+    return np.fft.fft(half, axis=-2) / n_points
 
 
 def derivative(u: SpectralField, axis: int, order: int = 1) -> SpectralField:
@@ -235,27 +242,25 @@ def zero_mean(u: SpectralField) -> SpectralField:
     return out
 
 
-def _phys_grad(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+def _phys_grad(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Physical samples of (u, d1 u, d2 u), stacked on a new leading axis.
 
-    One batched synthesis call: per-call FFT overhead dominates small grids.
+    half holds the k2 >= 0 columns of u's coefficients (see _phys).  One
+    batched synthesis call: per-call FFT overhead dominates small grids.
     """
     k1 = grid.k1.astype(np.float64)
-    k2 = grid.k2.astype(np.float64)
-    return _phys(np.stack((coeffs, coeffs * (1j * k1), coeffs * (1j * k2))), grid.n_points)
+    k2 = np.arange(half.shape[-1], dtype=np.float64)
+    return _phys(np.stack((half, half * (1j * k1), half * (1j * k2))), grid.n_points)
 
 
-def _advection_raw(phys: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Dealiased spectral u.grad(u) from stacked samples of (u, d1 u, d2 u).
+def _advection_raw(phys: np.ndarray) -> np.ndarray:
+    """Physical samples of u.grad(u) from stacked samples of (u, d1 u, d2 u).
 
-    phys is _phys_grad(coeffs, grid), so that one synthesis of a state can
+    phys is one synthesis of a state (GalerkinFrame.synth), so that it can
     feed every consumer of it; batch axes are kept.
     """
     u, d1u, d2u = phys
-    adv = u[..., 0:1, :, :] * d1u + u[..., 1:2, :, :] * d2u
-    out = _spec(adv, grid.n_points) * grid.dealias_mask
-    out[..., :, 0, 0] = 0.0  # advection of a solenoidal field has zero mean
-    return out
+    return u[..., 0:1, :, :] * d1u + u[..., 1:2, :, :] * d2u
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:
@@ -265,7 +270,11 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     mask makes the result exact on band-limited input (band <= (n-1)//3).  The
     output is not Leray-projected.
     """
-    return SpectralField(u.grid, _advection_raw(_phys_grad(u.coeffs, u.grid), u.grid))
+    grid = u.grid
+    adv = _advection_raw(_phys_grad(u.coeffs[..., : grid.n2 // 2 + 1], grid))
+    out = np.fft.fft2(adv, axes=(-2, -1)) / grid.n_points * grid.dealias_mask
+    out[..., :, 0, 0] = 0.0  # advection of a solenoidal field has zero mean
+    return SpectralField(grid, out)
 
 
 def nonlinear_term_oracle(u: SpectralField) -> SpectralField:
@@ -341,7 +350,7 @@ def random_solenoidal_field(grid: TorusGrid, band: int, amplitude: float,
     if band > min(grid.band1, grid.band2):
         raise ValueError(f"band {band} exceeds dealiased range of {grid.n1}x{grid.n2} grid")
     raw = rng.standard_normal((2, grid.n1, grid.n2))
-    coeffs = _spec(raw, grid.n_points)
+    coeffs = forward_transform(PhysicalField(grid, raw)).coeffs
     keep = (np.abs(grid.k1) <= band) & (np.abs(grid.k2) <= band)
     coeffs *= keep
     f = zero_mean(leray_project(SpectralField(grid, coeffs)))

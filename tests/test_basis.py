@@ -155,9 +155,34 @@ def test_frames_are_built_once_and_read_only(grid16):
     assert GalerkinFrame(TorusGrid(16, 16), 8) is frame
     assert GalerkinFrame(grid16, 9) is not frame
     for arr in (*frame.plus, *frame.minus, frame.dirs, frame.wavevectors, frame.k1sq,
-                frame.k2sq):
+                frame.k2sq, frame.sign, frame.half_at, frame.half_src, frame.half_gain):
         with pytest.raises(ValueError):
             arr[0] = 0
+
+
+@pytest.mark.parametrize("n1,n2", [(16, 16), (16, 24), (4, 16), (12, 12), (64, 64)])
+@pytest.mark.parametrize("level", [1, 2, 7, 8, "max"])
+def test_frame_synth_and_analyse_match_full_spectrum(n1, n2, level):
+    # the half-spectrum transforms against the complex ones on the full
+    # spectrum: levels 1 and 2 hold the pair (0, 1) alone, from level 3 on
+    # the k2 = 0 pair (1, 0) needs its mirror and (1, -1) is read
+    # conjugated, level 7 ends on a cosine, and 12x12 has a band below n // 3
+    grid = TorusGrid(n1, n2)
+    frame = GalerkinFrame(grid, max_level(grid) if level == "max" else level)
+    rng = np.random.default_rng(n1 * n2 + frame.n)
+    a = rng.standard_normal((3, frame.n))
+    c = frame.lift(a)
+    stack = (c, c * (1j * grid.k1), c * (1j * grid.k2))
+    ref = np.stack([np.fft.ifft2(x, axes=(-2, -1)).real * grid.n_points for x in stack])
+    got = frame.synth(a)
+    assert got.shape == (3, 3, 2, n1, n2)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # analysis of real samples that are not band-limited
+    x = rng.standard_normal((3, 2, n1, n2))
+    ref = frame.coords(np.fft.fft2(x, axes=(-2, -1)) / grid.n_points)
+    got = frame.analyse(x)
+    assert got.shape == (3, frame.n)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_quadrature_grid_per_level(grid16):

@@ -137,6 +137,21 @@ def test_each_det_audit_evaluates_one_drift_per_state_and_stage(grid16, make_fie
         assert len(calls) == 2 * cfg.n_steps + 1, name
 
 
+def test_gap_row_synthesizes_once_per_state(grid16, make_field, monkeypatch):
+    # w, d1 v and d2 v of a gap row come from one synthesis, beside the
+    # 2 n + 1 drifts of an n-step IF-RK2 run
+    from ans2d import spectral
+
+    calls = []
+    phys = spectral._phys
+    monkeypatch.setattr(spectral, "_phys", lambda *args: calls.append(1) or phys(*args))
+    u0 = make_field(grid16, band=3, seed=17)
+    v0 = make_field(grid16, band=3, seed=18)
+    cfg = DetConfig(dt=1e-2, t_end=0.1, integrator="if-rk2")
+    uniqueness_experiment(u0, v0, cfg)
+    assert len(calls) == (2 * cfg.n_steps + 1) + (cfg.n_steps + 1)
+
+
 def test_uniqueness_identical_inputs_bitwise(grid16, make_field):
     u0 = make_field(grid16, band=3, seed=9)
     report = uniqueness_experiment(u0, u0.copy(), DetConfig(dt=2e-3, t_end=0.1))

@@ -235,6 +235,30 @@ def test_cli_uniqueness(tmp_path):
     assert man["verdicts"]["passed"] is True and man["verdicts"]["kind"] == "det"
 
 
+def test_cli_uniqueness_det_series_layout(tmp_path):
+    # both kinds write (t, w_l2_sq, q, growth); the det exponent E(t) is q
+    from ans2d.basis import basis_element
+    from ans2d.cli import _det_config, _initial_field, _parse_mode
+    from ans2d.det import uniqueness_experiment
+    from ans2d.spectral import SpectralField
+
+    cfg = _write_cfg(tmp_path, "uniqueness.kind = det\n")
+    out = tmp_path / "uniq"
+    assert main(["uniqueness", "--config", cfg, "--out", str(out)]) == 0
+    with open(out / "uniqueness_series.csv", newline="", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["t", "w_l2_sq", "q", "growth"]
+    conf = load_config(cfg)
+    grid = TorusGrid(conf["grid.n1"], conf["grid.n2"])
+    u0 = _initial_field(grid, conf)
+    pert = basis_element(grid, _parse_mode(conf["uniqueness.pert_mode"]))
+    v0 = SpectralField(grid, u0.coeffs + conf["uniqueness.perturbation"] * pert.coeffs)
+    rep = uniqueness_experiment(u0, v0, _det_config(conf), tol=conf["uniqueness.tol"])
+    np.testing.assert_array_equal([float(r["q"]) for r in rows], rep.q)
+    assert np.all(rep.q[1:] > 0.0)
+    assert all(float(r["growth"]) == 0.0 for r in rows)
+
+
 def test_cli_uniqueness_sde(tmp_path):
     cfg = _write_cfg(tmp_path, "uniqueness.kind = sde\n")
     out = tmp_path / "uniq-sde"
