@@ -28,25 +28,16 @@ def is_canonical(k: tuple[int, int]) -> bool:
 
 
 def basis_element(grid: TorusGrid, k: tuple[int, int]) -> SpectralField:
-    """Unit-norm real solenoidal element attached to wavevector k != 0."""
-    k = (int(k[0]), int(k[1]))
-    if k == (0, 0):
-        raise ValueError("no basis element at k = 0")
-    if abs(k[0]) > grid.band1 or abs(k[1]) > grid.band2:
-        raise ValueError(f"wavevector {k} outside dealiased band of {grid.n1}x{grid.n2} grid")
-    kc = k if is_canonical(k) else (-k[0], -k[1])
-    norm = np.hypot(kc[0], kc[1])
-    d = np.array([-kc[1], kc[0]], dtype=np.float64) / norm  # k_perp / |k|
-    f = zeros_spectral(grid)
-    i, j = grid.index_of(kc)
-    im, jm = grid.index_of((-kc[0], -kc[1]))
-    if k == kc:  # cosine element
-        f.coeffs[:, i, j] = 0.5 * _AMP * d
-        f.coeffs[:, im, jm] = 0.5 * _AMP * d
-    else:  # sine element
-        f.coeffs[:, i, j] = -0.5j * _AMP * d
-        f.coeffs[:, im, jm] = 0.5j * _AMP * d
-    return f
+    """Unit-norm real solenoidal element attached to wavevector k != 0.
+
+    The lift of the unit coordinate at GalerkinFrame(grid,
+    max_level(grid)).column(k), which raises ValueError for k = 0 and for
+    k outside the dealiased band.
+    """
+    frame = GalerkinFrame(grid, max_level(grid))
+    a = np.zeros(frame.n)
+    a[frame.column(k)] = 1.0
+    return SpectralField(grid, frame.lift(a))
 
 
 def enumerate_pairs(grid: TorusGrid, count: int) -> list[tuple[int, int]]:
@@ -179,21 +170,19 @@ class GalerkinFrame:
         out[..., :, self.minus[0], self.minus[1]] = np.conj(half)
         return out
 
-    def lift_half(self, a: np.ndarray) -> np.ndarray:
-        """(3, ..., 2, n1, cols) half spectra of (u, d1 u, d2 u) for coordinates a."""
+    def synth(self, a: np.ndarray) -> np.ndarray:
+        """(3, ..., 2, n1, n2) samples of (u, d1 u, d2 u) for coordinates a, in one call."""
         lead = a.shape[:-1]
         z = self._to_pairs(a)
         src = np.concatenate((z, np.conj(z), np.zeros(lead + (1,))), axis=-1)
         # the gathered factor has its batch axes innermost; numpy would lay
         # the product out like it, which is slow, so it goes into a C-ordered out
-        out = np.empty((3,) + lead + self.half_gain.shape[1:], dtype=np.complex128)
+        half = np.empty((3,) + lead + self.half_gain.shape[1:], dtype=np.complex128)
         np.multiply(src[..., None, self.half_src],
-                    self.half_gain[(slice(None),) + (None,) * len(lead)], out=out)
-        return out.reshape(out.shape[:-1] + (self.grid.n1, self.cols))
-
-    def synth(self, a: np.ndarray) -> np.ndarray:
-        """(3, ..., 2, n1, n2) samples of (u, d1 u, d2 u) for coordinates a, in one call."""
-        return spectral._phys(self.lift_half(a), self.grid.n_points)
+                    self.half_gain[(slice(None),) + (None,) * len(lead)], out=half)
+        del z, src  # not held through the transform: it would raise the peak heap
+        half = half.reshape(half.shape[:-1] + (self.grid.n1, self.cols))
+        return spectral._phys(half, self.grid.n_points)
 
     def analyse(self, samples: np.ndarray) -> np.ndarray:
         """(..., n) coordinates of real (..., 2, n1, n2) samples, as coords of their FFT."""

@@ -14,6 +14,7 @@ from typing import Any, Callable
 
 from .errors import ConfigError
 from .noise import DEFAULT_ETA
+from .norms import YOUNG_WEIGHT
 
 
 def _parse_bool(text: str) -> bool:
@@ -99,7 +100,7 @@ SCHEMA: tuple[_Key, ...] = (
     _Key("sde.galerkin_n", int, 8),
     _Key("sde.seed", _parse_count, 0),
     _Key("sde.drop_nonlinearity", _parse_bool, False),
-    _Key("sde.alpha_tilde", _parse_finite, 0.5),
+    _Key("sde.alpha_tilde", _parse_finite, YOUNG_WEIGHT),
     _str_key("noise.c_recipes", ""),
     _str_key("noise.b_recipes", ""),
     _str_key("noise.g", "one", ("one", "zero", "tanh", "sin")),

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import spectral
 from .basis import GalerkinFrame, max_level
-from .norms import cumulative_trapezoid, power_rows, trilinear_ratio
+from .norms import YOUNG_WEIGHT, absorb, cumulative_trapezoid, power_rows, young_gap, young_h01
 from .spectral import SpectralField, TorusGrid
 
 INTEGRATORS = ("if-rk2", "if-rk4", "if-euler")
@@ -217,22 +217,23 @@ def h01_certificate(traj: Trajectory, slack: float = 1e-6) -> H01Report:
     """Vertical-gradient decay audit with a run-measured constant.
 
     c_emp(t) = |(d2(u.grad u), d2 u)| / (||d1 d2 u|| ||d1 u|| ||d2 u||) is the
-    realized constant of the trilinear bound; with C = sup(c_emp)^2 / 2 the
-    weighted quantity exp(-2C int ||d1 u||^2) ||d2 u||^2 must not increase by
-    more than slack * its initial value at any step, which also yields
+    realized constant of the trilinear bound; with C = young_h01(sup(c_emp),
+    1/2) = sup(c_emp)^2 / 2 the weighted quantity
+    exp(-2C int ||d1 u||^2) ||d2 u||^2 must not increase by more than
+    slack * its initial value at any step, which also yields
     ||d2 u(t)||^2 <= ||d2 u(0)||^2 exp(2C int ||d1 u||^2).
     """
-    c_emp = trilinear_ratio(traj.cross, np.sqrt(traj.d1d2_sq * traj.d1_sq * traj.d2_sq))
-    c_sup = float(np.max(c_emp))
-    big_c = 0.5 * c_sup ** 2  # Young split with half weight on ||d1 d2 u||^2
-    weighted = np.exp(-2.0 * big_c * traj.int_d1_sq) * traj.d2_sq
+    c_emp, c_sup, big_c, q = absorb(traj.cross,
+                                    np.sqrt(traj.d1d2_sq * traj.d1_sq * traj.d2_sq),
+                                    traj.d1_sq, traj.config.dt, young_h01, YOUNG_WEIGHT)
+    weighted = np.exp(-q) * traj.d2_sq
     diffs = np.diff(weighted)
     max_inc = float(np.max(diffs, initial=0.0))
     allowance = slack * weighted[0] if weighted[0] > 0 else slack
     monotone = bool(max_inc <= allowance)
-    bound = traj.d2_sq <= traj.d2_sq[0] * np.exp(2.0 * big_c * traj.int_d1_sq) * (1.0 + slack) + allowance
-    return H01Report(c_emp=c_emp, c_sup=c_sup, big_c=big_c, weighted=weighted,
-                     max_step_increase=max_inc, passed_monotone=monotone,
+    bound = traj.d2_sq <= traj.d2_sq[0] * np.exp(q) * (1.0 + slack) + allowance
+    return H01Report(c_emp=c_emp, c_sup=float(c_sup), big_c=float(big_c),
+                     weighted=weighted, max_step_increase=max_inc, passed_monotone=monotone,
                      passed_bound=bool(np.all(bound)))
 
 
@@ -314,13 +315,15 @@ class _GapAudit:
     each step and keeps the gap row of w = u - v against the base solution
     b (one of u, v):
 
-        ||w||^2, the trilinear pairing |(w.grad b, w)| (physical space),
+        ||w||^2, the trilinear pairing |(w.grad b, w)| = |(w.grad w, b)|,
         its bound ||d1 w||^{1/2} ( ||d1 b||^{1/2} + ||d2 b||^{1/2} )
             ||d1 d2 b||^{1/2} ||w||^{3/2},
         the dissipation ( ||d1 b||^{2/3} + ||d2 b||^{2/3} ) ||d1 d2 b||^{2/3}.
 
-    verdict() turns the rows into the measured constant c1, the absorbed
-    exponent q(t) = 2 C int dissipation, C = young(c1), and the check
+    The pairing is read from the drift of w, the solver's own advection:
+    w and b are solenoidal and lie in the span.  verdict() turns the rows
+    into the measured constant c1, the absorbed exponent
+    q(t) = 2 C int dissipation, C = young_gap(c1, alpha), and the check
 
         exp(-q(t)) ||w(t)||^2 <= ||w(0)||^2 exp(growth(t)) (1 + tol).
 
@@ -341,7 +344,6 @@ class _GapAudit:
 
     def record(self, i: int, pair: np.ndarray) -> None:
         frame = self.frame
-        grid = frame.grid
         w = pair[0] - pair[1]
         b = pair[self.base]
         self.bitwise = self.bitwise and bool(np.all(pair[0] == pair[1]))
@@ -352,19 +354,13 @@ class _GapAudit:
         self.dissip[i] = (d1 ** (1.0 / 3.0) + d2 ** (1.0 / 3.0)) * d1d2 ** (1.0 / 3.0)
         # w is synthesized itself: u and v agree to many digits, so the
         # difference of their samples would lose them
-        half = np.concatenate((frame.lift_half(w)[:1], frame.lift_half(b)[1:]))
-        wp, d1bp, d2bp = spectral._phys(half, grid.n_points)
-        self.tri[i] = abs(float(np.sum((wp[0:1] * d1bp + wp[1:2] * d2bp) * wp)
-                                * grid.cell_area))
+        self.tri[i] = abs(float(_drift(w, frame) @ b))
         self.den[i] = (wn["d1_sq"] ** 0.25 * (d1 ** 0.25 + d2 ** 0.25) * d1d2 ** 0.25
                        * self.w_l2[i] ** 0.75)
 
-    def verdict(self, young: Callable[[float], float], growth: float | np.ndarray,
-                tol: float) -> GapReport:
-        """The report of the recorded rows; young maps c1 to C."""
-        c1 = float(np.max(trilinear_ratio(self.tri, self.den)))
-        big_c = young(c1)
-        q = cumulative_trapezoid(self.dissip, self.dt) * 2.0 * big_c
+    def verdict(self, alpha: float, growth: float | np.ndarray, tol: float) -> GapReport:
+        """The report of the recorded rows, absorbed with Young weight alpha."""
+        _, c1, big_c, q = absorb(self.tri, self.den, self.dissip, self.dt, young_gap, alpha)
         growth = np.zeros_like(self.t) + growth
         if self.bitwise:
             max_ratio, passed = 0.0, bool(np.all(self.w_l2 == 0.0))
@@ -374,8 +370,8 @@ class _GapAudit:
             with np.errstate(divide="ignore", invalid="ignore"):
                 max_ratio = float(np.max(np.where(bound > 0.0, lhs / bound, np.inf)))
             passed = bool(np.all(lhs <= bound))
-        return GapReport(t=self.t, w_l2_sq=self.w_l2, q=q, growth=growth, c1=c1,
-                         big_c=big_c, bitwise_zero=self.bitwise, max_ratio=max_ratio,
+        return GapReport(t=self.t, w_l2_sq=self.w_l2, q=q, growth=growth, c1=float(c1),
+                         big_c=float(big_c), bitwise_zero=self.bitwise, max_ratio=max_ratio,
                          passed=passed)
 
 
@@ -393,7 +389,7 @@ def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
         c1 = sup |(w.grad v, w)| / ( ||d1 w||^{1/2}
              ( ||d1 v||^{1/2} + ||d2 v||^{1/2} ) ||d1 d2 v||^{1/2} ||w||^{3/2} )
 
-    through Young's inequality with elastic weight 1/2 on ||d1 w||^2.  The
+    through Young's inequality (young_gap) with weight 1/2 on ||d1 w||^2.  The
     report's q is E(t), its big_c is C0 and its growth is 0.  Identical
     inputs short-circuit to an exact-zero check.  A blow-up of either
     solution raises BlowUpError.  u0 and v0 must be Hermitian.
@@ -402,7 +398,7 @@ def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
     audit = _GapAudit(frame, cfg.dt, cfg.n_steps, base=1)
     for i, pair, _ in _march(frame.coords(np.stack((u0.coeffs, v0.coeffs))), frame, cfg):
         audit.record(i, pair)
-    return audit.verdict(lambda c1: 0.75 * c1 ** (4.0 / 3.0), 0.0, tol)
+    return audit.verdict(YOUNG_WEIGHT, 0.0, tol)
 
 
 def eps_sweep(u0: SpectralField, cfg: DetConfig, eps_values: list[float]) -> list[float]:

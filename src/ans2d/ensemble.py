@@ -50,22 +50,27 @@ class EnsembleConfig:
             raise ValueError("at least one Galerkin level required")
 
 
+# moment name -> (its per-path sample from a batch's diagnostic columns d,
+# its weighted series ws and the step dt; whether it enters c_hat)
+MOMENTS = {
+    "sup_l2_sq": (lambda d, ws, dt: d["l2_sq"].max(axis=0), True),
+    "int_h10_sq": (lambda d, ws, dt: cumulative_trapezoid(d["l2_sq"] + d["d1_sq"], dt)[-1],
+                   True),
+    "sup_l2_4th": (lambda d, ws, dt: (d["l2_sq"] ** 2).max(axis=0), False),
+    "sup_weighted_h01": (lambda d, ws, dt: ws.weighted_h01.max(axis=0), False),
+    "int_weighted_h11": (lambda d, ws, dt: ws.int_weighted_h11[-1], False),
+}
+
+
 @dataclass
 class MomentEstimates:
-    """Per-level sample means with standard errors."""
+    """Per-level sample means (est) with standard errors (se), keyed by
+    MOMENTS name."""
 
     level: int
     n_paths: int
-    sup_l2_sq: float
-    sup_l2_sq_se: float
-    int_h10_sq: float
-    int_h10_sq_se: float
-    sup_l2_4th: float
-    sup_l2_4th_se: float
-    sup_weighted_h01: float
-    sup_weighted_h01_se: float
-    int_weighted_h11: float
-    int_weighted_h11_se: float
+    est: dict[str, float]
+    se: dict[str, float]
     c_hat: float
 
 
@@ -81,42 +86,23 @@ class EnsembleReport:
 def _level_estimates(u0: SpectralField, u0_l2: float, model: NoiseModel | None,
                      cfg: SdeConfig, ens: EnsembleConfig, level: int) -> MomentEstimates:
     cfg_n = replace(cfg, galerkin_n=level, seed=ens.base_seed)
-    dt = cfg_n.dt
-
-    samples = {name: np.zeros(ens.n_paths) for name in
-               ("sup_l2", "int_h10", "sup_l2_4", "sup_wh01", "int_wh11")}
+    samples = {name: np.zeros(ens.n_paths) for name in MOMENTS}
     for done in range(0, ens.n_paths, ens.batch):
         paths = range(done, min(done + ens.batch, ens.n_paths))
         # the moments read no Hilbert-Schmidt column
         run = _run_batched(u0.coeffs, u0.grid, model, cfg_n, paths, with_diag=True,
                            with_hs=False)
         d = run.diag
-        sl = slice(done, paths.stop)
-        samples["sup_l2"][sl] = d["l2_sq"].max(axis=0)
-        samples["int_h10"][sl] = cumulative_trapezoid(d["l2_sq"] + d["d1_sq"], dt)[-1]
-        samples["sup_l2_4"][sl] = (d["l2_sq"] ** 2).max(axis=0)
         ws = weighted_h01_series(run.t, d["d1_sq"], d["d1d2_sq"], d["d2_sq"], d["cross"],
                                  d["h01_sq"], d["h11_sq"], cfg_n.alpha_tilde)
-        samples["sup_wh01"][sl] = ws.weighted_h01.max(axis=0)
-        samples["int_wh11"][sl] = ws.int_weighted_h11[-1]
+        for name, (sample, _) in MOMENTS.items():
+            samples[name][done:paths.stop] = sample(d, ws, cfg_n.dt)
 
-    def stat(name: str) -> tuple[float, float]:
-        x = samples[name]
-        return float(np.mean(x)), float(np.std(x, ddof=1) / np.sqrt(len(x)))
-
-    sup_l2, sup_l2_se = stat("sup_l2")
-    int_h10, int_h10_se = stat("int_h10")
-    sup4, sup4_se = stat("sup_l2_4")
-    swh, swh_se = stat("sup_wh01")
-    iwh, iwh_se = stat("int_wh11")
-    c_hat = (sup_l2 + int_h10) / (1.0 + u0_l2)
-    return MomentEstimates(level=level, n_paths=ens.n_paths,
-                           sup_l2_sq=sup_l2, sup_l2_sq_se=sup_l2_se,
-                           int_h10_sq=int_h10, int_h10_sq_se=int_h10_se,
-                           sup_l2_4th=sup4, sup_l2_4th_se=sup4_se,
-                           sup_weighted_h01=swh, sup_weighted_h01_se=swh_se,
-                           int_weighted_h11=iwh, int_weighted_h11_se=iwh_se,
-                           c_hat=c_hat)
+    est = {name: float(np.mean(x)) for name, x in samples.items()}
+    se = {name: float(np.std(x, ddof=1) / np.sqrt(len(x))) for name, x in samples.items()}
+    c_hat = sum(est[name] for name, (_, in_c_hat) in MOMENTS.items() if in_c_hat)
+    return MomentEstimates(level=level, n_paths=ens.n_paths, est=est, se=se,
+                           c_hat=c_hat / (1.0 + u0_l2))
 
 
 def run_ensemble(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
@@ -144,21 +130,11 @@ def moment_bound_report(report: EnsembleReport) -> list[dict[str, object]]:
     """Flat rows (one per level) ready for CSV emission."""
     rows = []
     for lv in report.levels:
-        rows.append({
-            "level": lv.level,
-            "n_paths": lv.n_paths,
-            "est_sup_l2_sq": lv.sup_l2_sq,
-            "se_sup_l2_sq": lv.sup_l2_sq_se,
-            "est_int_h10_sq": lv.int_h10_sq,
-            "se_int_h10_sq": lv.int_h10_sq_se,
-            "est_sup_l2_4th": lv.sup_l2_4th,
-            "se_sup_l2_4th": lv.sup_l2_4th_se,
-            "est_sup_weighted_h01": lv.sup_weighted_h01,
-            "se_sup_weighted_h01": lv.sup_weighted_h01_se,
-            "est_int_weighted_h11": lv.int_weighted_h11,
-            "se_int_weighted_h11": lv.int_weighted_h11_se,
-            "c_hat": lv.c_hat,
-            "existence_gate": report.gate.existence_ok,
-            "uniqueness_gate": report.gate.uniqueness_ok,
-        })
+        row = {"level": lv.level, "n_paths": lv.n_paths}
+        for name in MOMENTS:
+            row[f"est_{name}"] = lv.est[name]
+            row[f"se_{name}"] = lv.se[name]
+        row.update(c_hat=lv.c_hat, existence_gate=report.gate.existence_ok,
+                   uniqueness_gate=report.gate.uniqueness_ok)
+        rows.append(row)
     return rows

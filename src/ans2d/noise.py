@@ -215,7 +215,7 @@ def _channel_sum(y: np.ndarray, arr: np.ndarray) -> np.ndarray:
     differently for different batch shapes, so paths would no longer replay
     bit-for-bit across batch layouts.
     """
-    if not len(arr):  # a model without channels
+    if not len(arr):  # no channel (no noise, or a zero model): exact zeros
         return np.zeros(y.shape[:-1] + arr.shape[1:])
     tail = (None,) * (arr.ndim - 1)
     out = y[(..., 0) + tail] * arr[0]

@@ -9,6 +9,7 @@ transposed order for L^q_v(L^p_h)); they are evaluated by grid quadrature.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -103,6 +104,40 @@ def cumulative_trapezoid(y: np.ndarray, dx: float | np.ndarray) -> np.ndarray:
     out = np.zeros_like(y)
     out[1:] = np.cumsum(dx * (y[1:] + y[:-1]) / 2, axis=0)
     return out
+
+
+# Young weight alpha left on the dissipation by the deterministic bounds;
+# also the default of SdeConfig.alpha_tilde
+YOUNG_WEIGHT = 0.5
+
+
+def young_h01(c: float | np.ndarray, alpha: float) -> float | np.ndarray:
+    """C = c^2 / (4 alpha): the h01 bound's trilinear constant c absorbed with
+    weight alpha on ||d1 d2 u||^2."""
+    return c ** 2 / (4.0 * alpha)
+
+
+def young_gap(c: float | np.ndarray, alpha: float) -> float | np.ndarray:
+    """C = (3/4) (2 alpha)^{-1/3} c^{4/3}: the gap bound's trilinear constant c
+    absorbed (exponents 4 and 4/3) with weight alpha on ||d1 w||^2."""
+    return 0.75 * (2.0 * alpha) ** (-1.0 / 3.0) * c ** (4.0 / 3.0)
+
+
+def absorb(pairing: np.ndarray, denom: np.ndarray, integrand: np.ndarray,
+           dx: float | np.ndarray, young: Callable, alpha: float) -> tuple:
+    """One absorbed step of an a priori bound: (ratio, sup, big_c, q).
+
+    ratio is the realized trilinear constant |pairing| / denom of each row
+    (trilinear_ratio), sup its max over time (axis 0), big_c = young(sup,
+    alpha) with young one of young_h01, young_gap, and q(t) = 2 C int_0^t
+    integrand a running trapezoid with steps dx.  sup and big_c are per
+    path: scalars for (n_steps+1,) rows, (B,) arrays for (n_steps+1, B)
+    columns.
+    """
+    ratio = trilinear_ratio(pairing, denom)
+    sup = np.max(ratio, axis=0, initial=0.0)
+    big_c = young(sup, alpha)
+    return ratio, sup, big_c, cumulative_trapezoid(integrand, dx) * 2.0 * big_c
 
 
 def _lp_along(samples: np.ndarray, p: float, axis: int, h: float) -> np.ndarray:

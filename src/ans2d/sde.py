@@ -45,7 +45,7 @@ from .noise import (
     sample_wiener_increment,
     sigma_coords,
 )
-from .norms import cumulative_trapezoid, trilinear_ratio
+from .norms import YOUNG_WEIGHT, absorb, cumulative_trapezoid, young_h01
 from .spectral import SpectralField, TorusGrid
 
 DIAG_NAMES = ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "h01_sq", "h11_sq",
@@ -59,7 +59,7 @@ class SdeConfig:
     galerkin_n: int = 8
     seed: int = 0
     drop_nonlinearity: bool = False
-    alpha_tilde: float = 0.5
+    alpha_tilde: float = YOUNG_WEIGHT
     blowup_factor: float = 1e6
 
     def __post_init__(self):
@@ -86,7 +86,8 @@ class _Stepper:
     advection coordinates of the configured grid up to rounding.  A
     multiplicative sigma(u) is not band-limited, so for it qgrid is the
     configured grid; additive channel coordinates are taken on the
-    configured grid once.
+    configured grid once.  Without noise (no model, or a zero one) the
+    additive case has no channel, and its increments are exact zeros.
     """
 
     def __init__(self, grid: TorusGrid, model: NoiseModel | None, cfg: SdeConfig):
@@ -100,15 +101,16 @@ class _Stepper:
         self.frame = GalerkinFrame(grid, cfg.galerkin_n)
         self.ef = np.exp(-cfg.dt * self.frame.k1sq)
         self.n_modes = 0 if model is None else model.n_modes
-        self.silent = self.n_modes == 0 or model.is_zero
-        self.additive = None  # (n_modes, n) coordinates of the projected channels
-        if not self.silent:
+        self.additive = None  # (channels, n) coordinates of the projected channels
+        if self.n_modes == 0 or model.is_zero:
+            self.additive = np.zeros((0, self.frame.n))
+        else:
             self.fields = model.coefficient_fields(grid)
             if model.is_additive:
                 zero = np.zeros((3, 2, grid.n1, grid.n2))  # samples of u = 0
                 self.additive = sigma_coords(model, self.frame, zero, np.eye(self.n_modes),
                                              self.fields)
-        multiplicative = not self.silent and self.additive is None
+        multiplicative = self.additive is None
         self.needs_phys = multiplicative or not cfg.drop_nonlinearity
         self.qgrid = grid if multiplicative else quadrature_grid(grid, cfg.galerkin_n)
         self.qframe = GalerkinFrame(self.qgrid, cfg.galerkin_n)
@@ -125,8 +127,6 @@ class _Stepper:
 
     def noise_increment(self, dw: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
         """Coordinates of P_n sigma(u) dW; dw has shape (B, n_modes)."""
-        if self.silent:
-            return np.zeros(dw.shape[:-1] + (self.frame.n,))
         if self.additive is not None:
             return _channel_sum(dw, self.additive)
         return sigma_coords(self.model, self.frame, phys, dw, self.fields)
@@ -134,8 +134,6 @@ class _Stepper:
     def hs_sq(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
         """||P_n sigma(u) Pi||_HS^2 per batch entry."""
         lead = a.shape[:-1]
-        if self.silent:
-            return np.zeros(lead)
         if self.additive is not None:
             return np.full(lead, float(np.sum(self.additive ** 2)))
         # all channels at once: a channel axis before the field axes
@@ -231,19 +229,18 @@ class WeightedSeries:
 
 def weighted_h01_series(t: np.ndarray, d1_sq: np.ndarray, d1d2_sq: np.ndarray,
                         d2_sq: np.ndarray, cross: np.ndarray, h01_sq: np.ndarray,
-                        h11_sq: np.ndarray, alpha_tilde: float = 0.5) -> WeightedSeries:
+                        h11_sq: np.ndarray, alpha_tilde: float = YOUNG_WEIGHT) -> WeightedSeries:
     """Damping exponent h(t) = 2 C(alpha) int ||d1 u||^2 and its weighted norms.
 
-    C(alpha) = sup(c_emp)^2 / (4 alpha) converts the realized trilinear
-    constant through Young's inequality with weight alpha on ||d1 d2 u||^2.
-    Columns run over time on axis 0: (n_steps+1,) for one path or
-    (n_steps+1, B) for a batch, each path with its own sup and C(alpha).
+    C(alpha) = young_h01(sup(c_emp), alpha) = sup(c_emp)^2 / (4 alpha)
+    converts the realized trilinear constant through Young's inequality
+    with weight alpha on ||d1 d2 u||^2.  Columns run over time on axis 0:
+    (n_steps+1,) for one path or (n_steps+1, B) for a batch, each path with
+    its own sup and C(alpha).
     """
-    c_emp = trilinear_ratio(cross, np.sqrt(d1d2_sq * d1_sq * d2_sq))
-    c_sup = np.max(c_emp, axis=0, initial=0.0)
-    big_c = c_sup ** 2 / (4.0 * alpha_tilde)
     steps = np.diff(t)
-    h = cumulative_trapezoid(d1_sq, steps) * 2.0 * big_c
+    _, c_sup, big_c, h = absorb(cross, np.sqrt(d1d2_sq * d1_sq * d2_sq), d1_sq, steps,
+                                young_h01, alpha_tilde)
     return WeightedSeries(big_c=big_c, c_emp_sup=c_sup, h=h,
                           weighted_h01=np.exp(-h) * h01_sq,
                           int_weighted_h11=cumulative_trapezoid(np.exp(-h) * h11_sq, steps))
@@ -331,7 +328,7 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     where q(t) = int 2 C(alpha) (||d1 u||^{2/3} + ||d2 u||^{2/3})
     ||d1 d2 u||^{2/3} ds absorbs the advection coupling through the
     run-measured trilinear constant c1 (Young weight alpha = alpha_tilde,
-    C(alpha) = (3/4) (4 alpha)^{-1/3} 2^{1/3} c1^{4/3}), and
+    C(alpha) = young_gap(c1, alpha) = (3/4) (2 alpha)^{-1/3} c1^{4/3}), and
     G(t) = (1 + 4/beta_hat) L1 t is the Gronwall factor of the Lipschitz
     channel of the noise; the dissipation margin 2 - 2 alpha - L2 > 0 and
     the martingale fluctuation are covered by the slack.  L1 is taken with
@@ -344,12 +341,8 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     # path 0 twice: both rows see the same increments
     _run_batched(np.stack((u0.coeffs, v0.coeffs)), u0.grid, model, cfg, (0, 0),
                  with_diag=False, on_step=audit.record)
-
-    alpha = cfg.alpha_tilde
     growth = (1.0 + 4.0 / beta_hat) * condition_c_bounds(model, eta=eta).l1 * audit.t
-    return audit.verdict(
-        lambda c1: 0.75 * (4.0 * alpha) ** (-1.0 / 3.0) * 2.0 ** (1.0 / 3.0) * c1 ** (4.0 / 3.0),
-        growth, tol)
+    return audit.verdict(cfg.alpha_tilde, growth, tol)
 
 
 # ---------------------------------------------------------------------------

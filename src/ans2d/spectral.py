@@ -153,20 +153,19 @@ def forward_transform(f: PhysicalField) -> SpectralField:
     return SpectralField(f.grid, coeffs)
 
 
-def inverse_transform(u: SpectralField, check: bool = True) -> PhysicalField:
+def inverse_transform(u: SpectralField) -> PhysicalField:
     """Synthesis back to real samples.
 
     Raises ValueError when the coefficients break conjugate symmetry by
     more than HERMITIAN_TOL relative to the largest coefficient.
     """
-    if check:
-        scale = max(float(np.max(np.abs(u.coeffs))), 1.0)
-        defect = hermitian_defect(u.coeffs)
-        if defect > HERMITIAN_TOL * scale:
-            raise ValueError(
-                f"coefficients are not conjugate-symmetric: defect {defect:.3e} "
-                f"exceeds {HERMITIAN_TOL:.1e} x scale {scale:.3e}"
-            )
+    scale = max(float(np.max(np.abs(u.coeffs))), 1.0)
+    defect = hermitian_defect(u.coeffs)
+    if defect > HERMITIAN_TOL * scale:
+        raise ValueError(
+            f"coefficients are not conjugate-symmetric: defect {defect:.3e} "
+            f"exceeds {HERMITIAN_TOL:.1e} x scale {scale:.3e}"
+        )
     samples = np.fft.ifft2(u.coeffs, axes=(-2, -1)).real * u.grid.n_points
     return PhysicalField(u.grid, samples)
 

@@ -131,15 +131,17 @@ def test_each_det_audit_evaluates_one_drift_per_state_and_stage(grid16, make_fie
         "uniqueness_experiment": lambda: uniqueness_experiment(u0, v0, cfg),
         "weak_form_residual": lambda: weak_form_residual(u0, cfg, (1, 0), time_profile("one")),
     }
+    # the gap audit adds the drift of w at every state: n + 1 more
+    extra = {"uniqueness_experiment": cfg.n_steps + 1}
     for name, audit in audits.items():
         calls.clear()
         audit()
-        assert len(calls) == 2 * cfg.n_steps + 1, name
+        assert len(calls) == 2 * cfg.n_steps + 1 + extra.get(name, 0), name
 
 
 def test_gap_row_synthesizes_once_per_state(grid16, make_field, monkeypatch):
-    # w, d1 v and d2 v of a gap row come from one synthesis, beside the
-    # 2 n + 1 drifts of an n-step IF-RK2 run
+    # a gap row synthesizes w once, for its drift, beside the 2 n + 1
+    # drifts of an n-step IF-RK2 run
     from ans2d import spectral
 
     calls = []
@@ -150,6 +152,25 @@ def test_gap_row_synthesizes_once_per_state(grid16, make_field, monkeypatch):
     cfg = DetConfig(dt=1e-2, t_end=0.1, integrator="if-rk2")
     uniqueness_experiment(u0, v0, cfg)
     assert len(calls) == (2 * cfg.n_steps + 1) + (cfg.n_steps + 1)
+
+
+@pytest.mark.parametrize("n", [12, 16, 32])
+@pytest.mark.parametrize("level", [None, 16])
+def test_gap_pairing_matches_physical_quadrature(n, level):
+    # the gap row reads |(w.grad b, w)| = |(w.grad w, b)| from the drift of
+    # w; the reference is the physical-space quadrature of (w.grad b) . w
+    from ans2d.basis import GalerkinFrame, max_level
+
+    grid = TorusGrid(n, n)
+    frame = GalerkinFrame(grid, max_level(grid) if level is None else level)
+    pair = np.random.default_rng(n).standard_normal((2, frame.n))
+    audit = det_mod._GapAudit(frame, 1e-3, 0, base=1)
+    audit.record(0, pair)
+    wp = frame.synth(pair[0] - pair[1])[0]
+    _, d1b, d2b = frame.synth(pair[1])
+    ref = abs(float(np.sum((wp[0:1] * d1b + wp[1:2] * d2b) * wp) * grid.cell_area))
+    assert ref > 0.0
+    assert abs(audit.tri[0] - ref) <= 1e-13 * ref
 
 
 def test_uniqueness_identical_inputs_bitwise(grid16, make_field):
