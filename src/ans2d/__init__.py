@@ -53,14 +53,12 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
-    dealias,
     derivative,
     divergence_defect,
     forward_transform,
     hermitian_defect,
     inverse_transform,
     leray_project,
-    nonlinear_term,
     nonlinear_term_oracle,
     random_solenoidal_field,
     shear_field,

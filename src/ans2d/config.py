@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from .det import GAP_TOL
 from .errors import ConfigError
 from .noise import DEFAULT_ETA
 from .norms import YOUNG_WEIGHT
@@ -113,7 +114,7 @@ SCHEMA: tuple[_Key, ...] = (
     _str_key("uniqueness.kind", "det", ("det", "sde")),
     _Key("uniqueness.perturbation", _parse_finite, 1e-8),
     _str_key("uniqueness.pert_mode", "1,0"),
-    _Key("uniqueness.tol", _parse_finite, 0.05),
+    _Key("uniqueness.tol", _parse_finite, GAP_TOL),
     _Key("verify.n_fields", _parse_positive_count, 100),
     _Key("verify.band", _parse_positive_count, 5),
     _Key("verify.seed", _parse_count, 0),

@@ -30,6 +30,9 @@ from .norms import YOUNG_WEIGHT, absorb, cumulative_trapezoid, power_rows, young
 from .spectral import SpectralField, TorusGrid
 
 INTEGRATORS = ("if-rk2", "if-rk4", "if-euler")
+ENERGY_REL_TOL = 1e-4  # energy residual allowed, relative to ||u0||^2
+H01_SLACK = 1e-6       # weighted vertical-energy increase allowed, relative to its start
+GAP_TOL = 0.05         # slack (1 + tol) of both two-solution gap bounds
 
 
 @dataclass
@@ -185,7 +188,7 @@ class EnergyReport:
     passed: bool
 
 
-def energy_certificate(traj: Trajectory, rel_tol: float = 1e-4) -> EnergyReport:
+def energy_certificate(traj: Trajectory, rel_tol: float = ENERGY_REL_TOL) -> EnergyReport:
     """Energy balance audit.
 
     Checks R(t) = ||u(t)||^2 + 2 int ||d1 u||^2 + 2 eps^2 int ||d2 u||^2
@@ -213,7 +216,7 @@ class H01Report:
     passed_bound: bool
 
 
-def h01_certificate(traj: Trajectory, slack: float = 1e-6) -> H01Report:
+def h01_certificate(traj: Trajectory, slack: float = H01_SLACK) -> H01Report:
     """Vertical-gradient decay audit with a run-measured constant.
 
     c_emp(t) = |(d2(u.grad u), d2 u)| / (||d1 d2 u|| ||d1 u|| ||d2 u||) is the
@@ -376,7 +379,7 @@ class _GapAudit:
 
 
 def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
-                          tol: float = 0.05) -> GapReport:
+                          tol: float = GAP_TOL) -> GapReport:
     """Two-solution stability audit.
 
     Runs u and v in lockstep, as one batch, and checks the difference

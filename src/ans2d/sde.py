@@ -32,9 +32,9 @@ from typing import Sequence
 
 import numpy as np
 
-from . import spectral
+from . import det, spectral
 from .basis import GalerkinFrame, is_canonical, max_level, quadrature_grid
-from .det import GapReport, _coord_rows, _GapAudit
+from .det import GAP_TOL, GapReport, _coord_rows, _GapAudit
 from .noise import (
     DEFAULT_ETA,
     NoiseModel,
@@ -150,6 +150,36 @@ def _diag_row(stepper: _Stepper, a: np.ndarray, drift: np.ndarray, noise_work: n
     hs = stepper.hs_sq(a, phys) if with_hs else np.zeros_like(l2)
     row.update(h01_sq=l2 + row["d2_sq"], noise_work=noise_work, hs_sq=hs)
     return row
+
+
+ORACLE_TOL = 1e-12  # relative error allowed against the direct-convolution oracle
+
+
+def oracle_levels(grid: TorusGrid) -> tuple[int, ...]:
+    """Levels the oracle checks on grid: 8, 16 and max_level(grid), clipped to the top."""
+    top = max_level(grid)
+    return tuple(sorted({min(n, top) for n in (8, 16, top)}))
+
+
+def drift_oracle_error(u: SpectralField, n: int) -> float:
+    """Largest relative error of the solvers' level-n drift of P_n u against the oracle.
+
+    The subject is det._drift at max_level(grid) and _Stepper.drift, which
+    advects on the level's quadrature grid, below it.  The reference is
+    -P_n(u.grad u) by direct convolution (spectral.nonlinear_term_oracle)
+    in the level's frame; a zero reference checks nothing and reads inf.
+    """
+    grid = u.grid
+    frame = GalerkinFrame(grid, n)
+    a = frame.coords(u.coeffs)
+    ref = -frame.coords(spectral.nonlinear_term_oracle(SpectralField(grid, frame.lift(a))).coeffs)
+    if n == max_level(grid):
+        drift = det._drift(a, frame)  # looked up per call, as a test may replace it
+    else:
+        stepper = _Stepper(grid, None, SdeConfig(galerkin_n=n))
+        drift = stepper.drift(a, stepper.synth(a))
+    scale = float(np.max(np.abs(ref)))
+    return float(np.max(np.abs(drift - ref))) / scale if scale > 0.0 else np.inf
 
 
 @dataclass
@@ -315,7 +345,7 @@ def ito_isometry_audit(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
 def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
                                    model: NoiseModel, cfg: SdeConfig,
                                    beta_hat: float = 0.5,
-                                   tol: float = 0.05,
+                                   tol: float = GAP_TOL,
                                    eta: float = DEFAULT_ETA) -> GapReport:
     """Drive two solutions with the same Wiener path and audit their gap.
 

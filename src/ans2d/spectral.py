@@ -79,11 +79,6 @@ class TorusGrid:
         """Largest alias-free |k2|; see alias_free_band."""
         return alias_free_band(self.n2)
 
-    @cached_property
-    def dealias_mask(self) -> np.ndarray:
-        """Two-thirds rule: keep |k1| <= band1 and |k2| <= band2."""
-        return (np.abs(self.k1) <= self.band1) & (np.abs(self.k2) <= self.band2)
-
     @property
     def n_points(self) -> int:
         return self.n1 * self.n2
@@ -203,10 +198,6 @@ def derivative(u: SpectralField, axis: int, order: int = 1) -> SpectralField:
     return SpectralField(u.grid, u.coeffs * (1j * k.astype(np.float64)) ** order)
 
 
-def dealias(u: SpectralField) -> SpectralField:
-    return SpectralField(u.grid, u.coeffs * u.grid.dealias_mask)
-
-
 def _leray_raw(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     k1 = grid.k1.astype(np.float64)
     k2 = grid.k2.astype(np.float64)
@@ -262,20 +253,6 @@ def _advection_raw(phys: np.ndarray) -> np.ndarray:
     return u[..., 0:1, :, :] * d1u + u[..., 1:2, :, :] * d2u
 
 
-def nonlinear_term(u: SpectralField) -> SpectralField:
-    """Dealiased pseudospectral advection term u.grad(u).
-
-    Products are formed in physical space and transformed back; the 2/3-rule
-    mask makes the result exact on band-limited input (band <= (n-1)//3).  The
-    output is not Leray-projected.
-    """
-    grid = u.grid
-    adv = _advection_raw(_phys_grad(u.coeffs[..., : grid.n2 // 2 + 1], grid))
-    out = np.fft.fft2(adv, axes=(-2, -1)) / grid.n_points * grid.dealias_mask
-    out[..., :, 0, 0] = 0.0  # advection of a solenoidal field has zero mean
-    return SpectralField(grid, out)
-
-
 def nonlinear_term_oracle(u: SpectralField) -> SpectralField:
     """Advection term by direct truncated convolution, no FFT in the product.
 
@@ -287,19 +264,7 @@ def nonlinear_term_oracle(u: SpectralField) -> SpectralField:
     grid = u.grid
     if grid.n_points > 1024:
         raise ValueError(f"oracle limited to n1*n2 <= 1024, got {grid.n_points}")
-    centered = to_centered(u.coeffs, grid)
-    out_centered = kernels.direct_advection(centered, grid.n1, grid.n2)
-    return SpectralField(grid, from_centered(out_centered, grid))
-
-
-def to_centered(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Reorder FFT layout to ascending k: index a holds k = a - (n//2 - 1)."""
-    out = np.roll(coeffs, shift=(grid.n1 // 2 - 1, grid.n2 // 2 - 1), axis=(-2, -1))
-    return out
-
-
-def from_centered(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    return np.roll(coeffs, shift=(-(grid.n1 // 2 - 1), -(grid.n2 // 2 - 1)), axis=(-2, -1))
+    return SpectralField(grid, kernels.direct_advection(u.coeffs))
 
 
 def check_finite(coeffs: np.ndarray, l2_sq: float, l2_sq_initial: float,

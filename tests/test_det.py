@@ -194,7 +194,7 @@ def test_uniqueness_perturbed_initial_data(grid32, make_field):
     u0 = make_field(grid32, band=4, seed=11)
     pert = make_field(grid32, band=4, seed=12)
     v0 = SpectralField(grid32, u0.coeffs + 1e-6 * pert.coeffs)
-    report = uniqueness_experiment(u0, v0, DetConfig(dt=2e-3, t_end=0.2), tol=0.05)
+    report = uniqueness_experiment(u0, v0, DetConfig(dt=2e-3, t_end=0.2), tol=det_mod.GAP_TOL)
     assert not report.bitwise_zero
     assert report.passed
     assert report.c1 > 0.0 and report.max_ratio <= 1.0

@@ -173,6 +173,7 @@ def test_cli_run_det(tmp_path):
     man = _manifest(out)
     assert man["command"] == "run-det"
     assert man["verdicts"]["energy_certificate"] is True
+    assert man["verdicts"]["energy_rel_residual"] <= man["verdicts"]["energy_rel_tol"] == 1e-4
     assert set(man["outputs"]) == {"det_series.csv", "final_state.ans2"}
     with open(out / "det_series.csv", newline="") as fh:
         header = next(csv.reader(fh))
@@ -225,6 +226,11 @@ def test_cli_verify_and_oracle(tmp_path):
         man = _manifest(out)
         assert man["outputs"] == [name]
         assert man["verdicts"]["all_passed"] is True
+    # the four fields cycle through the 16x16 ladder, one level each
+    with open(tmp_path / "oracle-check" / "oracle_check.csv", newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == ["field", "level", "rel_err", "pass"]
+    assert [row[1] for row in rows[1:]] == ["8", "16", "120", "8"]
 
 
 def test_cli_uniqueness(tmp_path):
@@ -410,6 +416,15 @@ def test_cli_vacuous_check_settings_are_config_errors(tmp_path, line, commands):
         out = tmp_path / command
         assert main([command, "--config", cfg, "--out", str(out)]) == 2
         assert _manifest(out)["error"]["class"] == "ConfigError"
+
+
+def test_cli_oracle_check_gives_every_level_a_field(tmp_path):
+    # the 8x8 ladder is 8/16/24: two fields would leave the top level unchecked
+    for n_fields, code in ((2, 2), (3, 0)):
+        cfg = _write_cfg(tmp_path, f"grid.n1 = 8\ngrid.n2 = 8\nverify.n_fields = {n_fields}\n")
+        out = tmp_path / f"oracle{n_fields}"
+        assert main(["oracle-check", "--config", cfg, "--out", str(out)]) == code
+    assert "(8, 16, 24)" in _manifest(tmp_path / "oracle2")["error"]["message"]
 
 
 def test_cli_manifest_on_config_error(tmp_path):

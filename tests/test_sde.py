@@ -27,7 +27,7 @@ from ans2d.sde import (
     undamped_mode_validation,
     weighted_h01_series,
 )
-from ans2d.spectral import SpectralField, TorusGrid, nonlinear_term, zeros_spectral
+from ans2d.spectral import SpectralField, TorusGrid, nonlinear_term_oracle, zeros_spectral
 
 
 def _model_small():
@@ -84,7 +84,7 @@ def _manual_noise(u0, model, n, dw):
 def _manual_sde_step(u0, model, dt, n, dw):
     # u1 = exp(-k1^2 dt) (u0 - dt P_n(u0.grad u0) + P_n sigma(u0) dW), from public operators
     ef = np.exp(-dt * u0.grid.k1.astype(np.float64) ** 2)
-    adv = galerkin_project(nonlinear_term(u0), n).coeffs
+    adv = galerkin_project(nonlinear_term_oracle(u0), n).coeffs
     return ef * (u0.coeffs - dt * adv + _manual_noise(u0, model, n, dw))
 
 
@@ -124,7 +124,7 @@ def test_batched_engine_one_step_matches_step_sde(grid16, make_field):
 def _manual_diag_row(u, model, n, work):
     # one diagnostic row of state u from public operators on its own grid
     row = {name: float(v) for name, v in norm_rows(u.coeffs, u.grid).items()}
-    adv = galerkin_project(nonlinear_term(u), n)
+    adv = galerkin_project(nonlinear_term_oracle(u), n)
     row.update(h01_sq=row["l2_sq"] + row["d2_sq"],
                cross=h01_inner(adv, u) - l2_inner(adv, u),  # (d2 P_n(u.grad u), d2 u)
                noise_work=work,

@@ -7,15 +7,15 @@ from ans2d.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
+    alias_free_band,
     check_finite,
-    dealias,
     derivative,
     divergence_defect,
     forward_transform,
     hermitian_defect,
     inverse_transform,
     leray_project,
-    nonlinear_term,
+    nonlinear_term_oracle,
     random_solenoidal_field,
     shear_field,
     taylor_green,
@@ -94,27 +94,29 @@ def test_derivatives_commute(grid16, make_field):
     np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=0.0, atol=1e-15)
 
 
-def test_dealias_band_and_idempotence(make_field):
+def test_alias_free_band_of_the_top_frame():
+    # keep |k_i| <= (n_i - 1) // 3 = 3 on 12x12: mode 2 * 4 would alias to 8 - 12 = -4
+    from ans2d.basis import GalerkinFrame, max_level
+
     grid = TorusGrid(12, 12)
-    u = SpectralField(grid, np.ones((2, 12, 12), dtype=complex))
-    v = dealias(u)
-    # keep |k_i| <= (n_i - 1) // 3 = 3: mode 2 * 4 would alias to 8 - 12 = -4
-    kept = (np.abs(grid.k1) <= 3) & (np.abs(grid.k2) <= 3)
-    assert np.array_equal(v.coeffs[0] != 0, kept)
-    assert np.array_equal(dealias(v).coeffs, v.coeffs)
+    assert alias_free_band(12) == grid.band1 == grid.band2 == 3
+    # the top level holds every nonzero wavevector of the band square once
+    # (a pair's cosine at kc, its sine at -kc) and none outside it
+    k = GalerkinFrame(grid, max_level(grid)).wavevectors
+    band = [(a, b) for a in range(-3, 4) for b in range(-3, 4) if (a, b) != (0, 0)]
+    assert sorted(map(tuple, k.tolist())) == band
 
 
 @pytest.mark.parametrize("n", [6, 12, 18])
-def test_nonlinear_term_matches_oracle_when_3_divides_n(n):
-    # a field filling the dealiased band of the grid: products must not alias
-    from ans2d.spectral import nonlinear_term_oracle
+def test_drift_matches_oracle_when_3_divides_n(n):
+    # a field filling the alias-free band of the grid: products must not alias
+    from ans2d.basis import GalerkinFrame, max_level
+    from ans2d.sde import ORACLE_TOL, drift_oracle_error
 
     grid = TorusGrid(n, n)
-    raw = np.random.default_rng(n).standard_normal((2, n, n))
-    u = zero_mean(leray_project(dealias(forward_transform(PhysicalField(grid, raw)))))
-    fast = nonlinear_term(u).coeffs
-    slow = dealias(nonlinear_term_oracle(u)).coeffs
-    assert np.max(np.abs(fast - slow)) <= 1e-12 * np.max(np.abs(fast))
+    frame = GalerkinFrame(grid, max_level(grid))
+    a = np.random.default_rng(n).standard_normal(frame.n)
+    assert drift_oracle_error(SpectralField(grid, frame.lift(a)), frame.n) <= ORACLE_TOL
 
 
 def test_leray_single_mode(grid16):
@@ -151,13 +153,13 @@ def test_advection_two_mode_closed_form(grid16):
         -a * b * np.cos(x1) * np.sin(x2),
         -a * b * np.sin(x1) * np.cos(x2),
     ])))
-    adv = nonlinear_term(u)
+    adv = nonlinear_term_oracle(u)
     np.testing.assert_allclose(adv.coeffs, expected.coeffs, atol=1e-14)
 
 
 def test_advection_vanishes_for_pure_shear(grid16):
     for axis in (1, 2):
-        adv = nonlinear_term(shear_field(grid16, axis=axis))
+        adv = nonlinear_term_oracle(shear_field(grid16, axis=axis))
         assert np.max(np.abs(adv.coeffs)) <= 1e-15
 
 
