@@ -84,7 +84,11 @@ class GalerkinFrame:
     transforms (spectral._phys, spectral._spec).  There pair p sits at its
     representative kr, which is kc, or -kc holding conj(c(kc)) when
     kc2 < 0 (sign -1); a pair with kc2 = 0 also fills its mirror -kc in
-    column 0, which the inverse transform along k1 reads.  Element j is
+    column 0, which the inverse transform along k1 reads.  synth gives the
+    leading rows of the table half_gain, the coefficients per unit
+    coordinate of (u1, u2, omega, d1 u1, d1 u2) with the vorticity
+    omega = d1 u2 - d2 u1: the advection reads the first 3 (its rotational
+    form omega u_perp), a sigma(u) with c-channels all 5.  Element j is
     attached to wavevectors[j] and is an eigenfunction of d1^2 and d2^2
     with eigenvalues -k1sq[j], -k2sq[j].
 
@@ -128,10 +132,12 @@ class GalerkinFrame:
         k = np.concatenate((rep, -pairs[mirror]))
         self.half_src = np.full(grid.n1 * self.cols, 2 * n_pairs)
         self.half_src[pos] = src
-        # (3, 2, n1 * cols): coefficient of (u, d1 u, d2 u) per unit alpha
-        self.half_gain = np.zeros((3, 2, grid.n1 * self.cols), dtype=np.complex128)
-        self.half_gain[:, :, pos] = (np.stack((np.ones(len(k)), *(1j * k.T)))[:, None, :]
-                                     * (0.5 * _AMP * self.dirs[:, src % n_pairs]))
+        # coefficient of (u, d1 u, d2 u) per unit alpha, then of the rows
+        # (u1, u2, omega, d1 u1, d1 u2), omega = d1 u2 - d2 u1
+        grad = np.zeros((3, 2, grid.n1 * self.cols), dtype=np.complex128)
+        grad[:, :, pos] = (np.stack((np.ones(len(k)), *(1j * k.T)))[:, None, :]
+                           * (0.5 * _AMP * self.dirs[:, src % n_pairs]))
+        self.half_gain = np.stack((*grad[0], grad[1, 1] - grad[2, 0], *grad[1]))
         for arr in (*self.plus, *self.minus, self.dirs, self.wavevectors, self.k1sq, self.k2sq,
                     self.sign, self.half_at, self.half_src, self.half_gain):
             arr.flags.writeable = False
@@ -170,18 +176,22 @@ class GalerkinFrame:
         out[..., :, self.minus[0], self.minus[1]] = np.conj(half)
         return out
 
-    def synth(self, a: np.ndarray) -> np.ndarray:
-        """(3, ..., 2, n1, n2) samples of (u, d1 u, d2 u) for coordinates a, in one call."""
+    def synth(self, a: np.ndarray, rows: int = 3) -> np.ndarray:
+        """(..., rows, n1, n2) samples of the leading rows of half_gain for coordinates a.
+
+        The first 3 rows (u1, u2, omega) feed the advection
+        (spectral._advection_raw); a sigma(u) with c-channels also reads
+        d1 u, rows 3 and 4.  One transform call for all of them.
+        """
         lead = a.shape[:-1]
         z = self._to_pairs(a)
         src = np.concatenate((z, np.conj(z), np.zeros(lead + (1,))), axis=-1)
         # the gathered factor has its batch axes innermost; numpy would lay
         # the product out like it, which is slow, so it goes into a C-ordered out
-        half = np.empty((3,) + lead + self.half_gain.shape[1:], dtype=np.complex128)
-        np.multiply(src[..., None, self.half_src],
-                    self.half_gain[(slice(None),) + (None,) * len(lead)], out=half)
+        half = np.empty(lead + (rows, self.half_src.size), dtype=np.complex128)
+        np.multiply(src[..., None, self.half_src], self.half_gain[:rows], out=half)
         del z, src  # not held through the transform: it would raise the peak heap
-        half = half.reshape(half.shape[:-1] + (self.grid.n1, self.cols))
+        half = half.reshape(lead + (rows, self.grid.n1, self.cols))
         return spectral._phys(half, self.grid.n_points)
 
     def analyse(self, samples: np.ndarray) -> np.ndarray:

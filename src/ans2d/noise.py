@@ -246,11 +246,13 @@ def sigma_coords(model: NoiseModel, frame: GalerkinFrame, phys: np.ndarray, y: n
                  fields: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """(..., n) coordinates of P_n sigma(u) y in frame.
 
-    phys holds the stacked samples frame.synth gives, of which u and d1 u
-    are read; y: (..., n_modes); batch axes broadcast.  fields are
+    phys holds the (..., rows, n1, n2) samples frame.synth gives, of which
+    u (rows 0, 1) and, for a model with c-channels, d1 u (rows 3, 4) are
+    read; y: (..., n_modes); batch axes broadcast.  fields are
     model.coefficient_fields(frame.grid), sampled once by the caller.
     """
-    return frame.analyse(_sigma_raw(model, phys[0], phys[1], y, *fields))
+    return frame.analyse(_sigma_raw(model, phys[..., 0:2, :, :], phys[..., 3:5, :, :], y,
+                                    *fields))
 
 
 def _field_sigma_coords(model: NoiseModel, u: SpectralField, y: np.ndarray,

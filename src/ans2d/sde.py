@@ -13,7 +13,9 @@ coefficients where a caller needs a field.  Every element is an
 eigenfunction of d1^2 and d2^2, so exp(L dt), P_n, additive noise
 and every diagnostic norm act on the coordinates directly; only the
 advection and a multiplicative sigma(u) (noise.sigma_coords) need grid
-samples of the state, synthesized once per step.  The advection runs on
+samples of the state, synthesized once per step: velocity and vorticity,
+as the advection is taken in its rotational form omega u_perp, and d1 u
+as well when sigma has c-channels.  The advection runs on
 the level's quadrature grid, the smallest alias-free grid holding its
 wavevectors (basis.quadrature_grid); a multiplicative sigma(u) is not band-limited, so
 with it the samples come from the configured grid instead.  Initial
@@ -79,9 +81,10 @@ class _Stepper:
     """Precomputed batched update for one (grid, model, config) triple.
 
     States are (B, n) coordinates in the level-n frame.  The step loop
-    synthesizes (u, d1 u, d2 u) of a state on the quadrature grid qgrid
-    once (synth, through the half-spectrum qframe.synth), and hands the
-    samples to drift, noise_increment and hs_sq.  qgrid is the level's
+    synthesizes the rows (u1, u2, omega) of a state on the quadrature grid
+    qgrid once (synth, through the half-spectrum qframe.synth), plus
+    d1 u when sigma has a non-zero c-channel (rows), and hands the samples
+    to drift, noise_increment and hs_sq.  qgrid is the level's
     smallest alias-free grid (basis.quadrature_grid), which gives the
     advection coordinates of the configured grid up to rounding.  A
     multiplicative sigma(u) is not band-limited, so for it qgrid is the
@@ -107,17 +110,18 @@ class _Stepper:
         else:
             self.fields = model.coefficient_fields(grid)
             if model.is_additive:
-                zero = np.zeros((3, 2, grid.n1, grid.n2))  # samples of u = 0
+                zero = np.zeros((3, grid.n1, grid.n2))  # samples of u = 0
                 self.additive = sigma_coords(model, self.frame, zero, np.eye(self.n_modes),
                                              self.fields)
         multiplicative = self.additive is None
         self.needs_phys = multiplicative or not cfg.drop_nonlinearity
+        self.rows = 3 if model is None or all(r.is_zero for r in model.c) else 5
         self.qgrid = grid if multiplicative else quadrature_grid(grid, cfg.galerkin_n)
         self.qframe = GalerkinFrame(self.qgrid, cfg.galerkin_n)
 
     def synth(self, a: np.ndarray) -> np.ndarray | None:
-        """Stacked (u, d1 u, d2 u) samples on qgrid, or None when no layer reads them."""
-        return self.qframe.synth(a) if self.needs_phys else None
+        """Samples of the leading rows of a on qgrid, or None when no layer reads them."""
+        return self.qframe.synth(a, self.rows) if self.needs_phys else None
 
     def drift(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
         """Coordinates of -P_n (u.grad u); phys holds the samples of a."""
@@ -136,7 +140,7 @@ class _Stepper:
         lead = a.shape[:-1]
         if self.additive is not None:
             return np.full(lead, float(np.sum(self.additive ** 2)))
-        # all channels at once: a channel axis before the field axes
+        # all channels at once: a channel axis before the rows
         chans = sigma_coords(self.model, self.frame, phys[..., None, :, :, :],
                              np.eye(self.n_modes), self.fields)
         return np.sum(chans ** 2, axis=(-2, -1))

@@ -173,21 +173,23 @@ def _phys(half: np.ndarray, n_points: int) -> np.ndarray:
     every dealiased field and its derivatives are); column 0 must carry
     both k and -k.  A complex inverse transform along k1 runs on those
     columns only, then a real one along x2 zero-pads the columns above
-    them; n2 is n_points // n1.
+    them; n2 is n_points // n1.  Both run unnormalized (norm="forward"
+    leaves the inverse unscaled), as the amplitude convention asks.
     """
     n1 = half.shape[-2]
-    rows = np.fft.ifft(half, axis=-2)
-    return np.fft.irfft(rows, n=n_points // n1, axis=-1) * n_points
+    rows = np.fft.ifft(half, axis=-2, norm="forward")
+    return np.fft.irfft(rows, n=n_points // n1, axis=-1, norm="forward")
 
 
 def _spec(samples: np.ndarray, n_points: int, cols: int) -> np.ndarray:
     """Coefficients of real samples in the k2 >= 0 columns 0 .. cols-1.
 
     A real transform along x2 keeps the first cols columns, and a complex
-    one along x1 runs on those only.
+    one along x1 runs on those only; each scales by 1/n of its axis
+    (norm="forward"), so n_points, kept to match _phys, is not read.
     """
-    half = np.fft.rfft(samples, axis=-1)[..., :cols]
-    return np.fft.fft(half, axis=-2) / n_points
+    half = np.fft.rfft(samples, axis=-1, norm="forward")[..., :cols]
+    return np.fft.fft(half, axis=-2, norm="forward")
 
 
 def derivative(u: SpectralField, axis: int, order: int = 1) -> SpectralField:
@@ -233,24 +235,33 @@ def zero_mean(u: SpectralField) -> SpectralField:
 
 
 def _phys_grad(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Physical samples of (u, d1 u, d2 u), stacked on a new leading axis.
+    """Physical samples of the rows (u1, u2, omega, d1 u1, d1 u2) of u.
 
-    half holds the k2 >= 0 columns of u's coefficients (see _phys).  One
+    half holds the k2 >= 0 columns of u's (..., 2, n1, cols) coefficients
+    (see _phys); the rows replace its component axis, in the layout of
+    GalerkinFrame.synth, and omega = d1 u2 - d2 u1 is the vorticity.  One
     batched synthesis call: per-call FFT overhead dominates small grids.
     """
-    k1 = grid.k1.astype(np.float64)
     k2 = np.arange(half.shape[-1], dtype=np.float64)
-    return _phys(np.stack((half, half * (1j * k1), half * (1j * k2))), grid.n_points)
+    d1 = half * (1j * grid.k1.astype(np.float64))
+    omega = d1[..., 1:2, :, :] - half[..., 0:1, :, :] * (1j * k2)
+    return _phys(np.concatenate((half, omega, d1), axis=-3), grid.n_points)
 
 
 def _advection_raw(phys: np.ndarray) -> np.ndarray:
-    """Physical samples of u.grad(u) from stacked samples of (u, d1 u, d2 u).
+    """Physical samples of omega u_perp, the rotational form of u.grad(u).
 
-    phys is one synthesis of a state (GalerkinFrame.synth), so that it can
-    feed every consumer of it; batch axes are kept.
+    In 2D u.grad(u) = grad(|u|^2 / 2) + omega u_perp, u_perp = (-u2, u1);
+    every projection the solvers apply (GalerkinFrame.analyse) removes the
+    gradient, so omega u_perp stands in for u.grad(u) (Canuto et al.,
+    Spectral Methods, 2006).  phys holds the leading rows (u1, u2, omega)
+    of one synthesis of a state (GalerkinFrame.synth), so that it can feed
+    every consumer of it; batch axes are kept, and the result has the
+    component axis of the rows.
     """
-    u, d1u, d2u = phys
-    return u[..., 0:1, :, :] * d1u + u[..., 1:2, :, :] * d2u
+    out = phys[..., 1::-1, :, :] * phys[..., 2:3, :, :]
+    out[..., 0, :, :] *= -1.0
+    return out
 
 
 def nonlinear_term_oracle(u: SpectralField) -> SpectralField:

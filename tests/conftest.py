@@ -39,3 +39,14 @@ def make_field():
         return random_solenoidal_field(grid, band=band, amplitude=amplitude, rng=rng)
 
     return _make
+
+
+@pytest.fixture
+def full_samples():
+    """Samples of (u, d1 u, d2 u) from (..., 2, n1, n2) coefficients, by full complex ifft2."""
+
+    def _samples(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
+        stack = (coeffs, coeffs * (1j * grid.k1), coeffs * (1j * grid.k2))
+        return np.stack([np.fft.ifft2(x, axes=(-2, -1)).real * grid.n_points for x in stack])
+
+    return _samples

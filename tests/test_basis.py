@@ -160,9 +160,13 @@ def test_frames_are_built_once_and_read_only(grid16):
             arr[0] = 0
 
 
-@pytest.mark.parametrize("n1,n2", [(16, 16), (16, 24), (4, 16), (12, 12), (64, 64)])
-@pytest.mark.parametrize("level", [1, 2, 7, 8, "max"])
-def test_frame_synth_and_analyse_match_full_spectrum(n1, n2, level):
+SYNTH_CASES = pytest.mark.parametrize("n1,n2", [(16, 16), (16, 24), (4, 16), (12, 12), (64, 64)])
+SYNTH_LEVELS = pytest.mark.parametrize("level", [1, 2, 7, 8, "max"])
+
+
+@SYNTH_CASES
+@SYNTH_LEVELS
+def test_frame_synth_and_analyse_match_full_spectrum(n1, n2, level, full_samples):
     # the half-spectrum transforms against the complex ones on the full
     # spectrum: levels 1 and 2 hold the pair (0, 1) alone, from level 3 on
     # the k2 = 0 pair (1, 0) needs its mirror and (1, -1) is read
@@ -171,18 +175,41 @@ def test_frame_synth_and_analyse_match_full_spectrum(n1, n2, level):
     frame = GalerkinFrame(grid, max_level(grid) if level == "max" else level)
     rng = np.random.default_rng(n1 * n2 + frame.n)
     a = rng.standard_normal((3, frame.n))
-    c = frame.lift(a)
-    stack = (c, c * (1j * grid.k1), c * (1j * grid.k2))
-    ref = np.stack([np.fft.ifft2(x, axes=(-2, -1)).real * grid.n_points for x in stack])
-    got = frame.synth(a)
-    assert got.shape == (3, 3, 2, n1, n2)
+    u, d1u, d2u = full_samples(frame.lift(a), grid)
+    # rows (u1, u2, omega, d1 u1, d1 u2), omega = d1 u2 - d2 u1
+    ref = np.concatenate((u, d1u[:, 1:2] - d2u[:, 0:1], d1u), axis=1)
+    got = frame.synth(a, rows=5)
+    assert got.shape == (3, 5, n1, n2)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    np.testing.assert_array_equal(frame.synth(a), got[:, :3])  # the default: leading 3
     # analysis of real samples that are not band-limited
     x = rng.standard_normal((3, 2, n1, n2))
     ref = frame.coords(np.fft.fft2(x, axes=(-2, -1)) / grid.n_points)
     got = frame.analyse(x)
     assert got.shape == (3, frame.n)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@SYNTH_CASES
+@SYNTH_LEVELS
+def test_rotational_advection_matches_convective_form(n1, n2, level, full_samples):
+    # P(omega u_perp) = P(u.grad u): the gradient of |u|^2 / 2 they differ
+    # by drops out of the level's coordinates, and on the configured grid
+    # the products of level fields do not alias onto them
+    from ans2d.spectral import _advection_raw
+
+    grid = TorusGrid(n1, n2)
+    frame = GalerkinFrame(grid, max_level(grid) if level == "max" else level)
+    a = np.random.default_rng(n1 + n2 + frame.n).standard_normal((2, frame.n))
+    u, d1u, d2u = full_samples(frame.lift(a), grid)
+    convective = u[:, 0:1] * d1u + u[:, 1:2] * d2u
+    ref = frame.coords(np.fft.fft2(convective, axes=(-2, -1)) / grid.n_points)
+    got = frame.analyse(_advection_raw(frame.synth(a)))
+    scale = np.max(np.abs(ref))
+    if scale == 0.0:  # a lone pair (levels 1, 2) does not advect itself
+        assert np.max(np.abs(got)) <= 1e-13 * np.max(np.abs(convective))
+    else:
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
 
 
 def test_quadrature_grid_per_level(grid16):

@@ -144,21 +144,31 @@ def test_gap_row_synthesizes_once_per_state(grid16, make_field, monkeypatch):
     # drifts of an n-step IF-RK2 run
     from ans2d import spectral
 
-    calls = []
+    calls = []  # fields synthesized per call
     phys = spectral._phys
-    monkeypatch.setattr(spectral, "_phys", lambda *args: calls.append(1) or phys(*args))
+
+    def counting(*args):
+        out = phys(*args)
+        calls.append(out.size // args[1])
+        return out
+
+    monkeypatch.setattr(spectral, "_phys", counting)
     u0 = make_field(grid16, band=3, seed=17)
     v0 = make_field(grid16, band=3, seed=18)
     cfg = DetConfig(dt=1e-2, t_end=0.1, integrator="if-rk2")
     uniqueness_experiment(u0, v0, cfg)
-    assert len(calls) == (2 * cfg.n_steps + 1) + (cfg.n_steps + 1)
+    # the pair's drifts synthesize (u1, u2, omega) of 2 states, w's of 1
+    assert sorted(set(calls)) == [3, 6]
+    assert calls.count(6) == 2 * cfg.n_steps + 1
+    assert calls.count(3) == cfg.n_steps + 1
 
 
 @pytest.mark.parametrize("n", [12, 16, 32])
 @pytest.mark.parametrize("level", [None, 16])
-def test_gap_pairing_matches_physical_quadrature(n, level):
+def test_gap_pairing_matches_physical_quadrature(n, level, full_samples):
     # the gap row reads |(w.grad b, w)| = |(w.grad w, b)| from the drift of
-    # w; the reference is the physical-space quadrature of (w.grad b) . w
+    # w; the reference is the physical-space quadrature of (w.grad b) . w,
+    # sampled by full-spectrum transforms
     from ans2d.basis import GalerkinFrame, max_level
 
     grid = TorusGrid(n, n)
@@ -166,8 +176,8 @@ def test_gap_pairing_matches_physical_quadrature(n, level):
     pair = np.random.default_rng(n).standard_normal((2, frame.n))
     audit = det_mod._GapAudit(frame, 1e-3, 0, base=1)
     audit.record(0, pair)
-    wp = frame.synth(pair[0] - pair[1])[0]
-    _, d1b, d2b = frame.synth(pair[1])
+    wp = full_samples(frame.lift(pair[0] - pair[1]), grid)[0]
+    _, d1b, d2b = full_samples(frame.lift(pair[1]), grid)
     ref = abs(float(np.sum((wp[0:1] * d1b + wp[1:2] * d2b) * wp) * grid.cell_area))
     assert ref > 0.0
     assert abs(audit.tri[0] - ref) <= 1e-13 * ref

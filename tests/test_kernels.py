@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ans2d.kernels import direct_advection
 from ans2d.sde import ORACLE_TOL, _Stepper, drift_oracle_error, oracle_levels
 from ans2d.spectral import TorusGrid, nonlinear_term_oracle
 
@@ -13,6 +14,39 @@ def test_oracle_matches_pseudospectral(make_field):
         u = make_field(grid, band=2, seed=seed)
         for level in oracle_levels(grid):
             assert drift_oracle_error(u, level) <= ORACLE_TOL
+
+
+def _uncropped_advection(coeffs):
+    # the truncated convolution over the whole n1 x n2 window, as in the
+    # module docstring, with no cropping to the support
+    from scipy.signal import convolve2d
+
+    n1, n2 = coeffs.shape[-2:]
+    shift = (n1 // 2 - 1, n2 // 2 - 1)
+    u = np.roll(coeffs, shift, axis=(-2, -1))
+    d1 = u * (1j * (np.arange(n1) - shift[0]))[None, :, None]
+    d2 = u * (1j * (np.arange(n2) - shift[1]))[None, None, :]
+    out = np.zeros_like(u)
+    for m in range(2):
+        full = convolve2d(u[0], d1[m]) + convolve2d(u[1], d2[m])
+        out[m] = full[shift[0]:shift[0] + n1, shift[1]:shift[1] + n2]
+    return np.roll(out, (-shift[0], -shift[1]), axis=(-2, -1))
+
+
+@pytest.mark.parametrize("n1,n2,band", [(8, 8, 2), (32, 32, 5), (16, 24, 5), (12, 12, 3)])
+def test_cropped_oracle_matches_uncropped_convolution(make_field, n1, n2, band):
+    grid = TorusGrid(n1, n2)
+    fields = [make_field(grid, band=band, seed=seed).coeffs for seed in range(3)]
+    # a support up to the Nyquist row and column, and one off centre
+    rng = np.random.default_rng(n1 + n2)
+    fields.append(rng.standard_normal((2, n1, n2)) + 1j * rng.standard_normal((2, n1, n2)))
+    corner = np.zeros((2, n1, n2), dtype=np.complex128)
+    corner[:, 1:3, 2:4] = rng.standard_normal((2, 2, 2))
+    fields.append(corner)
+    for c in fields:
+        ref = _uncropped_advection(c)
+        assert np.max(np.abs(direct_advection(c) - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert not np.any(direct_advection(np.zeros((2, n1, n2))))
 
 
 def test_oracle_ladder_is_clipped_to_the_top_level():

@@ -344,16 +344,21 @@ def test_batched_hs_matches_channel_norms(grid16, make_field):
     assert full.diag["hs_sq"][-1, 1] == pytest.approx(expected, rel=1e-12)
 
 
-def test_step_loop_shares_one_synthesis_per_state(grid16, make_field, monkeypatch):
-    # per state: one _phys call (u, d1 u, d2 u), one advection, one sigma(u)
+def _count_step_loop(grid, make_field, monkeypatch, model):
+    """Layer calls of a 3-path run, and the fields each _phys call synthesized."""
     from ans2d import basis, noise, spectral
+    from ans2d.sde import _run_batched
 
     calls = {"phys": 0, "adv": 0, "sigma": 0, "pairs": 0}
+    fields = []
 
     def counting(name, fn):
         def wrapped(*args, **kwargs):
             calls[name] += 1
-            return fn(*args, **kwargs)
+            out = fn(*args, **kwargs)
+            if name == "phys":
+                fields.append(out.size // args[1])
+            return out
         return wrapped
 
     monkeypatch.setattr(spectral, "_phys", counting("phys", spectral._phys))
@@ -361,9 +366,29 @@ def test_step_loop_shares_one_synthesis_per_state(grid16, make_field, monkeypatc
     monkeypatch.setattr(noise, "_sigma_raw", counting("sigma", noise._sigma_raw))
     monkeypatch.setattr(basis, "enumerate_pairs", counting("pairs", basis.enumerate_pairs))
     monkeypatch.setattr(basis, "_FRAMES", {})  # frames are cached: start from none
-    run = _batch_run(grid16, make_field, with_hs=False)
-    n_steps = len(run.t) - 1
+    cfg = SdeConfig(dt=2e-3, t_end=0.02, galerkin_n=9, seed=6)
+    run = _run_batched(make_field(grid, band=3, seed=14).coeffs, grid, model, cfg, range(3),
+                       with_hs=False)
+    return calls, fields, len(run.t) - 1
+
+
+def test_step_loop_shares_one_synthesis_per_state(grid16, make_field, monkeypatch):
+    # per state: one _phys call, one advection, one sigma(u); the c-channel
+    # reads d1 u, so each of the 3 paths synthesizes (u1, u2, omega, d1 u)
+    calls, fields, n_steps = _count_step_loop(grid16, make_field, monkeypatch, _model_small())
     assert calls == {"phys": n_steps + 1, "adv": n_steps + 1, "sigma": n_steps, "pairs": 1}
+    assert fields == [5 * 3] * (n_steps + 1)
+
+
+@pytest.mark.parametrize("g_kind", ["tanh", "one"])
+def test_step_loop_synthesizes_three_rows_without_c_channels(grid16, make_field, monkeypatch,
+                                                            g_kind):
+    # with b-channels only (multiplicative tanh, or additive) nothing reads
+    # d1 u: each of the 3 paths synthesizes (u1, u2, omega) per state
+    model = make_model([], ["0.05*cos(1,0)", "0.02*sin(1,1)"], g_kind)
+    calls, fields, n_steps = _count_step_loop(grid16, make_field, monkeypatch, model)
+    assert calls["phys"] == calls["adv"] == n_steps + 1
+    assert fields == [3 * 3] * (n_steps + 1)
 
 
 def test_weighted_series_batch_matches_per_path(grid16, make_field):

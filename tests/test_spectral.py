@@ -218,7 +218,12 @@ def test_real_synthesis_matches_complex(n1, n2):
         got = _phys(c[..., : band + 1], grid.n_points)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # _phys_grad: rows (u1, u2, omega, d1 u1, d1 u2) in place of the component axis
     stacked = _phys_grad(batch[..., : band + 1], grid)
-    assert stacked.shape == (3,) + batch.shape
-    np.testing.assert_array_equal(stacked[2], _phys((batch * (1j * k2))[..., : band + 1],
-                                                    grid.n_points))
+    assert stacked.shape == (3, 5, n1, n2)
+    np.testing.assert_array_equal(stacked[:, :2], _phys(batch[..., : band + 1], grid.n_points))
+    np.testing.assert_array_equal(stacked[:, 3:], _phys((batch * (1j * k1))[..., : band + 1],
+                                                        grid.n_points))
+    omega = batch[:, 1] * (1j * k1) - batch[:, 0] * (1j * k2)
+    ref = np.fft.ifft2(omega, axes=(-2, -1)).real * grid.n_points
+    assert np.max(np.abs(stacked[:, 2] - ref)) <= 1e-13 * np.max(np.abs(ref))
