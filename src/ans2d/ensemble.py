@@ -1,8 +1,10 @@
 """Path ensembles across Galerkin levels with moment-growth verdicts.
 
-Trajectories are advanced in fixed-size batches of the stacked engine;
-per-path functionals are reduced in path-index order, so a given
-(seed, n_paths, batch) triple always produces identical output bytes.
+Trajectories are advanced in fixed-size batches of the stacked engine.
+Every level replays the same paths, so each batch's increments are drawn
+once and stepped at every level in turn.  Per-path functionals are reduced
+in path-index order, so a given (seed, n_paths, batch) triple always
+produces identical output bytes.
 The headline quantity per level n is
 
     c_hat(n) = ( E sup_t ||u||^2 + E int_0^T ||u||_{H^{1,0}}^2 dt )
@@ -28,7 +30,7 @@ from .noise import (
     condition_c_gate,
 )
 from .norms import cumulative_trapezoid
-from .sde import SdeConfig, _run_batched, weighted_h01_series
+from .sde import SdeConfig, _run_batched, draw_increments, weighted_h01_series
 from .spectral import SpectralField
 
 
@@ -83,25 +85,23 @@ class EnsembleReport:
     uniform_ok: bool
 
 
-def _level_estimates(u0: SpectralField, u0_l2: float, model: NoiseModel | None,
-                     cfg: SdeConfig, ens: EnsembleConfig, level: int) -> MomentEstimates:
-    cfg_n = replace(cfg, galerkin_n=level, seed=ens.base_seed)
-    samples = {name: np.zeros(ens.n_paths) for name in MOMENTS}
-    for done in range(0, ens.n_paths, ens.batch):
-        paths = range(done, min(done + ens.batch, ens.n_paths))
-        # the moments read no Hilbert-Schmidt column
-        run = _run_batched(u0.coeffs, u0.grid, model, cfg_n, paths, with_diag=True,
-                           with_hs=False)
-        d = run.diag
-        ws = weighted_h01_series(run.t, d["d1_sq"], d["d1d2_sq"], d["d2_sq"], d["cross"],
-                                 d["h01_sq"], d["h11_sq"], cfg_n.alpha_tilde)
-        for name, (sample, _) in MOMENTS.items():
-            samples[name][done:paths.stop] = sample(d, ws, cfg_n.dt)
+def _level_estimates(u0: SpectralField, model: NoiseModel | None, cfg_n: SdeConfig,
+                     increments: np.ndarray) -> dict[str, np.ndarray]:
+    """Per-path MOMENTS samples of one batch of increments at the level of cfg_n."""
+    # the moments read no Hilbert-Schmidt column
+    run = _run_batched(u0.coeffs, u0.grid, model, cfg_n, increments, with_hs=False)
+    d = run.diag
+    ws = weighted_h01_series(run.t, d["d1_sq"], d["d1d2_sq"], d["d2_sq"], d["cross"],
+                             d["h01_sq"], d["h11_sq"], cfg_n.alpha_tilde)
+    return {name: sample(d, ws, cfg_n.dt) for name, (sample, _) in MOMENTS.items()}
 
+
+def _moment_estimates(level: int, n_paths: int, samples: dict[str, np.ndarray],
+                      u0_l2: float) -> MomentEstimates:
     est = {name: float(np.mean(x)) for name, x in samples.items()}
     se = {name: float(np.std(x, ddof=1) / np.sqrt(len(x))) for name, x in samples.items()}
     c_hat = sum(est[name] for name, (_, in_c_hat) in MOMENTS.items() if in_c_hat)
-    return MomentEstimates(level=level, n_paths=ens.n_paths, est=est, se=se,
+    return MomentEstimates(level=level, n_paths=n_paths, est=est, se=se,
                            c_hat=c_hat / (1.0 + u0_l2))
 
 
@@ -119,7 +119,16 @@ def run_ensemble(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
 
     # ||u0||^2 of the projection of u0 onto all basis elements of the grid
     u0_l2 = float(np.sum(GalerkinFrame(u0.grid, max_level(u0.grid)).coords(u0.coeffs) ** 2))
-    levels = [_level_estimates(u0, u0_l2, model, cfg, ens, lvl) for lvl in ens.levels]
+    cfg = replace(cfg, seed=ens.base_seed)
+    samples = {lvl: {name: np.zeros(ens.n_paths) for name in MOMENTS} for lvl in ens.levels}
+    for done in range(0, ens.n_paths, ens.batch):
+        paths = range(done, min(done + ens.batch, ens.n_paths))
+        increments = draw_increments(model, cfg, paths)  # one draw serves every level
+        for lvl in ens.levels:
+            batch_samples = _level_estimates(u0, model, replace(cfg, galerkin_n=lvl), increments)
+            for name, x in batch_samples.items():
+                samples[lvl][name][done:paths.stop] = x
+    levels = [_moment_estimates(lvl, ens.n_paths, samples[lvl], u0_l2) for lvl in ens.levels]
     c_hats = [lv.c_hat for lv in levels]
     spread = float(max(c_hats) / min(c_hats)) if min(c_hats) > 0 else float("inf")
     return EnsembleReport(levels=levels, gate=gate, u0_l2_sq=u0_l2,

@@ -21,10 +21,15 @@ wavevectors (basis.quadrature_grid); a multiplicative sigma(u) is not band-limit
 with it the samples come from the configured grid instead.  Initial
 coefficients must be Hermitian.
 Per-step diagnostics come out as (n_steps+1, B) columns, which keeps path
-ensembles in pure array arithmetic.  The engine draws each trajectory's
-increments from a dedicated counter-based stream keyed by (seed, path
-index), and every sum over noise channels runs channel by channel, so any
-path replays bit-for-bit regardless of batch layout, for every noise model.
+ensembles in pure array arithmetic; the noise pairing (sigma dW, u) is
+formed only when a diagnostic row records it.  The engine steps on Wiener
+increments that its caller draws with draw_increments: one step-major
+(n_steps, B, n_modes) array, so a step reads the contiguous slab of its
+own increments, and callers that replay the same paths at several levels
+(the ensemble) draw them once.  Each trajectory's increments come from a
+dedicated counter-based stream keyed by (seed, path index), and every sum
+over noise channels runs channel by channel, so any path replays
+bit-for-bit regardless of batch layout, for every noise model.
 """
 
 from __future__ import annotations
@@ -123,10 +128,14 @@ class _Stepper:
         """Samples of the leading rows of a on qgrid, or None when no layer reads them."""
         return self.qframe.synth(a, self.rows) if self.needs_phys else None
 
-    def drift(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
-        """Coordinates of -P_n (u.grad u); phys holds the samples of a."""
+    def drift(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray | float:
+        """Coordinates of -P_n (u.grad u); phys holds the samples of a.
+
+        Without the nonlinearity the drift is the scalar 0.0, which
+        broadcasts against a.
+        """
         if self.cfg.drop_nonlinearity:
-            return np.zeros_like(a)
+            return 0.0
         return -self.qframe.analyse(spectral._advection_raw(phys))
 
     def noise_increment(self, dw: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
@@ -194,31 +203,57 @@ class BatchedRun:
     frame: GalerkinFrame         # lifts coordinates to coefficients
 
 
-def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
-                 cfg: SdeConfig, paths: Sequence[int], with_diag: bool = True,
-                 with_hs: bool = True, on_step=None) -> BatchedRun:
-    """Advance one trajectory per index in paths, B = len(paths).
+def draw_increments(model: NoiseModel | None, cfg: SdeConfig,
+                    paths: Sequence[int]) -> np.ndarray:
+    """Wiener increments of one trajectory per index in paths, step-major.
 
-    Trajectory j draws its increments from the stream (cfg.seed, paths[j]);
-    a repeated index drives its rows with the same path.  coeffs0 holds
+    Shape (n_steps, B, n_modes), B = len(paths): column j holds the stream
+    (cfg.seed, paths[j]) of sample_wiener_increment, and a repeated index
+    repeats its path.  A model with no non-zero channel draws nothing
+    (n_modes = 0), as its noise increments are exact zeros.
+    """
+    n_modes = 0 if model is None or model.is_zero else model.n_modes
+    increments = np.empty((cfg.n_steps, len(paths), n_modes))
+    if n_modes:
+        for col, j in enumerate(paths):
+            increments[:, col] = sample_wiener_increment(n_modes, cfg.n_steps, cfg.dt,
+                                                         cfg.seed, j)
+    return increments
+
+
+def _max_sq_norm(a: np.ndarray) -> float:
+    """Largest squared row norm of (B, n) coordinates a.
+
+    einsum, because np.sum over a short last axis costs several times a
+    contiguous reduction; like np.sum, it keeps a NaN.
+    """
+    return float(np.einsum("ij,ij->i", a, a).max())
+
+
+def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
+                 cfg: SdeConfig, increments: np.ndarray, with_diag: bool = True,
+                 with_hs: bool = True, on_step=None) -> BatchedRun:
+    """Advance one trajectory per column of increments.
+
+    increments is step-major, (n_steps, B, n_modes), as draw_increments
+    returns it; step i reads the slab increments[i].  coeffs0 holds
     Hermitian initial coefficients, (2, n1, n2) shared by every row or
     (B, 2, n1, n2).  The batch is projected to the level-n coordinates and
-    stepped there; final and on_step see (B, n) coordinates.
-    with_hs adds the Hilbert-Schmidt column hs_sq, one more sigma(u)
-    evaluation per channel and row; it reads 0 when left out.
+    stepped there; final and on_step see (B, n) coordinates.  The noise
+    pairing noise_work is formed only when with_diag records it.  with_hs
+    adds the Hilbert-Schmidt column hs_sq, one more sigma(u) evaluation per
+    channel and row; it reads 0 when left out.
     """
     stepper = _Stepper(grid, model, cfg)
     frame = stepper.frame
     n_steps = cfg.n_steps
     dt = cfg.dt
-    increments = np.stack([sample_wiener_increment(stepper.n_modes, n_steps, dt, cfg.seed, j)
-                           for j in paths])
-    bsize = len(increments)
+    bsize = increments.shape[1]
     a = np.broadcast_to(frame.coords(coeffs0), (bsize, frame.n))
     t = np.arange(n_steps + 1) * dt
     diag = {name: np.zeros((n_steps + 1, bsize)) for name in DIAG_NAMES} if with_diag else {}
 
-    def record(i: int, noise_work: np.ndarray, drift: np.ndarray | None,
+    def record(i: int, noise_work: np.ndarray, drift: np.ndarray | float | None,
                phys: np.ndarray | None) -> None:
         if with_diag:
             row = _diag_row(stepper, a, drift, noise_work, with_hs, phys)
@@ -227,7 +262,7 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
         if on_step is not None:
             on_step(i, a)
 
-    l2_0 = float(np.max(np.sum(a ** 2, axis=-1)))
+    l2_0 = _max_sq_norm(a)
     work = np.zeros(bsize)
     for i in range(n_steps + 1):
         # one synthesis and one advection per state feed its row and its step
@@ -237,11 +272,13 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
         record(i, work, drift, phys)
         if i == n_steps:
             break
-        sig = stepper.noise_increment(increments[:, i, :], phys)
-        work = np.sum(sig * a, axis=-1)
-        a = stepper.ef * (a + dt * drift + sig)
-        l2_now = float(np.max(np.sum(a ** 2, axis=-1)))
-        spectral.check_finite(a, l2_now, l2_0, t_last=i * dt, guard=cfg.blowup_factor)
+        sig = stepper.noise_increment(increments[i], phys)
+        if with_diag:  # only the next diagnostic row reads the pairing
+            work = np.sum(sig * a, axis=-1)
+        a = a + dt * drift  # a new array: on_step may hold the previous state
+        a += sig
+        a *= stepper.ef
+        spectral.check_finite(a, _max_sq_norm(a), l2_0, t_last=i * dt, guard=cfg.blowup_factor)
 
     return BatchedRun(t=t, diag=diag, final=a, frame=frame)
 
@@ -297,7 +334,7 @@ def run_sde(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig) -> SdeT
     must be Hermitian.
     """
     grid = u0.grid
-    run = _run_batched(u0.coeffs, grid, model, cfg, (0,))
+    run = _run_batched(u0.coeffs, grid, model, cfg, draw_increments(model, cfg, (0,)))
     diag = {name: run.diag[name][:, 0] for name in DIAG_NAMES}
     weighted = weighted_h01_series(run.t, diag["d1_sq"], diag["d1d2_sq"],
                                    diag["d2_sq"], diag["cross"], diag["h01_sq"],
@@ -326,7 +363,8 @@ class ItoAuditReport:
 def ito_isometry_audit(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
                        n_paths: int, n_se: float = 5.0) -> ItoAuditReport:
     """Check the discrete energy balance against the quadratic variation."""
-    run = _run_batched(u0.coeffs, u0.grid, model, cfg, range(n_paths))
+    run = _run_batched(u0.coeffs, u0.grid, model, cfg,
+                       draw_increments(model, cfg, range(n_paths)))
     dt = cfg.dt
     int_d1 = cumulative_trapezoid(run.diag["d1_sq"], dt)[-1]
     balance = run.diag["l2_sq"][-1] - run.diag["l2_sq"][0] + 2.0 * int_d1
@@ -373,8 +411,8 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
         raise ValueError("beta_hat must lie in (0, 1)")
     audit = _GapAudit(GalerkinFrame(u0.grid, cfg.galerkin_n), cfg.dt, cfg.n_steps, base=0)
     # path 0 twice: both rows see the same increments
-    _run_batched(np.stack((u0.coeffs, v0.coeffs)), u0.grid, model, cfg, (0, 0),
-                 with_diag=False, on_step=audit.record)
+    _run_batched(np.stack((u0.coeffs, v0.coeffs)), u0.grid, model, cfg,
+                 draw_increments(model, cfg, (0, 0)), with_diag=False, on_step=audit.record)
     growth = (1.0 + 4.0 / beta_hat) * condition_c_bounds(model, eta=eta).l1 * audit.t
     return audit.verdict(cfg.alpha_tilde, growth, tol)
 
@@ -434,7 +472,8 @@ def _mode_law(mode: tuple[int, int], s: float, m0: float, n_paths: int, cfg: Sde
     finals = np.zeros(n_paths)
     for done in range(0, n_paths, batch):
         paths = range(done, min(done + batch, n_paths))
-        run = _run_batched(u0, grid, model, cfg, paths, with_diag=False)
+        run = _run_batched(u0, grid, model, cfg, draw_increments(model, cfg, paths),
+                           with_diag=False)
         finals[done:paths.stop] = run.final[:, col]
 
     lam = float(mode[0]) ** 2

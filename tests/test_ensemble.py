@@ -55,6 +55,18 @@ def test_ensemble_deterministic_across_batch_layout(grid16, make_field):
     assert a.levels[0] == b.levels[0]  # every est, se and c_hat, exactly
 
 
+def test_levels_share_draws_yet_match_levels_run_alone(grid16, make_field):
+    # each batch is drawn once for every level; a level's estimates must be
+    # those of the level run on its own, over several batches
+    u0 = make_field(grid16, band=3, seed=2)
+    both = run_ensemble(u0, _admissible(), _cfg(),
+                        EnsembleConfig(n_paths=7, base_seed=7, levels=(8, 12), batch=3))
+    for lv in both.levels:
+        alone = run_ensemble(u0, _admissible(), _cfg(),
+                             EnsembleConfig(n_paths=7, base_seed=7, levels=(lv.level,), batch=3))
+        assert alone.levels[0] == lv  # every est, se and c_hat, exactly
+
+
 def test_gate_error_and_force(grid16, make_field):
     u0 = make_field(grid16, band=3, seed=3)
     loud = make_model(["2.0*cos(0,1)"], [], "one")

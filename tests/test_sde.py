@@ -19,6 +19,7 @@ from ans2d.noise import (
 from ans2d.norms import h01_inner, l2_inner, norm_rows
 from ans2d.sde import (
     SdeConfig,
+    draw_increments,
     ito_isometry_audit,
     ou_mode_validation,
     pathwise_uniqueness_experiment,
@@ -97,7 +98,7 @@ def test_step_sde_matches_manual_update(grid16, make_field):
     model = _model_small()
     cfg = SdeConfig(dt=1e-3, t_end=1e-3, galerkin_n=n, seed=3)
     incs = sample_wiener_increment(model.n_modes, 1, cfg.dt, cfg.seed, 0)
-    run = _run_batched(u0.coeffs, grid16, model, cfg, (0,))
+    run = _run_batched(u0.coeffs, grid16, model, cfg, draw_increments(model, cfg, (0,)))
     assert run.final.shape == (1, n)
     expected = _manual_sde_step(u0, model, cfg.dt, n, incs[0])
     scale = float(np.max(np.abs(expected)))
@@ -114,7 +115,8 @@ def test_batched_engine_one_step_matches_step_sde(grid16, make_field):
     u0s = [galerkin_project(make_field(grid16, band=3, seed=20 + j), n) for j in range(3)]
     incs = np.stack([sample_wiener_increment(model.n_modes, 1, cfg.dt, cfg.seed, j)
                      for j in range(3)])
-    run = _run_batched(np.stack([u.coeffs for u in u0s]), grid16, model, cfg, range(3))
+    run = _run_batched(np.stack([u.coeffs for u in u0s]), grid16, model, cfg,
+                       draw_increments(model, cfg, range(3)))
     for j, u0 in enumerate(u0s):
         expected = _manual_sde_step(u0, model, cfg.dt, n, incs[j, 0])
         scale = float(np.max(np.abs(expected)))
@@ -146,7 +148,7 @@ def test_quadrature_grid_run_matches_manual_steps(grid16, make_field, model, n):
     assert _Stepper(grid16, model, cfg).qgrid == quadrature_grid(grid16, n) != grid16
     n_modes = 0 if model is None else model.n_modes
     u0 = make_field(grid16, band=3, seed=21)
-    run = _run_batched(u0.coeffs, grid16, model, cfg, (0, 1))
+    run = _run_batched(u0.coeffs, grid16, model, cfg, draw_increments(model, cfg, (0, 1)))
     for path in (0, 1):
         incs = sample_wiener_increment(n_modes, cfg.n_steps, cfg.dt, cfg.seed, path)
         u = galerkin_project(u0, n)
@@ -190,24 +192,60 @@ def test_additive_fast_path_matches_channels(grid16):
     assert st.noise_increment(dw[None, :], None).shape == (1, 8)
 
 
-@pytest.mark.parametrize("model", [
-    make_model([], ["0.1*cos(1,0) + 0.05*cos(0,1)", "0.07*cos(1,0) - 0.04*cos(0,1)"], "one"),
-    _model_small(),
-], ids=["additive", "tanh"])
-def test_additive_paths_replay_across_batch_layout(grid16, make_field, model):
-    # two noise channels sharing modes, additive or multiplicative; one batch
-    # of 9 paths against batches of 4, 2, 1 and 2
+@pytest.mark.parametrize("model, drop", [
+    (make_model([], ["0.1*cos(1,0) + 0.05*cos(0,1)", "0.07*cos(1,0) - 0.04*cos(0,1)"], "one"),
+     False),
+    (_model_small(), False),
+    (single_mode_noise(TorusGrid(16, 16), (1, 0), 1.0), True),
+], ids=["additive", "tanh", "single-mode"])
+def test_additive_paths_replay_across_batch_layout(grid16, make_field, model, drop):
+    # two noise channels sharing modes, additive or multiplicative, and the
+    # single-mode law's shape (one channel, no nonlinearity); one batch of 9
+    # paths against batches of 4, 2, 1 and 2, with and without diagnostics
     from ans2d.sde import _run_batched
 
-    cfg = SdeConfig(dt=2e-3, t_end=0.02, galerkin_n=8, seed=5)
+    cfg = SdeConfig(dt=2e-3, t_end=0.02, galerkin_n=8, seed=5, drop_nonlinearity=drop)
     u0 = make_field(grid16, band=3, seed=16).coeffs
-    whole = _run_batched(u0, grid16, model, cfg, range(9))
+    whole = _run_batched(u0, grid16, model, cfg, draw_increments(model, cfg, range(9)))
+    lean = _run_batched(u0, grid16, model, cfg, draw_increments(model, cfg, range(9)),
+                        with_diag=False)
+    np.testing.assert_array_equal(lean.final, whole.final)
     for rows in (range(0, 4), range(4, 6), range(6, 7), range(7, 9)):
-        part = _run_batched(u0, grid16, model, cfg, rows)
+        part = _run_batched(u0, grid16, model, cfg, draw_increments(model, cfg, rows))
         sl = slice(rows.start, rows.stop)
         np.testing.assert_array_equal(part.final, whole.final[sl])
         for name in part.diag:
             np.testing.assert_array_equal(part.diag[name], whole.diag[name][:, sl])
+
+
+def test_draw_increments_are_step_major_per_path_streams():
+    model = make_model([], ["0.1*cos(1,0)", "0.05*sin(0,1)"], "one")
+    cfg = SdeConfig(dt=2e-3, t_end=0.02, seed=5)
+    incs = draw_increments(model, cfg, (3, 0, 3))
+    assert incs.shape == (cfg.n_steps, 3, model.n_modes)
+    for col, path in enumerate((3, 0, 3)):
+        np.testing.assert_array_equal(
+            incs[:, col], sample_wiener_increment(model.n_modes, cfg.n_steps, cfg.dt, 5, path))
+    # no noise, or a zero model: nothing is drawn
+    zero = make_model([], ["0.0*cos(1,0)"], "one")
+    for quiet in (None, zero):
+        assert draw_increments(quiet, cfg, range(4)).shape == (cfg.n_steps, 4, 0)
+
+
+@pytest.mark.parametrize("model", [None, _model_small()], ids=["no-noise", "tanh"])
+def test_nan_initial_state_blows_up_at_first_step(grid16, make_field, model):
+    # the per-path norm must not drop NaNs: the first step already fails
+    from ans2d.errors import BlowUpError
+    from ans2d.sde import _run_batched
+
+    cfg = SdeConfig(dt=2e-3, t_end=0.02, galerkin_n=8, seed=5)
+    frame = GalerkinFrame(grid16, 8)
+    a0 = frame.coords(make_field(grid16, band=3, seed=16).coeffs)
+    a0[3] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(BlowUpError) as err:
+        _run_batched(frame.lift(a0), grid16, model, cfg, draw_increments(model, cfg, range(2)),
+                     with_diag=False)
+    assert err.value.last_finite_time == 0.0
 
 
 def test_weighted_series_recomputation(grid16, make_field):
@@ -320,7 +358,8 @@ def _batch_run(grid, make_field, with_hs, n_paths=3, t_end=0.02):
     u0 = make_field(grid, band=3, seed=14)
     model = _model_small()
     cfg = SdeConfig(dt=2e-3, t_end=t_end, galerkin_n=9, seed=6)
-    return _run_batched(u0.coeffs, grid, model, cfg, range(n_paths), with_hs=with_hs)
+    return _run_batched(u0.coeffs, grid, model, cfg, draw_increments(model, cfg, range(n_paths)),
+                        with_hs=with_hs)
 
 
 def test_hs_column_is_the_only_one_with_hs_changes(grid16, make_field):
@@ -367,8 +406,8 @@ def _count_step_loop(grid, make_field, monkeypatch, model):
     monkeypatch.setattr(basis, "enumerate_pairs", counting("pairs", basis.enumerate_pairs))
     monkeypatch.setattr(basis, "_FRAMES", {})  # frames are cached: start from none
     cfg = SdeConfig(dt=2e-3, t_end=0.02, galerkin_n=9, seed=6)
-    run = _run_batched(make_field(grid, band=3, seed=14).coeffs, grid, model, cfg, range(3),
-                       with_hs=False)
+    run = _run_batched(make_field(grid, band=3, seed=14).coeffs, grid, model, cfg,
+                       draw_increments(model, cfg, range(3)), with_hs=False)
     return calls, fields, len(run.t) - 1
 
 
