@@ -5,8 +5,9 @@ output directory, and finishes with a manifest.json describing the run.
 CSV floats are written with repr so reruns are byte-identical; wall-clock
 data lives only in the manifest.
 
-Exit codes: 0 all checks passed, 1 a certificate or gate was violated,
-2 usage or configuration error, 3 the solution blew up.
+Exit codes: 0 every certificate held, 1 a certificate record failed or a
+noise gate refused the run, 2 usage or configuration error, 3 the solution
+blew up.
 """
 
 from __future__ import annotations
@@ -16,6 +17,8 @@ import csv
 import json
 import sys
 import time
+from contextlib import contextmanager
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Sequence
@@ -29,8 +32,8 @@ from .basis import basis_element, max_level
 from .config import _parse_count, echo_config, load_config
 from .ensemble import EnsembleConfig, moment_bound_report, run_ensemble
 from .errors import BlowUpError, ConfigError, GateError, UsageError
-from .noise import NoiseModel, condition_c_bounds, condition_c_gate, make_model
-from .norms import cumulative_trapezoid
+from .noise import GateResult, NoiseModel, condition_c_bounds, condition_c_gate, make_model
+from .norms import Verdict, cumulative_trapezoid, verdict
 from .snapshots import write_snapshot
 from .spectral import (
     SpectralField,
@@ -65,11 +68,18 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]])
             writer.writerow([_fmt(v) for v in row])
 
 
-def _grid(cfg: dict[str, Any]) -> TorusGrid:
+@contextmanager
+def _config_value(prefix: str = ""):
+    """Raise a ValueError of the block as the ConfigError it is."""
     try:
-        return TorusGrid(cfg["grid.n1"], cfg["grid.n2"])
+        yield
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{prefix}{exc}") from exc
+
+
+def _grid(cfg: dict[str, Any]) -> TorusGrid:
+    with _config_value():
+        return TorusGrid(cfg["grid.n1"], cfg["grid.n2"])
 
 
 def _initial_field(grid: TorusGrid, cfg: dict[str, Any]) -> SpectralField:
@@ -84,10 +94,8 @@ def _initial_field(grid: TorusGrid, cfg: dict[str, Any]) -> SpectralField:
     if kind == "zero":
         return zeros_spectral(grid)
     rng = np.random.default_rng(cfg["init.seed"])
-    try:
+    with _config_value():
         return random_solenoidal_field(grid, band=cfg["init.band"], amplitude=amp, rng=rng)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _split_recipes(text: str) -> list[str]:
@@ -99,19 +107,15 @@ def _noise_model(cfg: dict[str, Any]) -> NoiseModel | None:
     b = _split_recipes(cfg["noise.b_recipes"])
     if not c and not b:
         return None
-    try:
+    with _config_value("bad noise recipes: "):
         return make_model(c, b, cfg["noise.g"], margin=cfg["noise.budget_margin"])
-    except ValueError as exc:
-        raise ConfigError(f"bad noise recipes: {exc}") from exc
 
 
 def _det_config(cfg: dict[str, Any]) -> det_mod.DetConfig:
-    try:
+    with _config_value():
         return det_mod.DetConfig(
             dt=cfg["det.dt"], t_end=cfg["det.t_end"], integrator=cfg["det.integrator"],
             eps_v=cfg["det.eps_v"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _check_level(grid: TorusGrid, key: str, n: int) -> None:
@@ -121,44 +125,49 @@ def _check_level(grid: TorusGrid, key: str, n: int) -> None:
 
 
 def _sde_config(cfg: dict[str, Any]) -> sde_mod.SdeConfig:
-    try:
+    with _config_value():
         return sde_mod.SdeConfig(
             dt=cfg["sde.dt"], t_end=cfg["sde.t_end"], galerkin_n=cfg["sde.galerkin_n"],
             seed=cfg["sde.seed"],
             drop_nonlinearity=cfg["sde.drop_nonlinearity"],
             alpha_tilde=cfg["sde.alpha_tilde"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
-# subcommands; each returns (exit_code, outputs, verdicts)
+# subcommands; each returns (outputs, certificate records, other verdict entries)
 
-CmdResult = tuple[int, list[str], dict[str, Any]]
+CmdResult = tuple[list[str], list[Verdict], dict[str, Any]]
+
+
+def _gate(cfg: dict[str, Any], args: argparse.Namespace, model: NoiseModel | None,
+          needed: str) -> GateResult | None:
+    """The noise gates of model (None without noise).
+
+    The one way a command refuses a run: a failed `needed` gate
+    ("existence" or "uniqueness") raises GateError unless --force is given.
+    """
+    if model is None:
+        return None
+    gate = condition_c_gate(condition_c_bounds(model, eta=cfg["noise.eta"]))
+    if not getattr(gate, f"{needed}_ok") and not args.force:
+        raise GateError(f"{needed} gate violated: {gate.describe()}")
+    return gate
 
 
 def _cmd_run_det(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
     u0 = _initial_field(grid, cfg)
-    dcfg = _det_config(cfg)
-    traj = det_mod.run_det(u0, dcfg)
-    energy = det_mod.energy_certificate(traj)
-    h01 = det_mod.h01_certificate(traj)
+    traj = det_mod.run_det(u0, _det_config(cfg))
+    energy = det_mod.energy_certificate(traj, det_mod.ENERGY_REL_TOL)
+    h01 = det_mod.h01_certificate(traj, det_mod.H01_SLACK)
     rows = zip(traj.t, traj.l2_sq, traj.d1_sq, traj.d2_sq, traj.d1d2_sq,
                traj.int_d1_sq, traj.int_d1d2_sq, energy.residual, h01.c_emp,
                h01.weighted)
     _write_csv(out / "det_series.csv", DET_CSV_COLUMNS, list(rows))
     write_snapshot(out / "final_state.ans2", inverse_transform(traj.final), float(traj.t[-1]))
-    verdicts = {
-        "energy_certificate": energy.passed,
-        "energy_rel_residual": energy.rel_to_initial,
-        "energy_rel_tol": det_mod.ENERGY_REL_TOL,
-        "h01_monotone": h01.passed_monotone,
-        "h01_bound": h01.passed_bound,
-        "c_emp_sup": h01.c_sup,
-    }
-    ok = energy.passed and h01.passed_monotone and h01.passed_bound
-    return (0 if ok else 1), ["det_series.csv", "final_state.ans2"], verdicts
+    extra = {"energy_rel_residual": energy.verdict.measured,
+             "energy_rel_tol": energy.verdict.bound, "c_emp_sup": h01.c_sup}
+    return ["det_series.csv", "final_state.ans2"], [energy.verdict, h01.monotone, h01.bound], extra
 
 
 def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
@@ -167,14 +176,7 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
     scfg = _sde_config(cfg)
     _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
     model = _noise_model(cfg)
-    gate_ok = True
-    gate_text = "no noise"
-    if model is not None:
-        gate = condition_c_gate(condition_c_bounds(model, eta=cfg["noise.eta"]))
-        gate_ok = gate.existence_ok
-        gate_text = gate.describe()
-        if not gate_ok and not args.force:
-            return 1, [], {"existence_gate": False, "gate": gate_text}
+    gate = _gate(cfg, args, model, "existence")
     traj = sde_mod.run_sde(u0, model, scfg)
     int_d1 = cumulative_trapezoid(traj.diag["d1_sq"], np.diff(traj.t))
     int_d1d2 = cumulative_trapezoid(traj.diag["d1d2_sq"], np.diff(traj.t))
@@ -184,13 +186,13 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
                traj.diag["hs_sq"])
     _write_csv(out / "sde_series.csv", SDE_CSV_COLUMNS, list(rows))
     write_snapshot(out / "final_state.ans2", inverse_transform(traj.final), float(traj.t[-1]))
-    verdicts = {
-        "existence_gate": gate_ok,
-        "gate": gate_text,
+    extra = {
+        "existence_gate": gate is None or gate.existence_ok,
+        "gate": "no noise" if gate is None else gate.describe(),
         "c_emp_sup": traj.weighted.c_emp_sup,
         "final_l2_sq": float(traj.diag["l2_sq"][-1]),
     }
-    return 0, ["sde_series.csv", "final_state.ans2"], verdicts
+    return ["sde_series.csv", "final_state.ans2"], [], extra
 
 
 def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
@@ -198,30 +200,27 @@ def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> C
     u0 = _initial_field(grid, cfg)
     scfg = _sde_config(cfg)
     model = _noise_model(cfg)
-    try:
+    with _config_value():
         ens = EnsembleConfig(n_paths=cfg["ensemble.n_paths"],
                              base_seed=cfg["ensemble.base_seed"],
                              levels=cfg["ensemble.levels"],
                              batch=cfg["ensemble.batch"],
-                             require_gates=not args.force,
                              eta=cfg["noise.eta"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     for level in ens.levels:
         _check_level(grid, "ensemble.levels", level)
+    _gate(cfg, args, model, "existence")
     report = run_ensemble(u0, model, scfg, ens)
     rows = moment_bound_report(report)
     header = list(rows[0].keys())
     _write_csv(out / "ensemble_moments.csv", header,
                [[row[k] for k in header] for row in rows])
-    verdicts = {
+    extra = {
         "existence_gate": report.gate.existence_ok,
         "uniqueness_gate": report.gate.uniqueness_ok,
-        "spread": report.spread,
-        "uniform_ok": report.uniform_ok,
+        "spread": report.uniform.measured,
         "c_hat": {str(lv.level): lv.c_hat for lv in report.levels},
     }
-    return (0 if report.uniform_ok else 1), ["ensemble_moments.csv"], verdicts
+    return ["ensemble_moments.csv"], [report.uniform], extra
 
 
 def _cmd_verify(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
@@ -239,9 +238,8 @@ def _cmd_verify(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cmd
     _write_csv(out / "verify_report.csv", ("check", "lhs", "rhs", "constant", "pass"),
                report.rows)
     n_failed = len(report.failures())
-    verdicts = {"checks": len(report.rows), "failed": n_failed,
-                "all_passed": report.all_passed}
-    return (0 if report.all_passed else 1), ["verify_report.csv"], verdicts
+    return (["verify_report.csv"], [verdict("all_passed", n_failed, 0)],
+            {"checks": len(report.rows), "failed": n_failed})
 
 
 def _cmd_oracle_check(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
@@ -257,17 +255,14 @@ def _cmd_oracle_check(cfg: dict[str, Any], out: Path, args: argparse.Namespace) 
         raise ConfigError(f"verify.n_fields={cfg['verify.n_fields']} must be >= {len(levels)}: "
                           f"oracle-check gives one field to each of the levels {levels}")
     rows = []
-    worst = 0.0
     for i in range(cfg["verify.n_fields"]):
         u = random_solenoidal_field(grid, band=band, amplitude=1.0, rng=rng)
         level = levels[i % len(levels)]  # one oracle call per field
         rel = sde_mod.drift_oracle_error(u, level)
-        worst = max(worst, rel)
         rows.append((i, level, rel, rel <= tol))
     _write_csv(out / "oracle_check.csv", ("field", "level", "rel_err", "pass"), rows)
-    ok = worst <= tol
-    verdicts = {"max_rel_err": worst, "tolerance": tol, "all_passed": ok}
-    return (0 if ok else 1), ["oracle_check.csv"], verdicts
+    check = verdict("all_passed", [row[2] for row in rows], tol)
+    return ["oracle_check.csv"], [check], {"max_rel_err": check.measured, "tolerance": tol}
 
 
 def _parse_mode(text: str) -> tuple[int, int]:
@@ -286,35 +281,28 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
     delta = cfg["uniqueness.perturbation"]
     tol = cfg["uniqueness.tol"]
     mode = _parse_mode(cfg["uniqueness.pert_mode"])
-    try:
+    with _config_value():
         pert = basis_element(grid, mode)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     v0 = SpectralField(grid, u0.coeffs + delta * pert.coeffs)
 
+    extra = {"kind": cfg["uniqueness.kind"]}
     if cfg["uniqueness.kind"] == "det":
         rep = det_mod.uniqueness_experiment(u0, v0, _det_config(cfg), tol=tol)
-        gate = None
     else:
         model = _noise_model(cfg)
         if model is None:
             raise ConfigError("sde uniqueness needs a noise model "
                               "(noise.c_recipes / noise.b_recipes)")
-        gate = condition_c_gate(condition_c_bounds(model, eta=cfg["noise.eta"]))
-        if not gate.uniqueness_ok and not args.force:
-            return 1, [], {"kind": "sde", "uniqueness_gate": False, "gate": gate.describe()}
         scfg = _sde_config(cfg)
         _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
+        extra["uniqueness_gate"] = _gate(cfg, args, model, "uniqueness").uniqueness_ok
         rep = sde_mod.pathwise_uniqueness_experiment(u0, v0, model, scfg, tol=tol,
                                                      eta=cfg["noise.eta"])
     # one layout for both kinds: the det growth G(t) is 0, its exponent E(t) is q
     rows = zip(rep.t, rep.w_l2_sq, rep.q, rep.growth)
     _write_csv(out / "uniqueness_series.csv", ("t", "w_l2_sq", "q", "growth"), list(rows))
-    verdicts = {"kind": cfg["uniqueness.kind"], "passed": rep.passed, "c1": rep.c1}
-    if gate is not None:
-        verdicts["uniqueness_gate"] = gate.uniqueness_ok
-    verdicts.update(bitwise_zero=rep.bitwise_zero, max_ratio=rep.max_ratio)
-    return (0 if rep.passed else 1), ["uniqueness_series.csv"], verdicts
+    extra.update(c1=rep.c1, bitwise_zero=rep.bitwise_zero, max_ratio=rep.max_ratio)
+    return ["uniqueness_series.csv"], [rep.verdict], extra
 
 
 def _cmd_plot_data(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
@@ -338,18 +326,22 @@ def _cmd_plot_data(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> 
                 continue
             rows.append((name, record[t_idx], record[j]))
     _write_csv(out / "plot_data.csv", ("series", "t", "value"), rows)
-    return 0, ["plot_data.csv"], {"series": len(header) - 1, "points": len(rows)}
+    return ["plot_data.csv"], [], {"series": len(header) - 1, "points": len(rows)}
 
 
+# name -> (subcommand, help text)
 _COMMANDS = {
-    "run-det": _cmd_run_det,
-    "run-sde": _cmd_run_sde,
-    "ensemble": _cmd_ensemble,
-    "verify": _cmd_verify,
-    "oracle-check": _cmd_oracle_check,
-    "uniqueness": _cmd_uniqueness,
-    "plot-data": _cmd_plot_data,
+    "run-det": (_cmd_run_det, "deterministic run with energy and vertical-decay certificates"),
+    "run-sde": (_cmd_run_sde, "single stochastic trajectory with diagnostics"),
+    "ensemble": (_cmd_ensemble, "moment estimates across Galerkin levels"),
+    "verify": (_cmd_verify, "random-field battery for the norm inequalities"),
+    "oracle-check": (_cmd_oracle_check, "solver drift at a ladder of levels vs direct convolution"),
+    "uniqueness": (_cmd_uniqueness, "two-solution gap audit (det or sde)"),
+    "plot-data": (_cmd_plot_data, "reshape a series CSV into long (series,t,value) form"),
 }
+
+
+_SEED_KEYS = ("init.seed", "sde.seed", "ensemble.base_seed", "verify.seed")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -375,31 +367,17 @@ def build_parser() -> argparse.ArgumentParser:
         description="Simulation and estimate-verification harness for 2D "
                     "incompressible flow with horizontal-only viscosity.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("run-det", "deterministic run with energy and vertical-decay certificates"),
-        ("run-sde", "single stochastic trajectory with diagnostics"),
-        ("ensemble", "moment estimates across Galerkin levels"),
-        ("verify", "random-field battery for the norm inequalities"),
-        ("oracle-check", "solver drift at a ladder of levels vs direct convolution"),
-        ("uniqueness", "two-solution gap audit (det or sde)"),
-        ("plot-data", "reshape a series CSV into long (series,t,value) form"),
-    ):
+    for name, (_, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", default=None, help="path to a flat key=value config file")
         p.add_argument("--out", default="ans2d-out", help="output directory (created if missing)")
         p.add_argument("--seed", type=_seed_arg, default=None, metavar="SEED",
-                       help="override init.seed, sde.seed, ensemble.base_seed, verify.seed")
+                       help="override " + ", ".join(_SEED_KEYS))
         p.add_argument("--force", action="store_true",
                        help="run even when a noise gate fails")
         if name == "plot-data":
             p.add_argument("--input", default=None, help="series CSV to reshape")
     return parser
-
-
-def _failure(prefix: str, exc: Exception) -> dict[str, Any]:
-    """Report a run-ending error on stderr; returns its manifest entry."""
-    print(f"{prefix}: {exc}", file=sys.stderr)
-    return {"class": type(exc).__name__, "message": str(exc)}
 
 
 def _out_arg(argv: Sequence[str]) -> str | None:
@@ -413,70 +391,63 @@ def _out_arg(argv: Sequence[str]) -> str | None:
     return out
 
 
-def _write_manifest(out: Path, manifest: dict[str, Any]) -> None:
+def _write_manifest(out: Path, manifest: dict[str, Any], started: float) -> None:
+    manifest["wall_time_s"] = time.monotonic() - started
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 
+# exit code and stderr prefix of each error that ends a run
+_ERRORS = {ConfigError: (2, "error"), GateError: (1, "gate violation"),
+           BlowUpError: (3, "blow-up")}
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     started = time.monotonic()
-    timestamp = datetime.now(timezone.utc).isoformat()
+    # every outcome leaves this manifest; config and seeds stay null when
+    # the config itself could not be loaded
+    manifest: dict[str, Any] = {
+        "command": None, "timestamp": datetime.now(timezone.utc).isoformat(),
+        "wall_time_s": None, "seeds": None, "config": None, "outputs": [],
+        "certificates": [], "verdicts": {}, "exit_code": 2}
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
         # already reported on stderr; the manifest needs --out to name a directory
         out = _out_arg(argv)
         if out is not None:
-            _write_manifest(Path(out), {
-                "command": None, "timestamp": timestamp,
-                "wall_time_s": time.monotonic() - started, "seeds": None, "config": None,
-                "outputs": [], "verdicts": {}, "exit_code": 2,
-                "error": {"class": "UsageError", "message": str(exc)}})
+            manifest["error"] = {"class": "UsageError", "message": str(exc)}
+            _write_manifest(Path(out), manifest, started)
         return 2
     except SystemExit as exc:
         return int(exc.code) if exc.code else 0
 
-    cfg = None
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs: list[str] = []
-    verdicts: dict[str, Any] = {}
-    error = None
+    manifest["command"] = args.command
     try:
         cfg = load_config(args.config)
         if args.seed is not None:
-            for key in ("init.seed", "sde.seed", "ensemble.base_seed", "verify.seed"):
+            for key in _SEED_KEYS:
                 cfg[key] = args.seed
-        code, outputs, verdicts = _COMMANDS[args.command](cfg, out, args)
-    except ConfigError as exc:
-        code, error = 2, _failure("error", exc)
-    except GateError as exc:
-        code, error = 1, _failure("gate violation", exc)
-    except BlowUpError as exc:
-        code, error = 3, _failure("blow-up", exc)
-        error["last_finite_time"] = exc.last_finite_time
-
-    # every outcome leaves a manifest; config and seeds are null when the
-    # config itself could not be loaded
-    manifest = {
-        "command": args.command,
-        "timestamp": timestamp,
-        "wall_time_s": time.monotonic() - started,
-        "seeds": None if cfg is None else {
-            key: cfg[key] for key in ("init.seed", "sde.seed", "ensemble.base_seed",
-                                      "verify.seed")},
-        "config": None if cfg is None else echo_config(cfg),
-        "outputs": outputs,
-        "verdicts": verdicts,
-        "exit_code": code,
-    }
-    if error is not None:
-        manifest["error"] = error
-    _write_manifest(out, manifest)
-    for name, value in verdicts.items():
+        manifest.update(seeds={key: cfg[key] for key in _SEED_KEYS}, config=echo_config(cfg))
+        outputs, records, extra = _COMMANDS[args.command][0](cfg, out, args)
+        # the one exit rule: 1 exactly when a certificate record fails
+        code = 0 if all(r.passed for r in records) else 1
+        manifest.update(outputs=outputs, certificates=[asdict(r) for r in records],
+                        verdicts={**{r.name: r.passed for r in records}, **extra})
+    except tuple(_ERRORS) as exc:
+        code, prefix = _ERRORS[type(exc)]
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        manifest["error"] = {"class": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, BlowUpError):
+            manifest["error"]["last_finite_time"] = exc.last_finite_time
+    manifest["exit_code"] = code
+    _write_manifest(out, manifest, started)
+    for name, value in manifest["verdicts"].items():
         print(f"{args.command}: {name} = {value}")
     return code
 

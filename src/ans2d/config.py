@@ -41,6 +41,13 @@ def _parse_positive(text: str) -> float:
     return value
 
 
+def _parse_non_negative(text: str) -> float:
+    value = _parse_finite(text)
+    if value < 0.0:
+        raise ValueError(f"must be >= 0, got {value!r}")
+    return value
+
+
 def _parse_count(text: str, low: int = 0) -> int:
     value = int(text)
     if value < low:
@@ -114,7 +121,7 @@ SCHEMA: tuple[_Key, ...] = (
     _str_key("uniqueness.kind", "det", ("det", "sde")),
     _Key("uniqueness.perturbation", _parse_finite, 1e-8),
     _str_key("uniqueness.pert_mode", "1,0"),
-    _Key("uniqueness.tol", _parse_finite, GAP_TOL),
+    _Key("uniqueness.tol", _parse_non_negative, GAP_TOL),
     _Key("verify.n_fields", _parse_positive_count, 100),
     _Key("verify.band", _parse_positive_count, 5),
     _Key("verify.seed", _parse_count, 0),

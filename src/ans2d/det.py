@@ -26,7 +26,8 @@ import numpy as np
 
 from . import spectral
 from .basis import GalerkinFrame, max_level
-from .norms import YOUNG_WEIGHT, absorb, cumulative_trapezoid, power_rows, young_gap, young_h01
+from .norms import (YOUNG_WEIGHT, Verdict, absorb, cumulative_trapezoid, power_rows, verdict,
+                    young_gap, young_h01)
 from .spectral import SpectralField, TorusGrid
 
 INTEGRATORS = ("if-rk2", "if-rk4", "if-euler")
@@ -146,7 +147,7 @@ def _march(a: np.ndarray, frame: GalerkinFrame, cfg: DetConfig
     yield 0, a, drift
     for i in range(1, cfg.n_steps + 1):
         a = step(a, drift)
-        spectral.check_finite(a, float(np.max(np.sum(a ** 2, axis=-1))), l2_0,
+        spectral.check_finite(float(np.max(np.sum(a ** 2, axis=-1))), l2_0,
                               t_last=(i - 1) * cfg.dt, guard=cfg.blowup_factor)
         drift = _drift(a, frame)
         yield i, a, drift
@@ -182,10 +183,10 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
 
 @dataclass
 class EnergyReport:
+    """The residual series R(t) and the verdict on |R(t)| / ||u0||^2."""
+
     residual: np.ndarray
-    max_abs: float
-    rel_to_initial: float
-    passed: bool
+    verdict: Verdict
 
 
 def energy_certificate(traj: Trajectory, rel_tol: float = ENERGY_REL_TOL) -> EnergyReport:
@@ -198,22 +199,21 @@ def energy_certificate(traj: Trajectory, rel_tol: float = ENERGY_REL_TOL) -> Ene
     eps = traj.config.eps_v
     residual = (traj.l2_sq + 2.0 * traj.int_d1_sq + 2.0 * eps ** 2 * traj.int_d2_sq
                 - traj.l2_sq[0])
-    max_abs = float(np.max(np.abs(residual)))
     scale = float(traj.l2_sq[0]) if traj.l2_sq[0] > 0 else 1.0
-    rel = max_abs / scale
-    return EnergyReport(residual=residual, max_abs=max_abs, rel_to_initial=rel,
-                        passed=bool(rel <= rel_tol))
+    return EnergyReport(residual=residual, verdict=verdict(
+        "energy_certificate", np.abs(residual) / scale, rel_tol, traj.t))
 
 
 @dataclass
 class H01Report:
+    """Verdicts: monotone on each step's increase of weighted, bound on ||d2 u(t)||^2."""
+
     c_emp: np.ndarray
     c_sup: float
     big_c: float
     weighted: np.ndarray
-    max_step_increase: float
-    passed_monotone: bool
-    passed_bound: bool
+    monotone: Verdict
+    bound: Verdict
 
 
 def h01_certificate(traj: Trajectory, slack: float = H01_SLACK) -> H01Report:
@@ -230,14 +230,12 @@ def h01_certificate(traj: Trajectory, slack: float = H01_SLACK) -> H01Report:
                                     np.sqrt(traj.d1d2_sq * traj.d1_sq * traj.d2_sq),
                                     traj.d1_sq, traj.config.dt, young_h01, YOUNG_WEIGHT)
     weighted = np.exp(-q) * traj.d2_sq
-    diffs = np.diff(weighted)
-    max_inc = float(np.max(diffs, initial=0.0))
     allowance = slack * weighted[0] if weighted[0] > 0 else slack
-    monotone = bool(max_inc <= allowance)
-    bound = traj.d2_sq <= traj.d2_sq[0] * np.exp(q) * (1.0 + slack) + allowance
-    return H01Report(c_emp=c_emp, c_sup=float(c_sup), big_c=float(big_c),
-                     weighted=weighted, max_step_increase=max_inc, passed_monotone=monotone,
-                     passed_bound=bool(np.all(bound)))
+    bound = traj.d2_sq[0] * np.exp(q) * (1.0 + slack) + allowance
+    return H01Report(c_emp=c_emp, c_sup=float(c_sup), big_c=float(big_c), weighted=weighted,
+                     monotone=verdict("h01_monotone", np.maximum(np.diff(weighted), 0.0),
+                                      allowance, traj.t[1:]),
+                     bound=verdict("h01_bound", traj.d2_sq, bound, traj.t))
 
 
 @dataclass
@@ -293,11 +291,13 @@ def weak_form_residual(u0: SpectralField, cfg: DetConfig, test_mode: tuple[int, 
 
 @dataclass
 class GapReport:
-    """Verdict of a two-solution gap audit (see _GapAudit).
+    """Report of a two-solution gap audit (see _GapAudit).
 
-    q is the absorbed exponent and growth the Gronwall exponent G(t); the
-    check is exp(-q) ||w||^2 <= ||w(0)||^2 exp(growth) (1 + tol).  big_c
-    is the Young constant applied to the measured trilinear constant c1.
+    q is the absorbed exponent and growth the Gronwall exponent G(t);
+    verdict holds exp(-q) ||w||^2 <= ||w(0)||^2 exp(growth) (1 + tol), and
+    max_ratio is the largest ratio of the two sides (0 for a bitwise-zero
+    gap).  big_c is the Young constant applied to the measured trilinear
+    constant c1.
     """
 
     t: np.ndarray
@@ -308,7 +308,7 @@ class GapReport:
     big_c: float
     bitwise_zero: bool
     max_ratio: float
-    passed: bool
+    verdict: Verdict
 
 
 class _GapAudit:
@@ -324,14 +324,14 @@ class _GapAudit:
         the dissipation ( ||d1 b||^{2/3} + ||d2 b||^{2/3} ) ||d1 d2 b||^{2/3}.
 
     The pairing is read from the drift of w, the solver's own advection:
-    w and b are solenoidal and lie in the span.  verdict() turns the rows
+    w and b are solenoidal and lie in the span.  report() turns the rows
     into the measured constant c1, the absorbed exponent
     q(t) = 2 C int dissipation, C = young_gap(c1, alpha), and the check
 
         exp(-q(t)) ||w(t)||^2 <= ||w(0)||^2 exp(growth(t)) (1 + tol).
 
-    Identical inputs short-circuit to an exact-zero check: both rows of the
-    pair see identical arithmetic, so w stays bitwise zero.
+    Identical inputs keep w bitwise zero, since both rows of the pair see
+    identical arithmetic; both sides of the check are then 0 at every step.
     """
 
     def __init__(self, frame: GalerkinFrame, dt: float, n_steps: int, base: int):
@@ -361,21 +361,19 @@ class _GapAudit:
         self.den[i] = (wn["d1_sq"] ** 0.25 * (d1 ** 0.25 + d2 ** 0.25) * d1d2 ** 0.25
                        * self.w_l2[i] ** 0.75)
 
-    def verdict(self, alpha: float, growth: float | np.ndarray, tol: float) -> GapReport:
+    def report(self, alpha: float, growth: float | np.ndarray, tol: float) -> GapReport:
         """The report of the recorded rows, absorbed with Young weight alpha."""
         _, c1, big_c, q = absorb(self.tri, self.den, self.dissip, self.dt, young_gap, alpha)
         growth = np.zeros_like(self.t) + growth
-        if self.bitwise:
-            max_ratio, passed = 0.0, bool(np.all(self.w_l2 == 0.0))
-        else:
-            lhs = np.exp(-q) * self.w_l2
-            bound = self.w_l2[0] * np.exp(growth) * (1.0 + tol)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                max_ratio = float(np.max(np.where(bound > 0.0, lhs / bound, np.inf)))
-            passed = bool(np.all(lhs <= bound))
+        # a bitwise-zero gap has lhs = bound = 0 at every step
+        lhs = np.exp(-q) * self.w_l2
+        bound = self.w_l2[0] * np.exp(growth) * (1.0 + tol)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            max_ratio = 0.0 if self.bitwise else float(
+                np.max(np.where(bound > 0.0, lhs / bound, np.inf)))
         return GapReport(t=self.t, w_l2_sq=self.w_l2, q=q, growth=growth, c1=float(c1),
                          big_c=float(big_c), bitwise_zero=self.bitwise, max_ratio=max_ratio,
-                         passed=passed)
+                         verdict=verdict("passed", lhs, bound, self.t))
 
 
 def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
@@ -394,14 +392,14 @@ def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
 
     through Young's inequality (young_gap) with weight 1/2 on ||d1 w||^2.  The
     report's q is E(t), its big_c is C0 and its growth is 0.  Identical
-    inputs short-circuit to an exact-zero check.  A blow-up of either
+    inputs keep the gap bitwise zero.  A blow-up of either
     solution raises BlowUpError.  u0 and v0 must be Hermitian.
     """
     frame = GalerkinFrame(u0.grid, max_level(u0.grid))
     audit = _GapAudit(frame, cfg.dt, cfg.n_steps, base=1)
     for i, pair, _ in _march(frame.coords(np.stack((u0.coeffs, v0.coeffs))), frame, cfg):
         audit.record(i, pair)
-    return audit.verdict(YOUNG_WEIGHT, 0.0, tol)
+    return audit.report(YOUNG_WEIGHT, 0.0, tol)
 
 
 def eps_sweep(u0: SpectralField, cfg: DetConfig, eps_values: list[float]) -> list[float]:

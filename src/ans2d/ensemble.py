@@ -11,7 +11,7 @@ The headline quantity per level n is
                / (1 + ||u0||^2),
 
 whose spread across levels certifies the uniform-in-n moment bound: the
-ensemble verdict is max/min <= 2.
+ensemble verdict holds max/min <= 2.
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import GalerkinFrame, max_level
-from .errors import GateError
 from .noise import (
     DEFAULT_ETA,
     GateResult,
@@ -29,7 +28,7 @@ from .noise import (
     condition_c_bounds,
     condition_c_gate,
 )
-from .norms import cumulative_trapezoid
+from .norms import Verdict, cumulative_trapezoid, verdict
 from .sde import SdeConfig, _run_batched, draw_increments, weighted_h01_series
 from .spectral import SpectralField
 
@@ -40,7 +39,6 @@ class EnsembleConfig:
     base_seed: int = 0
     levels: tuple[int, ...] = (8, 16, 32)
     batch: int = 500
-    require_gates: bool = True
     eta: float = DEFAULT_ETA  # Peter-Paul split of the gate constants
 
     def __post_init__(self):
@@ -78,11 +76,11 @@ class MomentEstimates:
 
 @dataclass
 class EnsembleReport:
+    """uniform holds the spread max/min c_hat across levels to at most 2."""
+
     levels: list[MomentEstimates]
     gate: GateResult
-    u0_l2_sq: float
-    spread: float
-    uniform_ok: bool
+    uniform: Verdict
 
 
 def _level_estimates(u0: SpectralField, model: NoiseModel | None, cfg_n: SdeConfig,
@@ -109,13 +107,11 @@ def run_ensemble(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
                  ens: EnsembleConfig) -> EnsembleReport:
     """Moment estimates at each Galerkin level plus the uniformity verdict.
 
-    Raises GateError when the noise constants violate the existence gate and
-    require_gates is set; a blow-up on any path aborts the whole ensemble.
+    The noise gates are reported, not enforced: refusing a run is the
+    caller's decision.  A blow-up on any path aborts the whole ensemble.
     """
     empty = NoiseModel(c=(), b=(), g_kind="zero", m1=0.0, m2=0.0, cg=0.0)
     gate = condition_c_gate(condition_c_bounds(empty if model is None else model, eta=ens.eta))
-    if ens.require_gates and not gate.existence_ok:
-        raise GateError(f"existence gate violated: {gate.describe()}")
 
     # ||u0||^2 of the projection of u0 onto all basis elements of the grid
     u0_l2 = float(np.sum(GalerkinFrame(u0.grid, max_level(u0.grid)).coords(u0.coeffs) ** 2))
@@ -131,8 +127,7 @@ def run_ensemble(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
     levels = [_moment_estimates(lvl, ens.n_paths, samples[lvl], u0_l2) for lvl in ens.levels]
     c_hats = [lv.c_hat for lv in levels]
     spread = float(max(c_hats) / min(c_hats)) if min(c_hats) > 0 else float("inf")
-    return EnsembleReport(levels=levels, gate=gate, u0_l2_sq=u0_l2,
-                          spread=spread, uniform_ok=bool(spread <= 2.0))
+    return EnsembleReport(levels=levels, gate=gate, uniform=verdict("uniform_ok", spread, 2.0))
 
 
 def moment_bound_report(report: EnsembleReport) -> list[dict[str, object]]:

@@ -165,6 +165,33 @@ def mixed_norm(grid: TorusGrid, samples: np.ndarray, p_h: float, q_v: float,
     return float(_lp_along(inner, q_v, axis=0, h=h2))
 
 
+@dataclass(frozen=True)
+class Verdict:
+    """One certificate's answer to measured <= bound; for a time series,
+    read at its step of least margin, with t_first the first time the bound
+    is broken (None when it holds)."""
+
+    name: str
+    measured: float
+    bound: float
+    passed: bool
+    t_first: float | None = None
+
+
+def verdict(name: str, lhs: float | np.ndarray, bound: float | np.ndarray,
+            t: np.ndarray | None = None) -> Verdict:
+    """The Verdict of lhs <= bound, scalars or series along t (a scalar bound
+    holds at every step).  The step of least margin has the largest lhs -
+    bound, then the largest lhs, so a scalar bound measures the sup of lhs."""
+    lhs = np.atleast_1d(np.asarray(lhs, dtype=np.float64))
+    bound = np.broadcast_to(np.asarray(bound, dtype=np.float64), lhs.shape)
+    held = lhs <= bound
+    worst = np.lexsort((lhs, lhs - bound))[-1]
+    broken = np.flatnonzero(~held)
+    t_first = float(t[broken[0]]) if t is not None and broken.size else None
+    return Verdict(name, float(lhs[worst]), float(bound[worst]), bool(held.all()), t_first)
+
+
 @dataclass
 class NormReport:
     """Rows of inequality checks: (name, lhs, rhs, constant, passed)."""
@@ -173,7 +200,7 @@ class NormReport:
 
     def add(self, name: str, lhs: float, rhs: float, constant: float,
             slack: float = 0.0) -> bool:
-        ok = bool(lhs <= rhs * (1.0 + slack) + 1e-300)
+        ok = verdict(name, lhs, rhs * (1.0 + slack) + 1e-300).passed
         self.rows.append((name, float(lhs), float(rhs), float(constant), ok))
         return ok
 

@@ -278,7 +278,7 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
         a = a + dt * drift  # a new array: on_step may hold the previous state
         a += sig
         a *= stepper.ef
-        spectral.check_finite(a, _max_sq_norm(a), l2_0, t_last=i * dt, guard=cfg.blowup_factor)
+        spectral.check_finite(_max_sq_norm(a), l2_0, t_last=i * dt, guard=cfg.blowup_factor)
 
     return BatchedRun(t=t, diag=diag, final=a, frame=frame)
 
@@ -414,7 +414,7 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     _run_batched(np.stack((u0.coeffs, v0.coeffs)), u0.grid, model, cfg,
                  draw_increments(model, cfg, (0, 0)), with_diag=False, on_step=audit.record)
     growth = (1.0 + 4.0 / beta_hat) * condition_c_bounds(model, eta=eta).l1 * audit.t
-    return audit.verdict(cfg.alpha_tilde, growth, tol)
+    return audit.report(cfg.alpha_tilde, growth, tol)
 
 
 # ---------------------------------------------------------------------------

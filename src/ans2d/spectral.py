@@ -278,11 +278,12 @@ def nonlinear_term_oracle(u: SpectralField) -> SpectralField:
     return SpectralField(grid, kernels.direct_advection(u.coeffs))
 
 
-def check_finite(coeffs: np.ndarray, l2_sq: float, l2_sq_initial: float,
-                 t_last: float, guard: float = 1e6) -> None:
-    """Raise BlowUpError on non-finite values or runaway norm growth."""
-    if not np.all(np.isfinite(coeffs)):
-        raise BlowUpError("non-finite coefficients", last_finite_time=t_last)
+def check_finite(l2_sq: float, l2_sq_initial: float, t_last: float,
+                 guard: float = 1e6) -> None:
+    """Raise BlowUpError on a non-finite squared norm l2_sq (a NaN or inf
+    coordinate makes it one) or on runaway growth."""
+    if not np.isfinite(l2_sq):
+        raise BlowUpError("non-finite norm", last_finite_time=t_last)
     if l2_sq_initial > 0.0 and l2_sq > guard ** 2 * l2_sq_initial:
         raise BlowUpError(
             f"L2 norm exceeded {guard:.1e} x initial", last_finite_time=t_last

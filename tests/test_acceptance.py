@@ -114,7 +114,7 @@ def test_criterion_03_energy_identity_second_order():
     rels = []
     for dt in (2e-3, 1e-3):
         traj = run_det(u0, DetConfig(dt=dt, t_end=1.0, integrator="if-rk2"))
-        rels.append(energy_certificate(traj).rel_to_initial)
+        rels.append(energy_certificate(traj).verdict.measured)
     ratio = rels[0] / rels[1]
     elapsed = time.monotonic() - start
     ok = 3.5 <= ratio <= 4.5 and rels[1] <= ENERGY_REL_TOL and elapsed < 30.0
@@ -129,8 +129,8 @@ def test_criterion_04_vertical_gradient_certificate():
     traj = run_det(u0, DetConfig(dt=1e-3, t_end=1.0, integrator="if-rk2"))
     report = h01_certificate(traj, slack=H01_SLACK)
     int_d1d2 = float(traj.int_d1d2_sq[-1])
-    ok = report.passed_monotone and report.passed_bound and np.isfinite(int_d1d2)
-    _verdict(4, ok, f"max_step_increase={report.max_step_increase:.3e} "
+    ok = report.monotone.passed and report.bound.passed and np.isfinite(int_d1d2)
+    _verdict(4, ok, f"max_step_increase={report.monotone.measured:.3e} "
                     f"(allowed {H01_SLACK * report.weighted[0]:.3e}) c_sup={report.c_sup:.3f} "
                     f"int_d1d2={int_d1d2:.3e}")
 
@@ -224,8 +224,8 @@ def test_criterion_09_pathwise_uniqueness():
     pert = SpectralField(grid, u0.coeffs + 1e-8 * _field(grid, 3, 5).coeffs)
     close = pathwise_uniqueness_experiment(u0, pert, model, cfg, tol=GAP_TOL)
     elapsed = time.monotonic() - start
-    ok = (same.bitwise_zero and same.passed and np.all(same.w_l2_sq == 0.0)
-          and not close.bitwise_zero and close.passed and elapsed < 60.0)
+    ok = (same.bitwise_zero and same.verdict.passed and np.all(same.w_l2_sq == 0.0)
+          and not close.bitwise_zero and close.verdict.passed and elapsed < 60.0)
     _verdict(9, ok, f"identical: bitwise over {len(same.t) - 1} steps; perturbed: "
                     f"max_ratio={close.max_ratio:.3f} (<=1 required), "
                     f"elapsed={elapsed:.0f}s (budget 60s)")
@@ -240,9 +240,9 @@ def test_criterion_10_moment_uniformity_across_levels():
     ens = EnsembleConfig(n_paths=500, base_seed=17, levels=(8, 16, 32), batch=250)
     report = run_ensemble(u0, model, cfg, ens)
     elapsed = time.monotonic() - start
-    ok = report.uniform_ok and report.gate.existence_ok and elapsed < 300.0
+    ok = report.uniform.passed and report.gate.existence_ok and elapsed < 300.0
     c_hats = {lv.level: round(lv.c_hat, 4) for lv in report.levels}
-    _verdict(10, ok, f"c_hat per level {c_hats} spread={report.spread:.3f} (<=2), "
+    _verdict(10, ok, f"c_hat per level {c_hats} spread={report.uniform.measured:.3f} (<=2), "
                      f"500 paths, elapsed={elapsed:.0f}s (budget 300s)")
 
 

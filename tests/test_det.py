@@ -66,9 +66,9 @@ def test_energy_certificate_and_dt_order(grid32, make_field):
     rels = []
     for dt in (2e-3, 1e-3):
         traj = run_det(u0, DetConfig(dt=dt, t_end=0.25, integrator="if-rk2"))
-        report = energy_certificate(traj)
+        report = energy_certificate(traj).verdict
         assert report.passed
-        rels.append(report.rel_to_initial)
+        rels.append(report.measured)
     assert 3.5 <= rels[0] / rels[1] <= 4.5  # second-order residual
 
 
@@ -76,7 +76,7 @@ def test_h01_certificate(grid32, make_field):
     u0 = make_field(grid32, band=4, seed=6)
     traj = run_det(u0, DetConfig(dt=1e-3, t_end=0.25))
     report = h01_certificate(traj)
-    assert report.passed_monotone and report.passed_bound
+    assert report.monotone.passed and report.bound.passed
     assert report.c_sup > 0.0
     assert np.all(np.diff(report.weighted) <= 1e-6 * report.weighted[0] + 1e-300)
 
@@ -187,7 +187,7 @@ def test_uniqueness_identical_inputs_bitwise(grid16, make_field):
     u0 = make_field(grid16, band=3, seed=9)
     report = uniqueness_experiment(u0, u0.copy(), DetConfig(dt=2e-3, t_end=0.1))
     assert report.bitwise_zero
-    assert report.passed
+    assert report.verdict.passed and report.max_ratio == 0.0
     assert np.all(report.w_l2_sq == 0.0)
 
 
@@ -196,7 +196,7 @@ def test_uniqueness_against_zero_solution(grid16, make_field):
     u0 = make_field(grid16, band=3, seed=10)
     report = uniqueness_experiment(u0, zeros_spectral(grid16), DetConfig(dt=2e-3, t_end=0.2))
     assert not report.bitwise_zero
-    assert report.passed
+    assert report.verdict.passed
     assert np.all(report.q == 0.0)  # zero solution has no dissipation terms
 
 
@@ -206,7 +206,7 @@ def test_uniqueness_perturbed_initial_data(grid32, make_field):
     v0 = SpectralField(grid32, u0.coeffs + 1e-6 * pert.coeffs)
     report = uniqueness_experiment(u0, v0, DetConfig(dt=2e-3, t_end=0.2), tol=det_mod.GAP_TOL)
     assert not report.bitwise_zero
-    assert report.passed
+    assert report.verdict.passed
     assert report.c1 > 0.0 and report.max_ratio <= 1.0
 
 

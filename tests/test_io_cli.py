@@ -109,6 +109,7 @@ def test_config_defaults_and_parse():
     ("det.integrator = rk9", "one of"),
     ("ensemble.levels = ", "bad value"),
     ("sde.drop_nonlinearity = maybe", "bad value"),
+    ("uniqueness.tol = -0.5", ">= 0"),  # a slack below 0 is out of range, not a failed audit
 ])
 def test_config_rejects(line, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -327,7 +328,7 @@ def test_cli_manifest_reproducibility_fields(tmp_path):
     main(["run-det", "--config", cfg, "--out", str(out)])
     man = _manifest(out)
     assert {"command", "timestamp", "wall_time_s", "seeds", "config", "outputs",
-            "verdicts", "exit_code"} <= set(man)
+            "certificates", "verdicts", "exit_code"} <= set(man)
     # the echoed config parses back to the effective configuration
     from ans2d.config import parse_config
 
@@ -434,6 +435,7 @@ def test_cli_manifest_on_config_error(tmp_path):
     assert main(["run-sde", "--config", cfg, "--out", str(out)]) == 2
     man = _manifest(out)
     assert man["exit_code"] == 2 and man["outputs"] == [] and man["verdicts"] == {}
+    assert man["certificates"] == []
     assert man["error"]["class"] == "ConfigError"
     assert "galerkin_n=200" in man["error"]["message"]
     assert parse_config(man["config"])["sde.galerkin_n"] == 200
@@ -463,12 +465,45 @@ def test_cli_manifest_on_usage_error(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_manifest_on_gate_error(tmp_path):
-    cfg = _write_cfg(tmp_path, "noise.c_recipes = 2.0*cos(0,1)\n")
-    out = tmp_path / "ens"
-    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 1
-    man = _manifest(out)
-    assert man["exit_code"] == 1 and man["error"]["class"] == "GateError"
-    assert "last_finite_time" not in man["error"]
+    # every command that needs a gate refuses the same way: GateError, exit 1
+    cfg = _write_cfg(tmp_path, "noise.c_recipes = 2.0*cos(0,1)\nuniqueness.kind = sde\n")
+    for command, gate in (("ensemble", "existence"), ("run-sde", "existence"),
+                          ("uniqueness", "uniqueness")):
+        out = tmp_path / command
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        man = _manifest(out)
+        assert man["exit_code"] == 1 and man["error"]["class"] == "GateError"
+        assert man["error"]["message"].startswith(f"{gate} gate violated")
+        assert man["outputs"] == [] and man["certificates"] == [] and man["verdicts"] == {}
+        assert "last_finite_time" not in man["error"]
+
+
+def test_cli_exit_follows_the_failed_record(tmp_path, monkeypatch):
+    # one failing certificate gives exit 1 and changes nothing else: its
+    # record fails at the first violating step, the other records and every
+    # output byte stay as they were
+    from ans2d import det
+
+    cfg = _write_cfg(tmp_path)
+    base, tight = tmp_path / "base", tmp_path / "tight"
+    assert main(["run-det", "--config", cfg, "--out", str(base)]) == 0
+    held = _manifest(base)["certificates"]
+    assert [r["name"] for r in held] == ["energy_certificate", "h01_monotone", "h01_bound"]
+    assert all(r["passed"] and r["t_first"] is None for r in held)
+    tol = held[0]["measured"] / 2
+    monkeypatch.setattr(det, "ENERGY_REL_TOL", tol)
+    assert main(["run-det", "--config", cfg, "--out", str(tight)]) == 1
+    man = _manifest(tight)
+    with open(base / "det_series.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    scale = float(rows[0]["l2_sq"])
+    t_first = next(float(r["t"]) for r in rows if abs(float(r["energy_residual"])) / scale > tol)
+    assert 0.0 < t_first < float(rows[-1]["t"])
+    assert man["exit_code"] == 1 and man["verdicts"]["energy_certificate"] is False
+    assert man["certificates"] == [{**held[0], "bound": tol, "passed": False,
+                                    "t_first": t_first}] + held[1:]
+    for name in ("det_series.csv", "final_state.ans2"):
+        assert (tight / name).read_bytes() == (base / name).read_bytes()
 
 
 def test_cli_manifest_on_blowup(tmp_path):

@@ -13,6 +13,7 @@ from ans2d.norms import (
     norm_rows,
     sobolev_norm,
     trilinear_ratio,
+    verdict,
 )
 from ans2d.spectral import (
     PhysicalField,
@@ -107,6 +108,18 @@ def test_report_failure_bookkeeping():
     assert not report.add("bad", 3.0, 2.0, 1.0)
     assert not report.all_passed
     assert [r[0] for r in report.failures()] == ["bad"]
+
+
+def test_verdict_reads_a_series_at_its_least_margin():
+    t = np.array([0.0, 0.5, 1.0, 1.5])
+    # a scalar bound measures the sup, even where lhs - bound rounds to a tie
+    held = verdict("tie", np.array([2e-20, 1e-20, 3e-20, 0.0]), 1e-4, t)
+    assert (held.measured, held.bound, held.passed, held.t_first) == (3e-20, 1e-4, True, None)
+    # a moving bound is read where it is closest; t_first is the first break
+    broken = verdict("moving", np.array([1.0, 2.0, 3.0, 5.0]), np.array([2.0, 1.5, 2.8, 6.0]), t)
+    assert (broken.measured, broken.bound, broken.passed, broken.t_first) == (2.0, 1.5, False, 0.5)
+    assert not verdict("nan", np.array([0.0, np.nan]), 1.0, t[:2]).passed
+    assert verdict("scalar", 3, 0) == verdict("scalar", 3.0, 0.0)
 
 
 def test_parseval_vs_mixed_norm(grid16):

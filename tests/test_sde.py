@@ -279,7 +279,7 @@ def test_pathwise_uniqueness_bitwise(grid16, make_field):
     u0 = make_field(grid16, band=3, seed=8)
     cfg = SdeConfig(dt=2e-3, t_end=0.1, galerkin_n=10, seed=3)
     report = pathwise_uniqueness_experiment(u0, u0.copy(), _model_small(), cfg)
-    assert report.bitwise_zero and report.passed
+    assert report.bitwise_zero and report.verdict.passed
     assert np.all(report.w_l2_sq == 0.0)
 
 
@@ -290,7 +290,7 @@ def test_pathwise_uniqueness_perturbed(grid16, make_field):
     cfg = SdeConfig(dt=2e-3, t_end=0.2, galerkin_n=10, seed=4)
     report = pathwise_uniqueness_experiment(u0, v0, _model_small(), cfg, tol=0.05)
     assert not report.bitwise_zero
-    assert report.passed
+    assert report.verdict.passed
     assert report.max_ratio <= 1.0
     assert report.growth[-1] > 0.0
 

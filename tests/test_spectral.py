@@ -164,12 +164,14 @@ def test_advection_vanishes_for_pure_shear(grid16):
 
 
 def test_check_finite_raises():
-    c = np.full((2, 4, 4), np.nan, dtype=complex)
-    with pytest.raises(BlowUpError) as info:
-        check_finite(c, 1.0, 1.0, t_last=0.25)
-    assert info.value.last_finite_time == 0.25
-    with pytest.raises(BlowUpError):
-        check_finite(np.zeros((2, 4, 4), dtype=complex), 1e20, 1.0, t_last=0.5, guard=1e6)
+    # a NaN or inf coordinate reaches the guard through the norm
+    for bad in (np.nan, np.inf):
+        with pytest.raises(BlowUpError, match="non-finite") as info:
+            check_finite(bad, 1.0, t_last=0.25)
+        assert info.value.last_finite_time == 0.25
+    with pytest.raises(BlowUpError, match="exceeded"):
+        check_finite(1e20, 1.0, t_last=0.5, guard=1e6)
+    check_finite(1e11, 1.0, t_last=0.5, guard=1e6)  # within the guard
 
 
 def test_shear_field_orientation(grid16):
