@@ -81,8 +81,12 @@ class GalerkinFrame:
 
     synth and analyse do the same on the k2 >= 0 half spectrum cut to the
     level's columns 0 .. cols-1, cols = max |k2| + 1, through real
-    transforms (spectral._phys, spectral._spec).  There pair p sits at its
-    representative kr, which is kc, or -kc holding conj(c(kc)) when
+    transforms (spectral._phys, spectral._spec).  That half is laid out
+    (cols, n1), k1 last, so the transform along k1 runs on the contiguous
+    axis, where numpy's FFT is several times faster on the short batched
+    transforms of a level; half_at and half_src index it flat, at
+    k2 * n1 + (k1 mod n1).  There pair p sits at its representative kr,
+    which is kc, or -kc holding conj(c(kc)) when
     kc2 < 0 (sign -1); a pair with kc2 = 0 also fills its mirror -kc in
     column 0, which the inverse transform along k1 reads.  synth gives the
     leading rows of the table half_gain, the coefficients per unit
@@ -120,13 +124,13 @@ class GalerkinFrame:
         self.sign = np.where(pairs[:, 1] < 0, -1.0, 1.0)
         rep = pairs * self.sign[:, None].astype(np.int64)
         self.cols = int(np.max(rep[:, 1], initial=0)) + 1
-        self.half_at = rep[:, 0] % grid.n1 * self.cols + rep[:, 1]  # flat index of kr
-        # synthesis map over the n1 x cols half: each position reads pair p
+        self.half_at = rep[:, 1] * grid.n1 + rep[:, 0] % grid.n1  # flat index of kr
+        # synthesis map over the cols x n1 half: each position reads pair p
         # at kc (source p), at -kc (source n_pairs + p, conjugated) or
         # nothing (source 2 n_pairs, a zero)
         n_pairs = len(pairs)
         mirror = np.flatnonzero(pairs[:, 1] == 0)
-        pos = np.concatenate((self.half_at, (-pairs[mirror, 0] % grid.n1) * self.cols))
+        pos = np.concatenate((self.half_at, -pairs[mirror, 0] % grid.n1))  # mirrors: column 0
         src = np.concatenate((np.where(self.sign > 0, 0, n_pairs) + np.arange(n_pairs),
                               n_pairs + mirror))
         k = np.concatenate((rep, -pairs[mirror]))
@@ -181,7 +185,9 @@ class GalerkinFrame:
 
         The first 3 rows (u1, u2, omega) feed the advection
         (spectral._advection_raw); a sigma(u) with c-channels also reads
-        d1 u, rows 3 and 4.  One transform call for all of them.
+        d1 u, rows 3 and 4.  The gather writes the (..., rows, cols, n1)
+        half spectrum spectral._phys reads, k1 last, straight from the
+        index map half_src, and one transform call serves all the rows.
         """
         lead = a.shape[:-1]
         z = self._to_pairs(a)
@@ -191,7 +197,7 @@ class GalerkinFrame:
         half = np.empty(lead + (rows, self.half_src.size), dtype=np.complex128)
         np.multiply(src[..., None, self.half_src], self.half_gain[:rows], out=half)
         del z, src  # not held through the transform: it would raise the peak heap
-        half = half.reshape(lead + (rows, self.grid.n1, self.cols))
+        half = half.reshape(lead + (rows, self.cols, self.grid.n1))
         return spectral._phys(half, self.grid.n_points)
 
     def analyse(self, samples: np.ndarray) -> np.ndarray:

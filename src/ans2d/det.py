@@ -210,7 +210,6 @@ class H01Report:
 
     c_emp: np.ndarray
     c_sup: float
-    big_c: float
     weighted: np.ndarray
     monotone: Verdict
     bound: Verdict
@@ -226,13 +225,12 @@ def h01_certificate(traj: Trajectory, slack: float = H01_SLACK) -> H01Report:
     slack * its initial value at any step, which also yields
     ||d2 u(t)||^2 <= ||d2 u(0)||^2 exp(2C int ||d1 u||^2).
     """
-    c_emp, c_sup, big_c, q = absorb(traj.cross,
-                                    np.sqrt(traj.d1d2_sq * traj.d1_sq * traj.d2_sq),
-                                    traj.d1_sq, traj.config.dt, young_h01, YOUNG_WEIGHT)
+    c_emp, c_sup, _, q = absorb(traj.cross, np.sqrt(traj.d1d2_sq * traj.d1_sq * traj.d2_sq),
+                                traj.d1_sq, traj.config.dt, young_h01, YOUNG_WEIGHT)
     weighted = np.exp(-q) * traj.d2_sq
     allowance = slack * weighted[0] if weighted[0] > 0 else slack
     bound = traj.d2_sq[0] * np.exp(q) * (1.0 + slack) + allowance
-    return H01Report(c_emp=c_emp, c_sup=float(c_sup), big_c=float(big_c), weighted=weighted,
+    return H01Report(c_emp=c_emp, c_sup=float(c_sup), weighted=weighted,
                      monotone=verdict("h01_monotone", np.maximum(np.diff(weighted), 0.0),
                                       allowance, traj.t[1:]),
                      bound=verdict("h01_bound", traj.d2_sq, bound, traj.t))
@@ -296,8 +294,7 @@ class GapReport:
     q is the absorbed exponent and growth the Gronwall exponent G(t);
     verdict holds exp(-q) ||w||^2 <= ||w(0)||^2 exp(growth) (1 + tol), and
     max_ratio is the largest ratio of the two sides (0 for a bitwise-zero
-    gap).  big_c is the Young constant applied to the measured trilinear
-    constant c1.
+    gap).  c1 is the measured trilinear constant.
     """
 
     t: np.ndarray
@@ -305,7 +302,6 @@ class GapReport:
     q: np.ndarray
     growth: np.ndarray
     c1: float
-    big_c: float
     bitwise_zero: bool
     max_ratio: float
     verdict: Verdict
@@ -363,7 +359,7 @@ class _GapAudit:
 
     def report(self, alpha: float, growth: float | np.ndarray, tol: float) -> GapReport:
         """The report of the recorded rows, absorbed with Young weight alpha."""
-        _, c1, big_c, q = absorb(self.tri, self.den, self.dissip, self.dt, young_gap, alpha)
+        _, c1, _, q = absorb(self.tri, self.den, self.dissip, self.dt, young_gap, alpha)
         growth = np.zeros_like(self.t) + growth
         # a bitwise-zero gap has lhs = bound = 0 at every step
         lhs = np.exp(-q) * self.w_l2
@@ -372,7 +368,7 @@ class _GapAudit:
             max_ratio = 0.0 if self.bitwise else float(
                 np.max(np.where(bound > 0.0, lhs / bound, np.inf)))
         return GapReport(t=self.t, w_l2_sq=self.w_l2, q=q, growth=growth, c1=float(c1),
-                         big_c=float(big_c), bitwise_zero=self.bitwise, max_ratio=max_ratio,
+                         bitwise_zero=self.bitwise, max_ratio=max_ratio,
                          verdict=verdict("passed", lhs, bound, self.t))
 
 
@@ -391,9 +387,9 @@ def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
              ( ||d1 v||^{1/2} + ||d2 v||^{1/2} ) ||d1 d2 v||^{1/2} ||w||^{3/2} )
 
     through Young's inequality (young_gap) with weight 1/2 on ||d1 w||^2.  The
-    report's q is E(t), its big_c is C0 and its growth is 0.  Identical
-    inputs keep the gap bitwise zero.  A blow-up of either
-    solution raises BlowUpError.  u0 and v0 must be Hermitian.
+    report's q is E(t) and its growth is 0.  Identical inputs keep the
+    gap bitwise zero.  A blow-up of either solution raises BlowUpError.
+    u0 and v0 must be Hermitian.
     """
     frame = GalerkinFrame(u0.grid, max_level(u0.grid))
     audit = _GapAudit(frame, cfg.dt, cfg.n_steps, base=1)

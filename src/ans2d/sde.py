@@ -404,8 +404,8 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     G(t) = (1 + 4/beta_hat) L1 t is the Gronwall factor of the Lipschitz
     channel of the noise; the dissipation margin 2 - 2 alpha - L2 > 0 and
     the martingale fluctuation are covered by the slack.  L1 is taken with
-    the Peter-Paul split eta of the noise gates.  The report's big_c is
-    C(alpha) and its growth is G(t).
+    the Peter-Paul split eta of the noise gates.  The report's q is the
+    absorbed exponent above and its growth is G(t).
     """
     if not 0.0 < beta_hat < 1.0:
         raise ValueError("beta_hat must lie in (0, 1)")

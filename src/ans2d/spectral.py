@@ -171,25 +171,37 @@ def _phys(half: np.ndarray, n_points: int) -> np.ndarray:
     half holds the k2 >= 0 columns 0 .. cols-1 of Hermitian coefficients,
     c(-k) = conj(c(k)), band-limited below the Nyquist row and column (as
     every dealiased field and its derivatives are); column 0 must carry
-    both k and -k.  A complex inverse transform along k1 runs on those
-    columns only, then a real one along x2 zero-pads the columns above
-    them; n2 is n_points // n1.  Both run unnormalized (norm="forward"
-    leaves the inverse unscaled), as the amplitude convention asks.
+    both k and -k.  It is laid out (..., cols, n1), k1 last: numpy's FFT
+    runs a batch of short transforms several times faster along the
+    contiguous axis than along a strided one (Frigo & Johnson, Proc. IEEE
+    93, 2005, on stride and loop layout), and each 1-D transform gives
+    the same bits in either layout.  A complex inverse transform along k1
+    runs on those columns only; one transposed copy then puts x1 before
+    k2, and a real transform along x2 zero-pads the columns above them,
+    giving (..., n1, n2) samples; n2 is n_points // n1.  Both run
+    unnormalized (norm="forward" leaves the inverse unscaled), as the
+    amplitude convention asks.
     """
-    n1 = half.shape[-2]
-    rows = np.fft.ifft(half, axis=-2, norm="forward")
+    n1 = half.shape[-1]
+    # the transposed copy is allocated before the k1 pass's output and
+    # outlives it, so that output is freed at the top of the heap
+    rows = np.empty(half.shape[:-2] + (n1, half.shape[-2]), dtype=np.complex128)
+    rows[...] = np.fft.ifft(half, axis=-1, norm="forward").swapaxes(-1, -2)
     return np.fft.irfft(rows, n=n_points // n1, axis=-1, norm="forward")
 
 
 def _spec(samples: np.ndarray, n_points: int, cols: int) -> np.ndarray:
     """Coefficients of real samples in the k2 >= 0 columns 0 .. cols-1.
 
-    A real transform along x2 keeps the first cols columns, and a complex
-    one along x1 runs on those only; each scales by 1/n of its axis
-    (norm="forward"), so n_points, kept to match _phys, is not read.
+    A real transform along x2 keeps the first cols columns; one transposed
+    copy lays them out (..., cols, n1), the layout _phys reads, and a
+    complex transform along x1, the contiguous axis, runs on those only.
+    Each scales by 1/n of its axis (norm="forward"), so n_points, kept to
+    match _phys, is not read.
     """
     half = np.fft.rfft(samples, axis=-1, norm="forward")[..., :cols]
-    return np.fft.fft(half, axis=-2, norm="forward")
+    half = np.ascontiguousarray(half.swapaxes(-1, -2))  # frees the x2 pass's full output
+    return np.fft.fft(half, axis=-1, norm="forward")
 
 
 def derivative(u: SpectralField, axis: int, order: int = 1) -> SpectralField:
@@ -237,13 +249,18 @@ def zero_mean(u: SpectralField) -> SpectralField:
 def _phys_grad(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
     """Physical samples of the rows (u1, u2, omega, d1 u1, d1 u2) of u.
 
-    half holds the k2 >= 0 columns of u's (..., 2, n1, cols) coefficients
-    (see _phys); the rows replace its component axis, in the layout of
-    GalerkinFrame.synth, and omega = d1 u2 - d2 u1 is the vorticity.  One
-    batched synthesis call: per-call FFT overhead dominates small grids.
+    half holds the k2 >= 0 columns of u's (..., 2, n1, cols) coefficients,
+    in the coefficient layout; its two last axes are swapped into the
+    (cols, n1) layout of _phys, and the rows replace its component axis,
+    in the layout of GalerkinFrame.synth; omega = d1 u2 - d2 u1 is the
+    vorticity.  One batched synthesis call: per-call FFT overhead
+    dominates small grids.
     """
-    k2 = np.arange(half.shape[-1], dtype=np.float64)
-    d1 = half * (1j * grid.k1.astype(np.float64))
+    # C-ordered, so the products and their concatenation are too: a strided
+    # k1 axis would send _phys down numpy's slow path
+    half = np.ascontiguousarray(half.swapaxes(-1, -2))
+    k2 = np.arange(half.shape[-2], dtype=np.float64)[:, None]
+    d1 = half * (1j * grid.k1.T.astype(np.float64))
     omega = d1[..., 1:2, :, :] - half[..., 0:1, :, :] * (1j * k2)
     return _phys(np.concatenate((half, omega, d1), axis=-3), grid.n_points)
 

@@ -520,14 +520,17 @@ def test_cli_manifest_on_blowup(tmp_path):
 
 
 def test_cli_import_loads_no_scipy():
-    # scipy.signal alone takes over a second to import; only the oracle
-    # (kernels, imported on first use) may load scipy
+    # scipy.signal alone takes over a second to import, and scipy.fft about
+    # 0.3 s, more than twice a benchmark run's whole set-up; the transforms
+    # run on numpy.fft, and only the oracle (kernels, imported on first
+    # use) may load scipy
     import ans2d
 
     src = str(Path(ans2d.__file__).resolve().parents[1])
-    script = (f"import sys; sys.path.insert(0, {src!r}); import ans2d.cli; "
+    script = (f"import sys; sys.path.insert(0, {src!r}); import ans2d, ans2d.cli; "
               "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
+    assert "scipy.fft" not in proc.stdout and "scipy.signal" not in proc.stdout
     assert proc.stdout.strip() == "[]"

@@ -203,9 +203,9 @@ def test_random_solenoidal_band_guard(grid16):
 
 @pytest.mark.parametrize("n1,n2", [(16, 16), (32, 32), (16, 24)])
 def test_real_synthesis_matches_complex(n1, n2):
-    # _phys reads a k2 >= 0 half spectrum cut to the band's columns: on
-    # Hermitian band-limited input it must agree with the complex synthesis,
-    # for the field and its gradient
+    # _phys reads a k2 >= 0 half spectrum cut to the band's columns, laid
+    # out (cols, n1): on Hermitian band-limited input it must agree with the
+    # complex synthesis, for the field and its gradient
     from ans2d.spectral import _phys, _phys_grad
 
     grid = TorusGrid(n1, n2)
@@ -217,15 +217,39 @@ def test_real_synthesis_matches_complex(n1, n2):
     k2 = grid.k2.astype(np.float64)
     for c in (batch, batch * (1j * k1), batch * (1j * k2)):
         ref = np.fft.ifft2(c, axes=(-2, -1)).real * grid.n_points
-        got = _phys(c[..., : band + 1], grid.n_points)
+        got = _phys(c[..., : band + 1].swapaxes(-1, -2), grid.n_points)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
     # _phys_grad: rows (u1, u2, omega, d1 u1, d1 u2) in place of the component axis
     stacked = _phys_grad(batch[..., : band + 1], grid)
     assert stacked.shape == (3, 5, n1, n2)
-    np.testing.assert_array_equal(stacked[:, :2], _phys(batch[..., : band + 1], grid.n_points))
-    np.testing.assert_array_equal(stacked[:, 3:], _phys((batch * (1j * k1))[..., : band + 1],
-                                                        grid.n_points))
+    np.testing.assert_array_equal(
+        stacked[:, :2], _phys(batch[..., : band + 1].swapaxes(-1, -2), grid.n_points))
+    np.testing.assert_array_equal(
+        stacked[:, 3:], _phys((batch * (1j * k1))[..., : band + 1].swapaxes(-1, -2),
+                              grid.n_points))
     omega = batch[:, 1] * (1j * k1) - batch[:, 0] * (1j * k2)
     ref = np.fft.ifft2(omega, axes=(-2, -1)).real * grid.n_points
     assert np.max(np.abs(stacked[:, 2] - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("n1,n2", [(4, 4), (8, 8), (10, 10), (16, 16), (16, 24), (64, 64)])
+@pytest.mark.parametrize("rows", [3, 5])
+def test_contiguous_layout_matches_strided_transforms(n1, n2, rows):
+    # _phys and _spec run the k1 pass along the contiguous last axis of a
+    # (cols, n1) half spectrum; written with that pass along axis -2 of an
+    # (n1, cols) half, as the reference below is, each 1-D transform sees
+    # the same numbers, so both must agree bit for bit
+    from ans2d.spectral import _phys, _spec
+
+    grid = TorusGrid(n1, n2)
+    cols = grid.band2 + 1
+    samples = np.random.default_rng(n1 * n2 + rows).standard_normal((7, rows, n1, n2))
+    half = np.fft.fft(np.fft.rfft(samples, axis=-1, norm="forward")[..., :cols], axis=-2,
+                      norm="forward")
+    got = _spec(samples, grid.n_points, cols)
+    assert got.shape == (7, rows, cols, n1) and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, half.swapaxes(-1, -2))
+    ref = np.fft.irfft(np.fft.ifft(half, axis=-2, norm="forward"), n=n2, axis=-1,
+                       norm="forward")
+    np.testing.assert_array_equal(_phys(got, grid.n_points), ref)
