@@ -86,8 +86,9 @@ class GalerkinFrame:
     axis, where numpy's FFT is several times faster on the short batched
     transforms of a level; half_at and half_src index it flat, at
     k2 * n1 + (k1 mod n1).  There pair p sits at its representative kr,
-    which is kc, or -kc holding conj(c(kc)) when
-    kc2 < 0 (sign -1); a pair with kc2 = 0 also fills its mirror -kc in
+    which is kc, or -kc holding conj(c(kc)) when kc2 < 0 (im_sign +1,
+    the factor of Im(d . c(kr)) in the sine coordinate, -1 at kc); a pair
+    with kc2 = 0 also fills its mirror -kc in
     column 0, which the inverse transform along k1 reads.  synth gives the
     leading rows of the table half_gain, the coefficients per unit
     coordinate of (u1, u2, omega, d1 u1, d1 u2) with the vorticity
@@ -121,8 +122,9 @@ class GalerkinFrame:
         self.k1sq = (self.wavevectors[:, 0] ** 2).astype(np.float64)
         self.k2sq = (self.wavevectors[:, 1] ** 2).astype(np.float64)
         # half-spectrum maps: representative kr = sign * kc has kr2 >= 0
-        self.sign = np.where(pairs[:, 1] < 0, -1.0, 1.0)
-        rep = pairs * self.sign[:, None].astype(np.int64)
+        sign = np.where(pairs[:, 1] < 0, -1, 1)
+        self.im_sign = -sign.astype(np.float64)
+        rep = pairs * sign[:, None]
         self.cols = int(np.max(rep[:, 1], initial=0)) + 1
         self.half_at = rep[:, 1] * grid.n1 + rep[:, 0] % grid.n1  # flat index of kr
         # synthesis map over the cols x n1 half: each position reads pair p
@@ -131,7 +133,7 @@ class GalerkinFrame:
         n_pairs = len(pairs)
         mirror = np.flatnonzero(pairs[:, 1] == 0)
         pos = np.concatenate((self.half_at, -pairs[mirror, 0] % grid.n1))  # mirrors: column 0
-        src = np.concatenate((np.where(self.sign > 0, 0, n_pairs) + np.arange(n_pairs),
+        src = np.concatenate((np.where(sign > 0, 0, n_pairs) + np.arange(n_pairs),
                               n_pairs + mirror))
         k = np.concatenate((rep, -pairs[mirror]))
         self.half_src = np.full(grid.n1 * self.cols, 2 * n_pairs)
@@ -143,7 +145,7 @@ class GalerkinFrame:
                            * (0.5 * _AMP * self.dirs[:, src % n_pairs]))
         self.half_gain = np.stack((*grad[0], grad[1, 1] - grad[2, 0], *grad[1]))
         for arr in (*self.plus, *self.minus, self.dirs, self.wavevectors, self.k1sq, self.k2sq,
-                    self.sign, self.half_at, self.half_src, self.half_gain):
+                    self.im_sign, self.half_at, self.half_src, self.half_gain):
             arr.flags.writeable = False
 
     def column(self, k: tuple[int, int]) -> int:
@@ -154,22 +156,29 @@ class GalerkinFrame:
                              f"of the {self.grid.n1}x{self.grid.n2} grid")
         return int(match[0])
 
-    def _from_pairs(self, re: np.ndarray, minus_im: np.ndarray) -> np.ndarray:
-        """(..., n) coordinates from Re and -Im of d . c(kc) per pair."""
-        a = np.stack((re, minus_im), axis=-1) * (MEASURE * _AMP)
-        return a.reshape(a.shape[:-2] + (2 * a.shape[-2],))[..., :self.n]
+    def _from_pairs(self, beta: np.ndarray, im_sign: np.ndarray | float) -> np.ndarray:
+        """(..., n) coordinates from beta = d . c per pair; may overwrite beta.
+
+        The float view of a C-ordered complex beta interleaves (Re, Im) per
+        pair, which is the (cos, sin) layout of the coordinates: one
+        multiply scales both, and im_sign gives the sine its sign.
+        """
+        a = np.ascontiguousarray(beta, dtype=np.complex128).view(np.float64)
+        a *= MEASURE * _AMP
+        a[..., 1::2] *= im_sign
+        return a[..., :self.n]
 
     def _to_pairs(self, a: np.ndarray) -> np.ndarray:
         """a_cos - i a_sin per pair for (..., n) coordinates a; an odd n pads a zero sine."""
-        pad = np.zeros(a.shape[:-1] + (2 * len(self.sign),))
+        pad = np.zeros(a.shape[:-1] + (2 * len(self.im_sign),))
         pad[..., :self.n] = a
-        return pad[..., 0::2] - 1j * pad[..., 1::2]
+        return np.conj(pad.view(np.complex128))
 
     def coords(self, coeffs: np.ndarray) -> np.ndarray:
         """(..., n) coordinates of Hermitian (..., 2, n1, n2) coefficients."""
         i, j = self.plus
         alpha = coeffs[..., 0, i, j] * self.dirs[0] + coeffs[..., 1, i, j] * self.dirs[1]
-        return self._from_pairs(alpha.real, -alpha.imag)
+        return self._from_pairs(alpha, -1.0)
 
     def lift(self, a: np.ndarray) -> np.ndarray:
         """(..., 2, n1, n2) coefficients of the field with coordinates a."""
@@ -206,7 +215,7 @@ class GalerkinFrame:
         # np.take keeps the batch axes outermost (fancy indexing would not)
         at = np.take(half.reshape(half.shape[:-2] + (self.half_src.size,)), self.half_at, axis=-1)
         beta = at[..., 0, :] * self.dirs[0] + at[..., 1, :] * self.dirs[1]
-        return self._from_pairs(beta.real, -self.sign * beta.imag)  # conj where flipped
+        return self._from_pairs(beta, self.im_sign)  # conj where flipped
 
 
 def galerkin_project_raw(coeffs: np.ndarray, grid: TorusGrid, n: int) -> np.ndarray:

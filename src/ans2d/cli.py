@@ -102,13 +102,15 @@ def _split_recipes(text: str) -> list[str]:
     return [part.strip() for part in text.split(";") if part.strip()]
 
 
-def _noise_model(cfg: dict[str, Any]) -> NoiseModel | None:
+def _noise_model(cfg: dict[str, Any], grid: TorusGrid) -> NoiseModel | None:
     c = _split_recipes(cfg["noise.c_recipes"])
     b = _split_recipes(cfg["noise.b_recipes"])
     if not c and not b:
         return None
     with _config_value("bad noise recipes: "):
-        return make_model(c, b, cfg["noise.g"], margin=cfg["noise.budget_margin"])
+        model = make_model(c, b, cfg["noise.g"], margin=cfg["noise.budget_margin"])
+        model.check_band(grid)
+    return model
 
 
 def _det_config(cfg: dict[str, Any]) -> det_mod.DetConfig:
@@ -175,7 +177,7 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
     u0 = _initial_field(grid, cfg)
     scfg = _sde_config(cfg)
     _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
-    model = _noise_model(cfg)
+    model = _noise_model(cfg, grid)
     gate = _gate(cfg, args, model, "existence")
     traj = sde_mod.run_sde(u0, model, scfg)
     int_d1 = cumulative_trapezoid(traj.diag["d1_sq"], np.diff(traj.t))
@@ -199,7 +201,7 @@ def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> C
     grid = _grid(cfg)
     u0 = _initial_field(grid, cfg)
     scfg = _sde_config(cfg)
-    model = _noise_model(cfg)
+    model = _noise_model(cfg, grid)
     with _config_value():
         ens = EnsembleConfig(n_paths=cfg["ensemble.n_paths"],
                              base_seed=cfg["ensemble.base_seed"],
@@ -208,8 +210,7 @@ def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> C
                              eta=cfg["noise.eta"])
     for level in ens.levels:
         _check_level(grid, "ensemble.levels", level)
-    _gate(cfg, args, model, "existence")
-    report = run_ensemble(u0, model, scfg, ens)
+    report = run_ensemble(u0, model, scfg, ens, _gate(cfg, args, model, "existence"))
     rows = moment_bound_report(report)
     header = list(rows[0].keys())
     _write_csv(out / "ensemble_moments.csv", header,
@@ -289,7 +290,7 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
     if cfg["uniqueness.kind"] == "det":
         rep = det_mod.uniqueness_experiment(u0, v0, _det_config(cfg), tol=tol)
     else:
-        model = _noise_model(cfg)
+        model = _noise_model(cfg, grid)
         if model is None:
             raise ConfigError("sde uniqueness needs a noise model "
                               "(noise.c_recipes / noise.b_recipes)")

@@ -104,14 +104,18 @@ def _moment_estimates(level: int, n_paths: int, samples: dict[str, np.ndarray],
 
 
 def run_ensemble(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
-                 ens: EnsembleConfig) -> EnsembleReport:
+                 ens: EnsembleConfig, gate: GateResult | None = None) -> EnsembleReport:
     """Moment estimates at each Galerkin level plus the uniformity verdict.
 
     The noise gates are reported, not enforced: refusing a run is the
-    caller's decision.  A blow-up on any path aborts the whole ensemble.
+    caller's decision.  gate is the caller's evaluation of them at
+    ens.eta, taken as it is; without one they are evaluated here.  A
+    blow-up on any path aborts the whole ensemble.
     """
-    empty = NoiseModel(c=(), b=(), g_kind="zero", m1=0.0, m2=0.0, cg=0.0)
-    gate = condition_c_gate(condition_c_bounds(empty if model is None else model, eta=ens.eta))
+    if gate is None:
+        empty = NoiseModel(c=(), b=(), g_kind="zero", m1=0.0, m2=0.0, cg=0.0)
+        gate = condition_c_gate(condition_c_bounds(empty if model is None else model,
+                                                   eta=ens.eta))
 
     # ||u0||^2 of the projection of u0 onto all basis elements of the grid
     u0_l2 = float(np.sum(GalerkinFrame(u0.grid, max_level(u0.grid)).coords(u0.coeffs) ** 2))

@@ -22,6 +22,7 @@ K2 = (1+eta) M1, Kt2 = 2 (1+eta) M1, L2 = (1+eta) M1 directly.
 
 from __future__ import annotations
 
+import functools
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -173,6 +174,21 @@ class NoiseModel:
     def g_eval(self, x: np.ndarray) -> np.ndarray:
         return _g_funcs(self.g_kind)[0](x)
 
+    def check_band(self, grid: TorusGrid) -> None:
+        """Raise ValueError for a recipe wavevector outside grid's alias-free band.
+
+        Sampled on grid, such a term is not the declared noise: on 16
+        points cos(9,0) samples as cos(7,0), outside the band, and projects
+        to nothing, and cos(11,0) samples as the in-band cos(5,0), while
+        the gates read the declared budgets either way.
+        """
+        for recipe in self.c + self.b:
+            for _, k1, k2, phase in recipe.terms:
+                if abs(k1) > grid.band1 or abs(k2) > grid.band2:
+                    raise ValueError(
+                        f"{phase}({k1},{k2}) lies outside the alias-free band |k1| <= "
+                        f"{grid.band1}, |k2| <= {grid.band2} of the {grid.n1}x{grid.n2} grid")
+
     def coefficient_fields(self, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
         """Sampled (n_modes, n1, n2) arrays of the c and b recipes."""
         c_arr = np.stack([r.evaluate(grid) for r in self.c]) if self.c else \
@@ -196,15 +212,33 @@ def make_model(c_recipes: Sequence[str], b_recipes: Sequence[str], g_kind: str =
                       cg=max(g_sup, g_lip, 1e-12))
 
 
+@functools.cache
+def _philox() -> np.random.Generator:
+    """The one Philox generator, re-keyed for every path; not safe to share between threads.
+
+    Built on first use: importing the package does not load numpy.random.
+    """
+    return np.random.Generator(np.random.Philox(0))
+
+
 def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
                             base_seed: int, traj_index: int = 0) -> np.ndarray:
     """Pregenerated increments, shape (n_steps, n_modes), entries N(0, dt).
 
     Counter-based stream: each (base_seed, traj_index) pair keys an
-    independent Philox generator, so paths are reproducible individually.
+    independent Philox stream, so paths are reproducible individually.  A
+    Philox stream is its (key, counter) pair, so the call resets one
+    generator to the state of a fresh Philox(key=(base_seed, traj_index)):
+    counter 0 and an empty buffer.  That draws exactly the fresh
+    generator's numbers, without building one (and the OS entropy its
+    constructor gathers) per path.
     """
     key = np.array([base_seed % 2 ** 64, traj_index % 2 ** 64], dtype=np.uint64)
-    gen = np.random.Generator(np.random.Philox(key=key))
+    gen = _philox()
+    gen.bit_generator.state = {"bit_generator": "Philox",
+                               "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+                               "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                               "has_uint32": 0, "uinteger": 0}
     return gen.standard_normal((n_steps, n_modes)) * np.sqrt(dt)
 
 

@@ -307,6 +307,34 @@ def check_finite(l2_sq: float, l2_sq_initial: float, t_last: float,
         )
 
 
+def max_sq_norm(a: np.ndarray) -> float:
+    """Largest squared row norm of (..., n) coordinates a; a NaN row gives NaN.
+
+    einsum, because np.sum over a short last axis costs several times a
+    contiguous reduction.
+    """
+    return float(np.einsum("...j,...j->...", a, a).max())
+
+
+def check_rows(a: np.ndarray, l2_sq_initial: float, t_last: float,
+               guard: float = 1e6) -> None:
+    """check_finite on the largest squared row norm of (..., n) coordinates a.
+
+    The blow-up guard of both engines.  One dot product over the whole
+    batch settles the common case: no row exceeds a finite total, so a
+    total within guard^2 l2_sq_initial (or any finite total when
+    l2_sq_initial is 0) clears every row.  Only otherwise is the row
+    maximum taken and checked by check_finite, with its exceptions.  The
+    total rounds differently from a row's own sum, so a row that sits at
+    the bound to rounding level may be decided differently than by the
+    row maximum alone; the guard's value reaches no output.
+    """
+    total = float(np.vdot(a, a))  # NaN or inf on a non-finite row
+    if total < np.inf and (l2_sq_initial <= 0.0 or total <= guard ** 2 * l2_sq_initial):
+        return
+    check_finite(max_sq_norm(a), l2_sq_initial, t_last, guard)
+
+
 # ---------------------------------------------------------------------------
 # ready-made initial fields
 

@@ -155,7 +155,7 @@ def test_frames_are_built_once_and_read_only(grid16):
     assert GalerkinFrame(TorusGrid(16, 16), 8) is frame
     assert GalerkinFrame(grid16, 9) is not frame
     for arr in (*frame.plus, *frame.minus, frame.dirs, frame.wavevectors, frame.k1sq,
-                frame.k2sq, frame.sign, frame.half_at, frame.half_src, frame.half_gain):
+                frame.k2sq, frame.im_sign, frame.half_at, frame.half_src, frame.half_gain):
         with pytest.raises(ValueError):
             arr[0] = 0
 

@@ -347,6 +347,38 @@ def test_cli_gates_honour_noise_eta(tmp_path):
     assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "ens")]) == 1
 
 
+@pytest.mark.parametrize("recipe", ["0.1*cos(9,0)", "0.1*cos(11,0)"])
+@pytest.mark.parametrize("command", ["run-sde", "ensemble"])
+def test_cli_out_of_band_recipe_is_config_error(tmp_path, recipe, command):
+    # 16x16 resolves |k| <= 5: mode 9 would project to no noise, mode 11
+    # samples as mode 5, while the gates read the declared budget
+    cfg = _write_cfg(tmp_path, f"noise.c_recipes = \nnoise.b_recipes = {recipe}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["exit_code"] == 2 and man["error"]["class"] == "ConfigError"
+    assert "alias-free band" in man["error"]["message"]
+
+
+def test_cli_ensemble_evaluates_the_noise_gates_once(tmp_path, monkeypatch):
+    from ans2d import cli, ensemble
+    from ans2d.noise import condition_c_gate
+
+    calls = []
+
+    def counting(constants):
+        calls.append(1)
+        return condition_c_gate(constants)
+
+    monkeypatch.setattr(cli, "condition_c_gate", counting)
+    monkeypatch.setattr(ensemble, "condition_c_gate", counting)
+    out = tmp_path / "ens"
+    assert main(["ensemble", "--config", _write_cfg(tmp_path), "--out", str(out)]) in (0, 1)
+    assert len(calls) == 1
+    with open(out / "ensemble_moments.csv", newline="") as fh:
+        assert {r["existence_gate"] for r in csv.DictReader(fh)} == {"true"}
+
+
 def test_cli_galerkin_level_above_max_is_config_error(tmp_path):
     cfg = _write_cfg(tmp_path, "grid.n1 = 8\ngrid.n2 = 8\ninit.band = 2\n"
                                "sde.galerkin_n = 200\n")

@@ -180,6 +180,20 @@ def test_wiener_increments_reproducible():
     assert a.shape == (50, 3)
 
 
+@pytest.mark.parametrize("seed,index", [(0, 0), (7, 5), (3, 123456789),
+                                        (2 ** 64 - 1, 2 ** 63 + 5)])
+def test_wiener_streams_are_fresh_philox_streams(seed, index):
+    # the one re-keyed generator draws each (seed, index) stream bit for bit,
+    # also right after a call that left its buffer part-used
+    sample_wiener_increment(3, 1, 1e-3, base_seed=seed + 1, traj_index=index)
+    got = sample_wiener_increment(2, 25, 1e-3, base_seed=seed, traj_index=index)
+    sample_wiener_increment(1, 3, 1e-3, base_seed=11, traj_index=0)
+    again = sample_wiener_increment(2, 25, 1e-3, base_seed=seed, traj_index=index)
+    key = np.array([seed, index], dtype=np.uint64)
+    fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal((25, 2))
+    assert got.tobytes() == again.tobytes() == (fresh * np.sqrt(1e-3)).tobytes()
+
+
 def test_wiener_increment_variance():
     dt = 1e-3
     draws = sample_wiener_increment(1, 200_000, dt, base_seed=0)
