@@ -1,7 +1,7 @@
 """Pseudospectral simulation and estimate verification for 2D incompressible
 flow with horizontal-only viscosity on the periodic square."""
 
-from .basis import basis_element, basis_wavevectors, galerkin_project, max_level
+from .basis import basis_element, max_level
 from .det import (
     DetConfig,
     Trajectory,
@@ -19,11 +19,9 @@ from .noise import (
     ConditionCConstants,
     NoiseModel,
     ScalarRecipe,
-    apply_sigma,
     condition_c_bounds,
     condition_c_empirical_check,
     condition_c_gate,
-    hs_norm_sq,
     make_model,
     sample_wiener_increment,
 )
@@ -31,11 +29,7 @@ from .norms import (
     NormReport,
     check_anisotropic_embedding,
     check_minkowski,
-    h01_inner,
-    l2_inner,
-    l2_norm_sq,
     mixed_norm,
-    sobolev_norm,
 )
 from .sde import (
     SdeConfig,
@@ -53,8 +47,6 @@ from .spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
-    derivative,
-    divergence_defect,
     forward_transform,
     hermitian_defect,
     inverse_transform,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import spectral
 from .norms import MEASURE
-from .spectral import SpectralField, TorusGrid, alias_free_band, zeros_spectral
+from .spectral import SpectralField, TorusGrid, alias_free_band
 
 _AMP = 1.0 / (np.sqrt(2.0) * np.pi)  # unit L2 norm of a cosine or sine element
 
@@ -53,11 +53,6 @@ def enumerate_pairs(grid: TorusGrid, count: int) -> list[tuple[int, int]]:
         )
     order = np.lexsort((b, a, a * a + b * b))[:count]  # by |k|^2, then k1, then k2
     return list(zip(a[order].tolist(), b[order].tolist()))
-
-
-def basis_wavevectors(grid: TorusGrid, n: int) -> list[tuple[int, int]]:
-    """Wavevectors indexing the first n basis elements (cos, then sin, per pair)."""
-    return [tuple(k) for k in GalerkinFrame(grid, n).wavevectors.tolist()]
 
 
 _FRAMES: dict[tuple[TorusGrid, int], "GalerkinFrame"] = {}
@@ -222,23 +217,12 @@ def galerkin_project_raw(coeffs: np.ndarray, grid: TorusGrid, n: int) -> np.ndar
     """Span projection onto the first n basis elements; supports batch axes.
 
     coeffs must be Hermitian (see GalerkinFrame).  The result is
-    solenoidal, dealiased and mean-free.
+    solenoidal, dealiased and mean-free.  No solver calls it: criterion 06
+    checks the frame's projection through it, and perfbench/layers.py
+    traces it as the basis.galerkin span.
     """
     frame = GalerkinFrame(grid, n)
     return frame.lift(frame.coords(coeffs))
-
-
-def galerkin_project(u: SpectralField, n: int) -> SpectralField:
-    """Orthogonal projection onto the span of the first n basis elements.
-
-    Identical whether taken in the L2 or the vertical-derivative inner
-    product, because the elements diagonalize both.
-    """
-    if n < 0:
-        raise ValueError(f"level must be >= 0, got {n}")
-    if n == 0:
-        return zeros_spectral(u.grid)
-    return SpectralField(u.grid, galerkin_project_raw(u.coeffs, u.grid, n))
 
 
 def max_level(grid: TorusGrid) -> int:

@@ -42,7 +42,7 @@ class DetConfig:
     t_end: float = 1.0
     integrator: str = "if-rk2"
     eps_v: float = 0.0  # vertical viscosity multiplier of the regularized system
-    blowup_factor: float = 1e6
+    blowup_factor: float = spectral.BLOWUP_GUARD
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:

@@ -5,10 +5,10 @@ The diffusion maps a Wiener increment with components y_k to
     sigma(u) y = sum_k ( c_k(x) d1 u + b_k(x) g(u) ) y_k
 
 followed by the projection P_n onto the span of the first n basis
-elements; sigma_coords gives its n coordinates.  The public functions take
-all basis elements of the grid (the dealiased, solenoidal, mean-free span)
-and lift.  The c_k, b_k are finite trigonometric recipes; g acts
-componentwise, is bounded and Lipschitz.  Declared budgets:
+elements; sigma_coords gives its n coordinates, the one evaluation of
+sigma that the SDE engine and condition_c_empirical_check share.  The c_k,
+b_k are finite trigonometric recipes; g acts componentwise, is bounded
+and Lipschitz.  Declared budgets:
 
     M1 >= sum_k (sup|c_k| + sup|d1 c_k| + sup|d2 c_k|)^2
     M2 >= sum_k (sup|b_k|)^2   and   M2 >= sum_k (sup|d2 b_k|)^2
@@ -29,7 +29,6 @@ from typing import Sequence
 
 import numpy as np
 
-from . import spectral
 from .basis import GalerkinFrame, max_level
 from .norms import NormReport, norm_rows
 from .spectral import SpectralField, TorusGrid
@@ -74,21 +73,6 @@ class ScalarRecipe:
                 terms.append((amp, int(m.group("k1")), int(m.group("k2")), m.group("phase")))
             pos = m.end()
         return ScalarRecipe(tuple(terms))
-
-    def format(self) -> str:
-        """Canonical text form; parse(format()) returns the same terms."""
-        if not self.terms:
-            return "0"
-        out = ""
-        for i, (amp, k1, k2, phase) in enumerate(self.terms):
-            body = repr(abs(amp))
-            if (k1, k2, phase) != (0, 0, "cos"):
-                body += f"*{phase}({k1},{k2})"
-            if i == 0:
-                out = ("-" if amp < 0 else "") + body
-            else:
-                out += (" - " if amp < 0 else " + ") + body
-        return out
 
     def evaluate(self, grid: TorusGrid) -> np.ndarray:
         x1 = grid.x1[:, None]
@@ -190,7 +174,13 @@ class NoiseModel:
                         f"{grid.band1}, |k2| <= {grid.band2} of the {grid.n1}x{grid.n2} grid")
 
     def coefficient_fields(self, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-        """Sampled (n_modes, n1, n2) arrays of the c and b recipes."""
+        """Sampled (n_modes, n1, n2) arrays of the c and b recipes.
+
+        Every caller that samples the recipes on a grid does it here, so
+        check_band guards them all: an out-of-band recipe raises ValueError
+        instead of stepping noise that is not the declared one.
+        """
+        self.check_band(grid)
         c_arr = np.stack([r.evaluate(grid) for r in self.c]) if self.c else \
             np.zeros((0, grid.n1, grid.n2))
         b_arr = np.stack([r.evaluate(grid) for r in self.b]) if self.b else \
@@ -283,42 +273,26 @@ def sigma_coords(model: NoiseModel, frame: GalerkinFrame, phys: np.ndarray, y: n
     phys holds the (..., rows, n1, n2) samples frame.synth gives, of which
     u (rows 0, 1) and, for a model with c-channels, d1 u (rows 3, 4) are
     read; y: (..., n_modes); batch axes broadcast.  fields are
-    model.coefficient_fields(frame.grid), sampled once by the caller.
+    model.coefficient_fields(frame.grid), sampled once by the caller.  The
+    SDE engine (sde._Stepper) passes the one synthesis of each step, and
+    condition_c_empirical_check a field's synthesis in the frame of all
+    basis elements (_field_sigma_coords).
     """
     return frame.analyse(_sigma_raw(model, phys[..., 0:2, :, :], phys[..., 3:5, :, :], y,
                                     *fields))
 
 
-def _field_sigma_coords(model: NoiseModel, u: SpectralField, y: np.ndarray,
-                        n: int | None = None) -> tuple[np.ndarray, GalerkinFrame]:
-    """sigma_coords of a Hermitian field u at level n (default max_level), and the frame."""
-    frame = GalerkinFrame(u.grid, max_level(u.grid) if n is None else n)
-    phys = spectral._phys_grad(u.coeffs[..., : u.grid.n2 // 2 + 1], u.grid)
-    return sigma_coords(model, frame, phys, y, model.coefficient_fields(u.grid)), frame
+def _field_sigma_coords(model: NoiseModel, u: SpectralField,
+                        y: np.ndarray) -> tuple[np.ndarray, GalerkinFrame]:
+    """sigma_coords of a field u in the frame of all basis elements of its grid, and the frame.
 
-
-def apply_sigma(model: NoiseModel, u: SpectralField, y: np.ndarray) -> SpectralField:
-    """Field sigma(u) y: composed channels, dealiased, projected, mean-free."""
-    y = np.asarray(y, dtype=np.float64)
-    if y.shape != (model.n_modes,):
-        raise ValueError(f"y must have shape ({model.n_modes},), got {y.shape}")
-    a, frame = _field_sigma_coords(model, u, y)
-    return SpectralField(u.grid, frame.lift(a))
-
-
-def sigma_channels(model: NoiseModel, u: SpectralField) -> np.ndarray:
-    """All projected channel fields sigma(u) psi_j, shape (n_modes, 2, n1, n2)."""
-    a, frame = _field_sigma_coords(model, u, np.eye(model.n_modes))
-    return frame.lift(a)
-
-
-def hs_norm_sq(model: NoiseModel, u: SpectralField, galerkin_n: int | None = None) -> float:
-    """Squared Hilbert-Schmidt norm sum_j ||P_n sigma(u) psi_j||^2.
-
-    n is galerkin_n, by default every basis element of the grid.
+    u is read through its coordinates in that frame, so it must be
+    Hermitian; a dealiased, solenoidal, mean-free u (every field the audit
+    takes) is its own projection there.
     """
-    a, _ = _field_sigma_coords(model, u, np.eye(model.n_modes), galerkin_n)
-    return float(np.sum(a ** 2))
+    top = GalerkinFrame(u.grid, max_level(u.grid))
+    phys = top.synth(top.coords(u.coeffs), rows=5)
+    return sigma_coords(model, top, phys, y, model.coefficient_fields(u.grid)), top
 
 
 @dataclass(frozen=True)
@@ -336,14 +310,6 @@ class ConditionCConstants:
     l1: float
     l2: float
     eta: float
-
-    def as_dict(self) -> dict[str, float]:
-        return {
-            "K0_prime": self.k0p, "K1_prime": self.k1p,
-            "K0": self.k0, "K1": self.k1, "K2": self.k2,
-            "Kt0": self.kt0, "Kt1": self.kt1, "Kt2": self.kt2,
-            "L1": self.l1, "L2": self.l2, "eta": self.eta,
-        }
 
 
 def condition_c_bounds(model: NoiseModel, eta: float = DEFAULT_ETA) -> ConditionCConstants:

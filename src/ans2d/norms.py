@@ -1,4 +1,4 @@
-"""Sobolev, anisotropic, and mixed Lebesgue norms plus inequality checks.
+"""Anisotropic Sobolev and mixed Lebesgue norms plus inequality checks.
 
 All norms include the physical measure of the torus: the L2 norm of a
 field is sqrt((2pi)^2 sum_k |u_hat(k)|^2), so || sin x2 ||_{L2}^2 = 2 pi^2.
@@ -13,45 +13,9 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import SpectralField, TorusGrid
+from .spectral import TorusGrid
 
 MEASURE = (2.0 * np.pi) ** 2
-
-
-def weighted_coeff_sum_sq(coeffs: np.ndarray, w: float | np.ndarray) -> float:
-    """(2pi)^2 * sum w(k) |c(k)|^2 over every axis of a coefficient array."""
-    return float(MEASURE * np.sum(w * np.abs(coeffs) ** 2))
-
-
-def sobolev_norm(u: SpectralField, s1: float, s2: float,
-                 homogeneous: bool = False) -> float:
-    """Anisotropic Sobolev norm H^{s1,s2} (or its homogeneous variant).
-
-    Inhomogeneous weight (1 + k1^2)^s1 (1 + k2^2)^s2; homogeneous weight
-    |k1|^{2 s1} |k2|^{2 s2} with 0^0 = 1 so a zero exponent drops the factor.
-    """
-    k1 = u.grid.k1.astype(np.float64)
-    k2 = u.grid.k2.astype(np.float64)
-    if homogeneous:
-        w = np.abs(k1) ** (2.0 * s1) if s1 != 0.0 else np.ones_like(k1)
-        w = w * (np.abs(k2) ** (2.0 * s2) if s2 != 0.0 else np.ones_like(k2))
-    else:
-        w = (1.0 + k1 ** 2) ** s1 * (1.0 + k2 ** 2) ** s2
-    return float(np.sqrt(weighted_coeff_sum_sq(u.coeffs, w)))
-
-
-def l2_norm_sq(u: SpectralField) -> float:
-    return weighted_coeff_sum_sq(u.coeffs, 1.0)
-
-
-def l2_inner(u: SpectralField, v: SpectralField) -> float:
-    return float(MEASURE * np.sum(u.coeffs * np.conj(v.coeffs)).real)
-
-
-def h01_inner(u: SpectralField, v: SpectralField) -> float:
-    """Inner product (u, v) + (d2 u, d2 v), i.e. weight 1 + k2^2."""
-    w = 1.0 + u.grid.k2.astype(np.float64) ** 2
-    return float(MEASURE * np.sum(w * u.coeffs * np.conj(v.coeffs)).real)
 
 
 # ---------------------------------------------------------------------------
@@ -203,10 +167,6 @@ class NormReport:
         ok = verdict(name, lhs, rhs * (1.0 + slack) + 1e-300).passed
         self.rows.append((name, float(lhs), float(rhs), float(constant), ok))
         return ok
-
-    @property
-    def all_passed(self) -> bool:
-        return all(r[4] for r in self.rows)
 
     def failures(self) -> list[tuple[str, float, float, float, bool]]:
         return [r for r in self.rows if not r[4]]

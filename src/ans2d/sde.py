@@ -67,7 +67,7 @@ class SdeConfig:
     seed: int = 0
     drop_nonlinearity: bool = False
     alpha_tilde: float = YOUNG_WEIGHT
-    blowup_factor: float = 1e6
+    blowup_factor: float = spectral.BLOWUP_GUARD
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:

@@ -17,6 +17,8 @@ import numpy as np
 from .errors import BlowUpError
 
 HERMITIAN_TOL = 1e-10
+# growth factor of the L2 norm over its initial value at which both engines stop
+BLOWUP_GUARD = 1e6
 
 
 def _wavenumbers(n: int) -> np.ndarray:
@@ -83,10 +85,6 @@ class TorusGrid:
     def n_points(self) -> int:
         return self.n1 * self.n2
 
-    @property
-    def cell_area(self) -> float:
-        return (2.0 * np.pi) ** 2 / self.n_points
-
     def index_of(self, k: tuple[int, int]) -> tuple[int, int]:
         """FFT-layout array index of wavevector k (k may be any alias)."""
         return (int(k[0]) % self.n1, int(k[1]) % self.n2)
@@ -104,9 +102,6 @@ class PhysicalField:
         if self.samples.shape != expected:
             raise ValueError(f"samples shape {self.samples.shape}, expected {expected}")
 
-    def copy(self) -> "PhysicalField":
-        return PhysicalField(self.grid, self.samples.copy())
-
 
 @dataclass
 class SpectralField:
@@ -122,14 +117,6 @@ class SpectralField:
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy())
-
-    def mode(self, k: tuple[int, int]) -> np.ndarray:
-        """Coefficient 2-vector at wavevector k."""
-        i, j = self.grid.index_of(k)
-        return self.coeffs[:, i, j]
-
-    def mean_mode(self) -> np.ndarray:
-        return self.coeffs[:, 0, 0]
 
 
 def zeros_spectral(grid: TorusGrid) -> SpectralField:
@@ -204,14 +191,6 @@ def _spec(samples: np.ndarray, n_points: int, cols: int) -> np.ndarray:
     return np.fft.fft(half, axis=-1, norm="forward")
 
 
-def derivative(u: SpectralField, axis: int, order: int = 1) -> SpectralField:
-    """Partial derivative along axis 1 or 2: multiply mode k by (i k_axis)^order."""
-    if axis not in (1, 2):
-        raise ValueError(f"axis must be 1 or 2, got {axis}")
-    k = u.grid.k1 if axis == 1 else u.grid.k2
-    return SpectralField(u.grid, u.coeffs * (1j * k.astype(np.float64)) ** order)
-
-
 def _leray_raw(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
     k1 = grid.k1.astype(np.float64)
     k2 = grid.k2.astype(np.float64)
@@ -233,36 +212,10 @@ def leray_project(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, _leray_raw(u.coeffs, u.grid))
 
 
-def divergence_defect(u: SpectralField) -> float:
-    """Max |k . u_hat(k)| over modes; zero for solenoidal fields."""
-    k1 = u.grid.k1.astype(np.float64)
-    k2 = u.grid.k2.astype(np.float64)
-    return float(np.max(np.abs(k1 * u.coeffs[0] + k2 * u.coeffs[1])))
-
-
 def zero_mean(u: SpectralField) -> SpectralField:
     out = u.copy()
     out.coeffs[:, 0, 0] = 0.0
     return out
-
-
-def _phys_grad(half: np.ndarray, grid: TorusGrid) -> np.ndarray:
-    """Physical samples of the rows (u1, u2, omega, d1 u1, d1 u2) of u.
-
-    half holds the k2 >= 0 columns of u's (..., 2, n1, cols) coefficients,
-    in the coefficient layout; its two last axes are swapped into the
-    (cols, n1) layout of _phys, and the rows replace its component axis,
-    in the layout of GalerkinFrame.synth; omega = d1 u2 - d2 u1 is the
-    vorticity.  One batched synthesis call: per-call FFT overhead
-    dominates small grids.
-    """
-    # C-ordered, so the products and their concatenation are too: a strided
-    # k1 axis would send _phys down numpy's slow path
-    half = np.ascontiguousarray(half.swapaxes(-1, -2))
-    k2 = np.arange(half.shape[-2], dtype=np.float64)[:, None]
-    d1 = half * (1j * grid.k1.T.astype(np.float64))
-    omega = d1[..., 1:2, :, :] - half[..., 0:1, :, :] * (1j * k2)
-    return _phys(np.concatenate((half, omega, d1), axis=-3), grid.n_points)
 
 
 def _advection_raw(phys: np.ndarray) -> np.ndarray:
@@ -296,7 +249,7 @@ def nonlinear_term_oracle(u: SpectralField) -> SpectralField:
 
 
 def check_finite(l2_sq: float, l2_sq_initial: float, t_last: float,
-                 guard: float = 1e6) -> None:
+                 guard: float = BLOWUP_GUARD) -> None:
     """Raise BlowUpError on a non-finite squared norm l2_sq (a NaN or inf
     coordinate makes it one) or on runaway growth."""
     if not np.isfinite(l2_sq):
@@ -317,7 +270,7 @@ def max_sq_norm(a: np.ndarray) -> float:
 
 
 def check_rows(a: np.ndarray, l2_sq_initial: float, t_last: float,
-               guard: float = 1e6) -> None:
+               guard: float = BLOWUP_GUARD) -> None:
     """check_finite on the largest squared row norm of (..., n) coordinates a.
 
     The blow-up guard of both engines.  One dot product over the whole

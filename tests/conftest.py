@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fullgrid
 from ans2d.spectral import TorusGrid, random_solenoidal_field
 
 acceptance_verdicts: list[str] = []
@@ -46,7 +47,7 @@ def full_samples():
     """Samples of (u, d1 u, d2 u) from (..., 2, n1, n2) coefficients, by full complex ifft2."""
 
     def _samples(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
-        stack = (coeffs, coeffs * (1j * grid.k1), coeffs * (1j * grid.k2))
-        return np.stack([np.fft.ifft2(x, axes=(-2, -1)).real * grid.n_points for x in stack])
+        stack = (coeffs, fullgrid.deriv(coeffs, grid, 1), fullgrid.deriv(coeffs, grid, 2))
+        return np.stack([fullgrid.samples(x, grid) for x in stack])
 
     return _samples

@@ -12,9 +12,9 @@ import pytest
 from conftest import record_verdict
 
 from ans2d.basis import (
+    GalerkinFrame,
     basis_element,
-    basis_wavevectors,
-    galerkin_project,
+    galerkin_project_raw,
     max_level,
 )
 from ans2d.det import (
@@ -36,11 +36,10 @@ from ans2d.noise import (
     make_model,
 )
 from ans2d.norms import (
+    MEASURE,
     NormReport,
     check_anisotropic_embedding,
-    h01_inner,
-    l2_inner,
-    l2_norm_sq,
+    norm_rows,
 )
 from ans2d.sde import (
     ORACLE_TOL,
@@ -78,8 +77,9 @@ def test_criterion_01_shear_decay():
     grid = TorusGrid(32, 32)
     u0 = shear_field(grid, axis=1, amplitude=1.0)
     traj = run_det(u0, DetConfig(dt=1e-3, t_end=1.0, integrator="if-rk2"))
-    exact = l2_norm_sq(u0) * np.exp(-2.0 * traj.t)
-    err = float(np.max(np.abs(traj.l2_sq - exact)) / l2_norm_sq(u0))
+    l2_0 = float(norm_rows(u0.coeffs, grid)["l2_sq"])
+    exact = l2_0 * np.exp(-2.0 * traj.t)
+    err = float(np.max(np.abs(traj.l2_sq - exact)) / l2_0)
     final = traj.final
     state_err = float(np.max(np.abs(final.coeffs - np.exp(-1.0) * u0.coeffs)))
     elapsed = time.process_time() - start
@@ -147,36 +147,44 @@ def test_criterion_05_anisotropic_embedding_battery():
         check_anisotropic_embedding(grid, samples[1], report)
     elapsed = time.monotonic() - start
     n_embed = sum(1 for name, *_ in report.rows if name.startswith("embedding"))
-    ok = report.all_passed and n_embed == 2000 and elapsed < 10.0
+    ok = not report.failures() and n_embed == 2000 and elapsed < 10.0
     _verdict(5, ok, f"{n_embed} embedding rows (1000 fields, both orientations), "
                     f"failures={len(report.failures())}, elapsed={elapsed:.1f}s (budget 10s)")
 
 
 def test_criterion_06_basis_gram_and_projection_equivalence():
+    # inner products as Parseval sums over the coefficients: (a, b) with
+    # weight 1, and (a, b) + (d2 a, d2 b) with weight 1 + k2^2
     grid = TorusGrid(16, 16)
+    h01_weight = 1.0 + grid.k2.astype(np.float64) ** 2
+
+    def inner(a, b, w=1.0):
+        return float(MEASURE * np.sum(w * a * np.conj(b)).real)
+
     n = 32
-    elems = [basis_element(grid, k) for k in basis_wavevectors(grid, n)]
+    ks = GalerkinFrame(grid, n).wavevectors.tolist()
+    elems = [basis_element(grid, k).coeffs for k in ks]
     worst_gram = 0.0
     for i, a in enumerate(elems):
         for j, b in enumerate(elems):
-            g_l2 = l2_inner(a, b)
-            g_h01 = h01_inner(a, b)
+            g_l2 = inner(a, b)
+            g_h01 = inner(a, b, h01_weight)
             if i == j:
-                k2 = basis_wavevectors(grid, n)[i][1]
+                k2 = ks[i][1]
                 worst_gram = max(worst_gram, abs(g_l2 - 1.0),
                                  abs(g_h01 - (1.0 + k2 ** 2)))
             else:
                 worst_gram = max(worst_gram, abs(g_l2), abs(g_h01))
     worst_proj = 0.0
     for seed in range(50):
-        u = _field(grid, 5, 100 + seed)
+        u = _field(grid, 5, 100 + seed).coeffs
         for level in (9, 12):
-            p = galerkin_project(u, level)
-            via_h01 = np.zeros_like(u.coeffs)
-            for k in basis_wavevectors(grid, level):
-                e = basis_element(grid, k)
-                via_h01 += (h01_inner(u, e) / (1.0 + k[1] ** 2)) * e.coeffs
-            worst_proj = max(worst_proj, float(np.max(np.abs(p.coeffs - via_h01))))
+            p = galerkin_project_raw(u, grid, level)
+            via_h01 = np.zeros_like(u)
+            for k in GalerkinFrame(grid, level).wavevectors.tolist():
+                e = basis_element(grid, k).coeffs
+                via_h01 += (inner(u, e, h01_weight) / (1.0 + k[1] ** 2)) * e
+            worst_proj = max(worst_proj, float(np.max(np.abs(p - via_h01))))
     ok = worst_gram <= 1e-12 and worst_proj <= 1e-12
     _verdict(6, ok, f"gram_defect={worst_gram:.3e} projection_gap={worst_proj:.3e} "
                     f"(32 elements, 50 fields)")

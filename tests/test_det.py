@@ -15,7 +15,7 @@ from ans2d.det import (
     weak_form_residual,
 )
 from ans2d.errors import BlowUpError
-from ans2d.norms import l2_norm_sq
+from ans2d.norms import MEASURE, norm_rows
 from ans2d.spectral import (
     SpectralField,
     TorusGrid,
@@ -41,8 +41,9 @@ def test_horizontal_shear_decays_exactly(grid16, integrator):
     u0 = shear_field(grid16, axis=1)
     cfg = DetConfig(dt=1e-2, t_end=0.5, integrator=integrator)
     traj = run_det(u0, cfg)
-    exact = l2_norm_sq(u0) * np.exp(-2.0 * traj.t)
-    assert np.max(np.abs(traj.l2_sq - exact)) <= 1e-10 * l2_norm_sq(u0)
+    l2_0 = float(norm_rows(u0.coeffs, grid16)["l2_sq"])
+    exact = l2_0 * np.exp(-2.0 * traj.t)
+    assert np.max(np.abs(traj.l2_sq - exact)) <= 1e-10 * l2_0
 
 
 def test_vertical_shear_is_steady_without_vertical_viscosity(grid16):
@@ -57,8 +58,9 @@ def test_vertical_shear_decays_with_regularization(grid16):
     eps = 0.5
     u0 = shear_field(grid16, axis=2)
     traj = run_det(u0, DetConfig(dt=1e-2, t_end=0.3, eps_v=eps))
-    exact = l2_norm_sq(u0) * np.exp(-2.0 * eps ** 2 * traj.t)
-    assert np.max(np.abs(traj.l2_sq - exact)) <= 1e-10 * l2_norm_sq(u0)
+    l2_0 = float(norm_rows(u0.coeffs, grid16)["l2_sq"])
+    exact = l2_0 * np.exp(-2.0 * eps ** 2 * traj.t)
+    assert np.max(np.abs(traj.l2_sq - exact)) <= 1e-10 * l2_0
 
 
 def test_energy_certificate_and_dt_order(grid32, make_field):
@@ -178,7 +180,7 @@ def test_gap_pairing_matches_physical_quadrature(n, level, full_samples):
     audit.record(0, pair)
     wp = full_samples(frame.lift(pair[0] - pair[1]), grid)[0]
     _, d1b, d2b = full_samples(frame.lift(pair[1]), grid)
-    ref = abs(float(np.sum((wp[0:1] * d1b + wp[1:2] * d2b) * wp) * grid.cell_area))
+    ref = abs(float(np.sum((wp[0:1] * d1b + wp[1:2] * d2b) * wp) * MEASURE / grid.n_points))
     assert ref > 0.0
     assert abs(audit.tri[0] - ref) <= 1e-13 * ref
 

@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import fullgrid
+from ans2d.basis import max_level
 from ans2d.noise import (
     EXISTENCE_K2_LIMIT,
     EXISTENCE_KT2_LIMIT,
@@ -8,35 +12,26 @@ from ans2d.noise import (
     ConditionCConstants,
     NoiseModel,
     ScalarRecipe,
-    apply_sigma,
     condition_c_bounds,
     condition_c_empirical_check,
     condition_c_gate,
-    hs_norm_sq,
     make_model,
     required_budgets,
+    _field_sigma_coords,
     sample_wiener_increment,
-    sigma_channels,
 )
-from ans2d.norms import weighted_coeff_sum_sq
-from ans2d.spectral import (
-    PhysicalField,
-    TorusGrid,
-    derivative,
-    divergence_defect,
-    forward_transform,
-)
+from ans2d.sde import SdeConfig, _Stepper
+from ans2d.spectral import PhysicalField, TorusGrid, forward_transform
 
 
 # ---------------------------------------------------------------------------
 # recipes
 
 
-def test_recipe_parse_and_format():
+def test_recipe_parse():
     r = ScalarRecipe.parse("0.3*cos(1,2) + 0.1*sin(2,0) - 0.5")
     assert r.terms == ((0.3, 1, 2, "cos"), (0.1, 2, 0, "sin"), (-0.5, 0, 0, "cos"))
-    back = ScalarRecipe.parse(r.format())
-    assert back == r
+    assert ScalarRecipe.parse("0.3*cos(1,2)+0.1*sin(2,0)-0.5") == r  # spaces are optional
     assert ScalarRecipe.parse("").is_zero
     assert ScalarRecipe.parse("0").is_zero
 
@@ -111,60 +106,78 @@ def test_model_below_its_required_m2_is_rejected():
 
 
 # ---------------------------------------------------------------------------
-# sigma action
+# sigma action: the SDE engine's sigma against full-grid references
+
+
+def _engine_sigma(model, u, ys):
+    """P sigma(u) y for each row of ys, as the SDE engine forms it at the top
+    level of u's grid, lifted to (len(ys), 2, n1, n2) coefficients."""
+    st = _Stepper(u.grid, model, SdeConfig(galerkin_n=max_level(u.grid)))
+    a = np.tile(st.frame.coords(u.coeffs), (len(ys), 1))
+    return st.frame.lift(st.noise_increment(np.asarray(ys, dtype=np.float64), st.synth(a)))
 
 
 def test_transport_channel_is_exact_derivative(grid16, make_field):
     # c = 1, b = 0: sigma(u) y = y * d1 u, already solenoidal and dealiased
     model = make_model(["1.0"], [], "one")
     u = make_field(grid16, band=4, seed=1)
-    out = apply_sigma(model, u, np.array([2.0]))
-    expected = derivative(u, axis=1)
-    np.testing.assert_allclose(out.coeffs, 2.0 * expected.coeffs, atol=1e-14)
+    out = _engine_sigma(model, u, [[2.0]])[0]
+    expected = fullgrid.deriv(u.coeffs, grid16, 1)
+    np.testing.assert_allclose(out, 2.0 * expected, atol=1e-14)
 
 
 def test_additive_channel_closed_form(grid16):
     # b = 0.5 cos x2 acting on g = 1: Leray of 0.5 cos x2 (1,1) keeps (1,0)
     model = make_model([], ["0.5*cos(0,1)"], "one")
-    u = make_field_zero = forward_transform(PhysicalField(grid16, np.zeros((2, 16, 16))))
-    out = apply_sigma(model, u, np.array([1.0]))
+    u = forward_transform(PhysicalField(grid16, np.zeros((2, 16, 16))))
+    out = _engine_sigma(model, u, [[1.0]])[0]
     x2 = grid16.x2[None, :]
     expected = forward_transform(PhysicalField(grid16, np.stack([
         0.5 * np.cos(x2) * np.ones((16, 1)),
         np.zeros((16, 16)),
     ])))
-    np.testing.assert_allclose(out.coeffs, expected.coeffs, atol=1e-14)
+    np.testing.assert_allclose(out, expected.coeffs, atol=1e-14)
 
 
 def test_sigma_output_is_projected(grid16, make_field):
     model = make_model(["0.1*cos(1,0)"], ["0.2*sin(0,1)"], "tanh")
     u = make_field(grid16, band=4, seed=2)
-    out = apply_sigma(model, u, np.array([0.7]))
-    assert divergence_defect(out) <= 1e-13
-    assert np.all(out.mean_mode() == 0.0)
-    with pytest.raises(ValueError):
-        apply_sigma(model, u, np.array([0.7, 0.1]))
+    out = _engine_sigma(model, u, [[0.7]])[0]
+    k1, k2 = fullgrid.wavenumbers(grid16)
+    assert np.max(np.abs(k1 * out[0] + k2 * out[1])) <= 1e-13  # solenoidal
+    assert np.all(out[:, 0, 0] == 0.0)  # mean-free
+    expected = fullgrid.sigma(model, u.coeffs, grid16, [0.7], max_level(grid16))
+    np.testing.assert_allclose(out, expected, atol=1e-14)
 
 
 def test_sigma_channels_match_apply(grid16, make_field):
     model = make_model(["0.1*cos(1,0)", "0.05"], ["0.2*sin(0,1)", "0.1*cos(1,1)"], "sin")
     u = make_field(grid16, band=4, seed=3)
-    chans = sigma_channels(model, u)
+    chans = _engine_sigma(model, u, np.eye(2))
     assert chans.shape == (2, 2, 16, 16)
+    np.testing.assert_allclose(chans, fullgrid.channels(model, u.coeffs, grid16, max_level(grid16)),
+                               atol=1e-13)
     y = np.array([0.3, -1.2])
     combo = y[0] * chans[0] + y[1] * chans[1]
-    out = apply_sigma(model, u, y)
-    np.testing.assert_allclose(out.coeffs, combo, atol=1e-13)
+    out = _engine_sigma(model, u, [y])[0]
+    np.testing.assert_allclose(out, combo, atol=1e-13)
 
 
 def test_hs_norm_options(grid16, make_field):
+    # the audit's channel coordinates (every element of the grid); the first
+    # n of them are those of P_n sigma(u) psi_j
     model = make_model(["0.1*cos(1,0)"], ["0.2*sin(0,1)"], "tanh")
     u = make_field(grid16, band=4, seed=4)
-    full = hs_norm_sq(model, u)
+    a, _ = _field_sigma_coords(model, u, np.eye(model.n_modes))
+    full = float(np.sum(a ** 2))
     assert full > 0.0
-    truncated = hs_norm_sq(model, u, galerkin_n=4)
+    truncated = float(np.sum(a[:, :4] ** 2))
     assert truncated <= full * (1.0 + 1e-12)
-    assert hs_norm_sq(make_model([], [], "one"), u) == 0.0  # no channels
+    for n, value in ((max_level(grid16), full), (4, truncated)):
+        chans = fullgrid.channels(model, u.coeffs, grid16, n)
+        assert value == pytest.approx(sum(fullgrid.inner(c, c, grid16) for c in chans), rel=1e-12)
+    none, _ = _field_sigma_coords(make_model([], [], "one"), u, np.eye(0))
+    assert float(np.sum(none ** 2)) == 0.0  # no channels
 
 
 # ---------------------------------------------------------------------------
@@ -218,8 +231,8 @@ def test_condition_c_derived_values():
     assert cc.l1 == pytest.approx(pp * 0.2)
     assert cc.k1p == pytest.approx(6.0 * 0.1 + 4.0 * 0.2)
     assert cc.k0p == pytest.approx(32.0 * np.pi ** 2 * 0.2)
-    assert set(cc.as_dict()) == {"K0_prime", "K1_prime", "K0", "K1", "K2",
-                                 "Kt0", "Kt1", "Kt2", "L1", "L2", "eta"}
+    assert {f.name for f in dataclasses.fields(cc)} == {"k0p", "k1p", "k0", "k1", "k2",
+                                                       "kt0", "kt1", "kt2", "l1", "l2", "eta"}
     with pytest.raises(ValueError):
         condition_c_bounds(model, eta=0.0)
 
@@ -250,7 +263,7 @@ def test_empirical_growth_and_lipschitz_rows(grid16, make_field):
     fields = [make_field(grid16, band=4, seed=s, amplitude=a)
               for s, a in [(1, 0.5), (2, 1.0), (3, 2.0), (4, 4.0)]]
     report = condition_c_empirical_check(model, fields)
-    assert report.all_passed
+    assert not report.failures()
     names = [r[0] for r in report.rows]
     assert any(n.startswith("growth_hminus1") for n in names)
     assert any(n.startswith("growth_l2") for n in names)
@@ -260,18 +273,23 @@ def test_empirical_growth_and_lipschitz_rows(grid16, make_field):
 
 @pytest.mark.parametrize("n", [16, 18])
 def test_condition_c_rows_weight_channel_coordinates(make_field, n):
-    # coordinate weights of the frame against weighted sums over the lifted channels
+    # coordinate weights of the frame against weighted sums over full-grid
+    # reference channels (tests/fullgrid.py)
     grid = TorusGrid(n, n)
     model = make_model(["0.05*cos(0,1)"], ["0.05*cos(1,0)", "0.02*sin(1,1)"], "tanh")
     fields = [make_field(grid, band=4, seed=s, amplitude=a) for s, a in [(1, 0.5), (2, 2.0)]]
     rows = {name: lhs for name, lhs, *_ in condition_c_empirical_check(model, fields).rows}
-    chans = [sigma_channels(model, u) for u in fields]
-    k2sq = grid.k2.astype(np.float64) ** 2
-    expected = {"lipschitz[0]": weighted_coeff_sum_sq(chans[0] - chans[1], 1.0)}
+    chans = [fullgrid.channels(model, u.coeffs, grid, max_level(grid)) for u in fields]
+    k1, k2 = fullgrid.wavenumbers(grid)
+
+    def weighted(c, w):
+        return float(fullgrid.MEASURE * np.sum(w * np.abs(c) ** 2))
+
+    expected = {"lipschitz[0]": weighted(chans[0] - chans[1], 1.0)}
     for idx, c in enumerate(chans):
-        expected[f"growth_hminus1[{idx}]"] = weighted_coeff_sum_sq(c, 1.0 / (1.0 + grid.ksq))
-        expected[f"growth_l2[{idx}]"] = weighted_coeff_sum_sq(c, 1.0)
-        expected[f"growth_h01[{idx}]"] = weighted_coeff_sum_sq(c, 1.0 + k2sq)
+        expected[f"growth_hminus1[{idx}]"] = weighted(c, 1.0 / (1.0 + k1 ** 2 + k2 ** 2))
+        expected[f"growth_l2[{idx}]"] = weighted(c, 1.0)
+        expected[f"growth_h01[{idx}]"] = weighted(c, 1.0 + k2 ** 2)
     assert rows.keys() == expected.keys()
     for name, value in expected.items():
         assert value > 0.0

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
+import fullgrid
 from ans2d.norms import (
     NormReport,
     check_anisotropic_embedding,
     check_minkowski,
     cumulative_trapezoid,
-    h01_inner,
-    l2_inner,
-    l2_norm_sq,
     mixed_norm,
     norm_rows,
-    sobolev_norm,
     trilinear_ratio,
     verdict,
 )
 from ans2d.spectral import (
     PhysicalField,
-    SpectralField,
     TorusGrid,
     forward_transform,
     inverse_transform,
@@ -32,23 +28,29 @@ def test_sobolev_weights_single_mode(grid16):
     im, jm = grid16.index_of((-2, -3))
     u.coeffs[0, i, j] = 0.5
     u.coeffs[0, im, jm] = 0.5
-    l2 = l2_norm_sq(u)
+    rows = norm_rows(u.coeffs, grid16)
+    l2 = rows["l2_sq"]
     assert l2 == pytest.approx((2.0 * np.pi) ** 2 * 0.5, rel=1e-14)
-    s, sp = 1.5, 0.5
-    expected = (1.0 + 4.0) ** s * (1.0 + 9.0) ** sp * l2
-    assert sobolev_norm(u, s, sp) ** 2 == pytest.approx(expected, rel=1e-13)
-    # homogeneous variant drops the +1
-    hom = 4.0 ** s * 9.0 ** sp * l2
-    assert sobolev_norm(u, s, sp, homogeneous=True) ** 2 == pytest.approx(hom, rel=1e-13)
+    # homogeneous weights |k1|^2, |k2|^2, |k1 k2|^2; H^{1,1} weight (1 + k1^2)(1 + k2^2)
+    assert rows["d1_sq"] == pytest.approx(4.0 * l2, rel=1e-13)
+    assert rows["d2_sq"] == pytest.approx(9.0 * l2, rel=1e-13)
+    assert rows["d1d2_sq"] == pytest.approx(36.0 * l2, rel=1e-13)
+    assert rows["h11_sq"] == pytest.approx((1.0 + 4.0) * (1.0 + 9.0) * l2, rel=1e-13)
 
 
 def test_h01_inner_consistency(grid16, make_field):
-    u = make_field(grid16, band=5, seed=1)
-    v = make_field(grid16, band=5, seed=2)
-    d2u = SpectralField(grid16, u.coeffs * (1j * grid16.k2.astype(float)))
-    d2v = SpectralField(grid16, v.coeffs * (1j * grid16.k2.astype(float)))
-    assert h01_inner(u, v) == pytest.approx(l2_inner(u, v) + l2_inner(d2u, d2v), rel=1e-12)
-    assert h01_inner(u, u) == pytest.approx(sobolev_norm(u, 0.0, 1.0) ** 2, rel=1e-12)
+    # the H^{0,1} norm the certificates read, l2_sq + d2_sq, against the
+    # quadrature of (u, v) + (d2 u, d2 v); polarized for two fields
+    u = make_field(grid16, band=5, seed=1).coeffs
+    v = make_field(grid16, band=5, seed=2).coeffs
+
+    def h01_sq(c):
+        rows = norm_rows(c, grid16)
+        return float(rows["l2_sq"] + rows["d2_sq"])
+
+    assert (h01_sq(u + v) - h01_sq(u - v)) / 4.0 == pytest.approx(
+        fullgrid.inner_h01(u, v, grid16), rel=1e-12)
+    assert h01_sq(u) == pytest.approx(fullgrid.inner_h01(u, u, grid16), rel=1e-12)
 
 
 def test_mixed_norm_constant_field(grid16):
@@ -72,7 +74,7 @@ def test_minkowski_ordering(grid32, make_field):
         samples = inverse_transform(make_field(grid32, band=6, seed=seed)).samples[seed % 2]
         check_minkowski(grid32, samples, p=4.0, q=2.0, report=report)
         check_minkowski(grid32, samples, p=6.0, q=2.0, report=report)
-    assert report.all_passed
+    assert not report.failures()
     with pytest.raises(ValueError):
         check_minkowski(grid32, np.ones((32, 32)), p=2.0, q=4.0)
 
@@ -83,7 +85,7 @@ def test_embedding_battery(grid32, make_field):
         samples = inverse_transform(make_field(grid32, band=8, seed=100 + seed)).samples
         check_anisotropic_embedding(grid32, samples[0], report)
         check_anisotropic_embedding(grid32, samples[1], report)
-    assert report.all_passed
+    assert not report.failures()
     assert len(report.failures()) == 0
 
 
@@ -99,14 +101,14 @@ def test_embedding_constant_in_x1_direction(grid32):
     assert lhs <= rhs * (1.0 + 1e-9)
     # the x1-sup bound is tight up to the mean factor for such fields
     assert lhs >= rhs / (2.0 * np.pi) * 0.9
-    assert report.all_passed
+    assert not report.failures()
 
 
 def test_report_failure_bookkeeping():
     report = NormReport()
     assert report.add("ok", 1.0, 2.0, 1.0)
     assert not report.add("bad", 3.0, 2.0, 1.0)
-    assert not report.all_passed
+    assert report.failures()
     assert [r[0] for r in report.failures()] == ["bad"]
 
 
@@ -126,7 +128,7 @@ def test_parseval_vs_mixed_norm(grid16):
     u = shear_field(grid16, axis=2)
     samples = inverse_transform(u).samples[0]
     assert mixed_norm(grid16, samples, 2.0, 2.0, h_outer=True) ** 2 == pytest.approx(
-        l2_norm_sq(u), rel=1e-12)
+        float(norm_rows(u.coeffs, grid16)["l2_sq"]), rel=1e-12)
 
 
 def test_forward_transform_batch_friendly(grid16):
@@ -135,7 +137,7 @@ def test_forward_transform_batch_friendly(grid16):
     x2 = grid16.x2[None, :]
     f = np.cos(x1) * np.sin(2.0 * x2)
     c = forward_transform(PhysicalField(grid16, np.stack([f, 0 * f])))
-    assert abs(c.mode((1, 2))[0] - (-0.25j)) <= 1e-14
+    assert abs(c.coeffs[0, 1, 2] - (-0.25j)) <= 1e-14  # mode (1, 2)
 
 
 def test_norm_rows_keep_batch_axes(grid16, make_field):
@@ -147,12 +149,16 @@ def test_norm_rows_keep_batch_axes(grid16, make_field):
         for name, col in batch.items():
             assert col.shape == (3,) and one[name].shape == ()
             assert col[j] == one[name]  # same bits with or without batch axes
-    u = SpectralField(grid16, fields[0])
-    assert batch["l2_sq"][0] == pytest.approx(l2_norm_sq(u), rel=1e-14)
-    for name, (s1, s2) in (("d1_sq", (1, 0)), ("d2_sq", (0, 1)), ("d1d2_sq", (1, 1))):
-        assert batch[name][0] == pytest.approx(sobolev_norm(u, s1, s2, homogeneous=True) ** 2,
-                                               rel=1e-13)
-    assert batch["h11_sq"][0] == pytest.approx(sobolev_norm(u, 1, 1) ** 2, rel=1e-13)
+    # against quadratures of the derivative fields
+    u = fields[0]
+    d1u, d2u = fullgrid.deriv(u, grid16, 1), fullgrid.deriv(u, grid16, 2)
+    d1d2u = fullgrid.deriv(d1u, grid16, 2)
+    sq = {name: fullgrid.inner(f, f, grid16)
+          for name, f in (("l2_sq", u), ("d1_sq", d1u), ("d2_sq", d2u), ("d1d2_sq", d1d2u))}
+    assert batch["l2_sq"][0] == pytest.approx(sq["l2_sq"], rel=1e-14)
+    for name in ("d1_sq", "d2_sq", "d1d2_sq"):
+        assert batch[name][0] == pytest.approx(sq[name], rel=1e-13)
+    assert batch["h11_sq"][0] == pytest.approx(sum(sq.values()), rel=1e-13)
 
 
 def test_cumulative_trapezoid_steps_and_batch_axes():

@@ -1,22 +1,11 @@
 import numpy as np
 import pytest
 
-from ans2d.basis import (
-    GalerkinFrame,
-    galerkin_project,
-    galerkin_project_raw,
-    max_level,
-    quadrature_grid,
-)
+import fullgrid
+from ans2d.basis import GalerkinFrame, max_level, quadrature_grid
 from ans2d.det import DetConfig, run_det
-from ans2d.noise import (
-    apply_sigma,
-    hs_norm_sq,
-    make_model,
-    sample_wiener_increment,
-    sigma_channels,
-)
-from ans2d.norms import h01_inner, l2_inner, norm_rows
+from ans2d.noise import make_model, sample_wiener_increment
+from ans2d.norms import norm_rows
 from ans2d.sde import (
     SdeConfig,
     draw_increments,
@@ -28,7 +17,7 @@ from ans2d.sde import (
     undamped_mode_validation,
     weighted_h01_series,
 )
-from ans2d.spectral import SpectralField, TorusGrid, nonlinear_term_oracle, zeros_spectral
+from ans2d.spectral import SpectralField, TorusGrid
 
 
 def _model_small():
@@ -71,7 +60,7 @@ def test_galerkin_projection_is_invariant(grid16, make_field):
     u0 = make_field(grid16, band=4, seed=3)
     cfg = SdeConfig(dt=2e-3, t_end=0.05, galerkin_n=6, seed=1)
     traj = run_sde(u0, _model_small(), cfg)
-    again = galerkin_project_raw(traj.final.coeffs, grid16, 6)
+    again = fullgrid.project(traj.final.coeffs, grid16, 6)
     np.testing.assert_allclose(traj.final.coeffs, again, atol=1e-14)
 
 
@@ -79,13 +68,14 @@ def _manual_noise(u0, model, n, dw):
     # P_n sigma(u0) dW, zero without a model
     if model is None:
         return np.zeros_like(u0.coeffs)
-    return galerkin_project(apply_sigma(model, u0, dw), n).coeffs
+    return fullgrid.sigma(model, u0.coeffs, u0.grid, dw, n)
 
 
 def _manual_sde_step(u0, model, dt, n, dw):
-    # u1 = exp(-k1^2 dt) (u0 - dt P_n(u0.grad u0) + P_n sigma(u0) dW), from public operators
-    ef = np.exp(-dt * u0.grid.k1.astype(np.float64) ** 2)
-    adv = galerkin_project(nonlinear_term_oracle(u0), n).coeffs
+    # u1 = exp(-k1^2 dt) (u0 - dt P_n(u0.grad u0) + P_n sigma(u0) dW), from full-grid
+    # transforms, the level's mask and a Leray projection (tests/fullgrid.py)
+    ef = np.exp(-dt * fullgrid.wavenumbers(u0.grid)[0] ** 2)
+    adv = fullgrid.advection(u0.coeffs, u0.grid, n)
     return ef * (u0.coeffs - dt * adv + _manual_noise(u0, model, n, dw))
 
 
@@ -94,7 +84,8 @@ def test_step_sde_matches_manual_update(grid16, make_field):
     from ans2d.sde import _run_batched
 
     n = 9
-    u0 = galerkin_project(make_field(grid16, band=3, seed=15), n)
+    u0 = make_field(grid16, band=3, seed=15)
+    u0 = SpectralField(grid16, fullgrid.project(u0.coeffs, grid16, n))
     model = _model_small()
     cfg = SdeConfig(dt=1e-3, t_end=1e-3, galerkin_n=n, seed=3)
     incs = sample_wiener_increment(model.n_modes, 1, cfg.dt, cfg.seed, 0)
@@ -112,7 +103,8 @@ def test_batched_engine_one_step_matches_step_sde(grid16, make_field):
     n = 8
     model = _model_small()
     cfg = SdeConfig(dt=1e-3, t_end=1e-3, galerkin_n=n, seed=4)
-    u0s = [galerkin_project(make_field(grid16, band=3, seed=20 + j), n) for j in range(3)]
+    u0s = [make_field(grid16, band=3, seed=20 + j) for j in range(3)]
+    u0s = [SpectralField(grid16, fullgrid.project(u.coeffs, grid16, n)) for u in u0s]
     incs = np.stack([sample_wiener_increment(model.n_modes, 1, cfg.dt, cfg.seed, j)
                      for j in range(3)])
     run = _run_batched(np.stack([u.coeffs for u in u0s]), grid16, model, cfg,
@@ -124,13 +116,16 @@ def test_batched_engine_one_step_matches_step_sde(grid16, make_field):
 
 
 def _manual_diag_row(u, model, n, work):
-    # one diagnostic row of state u from public operators on its own grid
-    row = {name: float(v) for name, v in norm_rows(u.coeffs, u.grid).items()}
-    adv = galerkin_project(nonlinear_term_oracle(u), n)
+    # one diagnostic row of state u on its own grid, from the full-grid references
+    grid = u.grid
+    row = {name: float(v) for name, v in norm_rows(u.coeffs, grid).items()}
+    adv = fullgrid.advection(u.coeffs, grid, n)
+    d2adv, d2u = (fullgrid.deriv(c, grid, 2) for c in (adv, u.coeffs))
+    chans = [] if model is None else fullgrid.channels(model, u.coeffs, grid, n)
     row.update(h01_sq=row["l2_sq"] + row["d2_sq"],
-               cross=h01_inner(adv, u) - l2_inner(adv, u),  # (d2 P_n(u.grad u), d2 u)
+               cross=fullgrid.inner(d2adv, d2u, grid),  # (d2 P_n(u.grad u), d2 u)
                noise_work=work,
-               hs_sq=0.0 if model is None else hs_norm_sq(model, u, galerkin_n=n))
+               hs_sq=sum(fullgrid.inner(c, c, grid) for c in chans))
     return row
 
 
@@ -151,15 +146,15 @@ def test_quadrature_grid_run_matches_manual_steps(grid16, make_field, model, n):
     run = _run_batched(u0.coeffs, grid16, model, cfg, draw_increments(model, cfg, (0, 1)))
     for path in (0, 1):
         incs = sample_wiener_increment(n_modes, cfg.n_steps, cfg.dt, cfg.seed, path)
-        u = galerkin_project(u0, n)
+        u = SpectralField(grid16, fullgrid.project(u0.coeffs, grid16, n))
         rows = [_manual_diag_row(u, model, n, 0.0)]
         for dw in incs:
-            work = l2_inner(SpectralField(grid16, _manual_noise(u, model, n, dw)), u)
+            work = fullgrid.inner(_manual_noise(u, model, n, dw), u.coeffs, grid16)
             u = SpectralField(grid16, _manual_sde_step(u, model, cfg.dt, n, dw))
             rows.append(_manual_diag_row(u, model, n, work))
-        expected = GalerkinFrame(grid16, n).coords(u.coeffs)
+        expected = u.coeffs
         scale = float(np.max(np.abs(expected)))
-        assert np.max(np.abs(run.final[path] - expected)) <= 1e-13 * scale
+        assert np.max(np.abs(run.frame.lift(run.final[path]) - expected)) <= 1e-13 * scale
         for name in run.diag:
             col = np.array([row[name] for row in rows])
             scale = max(float(np.max(np.abs(col))), 1e-300)
@@ -183,8 +178,8 @@ def test_additive_fast_path_matches_channels(grid16):
 
     st = _Stepper(grid16, model, cfg)
     # additive noise reads no samples of the state
-    fast = st.noise_increment(np.stack([dw, 2.0 * dw, -dw]), None)
-    chans = GalerkinFrame(grid16, 8).coords(sigma_channels(model, zeros_spectral(grid16)))
+    fast = st.frame.lift(st.noise_increment(np.stack([dw, 2.0 * dw, -dw]), None))
+    chans = fullgrid.channels(model, np.zeros((2, 16, 16)), grid16, 8)
     expected = dw[0] * chans[0] + dw[1] * chans[1]
     np.testing.assert_allclose(fast[0], expected, atol=1e-15)
     np.testing.assert_allclose(fast[1], 2.0 * expected, atol=1e-15)
@@ -248,6 +243,23 @@ def test_nan_initial_state_blows_up_at_first_step(grid16, make_field, model):
     assert err.value.last_finite_time == 0.0
 
 
+def test_out_of_band_recipe_is_refused_where_recipes_are_sampled():
+    # on 16 points cos(9, 0) samples as cos(7, 0), outside the band: a run
+    # would step silent zero noise (hs_sq ~ 1e-32) instead of refusing it
+    from ans2d.ensemble import EnsembleConfig, run_ensemble
+    from ans2d.noise import condition_c_empirical_check
+    from ans2d.spectral import taylor_green
+
+    u0 = taylor_green(TorusGrid(16, 16))
+    model = make_model([], ["0.1*cos(9,0)"])
+    cfg = SdeConfig(dt=1e-3, t_end=0.01, galerkin_n=8)
+    for run in (lambda: run_sde(u0, model, cfg),
+                lambda: run_ensemble(u0, model, cfg, EnsembleConfig(n_paths=2, levels=(8,))),
+                lambda: condition_c_empirical_check(model, [u0])):
+        with pytest.raises(ValueError, match="outside the alias-free band"):
+            run()
+
+
 def test_weighted_series_recomputation(grid16, make_field):
     u0 = make_field(grid16, band=4, seed=6)
     cfg = SdeConfig(dt=2e-3, t_end=0.1, galerkin_n=12, seed=2, alpha_tilde=0.4)
@@ -299,13 +311,14 @@ def test_single_mode_noise_guard(grid16):
     with pytest.raises(ValueError, match="k1 != k2"):
         single_mode_noise(grid16, (1, 1), 0.1)
     model = single_mode_noise(grid16, (1, 0), 0.1)
-    chans = sigma_channels(model, zeros_spectral(grid16))
-    from ans2d.basis import basis_element
     from ans2d.norms import MEASURE
+    from ans2d.sde import _Stepper
 
-    e = basis_element(grid16, (1, 0))
+    # the channel the engine adds, at the top level of the grid
+    st = _Stepper(grid16, model, SdeConfig(galerkin_n=max_level(grid16)))
+    chans = st.frame.lift(st.additive)
     # projected channel is exactly s * e_mode
-    np.testing.assert_allclose(chans[0], 0.1 * e.coeffs, atol=1e-15)
+    np.testing.assert_allclose(chans[0], 0.1 * fullgrid.element(grid16, (1, 0)), atol=1e-15)
     assert MEASURE * np.sum(np.abs(chans[0]) ** 2) == pytest.approx(0.01, rel=1e-12)
 
 
@@ -374,12 +387,11 @@ def test_hs_column_is_the_only_one_with_hs_changes(grid16, make_field):
 
 
 def test_batched_hs_matches_channel_norms(grid16, make_field):
-    # all channels in one sigma evaluation agree with hs_norm_sq per state
-    from ans2d.noise import hs_norm_sq
-
+    # all channels in one sigma evaluation agree with the channel norms per state
     full = _batch_run(grid16, make_field, with_hs=True, n_paths=2)
-    u = SpectralField(grid16, full.frame.lift(full.final[1]))
-    expected = hs_norm_sq(_model_small(), u, galerkin_n=9)
+    u = full.frame.lift(full.final[1])
+    chans = fullgrid.channels(_model_small(), u, grid16, 9)
+    expected = sum(fullgrid.inner(c, c, grid16) for c in chans)
     assert full.diag["hs_sq"][-1, 1] == pytest.approx(expected, rel=1e-12)
 
 

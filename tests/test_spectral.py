@@ -1,16 +1,15 @@
 import numpy as np
 import pytest
 
+import fullgrid
 from ans2d.errors import BlowUpError
-from ans2d.norms import l2_norm_sq
+from ans2d.norms import MEASURE, norm_rows
 from ans2d.spectral import (
     PhysicalField,
     SpectralField,
     TorusGrid,
     alias_free_band,
     check_finite,
-    derivative,
-    divergence_defect,
     forward_transform,
     hermitian_defect,
     inverse_transform,
@@ -22,6 +21,12 @@ from ans2d.spectral import (
     zero_mean,
     zeros_spectral,
 )
+
+
+def _divergence(u):
+    """Largest |k . u_hat(k)|: zero for a solenoidal field."""
+    k1, k2 = fullgrid.wavenumbers(u.grid)
+    return float(np.max(np.abs(k1 * u.coeffs[0] + k2 * u.coeffs[1])))
 
 
 def test_wavenumber_layout():
@@ -38,15 +43,16 @@ def test_grid_rejects_bad_sizes(n1, n2):
 
 
 def test_single_mode_coefficients(grid16):
+    # FFT layout: mode (k1, k2) at index (k1 mod n1, k2 mod n2)
     u = shear_field(grid16, axis=2)  # (sin x2, 0)
-    np.testing.assert_allclose(u.mode((0, 1)), [-0.5j, 0.0], atol=1e-15)
-    np.testing.assert_allclose(u.mode((0, -1)), [0.5j, 0.0], atol=1e-15)
+    np.testing.assert_allclose(u.coeffs[:, 0, 1], [-0.5j, 0.0], atol=1e-15)
+    np.testing.assert_allclose(u.coeffs[:, 0, -1], [0.5j, 0.0], atol=1e-15)
     # cos x1 in component 1
     x1 = grid16.x1[:, None]
     samples = np.stack([np.zeros((16, 16)), np.cos(x1) * np.ones((1, 16))])
     c = forward_transform(PhysicalField(grid16, samples))
-    np.testing.assert_allclose(c.mode((1, 0)), [0.0, 0.5], atol=1e-15)
-    np.testing.assert_allclose(c.mode((-1, 0)), [0.0, 0.5], atol=1e-15)
+    np.testing.assert_allclose(c.coeffs[:, 1, 0], [0.0, 0.5], atol=1e-15)
+    np.testing.assert_allclose(c.coeffs[:, -1, 0], [0.0, 0.5], atol=1e-15)
 
 
 def test_round_trip(grid16, make_field):
@@ -61,13 +67,13 @@ def test_round_trip(grid16, make_field):
 def test_parseval(grid16, make_field):
     u = make_field(grid16, band=5, seed=2)
     samples = inverse_transform(u).samples
-    physical = float(np.sum(samples ** 2)) * grid16.cell_area
-    assert abs(physical - l2_norm_sq(u)) <= 1e-12 * max(1.0, physical)
+    physical = float(np.sum(samples ** 2)) * MEASURE / grid16.n_points
+    assert abs(physical - float(norm_rows(u.coeffs, grid16)["l2_sq"])) <= 1e-12 * max(1.0, physical)
 
 
 def test_norm_of_sine_is_two_pi_squared(grid16):
-    assert l2_norm_sq(shear_field(grid16, axis=2)) == pytest.approx(2.0 * np.pi ** 2, rel=1e-14)
-    assert l2_norm_sq(taylor_green(grid16)) == pytest.approx(2.0 * np.pi ** 2, rel=1e-14)
+    for u in (shear_field(grid16, axis=2), taylor_green(grid16)):
+        assert norm_rows(u.coeffs, grid16)["l2_sq"] == pytest.approx(2.0 * np.pi ** 2, rel=1e-14)
 
 
 def test_inverse_rejects_broken_symmetry(grid16):
@@ -76,22 +82,6 @@ def test_inverse_rejects_broken_symmetry(grid16):
     assert hermitian_defect(u.coeffs) > 1e-7
     with pytest.raises(ValueError, match="conjugate-symmetric"):
         inverse_transform(u)
-
-
-def test_derivative_single_mode(grid16):
-    u = shear_field(grid16, axis=2)  # (sin x2, 0)
-    du = derivative(u, axis=2)       # (cos x2, 0)
-    np.testing.assert_allclose(du.mode((0, 1)), [0.5, 0.0], atol=1e-15)
-    assert np.all(derivative(u, axis=1).coeffs == 0.0)
-    with pytest.raises(ValueError):
-        derivative(u, axis=3)
-
-
-def test_derivatives_commute(grid16, make_field):
-    u = make_field(grid16, band=5, seed=3)
-    a = derivative(derivative(u, axis=1), axis=2)
-    b = derivative(derivative(u, axis=2), axis=1)
-    np.testing.assert_allclose(a.coeffs, b.coeffs, rtol=0.0, atol=1e-15)
 
 
 def test_alias_free_band_of_the_top_frame():
@@ -127,8 +117,8 @@ def test_leray_single_mode(grid16):
     u.coeffs[0, im, jm] = 1.0
     p = leray_project(u)
     # u - k (k.u)/|k|^2 at k=(1,1) with u=(1,0): (1/2, -1/2)
-    np.testing.assert_allclose(p.mode((1, 1)), [0.5, -0.5], atol=1e-15)
-    assert divergence_defect(p) <= 1e-15
+    np.testing.assert_allclose(p.coeffs[:, 1, 1], [0.5, -0.5], atol=1e-15)
+    assert _divergence(p) <= 1e-15
     np.testing.assert_allclose(leray_project(p).coeffs, p.coeffs, atol=1e-15)
 
 
@@ -136,8 +126,8 @@ def test_leray_keeps_mean_mode(grid16):
     u = zeros_spectral(grid16)
     u.coeffs[:, 0, 0] = [2.0, -1.0]
     p = leray_project(u)
-    np.testing.assert_array_equal(p.mean_mode(), [2.0, -1.0])
-    assert np.all(zero_mean(p).mean_mode() == 0.0)
+    np.testing.assert_array_equal(p.coeffs[:, 0, 0], [2.0, -1.0])
+    assert np.all(zero_mean(p).coeffs[:, 0, 0] == 0.0)
 
 
 def test_advection_two_mode_closed_form(grid16):
@@ -188,11 +178,11 @@ def test_shear_field_orientation(grid16):
 def test_random_solenoidal_properties(grid32):
     rng = np.random.default_rng(11)
     u = random_solenoidal_field(grid32, band=4, amplitude=2.5, rng=rng)
-    assert divergence_defect(u) <= 1e-13
-    assert np.all(u.mean_mode() == 0.0)
+    assert _divergence(u) <= 1e-13
+    assert np.all(u.coeffs[:, 0, 0] == 0.0)
     outside = (np.abs(grid32.k1) > 4) | (np.abs(grid32.k2) > 4)
     assert np.max(np.abs(u.coeffs[:, outside])) == 0.0
-    assert l2_norm_sq(u) == pytest.approx(2.5 ** 2, rel=1e-12)
+    assert norm_rows(u.coeffs, grid32)["l2_sq"] == pytest.approx(2.5 ** 2, rel=1e-12)
 
 
 def test_random_solenoidal_band_guard(grid16):
@@ -206,7 +196,7 @@ def test_real_synthesis_matches_complex(n1, n2):
     # _phys reads a k2 >= 0 half spectrum cut to the band's columns, laid
     # out (cols, n1): on Hermitian band-limited input it must agree with the
     # complex synthesis, for the field and its gradient
-    from ans2d.spectral import _phys, _phys_grad
+    from ans2d.spectral import _phys
 
     grid = TorusGrid(n1, n2)
     rng = np.random.default_rng(n1 + n2)
@@ -220,17 +210,6 @@ def test_real_synthesis_matches_complex(n1, n2):
         got = _phys(c[..., : band + 1].swapaxes(-1, -2), grid.n_points)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    # _phys_grad: rows (u1, u2, omega, d1 u1, d1 u2) in place of the component axis
-    stacked = _phys_grad(batch[..., : band + 1], grid)
-    assert stacked.shape == (3, 5, n1, n2)
-    np.testing.assert_array_equal(
-        stacked[:, :2], _phys(batch[..., : band + 1].swapaxes(-1, -2), grid.n_points))
-    np.testing.assert_array_equal(
-        stacked[:, 3:], _phys((batch * (1j * k1))[..., : band + 1].swapaxes(-1, -2),
-                              grid.n_points))
-    omega = batch[:, 1] * (1j * k1) - batch[:, 0] * (1j * k2)
-    ref = np.fft.ifft2(omega, axes=(-2, -1)).real * grid.n_points
-    assert np.max(np.abs(stacked[:, 2] - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("n1,n2", [(4, 4), (8, 8), (10, 10), (16, 16), (16, 24), (64, 64)])
