@@ -18,10 +18,10 @@ import json
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence
 
 import numpy as np
 
@@ -102,22 +102,22 @@ def _split_recipes(text: str) -> list[str]:
     return [part.strip() for part in text.split(";") if part.strip()]
 
 
-def _noise_model(cfg: dict[str, Any], grid: TorusGrid) -> NoiseModel | None:
+def _noise_model(cfg: dict[str, Any], grid: TorusGrid) -> NoiseModel:
     c = _split_recipes(cfg["noise.c_recipes"])
     b = _split_recipes(cfg["noise.b_recipes"])
     if not c and not b:
-        return None
+        return NoiseModel()
     with _config_value("bad noise recipes: "):
         model = make_model(c, b, cfg["noise.g"], margin=cfg["noise.budget_margin"])
         model.check_band(grid)
     return model
 
 
-def _det_config(cfg: dict[str, Any]) -> det_mod.DetConfig:
+def _section(cfg: dict[str, Any], cls: type, prefix: str):
+    """The dataclass cls built from the config keys prefix.<field> of its fields."""
+    keys = {f.name: f"{prefix}.{f.name}" for f in fields(cls)}
     with _config_value():
-        return det_mod.DetConfig(
-            dt=cfg["det.dt"], t_end=cfg["det.t_end"], integrator=cfg["det.integrator"],
-            eps_v=cfg["det.eps_v"])
+        return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg})
 
 
 def _check_level(grid: TorusGrid, key: str, n: int) -> None:
@@ -126,30 +126,19 @@ def _check_level(grid: TorusGrid, key: str, n: int) -> None:
                           f"elements of the {grid.n1}x{grid.n2} grid")
 
 
-def _sde_config(cfg: dict[str, Any]) -> sde_mod.SdeConfig:
-    with _config_value():
-        return sde_mod.SdeConfig(
-            dt=cfg["sde.dt"], t_end=cfg["sde.t_end"], galerkin_n=cfg["sde.galerkin_n"],
-            seed=cfg["sde.seed"],
-            drop_nonlinearity=cfg["sde.drop_nonlinearity"],
-            alpha_tilde=cfg["sde.alpha_tilde"])
-
-
 # ---------------------------------------------------------------------------
 # subcommands; each returns (outputs, certificate records, other verdict entries)
 
 CmdResult = tuple[list[str], list[Verdict], dict[str, Any]]
 
 
-def _gate(cfg: dict[str, Any], args: argparse.Namespace, model: NoiseModel | None,
-          needed: str) -> GateResult | None:
-    """The noise gates of model (None without noise).
+def _gate(cfg: dict[str, Any], args: argparse.Namespace, model: NoiseModel,
+          needed: str) -> GateResult:
+    """The noise gates of model at noise.eta.
 
     The one way a command refuses a run: a failed `needed` gate
     ("existence" or "uniqueness") raises GateError unless --force is given.
     """
-    if model is None:
-        return None
     gate = condition_c_gate(condition_c_bounds(model, eta=cfg["noise.eta"]))
     if not getattr(gate, f"{needed}_ok") and not args.force:
         raise GateError(f"{needed} gate violated: {gate.describe()}")
@@ -159,9 +148,9 @@ def _gate(cfg: dict[str, Any], args: argparse.Namespace, model: NoiseModel | Non
 def _cmd_run_det(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
     u0 = _initial_field(grid, cfg)
-    traj = det_mod.run_det(u0, _det_config(cfg))
-    energy = det_mod.energy_certificate(traj, det_mod.ENERGY_REL_TOL)
-    h01 = det_mod.h01_certificate(traj, det_mod.H01_SLACK)
+    traj = det_mod.run_det(u0, _section(cfg, det_mod.DetConfig, "det"))
+    energy = det_mod.energy_certificate(traj)
+    h01 = det_mod.h01_certificate(traj)
     rows = zip(traj.t, traj.l2_sq, traj.d1_sq, traj.d2_sq, traj.d1d2_sq,
                traj.int_d1_sq, traj.int_d1d2_sq, energy.residual, h01.c_emp,
                h01.weighted)
@@ -175,7 +164,7 @@ def _cmd_run_det(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
 def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
     u0 = _initial_field(grid, cfg)
-    scfg = _sde_config(cfg)
+    scfg = _section(cfg, sde_mod.SdeConfig, "sde")
     _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
     model = _noise_model(cfg, grid)
     gate = _gate(cfg, args, model, "existence")
@@ -189,8 +178,8 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
     _write_csv(out / "sde_series.csv", SDE_CSV_COLUMNS, list(rows))
     write_snapshot(out / "final_state.ans2", inverse_transform(traj.final), float(traj.t[-1]))
     extra = {
-        "existence_gate": gate is None or gate.existence_ok,
-        "gate": "no noise" if gate is None else gate.describe(),
+        "existence_gate": gate.existence_ok,
+        "gate": gate.describe() if model.n_modes else "no noise",
         "c_emp_sup": traj.weighted.c_emp_sup,
         "final_l2_sq": float(traj.diag["l2_sq"][-1]),
     }
@@ -200,37 +189,38 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
 def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
     u0 = _initial_field(grid, cfg)
-    scfg = _sde_config(cfg)
+    scfg = _section(cfg, sde_mod.SdeConfig, "sde")
     model = _noise_model(cfg, grid)
-    with _config_value():
-        ens = EnsembleConfig(n_paths=cfg["ensemble.n_paths"],
-                             base_seed=cfg["ensemble.base_seed"],
-                             levels=cfg["ensemble.levels"],
-                             batch=cfg["ensemble.batch"],
-                             eta=cfg["noise.eta"])
+    ens = _section(cfg, EnsembleConfig, "ensemble")
     for level in ens.levels:
         _check_level(grid, "ensemble.levels", level)
-    report = run_ensemble(u0, model, scfg, ens, _gate(cfg, args, model, "existence"))
-    rows = moment_bound_report(report)
+    gate = _gate(cfg, args, model, "existence")
+    report = run_ensemble(u0, model, scfg, ens)
+    rows = moment_bound_report(report, gate)
     header = list(rows[0].keys())
     _write_csv(out / "ensemble_moments.csv", header,
                [[row[k] for k in header] for row in rows])
     extra = {
-        "existence_gate": report.gate.existence_ok,
-        "uniqueness_gate": report.gate.uniqueness_ok,
+        "existence_gate": gate.existence_ok,
+        "uniqueness_gate": gate.uniqueness_ok,
         "spread": report.uniform.measured,
         "c_hat": {str(lv.level): lv.c_hat for lv in report.levels},
     }
     return ["ensemble_moments.csv"], [report.uniform], extra
 
 
-def _cmd_verify(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
-    grid = _grid(cfg)
+def _random_fields(cfg: dict[str, Any], grid: TorusGrid) -> Iterator[SpectralField]:
+    """The verify.n_fields random fields of verify and oracle-check, from verify.seed."""
     rng = np.random.default_rng(cfg["verify.seed"])
     band = min(cfg["verify.band"], grid.band1, grid.band2)
-    report = norms_mod.NormReport()
     for _ in range(cfg["verify.n_fields"]):
-        u = random_solenoidal_field(grid, band=band, amplitude=1.0, rng=rng)
+        yield random_solenoidal_field(grid, band=band, amplitude=1.0, rng=rng)
+
+
+def _cmd_verify(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
+    grid = _grid(cfg)
+    report = norms_mod.NormReport()
+    for u in _random_fields(cfg, grid):
         samples = inverse_transform(u).samples
         for comp in range(2):
             norms_mod.check_anisotropic_embedding(grid, samples[comp], report)
@@ -248,16 +238,13 @@ def _cmd_oracle_check(cfg: dict[str, Any], out: Path, args: argparse.Namespace) 
     if grid.n1 * grid.n2 > 1024:
         raise ConfigError(
             f"direct convolution oracle is limited to n1*n2 <= 1024, got {grid.n1}x{grid.n2}")
-    rng = np.random.default_rng(cfg["verify.seed"])
-    band = min(cfg["verify.band"], grid.band1, grid.band2)
     tol = sde_mod.ORACLE_TOL
     levels = sde_mod.oracle_levels(grid)
     if cfg["verify.n_fields"] < len(levels):  # a level with no field would pass vacuously
         raise ConfigError(f"verify.n_fields={cfg['verify.n_fields']} must be >= {len(levels)}: "
                           f"oracle-check gives one field to each of the levels {levels}")
     rows = []
-    for i in range(cfg["verify.n_fields"]):
-        u = random_solenoidal_field(grid, band=band, amplitude=1.0, rng=rng)
+    for i, u in enumerate(_random_fields(cfg, grid)):
         level = levels[i % len(levels)]  # one oracle call per field
         rel = sde_mod.drift_oracle_error(u, level)
         rows.append((i, level, rel, rel <= tol))
@@ -288,13 +275,14 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
 
     extra = {"kind": cfg["uniqueness.kind"]}
     if cfg["uniqueness.kind"] == "det":
-        rep = det_mod.uniqueness_experiment(u0, v0, _det_config(cfg), tol=tol)
+        rep = det_mod.uniqueness_experiment(u0, v0, _section(cfg, det_mod.DetConfig, "det"),
+                                            tol=tol)
     else:
         model = _noise_model(cfg, grid)
-        if model is None:
+        if not model.n_modes:
             raise ConfigError("sde uniqueness needs a noise model "
                               "(noise.c_recipes / noise.b_recipes)")
-        scfg = _sde_config(cfg)
+        scfg = _section(cfg, sde_mod.SdeConfig, "sde")
         _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
         extra["uniqueness_gate"] = _gate(cfg, args, model, "uniqueness").uniqueness_ok
         rep = sde_mod.pathwise_uniqueness_experiment(u0, v0, model, scfg, tol=tol,
@@ -342,7 +330,7 @@ _COMMANDS = {
 }
 
 
-_SEED_KEYS = ("init.seed", "sde.seed", "ensemble.base_seed", "verify.seed")
+_SEED_KEYS = ("init.seed", "sde.seed", "verify.seed")
 
 
 class _Parser(argparse.ArgumentParser):

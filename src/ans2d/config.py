@@ -4,18 +4,21 @@ Text format: one `section.key = value` per line, `#` starts a comment,
 blank lines ignored.  Unknown keys and malformed values are errors; every
 key has a default, and echoing a configuration always writes the complete
 key set in schema order so a run's effective configuration round-trips.
+The det, sde and ensemble keys are fields of DetConfig, SdeConfig and
+EnsembleConfig, and take their defaults from them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import Any, Callable
 
-from .det import GAP_TOL
+from .det import GAP_TOL, INTEGRATORS, DetConfig
+from .ensemble import EnsembleConfig
 from .errors import ConfigError
-from .noise import DEFAULT_ETA
-from .norms import YOUNG_WEIGHT
+from .noise import DEFAULT_ETA, G_FUNCS
+from .sde import SdeConfig
 
 
 def _parse_bool(text: str) -> bool:
@@ -82,13 +85,19 @@ def _fmt_default(value: Any) -> str:
 class _Key:
     name: str
     parse: Callable[[str], Any]
-    default: Any
+    default: Any = None
     fmt: Callable[[Any], str] = _fmt_default
     choices: tuple[str, ...] | None = None
 
 
-def _str_key(name: str, default: str, choices: tuple[str, ...] | None = None) -> _Key:
+def _str_key(name: str, default: str = "", choices: tuple[str, ...] | None = None) -> _Key:
     return _Key(name, lambda s: s.strip(), default, choices=choices)
+
+
+def _fields(prefix: str, cls: type, *keys: _Key) -> tuple[_Key, ...]:
+    """keys, each named by a field of the dataclass cls, as prefix.<field> with its default."""
+    defaults = {f.name: f.default for f in fields(cls)}
+    return tuple(replace(k, name=f"{prefix}.{k.name}", default=defaults[k.name]) for k in keys)
 
 
 SCHEMA: tuple[_Key, ...] = (
@@ -99,25 +108,21 @@ SCHEMA: tuple[_Key, ...] = (
     _Key("init.amplitude", _parse_finite, 1.0),
     _Key("init.band", _parse_positive_count, 3),
     _Key("init.seed", _parse_count, 0),
-    _Key("det.dt", _parse_finite, 1e-3),
-    _Key("det.t_end", _parse_finite, 1.0),
-    _str_key("det.integrator", "if-rk2", ("if-rk2", "if-rk4", "if-euler")),
-    _Key("det.eps_v", _parse_finite, 0.0),
-    _Key("sde.dt", _parse_finite, 1e-3),
-    _Key("sde.t_end", _parse_finite, 1.0),
-    _Key("sde.galerkin_n", int, 8),
-    _Key("sde.seed", _parse_count, 0),
-    _Key("sde.drop_nonlinearity", _parse_bool, False),
-    _Key("sde.alpha_tilde", _parse_finite, YOUNG_WEIGHT),
-    _str_key("noise.c_recipes", ""),
-    _str_key("noise.b_recipes", ""),
-    _str_key("noise.g", "one", ("one", "zero", "tanh", "sin")),
+    *_fields("det", DetConfig,
+             _Key("dt", _parse_finite), _Key("t_end", _parse_finite),
+             _str_key("integrator", choices=INTEGRATORS), _Key("eps_v", _parse_finite)),
+    *_fields("sde", SdeConfig,
+             _Key("dt", _parse_finite), _Key("t_end", _parse_finite), _Key("galerkin_n", int),
+             _Key("seed", _parse_count), _Key("drop_nonlinearity", _parse_bool),
+             _Key("alpha_tilde", _parse_finite)),
+    _str_key("noise.c_recipes"),
+    _str_key("noise.b_recipes"),
+    _str_key("noise.g", "one", tuple(G_FUNCS)),
     _Key("noise.eta", _parse_positive, DEFAULT_ETA),
     _Key("noise.budget_margin", _parse_finite, 1.0),
-    _Key("ensemble.n_paths", int, 100),
-    _Key("ensemble.base_seed", _parse_count, 0),
-    _Key("ensemble.levels", _parse_levels, (8, 16, 32), fmt=_fmt_levels),
-    _Key("ensemble.batch", int, 500),
+    *_fields("ensemble", EnsembleConfig,
+             _Key("n_paths", int), _Key("levels", _parse_levels, fmt=_fmt_levels),
+             _Key("batch", int)),
     _str_key("uniqueness.kind", "det", ("det", "sde")),
     _Key("uniqueness.perturbation", _parse_finite, 1e-8),
     _str_key("uniqueness.pert_mode", "1,0"),
@@ -125,7 +130,7 @@ SCHEMA: tuple[_Key, ...] = (
     _Key("verify.n_fields", _parse_positive_count, 100),
     _Key("verify.band", _parse_positive_count, 5),
     _Key("verify.seed", _parse_count, 0),
-    _str_key("plot.input", ""),
+    _str_key("plot.input"),
 )
 
 _BY_NAME = {k.name: k for k in SCHEMA}

@@ -34,27 +34,46 @@ INTEGRATORS = ("if-rk2", "if-rk4", "if-euler")
 ENERGY_REL_TOL = 1e-4  # energy residual allowed, relative to ||u0||^2
 H01_SLACK = 1e-6       # weighted vertical-energy increase allowed, relative to its start
 GAP_TOL = 0.05         # slack (1 + tol) of both two-solution gap bounds
+MAX_STEPS = 10 ** 7    # most steps a run may take; a run's arrays hold n_steps + 1 rows
 
 
 @dataclass
-class DetConfig:
+class Clock:
+    """Step size, run length and blow-up guard of a run (DetConfig, sde.SdeConfig)."""
+
     dt: float = 1e-3
     t_end: float = 1.0
-    integrator: str = "if-rk2"
-    eps_v: float = 0.0  # vertical viscosity multiplier of the regularized system
     blowup_factor: float = spectral.BLOWUP_GUARD
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
             raise ValueError("dt and t_end must be positive")
-        if self.integrator not in INTEGRATORS:
-            raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
-        if self.eps_v < 0.0:
-            raise ValueError("eps_v must be >= 0")
+        # the ratio, not n_steps: int() of an overflow to inf would raise
+        if not self.t_end / self.dt <= MAX_STEPS:
+            raise ValueError(f"t_end / dt = {self.t_end / self.dt:.6g} exceeds "
+                             f"{MAX_STEPS} steps")
 
     @property
     def n_steps(self) -> int:
         return int(np.ceil(self.t_end / self.dt - 1e-12))
+
+    @property
+    def times(self) -> np.ndarray:
+        """The n_steps + 1 times of the recorded states."""
+        return np.arange(self.n_steps + 1) * self.dt
+
+
+@dataclass
+class DetConfig(Clock):
+    integrator: str = "if-rk2"
+    eps_v: float = 0.0  # vertical viscosity multiplier of the regularized system
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.integrator not in INTEGRATORS:
+            raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
+        if self.eps_v < 0.0:
+            raise ValueError("eps_v must be >= 0")
 
 
 @dataclass
@@ -160,17 +179,15 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
     """
     grid = u0.grid
     frame = GalerkinFrame(grid, max_level(grid))
-    n_steps = cfg.n_steps
     dt = cfg.dt
-    cols = {name: np.zeros(n_steps + 1) for name in
+    cols = {name: np.zeros(cfg.n_steps + 1) for name in
             ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "cross")}
     for i, a, drift in _march(frame.coords(u0.coeffs), frame, cfg):
         row = _coord_rows(frame, a, drift)
         for name in cols:
             cols[name][i] = row[name]
 
-    return Trajectory(grid=grid, config=cfg, t=np.arange(n_steps + 1) * dt,
-                      final_coords=a, frame=frame,
+    return Trajectory(grid=grid, config=cfg, t=cfg.times, final_coords=a, frame=frame,
                       int_d1_sq=cumulative_trapezoid(cols["d1_sq"], dt),
                       int_d2_sq=cumulative_trapezoid(cols["d2_sq"], dt),
                       int_d1d2_sq=cumulative_trapezoid(cols["d1d2_sq"], dt), **cols)
@@ -272,7 +289,7 @@ def weak_form_residual(u0: SpectralField, cfg: DetConfig, test_mode: tuple[int, 
     """
     frame = GalerkinFrame(u0.grid, max_level(u0.grid))
     j = frame.column(test_mode)
-    t = np.arange(cfg.n_steps + 1) * cfg.dt
+    t = cfg.times
     a = np.zeros_like(t)                        # (u, e_k)
     b = np.zeros_like(t)                        # (u.grad u, e_k)
     for i, state, drift in _march(frame.coords(u0.coeffs), frame, cfg):
@@ -329,15 +346,15 @@ class _GapAudit:
     identical arithmetic; both sides of the check are then 0 at every step.
     """
 
-    def __init__(self, frame: GalerkinFrame, dt: float, n_steps: int, base: int):
+    def __init__(self, frame: GalerkinFrame, clock: Clock, base: int):
         self.frame = frame
-        self.dt = dt
+        self.dt = clock.dt
         self.base = base
-        self.t = np.arange(n_steps + 1) * dt
-        self.w_l2 = np.zeros(n_steps + 1)
-        self.tri = np.zeros(n_steps + 1)
-        self.den = np.zeros(n_steps + 1)
-        self.dissip = np.zeros(n_steps + 1)
+        self.t = clock.times
+        self.w_l2 = np.zeros_like(self.t)
+        self.tri = np.zeros_like(self.t)
+        self.den = np.zeros_like(self.t)
+        self.dissip = np.zeros_like(self.t)
         self.bitwise = True
 
     def record(self, i: int, pair: np.ndarray) -> None:
@@ -391,7 +408,7 @@ def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
     u0 and v0 must be Hermitian.
     """
     frame = GalerkinFrame(u0.grid, max_level(u0.grid))
-    audit = _GapAudit(frame, cfg.dt, cfg.n_steps, base=1)
+    audit = _GapAudit(frame, cfg, base=1)
     for i, pair, _ in _march(frame.coords(np.stack((u0.coeffs, v0.coeffs))), frame, cfg):
         audit.record(i, pair)
     return audit.report(YOUNG_WEIGHT, 0.0, tol)
@@ -411,7 +428,7 @@ def eps_sweep(u0: SpectralField, cfg: DetConfig, eps_values: list[float]) -> lis
     def march(eps: float):
         return _march(frame.coords(mollify(u0, eps).coeffs), frame, replace(cfg, eps_v=eps))
 
-    t = np.arange(cfg.n_steps + 1) * cfg.dt
+    t = cfg.times
     diff_sq = np.zeros((len(eps_values), len(t)))
     for (i, base, _), *runs in zip(march(0.0), *map(march, eps_values)):
         for m, (_, a, _) in enumerate(runs):

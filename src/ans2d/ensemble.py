@@ -2,9 +2,10 @@
 
 Trajectories are advanced in fixed-size batches of the stacked engine.
 Every level replays the same paths, so each batch's increments are drawn
-once and stepped at every level in turn.  Per-path functionals are reduced
-in path-index order, so a given (seed, n_paths, batch) triple always
-produces identical output bytes.
+once and stepped at every level in turn.  Path j is the stream
+(SdeConfig.seed, j) of the SDE engine, and per-path functionals are reduced
+in path-index order, so the seed and n_paths fix the output bytes, for
+every batch size.
 The headline quantity per level n is
 
     c_hat(n) = ( E sup_t ||u||^2 + E int_0^T ||u||_{H^{1,0}}^2 dt )
@@ -21,13 +22,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .basis import GalerkinFrame, max_level
-from .noise import (
-    DEFAULT_ETA,
-    GateResult,
-    NoiseModel,
-    condition_c_bounds,
-    condition_c_gate,
-)
+from .noise import GateResult, NoiseModel
 from .norms import Verdict, cumulative_trapezoid, verdict
 from .sde import SdeConfig, _run_batched, draw_increments, weighted_h01_series
 from .spectral import SpectralField
@@ -36,10 +31,8 @@ from .spectral import SpectralField
 @dataclass
 class EnsembleConfig:
     n_paths: int = 100
-    base_seed: int = 0
     levels: tuple[int, ...] = (8, 16, 32)
     batch: int = 500
-    eta: float = DEFAULT_ETA  # Peter-Paul split of the gate constants
 
     def __post_init__(self):
         if self.n_paths < 2:
@@ -79,11 +72,10 @@ class EnsembleReport:
     """uniform holds the spread max/min c_hat across levels to at most 2."""
 
     levels: list[MomentEstimates]
-    gate: GateResult
     uniform: Verdict
 
 
-def _level_estimates(u0: SpectralField, model: NoiseModel | None, cfg_n: SdeConfig,
+def _level_estimates(u0: SpectralField, model: NoiseModel, cfg_n: SdeConfig,
                      increments: np.ndarray) -> dict[str, np.ndarray]:
     """Per-path MOMENTS samples of one batch of increments at the level of cfg_n."""
     # the moments read no Hilbert-Schmidt column
@@ -103,23 +95,15 @@ def _moment_estimates(level: int, n_paths: int, samples: dict[str, np.ndarray],
                            c_hat=c_hat / (1.0 + u0_l2))
 
 
-def run_ensemble(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
-                 ens: EnsembleConfig, gate: GateResult | None = None) -> EnsembleReport:
+def run_ensemble(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
+                 ens: EnsembleConfig) -> EnsembleReport:
     """Moment estimates at each Galerkin level plus the uniformity verdict.
 
-    The noise gates are reported, not enforced: refusing a run is the
-    caller's decision.  gate is the caller's evaluation of them at
-    ens.eta, taken as it is; without one they are evaluated here.  A
-    blow-up on any path aborts the whole ensemble.
+    The paths are those of cfg.seed.  The noise gates are the caller's to
+    evaluate and enforce.  A blow-up on any path aborts the whole ensemble.
     """
-    if gate is None:
-        empty = NoiseModel(c=(), b=(), g_kind="zero", m1=0.0, m2=0.0, cg=0.0)
-        gate = condition_c_gate(condition_c_bounds(empty if model is None else model,
-                                                   eta=ens.eta))
-
     # ||u0||^2 of the projection of u0 onto all basis elements of the grid
     u0_l2 = float(np.sum(GalerkinFrame(u0.grid, max_level(u0.grid)).coords(u0.coeffs) ** 2))
-    cfg = replace(cfg, seed=ens.base_seed)
     samples = {lvl: {name: np.zeros(ens.n_paths) for name in MOMENTS} for lvl in ens.levels}
     for done in range(0, ens.n_paths, ens.batch):
         paths = range(done, min(done + ens.batch, ens.n_paths))
@@ -131,18 +115,18 @@ def run_ensemble(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig,
     levels = [_moment_estimates(lvl, ens.n_paths, samples[lvl], u0_l2) for lvl in ens.levels]
     c_hats = [lv.c_hat for lv in levels]
     spread = float(max(c_hats) / min(c_hats)) if min(c_hats) > 0 else float("inf")
-    return EnsembleReport(levels=levels, gate=gate, uniform=verdict("uniform_ok", spread, 2.0))
+    return EnsembleReport(levels=levels, uniform=verdict("uniform_ok", spread, 2.0))
 
 
-def moment_bound_report(report: EnsembleReport) -> list[dict[str, object]]:
-    """Flat rows (one per level) ready for CSV emission."""
+def moment_bound_report(report: EnsembleReport, gate: GateResult) -> list[dict[str, object]]:
+    """Flat rows (one per level) ready for CSV emission, with the run's noise gates."""
     rows = []
     for lv in report.levels:
         row = {"level": lv.level, "n_paths": lv.n_paths}
         for name in MOMENTS:
             row[f"est_{name}"] = lv.est[name]
             row[f"se_{name}"] = lv.se[name]
-        row.update(c_hat=lv.c_hat, existence_gate=report.gate.existence_ok,
-                   uniqueness_gate=report.gate.uniqueness_ok)
+        row.update(c_hat=lv.c_hat, existence_gate=gate.existence_ok,
+                   uniqueness_gate=gate.uniqueness_ok)
         rows.append(row)
     return rows

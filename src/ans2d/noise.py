@@ -96,16 +96,19 @@ class ScalarRecipe:
                          for a, k1, k2, _ in self.terms))
 
 
+# g kind -> (g, sup|g|, Lip(g))
+G_FUNCS = {
+    "one": (lambda x: np.ones_like(x), 1.0, 0.0),
+    "zero": (lambda x: np.zeros_like(x), 0.0, 0.0),
+    "tanh": (np.tanh, 1.0, 1.0),
+    "sin": (np.sin, 1.0, 1.0),
+}
+
+
 def _g_funcs(kind: str):
-    table = {
-        "one": (lambda x: np.ones_like(x), 1.0, 0.0),
-        "zero": (lambda x: np.zeros_like(x), 0.0, 0.0),
-        "tanh": (np.tanh, 1.0, 1.0),
-        "sin": (np.sin, 1.0, 1.0),
-    }
-    if kind not in table:
-        raise ValueError(f"unknown g kind {kind!r}; choose from {sorted(table)}")
-    return table[kind]
+    if kind not in G_FUNCS:
+        raise ValueError(f"unknown g kind {kind!r}; choose from {sorted(G_FUNCS)}")
+    return G_FUNCS[kind]
 
 
 def required_budgets(c: Sequence[ScalarRecipe], b: Sequence[ScalarRecipe]
@@ -118,10 +121,13 @@ def required_budgets(c: Sequence[ScalarRecipe], b: Sequence[ScalarRecipe]
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Coefficient recipes plus declared smoothness budgets."""
+    """Coefficient recipes plus declared smoothness budgets.
 
-    c: tuple[ScalarRecipe, ...]
-    b: tuple[ScalarRecipe, ...]
+    NoiseModel(), with no channel, is the one value for no noise.
+    """
+
+    c: tuple[ScalarRecipe, ...] = ()
+    b: tuple[ScalarRecipe, ...] = ()
     g_kind: str = "one"
     m1: float = 0.0
     m2: float = 0.0

@@ -41,7 +41,7 @@ import numpy as np
 
 from . import det, spectral
 from .basis import GalerkinFrame, is_canonical, max_level, quadrature_grid
-from .det import GAP_TOL, GapReport, _coord_rows, _GapAudit
+from .det import GAP_TOL, Clock, GapReport, _coord_rows, _GapAudit
 from .noise import (
     DEFAULT_ETA,
     NoiseModel,
@@ -57,29 +57,23 @@ from .spectral import SpectralField, TorusGrid
 
 DIAG_NAMES = ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "h01_sq", "h11_sq",
               "cross", "noise_work", "hs_sq")
+N_SE = 5.0      # standard errors allowed to the Monte Carlo audits
+BETA_HAT = 0.5  # Gronwall split of the noise's Lipschitz channel in the gap bound
 
 
 @dataclass
-class SdeConfig:
-    dt: float = 1e-3
-    t_end: float = 1.0
+class SdeConfig(Clock):
     galerkin_n: int = 8
     seed: int = 0
     drop_nonlinearity: bool = False
     alpha_tilde: float = YOUNG_WEIGHT
-    blowup_factor: float = spectral.BLOWUP_GUARD
 
     def __post_init__(self):
-        if self.dt <= 0.0 or self.t_end <= 0.0:
-            raise ValueError("dt and t_end must be positive")
+        super().__post_init__()
         if not 0.0 < self.alpha_tilde < 1.0:
             raise ValueError("alpha_tilde must lie in (0, 1)")
         if self.galerkin_n < 1:
             raise ValueError("galerkin_n must be >= 1")
-
-    @property
-    def n_steps(self) -> int:
-        return int(np.ceil(self.t_end / self.dt - 1e-12))
 
 
 class _Stepper:
@@ -94,11 +88,11 @@ class _Stepper:
     advection coordinates of the configured grid up to rounding.  A
     multiplicative sigma(u) is not band-limited, so for it qgrid is the
     configured grid; additive channel coordinates are taken on the
-    configured grid once.  Without noise (no model, or a zero one) the
-    additive case has no channel, and its increments are exact zeros.
+    configured grid once.  Without noise (NoiseModel(), or a zero model)
+    the additive case has no channel, and its increments are exact zeros.
     """
 
-    def __init__(self, grid: TorusGrid, model: NoiseModel | None, cfg: SdeConfig):
+    def __init__(self, grid: TorusGrid, model: NoiseModel, cfg: SdeConfig):
         if cfg.galerkin_n > max_level(grid):
             raise ValueError(
                 f"galerkin_n={cfg.galerkin_n} exceeds the {max_level(grid)} basis "
@@ -108,19 +102,18 @@ class _Stepper:
         self.cfg = cfg
         self.frame = GalerkinFrame(grid, cfg.galerkin_n)
         self.ef = np.exp(-cfg.dt * self.frame.k1sq)
-        self.n_modes = 0 if model is None else model.n_modes
         self.additive = None  # (channels, n) coordinates of the projected channels
-        if self.n_modes == 0 or model.is_zero:
+        if model.is_zero:
             self.additive = np.zeros((0, self.frame.n))
         else:
             self.fields = model.coefficient_fields(grid)
             if model.is_additive:
                 zero = np.zeros((3, grid.n1, grid.n2))  # samples of u = 0
-                self.additive = sigma_coords(model, self.frame, zero, np.eye(self.n_modes),
+                self.additive = sigma_coords(model, self.frame, zero, np.eye(model.n_modes),
                                              self.fields)
         multiplicative = self.additive is None
         self.needs_phys = multiplicative or not cfg.drop_nonlinearity
-        self.rows = 3 if model is None or all(r.is_zero for r in model.c) else 5
+        self.rows = 3 if all(r.is_zero for r in model.c) else 5
         self.qgrid = grid if multiplicative else quadrature_grid(grid, cfg.galerkin_n)
         self.qframe = GalerkinFrame(self.qgrid, cfg.galerkin_n)
 
@@ -151,7 +144,7 @@ class _Stepper:
             return np.full(lead, float(np.sum(self.additive ** 2)))
         # all channels at once: a channel axis before the rows
         chans = sigma_coords(self.model, self.frame, phys[..., None, :, :, :],
-                             np.eye(self.n_modes), self.fields)
+                             np.eye(self.model.n_modes), self.fields)
         return np.sum(chans ** 2, axis=(-2, -1))
 
 
@@ -189,7 +182,7 @@ def drift_oracle_error(u: SpectralField, n: int) -> float:
     if n == max_level(grid):
         drift = det._drift(a, frame)  # looked up per call, as a test may replace it
     else:
-        stepper = _Stepper(grid, None, SdeConfig(galerkin_n=n))
+        stepper = _Stepper(grid, NoiseModel(), SdeConfig(galerkin_n=n))
         drift = stepper.drift(a, stepper.synth(a))
     scale = float(np.max(np.abs(ref)))
     return float(np.max(np.abs(drift - ref))) / scale if scale > 0.0 else np.inf
@@ -203,7 +196,7 @@ class BatchedRun:
     frame: GalerkinFrame         # lifts coordinates to coefficients
 
 
-def draw_increments(model: NoiseModel | None, cfg: SdeConfig,
+def draw_increments(model: NoiseModel, cfg: SdeConfig,
                     paths: Sequence[int]) -> np.ndarray:
     """Wiener increments of one trajectory per index in paths, step-major.
 
@@ -212,7 +205,7 @@ def draw_increments(model: NoiseModel | None, cfg: SdeConfig,
     repeats its path.  A model with no non-zero channel draws nothing
     (n_modes = 0), as its noise increments are exact zeros.
     """
-    n_modes = 0 if model is None or model.is_zero else model.n_modes
+    n_modes = 0 if model.is_zero else model.n_modes
     increments = np.empty((cfg.n_steps, len(paths), n_modes))
     if n_modes:
         for col, j in enumerate(paths):
@@ -221,7 +214,7 @@ def draw_increments(model: NoiseModel | None, cfg: SdeConfig,
     return increments
 
 
-def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
+def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
                  cfg: SdeConfig, increments: np.ndarray, with_diag: bool = True,
                  with_hs: bool = True, on_step=None) -> BatchedRun:
     """Advance one trajectory per column of increments.
@@ -241,7 +234,6 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
     dt = cfg.dt
     bsize = increments.shape[1]
     a = np.broadcast_to(frame.coords(coeffs0), (bsize, frame.n))
-    t = np.arange(n_steps + 1) * dt
     diag = {name: np.zeros((n_steps + 1, bsize)) for name in DIAG_NAMES} if with_diag else {}
 
     def record(i: int, noise_work: np.ndarray, drift: np.ndarray | float | None,
@@ -274,7 +266,7 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel | None,
         a *= ef
         spectral.check_rows(a, l2_0, t_last=i * dt, guard=cfg.blowup_factor)
 
-    return BatchedRun(t=t, diag=diag, final=a, frame=frame)
+    return BatchedRun(t=cfg.times, diag=diag, final=a, frame=frame)
 
 
 @dataclass
@@ -321,7 +313,7 @@ class SdeTrajectory:
     final: SpectralField
 
 
-def run_sde(u0: SpectralField, model: NoiseModel | None, cfg: SdeConfig) -> SdeTrajectory:
+def run_sde(u0: SpectralField, model: NoiseModel, cfg: SdeConfig) -> SdeTrajectory:
     """Single stochastic trajectory with full diagnostics.
 
     The path uses trajectory index 0 of the seed's increment stream; u0
@@ -355,7 +347,7 @@ class ItoAuditReport:
 
 
 def ito_isometry_audit(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
-                       n_paths: int, n_se: float = 5.0) -> ItoAuditReport:
+                       n_paths: int) -> ItoAuditReport:
     """Check the discrete energy balance against the quadratic variation."""
     run = _run_batched(u0.coeffs, u0.grid, model, cfg,
                        draw_increments(model, cfg, range(n_paths)))
@@ -371,8 +363,8 @@ def ito_isometry_audit(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
     work_se = float(np.std(work, ddof=1) / np.sqrt(n_paths))
     # O(dt) scheme bias allowance on top of the statistical band
     bias = dt * (float(np.mean(quad)) + 2.0 * float(np.mean(int_d1)) + 1.0)
-    ok = (abs(resid_mean) <= n_se * max(resid_se, 1e-300) + bias
-          and abs(work_mean) <= n_se * max(work_se, 1e-300) + bias)
+    ok = (abs(resid_mean) <= N_SE * max(resid_se, 1e-300) + bias
+          and abs(work_mean) <= N_SE * max(work_se, 1e-300) + bias)
     return ItoAuditReport(balance_mean=float(np.mean(balance)), balance_se=resid_se,
                           quad_mean=float(np.mean(quad)), work_mean=work_mean,
                           work_se=work_se, passed=bool(ok))
@@ -380,7 +372,6 @@ def ito_isometry_audit(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
 
 def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
                                    model: NoiseModel, cfg: SdeConfig,
-                                   beta_hat: float = 0.5,
                                    tol: float = GAP_TOL,
                                    eta: float = DEFAULT_ETA) -> GapReport:
     """Drive two solutions with the same Wiener path and audit their gap.
@@ -395,19 +386,17 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     ||d1 d2 u||^{2/3} ds absorbs the advection coupling through the
     run-measured trilinear constant c1 (Young weight alpha = alpha_tilde,
     C(alpha) = young_gap(c1, alpha) = (3/4) (2 alpha)^{-1/3} c1^{4/3}), and
-    G(t) = (1 + 4/beta_hat) L1 t is the Gronwall factor of the Lipschitz
+    G(t) = (1 + 4/BETA_HAT) L1 t is the Gronwall factor of the Lipschitz
     channel of the noise; the dissipation margin 2 - 2 alpha - L2 > 0 and
     the martingale fluctuation are covered by the slack.  L1 is taken with
     the Peter-Paul split eta of the noise gates.  The report's q is the
     absorbed exponent above and its growth is G(t).
     """
-    if not 0.0 < beta_hat < 1.0:
-        raise ValueError("beta_hat must lie in (0, 1)")
-    audit = _GapAudit(GalerkinFrame(u0.grid, cfg.galerkin_n), cfg.dt, cfg.n_steps, base=0)
+    audit = _GapAudit(GalerkinFrame(u0.grid, cfg.galerkin_n), cfg, base=0)
     # path 0 twice: both rows see the same increments
     _run_batched(np.stack((u0.coeffs, v0.coeffs)), u0.grid, model, cfg,
                  draw_increments(model, cfg, (0, 0)), with_diag=False, on_step=audit.record)
-    growth = (1.0 + 4.0 / beta_hat) * condition_c_bounds(model, eta=eta).l1 * audit.t
+    growth = (1.0 + 4.0 / BETA_HAT) * condition_c_bounds(model, eta=eta).l1 * audit.t
     return audit.report(cfg.alpha_tilde, growth, tol)
 
 
@@ -444,19 +433,19 @@ class OuModeReport:
 
 
 def _mode_law(mode: tuple[int, int], s: float, m0: float, n_paths: int, cfg: SdeConfig,
-              grid: TorusGrid | None, n_se: float, batch: int = 2500) -> OuModeReport:
+              batch: int = 2500) -> OuModeReport:
     """Second moment of the driven amplitude at t_end against its exact law.
 
     The amplitude is the coordinate along the cosine element of the mode's
     pair, the element single_mode_noise drives; every path starts there at
-    sqrt(m0).  The damped law (k1 != 0) gets an O(dt) discretization
-    allowance on top of n_se standard errors; the undamped one is exact.
+    sqrt(m0).  The grid is the square one of side 4 max(1, |k1|, |k2|).
+    The damped law (k1 != 0) gets an O(dt) discretization allowance on top
+    of N_SE standard errors; the undamped one is exact.
     """
     if not cfg.drop_nonlinearity:
         raise ValueError("single-mode law requires drop_nonlinearity=True")
-    if grid is None:
-        side = 4 * max(1, abs(mode[0]), abs(mode[1]))
-        grid = TorusGrid(side, side)
+    side = 4 * max(1, abs(mode[0]), abs(mode[1]))
+    grid = TorusGrid(side, side)
     model = single_mode_noise(grid, mode, s)
     frame = GalerkinFrame(grid, cfg.galerkin_n)
     col = frame.column(mode if is_canonical(mode) else (-mode[0], -mode[1]))
@@ -478,18 +467,17 @@ def _mode_law(mode: tuple[int, int], s: float, m0: float, n_paths: int, cfg: Sde
     if lam > 0.0:
         decay = np.exp(-2.0 * lam * t)
         exact = decay * m0 + s ** 2 * (1.0 - decay) / (2.0 * lam)
-        allowance = n_se * se + s ** 2 * cfg.dt + 2.0 * lam * cfg.dt * m0
+        allowance = N_SE * se + s ** 2 * cfg.dt + 2.0 * lam * cfg.dt * m0
     else:
         exact = s ** 2 * t
-        allowance = n_se * se
+        allowance = N_SE * se
     return OuModeReport(mode=tuple(mode), second_moment=est, exact=float(exact), se=se,
                         allowance=float(allowance), n_paths=n_paths,
                         passed=bool(abs(est - exact) <= allowance))
 
 
 def ou_mode_validation(mode: tuple[int, int], s: float, m0: float, n_paths: int,
-                       cfg: SdeConfig, grid: TorusGrid | None = None,
-                       n_se: float = 5.0) -> OuModeReport:
+                       cfg: SdeConfig) -> OuModeReport:
     """Monte Carlo check of the damped single-mode law.
 
     With the nonlinearity dropped and one additive channel on the cosine
@@ -497,18 +485,17 @@ def ou_mode_validation(mode: tuple[int, int], s: float, m0: float, n_paths: int,
 
         E a(t)^2 = exp(-2 k1^2 t) a(0)^2 + s^2 (1 - exp(-2 k1^2 t)) / (2 k1^2).
 
-    Pass: sample second moment within n_se standard errors plus an s^2 dt
+    Pass: sample second moment within N_SE standard errors plus an s^2 dt
     discretization allowance.  Rejects k1 = 0 (no damping; see
     undamped_mode_validation for the linear-growth case).
     """
     if mode[0] == 0:
         raise ValueError("mode with k1 = 0 is undamped; use undamped_mode_validation")
-    return _mode_law(mode, s, m0, n_paths, cfg, grid, n_se)
+    return _mode_law(mode, s, m0, n_paths, cfg)
 
 
 def undamped_mode_validation(mode: tuple[int, int], s: float, n_paths: int,
-                             cfg: SdeConfig, grid: TorusGrid | None = None,
-                             n_se: float = 5.0) -> OuModeReport:
+                             cfg: SdeConfig) -> OuModeReport:
     """Growth case k1 = 0: the driven amplitude is a random walk.
 
     Var a(t) = s^2 t exactly for the discrete scheme as well, since the
@@ -516,4 +503,4 @@ def undamped_mode_validation(mode: tuple[int, int], s: float, n_paths: int,
     """
     if mode[0] != 0:
         raise ValueError("growth case needs k1 = 0")
-    return _mode_law(mode, s, 0.0, n_paths, cfg, grid, n_se)
+    return _mode_law(mode, s, 0.0, n_paths, cfg)

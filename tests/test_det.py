@@ -15,6 +15,7 @@ from ans2d.det import (
     weak_form_residual,
 )
 from ans2d.errors import BlowUpError
+from ans2d.sde import SdeConfig
 from ans2d.norms import MEASURE, norm_rows
 from ans2d.spectral import (
     SpectralField,
@@ -32,6 +33,17 @@ def test_config_validation():
     with pytest.raises(ValueError):
         DetConfig(eps_v=-0.1)
     assert DetConfig(dt=1e-3, t_end=1.0).n_steps == 1000
+
+
+@pytest.mark.parametrize("cls", [DetConfig, SdeConfig])
+@pytest.mark.parametrize("dt,t_end", [(1e-300, 1.0), (1e-3, 1e300), (1e-3, float("nan"))])
+def test_clock_bounds_the_step_count(cls, dt, t_end):
+    # t_end / dt = 1e300 would size the run's arrays past numpy's limit, and
+    # 1e300 / 1e-3 overflows to inf: both are refused before int() sees them
+    with pytest.raises(ValueError, match="steps"):
+        cls(dt=dt, t_end=t_end)
+    assert cls(dt=0.25, t_end=det_mod.MAX_STEPS * 0.25).n_steps == det_mod.MAX_STEPS
+    np.testing.assert_array_equal(cls(dt=0.25, t_end=1.0).times, [0.0, 0.25, 0.5, 0.75, 1.0])
 
 
 @pytest.mark.parametrize("integrator", ["if-euler", "if-rk2", "if-rk4"])
@@ -176,7 +188,7 @@ def test_gap_pairing_matches_physical_quadrature(n, level, full_samples):
     grid = TorusGrid(n, n)
     frame = GalerkinFrame(grid, max_level(grid) if level is None else level)
     pair = np.random.default_rng(n).standard_normal((2, frame.n))
-    audit = det_mod._GapAudit(frame, 1e-3, 0, base=1)
+    audit = det_mod._GapAudit(frame, DetConfig(dt=1e-3, t_end=1e-3), base=1)
     audit.record(0, pair)
     wp = full_samples(frame.lift(pair[0] - pair[1]), grid)[0]
     _, d1b, d2b = full_samples(frame.lift(pair[1]), grid)

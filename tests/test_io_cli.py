@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,10 @@ import pytest
 
 from ans2d.cli import main
 from ans2d.config import default_config, echo_config, load_config, parse_config
+from ans2d.det import DetConfig
+from ans2d.ensemble import EnsembleConfig
 from ans2d.errors import ConfigError, SnapshotFormatError
+from ans2d.sde import SdeConfig
 from ans2d.snapshots import read_snapshot, write_snapshot
 from ans2d.spectral import TorusGrid, inverse_transform
 
@@ -124,6 +128,19 @@ def test_config_echo_round_trip():
     # echo lists every key exactly once
     keys = [ln.split("=")[0].strip() for ln in echoed.splitlines() if "=" in ln]
     assert len(keys) == len(set(keys)) == len(default_config())
+
+
+@pytest.mark.parametrize("prefix,cls", [("det", DetConfig), ("sde", SdeConfig),
+                                        ("ensemble", EnsembleConfig)],
+                         ids=["det", "sde", "ensemble"])
+def test_config_section_keys_are_dataclass_fields(prefix, cls):
+    # a section's keys build its dataclass by field name, so each names a
+    # field and takes that field's default
+    defaults = {f.name: f.default for f in fields(cls)}
+    keys = {name.split(".", 1)[1]: value for name, value in default_config().items()
+            if name.split(".", 1)[0] == prefix}
+    assert keys and keys.keys() <= defaults.keys()
+    assert keys == {name: defaults[name] for name in keys}
 
 
 def test_load_config_missing_file(tmp_path):
@@ -245,7 +262,7 @@ def test_cli_uniqueness(tmp_path):
 def test_cli_uniqueness_det_series_layout(tmp_path):
     # both kinds write (t, w_l2_sq, q, growth); the det exponent E(t) is q
     from ans2d.basis import basis_element
-    from ans2d.cli import _det_config, _initial_field, _parse_mode
+    from ans2d.cli import _initial_field, _parse_mode, _section
     from ans2d.det import uniqueness_experiment
     from ans2d.spectral import SpectralField
 
@@ -260,7 +277,8 @@ def test_cli_uniqueness_det_series_layout(tmp_path):
     u0 = _initial_field(grid, conf)
     pert = basis_element(grid, _parse_mode(conf["uniqueness.pert_mode"]))
     v0 = SpectralField(grid, u0.coeffs + conf["uniqueness.perturbation"] * pert.coeffs)
-    rep = uniqueness_experiment(u0, v0, _det_config(conf), tol=conf["uniqueness.tol"])
+    rep = uniqueness_experiment(u0, v0, _section(conf, DetConfig, "det"),
+                                tol=conf["uniqueness.tol"])
     np.testing.assert_array_equal([float(r["q"]) for r in rows], rep.q)
     assert np.all(rep.q[1:] > 0.0)
     assert all(float(r["growth"]) == 0.0 for r in rows)
@@ -361,7 +379,7 @@ def test_cli_out_of_band_recipe_is_config_error(tmp_path, recipe, command):
 
 
 def test_cli_ensemble_evaluates_the_noise_gates_once(tmp_path, monkeypatch):
-    from ans2d import cli, ensemble
+    from ans2d import cli
     from ans2d.noise import condition_c_gate
 
     calls = []
@@ -371,12 +389,42 @@ def test_cli_ensemble_evaluates_the_noise_gates_once(tmp_path, monkeypatch):
         return condition_c_gate(constants)
 
     monkeypatch.setattr(cli, "condition_c_gate", counting)
-    monkeypatch.setattr(ensemble, "condition_c_gate", counting)
     out = tmp_path / "ens"
     assert main(["ensemble", "--config", _write_cfg(tmp_path), "--out", str(out)]) in (0, 1)
     assert len(calls) == 1
     with open(out / "ensemble_moments.csv", newline="") as fh:
         assert {r["existence_gate"] for r in csv.DictReader(fh)} == {"true"}
+
+
+def test_cli_ensemble_paths_follow_sde_seed(tmp_path):
+    # sde.seed keys the ensemble's paths: a second seed key would leave it unread
+    outs = []
+    for seed in (2, 3):
+        out = tmp_path / f"ens{seed}"
+        assert main(["ensemble", "--config", _write_cfg(tmp_path, f"sde.seed = {seed}\n"),
+                     "--out", str(out)]) in (0, 1)
+        outs.append((out / "ensemble_moments.csv").read_bytes())
+    assert outs[0] != outs[1]
+    with pytest.raises(ConfigError, match="unknown key"):
+        parse_config("ensemble.base_seed = 3")
+    out = tmp_path / "base"
+    assert main(["ensemble", "--config", _write_cfg(tmp_path, "ensemble.base_seed = 3\n"),
+                 "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["exit_code"] == 2 and man["error"]["class"] == "ConfigError"
+    assert "unknown key" in man["error"]["message"]
+
+
+@pytest.mark.parametrize("command,line", [("run-det", "det.dt = 1e-300"),
+                                          ("run-sde", "sde.t_end = 1e300")])
+def test_cli_step_count_beyond_max_steps_is_config_error(tmp_path, command, line):
+    # 1e300 steps would exceed numpy's largest array before a step is taken
+    out = tmp_path / "out"
+    assert main([command, "--config", _write_cfg(tmp_path, line + "\n"),
+                 "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["exit_code"] == 2 and man["error"]["class"] == "ConfigError"
+    assert "steps" in man["error"]["message"]
 
 
 def test_cli_galerkin_level_above_max_is_config_error(tmp_path):
@@ -413,7 +461,7 @@ def test_cli_negative_snapshot_every_is_config_error(tmp_path, key):
     assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
 
 
-@pytest.mark.parametrize("key", ["init.seed", "sde.seed", "ensemble.base_seed", "verify.seed"])
+@pytest.mark.parametrize("key", ["init.seed", "sde.seed", "verify.seed"])
 def test_cli_negative_seed_is_config_error(tmp_path, key):
     with pytest.raises(ConfigError, match=">= 0"):
         parse_config(f"{key} = -5")
@@ -523,7 +571,7 @@ def test_cli_exit_follows_the_failed_record(tmp_path, monkeypatch):
     assert [r["name"] for r in held] == ["energy_certificate", "h01_monotone", "h01_bound"]
     assert all(r["passed"] and r["t_first"] is None for r in held)
     tol = held[0]["measured"] / 2
-    monkeypatch.setattr(det, "ENERGY_REL_TOL", tol)
+    monkeypatch.setattr(det.energy_certificate, "__defaults__", (tol,))
     assert main(["run-det", "--config", cfg, "--out", str(tight)]) == 1
     man = _manifest(tight)
     with open(base / "det_series.csv", newline="") as fh:

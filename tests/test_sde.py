@@ -4,7 +4,7 @@ import pytest
 import fullgrid
 from ans2d.basis import GalerkinFrame, max_level, quadrature_grid
 from ans2d.det import DetConfig, run_det
-from ans2d.noise import make_model, sample_wiener_increment
+from ans2d.noise import NoiseModel, make_model, sample_wiener_increment
 from ans2d.norms import norm_rows
 from ans2d.sde import (
     SdeConfig,
@@ -47,7 +47,7 @@ def test_run_is_deterministic(grid16, make_field):
 def test_zero_noise_reduces_to_deterministic_euler(grid16, make_field):
     u0 = make_field(grid16, band=3, seed=2)
     dt, t_end = 2e-3, 0.1
-    sde = run_sde(u0, None, SdeConfig(dt=dt, t_end=t_end, galerkin_n=max_level(grid16)))
+    sde = run_sde(u0, NoiseModel(), SdeConfig(dt=dt, t_end=t_end, galerkin_n=max_level(grid16)))
     det = run_det(u0, DetConfig(dt=dt, t_end=t_end, integrator="if-euler", eps_v=0.0))
     final_det = det.final
     scale = float(np.max(np.abs(final_det.coeffs)))
@@ -65,8 +65,8 @@ def test_galerkin_projection_is_invariant(grid16, make_field):
 
 
 def _manual_noise(u0, model, n, dw):
-    # P_n sigma(u0) dW, zero without a model
-    if model is None:
+    # P_n sigma(u0) dW, zero without a channel
+    if not model.n_modes:
         return np.zeros_like(u0.coeffs)
     return fullgrid.sigma(model, u0.coeffs, u0.grid, dw, n)
 
@@ -121,7 +121,7 @@ def _manual_diag_row(u, model, n, work):
     row = {name: float(v) for name, v in norm_rows(u.coeffs, grid).items()}
     adv = fullgrid.advection(u.coeffs, grid, n)
     d2adv, d2u = (fullgrid.deriv(c, grid, 2) for c in (adv, u.coeffs))
-    chans = [] if model is None else fullgrid.channels(model, u.coeffs, grid, n)
+    chans = fullgrid.channels(model, u.coeffs, grid, n)
     row.update(h01_sq=row["l2_sq"] + row["d2_sq"],
                cross=fullgrid.inner(d2adv, d2u, grid),  # (d2 P_n(u.grad u), d2 u)
                noise_work=work,
@@ -132,7 +132,7 @@ def _manual_diag_row(u, model, n, work):
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("model", [
     make_model([], ["0.1*cos(1,0) + 0.05*cos(0,1)", "0.07*sin(1,1)"], "one"),
-    None,
+    NoiseModel(),
 ], ids=["additive", "no-noise"])
 def test_quadrature_grid_run_matches_manual_steps(grid16, make_field, model, n):
     # the engine advects on the level's smaller quadrature grid; repeated
@@ -141,7 +141,7 @@ def test_quadrature_grid_run_matches_manual_steps(grid16, make_field, model, n):
 
     cfg = SdeConfig(dt=2e-3, t_end=0.01, galerkin_n=n, seed=8)
     assert _Stepper(grid16, model, cfg).qgrid == quadrature_grid(grid16, n) != grid16
-    n_modes = 0 if model is None else model.n_modes
+    n_modes = model.n_modes
     u0 = make_field(grid16, band=3, seed=21)
     run = _run_batched(u0.coeffs, grid16, model, cfg, draw_increments(model, cfg, (0, 1)))
     for path in (0, 1):
@@ -223,11 +223,11 @@ def test_draw_increments_are_step_major_per_path_streams():
             incs[:, col], sample_wiener_increment(model.n_modes, cfg.n_steps, cfg.dt, 5, path))
     # no noise, or a zero model: nothing is drawn
     zero = make_model([], ["0.0*cos(1,0)"], "one")
-    for quiet in (None, zero):
+    for quiet in (NoiseModel(), zero):
         assert draw_increments(quiet, cfg, range(4)).shape == (cfg.n_steps, 4, 0)
 
 
-@pytest.mark.parametrize("model", [None, _model_small()], ids=["no-noise", "tanh"])
+@pytest.mark.parametrize("model", [NoiseModel(), _model_small()], ids=["no-noise", "tanh"])
 def test_nan_initial_state_blows_up_at_first_step(grid16, make_field, model):
     # the per-path norm must not drop NaNs: the first step already fails
     from ans2d.errors import BlowUpError
@@ -362,7 +362,7 @@ def test_blowup_guard_in_batched_run(grid16, make_field):
     from ans2d.errors import BlowUpError
 
     with pytest.raises(BlowUpError):
-        run_sde(u0, None, cfg)
+        run_sde(u0, NoiseModel(), cfg)
 
 
 def _batch_run(grid, make_field, with_hs, n_paths=3, t_end=0.02):
