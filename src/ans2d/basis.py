@@ -86,11 +86,19 @@ class GalerkinFrame:
     with kc2 = 0 also fills its mirror -kc in
     column 0, which the inverse transform along k1 reads.  synth gives the
     leading rows of the table half_gain, the coefficients per unit
-    coordinate of (u1, u2, omega, d1 u1, d1 u2) with the vorticity
-    omega = d1 u2 - d2 u1: the advection reads the first 3 (its rotational
-    form omega u_perp), a sigma(u) with c-channels all 5.  Element j is
-    attached to wavevectors[j] and is an eigenfunction of d1^2 and d2^2
-    with eigenvalues -k1sq[j], -k2sq[j].
+    coordinate of (u1, u2, d1 u1, d1 u2): the advection reads the first
+    2, a sigma(u) with c-channels all 4.  analyse weights the two sampled
+    components per pair: by dirs for a field, or by drift_weights for the
+    products P = u1 u2 and Q = u2^2 - u1^2.  With div u = 0,
+
+        d . (u.grad u)^(k) = i ((k1^2 - k2^2) P^(k) + k1 k2 Q^(k)) / |k|
+
+    (the divergence form; Basdevant, J. Comput. Phys. 50, 1983), so
+    drift_weights holds -i s (k1^2 - k2^2) / |k| and -i s k1 k2 / |k| at
+    kc, the minus of the drift -P(u.grad u) folded in; s is -1 where the
+    half spectrum holds -kc and reads conj(P^(kc)), +1 otherwise.
+    Element j is attached to wavevectors[j] and is an eigenfunction of
+    d1^2 and d2^2 with eigenvalues -k1sq[j], -k2sq[j].
 
     GalerkinFrame(grid, n) is built once per (grid, n) and shared, so its
     arrays are read-only.
@@ -133,14 +141,19 @@ class GalerkinFrame:
         k = np.concatenate((rep, -pairs[mirror]))
         self.half_src = np.full(grid.n1 * self.cols, 2 * n_pairs)
         self.half_src[pos] = src
-        # coefficient of (u, d1 u, d2 u) per unit alpha, then of the rows
-        # (u1, u2, omega, d1 u1, d1 u2), omega = d1 u2 - d2 u1
-        grad = np.zeros((3, 2, grid.n1 * self.cols), dtype=np.complex128)
-        grad[:, :, pos] = (np.stack((np.ones(len(k)), *(1j * k.T)))[:, None, :]
+        # coefficient of (u, d1 u) per unit alpha, rows (u1, u2, d1 u1, d1 u2)
+        gain = np.zeros((2, 2, grid.n1 * self.cols), dtype=np.complex128)
+        gain[:, :, pos] = (np.stack((np.ones(len(k)), 1j * k[:, 0]))[:, None, :]
                            * (0.5 * _AMP * self.dirs[:, src % n_pairs]))
-        self.half_gain = np.stack((*grad[0], grad[1, 1] - grad[2, 0], *grad[1]))
+        self.half_gain = gain.reshape(4, -1)
+        # d . (-i k_j (u_j u)^) at kc from the products P = u1 u2, Q = u2^2 - u1^2,
+        # times sign: a flipped pair reads conj(P^(kc)), and the weights are imaginary
+        k1, k2 = pairs.T.astype(np.float64)
+        self.drift_weights = (-1j * sign / np.hypot(k1, k2)) * np.stack((k1 * k1 - k2 * k2,
+                                                                         k1 * k2))
         for arr in (*self.plus, *self.minus, self.dirs, self.wavevectors, self.k1sq, self.k2sq,
-                    self.im_sign, self.half_at, self.half_src, self.half_gain):
+                    self.im_sign, self.half_at, self.half_src, self.half_gain,
+                    self.drift_weights):
             arr.flags.writeable = False
 
     def column(self, k: tuple[int, int]) -> int:
@@ -184,14 +197,14 @@ class GalerkinFrame:
         out[..., :, self.minus[0], self.minus[1]] = np.conj(half)
         return out
 
-    def synth(self, a: np.ndarray, rows: int = 3) -> np.ndarray:
+    def synth(self, a: np.ndarray, rows: int = 2) -> np.ndarray:
         """(..., rows, n1, n2) samples of the leading rows of half_gain for coordinates a.
 
-        The first 3 rows (u1, u2, omega) feed the advection
-        (spectral._advection_raw); a sigma(u) with c-channels also reads
-        d1 u, rows 3 and 4.  The gather writes the (..., rows, cols, n1)
-        half spectrum spectral._phys reads, k1 last, straight from the
-        index map half_src, and one transform call serves all the rows.
+        The first 2 rows, u, feed the advection (spectral._advection_raw);
+        a sigma(u) with c-channels also reads d1 u, rows 2 and 3.  The
+        gather writes the (..., rows, cols, n1) half spectrum spectral._phys
+        reads, k1 last, straight from the index map half_src, and one
+        transform call serves all the rows.
         """
         lead = a.shape[:-1]
         z = self._to_pairs(a)
@@ -204,12 +217,17 @@ class GalerkinFrame:
         half = half.reshape(lead + (rows, self.cols, self.grid.n1))
         return spectral._phys(half, self.grid.n_points)
 
-    def analyse(self, samples: np.ndarray) -> np.ndarray:
-        """(..., n) coordinates of real (..., 2, n1, n2) samples, as coords of their FFT."""
+    def analyse(self, samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """(..., n) coordinates of real (..., 2, n1, n2) samples, weighted per pair.
+
+        With weights = dirs these are the coords of the samples' FFT; with
+        drift_weights and samples of (u1 u2, u2^2 - u1^2)
+        (spectral._advection_raw), those of -P(u.grad u).
+        """
         half = spectral._spec(samples, self.grid.n_points, self.cols)
         # np.take keeps the batch axes outermost (fancy indexing would not)
         at = np.take(half.reshape(half.shape[:-2] + (self.half_src.size,)), self.half_at, axis=-1)
-        beta = at[..., 0, :] * self.dirs[0] + at[..., 1, :] * self.dirs[1]
+        beta = at[..., 0, :] * weights[0] + at[..., 1, :] * weights[1]
         return self._from_pairs(beta, self.im_sign)  # conj where flipped
 
 

@@ -38,6 +38,7 @@ from .snapshots import write_snapshot
 from .spectral import (
     SpectralField,
     TorusGrid,
+    check_array_bytes,
     inverse_transform,
     random_solenoidal_field,
     shear_field,
@@ -120,6 +121,17 @@ def _section(cfg: dict[str, Any], cls: type, prefix: str):
         return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg})
 
 
+def _check_step_arrays(scfg: sde_mod.SdeConfig, model: NoiseModel, batch: int) -> None:
+    """ConfigError when a batch's step-major arrays would exceed spectral.MAX_ARRAY_BYTES.
+
+    They are its Wiener increments, (n_steps, batch, n_modes), and each
+    diagnostic column, (n_steps + 1, batch).
+    """
+    with _config_value():
+        check_array_bytes(f"the step-major arrays of {batch} paths over {scfg.n_steps} steps",
+                          8 * (scfg.n_steps + 1) * batch * max(model.n_modes, 1))
+
+
 def _check_level(grid: TorusGrid, key: str, n: int) -> None:
     if not 1 <= n <= max_level(grid):
         raise ConfigError(f"{key}={n} must lie in [1, {max_level(grid)}], the basis "
@@ -167,6 +179,7 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
     scfg = _section(cfg, sde_mod.SdeConfig, "sde")
     _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
     model = _noise_model(cfg, grid)
+    _check_step_arrays(scfg, model, 1)
     gate = _gate(cfg, args, model, "existence")
     traj = sde_mod.run_sde(u0, model, scfg)
     int_d1 = cumulative_trapezoid(traj.diag["d1_sq"], np.diff(traj.t))
@@ -194,6 +207,7 @@ def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> C
     ens = _section(cfg, EnsembleConfig, "ensemble")
     for level in ens.levels:
         _check_level(grid, "ensemble.levels", level)
+    _check_step_arrays(scfg, model, min(ens.batch, ens.n_paths))
     gate = _gate(cfg, args, model, "existence")
     report = run_ensemble(u0, model, scfg, ens)
     rows = moment_bound_report(report, gate)
@@ -284,6 +298,7 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
                               "(noise.c_recipes / noise.b_recipes)")
         scfg = _section(cfg, sde_mod.SdeConfig, "sde")
         _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
+        _check_step_arrays(scfg, model, 2)
         extra["uniqueness_gate"] = _gate(cfg, args, model, "uniqueness").uniqueness_ok
         rep = sde_mod.pathwise_uniqueness_experiment(u0, v0, model, scfg, tol=tol,
                                                      eta=cfg["noise.eta"])

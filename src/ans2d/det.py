@@ -115,7 +115,7 @@ def mollify(u: SpectralField, eps: float) -> SpectralField:
 
 def _drift(a: np.ndarray, frame: GalerkinFrame) -> np.ndarray:
     """Coordinates of -P(u.grad u) for (..., n) coordinates a."""
-    return -frame.analyse(spectral._advection_raw(frame.synth(a)))
+    return frame.analyse(spectral._advection_raw(frame.synth(a)), frame.drift_weights)
 
 
 def _coord_rows(frame: GalerkinFrame, a: np.ndarray, drift: np.ndarray) -> dict[str, np.ndarray]:

@@ -25,7 +25,7 @@ from .basis import GalerkinFrame, max_level
 from .noise import GateResult, NoiseModel
 from .norms import Verdict, cumulative_trapezoid, verdict
 from .sde import SdeConfig, _run_batched, draw_increments, weighted_h01_series
-from .spectral import SpectralField
+from .spectral import SpectralField, check_array_bytes
 
 
 @dataclass
@@ -41,6 +41,7 @@ class EnsembleConfig:
             raise ValueError("batch must be >= 1")
         if not self.levels:
             raise ValueError("at least one Galerkin level required")
+        check_array_bytes(f"a per-path sample array of {self.n_paths} paths", 8 * self.n_paths)
 
 
 # moment name -> (its per-path sample from a batch's diagnostic columns d,

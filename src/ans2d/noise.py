@@ -277,15 +277,15 @@ def sigma_coords(model: NoiseModel, frame: GalerkinFrame, phys: np.ndarray, y: n
     """(..., n) coordinates of P_n sigma(u) y in frame.
 
     phys holds the (..., rows, n1, n2) samples frame.synth gives, of which
-    u (rows 0, 1) and, for a model with c-channels, d1 u (rows 3, 4) are
+    u (rows 0, 1) and, for a model with c-channels, d1 u (rows 2, 3) are
     read; y: (..., n_modes); batch axes broadcast.  fields are
     model.coefficient_fields(frame.grid), sampled once by the caller.  The
     SDE engine (sde._Stepper) passes the one synthesis of each step, and
     condition_c_empirical_check a field's synthesis in the frame of all
     basis elements (_field_sigma_coords).
     """
-    return frame.analyse(_sigma_raw(model, phys[..., 0:2, :, :], phys[..., 3:5, :, :], y,
-                                    *fields))
+    return frame.analyse(_sigma_raw(model, phys[..., 0:2, :, :], phys[..., 2:4, :, :], y,
+                                    *fields), frame.dirs)
 
 
 def _field_sigma_coords(model: NoiseModel, u: SpectralField,
@@ -297,7 +297,7 @@ def _field_sigma_coords(model: NoiseModel, u: SpectralField,
     takes) is its own projection there.
     """
     top = GalerkinFrame(u.grid, max_level(u.grid))
-    phys = top.synth(top.coords(u.coeffs), rows=5)
+    phys = top.synth(top.coords(u.coeffs), rows=4)
     return sigma_coords(model, top, phys, y, model.coefficient_fields(u.grid)), top
 
 

@@ -13,13 +13,13 @@ coefficients where a caller needs a field.  Every element is an
 eigenfunction of d1^2 and d2^2, so exp(L dt), P_n, additive noise
 and every diagnostic norm act on the coordinates directly; only the
 advection and a multiplicative sigma(u) (noise.sigma_coords) need grid
-samples of the state, synthesized once per step: velocity and vorticity,
-as the advection is taken in its rotational form omega u_perp, and d1 u
-as well when sigma has c-channels.  The advection runs on
-the level's quadrature grid, the smallest alias-free grid holding its
-wavevectors (basis.quadrature_grid); a multiplicative sigma(u) is not band-limited, so
-with it the samples come from the configured grid instead.  Initial
-coefficients must be Hermitian.
+samples of the state, synthesized once per step: the velocity u, whose
+products u1 u2 and u2^2 - u1^2 give the advection in its divergence form
+(basis.GalerkinFrame), and d1 u as well when sigma has c-channels.  The
+advection runs on the level's quadrature grid, the smallest alias-free
+grid holding its wavevectors (basis.quadrature_grid); a multiplicative
+sigma(u) is not band-limited, so with it the samples come from the
+configured grid instead.  Initial coefficients must be Hermitian.
 Per-step diagnostics come out as (n_steps+1, B) columns, which keeps path
 ensembles in pure array arithmetic; the noise pairing (sigma dW, u) is
 formed only when a diagnostic row records it.  The engine steps on Wiener
@@ -80,9 +80,9 @@ class _Stepper:
     """Precomputed batched update for one (grid, model, config) triple.
 
     States are (B, n) coordinates in the level-n frame.  The step loop
-    synthesizes the rows (u1, u2, omega) of a state on the quadrature grid
-    qgrid once (synth, through the half-spectrum qframe.synth), plus
-    d1 u when sigma has a non-zero c-channel (rows), and hands the samples
+    synthesizes the rows (u1, u2) of a state on the quadrature grid qgrid
+    once (synth, through the half-spectrum qframe.synth), plus d1 u when
+    sigma has a non-zero c-channel (rows: 2 or 4), and hands the samples
     to drift, noise_increment and hs_sq.  qgrid is the level's
     smallest alias-free grid (basis.quadrature_grid), which gives the
     advection coordinates of the configured grid up to rounding.  A
@@ -108,12 +108,12 @@ class _Stepper:
         else:
             self.fields = model.coefficient_fields(grid)
             if model.is_additive:
-                zero = np.zeros((3, grid.n1, grid.n2))  # samples of u = 0
+                zero = np.zeros((2, grid.n1, grid.n2))  # samples of u = 0
                 self.additive = sigma_coords(model, self.frame, zero, np.eye(model.n_modes),
                                              self.fields)
         multiplicative = self.additive is None
         self.needs_phys = multiplicative or not cfg.drop_nonlinearity
-        self.rows = 3 if all(r.is_zero for r in model.c) else 5
+        self.rows = 2 if all(r.is_zero for r in model.c) else 4
         self.qgrid = grid if multiplicative else quadrature_grid(grid, cfg.galerkin_n)
         self.qframe = GalerkinFrame(self.qgrid, cfg.galerkin_n)
 
@@ -129,7 +129,7 @@ class _Stepper:
         """
         if self.cfg.drop_nonlinearity:
             return 0.0
-        return -self.qframe.analyse(spectral._advection_raw(phys))
+        return self.qframe.analyse(spectral._advection_raw(phys), self.qframe.drift_weights)
 
     def noise_increment(self, dw: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
         """Coordinates of P_n sigma(u) dW; dw has shape (B, n_modes)."""

@@ -19,6 +19,15 @@ from .errors import BlowUpError
 HERMITIAN_TOL = 1e-10
 # growth factor of the L2 norm over its initial value at which both engines stop
 BLOWUP_GUARD = 1e6
+# largest array a run may make, checked from its configuration before any is made
+MAX_ARRAY_BYTES = 2 ** 32
+
+
+def check_array_bytes(what: str, nbytes: int) -> None:
+    """Raise ValueError when an array of nbytes, holding what, would exceed MAX_ARRAY_BYTES."""
+    if nbytes > MAX_ARRAY_BYTES:
+        raise ValueError(f"{what} would take {nbytes / 2 ** 30:.3g} GiB, above the "
+                         f"{MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB an array may take")
 
 
 def _wavenumbers(n: int) -> np.ndarray:
@@ -48,6 +57,8 @@ class TorusGrid:
         for n in (self.n1, self.n2):
             if n < 4 or n % 2 != 0:
                 raise ValueError(f"grid size must be even and >= 4, got {n}")
+        check_array_bytes(f"the coefficients of a {self.n1}x{self.n2} field",
+                          2 * 16 * self.n1 * self.n2)
 
     @cached_property
     def x1(self) -> np.ndarray:
@@ -219,18 +230,21 @@ def zero_mean(u: SpectralField) -> SpectralField:
 
 
 def _advection_raw(phys: np.ndarray) -> np.ndarray:
-    """Physical samples of omega u_perp, the rotational form of u.grad(u).
+    """Physical samples of P = u1 u2 and Q = u2^2 - u1^2, the products of u.grad(u).
 
-    In 2D u.grad(u) = grad(|u|^2 / 2) + omega u_perp, u_perp = (-u2, u1);
-    every projection the solvers apply (GalerkinFrame.analyse) removes the
-    gradient, so omega u_perp stands in for u.grad(u) (Canuto et al.,
-    Spectral Methods, 2006).  phys holds the leading rows (u1, u2, omega)
-    of one synthesis of a state (GalerkinFrame.synth), so that it can feed
-    every consumer of it; batch axes are kept, and the result has the
-    component axis of the rows.
+    For div u = 0, u.grad(u) = div(u u), and the part of it that survives
+    a projection onto divergence-free fields is fixed by P and Q alone
+    (GalerkinFrame.drift_weights); analysed with those weights they give
+    the drift -P(u.grad u).  phys holds the rows of one synthesis of a
+    state (GalerkinFrame.synth), of which u (rows 0, 1) is read, so that it
+    can feed every consumer of it; batch axes are kept, and the result has
+    a component axis of 2 in place of the rows.
     """
-    out = phys[..., 1::-1, :, :] * phys[..., 2:3, :, :]
-    out[..., 0, :, :] *= -1.0
+    u1, u2 = phys[..., 0, :, :], phys[..., 1, :, :]
+    out = np.empty(phys.shape[:-3] + (2,) + phys.shape[-2:])
+    np.multiply(u1, u2, out=out[..., 0, :, :])
+    np.subtract(u2, u1, out=out[..., 1, :, :])
+    out[..., 1, :, :] *= u2 + u1
     return out
 
 

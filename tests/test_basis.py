@@ -151,7 +151,8 @@ def test_frames_are_built_once_and_read_only(grid16):
     assert GalerkinFrame(TorusGrid(16, 16), 8) is frame
     assert GalerkinFrame(grid16, 9) is not frame
     for arr in (*frame.plus, *frame.minus, frame.dirs, frame.wavevectors, frame.k1sq,
-                frame.k2sq, frame.im_sign, frame.half_at, frame.half_src, frame.half_gain):
+                frame.k2sq, frame.im_sign, frame.half_at, frame.half_src, frame.half_gain,
+                frame.drift_weights):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -172,16 +173,16 @@ def test_frame_synth_and_analyse_match_full_spectrum(n1, n2, level, full_samples
     rng = np.random.default_rng(n1 * n2 + frame.n)
     a = rng.standard_normal((3, frame.n))
     u, d1u, d2u = full_samples(frame.lift(a), grid)
-    # rows (u1, u2, omega, d1 u1, d1 u2), omega = d1 u2 - d2 u1
-    ref = np.concatenate((u, d1u[:, 1:2] - d2u[:, 0:1], d1u), axis=1)
-    got = frame.synth(a, rows=5)
-    assert got.shape == (3, 5, n1, n2)
+    # rows (u1, u2, d1 u1, d1 u2)
+    ref = np.concatenate((u, d1u), axis=1)
+    got = frame.synth(a, rows=4)
+    assert got.shape == (3, 4, n1, n2)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    np.testing.assert_array_equal(frame.synth(a), got[:, :3])  # the default: leading 3
+    np.testing.assert_array_equal(frame.synth(a), got[:, :2])  # the default: leading 2
     # analysis of real samples that are not band-limited
     x = rng.standard_normal((3, 2, n1, n2))
     ref = frame.coords(np.fft.fft2(x, axes=(-2, -1)) / grid.n_points)
-    got = frame.analyse(x)
+    got = frame.analyse(x, frame.dirs)
     assert got.shape == (3, frame.n)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -189,23 +190,30 @@ def test_frame_synth_and_analyse_match_full_spectrum(n1, n2, level, full_samples
 @SYNTH_CASES
 @SYNTH_LEVELS
 def test_rotational_advection_matches_convective_form(n1, n2, level, full_samples):
-    # P(omega u_perp) = P(u.grad u): the gradient of |u|^2 / 2 they differ
-    # by drops out of the level's coordinates, and on the configured grid
-    # the products of level fields do not alias onto them
-    from ans2d.spectral import _advection_raw
+    # the drift, analysed from (u1 u2, u2^2 - u1^2), is -P(u.grad u): u is
+    # solenoidal, so u.grad u = div(u u), and on the configured grid the
+    # products of level fields do not alias onto the level's coordinates.
+    # The rotational form omega u_perp, which differs from u.grad u by the
+    # gradient of |u|^2 / 2, gives the same coordinates.  References come
+    # from full-grid transforms of the convective and rotational forms.
+    from ans2d.det import _drift
 
     grid = TorusGrid(n1, n2)
     frame = GalerkinFrame(grid, max_level(grid) if level == "max" else level)
     a = np.random.default_rng(n1 + n2 + frame.n).standard_normal((2, frame.n))
     u, d1u, d2u = full_samples(frame.lift(a), grid)
     convective = u[:, 0:1] * d1u + u[:, 1:2] * d2u
-    ref = frame.coords(np.fft.fft2(convective, axes=(-2, -1)) / grid.n_points)
-    got = frame.analyse(_advection_raw(frame.synth(a)))
+    omega = d1u[:, 1] - d2u[:, 0]
+    rotational = np.stack((-omega * u[:, 1], omega * u[:, 0]), axis=1)
+    ref, rot = (-frame.coords(np.fft.fft2(x, axes=(-2, -1)) / grid.n_points)
+                for x in (convective, rotational))
+    got = _drift(a, frame)
     scale = np.max(np.abs(ref))
     if scale == 0.0:  # a lone pair (levels 1, 2) does not advect itself
         assert np.max(np.abs(got)) <= 1e-13 * np.max(np.abs(convective))
     else:
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+    assert np.max(np.abs(rot - ref)) <= 1e-13 * max(scale, np.max(np.abs(convective)))
 
 
 def test_quadrature_grid_per_level(grid16):

@@ -171,10 +171,10 @@ def test_gap_row_synthesizes_once_per_state(grid16, make_field, monkeypatch):
     v0 = make_field(grid16, band=3, seed=18)
     cfg = DetConfig(dt=1e-2, t_end=0.1, integrator="if-rk2")
     uniqueness_experiment(u0, v0, cfg)
-    # the pair's drifts synthesize (u1, u2, omega) of 2 states, w's of 1
-    assert sorted(set(calls)) == [3, 6]
-    assert calls.count(6) == 2 * cfg.n_steps + 1
-    assert calls.count(3) == cfg.n_steps + 1
+    # the pair's drifts synthesize (u1, u2) of 2 states, w's of 1
+    assert sorted(set(calls)) == [2, 4]
+    assert calls.count(4) == 2 * cfg.n_steps + 1
+    assert calls.count(2) == cfg.n_steps + 1
 
 
 @pytest.mark.parametrize("n", [12, 16, 32])

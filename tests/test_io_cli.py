@@ -427,6 +427,30 @@ def test_cli_step_count_beyond_max_steps_is_config_error(tmp_path, command, line
     assert "steps" in man["error"]["message"]
 
 
+@pytest.mark.parametrize("command,lines", [
+    ("run-det", "grid.n1 = 100000\ngrid.n2 = 100000\n"),  # 74.5 GiB per real field
+    ("ensemble", "ensemble.n_paths = 1000000000000\nsde.t_end = 0.004\n"  # 7.28 TiB
+                 "noise.c_recipes =\nnoise.b_recipes = 0.05*cos(1,0)\nnoise.g = one\n"),
+], ids=["grid", "paths"])
+def test_cli_oversize_arrays_are_config_errors(tmp_path, command, lines):
+    # checked from the config before any array is made; in a child capped
+    # at 2 GiB of address space, an allocation would raise MemoryError
+    import ans2d
+
+    src = str(Path(ans2d.__file__).resolve().parents[1])
+    out = tmp_path / "out"
+    args = [command, "--config", _write_cfg(tmp_path, lines), "--out", str(out)]
+    script = (f"import resource, sys; sys.path.insert(0, {src!r}); "
+              "resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31)); "
+              f"from ans2d.cli import main; sys.exit(main({args!r}))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 2, proc.stderr
+    man = _manifest(out)
+    assert man["exit_code"] == 2 and man["error"]["class"] == "ConfigError"
+    assert "GiB" in man["error"]["message"]
+
+
 def test_cli_galerkin_level_above_max_is_config_error(tmp_path):
     cfg = _write_cfg(tmp_path, "grid.n1 = 8\ngrid.n2 = 8\ninit.band = 2\n"
                                "sde.galerkin_n = 200\n")

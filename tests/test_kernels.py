@@ -7,13 +7,16 @@ from ans2d.spectral import TorusGrid, nonlinear_term_oracle
 
 
 def test_oracle_matches_pseudospectral(make_field):
-    # the solvers' drift at every level of the ladder, on 8x8 at 4x4 / 8x8 / 8x8
-    grid = TorusGrid(8, 8)
-    assert oracle_levels(grid) == (8, 16, 24)
-    for seed in range(10):
-        u = make_field(grid, band=2, seed=seed)
-        for level in oracle_levels(grid):
-            assert drift_oracle_error(u, level) <= ORACLE_TOL
+    # the solvers' drift at every level of the ladder: on 8x8 at 4x4 / 8x8 /
+    # 8x8, and where the axes differ, on 8x12 and 12x8, whose top level 34
+    # reaches |k2| = 3 (or |k1| = 3) on one axis only
+    for n1, n2, top in ((8, 8, 24), (8, 12, 34), (12, 8, 34)):
+        grid = TorusGrid(n1, n2)
+        assert oracle_levels(grid) == (8, 16, top)
+        for seed in range(10):
+            u = make_field(grid, band=2, seed=seed)
+            for level in oracle_levels(grid):
+                assert drift_oracle_error(u, level) <= ORACLE_TOL
 
 
 def _uncropped_advection(coeffs):
@@ -78,6 +81,24 @@ def test_oracle_catches_a_wrong_solver_drift(monkeypatch, make_field, subject):
     failed = {level: drift_oracle_error(u, level) > ORACLE_TOL for level in oracle_levels(grid)}
     top = (subject == "det")
     assert failed == {8: not top, 16: not top, 24: top}
+
+
+def test_oracle_catches_advection_weights_without_the_sign(monkeypatch, make_field):
+    # a flipped pair (kc2 < 0) reads conj(P^(kc)) from the half spectrum;
+    # without the sign s of drift_weights its drift coordinates are negated
+    from ans2d.basis import GalerkinFrame
+
+    analyse = GalerkinFrame.analyse
+
+    def unsigned(self, samples, weights):
+        if weights is self.drift_weights:
+            weights = weights * -self.im_sign  # im_sign is -s
+        return analyse(self, samples, weights)
+
+    monkeypatch.setattr(GalerkinFrame, "analyse", unsigned)
+    u = make_field(TorusGrid(8, 8), band=2, seed=1)
+    assert drift_oracle_error(u, 16) > ORACLE_TOL
+    assert drift_oracle_error(u, 24) > ORACLE_TOL
 
 
 def test_oracle_size_guard(make_field):

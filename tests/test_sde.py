@@ -425,21 +425,21 @@ def _count_step_loop(grid, make_field, monkeypatch, model):
 
 def test_step_loop_shares_one_synthesis_per_state(grid16, make_field, monkeypatch):
     # per state: one _phys call, one advection, one sigma(u); the c-channel
-    # reads d1 u, so each of the 3 paths synthesizes (u1, u2, omega, d1 u)
+    # reads d1 u, so each of the 3 paths synthesizes (u1, u2, d1 u1, d1 u2)
     calls, fields, n_steps = _count_step_loop(grid16, make_field, monkeypatch, _model_small())
     assert calls == {"phys": n_steps + 1, "adv": n_steps + 1, "sigma": n_steps, "pairs": 1}
-    assert fields == [5 * 3] * (n_steps + 1)
+    assert fields == [4 * 3] * (n_steps + 1)
 
 
 @pytest.mark.parametrize("g_kind", ["tanh", "one"])
-def test_step_loop_synthesizes_three_rows_without_c_channels(grid16, make_field, monkeypatch,
-                                                            g_kind):
+def test_step_loop_synthesizes_two_rows_without_c_channels(grid16, make_field, monkeypatch,
+                                                          g_kind):
     # with b-channels only (multiplicative tanh, or additive) nothing reads
-    # d1 u: each of the 3 paths synthesizes (u1, u2, omega) per state
+    # d1 u: each of the 3 paths synthesizes (u1, u2) per state
     model = make_model([], ["0.05*cos(1,0)", "0.02*sin(1,1)"], g_kind)
     calls, fields, n_steps = _count_step_loop(grid16, make_field, monkeypatch, model)
     assert calls["phys"] == calls["adv"] == n_steps + 1
-    assert fields == [3 * 3] * (n_steps + 1)
+    assert fields == [2 * 3] * (n_steps + 1)
 
 
 def test_weighted_series_batch_matches_per_path(grid16, make_field):
