@@ -74,29 +74,37 @@ class GalerkinFrame:
     scatters coordinates back to (..., 2, n1, n2) coefficients.  Both use
     index arrays over the pairs, never a dense basis matrix.
 
-    synth and analyse do the same on the k2 >= 0 half spectrum cut to the
-    level's columns 0 .. cols-1, cols = max |k2| + 1, through real
-    transforms (spectral._phys, spectral._spec).  That half is laid out
-    (cols, n1), k1 last, so the transform along k1 runs on the contiguous
-    axis, where numpy's FFT is several times faster on the short batched
-    transforms of a level; half_at and half_src index it flat, at
-    k2 * n1 + (k1 mod n1).  There pair p sits at its representative kr,
-    which is kc, or -kc holding conj(c(kc)) when kc2 < 0 (im_sign +1,
-    the factor of Im(d . c(kr)) in the sine coordinate, -1 at kc); a pair
-    with kc2 = 0 also fills its mirror -kc in
-    column 0, which the inverse transform along k1 reads.  synth gives the
-    leading rows of the table half_gain, the coefficients per unit
-    coordinate of (u1, u2, d1 u1, d1 u2): the advection reads the first
-    2, a sigma(u) with c-channels all 4.  analyse weights the two sampled
-    components per pair: by dirs for a field, or by drift_weights for the
-    products P = u1 u2 and Q = u2^2 - u1^2.  With div u = 0,
+    synth and analyse do the same through packed transforms
+    (spectral._phys, spectral._spec): each complex transform carries two
+    real fields, u1 + i u2 in and P + i Q out.  The packed spectrum covers
+    the level's full k2 range |k2| <= reach2, laid out (m, n1),
+    m = 2 reach2 + 1, with the columns k2 = 0 .. reach2, then
+    -reach2 .. -1, and k1 last, so the transform along k1 runs on the
+    contiguous axis, where numpy's FFT is several times faster on the
+    short batched transforms of a level.  pair_at indexes it flat, at
+    (k2 mod m) n1 + (k1 mod n1): kc of every pair, then -kc, so every pair
+    fills both of its wavevectors.  synth gives the leading packed rows of
+    the table spec_gain, the coefficients per unit pair value
+    a_cos - i a_sin at kc (conjugated at -kc) of u1 + i u2 and
+    d1 u1 + i d1 u2: 0.5 amp (d1 + i d2), times i k1 for d1 u.  The
+    advection reads row 0; a sigma(u) with c-channels both.  analyse
+    weights two packed real fields w = f1 + i f2 per pair: with
+    W = f1^ + i f2^, f1^(kc) = (W(kc) + conj W(-kc)) / 2 and
+    f2^(kc) = (W(kc) - conj W(-kc)) / 2i, so the weighted value
+    w0 f1^(kc) + w1 f2^(kc) is
 
-        d . (u.grad u)^(k) = i ((k1^2 - k2^2) P^(k) + k1 k2 Q^(k)) / |k|
+        c+ W(kc) + c- conj W(-kc),   c+- = (w0 -+ i w1) / 2,
 
-    (the divergence form; Basdevant, J. Comput. Phys. 50, 1983), so
-    drift_weights holds -i s (k1^2 - k2^2) / |k| and -i s k1 k2 / |k| at
-    kc, the minus of the drift -P(u.grad u) folded in; s is -1 where the
-    half spectrum holds -kc and reads conj(P^(kc)), +1 otherwise.
+    and the tables field_weights and drift_weights hold (c+, c-): of
+    (w0, w1) = d for a field, and of the weights of the products
+    P = 2 u1 u2 and Q = u2^2 - u1^2 for the drift
+    (spectral._advection_raw).  With div u = 0,
+
+        d . (u.grad u)^(k) = i ((k1^2 - k2^2) P^(k) / 2 + k1 k2 Q^(k)) / |k|
+
+    (the divergence form; Basdevant, J. Comput. Phys. 50, 1983), so the
+    drift's (w0, w1) are -i (k1^2 - k2^2) / 2|k| and -i k1 k2 / |k| at
+    kc, the minus of the drift -P(u.grad u) folded in.
     Element j is attached to wavevectors[j] and is an eigenfunction of
     d1^2 and d2^2 with eigenvalues -k1sq[j], -k2sq[j].
 
@@ -124,36 +132,30 @@ class GalerkinFrame:
                             * np.tile([[1], [-1]], (len(pairs), 1)))[:n]
         self.k1sq = (self.wavevectors[:, 0] ** 2).astype(np.float64)
         self.k2sq = (self.wavevectors[:, 1] ** 2).astype(np.float64)
-        # half-spectrum maps: representative kr = sign * kc has kr2 >= 0
-        sign = np.where(pairs[:, 1] < 0, -1, 1)
-        self.im_sign = -sign.astype(np.float64)
-        rep = pairs * sign[:, None]
-        self.cols = int(np.max(rep[:, 1], initial=0)) + 1
-        self.half_at = rep[:, 1] * grid.n1 + rep[:, 0] % grid.n1  # flat index of kr
-        # synthesis map over the cols x n1 half: each position reads pair p
-        # at kc (source p), at -kc (source n_pairs + p, conjugated) or
-        # nothing (source 2 n_pairs, a zero)
+        # packed spectrum: flat index of kc, then of -kc, per pair
         n_pairs = len(pairs)
-        mirror = np.flatnonzero(pairs[:, 1] == 0)
-        pos = np.concatenate((self.half_at, -pairs[mirror, 0] % grid.n1))  # mirrors: column 0
-        src = np.concatenate((np.where(sign > 0, 0, n_pairs) + np.arange(n_pairs),
-                              n_pairs + mirror))
-        k = np.concatenate((rep, -pairs[mirror]))
-        self.half_src = np.full(grid.n1 * self.cols, 2 * n_pairs)
-        self.half_src[pos] = src
-        # coefficient of (u, d1 u) per unit alpha, rows (u1, u2, d1 u1, d1 u2)
-        gain = np.zeros((2, 2, grid.n1 * self.cols), dtype=np.complex128)
-        gain[:, :, pos] = (np.stack((np.ones(len(k)), 1j * k[:, 0]))[:, None, :]
-                           * (0.5 * _AMP * self.dirs[:, src % n_pairs]))
-        self.half_gain = gain.reshape(4, -1)
-        # d . (-i k_j (u_j u)^) at kc from the products P = u1 u2, Q = u2^2 - u1^2,
-        # times sign: a flipped pair reads conj(P^(kc)), and the weights are imaginary
+        self.reach2 = int(np.max(np.abs(pairs[:, 1]), initial=0))
+        m = 2 * self.reach2 + 1
+        k = np.concatenate((pairs, -pairs))
+        self.pair_at = k[:, 1] % m * grid.n1 + k[:, 0] % grid.n1
+        # synthesis map: position kc reads pair p (source p), -kc its
+        # conjugate (source n_pairs + p), every other position a zero
+        # (source 2 n_pairs)
+        self.spec_src = np.full(m * grid.n1, 2 * n_pairs)
+        self.spec_src[self.pair_at] = np.arange(2 * n_pairs)
+        # coefficient of u1 + i u2 and of d1 u1 + i d1 u2 per unit pair value
+        gain = np.zeros((2, m * grid.n1), dtype=np.complex128)
+        gain[:, self.pair_at] = (np.stack((np.ones(2 * n_pairs), 1j * k[:, 0]))
+                                 * np.tile(0.5 * _AMP * (self.dirs[0] + 1j * self.dirs[1]), 2))
+        self.spec_gain = gain
+        # d . (-i k_j (u_j u)^) at kc from the products P = 2 u1 u2, Q = u2^2 - u1^2
         k1, k2 = pairs.T.astype(np.float64)
-        self.drift_weights = (-1j * sign / np.hypot(k1, k2)) * np.stack((k1 * k1 - k2 * k2,
-                                                                         k1 * k2))
+        drift = (-1j / np.hypot(k1, k2)) * np.stack((0.5 * (k1 * k1 - k2 * k2), k1 * k2))
+        self.drift_weights = _packed_weights(drift)
+        self.field_weights = _packed_weights(self.dirs)
         for arr in (*self.plus, *self.minus, self.dirs, self.wavevectors, self.k1sq, self.k2sq,
-                    self.im_sign, self.half_at, self.half_src, self.half_gain,
-                    self.drift_weights):
+                    self.pair_at, self.spec_src, self.spec_gain, self.drift_weights,
+                    self.field_weights):
             arr.flags.writeable = False
 
     def column(self, k: tuple[int, int]) -> int:
@@ -164,29 +166,29 @@ class GalerkinFrame:
                              f"of the {self.grid.n1}x{self.grid.n2} grid")
         return int(match[0])
 
-    def _from_pairs(self, beta: np.ndarray, im_sign: np.ndarray | float) -> np.ndarray:
-        """(..., n) coordinates from beta = d . c per pair; may overwrite beta.
+    def _from_pairs(self, beta: np.ndarray) -> np.ndarray:
+        """(..., n) coordinates from beta = d . c(kc) per pair; may overwrite beta.
 
         The float view of a C-ordered complex beta interleaves (Re, Im) per
         pair, which is the (cos, sin) layout of the coordinates: one
-        multiply scales both, and im_sign gives the sine its sign.
+        multiply scales both, and one more gives the sine its minus.
         """
         a = np.ascontiguousarray(beta, dtype=np.complex128).view(np.float64)
         a *= MEASURE * _AMP
-        a[..., 1::2] *= im_sign
+        a[..., 1::2] *= -1.0
         return a[..., :self.n]
 
     def _to_pairs(self, a: np.ndarray) -> np.ndarray:
         """a_cos - i a_sin per pair for (..., n) coordinates a; an odd n pads a zero sine."""
-        pad = np.zeros(a.shape[:-1] + (2 * len(self.im_sign),))
+        pad = np.zeros(a.shape[:-1] + (2 * len(self.dirs[0]),))
         pad[..., :self.n] = a
         return np.conj(pad.view(np.complex128))
 
     def coords(self, coeffs: np.ndarray) -> np.ndarray:
         """(..., n) coordinates of Hermitian (..., 2, n1, n2) coefficients."""
         i, j = self.plus
-        alpha = coeffs[..., 0, i, j] * self.dirs[0] + coeffs[..., 1, i, j] * self.dirs[1]
-        return self._from_pairs(alpha, -1.0)
+        return self._from_pairs(coeffs[..., 0, i, j] * self.dirs[0]
+                                + coeffs[..., 1, i, j] * self.dirs[1])
 
     def lift(self, a: np.ndarray) -> np.ndarray:
         """(..., 2, n1, n2) coefficients of the field with coordinates a."""
@@ -197,38 +199,50 @@ class GalerkinFrame:
         out[..., :, self.minus[0], self.minus[1]] = np.conj(half)
         return out
 
-    def synth(self, a: np.ndarray, rows: int = 2) -> np.ndarray:
-        """(..., rows, n1, n2) samples of the leading rows of half_gain for coordinates a.
+    def synth(self, a: np.ndarray, rows: int = 1) -> np.ndarray:
+        """(..., rows, n1, n2) packed samples of the leading rows of spec_gain for coordinates a.
 
-        The first 2 rows, u, feed the advection (spectral._advection_raw);
-        a sigma(u) with c-channels also reads d1 u, rows 2 and 3.  The
-        gather writes the (..., rows, cols, n1) half spectrum spectral._phys
-        reads, k1 last, straight from the index map half_src, and one
-        transform call serves all the rows.
+        Row 0 is u1 + i u2, which feeds the advection
+        (spectral._advection_raw); a sigma(u) with c-channels also reads
+        row 1, d1 u1 + i d1 u2.  The gather writes the (..., rows, m, n1)
+        packed spectrum spectral._phys reads, k1 last, straight from the
+        index map spec_src, and one transform call serves all the rows.
         """
         lead = a.shape[:-1]
         z = self._to_pairs(a)
         src = np.concatenate((z, np.conj(z), np.zeros(lead + (1,))), axis=-1)
         # the gathered factor has its batch axes innermost; numpy would lay
         # the product out like it, which is slow, so it goes into a C-ordered out
-        half = np.empty(lead + (rows, self.half_src.size), dtype=np.complex128)
-        np.multiply(src[..., None, self.half_src], self.half_gain[:rows], out=half)
+        spec = np.empty(lead + (rows, self.spec_src.size), dtype=np.complex128)
+        np.multiply(src[..., None, self.spec_src], self.spec_gain[:rows], out=spec)
         del z, src  # not held through the transform: it would raise the peak heap
-        half = half.reshape(lead + (rows, self.cols, self.grid.n1))
-        return spectral._phys(half, self.grid.n_points)
+        spec = spec.reshape(lead + (rows, 2 * self.reach2 + 1, self.grid.n1))
+        return spectral._phys(spec, self.grid.n_points)
 
     def analyse(self, samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """(..., n) coordinates of real (..., 2, n1, n2) samples, weighted per pair.
+        """(..., n) coordinates of packed (..., n1, n2) samples f1 + i f2, weighted per pair.
 
-        With weights = dirs these are the coords of the samples' FFT; with
-        drift_weights and samples of (u1 u2, u2^2 - u1^2)
-        (spectral._advection_raw), those of -P(u.grad u).
+        With weights = field_weights, f = (f1, f2) is a vector field and
+        these are the coords of its FFT; with drift_weights and the packed
+        samples P + i Q of spectral._advection_raw, those of -P(u.grad u).
         """
-        half = spectral._spec(samples, self.grid.n_points, self.cols)
+        spec = spectral._spec(samples, self.grid.n_points, self.reach2)
         # np.take keeps the batch axes outermost (fancy indexing would not)
-        at = np.take(half.reshape(half.shape[:-2] + (self.half_src.size,)), self.half_at, axis=-1)
-        beta = at[..., 0, :] * weights[0] + at[..., 1, :] * weights[1]
-        return self._from_pairs(beta, self.im_sign)  # conj where flipped
+        at = np.take(spec.reshape(spec.shape[:-2] + (self.spec_src.size,)), self.pair_at,
+                     axis=-1)
+        n_pairs = len(self.dirs[0])
+        beta = at[..., :n_pairs] * weights[0]
+        beta += np.conj(at[..., n_pairs:]) * weights[1]
+        return self._from_pairs(beta)
+
+
+def _packed_weights(w: np.ndarray) -> np.ndarray:
+    """(c+, c-) = ((w0 - i w1) / 2, (w0 + i w1) / 2) of per-pair weights w = (w0, w1).
+
+    GalerkinFrame.analyse reads w0 f1^(kc) + w1 f2^(kc) of packed samples
+    f1 + i f2 as c+ W(kc) + c- conj W(-kc).
+    """
+    return 0.5 * np.stack((w[0] - 1j * w[1], w[0] + 1j * w[1]))
 
 
 def galerkin_project_raw(coeffs: np.ndarray, grid: TorusGrid, n: int) -> np.ndarray:

@@ -159,6 +159,8 @@ def _gate(cfg: dict[str, Any], args: argparse.Namespace, model: NoiseModel,
 
 def _cmd_run_det(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
+    with _config_value():
+        det_mod.check_run_bytes(grid)
     u0 = _initial_field(grid, cfg)
     traj = det_mod.run_det(u0, _section(cfg, det_mod.DetConfig, "det"))
     energy = det_mod.energy_certificate(traj)
@@ -279,6 +281,9 @@ def _parse_mode(text: str) -> tuple[int, int]:
 
 def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
+    if cfg["uniqueness.kind"] == "det":  # the pair marches as a batch of 2
+        with _config_value():
+            det_mod.check_run_bytes(grid, batch=2)
     u0 = _initial_field(grid, cfg)
     delta = cfg["uniqueness.perturbation"]
     tol = cfg["uniqueness.tol"]

@@ -63,6 +63,37 @@ class Clock:
         return np.arange(self.n_steps + 1) * self.dt
 
 
+def run_bytes(grid: TorusGrid, batch: int = 1) -> int:
+    """Bytes a run of batch states on grid holds at once, sized from the grid alone.
+
+    The sum of three parts:
+    - the tables of GalerkinFrame(grid, max_level(grid)): 192 bytes per
+      mode pair (index maps, directions, wavevectors, eigenvalues and the
+      two weight tables) and 40 per entry of its packed spectrum (the
+      synthesis map and the two gain rows), whose (2 band2 + 1) x n1
+      entries cover the band's k2 range;
+    - one drift's packed samples per state: 3 complex arrays per grid
+      point and 2 per spectrum entry at the drift's peak;
+    - the coefficients, 2 complex per grid point: the initial field's,
+      and the final state's with the 3 copies its snapshot's symmetry
+      check and inverse transform make.
+    """
+    pairs = max_level(grid) // 2
+    entries = (2 * grid.band2 + 1) * grid.n1
+    return (192 * pairs + 40 * entries + batch * 16 * (3 * grid.n_points + 2 * entries)
+            + 5 * 32 * grid.n_points)
+
+
+def check_run_bytes(grid: TorusGrid, batch: int = 1) -> None:
+    """Raise ValueError when run_bytes(grid, batch) exceeds spectral.MAX_ARRAY_BYTES.
+
+    Checked before any array is made: a grid whose coefficients pass the
+    per-array check can still need several times their size at once.
+    """
+    spectral.check_array_bytes(f"a run of {batch} state(s) on the {grid.n1}x{grid.n2} grid",
+                               run_bytes(grid, batch), scope="a run may hold at once")
+
+
 @dataclass
 class DetConfig(Clock):
     integrator: str = "if-rk2"

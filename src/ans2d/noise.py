@@ -111,6 +111,11 @@ def _g_funcs(kind: str):
     return G_FUNCS[kind]
 
 
+# (channel indices, their (len, n1, n2) samples) of one recipe family; see
+# NoiseModel.coefficient_fields
+Channels = tuple[np.ndarray, np.ndarray]
+
+
 def required_budgets(c: Sequence[ScalarRecipe], b: Sequence[ScalarRecipe]
                      ) -> tuple[float, float]:
     """Smallest budgets (M1, M2) the recipes allow, as in the module docstring."""
@@ -179,19 +184,26 @@ class NoiseModel:
                         f"{phase}({k1},{k2}) lies outside the alias-free band |k1| <= "
                         f"{grid.band1}, |k2| <= {grid.band2} of the {grid.n1}x{grid.n2} grid")
 
-    def coefficient_fields(self, grid: TorusGrid) -> tuple[np.ndarray, np.ndarray]:
-        """Sampled (n_modes, n1, n2) arrays of the c and b recipes.
+    def coefficient_fields(self, grid: TorusGrid) -> tuple[Channels, Channels]:
+        """The c and b recipes sampled on grid, each as (channels, samples).
 
-        Every caller that samples the recipes on a grid does it here, so
+        channels indexes the recipes whose samples are not all zero, and
+        samples holds those, (len(channels), n1, n2): sigma adds only
+        these, so a channel that make_model padded with an empty recipe,
+        or a recipe that samples to zero, costs nothing per step.  Every
+        caller that samples the recipes on a grid does it here, so
         check_band guards them all: an out-of-band recipe raises ValueError
         instead of stepping noise that is not the declared one.
         """
         self.check_band(grid)
-        c_arr = np.stack([r.evaluate(grid) for r in self.c]) if self.c else \
-            np.zeros((0, grid.n1, grid.n2))
-        b_arr = np.stack([r.evaluate(grid) for r in self.b]) if self.b else \
-            np.zeros((0, grid.n1, grid.n2))
-        return c_arr, b_arr
+
+        def nonzero(recipes: tuple[ScalarRecipe, ...]) -> Channels:
+            arr = np.array([r.evaluate(grid) for r in recipes]).reshape(len(recipes), grid.n1,
+                                                                        grid.n2)
+            channels = np.flatnonzero(np.any(arr != 0.0, axis=(1, 2)))
+            return channels, arr[channels]
+
+        return nonzero(self.c), nonzero(self.b)
 
 
 def make_model(c_recipes: Sequence[str], b_recipes: Sequence[str], g_kind: str = "one",
@@ -238,54 +250,63 @@ def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
     return gen.standard_normal((n_steps, n_modes)) * np.sqrt(dt)
 
 
-def _channel_sum(y: np.ndarray, arr: np.ndarray) -> np.ndarray:
-    """sum_k y[..., k] arr[k], for y of shape (..., n_modes) and arr (n_modes, ...).
+def _channel_sum(y: np.ndarray, arr: np.ndarray, channels: Sequence[int] | None = None
+                 ) -> np.ndarray:
+    """sum_k y[..., channels[k]] arr[k], for y of shape (..., n_modes) and arr (len, ...).
 
-    Added channel by channel: a BLAS product (tensordot, @) rounds
-    differently for different batch shapes, so paths would no longer replay
-    bit-for-bit across batch layouts.
+    channels defaults to every channel, range(len(arr)).  Added channel by
+    channel: a BLAS product (tensordot, @) rounds differently for
+    different batch shapes, so paths would no longer replay bit-for-bit
+    across batch layouts.
     """
     if not len(arr):  # no channel (no noise, or a zero model): exact zeros
         return np.zeros(y.shape[:-1] + arr.shape[1:])
+    if channels is None:
+        channels = range(len(arr))
     tail = (None,) * (arr.ndim - 1)
-    out = y[(..., 0) + tail] * arr[0]
+    out = y[(..., channels[0]) + tail] * arr[0]
     for k in range(1, len(arr)):
-        out += y[(..., k) + tail] * arr[k]
+        out += y[(..., channels[k]) + tail] * arr[k]
     return out
 
 
-def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, d1u_phys: np.ndarray,
-               y: np.ndarray, c_arr: np.ndarray, b_arr: np.ndarray) -> np.ndarray:
-    """sigma(u) y before projection, from physical samples of u and d1 u.
+def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, d1u_phys: np.ndarray | None,
+               y: np.ndarray, c_fields: Channels, b_fields: Channels) -> np.ndarray:
+    """sigma(u) y before projection, packed, from packed samples of u and d1 u.
 
-    u_phys, d1u_phys: (..., 2, n1, n2); y: (..., n_modes); batch axes
-    broadcast.  Returns physical samples.
+    u_phys, d1u_phys: (..., n1, n2) complex samples u1 + i u2 and
+    d1 u1 + i d1 u2 (d1u_phys is read only when c_fields has a channel);
+    y: (..., n_modes); batch axes broadcast.  c_fields, b_fields are the
+    non-zero channels of model.coefficient_fields, and only those are
+    added.  g acts componentwise, on the float view of u_phys, whose
+    (Re, Im) pairs are (u1, u2).  Returns the packed samples
+    sigma1 + i sigma2 of sigma(u) y.
     """
-    cf = _channel_sum(y, c_arr)  # (..., n1, n2)
-    bf = _channel_sum(y, b_arr)
-    lead = np.broadcast_shapes(u_phys.shape[:-3], y.shape[:-1])
-    out = np.zeros(lead + u_phys.shape[-3:])
-    if np.any(cf != 0.0):
-        out += cf[..., None, :, :] * d1u_phys
-    if np.any(bf != 0.0):
-        out += bf[..., None, :, :] * model.g_eval(u_phys)
+    lead = np.broadcast_shapes(u_phys.shape[:-2], y.shape[:-1])
+    out = np.zeros(lead + u_phys.shape[-2:], dtype=np.complex128)
+    if len(c_fields[0]):
+        out += _channel_sum(y, c_fields[1], c_fields[0]) * d1u_phys
+    if len(b_fields[0]):
+        g = model.g_eval(u_phys.view(np.float64)).view(np.complex128)
+        out += _channel_sum(y, b_fields[1], b_fields[0]) * g
     return out
 
 
 def sigma_coords(model: NoiseModel, frame: GalerkinFrame, phys: np.ndarray, y: np.ndarray,
-                 fields: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+                 fields: tuple[Channels, Channels]) -> np.ndarray:
     """(..., n) coordinates of P_n sigma(u) y in frame.
 
-    phys holds the (..., rows, n1, n2) samples frame.synth gives, of which
-    u (rows 0, 1) and, for a model with c-channels, d1 u (rows 2, 3) are
-    read; y: (..., n_modes); batch axes broadcast.  fields are
-    model.coefficient_fields(frame.grid), sampled once by the caller.  The
-    SDE engine (sde._Stepper) passes the one synthesis of each step, and
-    condition_c_empirical_check a field's synthesis in the frame of all
-    basis elements (_field_sigma_coords).
+    phys holds the (..., rows, n1, n2) packed samples frame.synth gives,
+    of which u1 + i u2 (row 0) and, for a model with c-channels,
+    d1 u1 + i d1 u2 (row 1) are read; y: (..., n_modes); batch axes
+    broadcast.  fields are model.coefficient_fields(frame.grid), sampled
+    once by the caller.  The SDE engine (sde._Stepper) passes the one
+    synthesis of each step, and condition_c_empirical_check a field's
+    synthesis in the frame of all basis elements (_field_sigma_coords).
     """
-    return frame.analyse(_sigma_raw(model, phys[..., 0:2, :, :], phys[..., 2:4, :, :], y,
-                                    *fields), frame.dirs)
+    d1u = phys[..., 1, :, :] if len(fields[0][0]) else None
+    return frame.analyse(_sigma_raw(model, phys[..., 0, :, :], d1u, y, *fields),
+                         frame.field_weights)
 
 
 def _field_sigma_coords(model: NoiseModel, u: SpectralField,
@@ -297,8 +318,9 @@ def _field_sigma_coords(model: NoiseModel, u: SpectralField,
     takes) is its own projection there.
     """
     top = GalerkinFrame(u.grid, max_level(u.grid))
-    phys = top.synth(top.coords(u.coeffs), rows=4)
-    return sigma_coords(model, top, phys, y, model.coefficient_fields(u.grid)), top
+    fields = model.coefficient_fields(u.grid)
+    phys = top.synth(top.coords(u.coeffs), rows=2 if len(fields[0][0]) else 1)
+    return sigma_coords(model, top, phys, y, fields), top
 
 
 @dataclass(frozen=True)

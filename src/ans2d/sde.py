@@ -14,7 +14,7 @@ eigenfunction of d1^2 and d2^2, so exp(L dt), P_n, additive noise
 and every diagnostic norm act on the coordinates directly; only the
 advection and a multiplicative sigma(u) (noise.sigma_coords) need grid
 samples of the state, synthesized once per step: the velocity u, whose
-products u1 u2 and u2^2 - u1^2 give the advection in its divergence form
+products 2 u1 u2 and u2^2 - u1^2 give the advection in its divergence form
 (basis.GalerkinFrame), and d1 u as well when sigma has c-channels.  The
 advection runs on the level's quadrature grid, the smallest alias-free
 grid holding its wavevectors (basis.quadrature_grid); a multiplicative
@@ -80,10 +80,10 @@ class _Stepper:
     """Precomputed batched update for one (grid, model, config) triple.
 
     States are (B, n) coordinates in the level-n frame.  The step loop
-    synthesizes the rows (u1, u2) of a state on the quadrature grid qgrid
-    once (synth, through the half-spectrum qframe.synth), plus d1 u when
-    sigma has a non-zero c-channel (rows: 2 or 4), and hands the samples
-    to drift, noise_increment and hs_sq.  qgrid is the level's
+    synthesizes the packed row u1 + i u2 of a state on the quadrature
+    grid qgrid once (synth, through qframe.synth), plus d1 u1 + i d1 u2
+    when sigma has a non-zero c-channel (rows: 1 or 2), and hands the
+    samples to drift, noise_increment and hs_sq.  qgrid is the level's
     smallest alias-free grid (basis.quadrature_grid), which gives the
     advection coordinates of the configured grid up to rounding.  A
     multiplicative sigma(u) is not band-limited, so for it qgrid is the
@@ -103,17 +103,18 @@ class _Stepper:
         self.frame = GalerkinFrame(grid, cfg.galerkin_n)
         self.ef = np.exp(-cfg.dt * self.frame.k1sq)
         self.additive = None  # (channels, n) coordinates of the projected channels
+        self.rows = 1
         if model.is_zero:
             self.additive = np.zeros((0, self.frame.n))
         else:
             self.fields = model.coefficient_fields(grid)
+            self.rows = 2 if len(self.fields[0][0]) else 1
             if model.is_additive:
-                zero = np.zeros((2, grid.n1, grid.n2))  # samples of u = 0
+                zero = np.zeros((1, grid.n1, grid.n2), dtype=np.complex128)  # u = 0
                 self.additive = sigma_coords(model, self.frame, zero, np.eye(model.n_modes),
                                              self.fields)
         multiplicative = self.additive is None
         self.needs_phys = multiplicative or not cfg.drop_nonlinearity
-        self.rows = 2 if all(r.is_zero for r in model.c) else 4
         self.qgrid = grid if multiplicative else quadrature_grid(grid, cfg.galerkin_n)
         self.qframe = GalerkinFrame(self.qgrid, cfg.galerkin_n)
 

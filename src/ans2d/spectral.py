@@ -23,11 +23,15 @@ BLOWUP_GUARD = 1e6
 MAX_ARRAY_BYTES = 2 ** 32
 
 
-def check_array_bytes(what: str, nbytes: int) -> None:
-    """Raise ValueError when an array of nbytes, holding what, would exceed MAX_ARRAY_BYTES."""
+def check_array_bytes(what: str, nbytes: int, scope: str = "an array may take") -> None:
+    """Raise ValueError when nbytes, holding what, would exceed MAX_ARRAY_BYTES.
+
+    scope names what the limit bounds in the message: one array, or all
+    that a run holds at once (det.check_run_bytes).
+    """
     if nbytes > MAX_ARRAY_BYTES:
         raise ValueError(f"{what} would take {nbytes / 2 ** 30:.3g} GiB, above the "
-                         f"{MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB an array may take")
+                         f"{MAX_ARRAY_BYTES / 2 ** 30:.3g} GiB {scope}")
 
 
 def _wavenumbers(n: int) -> np.ndarray:
@@ -163,43 +167,58 @@ def inverse_transform(u: SpectralField) -> PhysicalField:
     return PhysicalField(u.grid, samples)
 
 
-def _phys(half: np.ndarray, n_points: int) -> np.ndarray:
-    """Unchecked synthesis for internal pipelines; supports leading batch axes.
+def _phys(spec: np.ndarray, n_points: int) -> np.ndarray:
+    """Unchecked packed synthesis for internal pipelines; supports leading batch axes.
 
-    half holds the k2 >= 0 columns 0 .. cols-1 of Hermitian coefficients,
-    c(-k) = conj(c(k)), band-limited below the Nyquist row and column (as
-    every dealiased field and its derivatives are); column 0 must carry
-    both k and -k.  It is laid out (..., cols, n1), k1 last: numpy's FFT
-    runs a batch of short transforms several times faster along the
-    contiguous axis than along a strided one (Frigo & Johnson, Proc. IEEE
-    93, 2005, on stride and loop layout), and each 1-D transform gives
-    the same bits in either layout.  A complex inverse transform along k1
-    runs on those columns only; one transposed copy then puts x1 before
-    k2, and a real transform along x2 zero-pads the columns above them,
-    giving (..., n1, n2) samples; n2 is n_points // n1.  Both run
+    spec holds the coefficients Z = c1 + i c2 of two real fields (u1, u2)
+    over the band's full k2 range |k2| <= reach2, laid out (..., m, n1),
+    m = 2 reach2 + 1: row k2 mod m holds the columns k2 = 0 .. reach2,
+    then -reach2 .. -1, and k1 runs last, band-limited below the Nyquist
+    column.  The samples z = u1 + i u2 come back as one complex
+    (..., n1, n2) array, n2 = n_points // n1: one complex transform
+    carries two real fields (Cooley, Lewis & Welch, J. Sound Vib. 12,
+    1970; Press et al., Numerical Recipes, sec. 12.3), and its .real and
+    .imag are the two fields.  A complex inverse transform along k1, the contiguous axis,
+    runs on the m rows only (numpy's FFT runs a batch of short
+    transforms several times faster along the contiguous axis than along
+    a strided one; Frigo & Johnson, Proc. IEEE 93, 2005); one transposed
+    copy writes them into a zeroed (..., n1, n2) buffer at k2 mod n2, and
+    one in-place complex inverse transform along x2 gives z.  Both run
     unnormalized (norm="forward" leaves the inverse unscaled), as the
     amplitude convention asks.
     """
-    n1 = half.shape[-1]
-    # the transposed copy is allocated before the k1 pass's output and
-    # outlives it, so that output is freed at the top of the heap
-    rows = np.empty(half.shape[:-2] + (n1, half.shape[-2]), dtype=np.complex128)
-    rows[...] = np.fft.ifft(half, axis=-1, norm="forward").swapaxes(-1, -2)
-    return np.fft.irfft(rows, n=n_points // n1, axis=-1, norm="forward")
+    m, n1 = spec.shape[-2:]
+    n2 = n_points // n1
+    reach2 = m // 2
+    # the buffer is allocated before the k1 pass's output and outlives it,
+    # so that output is freed at the top of the heap, before the x2 pass
+    z = np.zeros(spec.shape[:-2] + (n1, n2), dtype=np.complex128)
+    rows = np.fft.ifft(spec, axis=-1, norm="forward").swapaxes(-1, -2)
+    z[..., :reach2 + 1] = rows[..., :reach2 + 1]
+    z[..., n2 - reach2:] = rows[..., reach2 + 1:]
+    del rows
+    return np.fft.ifft(z, axis=-1, norm="forward", out=z)
 
 
-def _spec(samples: np.ndarray, n_points: int, cols: int) -> np.ndarray:
-    """Coefficients of real samples in the k2 >= 0 columns 0 .. cols-1.
+def _spec(samples: np.ndarray, n_points: int, reach2: int) -> np.ndarray:
+    """Packed coefficients W = P^ + i Q^ of complex samples w = P + i Q, for |k2| <= reach2.
 
-    A real transform along x2 keeps the first cols columns; one transposed
-    copy lays them out (..., cols, n1), the layout _phys reads, and a
+    The inverse of _phys: a complex transform along x2 keeps the columns
+    k2 = 0 .. reach2 and -reach2 .. -1; one transposed copy lays them out
+    (..., m, n1), m = 2 reach2 + 1, the layout _phys reads, and an in-place
     complex transform along x1, the contiguous axis, runs on those only.
-    Each scales by 1/n of its axis (norm="forward"), so n_points, kept to
-    match _phys, is not read.
+    Each real field's own coefficients follow from W at k and -k,
+    P^(k) = (W(k) + conj W(-k)) / 2 and Q^(k) = (W(k) - conj W(-k)) / 2i
+    (GalerkinFrame.analyse).  Each pass scales by 1/n of its axis
+    (norm="forward"), so n_points, kept to match _phys, is not read.
     """
-    half = np.fft.rfft(samples, axis=-1, norm="forward")[..., :cols]
-    half = np.ascontiguousarray(half.swapaxes(-1, -2))  # frees the x2 pass's full output
-    return np.fft.fft(half, axis=-1, norm="forward")
+    n1, n2 = samples.shape[-2:]
+    cols = np.fft.fft(samples, axis=-1, norm="forward")
+    spec = np.empty(samples.shape[:-2] + (2 * reach2 + 1, n1), dtype=np.complex128)
+    spec[..., :reach2 + 1, :] = cols[..., :reach2 + 1].swapaxes(-1, -2)
+    spec[..., reach2 + 1:, :] = cols[..., n2 - reach2:].swapaxes(-1, -2)
+    del cols  # the x2 pass's full output is not held through the x1 pass
+    return np.fft.fft(spec, axis=-1, norm="forward", out=spec)
 
 
 def _leray_raw(coeffs: np.ndarray, grid: TorusGrid) -> np.ndarray:
@@ -230,21 +249,22 @@ def zero_mean(u: SpectralField) -> SpectralField:
 
 
 def _advection_raw(phys: np.ndarray) -> np.ndarray:
-    """Physical samples of P = u1 u2 and Q = u2^2 - u1^2, the products of u.grad(u).
+    """Packed samples P + i Q of P = 2 u1 u2 and Q = u2^2 - u1^2, the products of u.grad(u).
 
     For div u = 0, u.grad(u) = div(u u), and the part of it that survives
     a projection onto divergence-free fields is fixed by P and Q alone
     (GalerkinFrame.drift_weights); analysed with those weights they give
-    the drift -P(u.grad u).  phys holds the rows of one synthesis of a
-    state (GalerkinFrame.synth), of which u (rows 0, 1) is read, so that it
-    can feed every consumer of it; batch axes are kept, and the result has
-    a component axis of 2 in place of the rows.
+    the drift -P(u.grad u).  phys holds the packed rows of one synthesis
+    of a state (GalerkinFrame.synth), of which row 0, z = u1 + i u2, is
+    read, so that it can feed every consumer of it; batch axes are kept.
+    With z^2 = (u1^2 - u2^2) + 2 i u1 u2, the packed products are
+    P + i Q = -i z^2: one complex square and one exact swap of parts,
+    giving the one complex (..., n1, n2) array, P in .real and Q in
+    .imag, that GalerkinFrame.analyse reads.
     """
-    u1, u2 = phys[..., 0, :, :], phys[..., 1, :, :]
-    out = np.empty(phys.shape[:-3] + (2,) + phys.shape[-2:])
-    np.multiply(u1, u2, out=out[..., 0, :, :])
-    np.subtract(u2, u1, out=out[..., 1, :, :])
-    out[..., 1, :, :] *= u2 + u1
+    z = phys[..., 0, :, :]
+    out = z * z
+    out *= -1j
     return out
 
 

@@ -151,8 +151,8 @@ def test_frames_are_built_once_and_read_only(grid16):
     assert GalerkinFrame(TorusGrid(16, 16), 8) is frame
     assert GalerkinFrame(grid16, 9) is not frame
     for arr in (*frame.plus, *frame.minus, frame.dirs, frame.wavevectors, frame.k1sq,
-                frame.k2sq, frame.im_sign, frame.half_at, frame.half_src, frame.half_gain,
-                frame.drift_weights):
+                frame.k2sq, frame.pair_at, frame.spec_src, frame.spec_gain, frame.drift_weights,
+                frame.field_weights):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -164,25 +164,26 @@ SYNTH_LEVELS = pytest.mark.parametrize("level", [1, 2, 7, 8, "max"])
 @SYNTH_CASES
 @SYNTH_LEVELS
 def test_frame_synth_and_analyse_match_full_spectrum(n1, n2, level, full_samples):
-    # the half-spectrum transforms against the complex ones on the full
-    # spectrum: levels 1 and 2 hold the pair (0, 1) alone, from level 3 on
-    # the k2 = 0 pair (1, 0) needs its mirror and (1, -1) is read
-    # conjugated, level 7 ends on a cosine, and 12x12 has a band below n // 3
+    # the packed transforms against the complex ones on the full spectrum:
+    # levels 1 and 2 hold the pair (0, 1) alone, from level 3 on the
+    # k2 = 0 pair (1, 0) fills both of its wavevectors in column 0 and
+    # (1, -1) sits in a negative column, level 7 ends on a cosine, and
+    # 12x12 has a band below n // 3
     grid = TorusGrid(n1, n2)
     frame = GalerkinFrame(grid, max_level(grid) if level == "max" else level)
     rng = np.random.default_rng(n1 * n2 + frame.n)
     a = rng.standard_normal((3, frame.n))
     u, d1u, d2u = full_samples(frame.lift(a), grid)
-    # rows (u1, u2, d1 u1, d1 u2)
-    ref = np.concatenate((u, d1u), axis=1)
-    got = frame.synth(a, rows=4)
-    assert got.shape == (3, 4, n1, n2)
+    # packed rows (u1 + i u2, d1 u1 + i d1 u2)
+    ref = np.stack((u[:, 0] + 1j * u[:, 1], d1u[:, 0] + 1j * d1u[:, 1]), axis=1)
+    got = frame.synth(a, rows=2)
+    assert got.shape == (3, 2, n1, n2) and got.dtype == np.complex128
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
-    np.testing.assert_array_equal(frame.synth(a), got[:, :2])  # the default: leading 2
-    # analysis of real samples that are not band-limited
+    np.testing.assert_array_equal(frame.synth(a), got[:, :1])  # the default: row 0
+    # analysis of two real sample fields that are not band-limited, packed
     x = rng.standard_normal((3, 2, n1, n2))
     ref = frame.coords(np.fft.fft2(x, axes=(-2, -1)) / grid.n_points)
-    got = frame.analyse(x, frame.dirs)
+    got = frame.analyse(x[:, 0] + 1j * x[:, 1], frame.field_weights)
     assert got.shape == (3, frame.n)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -209,8 +210,12 @@ def test_rotational_advection_matches_convective_form(n1, n2, level, full_sample
                 for x in (convective, rotational))
     got = _drift(a, frame)
     scale = np.max(np.abs(ref))
-    if scale == 0.0:  # a lone pair (levels 1, 2) does not advect itself
-        assert np.max(np.abs(got)) <= 1e-13 * np.max(np.abs(convective))
+    if scale == 0.0:
+        # a lone pair (levels 1, 2) does not advect itself; a packed
+        # transform carries rounding of one field into the other, so the
+        # drift is rounding of the products, which are |u|^2 in size
+        assert np.max(np.abs(convective)) == 0.0
+        assert np.max(np.abs(got)) <= 1e-13 * np.max(np.abs(u)) ** 2
     else:
         assert np.max(np.abs(got - ref)) <= 1e-13 * scale
     assert np.max(np.abs(rot - ref)) <= 1e-13 * max(scale, np.max(np.abs(convective)))

@@ -158,12 +158,13 @@ def test_gap_row_synthesizes_once_per_state(grid16, make_field, monkeypatch):
     # drifts of an n-step IF-RK2 run
     from ans2d import spectral
 
-    calls = []  # fields synthesized per call
+    calls = []  # real fields synthesized per call, two per packed row
     phys = spectral._phys
 
     def counting(*args):
         out = phys(*args)
-        calls.append(out.size // args[1])
+        assert out.dtype == np.complex128
+        calls.append(out.view(np.float64).size // args[1])
         return out
 
     monkeypatch.setattr(spectral, "_phys", counting)

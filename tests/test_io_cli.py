@@ -431,7 +431,9 @@ def test_cli_step_count_beyond_max_steps_is_config_error(tmp_path, command, line
     ("run-det", "grid.n1 = 100000\ngrid.n2 = 100000\n"),  # 74.5 GiB per real field
     ("ensemble", "ensemble.n_paths = 1000000000000\nsde.t_end = 0.004\n"  # 7.28 TiB
                  "noise.c_recipes =\nnoise.b_recipes = 0.05*cos(1,0)\nnoise.g = one\n"),
-], ids=["grid", "paths"])
+    # 2 GiB of coefficients pass the per-array check; the run would hold about 9 GiB
+    ("run-det", "grid.n1 = 8192\ngrid.n2 = 8192\n"),
+], ids=["grid", "paths", "run"])
 def test_cli_oversize_arrays_are_config_errors(tmp_path, command, lines):
     # checked from the config before any array is made; in a child capped
     # at 2 GiB of address space, an allocation would raise MemoryError

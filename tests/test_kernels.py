@@ -83,22 +83,29 @@ def test_oracle_catches_a_wrong_solver_drift(monkeypatch, make_field, subject):
     assert failed == {8: not top, 16: not top, 24: top}
 
 
-def test_oracle_catches_advection_weights_without_the_sign(monkeypatch, make_field):
-    # a flipped pair (kc2 < 0) reads conj(P^(kc)) from the half spectrum;
-    # without the sign s of drift_weights its drift coordinates are negated
+def test_oracle_catches_an_analysis_reading_one_side_of_the_pair(monkeypatch, make_field):
+    # analyse reads two real fields packed as w = P + i Q, so P^(kc) needs
+    # W(kc) and conj W(-kc); an analysis that reads W(kc) alone, as it would
+    # for a single real field, takes Q for part of P and must fail at every
+    # level of the ladder
+    from ans2d import spectral
     from ans2d.basis import GalerkinFrame
 
-    analyse = GalerkinFrame.analyse
+    def one_sided(self, samples, weights):
+        spec = spectral._spec(samples, self.grid.n_points, self.reach2)
+        flat = spec.reshape(spec.shape[:-2] + (self.spec_src.size,))
+        at = np.take(flat, self.pair_at[:len(self.dirs[0])], axis=-1)  # W(kc) alone
+        return self._from_pairs(at * (weights[0] + weights[1]))  # c+ + c- = w0
 
-    def unsigned(self, samples, weights):
-        if weights is self.drift_weights:
-            weights = weights * -self.im_sign  # im_sign is -s
-        return analyse(self, samples, weights)
-
-    monkeypatch.setattr(GalerkinFrame, "analyse", unsigned)
-    u = make_field(TorusGrid(8, 8), band=2, seed=1)
-    assert drift_oracle_error(u, 16) > ORACLE_TOL
-    assert drift_oracle_error(u, 24) > ORACLE_TOL
+    grid = TorusGrid(8, 8)
+    u = make_field(grid, band=2, seed=1)
+    assert all(drift_oracle_error(u, level) <= ORACLE_TOL for level in oracle_levels(grid))
+    monkeypatch.setattr(GalerkinFrame, "analyse", one_sided)
+    for level in oracle_levels(grid):
+        assert drift_oracle_error(u, level) > ORACLE_TOL, level
+    u16 = make_field(TorusGrid(16, 16), band=4, seed=2)
+    assert drift_oracle_error(u16, 8) > ORACLE_TOL
+    assert drift_oracle_error(u16, 16) > ORACLE_TOL
 
 
 def test_oracle_size_guard(make_field):

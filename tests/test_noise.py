@@ -163,6 +163,50 @@ def test_sigma_channels_match_apply(grid16, make_field):
     np.testing.assert_allclose(out, combo, atol=1e-13)
 
 
+CRITERION_09 = (["0.05*cos(0,1)"], ["0.05*cos(1,0)", "0.02*sin(1,1)"], "tanh")
+
+
+def _channel_error(model, u):
+    """Largest error of the frame's sigma channel coordinates at u against
+    full-grid references, relative to the largest reference coefficient."""
+    a, frame = _field_sigma_coords(model, u, np.eye(model.n_modes))
+    ref = fullgrid.channels(model, u.coeffs, u.grid, max_level(u.grid))
+    return float(np.max(np.abs(frame.lift(a) - ref)) / np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+def test_sigma_coords_match_full_grid_channels(make_field, n):
+    # the criterion-09 tanh model on packed samples u1 + i u2: g acts on
+    # each real component
+    grid = TorusGrid(n, n)
+    u = make_field(grid, band=2, seed=n, amplitude=2.0)
+    assert _channel_error(make_model(*CRITERION_09), u) <= 1e-13
+
+
+def test_sigma_coords_catch_g_applied_to_the_packed_value(make_field, monkeypatch):
+    # tanh(u1 + i u2) is not tanh(u1) + i tanh(u2): a sigma that applies g
+    # to the complex value, not componentwise, must fail the same check
+    model = make_model(*CRITERION_09)
+    u = make_field(TorusGrid(16, 16), band=2, seed=16, amplitude=2.0)
+    monkeypatch.setattr(NoiseModel, "g_eval",
+                        lambda self, x: np.tanh(x.view(np.complex128)).view(np.float64))
+    assert _channel_error(model, u) > 1e-3
+
+
+def test_sigma_adds_only_non_zero_channel_fields(grid16):
+    # make_model pads the c-channels with an empty recipe: it is dropped
+    # once, when the recipes are sampled, and so are recipes that sample
+    # to zero on the grid
+    model = make_model(*CRITERION_09)
+    assert [len(r.terms) for r in model.c] == [1, 0]
+    (c_idx, c_arr), (b_idx, b_arr) = model.coefficient_fields(grid16)
+    assert c_idx.tolist() == [0] and c_arr.shape == (1, 16, 16)
+    assert b_idx.tolist() == [0, 1] and b_arr.shape == (2, 16, 16)
+    np.testing.assert_array_equal(c_arr[0], model.c[0].evaluate(grid16))
+    vanishing = make_model(["0.1*sin(0,0)"], ["0.1*cos(1,0)"], "tanh")
+    assert len(vanishing.coefficient_fields(grid16)[0][0]) == 0
+
+
 def test_hs_norm_options(grid16, make_field):
     # the audit's channel coordinates (every element of the grid); the first
     # n of them are those of P_n sigma(u) psi_j

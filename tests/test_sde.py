@@ -396,7 +396,7 @@ def test_batched_hs_matches_channel_norms(grid16, make_field):
 
 
 def _count_step_loop(grid, make_field, monkeypatch, model):
-    """Layer calls of a 3-path run, and the fields each _phys call synthesized."""
+    """Layer calls of a 3-path run, and the real fields each _phys call synthesized."""
     from ans2d import basis, noise, spectral
     from ans2d.sde import _run_batched
 
@@ -407,8 +407,9 @@ def _count_step_loop(grid, make_field, monkeypatch, model):
         def wrapped(*args, **kwargs):
             calls[name] += 1
             out = fn(*args, **kwargs)
-            if name == "phys":
-                fields.append(out.size // args[1])
+            if name == "phys":  # real fields, two per packed row
+                assert out.dtype == np.complex128
+                fields.append(out.view(np.float64).size // args[1])
             return out
         return wrapped
 
@@ -426,6 +427,7 @@ def _count_step_loop(grid, make_field, monkeypatch, model):
 def test_step_loop_shares_one_synthesis_per_state(grid16, make_field, monkeypatch):
     # per state: one _phys call, one advection, one sigma(u); the c-channel
     # reads d1 u, so each of the 3 paths synthesizes (u1, u2, d1 u1, d1 u2)
+    # in 2 packed rows
     calls, fields, n_steps = _count_step_loop(grid16, make_field, monkeypatch, _model_small())
     assert calls == {"phys": n_steps + 1, "adv": n_steps + 1, "sigma": n_steps, "pairs": 1}
     assert fields == [4 * 3] * (n_steps + 1)
@@ -435,7 +437,7 @@ def test_step_loop_shares_one_synthesis_per_state(grid16, make_field, monkeypatc
 def test_step_loop_synthesizes_two_rows_without_c_channels(grid16, make_field, monkeypatch,
                                                           g_kind):
     # with b-channels only (multiplicative tanh, or additive) nothing reads
-    # d1 u: each of the 3 paths synthesizes (u1, u2) per state
+    # d1 u: each of the 3 paths synthesizes (u1, u2), 1 packed row, per state
     model = make_model([], ["0.05*cos(1,0)", "0.02*sin(1,1)"], g_kind)
     calls, fields, n_steps = _count_step_loop(grid16, make_field, monkeypatch, model)
     assert calls["phys"] == calls["adv"] == n_steps + 1

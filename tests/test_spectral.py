@@ -191,44 +191,87 @@ def test_random_solenoidal_band_guard(grid16):
                                 rng=np.random.default_rng(0))
 
 
-@pytest.mark.parametrize("n1,n2", [(16, 16), (32, 32), (16, 24)])
-def test_real_synthesis_matches_complex(n1, n2):
-    # _phys reads a k2 >= 0 half spectrum cut to the band's columns, laid
-    # out (cols, n1): on Hermitian band-limited input it must agree with the
-    # complex synthesis, for the field and its gradient
+def _cols(z, k2):
+    """(..., m, n1) layout of (..., n1, n2) coefficients z: rows k2 = 0 .. k2, then -k2 .. -1."""
+    return np.concatenate((z[..., :k2 + 1], z[..., z.shape[-1] - k2:]), axis=-1).swapaxes(-1, -2)
+
+
+def _packed(c, k2):
+    """Packed spectrum c[..., 0] + i c[..., 1] of (..., 2, n1, n2) coefficients, as _cols."""
+    return _cols(c[..., 0, :, :] + 1j * c[..., 1, :, :], k2)
+
+
+PACKED_GRIDS = pytest.mark.parametrize("n1,n2", [(4, 4), (8, 8), (10, 10), (16, 16), (16, 24),
+                                                 (32, 32), (64, 64)])
+
+
+@PACKED_GRIDS
+def test_packed_synthesis_matches_complex(n1, n2):
+    # _phys reads the packed spectrum c1 + i c2 of two real band-limited
+    # fields over |k2| <= reach2; .real and .imag of its samples must each
+    # match the complex synthesis of their own field, for the field and for
+    # its derivative d1.  The fields are a batch of level fields of an odd
+    # level, whose last pair holds a cosine alone.
+    from ans2d.basis import GalerkinFrame, max_level
     from ans2d.spectral import _phys
 
     grid = TorusGrid(n1, n2)
-    rng = np.random.default_rng(n1 + n2)
-    band = min(n1, n2) // 3
-    batch = np.stack([random_solenoidal_field(grid, band=band, amplitude=1.0, rng=rng).coeffs
-                      for _ in range(3)])
-    k1 = grid.k1.astype(np.float64)
-    k2 = grid.k2.astype(np.float64)
-    for c in (batch, batch * (1j * k1), batch * (1j * k2)):
-        ref = np.fft.ifft2(c, axes=(-2, -1)).real * grid.n_points
-        got = _phys(c[..., : band + 1].swapaxes(-1, -2), grid.n_points)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    frame = GalerkinFrame(grid, max_level(grid) - 1)
+    assert frame.n % 2 == 1
+    a = np.random.default_rng(n1 + n2).standard_normal((3, frame.n))
+    c = frame.lift(a)
+    for coeffs in (c, fullgrid.deriv(c, grid, 1)):
+        ref = np.fft.ifft2(coeffs, axes=(-2, -1)).real * grid.n_points
+        got = _phys(_packed(coeffs, frame.reach2), grid.n_points)
+        assert got.shape == (3, n1, n2) and got.dtype == np.complex128
+        scale = np.max(np.abs(ref))
+        assert np.max(np.abs(got.real - ref[:, 0])) <= 1e-13 * scale
+        assert np.max(np.abs(got.imag - ref[:, 1])) <= 1e-13 * scale
+
+
+@PACKED_GRIDS
+def test_packed_analysis_recovers_each_field(n1, n2):
+    # _spec of packed samples x1 + i x2 gives W = x1^ + i x2^ over |k2| <=
+    # reach2; each field's coefficients follow from W at k and -k,
+    # x1^(k) = (W(k) + conj W(-k)) / 2 and x2^(k) = (W(k) - conj W(-k)) / 2i
+    from ans2d.basis import GalerkinFrame, max_level
+    from ans2d.spectral import _spec
+
+    grid = TorusGrid(n1, n2)
+    k2 = GalerkinFrame(grid, max_level(grid) - 1).reach2
+    x = np.random.default_rng(n1 * n2).standard_normal((3, 2, n1, n2))
+    w = _spec(x[:, 0] + 1j * x[:, 1], grid.n_points, k2)
+    assert w.shape == (3, 2 * k2 + 1, n1)
+    m = 2 * k2 + 1
+    mirror = np.conj(w[:, -np.arange(m) % m][:, :, -np.arange(n1) % n1])  # conj W(-k)
+    ref = _cols(np.fft.fft2(x, axes=(-2, -1)) / grid.n_points, k2)
+    scale = np.max(np.abs(ref))
+    assert np.max(np.abs((w + mirror) / 2 - ref[:, 0])) <= 1e-14 * scale
+    assert np.max(np.abs((w - mirror) / 2j - ref[:, 1])) <= 1e-14 * scale
 
 
 @pytest.mark.parametrize("n1,n2", [(4, 4), (8, 8), (10, 10), (16, 16), (16, 24), (64, 64)])
 @pytest.mark.parametrize("rows", [3, 5])
 def test_contiguous_layout_matches_strided_transforms(n1, n2, rows):
-    # _phys and _spec run the k1 pass along the contiguous last axis of a
-    # (cols, n1) half spectrum; written with that pass along axis -2 of an
-    # (n1, cols) half, as the reference below is, each 1-D transform sees
-    # the same numbers, so both must agree bit for bit
+    # _phys and _spec run the k1 pass along the contiguous last axis of an
+    # (m, n1) packed spectrum; written with that pass along axis -2 of an
+    # (n1, m) one, as the reference below is, each 1-D transform sees the
+    # same numbers, so both must agree bit for bit
     from ans2d.spectral import _phys, _spec
 
     grid = TorusGrid(n1, n2)
-    cols = grid.band2 + 1
-    samples = np.random.default_rng(n1 * n2 + rows).standard_normal((7, rows, n1, n2))
-    half = np.fft.fft(np.fft.rfft(samples, axis=-1, norm="forward")[..., :cols], axis=-2,
-                      norm="forward")
-    got = _spec(samples, grid.n_points, cols)
-    assert got.shape == (7, rows, cols, n1) and got.flags.c_contiguous
-    np.testing.assert_array_equal(got, half.swapaxes(-1, -2))
-    ref = np.fft.irfft(np.fft.ifft(half, axis=-2, norm="forward"), n=n2, axis=-1,
-                       norm="forward")
-    np.testing.assert_array_equal(_phys(got, grid.n_points), ref)
+    k2 = grid.band2
+    rng = np.random.default_rng(n1 * n2 + rows)
+    samples = rng.standard_normal((7, rows, n1, n2)) + 1j * rng.standard_normal((7, rows, n1, n2))
+    cols = np.fft.fft(samples, axis=-1, norm="forward")
+    packed = np.fft.fft(np.concatenate((cols[..., :k2 + 1], cols[..., n2 - k2:]), axis=-1),
+                        axis=-2, norm="forward")
+    got = _spec(samples, grid.n_points, k2)
+    assert got.shape == (7, rows, 2 * k2 + 1, n1) and got.flags.c_contiguous
+    np.testing.assert_array_equal(got, packed.swapaxes(-1, -2))
+    rows_x1 = np.fft.ifft(packed, axis=-2, norm="forward")
+    full = np.zeros(samples.shape, dtype=np.complex128)
+    full[..., :k2 + 1] = rows_x1[..., :k2 + 1]
+    full[..., n2 - k2:] = rows_x1[..., k2 + 1:]
+    np.testing.assert_array_equal(_phys(got, grid.n_points),
+                                  np.fft.ifft(full, axis=-1, norm="forward"))
