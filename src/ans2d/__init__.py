@@ -48,8 +48,6 @@ from .spectral import (
     SpectralField,
     TorusGrid,
     forward_transform,
-    hermitian_defect,
-    inverse_transform,
     leray_project,
     nonlinear_term_oracle,
     random_solenoidal_field,

@@ -283,3 +283,15 @@ def quadrature_grid(grid: TorusGrid, n: int) -> TorusGrid:
         return min(m, cap)
 
     return TorusGrid(size(reach[0], grid.n1), size(reach[1], grid.n2))
+
+
+def level_reach(grid: TorusGrid, n: int) -> tuple[int, int]:
+    """Bounds on the largest |k1| and |k2| of the first n elements, found without a frame.
+
+    Pairs come in |k|^2 order, and the 2 s^2 + 2 s canonical wavevectors with
+    |k_i| <= s have |k|^2 <= 2 s^2: a level of at most that many pairs
+    reaches no further than s sqrt(2), when that square fits the band.
+    """
+    s = int(np.sqrt((n + 1) / 4)) + 1  # 2 s^2 > (n + 1) / 2, the level's pairs at most
+    r = int(np.sqrt(2 * s * s)) if s <= min(grid.band1, grid.band2) else max(grid.n1, grid.n2)
+    return min(r, grid.band1), min(r, grid.band2)

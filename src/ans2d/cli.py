@@ -28,7 +28,7 @@ import numpy as np
 from . import det as det_mod
 from . import norms as norms_mod
 from . import sde as sde_mod
-from .basis import basis_element, max_level
+from .basis import GalerkinFrame, basis_element, max_level
 from .config import _parse_count, echo_config, load_config
 from .ensemble import EnsembleConfig, moment_bound_report, run_ensemble
 from .errors import BlowUpError, ConfigError, GateError, UsageError
@@ -36,10 +36,10 @@ from .noise import GateResult, NoiseModel, condition_c_bounds, condition_c_gate,
 from .norms import Verdict, cumulative_trapezoid, verdict
 from .snapshots import write_snapshot
 from .spectral import (
+    PhysicalField,
     SpectralField,
     TorusGrid,
     check_array_bytes,
-    inverse_transform,
     random_solenoidal_field,
     shear_field,
     taylor_green,
@@ -99,6 +99,12 @@ def _initial_field(grid: TorusGrid, cfg: dict[str, Any]) -> SpectralField:
         return random_solenoidal_field(grid, band=cfg["init.band"], amplitude=amp, rng=rng)
 
 
+def _samples(frame: GalerkinFrame, a: np.ndarray) -> PhysicalField:
+    """Grid samples of coordinates a in frame: synth's row u1 + i u2, split."""
+    z = frame.synth(a)[0]
+    return PhysicalField(frame.grid, np.stack((z.real, z.imag)))
+
+
 def _split_recipes(text: str) -> list[str]:
     return [part.strip() for part in text.split(";") if part.strip()]
 
@@ -132,6 +138,16 @@ def _check_step_arrays(scfg: sde_mod.SdeConfig, model: NoiseModel, batch: int) -
                           8 * (scfg.n_steps + 1) * batch * max(model.n_modes, 1))
 
 
+def _check_run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
+                     model: NoiseModel = NoiseModel(), top_frame: bool = False) -> None:
+    """ConfigError when det.run_bytes of the run would exceed spectral.MAX_ARRAY_BYTES."""
+    nbytes = det_mod.run_bytes(grid, batch, levels, not (model.is_zero or model.is_additive),
+                               top_frame)
+    with _config_value():
+        check_array_bytes(f"a run of {batch} state(s) on the {grid.n1}x{grid.n2} grid", nbytes,
+                          scope="a run may hold at once")
+
+
 def _check_level(grid: TorusGrid, key: str, n: int) -> None:
     if not 1 <= n <= max_level(grid):
         raise ConfigError(f"{key}={n} must lie in [1, {max_level(grid)}], the basis "
@@ -159,8 +175,7 @@ def _gate(cfg: dict[str, Any], args: argparse.Namespace, model: NoiseModel,
 
 def _cmd_run_det(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
-    with _config_value():
-        det_mod.check_run_bytes(grid)
+    _check_run_bytes(grid)
     u0 = _initial_field(grid, cfg)
     traj = det_mod.run_det(u0, _section(cfg, det_mod.DetConfig, "det"))
     energy = det_mod.energy_certificate(traj)
@@ -169,7 +184,7 @@ def _cmd_run_det(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
                traj.int_d1_sq, traj.int_d1d2_sq, energy.residual, h01.c_emp,
                h01.weighted)
     _write_csv(out / "det_series.csv", DET_CSV_COLUMNS, list(rows))
-    write_snapshot(out / "final_state.ans2", inverse_transform(traj.final), float(traj.t[-1]))
+    write_snapshot(out / "final_state.ans2", _samples(traj.frame, traj.final_coords), traj.t[-1])
     extra = {"energy_rel_residual": energy.verdict.measured,
              "energy_rel_tol": energy.verdict.bound, "c_emp_sup": h01.c_sup}
     return ["det_series.csv", "final_state.ans2"], [energy.verdict, h01.monotone, h01.bound], extra
@@ -177,11 +192,12 @@ def _cmd_run_det(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
 
 def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
-    u0 = _initial_field(grid, cfg)
     scfg = _section(cfg, sde_mod.SdeConfig, "sde")
     _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
     model = _noise_model(cfg, grid)
     _check_step_arrays(scfg, model, 1)
+    _check_run_bytes(grid, 1, (scfg.galerkin_n,), model)
+    u0 = _initial_field(grid, cfg)
     gate = _gate(cfg, args, model, "existence")
     traj = sde_mod.run_sde(u0, model, scfg)
     int_d1 = cumulative_trapezoid(traj.diag["d1_sq"], np.diff(traj.t))
@@ -191,7 +207,7 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
                traj.weighted.weighted_h01, traj.diag["noise_work"],
                traj.diag["hs_sq"])
     _write_csv(out / "sde_series.csv", SDE_CSV_COLUMNS, list(rows))
-    write_snapshot(out / "final_state.ans2", inverse_transform(traj.final), float(traj.t[-1]))
+    write_snapshot(out / "final_state.ans2", _samples(traj.frame, traj.final_coords), traj.t[-1])
     extra = {
         "existence_gate": gate.existence_ok,
         "gate": gate.describe() if model.n_modes else "no noise",
@@ -203,13 +219,14 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
 
 def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
-    u0 = _initial_field(grid, cfg)
     scfg = _section(cfg, sde_mod.SdeConfig, "sde")
     model = _noise_model(cfg, grid)
     ens = _section(cfg, EnsembleConfig, "ensemble")
     for level in ens.levels:
         _check_level(grid, "ensemble.levels", level)
     _check_step_arrays(scfg, model, min(ens.batch, ens.n_paths))
+    _check_run_bytes(grid, min(ens.batch, ens.n_paths), ens.levels, model, top_frame=True)
+    u0 = _initial_field(grid, cfg)
     gate = _gate(cfg, args, model, "existence")
     report = run_ensemble(u0, model, scfg, ens)
     rows = moment_bound_report(report, gate)
@@ -236,8 +253,9 @@ def _random_fields(cfg: dict[str, Any], grid: TorusGrid) -> Iterator[SpectralFie
 def _cmd_verify(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
     report = norms_mod.NormReport()
+    frame = GalerkinFrame(grid, max_level(grid))  # each field lies in its span
     for u in _random_fields(cfg, grid):
-        samples = inverse_transform(u).samples
+        samples = _samples(frame, frame.coords(u.coeffs)).samples
         for comp in range(2):
             norms_mod.check_anisotropic_embedding(grid, samples[comp], report)
         norms_mod.check_minkowski(grid, samples[0], p=4.0, q=2.0, report=report)
@@ -282,20 +300,7 @@ def _parse_mode(text: str) -> tuple[int, int]:
 def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
     if cfg["uniqueness.kind"] == "det":  # the pair marches as a batch of 2
-        with _config_value():
-            det_mod.check_run_bytes(grid, batch=2)
-    u0 = _initial_field(grid, cfg)
-    delta = cfg["uniqueness.perturbation"]
-    tol = cfg["uniqueness.tol"]
-    mode = _parse_mode(cfg["uniqueness.pert_mode"])
-    with _config_value():
-        pert = basis_element(grid, mode)
-    v0 = SpectralField(grid, u0.coeffs + delta * pert.coeffs)
-
-    extra = {"kind": cfg["uniqueness.kind"]}
-    if cfg["uniqueness.kind"] == "det":
-        rep = det_mod.uniqueness_experiment(u0, v0, _section(cfg, det_mod.DetConfig, "det"),
-                                            tol=tol)
+        _check_run_bytes(grid, 2)
     else:
         model = _noise_model(cfg, grid)
         if not model.n_modes:
@@ -304,6 +309,20 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
         scfg = _section(cfg, sde_mod.SdeConfig, "sde")
         _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
         _check_step_arrays(scfg, model, 2)
+        # the pair, and the gap its audit synthesizes beside it
+        _check_run_bytes(grid, 3, (scfg.galerkin_n,), model, top_frame=True)
+    u0 = _initial_field(grid, cfg)
+    delta = cfg["uniqueness.perturbation"]
+    tol = cfg["uniqueness.tol"]
+    mode = _parse_mode(cfg["uniqueness.pert_mode"])
+    with _config_value():  # the perturbation is not held through the run
+        v0 = SpectralField(grid, u0.coeffs + delta * basis_element(grid, mode).coeffs)
+
+    extra = {"kind": cfg["uniqueness.kind"]}
+    if cfg["uniqueness.kind"] == "det":
+        rep = det_mod.uniqueness_experiment(u0, v0, _section(cfg, det_mod.DetConfig, "det"),
+                                            tol=tol)
+    else:
         extra["uniqueness_gate"] = _gate(cfg, args, model, "uniqueness").uniqueness_ok
         rep = sde_mod.pathwise_uniqueness_experiment(u0, v0, model, scfg, tol=tol,
                                                      eta=cfg["noise.eta"])

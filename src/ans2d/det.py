@@ -14,18 +14,19 @@ top Galerkin level of the stochastic engine.  Taking coordinates projects
 the initial data; run_det and uniqueness_experiment therefore require
 Hermitian input, c(-k) = conj(c(k)), as the SDE engine does.  One march
 (_march) steps every run and hands each state, with its drift, to the
-audit reading it; only the advection and Trajectory.final lift.
+audit reading it; the state stays coordinates, which only frame.synth
+samples (the advection, and the CLI's snapshot of final_coords).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from . import spectral
-from .basis import GalerkinFrame, max_level
+from .basis import GalerkinFrame, level_reach, max_level
 from .norms import (YOUNG_WEIGHT, Verdict, absorb, cumulative_trapezoid, power_rows, verdict,
                     young_gap, young_h01)
 from .spectral import SpectralField, TorusGrid
@@ -63,35 +64,36 @@ class Clock:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-def run_bytes(grid: TorusGrid, batch: int = 1) -> int:
-    """Bytes a run of batch states on grid holds at once, sized from the grid alone.
+def run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
+              multiplicative: bool = False, top_frame: bool = False) -> int:
+    """Bytes a run of batch states on grid holds at once, sized without building a frame.
 
-    The sum of three parts:
-    - the tables of GalerkinFrame(grid, max_level(grid)): 192 bytes per
-      mode pair (index maps, directions, wavevectors, eigenvalues and the
-      two weight tables) and 40 per entry of its packed spectrum (the
-      synthesis map and the two gain rows), whose (2 band2 + 1) x n1
-      entries cover the band's k2 range;
-    - one drift's packed samples per state: 3 complex arrays per grid
-      point and 2 per spectrum entry at the drift's peak;
-    - the coefficients, 2 complex per grid point: the initial field's,
-      and the final state's with the 3 copies its snapshot's symmetry
-      check and inverse transform make.
+    A deterministic run (no levels) steps max_level(grid) on grid; an SDE
+    run steps its levels in turn, each on its quadrature grid (at most
+    3 reach + 4 points per axis, basis.level_reach), or on grid when sigma
+    is multiplicative.  top_frame adds the frame of max_level(grid), which
+    run_ensemble and basis_element build.  The sum of:
+    - 128 bytes per grid point, 4 coefficient arrays: a random initial
+      field's construction peak;
+    - per level, 192 bytes per mode pair and 40 per entry of its
+      (2 reach2 + 1) x n1 packed spectrum, twice beside a quadrature frame;
+    - per state, one drift's samples: 3 complex per sampling point (8 with
+      a multiplicative sigma(u)) and 2 per spectrum entry;
+    - with additive sigma, 10 complex per grid point for its channels;
+    - 16 MiB: modules loaded on first use (7.7 MiB), the allocator's heap.
+    The peak-RSS growth after imports of 2-step runs of each subcommand at
+    512^2 and 1024^2 stays below it.
     """
-    pairs = max_level(grid) // 2
-    entries = (2 * grid.band2 + 1) * grid.n1
-    return (192 * pairs + 40 * entries + batch * 16 * (3 * grid.n_points + 2 * entries)
-            + 5 * 32 * grid.n_points)
-
-
-def check_run_bytes(grid: TorusGrid, batch: int = 1) -> None:
-    """Raise ValueError when run_bytes(grid, batch) exceeds spectral.MAX_ARRAY_BYTES.
-
-    Checked before any array is made: a grid whose coefficients pass the
-    per-array check can still need several times their size at once.
-    """
-    spectral.check_array_bytes(f"a run of {batch} state(s) on the {grid.n1}x{grid.n2} grid",
-                               run_bytes(grid, batch), scope="a run may hold at once")
+    top = max_level(grid)
+    on_grid = multiplicative or not levels
+    frames = [(n, 1 if on_grid else 2) for n in levels or (top,)] + [(top, 1)] * top_frame
+    total = sum(copies * (192 * ((n + 1) // 2) + 40 * (2 * level_reach(grid, n)[1] + 1) * grid.n1)
+                for n, copies in frames)
+    reach = level_reach(grid, max(levels, default=top))
+    n1, n2 = (grid.n1, grid.n2) if on_grid else (
+        min(n, 3 * k + 4) for n, k in zip((grid.n1, grid.n2), reach))
+    total += batch * 16 * ((8 if multiplicative else 3) * n1 * n2 + 2 * (2 * reach[1] + 1) * n1)
+    return total + (128 if on_grid else 128 + 160) * grid.n_points + 2 ** 24
 
 
 @dataclass
@@ -114,10 +116,9 @@ class Trajectory:
     Squared norms are recorded at every step; int_* columns are running
     trapezoid integrals of the matching squared norm.  cross holds the
     vertical advection pairing (d2(u.grad u), d2 u).  final_coords holds
-    the (n,) coordinates in frame of the state at t[-1].
+    the (n,) coordinates in frame (on frame.grid) of the state at t[-1].
     """
 
-    grid: TorusGrid
     config: DetConfig
     t: np.ndarray
     l2_sq: np.ndarray
@@ -130,11 +131,6 @@ class Trajectory:
     int_d1d2_sq: np.ndarray
     final_coords: np.ndarray
     frame: GalerkinFrame
-
-    @property
-    def final(self) -> SpectralField:
-        """The final state as a field."""
-        return SpectralField(self.grid, self.frame.lift(self.final_coords))
 
 
 def mollify(u: SpectralField, eps: float) -> SpectralField:
@@ -218,7 +214,7 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
         for name in cols:
             cols[name][i] = row[name]
 
-    return Trajectory(grid=grid, config=cfg, t=cfg.times, final_coords=a, frame=frame,
+    return Trajectory(config=cfg, t=cfg.times, final_coords=a, frame=frame,
                       int_d1_sq=cumulative_trapezoid(cols["d1_sq"], dt),
                       int_d2_sq=cumulative_trapezoid(cols["d2_sq"], dt),
                       int_d1d2_sq=cumulative_trapezoid(cols["d1d2_sq"], dt), **cols)

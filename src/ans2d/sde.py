@@ -306,12 +306,11 @@ def weighted_h01_series(t: np.ndarray, d1_sq: np.ndarray, d1d2_sq: np.ndarray,
 
 @dataclass
 class SdeTrajectory:
-    grid: TorusGrid
-    config: SdeConfig
     t: np.ndarray
     diag: dict[str, np.ndarray]  # per-step scalars, shape (n_steps+1,)
     weighted: WeightedSeries
-    final: SpectralField
+    final_coords: np.ndarray  # (n,) coordinates in frame of the state at t[-1]
+    frame: GalerkinFrame
 
 
 def run_sde(u0: SpectralField, model: NoiseModel, cfg: SdeConfig) -> SdeTrajectory:
@@ -320,14 +319,13 @@ def run_sde(u0: SpectralField, model: NoiseModel, cfg: SdeConfig) -> SdeTrajecto
     The path uses trajectory index 0 of the seed's increment stream; u0
     must be Hermitian.
     """
-    grid = u0.grid
-    run = _run_batched(u0.coeffs, grid, model, cfg, draw_increments(model, cfg, (0,)))
+    run = _run_batched(u0.coeffs, u0.grid, model, cfg, draw_increments(model, cfg, (0,)))
     diag = {name: run.diag[name][:, 0] for name in DIAG_NAMES}
     weighted = weighted_h01_series(run.t, diag["d1_sq"], diag["d1d2_sq"],
                                    diag["d2_sq"], diag["cross"], diag["h01_sq"],
                                    diag["h11_sq"], cfg.alpha_tilde)
-    return SdeTrajectory(grid=grid, config=cfg, t=run.t, diag=diag, weighted=weighted,
-                         final=SpectralField(grid, run.frame.lift(run.final[0])))
+    return SdeTrajectory(t=run.t, diag=diag, weighted=weighted, final_coords=run.final[0],
+                         frame=run.frame)
 
 
 @dataclass

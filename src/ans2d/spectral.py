@@ -16,7 +16,6 @@ import numpy as np
 
 from .errors import BlowUpError
 
-HERMITIAN_TOL = 1e-10
 # growth factor of the L2 norm over its initial value at which both engines stop
 BLOWUP_GUARD = 1e6
 # largest array a run may make, checked from its configuration before any is made
@@ -27,7 +26,7 @@ def check_array_bytes(what: str, nbytes: int, scope: str = "an array may take") 
     """Raise ValueError when nbytes, holding what, would exceed MAX_ARRAY_BYTES.
 
     scope names what the limit bounds in the message: one array, or all
-    that a run holds at once (det.check_run_bytes).
+    that a run holds at once (det.run_bytes).
     """
     if nbytes > MAX_ARRAY_BYTES:
         raise ValueError(f"{what} would take {nbytes / 2 ** 30:.3g} GiB, above the "
@@ -138,37 +137,14 @@ def zeros_spectral(grid: TorusGrid) -> SpectralField:
     return SpectralField(grid, np.zeros((2, grid.n1, grid.n2), dtype=np.complex128))
 
 
-def hermitian_defect(coeffs: np.ndarray) -> float:
-    """Max deviation from conjugate symmetry c(-k) = conj(c(k))."""
-    flipped = np.conj(np.roll(coeffs[..., ::-1, ::-1], shift=(1, 1), axis=(-2, -1)))
-    return float(np.max(np.abs(coeffs - flipped)))
-
-
 def forward_transform(f: PhysicalField) -> SpectralField:
     """FFT of real samples into amplitude-normalized coefficients."""
     coeffs = np.fft.fft2(f.samples, axes=(-2, -1)) / f.grid.n_points
     return SpectralField(f.grid, coeffs)
 
 
-def inverse_transform(u: SpectralField) -> PhysicalField:
-    """Synthesis back to real samples.
-
-    Raises ValueError when the coefficients break conjugate symmetry by
-    more than HERMITIAN_TOL relative to the largest coefficient.
-    """
-    scale = max(float(np.max(np.abs(u.coeffs))), 1.0)
-    defect = hermitian_defect(u.coeffs)
-    if defect > HERMITIAN_TOL * scale:
-        raise ValueError(
-            f"coefficients are not conjugate-symmetric: defect {defect:.3e} "
-            f"exceeds {HERMITIAN_TOL:.1e} x scale {scale:.3e}"
-        )
-    samples = np.fft.ifft2(u.coeffs, axes=(-2, -1)).real * u.grid.n_points
-    return PhysicalField(u.grid, samples)
-
-
 def _phys(spec: np.ndarray, n_points: int) -> np.ndarray:
-    """Unchecked packed synthesis for internal pipelines; supports leading batch axes.
+    """Packed synthesis for internal pipelines; supports leading batch axes.
 
     spec holds the coefficients Z = c1 + i c2 of two real fields (u1, u2)
     over the band's full k2 range |k2| <= reach2, laid out (..., m, n1),

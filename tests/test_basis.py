@@ -8,22 +8,23 @@ from ans2d.basis import (
     enumerate_pairs,
     galerkin_project_raw,
     is_canonical,
+    level_reach,
     max_level,
     quadrature_grid,
 )
-from ans2d.spectral import TorusGrid, inverse_transform
+from ans2d.spectral import TorusGrid
 
 
 def test_element_shapes(grid16):
     e = basis_element(grid16, (1, 0))
     # k = (1, 0): direction k_perp/|k| = (0, 1), so (0, cos x1)/(sqrt(2) pi)
-    samples = inverse_transform(e).samples
+    samples = fullgrid.samples(e.coeffs, grid16)
     x1 = grid16.x1[:, None]
     np.testing.assert_allclose(
         samples[1], np.cos(x1) * np.ones((1, 16)) / (np.sqrt(2.0) * np.pi), atol=1e-15)
     assert np.max(np.abs(samples[0])) <= 1e-15
     # negated wavevector picks the sine partner
-    s = inverse_transform(basis_element(grid16, (-1, 0))).samples
+    s = fullgrid.samples(basis_element(grid16, (-1, 0)).coeffs, grid16)
     np.testing.assert_allclose(
         s[1], np.sin(x1) * np.ones((1, 16)) / (np.sqrt(2.0) * np.pi), atol=1e-15)
 
@@ -235,6 +236,17 @@ def test_quadrature_grid_per_level(grid16):
     q = quadrature_grid(grid16, 32)
     np.testing.assert_array_equal(GalerkinFrame(q, 32).wavevectors,
                                   GalerkinFrame(grid16, 32).wavevectors)
+
+
+@pytest.mark.parametrize("n1,n2", [(8, 8), (12, 12), (16, 40), (30, 18), (64, 64)])
+def test_level_reach_bounds_every_level(n1, n2):
+    # det.run_bytes sizes each level from level_reach, without its frame
+    grid = TorusGrid(n1, n2)
+    pairs = np.abs(np.array(enumerate_pairs(grid, max_level(grid) // 2)))
+    actual = np.maximum.accumulate(pairs, axis=0)  # row p: the first p + 1 pairs
+    for n in range(1, max_level(grid) + 1):
+        assert np.all(level_reach(grid, n) >= actual[(n + 1) // 2 - 1])
+    assert level_reach(grid, max_level(grid)) == (grid.band1, grid.band2)
 
 
 @pytest.mark.parametrize("n", [12, 18, 48])

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import fullgrid
 from ans2d.cli import main
 from ans2d.config import default_config, echo_config, load_config, parse_config
 from ans2d.det import DetConfig
@@ -15,7 +16,12 @@ from ans2d.ensemble import EnsembleConfig
 from ans2d.errors import ConfigError, SnapshotFormatError
 from ans2d.sde import SdeConfig
 from ans2d.snapshots import read_snapshot, write_snapshot
-from ans2d.spectral import TorusGrid, inverse_transform
+from ans2d.spectral import PhysicalField, TorusGrid
+
+
+def _physical(u):
+    """Samples of the field u, by full-grid inverse transform."""
+    return PhysicalField(u.grid, fullgrid.samples(u.coeffs, u.grid))
 
 
 # ---------------------------------------------------------------------------
@@ -23,7 +29,7 @@ from ans2d.spectral import TorusGrid, inverse_transform
 
 
 def test_snapshot_round_trip(tmp_path, grid16, make_field):
-    f = inverse_transform(make_field(grid16, band=4, seed=1))
+    f = _physical(make_field(grid16, band=4, seed=1))
     path = tmp_path / "state.ans2"
     write_snapshot(path, f, 1.25)
     g, t = read_snapshot(path)
@@ -41,7 +47,7 @@ def test_snapshot_short_file(tmp_path):
 
 
 def test_snapshot_bad_magic(tmp_path, grid16, make_field):
-    f = inverse_transform(make_field(grid16, band=3, seed=2))
+    f = _physical(make_field(grid16, band=3, seed=2))
     path = tmp_path / "state.ans2"
     write_snapshot(path, f, 0.0)
     raw = bytearray(path.read_bytes())
@@ -53,7 +59,7 @@ def test_snapshot_bad_magic(tmp_path, grid16, make_field):
 
 
 def test_snapshot_size_mismatch(tmp_path, grid16, make_field):
-    f = inverse_transform(make_field(grid16, band=3, seed=3))
+    f = _physical(make_field(grid16, band=3, seed=3))
     path = tmp_path / "state.ans2"
     write_snapshot(path, f, 0.0)
     data = path.read_bytes()
@@ -75,7 +81,7 @@ def test_snapshot_bad_grid_header(tmp_path):
 
 
 def test_snapshot_nan_offset(tmp_path, grid16, make_field):
-    f = inverse_transform(make_field(grid16, band=3, seed=4))
+    f = _physical(make_field(grid16, band=3, seed=4))
     idx = (1, 2, 3)  # component 1, row 2, column 3
     f.samples[idx] = np.nan
     path = tmp_path / "state.ans2"
@@ -184,6 +190,14 @@ def _manifest(out):
         return json.load(fh)
 
 
+def _assert_final_samples(state, traj):
+    # the snapshot holds the final state's samples on the configured grid
+    grid = traj.frame.grid
+    assert state.grid == grid
+    expected = fullgrid.samples(traj.frame.lift(traj.final_coords), grid)
+    assert np.max(np.abs(state.samples - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 def test_cli_run_det(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "det"
@@ -199,6 +213,12 @@ def test_cli_run_det(tmp_path):
                       "int_d1d2_sq", "energy_residual", "c_emp", "weighted_h01"]
     state, t = read_snapshot(out / "final_state.ans2")
     assert t == pytest.approx(0.05)
+    from ans2d.cli import _initial_field, _section
+    from ans2d.det import run_det
+
+    conf = load_config(cfg)
+    traj = run_det(_initial_field(state.grid, conf), _section(conf, DetConfig, "det"))
+    _assert_final_samples(state, traj)
 
 
 def test_cli_run_sde_and_plot(tmp_path):
@@ -210,6 +230,15 @@ def test_cli_run_sde_and_plot(tmp_path):
     assert header == ["t", "l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "int_d1_sq",
                       "int_d1d2_sq", "h_t", "weighted_h01", "noise_work",
                       "hs_norm_sq"]
+    from ans2d.cli import _initial_field, _noise_model, _section
+    from ans2d.sde import run_sde
+
+    state, t = read_snapshot(out / "final_state.ans2")
+    assert t == pytest.approx(0.05)
+    conf = load_config(cfg)
+    traj = run_sde(_initial_field(state.grid, conf), _noise_model(conf, state.grid),
+                   _section(conf, SdeConfig, "sde"))
+    _assert_final_samples(state, traj)
     plot_out = tmp_path / "plot"
     assert main(["plot-data", "--input", str(out / "sde_series.csv"),
                  "--out", str(plot_out)]) == 0
@@ -433,7 +462,10 @@ def test_cli_step_count_beyond_max_steps_is_config_error(tmp_path, command, line
                  "noise.c_recipes =\nnoise.b_recipes = 0.05*cos(1,0)\nnoise.g = one\n"),
     # 2 GiB of coefficients pass the per-array check; the run would hold about 9 GiB
     ("run-det", "grid.n1 = 8192\ngrid.n2 = 8192\n"),
-], ids=["grid", "paths", "run"])
+    # the SDE commands are sized as a whole too, before the initial field is made
+    ("run-sde", "grid.n1 = 8192\ngrid.n2 = 8192\ninit.band = 2\nsde.t_end = 0.02\n"),
+    ("ensemble", "grid.n1 = 8192\ngrid.n2 = 8192\ninit.band = 2\nsde.t_end = 0.02\n"),
+], ids=["grid", "paths", "run", "sde-run", "ensemble-run"])
 def test_cli_oversize_arrays_are_config_errors(tmp_path, command, lines):
     # checked from the config before any array is made; in a child capped
     # at 2 GiB of address space, an allocation would raise MemoryError
@@ -451,6 +483,34 @@ def test_cli_oversize_arrays_are_config_errors(tmp_path, command, lines):
     man = _manifest(out)
     assert man["exit_code"] == 2 and man["error"]["class"] == "ConfigError"
     assert "GiB" in man["error"]["message"]
+
+
+def test_run_bytes_bounds_a_run_det(tmp_path):
+    # the exit-2 check of run-det rests on it: a 2-step 512^2 run gains at
+    # most det.run_bytes of peak memory after imports.  The child reads its
+    # peak RSS as VmHWM, that of its own address space: its ru_maxrss would
+    # start from this test process's peak, which an exec carries over
+    import ans2d
+
+    src = str(Path(ans2d.__file__).resolve().parents[1])
+    args = ["run-det", "--config", _write_cfg(tmp_path, "grid.n1 = 512\ngrid.n2 = 512\n"
+                                                        "init.band = 4\ndet.dt = 1e-3\n"
+                                                        "det.t_end = 2e-3\n"),
+            "--out", str(tmp_path / "out")]
+    script = (f"import re, sys; from pathlib import Path; sys.path.insert(0, {src!r}); "
+              "from ans2d.cli import main; from ans2d.det import run_bytes; "
+              "from ans2d.spectral import TorusGrid; "
+              "peak = lambda: int(re.search(r'VmHWM:\\s*(\\d+) kB', "
+              "Path('/proc/self/status').read_text()).group(1)); "
+              f"before = peak(); code = main({args!r}); "
+              "print(code, 1024 * (peak() - before), run_bytes(TorusGrid(512, 512)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    code, growth, budget = map(int, proc.stdout.splitlines()[-1].split())
+    assert code == 0
+    # the run holds at least its initial field's coefficients
+    assert 32 * 512 * 512 < growth <= budget
 
 
 def test_cli_galerkin_level_above_max_is_config_error(tmp_path):

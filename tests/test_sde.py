@@ -37,11 +37,11 @@ def test_run_is_deterministic(grid16, make_field):
     cfg = SdeConfig(dt=2e-3, t_end=0.05, galerkin_n=10, seed=9)
     a = run_sde(u0, _model_small(), cfg)
     b = run_sde(u0, _model_small(), cfg)
-    assert np.array_equal(a.final.coeffs, b.final.coeffs)
+    assert np.array_equal(a.final_coords, b.final_coords)
     for name in a.diag:
         assert np.array_equal(a.diag[name], b.diag[name])
     c = run_sde(u0, _model_small(), SdeConfig(dt=2e-3, t_end=0.05, galerkin_n=10, seed=10))
-    assert not np.array_equal(a.final.coeffs, c.final.coeffs)
+    assert not np.array_equal(a.final_coords, c.final_coords)
 
 
 def test_zero_noise_reduces_to_deterministic_euler(grid16, make_field):
@@ -49,9 +49,9 @@ def test_zero_noise_reduces_to_deterministic_euler(grid16, make_field):
     dt, t_end = 2e-3, 0.1
     sde = run_sde(u0, NoiseModel(), SdeConfig(dt=dt, t_end=t_end, galerkin_n=max_level(grid16)))
     det = run_det(u0, DetConfig(dt=dt, t_end=t_end, integrator="if-euler", eps_v=0.0))
-    final_det = det.final
-    scale = float(np.max(np.abs(final_det.coeffs)))
-    assert np.max(np.abs(sde.final.coeffs - final_det.coeffs)) <= 1e-12 * scale
+    final_det = det.frame.lift(det.final_coords)
+    scale = float(np.max(np.abs(final_det)))
+    assert np.max(np.abs(sde.frame.lift(sde.final_coords) - final_det)) <= 1e-12 * scale
     np.testing.assert_allclose(sde.diag["l2_sq"], det.l2_sq, rtol=1e-12)
 
 
@@ -60,8 +60,8 @@ def test_galerkin_projection_is_invariant(grid16, make_field):
     u0 = make_field(grid16, band=4, seed=3)
     cfg = SdeConfig(dt=2e-3, t_end=0.05, galerkin_n=6, seed=1)
     traj = run_sde(u0, _model_small(), cfg)
-    again = fullgrid.project(traj.final.coeffs, grid16, 6)
-    np.testing.assert_allclose(traj.final.coeffs, again, atol=1e-14)
+    final = traj.frame.lift(traj.final_coords)
+    np.testing.assert_allclose(final, fullgrid.project(final, grid16, 6), atol=1e-14)
 
 
 def _manual_noise(u0, model, n, dw):
