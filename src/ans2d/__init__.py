@@ -1,7 +1,7 @@
 """Pseudospectral simulation and estimate verification for 2D incompressible
 flow with horizontal-only viscosity on the periodic square."""
 
-from .basis import basis_element, max_level
+from .basis import max_level
 from .det import (
     DetConfig,
     Trajectory,

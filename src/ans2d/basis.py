@@ -4,9 +4,9 @@ Each conjugate mode pair {k, -k}, k != 0, carries two real unit-norm
 elements: the perpendicular direction k_perp/|k| times cos(k.x) and times
 sin(k.x).  Pairs are enumerated by |k|^2, ties broken lexicographically on
 the canonical representative (k1 > 0, or k1 = 0 and k2 > 0).  Element
-2j-1 of pair j is the cosine, element 2j the sine.  basis_element(k)
-returns the cosine element when k is canonical and the sine element of the
-pair of -k otherwise, so wavevectors index the whole enumeration.
+2j-1 of pair j is the cosine, element 2j the sine.  The cosine element is
+attached to the canonical k and the sine element to -k
+(GalerkinFrame.column), so wavevectors index the whole enumeration.
 
 Every element is an eigenfunction of d2^2, which makes the truncation
 orthogonal in both the plain and the vertical-derivative inner product.
@@ -18,26 +18,13 @@ import numpy as np
 
 from . import spectral
 from .norms import MEASURE
-from .spectral import SpectralField, TorusGrid, alias_free_band
+from .spectral import TorusGrid, alias_free_band
 
 _AMP = 1.0 / (np.sqrt(2.0) * np.pi)  # unit L2 norm of a cosine or sine element
 
 
 def is_canonical(k: tuple[int, int]) -> bool:
     return k[0] > 0 or (k[0] == 0 and k[1] > 0)
-
-
-def basis_element(grid: TorusGrid, k: tuple[int, int]) -> SpectralField:
-    """Unit-norm real solenoidal element attached to wavevector k != 0.
-
-    The lift of the unit coordinate at GalerkinFrame(grid,
-    max_level(grid)).column(k), which raises ValueError for k = 0 and for
-    k outside the dealiased band.
-    """
-    frame = GalerkinFrame(grid, max_level(grid))
-    a = np.zeros(frame.n)
-    a[frame.column(k)] = 1.0
-    return SpectralField(grid, frame.lift(a))
 
 
 def enumerate_pairs(grid: TorusGrid, count: int) -> list[tuple[int, int]]:
@@ -159,7 +146,7 @@ class GalerkinFrame:
             arr.flags.writeable = False
 
     def column(self, k: tuple[int, int]) -> int:
-        """Index of the element attached to wavevector k, as in basis_element."""
+        """Index of the element attached to wavevector k; ValueError outside the level."""
         match = np.flatnonzero(np.all(self.wavevectors == (int(k[0]), int(k[1])), axis=1))
         if match.size == 0:
             raise ValueError(f"wavevector {tuple(k)} is outside the first {self.n} elements "

@@ -28,7 +28,7 @@ import numpy as np
 from . import det as det_mod
 from . import norms as norms_mod
 from . import sde as sde_mod
-from .basis import GalerkinFrame, basis_element, max_level
+from .basis import GalerkinFrame, max_level
 from .config import _parse_count, echo_config, load_config
 from .ensemble import EnsembleConfig, moment_bound_report, run_ensemble
 from .errors import BlowUpError, ConfigError, GateError, UsageError
@@ -139,10 +139,9 @@ def _check_step_arrays(scfg: sde_mod.SdeConfig, model: NoiseModel, batch: int) -
 
 
 def _check_run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
-                     model: NoiseModel = NoiseModel(), top_frame: bool = False) -> None:
+                     model: NoiseModel = NoiseModel()) -> None:
     """ConfigError when det.run_bytes of the run would exceed spectral.MAX_ARRAY_BYTES."""
-    nbytes = det_mod.run_bytes(grid, batch, levels, not (model.is_zero or model.is_additive),
-                               top_frame)
+    nbytes = det_mod.run_bytes(grid, batch, levels, not (model.is_zero or model.is_additive))
     with _config_value():
         check_array_bytes(f"a run of {batch} state(s) on the {grid.n1}x{grid.n2} grid", nbytes,
                           scope="a run may hold at once")
@@ -225,7 +224,7 @@ def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> C
     for level in ens.levels:
         _check_level(grid, "ensemble.levels", level)
     _check_step_arrays(scfg, model, min(ens.batch, ens.n_paths))
-    _check_run_bytes(grid, min(ens.batch, ens.n_paths), ens.levels, model, top_frame=True)
+    _check_run_bytes(grid, min(ens.batch, ens.n_paths), ens.levels, model)
     u0 = _initial_field(grid, cfg)
     gate = _gate(cfg, args, model, "existence")
     report = run_ensemble(u0, model, scfg, ens)
@@ -289,18 +288,16 @@ def _cmd_oracle_check(cfg: dict[str, Any], out: Path, args: argparse.Namespace) 
 
 def _parse_mode(text: str) -> tuple[int, int]:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ConfigError(f"pert_mode must be 'k1,k2', got {text!r}")
-    try:
-        return int(parts[0]), int(parts[1])
-    except ValueError as exc:
-        raise ConfigError(f"pert_mode must be 'k1,k2', got {text!r}") from exc
+    if len(parts) != 2 or not all(p.strip().lstrip("+-").isdigit() for p in parts):
+        raise ValueError(f"must be 'k1,k2', got {text!r}")
+    return int(parts[0]), int(parts[1])
 
 
 def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
     if cfg["uniqueness.kind"] == "det":  # the pair marches as a batch of 2
         _check_run_bytes(grid, 2)
+        frame = GalerkinFrame(grid, max_level(grid))
     else:
         model = _noise_model(cfg, grid)
         if not model.n_modes:
@@ -309,14 +306,15 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
         scfg = _section(cfg, sde_mod.SdeConfig, "sde")
         _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
         _check_step_arrays(scfg, model, 2)
-        # the pair, and the gap its audit synthesizes beside it
-        _check_run_bytes(grid, 3, (scfg.galerkin_n,), model, top_frame=True)
+        _check_run_bytes(grid, 2, (scfg.galerkin_n,), model)
+        frame = GalerkinFrame(grid, scfg.galerkin_n)
+    unit = np.zeros(frame.n)
+    # the perturbation is an element of the run's own frame: P_n would drop any other
+    with _config_value("uniqueness.pert_mode: "):
+        unit[frame.column(_parse_mode(cfg["uniqueness.pert_mode"]))] = 1.0
     u0 = _initial_field(grid, cfg)
-    delta = cfg["uniqueness.perturbation"]
+    v0 = SpectralField(grid, u0.coeffs + cfg["uniqueness.perturbation"] * frame.lift(unit))
     tol = cfg["uniqueness.tol"]
-    mode = _parse_mode(cfg["uniqueness.pert_mode"])
-    with _config_value():  # the perturbation is not held through the run
-        v0 = SpectralField(grid, u0.coeffs + delta * basis_element(grid, mode).coeffs)
 
     extra = {"kind": cfg["uniqueness.kind"]}
     if cfg["uniqueness.kind"] == "det":

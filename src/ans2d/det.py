@@ -65,35 +65,33 @@ class Clock:
 
 
 def run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
-              multiplicative: bool = False, top_frame: bool = False) -> int:
+              multiplicative: bool = False) -> int:
     """Bytes a run of batch states on grid holds at once, sized without building a frame.
 
     A deterministic run (no levels) steps max_level(grid) on grid; an SDE
     run steps its levels in turn, each on its quadrature grid (at most
     3 reach + 4 points per axis, basis.level_reach), or on grid when sigma
-    is multiplicative.  top_frame adds the frame of max_level(grid), which
-    run_ensemble and basis_element build.  The sum of:
-    - 128 bytes per grid point, 4 coefficient arrays: a random initial
-      field's construction peak;
+    is multiplicative.  The sum of:
+    - 32 bytes per grid point per coefficient array: 4, a random field's
+      construction peak, and 2 more for a batch, such as the uniqueness
+      pair's u0, v0 and their stack beside the heap the construction left;
     - per level, 192 bytes per mode pair and 40 per entry of its
-      (2 reach2 + 1) x n1 packed spectrum, twice beside a quadrature frame;
+      (2 reach2 + 1) x n1 packed spectrum, twice for an SDE level and its quadrature frame;
     - per state, one drift's samples: 3 complex per sampling point (8 with
       a multiplicative sigma(u)) and 2 per spectrum entry;
-    - with additive sigma, 10 complex per grid point for its channels;
     - 16 MiB: modules loaded on first use (7.7 MiB), the allocator's heap.
     The peak-RSS growth after imports of 2-step runs of each subcommand at
     512^2 and 1024^2 stays below it.
     """
     top = max_level(grid)
-    on_grid = multiplicative or not levels
-    frames = [(n, 1 if on_grid else 2) for n in levels or (top,)] + [(top, 1)] * top_frame
-    total = sum(copies * (192 * ((n + 1) // 2) + 40 * (2 * level_reach(grid, n)[1] + 1) * grid.n1)
-                for n, copies in frames)
+    total = sum((2 if levels else 1)
+                * (192 * ((n + 1) // 2) + 40 * (2 * level_reach(grid, n)[1] + 1) * grid.n1)
+                for n in levels or (top,))
     reach = level_reach(grid, max(levels, default=top))
-    n1, n2 = (grid.n1, grid.n2) if on_grid else (
+    n1, n2 = (grid.n1, grid.n2) if multiplicative or not levels else (
         min(n, 3 * k + 4) for n, k in zip((grid.n1, grid.n2), reach))
     total += batch * 16 * ((8 if multiplicative else 3) * n1 * n2 + 2 * (2 * reach[1] + 1) * n1)
-    return total + (128 if on_grid else 128 + 160) * grid.n_points + 2 ** 24
+    return total + 32 * (4 if batch == 1 else 6) * grid.n_points + 2 ** 24
 
 
 @dataclass
@@ -310,9 +308,9 @@ def weak_form_residual(u0: SpectralField, cfg: DetConfig, test_mode: tuple[int, 
         - chi(0) (u0, e_k) + chi(t) (u(t), e_k)
 
     vanishes for exact solutions; trapezoid quadrature leaves O(dt^2).
-    e_k is basis_element(grid, k): passing -k selects the sine element of
-    the mode pair of k.  (u.grad u, e_k) is read from the drift the run
-    computes anyway.
+    e_k is the element at column(k) of the run's frame, that of all basis
+    elements: passing -k selects the sine element of the mode pair of k.
+    (u.grad u, e_k) is read from the drift the run computes anyway.
     """
     frame = GalerkinFrame(u0.grid, max_level(u0.grid))
     j = frame.column(test_mode)

@@ -21,9 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .basis import GalerkinFrame, max_level
 from .noise import GateResult, NoiseModel
-from .norms import Verdict, cumulative_trapezoid, verdict
+from .norms import Verdict, cumulative_trapezoid, norm_rows, verdict
 from .sde import SdeConfig, _run_batched, draw_increments, weighted_h01_series
 from .spectral import SpectralField, check_array_bytes
 
@@ -102,9 +101,11 @@ def run_ensemble(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
 
     The paths are those of cfg.seed.  The noise gates are the caller's to
     evaluate and enforce.  A blow-up on any path aborts the whole ensemble.
+    ||u0||^2 in c_hat is the norm of u0 itself: that of its projection onto
+    all basis elements for a u0 in their span, as every CLI initial field
+    is, and larger by the part outside it for any other u0.
     """
-    # ||u0||^2 of the projection of u0 onto all basis elements of the grid
-    u0_l2 = float(np.sum(GalerkinFrame(u0.grid, max_level(u0.grid)).coords(u0.coeffs) ** 2))
+    u0_l2 = float(norm_rows(u0.coeffs, u0.grid)["l2_sq"])
     samples = {lvl: {name: np.zeros(ens.n_paths) for name in MOMENTS} for lvl in ens.levels}
     for done in range(0, ens.n_paths, ens.batch):
         paths = range(done, min(done + ens.batch, ens.n_paths))

@@ -5,10 +5,10 @@ The diffusion maps a Wiener increment with components y_k to
     sigma(u) y = sum_k ( c_k(x) d1 u + b_k(x) g(u) ) y_k
 
 followed by the projection P_n onto the span of the first n basis
-elements; sigma_coords gives its n coordinates, the one evaluation of
-sigma that the SDE engine and condition_c_empirical_check share.  The c_k,
-b_k are finite trigonometric recipes; g acts componentwise, is bounded
-and Lipschitz.  Declared budgets:
+elements; sigma_coords gives its n coordinates from grid samples, which
+the SDE engine (for a multiplicative sigma) and condition_c_empirical_check
+share.  The c_k, b_k are finite trigonometric recipes; g acts
+componentwise, is bounded and Lipschitz.  Declared budgets:
 
     M1 >= sum_k (sup|c_k| + sup|d1 c_k| + sup|d2 c_k|)^2
     M2 >= sum_k (sup|b_k|)^2   and   M2 >= sum_k (sup|d2 b_k|)^2

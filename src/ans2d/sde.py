@@ -76,6 +76,22 @@ class SdeConfig(Clock):
             raise ValueError("galerkin_n must be >= 1")
 
 
+def _additive_coords(model: NoiseModel, frame: GalerkinFrame) -> np.ndarray:
+    """(n_modes, n) coordinates of the additive channels b_k (1, 1), read off the recipes.
+
+    amp cos(m.x) has coefficient amp/2 at m and -m, amp sin(m.x) -i amp/2 at m and i amp/2
+    at -m; per pair, d . (1, 1) b_k^(kc) is the value frame._from_pairs encodes.
+    """
+    model.check_band(frame.grid)
+    kc = frame.wavevectors[::2]
+    beta = np.zeros((model.n_modes, len(kc)), dtype=np.complex128)
+    for j, recipe in enumerate(model.b):
+        for amp, m1, m2, phase in recipe.terms:
+            at_m, at_minus_m = (0.5 * amp * np.all(kc == (s * m1, s * m2), axis=1) for s in (1, -1))
+            beta[j] += at_m + at_minus_m if phase == "cos" else -1j * (at_m - at_minus_m)
+    return frame._from_pairs(beta * (frame.dirs[0] + frame.dirs[1]))
+
+
 class _Stepper:
     """Precomputed batched update for one (grid, model, config) triple.
 
@@ -87,9 +103,9 @@ class _Stepper:
     smallest alias-free grid (basis.quadrature_grid), which gives the
     advection coordinates of the configured grid up to rounding.  A
     multiplicative sigma(u) is not band-limited, so for it qgrid is the
-    configured grid; additive channel coordinates are taken on the
-    configured grid once.  Without noise (NoiseModel(), or a zero model)
-    the additive case has no channel, and its increments are exact zeros.
+    configured grid; additive channels are read off the recipes
+    (_additive_coords).  Without noise (NoiseModel(), or a zero model) the
+    additive case has no channel, and its increments are exact zeros.
     """
 
     def __init__(self, grid: TorusGrid, model: NoiseModel, cfg: SdeConfig):
@@ -106,13 +122,11 @@ class _Stepper:
         self.rows = 1
         if model.is_zero:
             self.additive = np.zeros((0, self.frame.n))
+        elif model.is_additive:
+            self.additive = _additive_coords(model, self.frame)
         else:
             self.fields = model.coefficient_fields(grid)
             self.rows = 2 if len(self.fields[0][0]) else 1
-            if model.is_additive:
-                zero = np.zeros((1, grid.n1, grid.n2), dtype=np.complex128)  # u = 0
-                self.additive = sigma_coords(model, self.frame, zero, np.eye(model.n_modes),
-                                             self.fields)
         multiplicative = self.additive is None
         self.needs_phys = multiplicative or not cfg.drop_nonlinearity
         self.qgrid = grid if multiplicative else quadrature_grid(grid, cfg.galerkin_n)
@@ -391,7 +405,8 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     the Peter-Paul split eta of the noise gates.  The report's q is the
     absorbed exponent above and its growth is G(t).
     """
-    audit = _GapAudit(GalerkinFrame(u0.grid, cfg.galerkin_n), cfg, base=0)
+    qgrid = quadrature_grid(u0.grid, cfg.galerkin_n)  # the gap's drift is alias-free there
+    audit = _GapAudit(GalerkinFrame(qgrid, cfg.galerkin_n), cfg, base=0)
     # path 0 twice: both rows see the same increments
     _run_batched(np.stack((u0.coeffs, v0.coeffs)), u0.grid, model, cfg,
                  draw_increments(model, cfg, (0, 0)), with_diag=False, on_step=audit.record)

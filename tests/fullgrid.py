@@ -1,11 +1,13 @@
 """Independent references for the solver's operators, built from full-grid FFTs.
 
-Nothing here runs basis.GalerkinFrame.  The level-n projection P_n is an
-explicit mask over the level's wavevectors, enumerated here by a Python
-sort, followed by a Leray projection; sigma(u) y, the advection and every
-inner product are sampled on the full grid with np.fft transforms and
-summed by quadrature.  Tests compare the solver's frame-based code
-against these, so a fault in the frame cannot pass on both sides.
+Apart from basis_element, nothing here runs basis.GalerkinFrame.  The
+level-n projection P_n is an explicit mask over the level's wavevectors,
+enumerated here by a Python sort, followed by a Leray projection;
+sigma(u) y, the advection and every inner product are sampled on the full
+grid with np.fft transforms and summed by quadrature.  Tests compare the
+solver's frame-based code against these, so a fault in the frame cannot
+pass on both sides.  basis_element is the frame's own lift of a unit
+coordinate, the element a run perturbs along; element is its reference.
 
 Coefficients use the package's amplitude convention: exp(i k.x) has
 coefficient 1, in FFT layout.
@@ -72,6 +74,21 @@ def level_pairs(grid, n):
 def level_wavevectors(grid, n):
     """Wavevector of each of the first n elements: kc for the cosine, -kc for the sine."""
     return [k for a, b in level_pairs(grid, n) for k in ((a, b), (-a, -b))][:n]
+
+
+def basis_element(grid, k):
+    """SpectralField of the unit element attached to wavevector k in the frame of all elements.
+
+    The lift of the unit coordinate at column(k), as the uniqueness command
+    builds its perturbation; ValueError for k = 0 and outside the band.
+    """
+    from ans2d.basis import GalerkinFrame, max_level
+    from ans2d.spectral import SpectralField
+
+    frame = GalerkinFrame(grid, max_level(grid))
+    a = np.zeros(frame.n)
+    a[frame.column(k)] = 1.0
+    return SpectralField(grid, frame.lift(a))
 
 
 def element(grid, k):

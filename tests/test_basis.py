@@ -4,7 +4,6 @@ import pytest
 import fullgrid
 from ans2d.basis import (
     GalerkinFrame,
-    basis_element,
     enumerate_pairs,
     galerkin_project_raw,
     is_canonical,
@@ -16,7 +15,7 @@ from ans2d.spectral import TorusGrid
 
 
 def test_element_shapes(grid16):
-    e = basis_element(grid16, (1, 0))
+    e = fullgrid.basis_element(grid16, (1, 0))
     # k = (1, 0): direction k_perp/|k| = (0, 1), so (0, cos x1)/(sqrt(2) pi)
     samples = fullgrid.samples(e.coeffs, grid16)
     x1 = grid16.x1[:, None]
@@ -24,16 +23,16 @@ def test_element_shapes(grid16):
         samples[1], np.cos(x1) * np.ones((1, 16)) / (np.sqrt(2.0) * np.pi), atol=1e-15)
     assert np.max(np.abs(samples[0])) <= 1e-15
     # negated wavevector picks the sine partner
-    s = fullgrid.samples(basis_element(grid16, (-1, 0)).coeffs, grid16)
+    s = fullgrid.samples(fullgrid.basis_element(grid16, (-1, 0)).coeffs, grid16)
     np.testing.assert_allclose(
         s[1], np.sin(x1) * np.ones((1, 16)) / (np.sqrt(2.0) * np.pi), atol=1e-15)
 
 
 def test_element_guards(grid16):
     with pytest.raises(ValueError):
-        basis_element(grid16, (0, 0))
+        fullgrid.basis_element(grid16, (0, 0))
     with pytest.raises(ValueError):
-        basis_element(grid16, (6, 0))  # outside the (n-1)//3 band
+        fullgrid.basis_element(grid16, (6, 0))  # outside the (n-1)//3 band
 
 
 def test_enumeration_order(grid16):
@@ -56,7 +55,7 @@ def test_enumeration_matches_sorted_reference(n1, n2):
 def test_gram_matrix_both_inner_products(grid16):
     n = 12
     ks = fullgrid.level_wavevectors(grid16, n)
-    elems = [basis_element(grid16, k).coeffs for k in ks]
+    elems = [fullgrid.basis_element(grid16, k).coeffs for k in ks]
     for inner in (fullgrid.inner, fullgrid.inner_h01):
         gram = np.array([[inner(a, b, grid16) for b in elems] for a in elems])
         off = gram - np.diag(np.diag(gram))
@@ -107,8 +106,8 @@ def test_odd_level_keeps_cosine_only(grid16):
     # level 2j-1 splits pair j: the sine element of that pair must drop
     pairs = enumerate_pairs(grid16, 3)
     kc = pairs[2]
-    cos_e = basis_element(grid16, kc)
-    sin_e = basis_element(grid16, (-kc[0], -kc[1]))
+    cos_e = fullgrid.basis_element(grid16, kc)
+    sin_e = fullgrid.basis_element(grid16, (-kc[0], -kc[1]))
     u_cos = galerkin_project_raw(cos_e.coeffs, grid16, 5)
     u_sin = galerkin_project_raw(sin_e.coeffs, grid16, 5)
     np.testing.assert_allclose(u_cos, cos_e.coeffs, atol=1e-14)

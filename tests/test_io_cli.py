@@ -290,7 +290,6 @@ def test_cli_uniqueness(tmp_path):
 
 def test_cli_uniqueness_det_series_layout(tmp_path):
     # both kinds write (t, w_l2_sq, q, growth); the det exponent E(t) is q
-    from ans2d.basis import basis_element
     from ans2d.cli import _initial_field, _parse_mode, _section
     from ans2d.det import uniqueness_experiment
     from ans2d.spectral import SpectralField
@@ -304,7 +303,7 @@ def test_cli_uniqueness_det_series_layout(tmp_path):
     conf = load_config(cfg)
     grid = TorusGrid(conf["grid.n1"], conf["grid.n2"])
     u0 = _initial_field(grid, conf)
-    pert = basis_element(grid, _parse_mode(conf["uniqueness.pert_mode"]))
+    pert = fullgrid.basis_element(grid, _parse_mode(conf["uniqueness.pert_mode"]))
     v0 = SpectralField(grid, u0.coeffs + conf["uniqueness.perturbation"] * pert.coeffs)
     rep = uniqueness_experiment(u0, v0, _section(conf, DetConfig, "det"),
                                 tol=conf["uniqueness.tol"])
@@ -318,6 +317,35 @@ def test_cli_uniqueness_sde(tmp_path):
     out = tmp_path / "uniq-sde"
     assert main(["uniqueness", "--config", cfg, "--out", str(out)]) == 0
     assert _manifest(out)["verdicts"]["kind"] == "sde"
+
+
+@pytest.mark.parametrize("kind,mode,level", [("sde", "3,0", 8), ("det", "6,0", 120)])
+def test_cli_uniqueness_pert_mode_outside_the_frame_is_config_error(tmp_path, kind, mode,
+                                                                   level):
+    # P_8 drops the (3,0) element: perturbed along it, the sde pair would
+    # stay identical and its audit would check nothing.  (6,0) lies outside
+    # the 16x16 band, whose 120 elements the det run steps
+    cfg = _write_cfg(tmp_path, f"uniqueness.kind = {kind}\nuniqueness.pert_mode = {mode}\n")
+    out = tmp_path / "uniq"
+    assert main(["uniqueness", "--config", cfg, "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["exit_code"] == 2 and man["error"]["class"] == "ConfigError"
+    assert f"outside the first {level} elements" in man["error"]["message"]
+
+
+def test_sde_commands_build_no_max_level_frame(tmp_path, monkeypatch):
+    # an SDE level works in its own frame and its quadrature frame: neither
+    # the ensemble's ||u0||^2 nor the uniqueness perturbation builds the
+    # frame of all 120 elements of the 16x16 grid
+    from ans2d import basis
+
+    monkeypatch.setattr(basis, "_FRAMES", {})  # frames are cached: start from none
+    for command, extra in (("ensemble", ""), ("uniqueness", "uniqueness.kind = sde\n")):
+        out = tmp_path / command
+        assert main([command, "--config", _write_cfg(tmp_path, extra), "--out", str(out)]) in (0, 1)
+    grid = TorusGrid(16, 16)
+    assert {n for g, n in basis._FRAMES if g == grid} == {8, 12}
+    assert (grid, basis.max_level(grid)) not in basis._FRAMES
 
 
 def test_cli_ensemble(tmp_path):
@@ -485,32 +513,59 @@ def test_cli_oversize_arrays_are_config_errors(tmp_path, command, lines):
     assert "GiB" in man["error"]["message"]
 
 
-def test_run_bytes_bounds_a_run_det(tmp_path):
-    # the exit-2 check of run-det rests on it: a 2-step 512^2 run gains at
-    # most det.run_bytes of peak memory after imports.  The child reads its
-    # peak RSS as VmHWM, that of its own address space: its ru_maxrss would
-    # start from this test process's peak, which an exec carries over
+def _peak_growth(tmp_path, command, lines):
+    """(exit code, peak-RSS growth after imports, det.run_bytes of its check) of a child run.
+
+    The child reads its peak RSS as VmHWM, that of its own address space:
+    its ru_maxrss would start from this test process's peak, which an exec
+    carries over.  The budget is the value the command's own size check
+    computed.
+    """
     import ans2d
 
     src = str(Path(ans2d.__file__).resolve().parents[1])
-    args = ["run-det", "--config", _write_cfg(tmp_path, "grid.n1 = 512\ngrid.n2 = 512\n"
-                                                        "init.band = 4\ndet.dt = 1e-3\n"
-                                                        "det.t_end = 2e-3\n"),
-            "--out", str(tmp_path / "out")]
+    args = [command, "--config", _write_cfg(tmp_path, lines), "--out", str(tmp_path / "out")]
     script = (f"import re, sys; from pathlib import Path; sys.path.insert(0, {src!r}); "
-              "from ans2d.cli import main; from ans2d.det import run_bytes; "
-              "from ans2d.spectral import TorusGrid; "
+              "from ans2d import det; from ans2d.cli import main; seen = []; "
+              "run_bytes = det.run_bytes; "
+              "det.run_bytes = lambda *a: seen.append(run_bytes(*a)) or seen[-1]; "
               "peak = lambda: int(re.search(r'VmHWM:\\s*(\\d+) kB', "
               "Path('/proc/self/status').read_text()).group(1)); "
               f"before = peak(); code = main({args!r}); "
-              "print(code, 1024 * (peak() - before), run_bytes(TorusGrid(512, 512)))")
+              "print(code, 1024 * (peak() - before), *seen)")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
-    code, growth, budget = map(int, proc.stdout.splitlines()[-1].split())
+    return tuple(map(int, proc.stdout.splitlines()[-1].split()))
+
+
+_AT_512 = "grid.n1 = 512\ngrid.n2 = 512\ninit.band = 4\n"
+_ADDITIVE = "noise.c_recipes =\nnoise.g = one\n"
+
+
+def test_run_bytes_bounds_a_run_det(tmp_path):
+    # the exit-2 check of run-det rests on it: a 2-step 512^2 run gains at
+    # most det.run_bytes of peak memory after imports
+    code, growth, budget = _peak_growth(tmp_path, "run-det",
+                                        _AT_512 + "det.dt = 1e-3\ndet.t_end = 2e-3\n")
     assert code == 0
     # the run holds at least its initial field's coefficients
     assert 32 * 512 * 512 < growth <= budget
+
+
+@pytest.mark.parametrize("command,lines", [
+    ("run-sde", _ADDITIVE),
+    ("ensemble", _ADDITIVE + "ensemble.levels = 8,16\nensemble.batch = 4\n"),
+    ("uniqueness", _ADDITIVE + "uniqueness.kind = sde\n"),
+    ("uniqueness", "uniqueness.kind = sde\n"),
+], ids=["run-sde-additive", "ensemble-additive", "uniqueness-additive", "uniqueness-tanh"])
+def test_run_bytes_bounds_an_sde_run(tmp_path, command, lines):
+    # the same bound for the SDE commands, which size their levels alone:
+    # 2-step 512^2 runs
+    code, growth, budget = _peak_growth(tmp_path, command,
+                                        _AT_512 + lines + "sde.t_end = 4e-3\n")
+    assert code in (0, 1)
+    assert 8 * 2 ** 20 < growth <= budget
 
 
 def test_cli_galerkin_level_above_max_is_config_error(tmp_path):

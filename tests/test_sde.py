@@ -187,6 +187,61 @@ def test_additive_fast_path_matches_channels(grid16):
     assert st.noise_increment(dw[None, :], None).shape == (1, 8)
 
 
+def _band_recipes(grid, seed):
+    """An additive model of 3 channels with random cos and sin terms across the whole band.
+
+    Its terms include a constant, wavevectors m and -m alike, terms outside
+    low levels, and a channel with no term.
+    """
+    from ans2d.noise import ScalarRecipe, required_budgets
+
+    rng = np.random.default_rng(seed)
+    band = [(m1, m2) for m1 in range(-grid.band1, grid.band1 + 1)
+            for m2 in range(-grid.band2, grid.band2 + 1)]
+    b = tuple(ScalarRecipe(tuple((float(rng.standard_normal()), m1, m2, phase)
+                                 for m1, m2 in band for phase in ("cos", "sin")
+                                 if rng.random() < 0.6)) for _ in range(2)) + (ScalarRecipe(),)
+    _, m2 = required_budgets((ScalarRecipe(),) * 3, b)
+    return NoiseModel(c=(ScalarRecipe(),) * 3, b=b, g_kind="one", m2=m2)
+
+
+_SINGLE_MODES = ((1, 0), (0, 1), (2, -1), (-1, 2), (3, 1))
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(16, 16), TorusGrid(24, 16)]
+                         + [TorusGrid(side, side) for side in (4, 8, 12)],
+                         ids=lambda g: f"{g.n1}x{g.n2}")
+def test_additive_coords_match_the_quadrature_route(grid):
+    # the channel coordinates read off the recipes against sigma at u = 0
+    # sampled on the grid and analysed, the route they replace; 4, 8 and
+    # 12 are the single-mode law's grids of _SINGLE_MODES, and each grid
+    # takes the single-mode models its band holds
+    from ans2d.noise import sigma_coords
+    from ans2d.sde import _Stepper
+
+    models = [_band_recipes(grid, grid.n1 + grid.n2)]
+    models += [single_mode_noise(grid, m, 0.7) for m in _SINGLE_MODES
+               if max(abs(m[0]), abs(m[1])) <= min(grid.band1, grid.band2)]
+    top = max_level(grid)
+
+    def quadrature(model, frame):
+        zero = np.zeros((1, grid.n1, grid.n2), dtype=complex)  # phys of u = 0
+        return sigma_coords(model, frame, zero, np.eye(model.n_modes),
+                            model.coefficient_fields(grid))
+
+    for model in models:
+        assert model.is_additive
+        # the model's largest coordinate: a level without its modes reads
+        # exact zeros, against the transforms' rounding on the quadrature route
+        scale = np.max(np.abs(quadrature(model, GalerkinFrame(grid, top))))
+        assert scale > 0.0
+        for n in sorted({min(n, top) for n in (1, 4, 7, 8, 16, 33, top)}):
+            ref = quadrature(model, GalerkinFrame(grid, n))
+            got = _Stepper(grid, model, SdeConfig(galerkin_n=n)).additive
+            assert got.shape == ref.shape == (model.n_modes, n)
+            assert np.max(np.abs(got - ref)) <= 1e-14 * scale, (n, model)
+
+
 @pytest.mark.parametrize("model, drop", [
     (make_model([], ["0.1*cos(1,0) + 0.05*cos(0,1)", "0.07*cos(1,0) - 0.04*cos(0,1)"], "one"),
      False),
