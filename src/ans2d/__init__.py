@@ -33,7 +33,6 @@ from .norms import (
 )
 from .sde import (
     SdeConfig,
-    SdeTrajectory,
     ito_isometry_audit,
     ou_mode_validation,
     pathwise_uniqueness_experiment,

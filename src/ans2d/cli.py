@@ -46,11 +46,9 @@ from .spectral import (
     zeros_spectral,
 )
 
-DET_CSV_COLUMNS = ("t", "l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "int_d1_sq",
-                   "int_d1d2_sq", "energy_residual", "c_emp", "weighted_h01")
-SDE_CSV_COLUMNS = ("t", "l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "int_d1_sq",
-                   "int_d1d2_sq", "h_t", "weighted_h01", "noise_work",
-                   "hs_norm_sq")
+_LEADING_COLUMNS = ("t", "l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "int_d1_sq", "int_d1d2_sq")
+DET_CSV_COLUMNS = _LEADING_COLUMNS + ("energy_residual", "c_emp", "weighted_h01")
+SDE_CSV_COLUMNS = _LEADING_COLUMNS + ("h_t", "weighted_h01", "noise_work", "hs_norm_sq")
 
 
 def _fmt(value: Any) -> str:
@@ -103,6 +101,13 @@ def _samples(frame: GalerkinFrame, a: np.ndarray) -> PhysicalField:
     """Grid samples of coordinates a in frame: synth's row u1 + i u2, split."""
     z = frame.synth(a)[0]
     return PhysicalField(frame.grid, np.stack((z.real, z.imag)))
+
+
+def _leading_columns(traj: det_mod.Trajectory) -> list[np.ndarray]:
+    """The _LEADING_COLUMNS of a run-det or run-sde record; integrals use the clock's dt."""
+    d, dt = traj.diag, traj.config.dt
+    return [traj.t, d["l2_sq"], d["d1_sq"], d["d2_sq"], d["d1d2_sq"],
+            cumulative_trapezoid(d["d1_sq"], dt), cumulative_trapezoid(d["d1d2_sq"], dt)]
 
 
 def _split_recipes(text: str) -> list[str]:
@@ -179,9 +184,7 @@ def _cmd_run_det(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
     traj = det_mod.run_det(u0, _section(cfg, det_mod.DetConfig, "det"))
     energy = det_mod.energy_certificate(traj)
     h01 = det_mod.h01_certificate(traj)
-    rows = zip(traj.t, traj.l2_sq, traj.d1_sq, traj.d2_sq, traj.d1d2_sq,
-               traj.int_d1_sq, traj.int_d1d2_sq, energy.residual, h01.c_emp,
-               h01.weighted)
+    rows = zip(*_leading_columns(traj), energy.residual, h01.c_emp, h01.weighted)
     _write_csv(out / "det_series.csv", DET_CSV_COLUMNS, list(rows))
     write_snapshot(out / "final_state.ans2", _samples(traj.frame, traj.final_coords), traj.t[-1])
     extra = {"energy_rel_residual": energy.verdict.measured,
@@ -199,18 +202,15 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
     u0 = _initial_field(grid, cfg)
     gate = _gate(cfg, args, model, "existence")
     traj = sde_mod.run_sde(u0, model, scfg)
-    int_d1 = cumulative_trapezoid(traj.diag["d1_sq"], np.diff(traj.t))
-    int_d1d2 = cumulative_trapezoid(traj.diag["d1d2_sq"], np.diff(traj.t))
-    rows = zip(traj.t, traj.diag["l2_sq"], traj.diag["d1_sq"], traj.diag["d2_sq"],
-               traj.diag["d1d2_sq"], int_d1, int_d1d2, traj.weighted.h,
-               traj.weighted.weighted_h01, traj.diag["noise_work"],
-               traj.diag["hs_sq"])
+    weighted = sde_mod.weighted_h01_series(traj.t, traj.diag, scfg.alpha_tilde)
+    rows = zip(*_leading_columns(traj), weighted.h, weighted.weighted_h01,
+               traj.diag["noise_work"], traj.diag["hs_sq"])
     _write_csv(out / "sde_series.csv", SDE_CSV_COLUMNS, list(rows))
     write_snapshot(out / "final_state.ans2", _samples(traj.frame, traj.final_coords), traj.t[-1])
     extra = {
         "existence_gate": gate.existence_ok,
         "gate": gate.describe() if model.n_modes else "no noise",
-        "c_emp_sup": traj.weighted.c_emp_sup,
+        "c_emp_sup": weighted.c_emp_sup,
         "final_l2_sq": float(traj.diag["l2_sq"][-1]),
     }
     return ["sde_series.csv", "final_state.ans2"], [], extra
@@ -241,19 +241,26 @@ def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> C
     return ["ensemble_moments.csv"], [report.uniform], extra
 
 
-def _random_fields(cfg: dict[str, Any], grid: TorusGrid) -> Iterator[SpectralField]:
-    """The verify.n_fields random fields of verify and oracle-check, from verify.seed."""
+def _random_fields(cfg: dict[str, Any], grid: TorusGrid, rows: int) -> Iterator[SpectralField]:
+    """The verify.n_fields random fields of verify and oracle-check, from verify.seed.
+
+    Each adds rows report rows of under 256 bytes (a verify row takes about
+    165), whose total is checked before a field is drawn.
+    """
+    n = cfg["verify.n_fields"]
+    with _config_value("verify.n_fields: "):
+        check_array_bytes(f"the report rows of {n} fields", 256 * rows * n, "a report may take")
     rng = np.random.default_rng(cfg["verify.seed"])
     band = min(cfg["verify.band"], grid.band1, grid.band2)
-    for _ in range(cfg["verify.n_fields"]):
-        yield random_solenoidal_field(grid, band=band, amplitude=1.0, rng=rng)
+    return (random_solenoidal_field(grid, band=band, amplitude=1.0, rng=rng) for _ in range(n))
 
 
 def _cmd_verify(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
     report = norms_mod.NormReport()
     frame = GalerkinFrame(grid, max_level(grid))  # each field lies in its span
-    for u in _random_fields(cfg, grid):
+    # per field: 4 embedding rows per component, 2 Minkowski rows
+    for u in _random_fields(cfg, grid, rows=10):
         samples = _samples(frame, frame.coords(u.coeffs)).samples
         for comp in range(2):
             norms_mod.check_anisotropic_embedding(grid, samples[comp], report)
@@ -277,7 +284,7 @@ def _cmd_oracle_check(cfg: dict[str, Any], out: Path, args: argparse.Namespace) 
         raise ConfigError(f"verify.n_fields={cfg['verify.n_fields']} must be >= {len(levels)}: "
                           f"oracle-check gives one field to each of the levels {levels}")
     rows = []
-    for i, u in enumerate(_random_fields(cfg, grid)):
+    for i, u in enumerate(_random_fields(cfg, grid, rows=1)):
         level = levels[i % len(levels)]  # one oracle call per field
         rel = sde_mod.drift_oracle_error(u, level)
         rows.append((i, level, rel, rel <= tol))

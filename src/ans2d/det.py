@@ -36,6 +36,8 @@ ENERGY_REL_TOL = 1e-4  # energy residual allowed, relative to ||u0||^2
 H01_SLACK = 1e-6       # weighted vertical-energy increase allowed, relative to its start
 GAP_TOL = 0.05         # slack (1 + tol) of both two-solution gap bounds
 MAX_STEPS = 10 ** 7    # most steps a run may take; a run's arrays hold n_steps + 1 rows
+# the recorded columns, those of _coord_rows; cross is (d2(u.grad u), d2 u)
+DIAG_NAMES = ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "h11_sq", "cross")
 
 
 @dataclass
@@ -53,6 +55,9 @@ class Clock:
         if not self.t_end / self.dt <= MAX_STEPS:
             raise ValueError(f"t_end / dt = {self.t_end / self.dt:.6g} exceeds "
                              f"{MAX_STEPS} steps")
+        if self.n_steps < 1:
+            raise ValueError(f"t_end / dt = {self.t_end / self.dt:.6g} gives 0 steps; "
+                             f"a run needs at least 1")
 
     @property
     def n_steps(self) -> int:
@@ -105,28 +110,24 @@ class DetConfig(Clock):
             raise ValueError(f"integrator must be one of {INTEGRATORS}, got {self.integrator!r}")
         if self.eps_v < 0.0:
             raise ValueError("eps_v must be >= 0")
+        # a float product overflows to inf, where eps_v ** 2 would raise
+        if not np.isfinite(self.eps_v * self.eps_v):
+            raise ValueError(f"eps_v = {self.eps_v:.6g} has no finite square")
 
 
 @dataclass
 class Trajectory:
-    """Per-step diagnostics plus the final state.
+    """The record of a run of either engine (run_det, sde.run_sde).
 
-    Squared norms are recorded at every step; int_* columns are running
-    trapezoid integrals of the matching squared norm.  cross holds the
-    vertical advection pairing (d2(u.grad u), d2 u).  final_coords holds
-    the (n,) coordinates in frame (on frame.grid) of the state at t[-1].
+    diag maps each recorded name (DIAG_NAMES, sde.DIAG_NAMES) to its column
+    over t; values derived from the columns are computed where they are
+    read.  final_coords holds the (n,) coordinates in frame (on
+    frame.grid) of the state at t[-1].
     """
 
-    config: DetConfig
+    config: Clock
     t: np.ndarray
-    l2_sq: np.ndarray
-    d1_sq: np.ndarray
-    d2_sq: np.ndarray
-    d1d2_sq: np.ndarray
-    cross: np.ndarray
-    int_d1_sq: np.ndarray
-    int_d2_sq: np.ndarray
-    int_d1d2_sq: np.ndarray
+    diag: dict[str, np.ndarray]
     final_coords: np.ndarray
     frame: GalerkinFrame
 
@@ -202,20 +203,12 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
     u0 must be Hermitian; the run starts from its projection onto the
     dealiased, solenoidal, mean-free span.
     """
-    grid = u0.grid
-    frame = GalerkinFrame(grid, max_level(grid))
-    dt = cfg.dt
-    cols = {name: np.zeros(cfg.n_steps + 1) for name in
-            ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "cross")}
+    frame = GalerkinFrame(u0.grid, max_level(u0.grid))
+    diag = {name: np.zeros(cfg.n_steps + 1) for name in DIAG_NAMES}
     for i, a, drift in _march(frame.coords(u0.coeffs), frame, cfg):
-        row = _coord_rows(frame, a, drift)
-        for name in cols:
-            cols[name][i] = row[name]
-
-    return Trajectory(config=cfg, t=cfg.times, final_coords=a, frame=frame,
-                      int_d1_sq=cumulative_trapezoid(cols["d1_sq"], dt),
-                      int_d2_sq=cumulative_trapezoid(cols["d2_sq"], dt),
-                      int_d1d2_sq=cumulative_trapezoid(cols["d1d2_sq"], dt), **cols)
+        for name, value in _coord_rows(frame, a, drift).items():
+            diag[name][i] = value
+    return Trajectory(config=cfg, t=cfg.times, diag=diag, final_coords=a, frame=frame)
 
 
 # ---------------------------------------------------------------------------
@@ -230,19 +223,20 @@ class EnergyReport:
     verdict: Verdict
 
 
-def energy_certificate(traj: Trajectory, rel_tol: float = ENERGY_REL_TOL) -> EnergyReport:
+def energy_certificate(traj: Trajectory) -> EnergyReport:
     """Energy balance audit.
 
     Checks R(t) = ||u(t)||^2 + 2 int ||d1 u||^2 + 2 eps^2 int ||d2 u||^2
-    - ||u0||^2 stays below rel_tol * ||u0||^2; R carries the trapezoid and
-    integrator bias, both second order in dt.
+    - ||u0||^2 stays below ENERGY_REL_TOL * ||u0||^2; R carries the
+    trapezoid and integrator bias, both second order in dt.
     """
-    eps = traj.config.eps_v
-    residual = (traj.l2_sq + 2.0 * traj.int_d1_sq + 2.0 * eps ** 2 * traj.int_d2_sq
-                - traj.l2_sq[0])
-    scale = float(traj.l2_sq[0]) if traj.l2_sq[0] > 0 else 1.0
+    d, dt, eps = traj.diag, traj.config.dt, traj.config.eps_v
+    l2 = d["l2_sq"]
+    residual = (l2 + 2.0 * cumulative_trapezoid(d["d1_sq"], dt)
+                + 2.0 * eps ** 2 * cumulative_trapezoid(d["d2_sq"], dt) - l2[0])
+    scale = float(l2[0]) if l2[0] > 0 else 1.0
     return EnergyReport(residual=residual, verdict=verdict(
-        "energy_certificate", np.abs(residual) / scale, rel_tol, traj.t))
+        "energy_certificate", np.abs(residual) / scale, ENERGY_REL_TOL, traj.t))
 
 
 @dataclass
@@ -256,25 +250,27 @@ class H01Report:
     bound: Verdict
 
 
-def h01_certificate(traj: Trajectory, slack: float = H01_SLACK) -> H01Report:
+def h01_certificate(traj: Trajectory) -> H01Report:
     """Vertical-gradient decay audit with a run-measured constant.
 
     c_emp(t) = |(d2(u.grad u), d2 u)| / (||d1 d2 u|| ||d1 u|| ||d2 u||) is the
     realized constant of the trilinear bound; with C = young_h01(sup(c_emp),
     1/2) = sup(c_emp)^2 / 2 the weighted quantity
     exp(-2C int ||d1 u||^2) ||d2 u||^2 must not increase by more than
-    slack * its initial value at any step, which also yields
+    H01_SLACK times its initial value at any step, which also yields
     ||d2 u(t)||^2 <= ||d2 u(0)||^2 exp(2C int ||d1 u||^2).
     """
-    c_emp, c_sup, _, q = absorb(traj.cross, np.sqrt(traj.d1d2_sq * traj.d1_sq * traj.d2_sq),
-                                traj.d1_sq, traj.config.dt, young_h01, YOUNG_WEIGHT)
-    weighted = np.exp(-q) * traj.d2_sq
-    allowance = slack * weighted[0] if weighted[0] > 0 else slack
-    bound = traj.d2_sq[0] * np.exp(q) * (1.0 + slack) + allowance
+    d = traj.diag
+    d1, d2 = d["d1_sq"], d["d2_sq"]
+    c_emp, c_sup, _, q = absorb(d["cross"], np.sqrt(d["d1d2_sq"] * d1 * d2), d1,
+                                traj.config.dt, young_h01, YOUNG_WEIGHT)
+    weighted = np.exp(-q) * d2
+    allowance = H01_SLACK * weighted[0] if weighted[0] > 0 else H01_SLACK
+    bound = d2[0] * np.exp(q) * (1.0 + H01_SLACK) + allowance
     return H01Report(c_emp=c_emp, c_sup=float(c_sup), weighted=weighted,
                      monotone=verdict("h01_monotone", np.maximum(np.diff(weighted), 0.0),
                                       allowance, traj.t[1:]),
-                     bound=verdict("h01_bound", traj.d2_sq, bound, traj.t))
+                     bound=verdict("h01_bound", d2, bound, traj.t))
 
 
 @dataclass

@@ -80,10 +80,8 @@ def _level_estimates(u0: SpectralField, model: NoiseModel, cfg_n: SdeConfig,
     """Per-path MOMENTS samples of one batch of increments at the level of cfg_n."""
     # the moments read no Hilbert-Schmidt column
     run = _run_batched(u0.coeffs, u0.grid, model, cfg_n, increments, with_hs=False)
-    d = run.diag
-    ws = weighted_h01_series(run.t, d["d1_sq"], d["d1d2_sq"], d["d2_sq"], d["cross"],
-                             d["h01_sq"], d["h11_sq"], cfg_n.alpha_tilde)
-    return {name: sample(d, ws, cfg_n.dt) for name, (sample, _) in MOMENTS.items()}
+    ws = weighted_h01_series(run.t, run.diag, cfg_n.alpha_tilde)
+    return {name: sample(run.diag, ws, cfg_n.dt) for name, (sample, _) in MOMENTS.items()}
 
 
 def _moment_estimates(level: int, n_paths: int, samples: dict[str, np.ndarray],

@@ -23,6 +23,7 @@ K2 = (1+eta) M1, Kt2 = 2 (1+eta) M1, L2 = (1+eta) M1 directly.
 from __future__ import annotations
 
 import functools
+import math
 import re
 from dataclasses import dataclass
 from typing import Sequence
@@ -116,11 +117,24 @@ def _g_funcs(kind: str):
 Channels = tuple[np.ndarray, np.ndarray]
 
 
+def _sum_sq(what: str, values) -> float:
+    """The sum of squares what; ValueError when it is not a finite number."""
+    try:
+        total = sum(v ** 2 for v in values)
+    except OverflowError:  # float ** raises where a product would give inf
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError(f"{what} = {total!r}: amplitudes and their squares must be finite")
+    return total
+
+
 def required_budgets(c: Sequence[ScalarRecipe], b: Sequence[ScalarRecipe]
                      ) -> tuple[float, float]:
-    """Smallest budgets (M1, M2) the recipes allow, as in the module docstring."""
-    m1 = sum((r.sup_bound() + r.sup_bound_d(1) + r.sup_bound_d(2)) ** 2 for r in c)
-    m2 = max(sum(r.sup_bound() ** 2 for r in b), sum(r.sup_bound_d(2) ** 2 for r in b))
+    """Smallest budgets (M1, M2) the recipes allow, as in the module docstring; both finite."""
+    m1 = _sum_sq("c recipes need M1", (r.sup_bound() + r.sup_bound_d(1) + r.sup_bound_d(2)
+                                       for r in c))
+    m2 = max(_sum_sq("b recipes need M2", (r.sup_bound() for r in b)),
+             _sum_sq("b recipes need M2", (r.sup_bound_d(2) for r in b)))
     return m1, m2
 
 

@@ -16,6 +16,7 @@ import numpy as np
 from .spectral import TorusGrid
 
 MEASURE = (2.0 * np.pi) ** 2
+CHECK_SLACK = 1e-9  # relative slack of the embedding and Minkowski checks
 
 
 # ---------------------------------------------------------------------------
@@ -180,8 +181,7 @@ def _scalar_grad(grid: TorusGrid, samples: np.ndarray) -> tuple[np.ndarray, np.n
 
 
 def check_anisotropic_embedding(grid: TorusGrid, samples: np.ndarray,
-                                report: NormReport | None = None,
-                                slack: float = 1e-9) -> NormReport:
+                                report: NormReport | None = None) -> NormReport:
     """Periodic sup-trace bounds in both axis orientations.
 
     For scalar f on the torus:
@@ -205,8 +205,8 @@ def check_anisotropic_embedding(grid: TorusGrid, samples: np.ndarray,
 
     rhs_h = l2 ** 2 / (2.0 * np.pi) + 2.0 * l2 * l2_d1
     rhs_v = l2 ** 2 / (2.0 * np.pi) + 2.0 * l2 * l2_d2
-    report.add("embedding_sup_x1", sup_h ** 2, rhs_h, 2.0, slack=slack)
-    report.add("embedding_sup_x2", sup_v ** 2, rhs_v, 2.0, slack=slack)
+    report.add("embedding_sup_x1", sup_h ** 2, rhs_h, 2.0, slack=CHECK_SLACK)
+    report.add("embedding_sup_x2", sup_v ** 2, rhs_v, 2.0, slack=CHECK_SLACK)
 
     # whole-space form, reported only: ratio of lhs^2 to 2 ||f|| ||d f||
     for name, sup, prod in (("wholespace_ratio_x1", sup_h, l2 * l2_d1),
@@ -217,8 +217,7 @@ def check_anisotropic_embedding(grid: TorusGrid, samples: np.ndarray,
 
 
 def check_minkowski(grid: TorusGrid, samples: np.ndarray, p: float, q: float,
-                    report: NormReport | None = None,
-                    slack: float = 1e-9) -> NormReport:
+                    report: NormReport | None = None) -> NormReport:
     """Iterated-norm ordering: for q <= p, the outer-p order is the smaller."""
     if report is None:
         report = NormReport()
@@ -226,5 +225,5 @@ def check_minkowski(grid: TorusGrid, samples: np.ndarray, p: float, q: float,
         raise ValueError(f"ordering needs q <= p, got q={q} > p={p}")
     lhs = mixed_norm(grid, samples, p, q, h_outer=True)
     rhs = mixed_norm(grid, samples, p, q, h_outer=False)
-    report.add(f"minkowski_p{p:g}_q{q:g}", lhs, rhs, 1.0, slack=slack)
+    report.add(f"minkowski_p{p:g}_q{q:g}", lhs, rhs, 1.0, slack=CHECK_SLACK)
     return report

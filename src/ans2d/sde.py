@@ -41,7 +41,7 @@ import numpy as np
 
 from . import det, spectral
 from .basis import GalerkinFrame, is_canonical, max_level, quadrature_grid
-from .det import GAP_TOL, Clock, GapReport, _coord_rows, _GapAudit
+from .det import GAP_TOL, Clock, GapReport, Trajectory, _coord_rows, _GapAudit
 from .noise import (
     DEFAULT_ETA,
     NoiseModel,
@@ -55,8 +55,7 @@ from .noise import (
 from .norms import YOUNG_WEIGHT, absorb, cumulative_trapezoid, young_h01
 from .spectral import SpectralField, TorusGrid
 
-DIAG_NAMES = ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "h01_sq", "h11_sq",
-              "cross", "noise_work", "hs_sq")
+DIAG_NAMES = det.DIAG_NAMES + ("noise_work", "hs_sq")
 N_SE = 5.0      # standard errors allowed to the Monte Carlo audits
 BETA_HAT = 0.5  # Gronwall split of the noise's Lipschitz channel in the gap bound
 
@@ -166,11 +165,8 @@ class _Stepper:
 def _diag_row(stepper: _Stepper, a: np.ndarray, drift: np.ndarray, noise_work: np.ndarray,
               with_hs: bool, phys: np.ndarray | None) -> dict[str, np.ndarray]:
     """Diagnostics of a batch of coordinates a; drift and phys are the step's."""
-    row = _coord_rows(stepper.frame, a, drift)
-    l2 = row["l2_sq"]
-    hs = stepper.hs_sq(a, phys) if with_hs else np.zeros_like(l2)
-    row.update(h01_sq=l2 + row["d2_sq"], noise_work=noise_work, hs_sq=hs)
-    return row
+    hs = stepper.hs_sq(a, phys) if with_hs else np.zeros(a.shape[:-1])
+    return {**_coord_rows(stepper.frame, a, drift), "noise_work": noise_work, "hs_sq": hs}
 
 
 ORACLE_TOL = 1e-12  # relative error allowed against the direct-convolution oracle
@@ -254,9 +250,8 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
     def record(i: int, noise_work: np.ndarray, drift: np.ndarray | float | None,
                phys: np.ndarray | None) -> None:
         if with_diag:
-            row = _diag_row(stepper, a, drift, noise_work, with_hs, phys)
-            for name in DIAG_NAMES:
-                diag[name][i] = row[name]
+            for name, value in _diag_row(stepper, a, drift, noise_work, with_hs, phys).items():
+                diag[name][i] = value
         if on_step is not None:
             on_step(i, a)
 
@@ -299,47 +294,36 @@ class WeightedSeries:
     int_weighted_h11: np.ndarray
 
 
-def weighted_h01_series(t: np.ndarray, d1_sq: np.ndarray, d1d2_sq: np.ndarray,
-                        d2_sq: np.ndarray, cross: np.ndarray, h01_sq: np.ndarray,
-                        h11_sq: np.ndarray, alpha_tilde: float = YOUNG_WEIGHT) -> WeightedSeries:
+def weighted_h01_series(t: np.ndarray, diag: dict[str, np.ndarray],
+                        alpha_tilde: float = YOUNG_WEIGHT) -> WeightedSeries:
     """Damping exponent h(t) = 2 C(alpha) int ||d1 u||^2 and its weighted norms.
 
     C(alpha) = young_h01(sup(c_emp), alpha) = sup(c_emp)^2 / (4 alpha)
     converts the realized trilinear constant through Young's inequality
-    with weight alpha on ||d1 d2 u||^2.  Columns run over time on axis 0:
+    with weight alpha on ||d1 d2 u||^2, and weights ||u||^2 + ||d2 u||^2 and
+    ||u||^2_{H^{1,1}}.  diag holds the DIAG_NAMES columns over t on axis 0:
     (n_steps+1,) for one path or (n_steps+1, B) for a batch, each path with
     its own sup and C(alpha).
     """
     steps = np.diff(t)
-    _, c_sup, big_c, h = absorb(cross, np.sqrt(d1d2_sq * d1_sq * d2_sq), d1_sq, steps,
+    d1, d2 = diag["d1_sq"], diag["d2_sq"]
+    _, c_sup, big_c, h = absorb(diag["cross"], np.sqrt(diag["d1d2_sq"] * d1 * d2), d1, steps,
                                 young_h01, alpha_tilde)
     return WeightedSeries(big_c=big_c, c_emp_sup=c_sup, h=h,
-                          weighted_h01=np.exp(-h) * h01_sq,
-                          int_weighted_h11=cumulative_trapezoid(np.exp(-h) * h11_sq, steps))
+                          weighted_h01=np.exp(-h) * (diag["l2_sq"] + d2),
+                          int_weighted_h11=cumulative_trapezoid(np.exp(-h) * diag["h11_sq"],
+                                                                steps))
 
 
-@dataclass
-class SdeTrajectory:
-    t: np.ndarray
-    diag: dict[str, np.ndarray]  # per-step scalars, shape (n_steps+1,)
-    weighted: WeightedSeries
-    final_coords: np.ndarray  # (n,) coordinates in frame of the state at t[-1]
-    frame: GalerkinFrame
-
-
-def run_sde(u0: SpectralField, model: NoiseModel, cfg: SdeConfig) -> SdeTrajectory:
-    """Single stochastic trajectory with full diagnostics.
+def run_sde(u0: SpectralField, model: NoiseModel, cfg: SdeConfig) -> Trajectory:
+    """Single stochastic trajectory with full diagnostics (DIAG_NAMES).
 
     The path uses trajectory index 0 of the seed's increment stream; u0
     must be Hermitian.
     """
     run = _run_batched(u0.coeffs, u0.grid, model, cfg, draw_increments(model, cfg, (0,)))
-    diag = {name: run.diag[name][:, 0] for name in DIAG_NAMES}
-    weighted = weighted_h01_series(run.t, diag["d1_sq"], diag["d1d2_sq"],
-                                   diag["d2_sq"], diag["cross"], diag["h01_sq"],
-                                   diag["h11_sq"], cfg.alpha_tilde)
-    return SdeTrajectory(t=run.t, diag=diag, weighted=weighted, final_coords=run.final[0],
-                         frame=run.frame)
+    diag = {name: col[:, 0] for name, col in run.diag.items()}
+    return Trajectory(config=cfg, t=run.t, diag=diag, final_coords=run.final[0], frame=run.frame)
 
 
 @dataclass

@@ -40,6 +40,7 @@ from ans2d.norms import (
     MEASURE,
     NormReport,
     check_anisotropic_embedding,
+    cumulative_trapezoid,
     norm_rows,
 )
 from ans2d.sde import (
@@ -79,7 +80,7 @@ def test_criterion_01_shear_decay():
     traj = run_det(u0, DetConfig(dt=1e-3, t_end=1.0, integrator="if-rk2"))
     l2_0 = float(norm_rows(u0.coeffs, grid)["l2_sq"])
     exact = l2_0 * np.exp(-2.0 * traj.t)
-    err = float(np.max(np.abs(traj.l2_sq - exact)) / l2_0)
+    err = float(np.max(np.abs(traj.diag["l2_sq"] - exact)) / l2_0)
     final = traj.frame.lift(traj.final_coords)
     state_err = float(np.max(np.abs(final - np.exp(-1.0) * u0.coeffs)))
     elapsed = time.process_time() - start
@@ -127,8 +128,8 @@ def test_criterion_04_vertical_gradient_certificate():
     grid = TorusGrid(64, 64)
     u0 = _field(grid, 4, 1)
     traj = run_det(u0, DetConfig(dt=1e-3, t_end=1.0, integrator="if-rk2"))
-    report = h01_certificate(traj, slack=H01_SLACK)
-    int_d1d2 = float(traj.int_d1d2_sq[-1])
+    report = h01_certificate(traj)
+    int_d1d2 = float(cumulative_trapezoid(traj.diag["d1d2_sq"], traj.config.dt)[-1])
     ok = report.monotone.passed and report.bound.passed and np.isfinite(int_d1d2)
     _verdict(4, ok, f"max_step_increase={report.monotone.measured:.3e} "
                     f"(allowed {H01_SLACK * report.weighted[0]:.3e}) c_sup={report.c_sup:.3f} "

@@ -32,14 +32,19 @@ def test_config_validation():
         DetConfig(integrator="euler")
     with pytest.raises(ValueError):
         DetConfig(eps_v=-0.1)
+    with pytest.raises(ValueError, match="finite square"):  # eps_v ** 2 would overflow
+        DetConfig(eps_v=1e300)
     assert DetConfig(dt=1e-3, t_end=1.0).n_steps == 1000
 
 
 @pytest.mark.parametrize("cls", [DetConfig, SdeConfig])
-@pytest.mark.parametrize("dt,t_end", [(1e-300, 1.0), (1e-3, 1e300), (1e-3, float("nan"))])
+@pytest.mark.parametrize("dt,t_end", [(1e-300, 1.0), (1e-3, 1e300), (1e-3, float("nan")),
+                                      (1e300, 1.0), (1e23, 2.0), (1e-3, 1e-300)])
 def test_clock_bounds_the_step_count(cls, dt, t_end):
     # t_end / dt = 1e300 would size the run's arrays past numpy's limit, and
-    # 1e300 / 1e-3 overflows to inf: both are refused before int() sees them
+    # 1e300 / 1e-3 overflows to inf: both are refused before int() sees them.
+    # A ratio below 1e-12 gives 0 steps: run-det's certificates would index
+    # an empty series, and an SDE command would exit 0 having stepped nothing
     with pytest.raises(ValueError, match="steps"):
         cls(dt=dt, t_end=t_end)
     assert cls(dt=0.25, t_end=det_mod.MAX_STEPS * 0.25).n_steps == det_mod.MAX_STEPS
@@ -55,13 +60,14 @@ def test_horizontal_shear_decays_exactly(grid16, integrator):
     traj = run_det(u0, cfg)
     l2_0 = float(norm_rows(u0.coeffs, grid16)["l2_sq"])
     exact = l2_0 * np.exp(-2.0 * traj.t)
-    assert np.max(np.abs(traj.l2_sq - exact)) <= 1e-10 * l2_0
+    assert np.max(np.abs(traj.diag["l2_sq"] - exact)) <= 1e-10 * l2_0
 
 
 def test_vertical_shear_is_steady_without_vertical_viscosity(grid16):
     u0 = shear_field(grid16, axis=2)
     traj = run_det(u0, DetConfig(dt=1e-2, t_end=0.3, eps_v=0.0))
-    assert np.max(np.abs(traj.l2_sq - traj.l2_sq[0])) <= 1e-12
+    l2 = traj.diag["l2_sq"]
+    assert np.max(np.abs(l2 - l2[0])) <= 1e-12
     np.testing.assert_allclose(traj.frame.lift(traj.final_coords), u0.coeffs, atol=1e-13)
 
 
@@ -71,7 +77,7 @@ def test_vertical_shear_decays_with_regularization(grid16):
     traj = run_det(u0, DetConfig(dt=1e-2, t_end=0.3, eps_v=eps))
     l2_0 = float(norm_rows(u0.coeffs, grid16)["l2_sq"])
     exact = l2_0 * np.exp(-2.0 * eps ** 2 * traj.t)
-    assert np.max(np.abs(traj.l2_sq - exact)) <= 1e-10 * l2_0
+    assert np.max(np.abs(traj.diag["l2_sq"] - exact)) <= 1e-10 * l2_0
 
 
 def test_energy_certificate_and_dt_order(grid32, make_field):

@@ -484,6 +484,96 @@ def test_cli_step_count_beyond_max_steps_is_config_error(tmp_path, command, line
     assert "steps" in man["error"]["message"]
 
 
+# the config table: every numeric key of config.SCHEMA at each edge value,
+# run by the cheapest command that reads its section (8^2 grid, 2 steps; the
+# base config passes every command)
+_TABLE_COMMAND = {"grid": "run-det", "init": "run-det", "det": "run-det", "sde": "run-sde",
+                  "noise": "run-sde", "ensemble": "ensemble", "uniqueness": "uniqueness",
+                  "verify": "verify"}
+_TABLE_VALUES = ("0", "-1", "nan", "inf", "1e300", str(10 ** 23), "1e-300")
+_TABLE_BASE = """\
+grid.n1 = 8
+grid.n2 = 8
+init.kind = random
+init.band = 2
+det.dt = 1e-3
+det.t_end = 2e-3
+sde.dt = 1e-3
+sde.t_end = 2e-3
+sde.galerkin_n = 8
+noise.c_recipes = 0.05*cos(0,1)
+noise.b_recipes = 0.05*cos(1,0)
+noise.g = tanh
+ensemble.n_paths = 2
+ensemble.levels = 16,24
+ensemble.batch = 2
+verify.n_fields = 3
+verify.band = 2
+"""
+# rows with a fixed exit code: a run of no step, a square or a noise budget
+# that overflows, an infinite amplitude and an oversize battery are config
+# errors, while a finite amplitude that drives the flow past the guard blows up
+_TABLE_EXPECT = {
+    ("run-det", "det.dt", "1e300"): 2,
+    ("run-det", "det.dt", str(10 ** 23)): 2,
+    ("run-det", "det.t_end", "1e-300"): 2,
+    ("run-det", "det.eps_v", "1e300"): 2,
+    ("run-sde", "sde.dt", "1e300"): 2,
+    ("ensemble", "sde.dt", "1e300"): 2,
+    ("run-sde", "noise.b_recipes", "1e300*cos(1,0)"): 2,
+    ("run-sde", "noise.c_recipes", "1e200*cos(0,1)"): 2,
+    ("run-sde", "noise.b_recipes", "1e400*cos(1,0)"): 2,
+    ("run-sde", "noise.b_recipes", "1e154*cos(1,0)"): 3,
+    ("verify", "verify.n_fields", str(10 ** 23)): 2,
+    ("oracle-check", "verify.n_fields", str(10 ** 23)): 2,
+}
+# the child runs every case in-process; an exception main does not catch
+# is recorded as the interpreter would end on it: exit 1 and no manifest
+_TABLE_CHILD = """\
+import json, resource, sys
+from pathlib import Path
+resource.setrlimit(resource.RLIMIT_AS, (2 ** 31, 2 ** 31))
+src, root, base, cases = sys.argv[1], Path(sys.argv[2]), sys.argv[3], json.loads(sys.argv[4])
+sys.path.insert(0, src)
+from ans2d.cli import main
+results = []
+for i, (command, key, value) in enumerate(cases):
+    cfg, out = root / f"{i}.cfg", root / str(i)
+    cfg.write_text(base + f"{key} = {value}\\n")
+    try:
+        code = main([command, "--config", str(cfg), "--out", str(out), "--force"])
+    except Exception as exc:
+        code = f"1 ({type(exc).__name__}: {exc})"
+    manifest = out / "manifest.json"
+    results.append((code, json.loads(manifest.read_text())["exit_code"]
+                    if manifest.exists() else None))
+(root / "results.json").write_text(json.dumps(results))
+"""
+
+
+def test_cli_config_table_exits_with_documented_codes(tmp_path):
+    # every case ends in a documented exit code (0-3), which its manifest
+    # records; one child, capped at 2 GiB of address space, runs them all
+    import ans2d
+    from ans2d.config import SCHEMA
+
+    numeric = [key.name for key in SCHEMA if not isinstance(key.default, (str, bool))]
+    cases = [(_TABLE_COMMAND[name.split(".")[0]], name, value)
+             for name in numeric for value in _TABLE_VALUES]
+    cases += [case for case in _TABLE_EXPECT if case not in cases]
+    src = str(Path(ans2d.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", _TABLE_CHILD, src, str(tmp_path), _TABLE_BASE,
+                           json.dumps(cases)], capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    results = json.loads((tmp_path / "results.json").read_text())
+    assert len(numeric) == 23 and len(results) == len(cases)
+    bad = [f"{command} {key} = {value}: exit {code}, manifest {recorded}"
+           for (command, key, value), (code, recorded) in zip(cases, results)
+           if code not in (0, 1, 2, 3) or code != recorded
+           or _TABLE_EXPECT.get((command, key, value), code) != code]
+    assert not bad, "\n".join(bad)
+
+
 @pytest.mark.parametrize("command,lines", [
     ("run-det", "grid.n1 = 100000\ngrid.n2 = 100000\n"),  # 74.5 GiB per real field
     ("ensemble", "ensemble.n_paths = 1000000000000\nsde.t_end = 0.004\n"  # 7.28 TiB
@@ -712,7 +802,7 @@ def test_cli_exit_follows_the_failed_record(tmp_path, monkeypatch):
     assert [r["name"] for r in held] == ["energy_certificate", "h01_monotone", "h01_bound"]
     assert all(r["passed"] and r["t_first"] is None for r in held)
     tol = held[0]["measured"] / 2
-    monkeypatch.setattr(det.energy_certificate, "__defaults__", (tol,))
+    monkeypatch.setattr(det, "ENERGY_REL_TOL", tol)
     assert main(["run-det", "--config", cfg, "--out", str(tight)]) == 1
     man = _manifest(tight)
     with open(base / "det_series.csv", newline="") as fh:

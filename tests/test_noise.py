@@ -105,6 +105,20 @@ def test_model_below_its_required_m2_is_rejected():
         NoiseModel(c=c, b=b, m1=m1, m2=0.09)
 
 
+@pytest.mark.parametrize("c_text,b_text,budget", [
+    ([], ["1e300*cos(1,0)"], "M2"),   # sup|b|^2 overflows
+    (["1e200*cos(0,1)"], [], "M1"),   # (sup|c| + sup|d2 c|)^2 overflows
+    ([], ["1e400*cos(1,0)"], "M2"),   # the amplitude parses to inf
+])
+def test_budget_that_is_not_finite_is_refused(c_text, b_text, budget):
+    # float ** raises OverflowError where the budget should be refused, and an
+    # infinite amplitude left M2 = inf, which the gates (they read M1) let pass
+    with pytest.raises(ValueError, match=f"need {budget} = inf"):
+        make_model(c_text, b_text)
+    model = make_model([], ["1e154*cos(1,0)"])  # its square is finite
+    assert model.m2 == pytest.approx(1e308)
+
+
 # ---------------------------------------------------------------------------
 # sigma action: the SDE engine's sigma against full-grid references
 

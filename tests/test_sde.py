@@ -3,7 +3,7 @@ import pytest
 
 import fullgrid
 from ans2d.basis import GalerkinFrame, max_level, quadrature_grid
-from ans2d.det import DetConfig, run_det
+from ans2d.det import DIAG_NAMES, DetConfig, run_det
 from ans2d.noise import NoiseModel, make_model, sample_wiener_increment
 from ans2d.norms import norm_rows
 from ans2d.sde import (
@@ -52,7 +52,7 @@ def test_zero_noise_reduces_to_deterministic_euler(grid16, make_field):
     final_det = det.frame.lift(det.final_coords)
     scale = float(np.max(np.abs(final_det)))
     assert np.max(np.abs(sde.frame.lift(sde.final_coords) - final_det)) <= 1e-12 * scale
-    np.testing.assert_allclose(sde.diag["l2_sq"], det.l2_sq, rtol=1e-12)
+    np.testing.assert_allclose(sde.diag["l2_sq"], det.diag["l2_sq"], rtol=1e-12)
 
 
 def test_galerkin_projection_is_invariant(grid16, make_field):
@@ -122,8 +122,7 @@ def _manual_diag_row(u, model, n, work):
     adv = fullgrid.advection(u.coeffs, grid, n)
     d2adv, d2u = (fullgrid.deriv(c, grid, 2) for c in (adv, u.coeffs))
     chans = fullgrid.channels(model, u.coeffs, grid, n)
-    row.update(h01_sq=row["l2_sq"] + row["d2_sq"],
-               cross=fullgrid.inner(d2adv, d2u, grid),  # (d2 P_n(u.grad u), d2 u)
+    row.update(cross=fullgrid.inner(d2adv, d2u, grid),  # (d2 P_n(u.grad u), d2 u)
                noise_work=work,
                hs_sq=sum(fullgrid.inner(c, c, grid) for c in chans))
     return row
@@ -319,18 +318,19 @@ def test_weighted_series_recomputation(grid16, make_field):
     u0 = make_field(grid16, band=4, seed=6)
     cfg = SdeConfig(dt=2e-3, t_end=0.1, galerkin_n=12, seed=2, alpha_tilde=0.4)
     traj = run_sde(u0, _model_small(), cfg)
-    w = traj.weighted
+    w = weighted_h01_series(traj.t, traj.diag, cfg.alpha_tilde)
     # rebuild h from the recorded d1 column
     d1 = traj.diag["d1_sq"]
     h = np.zeros_like(d1)
     h[1:] = np.cumsum(0.5 * np.diff(traj.t) * (d1[:-1] + d1[1:])) * 2.0 * w.big_c
     np.testing.assert_allclose(w.h, h, atol=1e-15)
-    np.testing.assert_allclose(w.weighted_h01, np.exp(-h) * traj.diag["h01_sq"], rtol=1e-13)
+    h01 = traj.diag["l2_sq"] + traj.diag["d2_sq"]
+    np.testing.assert_allclose(w.weighted_h01, np.exp(-h) * h01, rtol=1e-13)
     assert w.big_c == pytest.approx(w.c_emp_sup ** 2 / (4.0 * cfg.alpha_tilde))
     assert np.all(np.diff(w.int_weighted_h11) >= 0.0)
-    ws = weighted_h01_series(traj.t, d1, traj.diag["d1d2_sq"], traj.diag["d2_sq"],
-                             traj.diag["cross"], traj.diag["h01_sq"],
-                             traj.diag["h11_sq"], cfg.alpha_tilde)
+    # the det columns alone give the same series: it reads no noise column
+    ws = weighted_h01_series(traj.t, {name: traj.diag[name] for name in DIAG_NAMES},
+                             cfg.alpha_tilde)
     np.testing.assert_allclose(ws.weighted_h01, w.weighted_h01, atol=0.0)
 
 
@@ -501,12 +501,11 @@ def test_step_loop_synthesizes_two_rows_without_c_channels(grid16, make_field, m
 
 def test_weighted_series_batch_matches_per_path(grid16, make_field):
     run = _batch_run(grid16, make_field, with_hs=False, n_paths=5, t_end=0.04)
-    d = run.diag
-    cols = ("d1_sq", "d1d2_sq", "d2_sq", "cross", "h01_sq", "h11_sq")
-    batch = weighted_h01_series(run.t, *(d[name] for name in cols), 0.4)
+    batch = weighted_h01_series(run.t, run.diag, 0.4)
     assert batch.c_emp_sup.shape == (5,)
     for j in range(5):
-        one = weighted_h01_series(run.t, *(d[name][:, j] for name in cols), 0.4)
+        one = weighted_h01_series(run.t, {name: col[:, j] for name, col in run.diag.items()},
+                                  0.4)
         assert batch.c_emp_sup[j] == one.c_emp_sup
         assert batch.big_c[j] == one.big_c
         for field in ("h", "weighted_h01", "int_weighted_h11"):
