@@ -33,9 +33,10 @@ from .config import _parse_count, echo_config, load_config
 from .ensemble import EnsembleConfig, moment_bound_report, run_ensemble
 from .errors import BlowUpError, ConfigError, GateError, UsageError
 from .noise import GateResult, NoiseModel, condition_c_bounds, condition_c_gate, make_model
-from .norms import Verdict, cumulative_trapezoid, verdict
+from .norms import MEASURE, Verdict, cumulative_trapezoid, verdict
 from .snapshots import write_snapshot
 from .spectral import (
+    ORACLE_MAX_POINTS,
     PhysicalField,
     SpectralField,
     TorusGrid,
@@ -81,20 +82,30 @@ def _grid(cfg: dict[str, Any]) -> TorusGrid:
         return TorusGrid(cfg["grid.n1"], cfg["grid.n2"])
 
 
+def _finite_norm(u: SpectralField, cfg: dict[str, Any], key: str) -> SpectralField:
+    """u, or a ConfigError naming key when ||u||^2 overflows: a blow-up guard
+    comparing states with an infinite norm could only report a blow-up."""
+    if not np.isfinite(MEASURE * np.vdot(u.coeffs, u.coeffs).real):  # builds no array
+        raise ConfigError(f"{key} = {cfg[key]!r}: the initial state's squared L2 norm overflows")
+    return u
+
+
 def _initial_field(grid: TorusGrid, cfg: dict[str, Any]) -> SpectralField:
     kind = cfg["init.kind"]
     amp = cfg["init.amplitude"]
     if kind == "taylor-green":
-        return taylor_green(grid, amplitude=amp)
-    if kind == "shear-x1":
-        return shear_field(grid, axis=1, amplitude=amp)
-    if kind == "shear-x2":
-        return shear_field(grid, axis=2, amplitude=amp)
-    if kind == "zero":
-        return zeros_spectral(grid)
-    rng = np.random.default_rng(cfg["init.seed"])
-    with _config_value():
-        return random_solenoidal_field(grid, band=cfg["init.band"], amplitude=amp, rng=rng)
+        u0 = taylor_green(grid, amplitude=amp)
+    elif kind == "shear-x1":
+        u0 = shear_field(grid, axis=1, amplitude=amp)
+    elif kind == "shear-x2":
+        u0 = shear_field(grid, axis=2, amplitude=amp)
+    elif kind == "zero":
+        u0 = zeros_spectral(grid)
+    else:
+        rng = np.random.default_rng(cfg["init.seed"])
+        with _config_value():
+            u0 = random_solenoidal_field(grid, band=cfg["init.band"], amplitude=amp, rng=rng)
+    return _finite_norm(u0, cfg, "init.amplitude")
 
 
 def _samples(frame: GalerkinFrame, a: np.ndarray) -> PhysicalField:
@@ -120,7 +131,7 @@ def _noise_model(cfg: dict[str, Any], grid: TorusGrid) -> NoiseModel:
     if not c and not b:
         return NoiseModel()
     with _config_value("bad noise recipes: "):
-        model = make_model(c, b, cfg["noise.g"], margin=cfg["noise.budget_margin"])
+        model = make_model(c, b, cfg["noise.g"])
         model.check_band(grid)
     return model
 
@@ -275,9 +286,9 @@ def _cmd_verify(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cmd
 
 def _cmd_oracle_check(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
-    if grid.n1 * grid.n2 > 1024:
-        raise ConfigError(
-            f"direct convolution oracle is limited to n1*n2 <= 1024, got {grid.n1}x{grid.n2}")
+    if grid.n_points > ORACLE_MAX_POINTS:
+        raise ConfigError(f"direct convolution oracle is limited to n1*n2 <= "
+                          f"{ORACLE_MAX_POINTS}, got {grid.n1}x{grid.n2}")
     tol = sde_mod.ORACLE_TOL
     levels = sde_mod.oracle_levels(grid)
     if cfg["verify.n_fields"] < len(levels):  # a level with no field would pass vacuously
@@ -320,7 +331,8 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
     with _config_value("uniqueness.pert_mode: "):
         unit[frame.column(_parse_mode(cfg["uniqueness.pert_mode"]))] = 1.0
     u0 = _initial_field(grid, cfg)
-    v0 = SpectralField(grid, u0.coeffs + cfg["uniqueness.perturbation"] * frame.lift(unit))
+    v0 = _finite_norm(SpectralField(grid, u0.coeffs + cfg["uniqueness.perturbation"]
+                                    * frame.lift(unit)), cfg, "uniqueness.perturbation")
     tol = cfg["uniqueness.tol"]
 
     extra = {"kind": cfg["uniqueness.kind"]}
@@ -339,9 +351,9 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
 
 
 def _cmd_plot_data(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
-    src = args.input or cfg["plot.input"]
+    src = args.input
     if not src:
-        raise ConfigError("plot-data needs --input or plot.input")
+        raise ConfigError("plot-data needs --input")
     try:
         with open(src, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)

@@ -119,7 +119,6 @@ SCHEMA: tuple[_Key, ...] = (
     _str_key("noise.b_recipes"),
     _str_key("noise.g", "one", tuple(G_FUNCS)),
     _Key("noise.eta", _parse_positive, DEFAULT_ETA),
-    _Key("noise.budget_margin", _parse_finite, 1.0),
     *_fields("ensemble", EnsembleConfig,
              _Key("n_paths", int), _Key("levels", _parse_levels, fmt=_fmt_levels),
              _Key("batch", int)),
@@ -130,7 +129,6 @@ SCHEMA: tuple[_Key, ...] = (
     _Key("verify.n_fields", _parse_positive_count, 100),
     _Key("verify.band", _parse_positive_count, 5),
     _Key("verify.seed", _parse_count, 0),
-    _str_key("plot.input"),
 )
 
 _BY_NAME = {k.name: k for k in SCHEMA}

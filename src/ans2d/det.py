@@ -37,7 +37,7 @@ H01_SLACK = 1e-6       # weighted vertical-energy increase allowed, relative to 
 GAP_TOL = 0.05         # slack (1 + tol) of both two-solution gap bounds
 MAX_STEPS = 10 ** 7    # most steps a run may take; a run's arrays hold n_steps + 1 rows
 # the recorded columns, those of _coord_rows; cross is (d2(u.grad u), d2 u)
-DIAG_NAMES = ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "h11_sq", "cross")
+DIAG_NAMES = ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "cross")
 
 
 @dataclass

@@ -12,7 +12,7 @@ The headline quantity per level n is
                / (1 + ||u0||^2),
 
 whose spread across levels certifies the uniform-in-n moment bound: the
-ensemble verdict holds max/min <= 2.
+ensemble verdict holds max/min <= SPREAD_BOUND.
 """
 
 from __future__ import annotations
@@ -25,6 +25,8 @@ from .noise import GateResult, NoiseModel
 from .norms import Verdict, cumulative_trapezoid, norm_rows, verdict
 from .sde import SdeConfig, _run_batched, draw_increments, weighted_h01_series
 from .spectral import SpectralField, check_array_bytes
+
+SPREAD_BOUND = 2.0  # largest max/min c_hat across levels the uniform verdict allows
 
 
 @dataclass
@@ -69,7 +71,7 @@ class MomentEstimates:
 
 @dataclass
 class EnsembleReport:
-    """uniform holds the spread max/min c_hat across levels to at most 2."""
+    """uniform holds the spread max/min c_hat across levels to at most SPREAD_BOUND."""
 
     levels: list[MomentEstimates]
     uniform: Verdict
@@ -115,7 +117,7 @@ def run_ensemble(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
     levels = [_moment_estimates(lvl, ens.n_paths, samples[lvl], u0_l2) for lvl in ens.levels]
     c_hats = [lv.c_hat for lv in levels]
     spread = float(max(c_hats) / min(c_hats)) if min(c_hats) > 0 else float("inf")
-    return EnsembleReport(levels=levels, uniform=verdict("uniform_ok", spread, 2.0))
+    return EnsembleReport(levels=levels, uniform=verdict("uniform_ok", spread, SPREAD_BOUND))
 
 
 def moment_bound_report(report: EnsembleReport, gate: GateResult) -> list[dict[str, object]]:

@@ -38,8 +38,7 @@ def norm_rows(coeffs: np.ndarray, grid: TorusGrid) -> dict[str, np.ndarray]:
 
 def power_rows(p: np.ndarray, k1sq: np.ndarray, k2sq: np.ndarray,
                axes: int | tuple[int, ...]) -> dict[str, np.ndarray]:
-    """||u||^2, ||d1 u||^2, ||d2 u||^2, ||d1 d2 u||^2 and the H^{1,1} norm
-    with weight (1 + k1^2)(1 + k2^2), from a spectral power p.
+    """||u||^2, ||d1 u||^2, ||d2 u||^2 and ||d1 d2 u||^2 from a spectral power p.
 
     p holds the power of each mode (or of each orthonormal coordinate) and
     k1sq, k2sq the squared wavevector components it carries; the sums run
@@ -48,8 +47,7 @@ def power_rows(p: np.ndarray, k1sq: np.ndarray, k2sq: np.ndarray,
     return {"l2_sq": p.sum(axis=axes),
             "d1_sq": (k1sq * p).sum(axis=axes),
             "d2_sq": (k2sq * p).sum(axis=axes),
-            "d1d2_sq": (k1sq * k2sq * p).sum(axis=axes),
-            "h11_sq": ((1.0 + k1sq) * (1.0 + k2sq) * p).sum(axis=axes)}
+            "d1d2_sq": (k1sq * k2sq * p).sum(axis=axes)}
 
 
 def trilinear_ratio(pairing: np.ndarray, denom: np.ndarray) -> np.ndarray:

@@ -48,7 +48,6 @@ from .noise import (
     ScalarRecipe,
     _channel_sum,
     condition_c_bounds,
-    required_budgets,
     sample_wiener_increment,
     sigma_coords,
 )
@@ -301,18 +300,18 @@ def weighted_h01_series(t: np.ndarray, diag: dict[str, np.ndarray],
     C(alpha) = young_h01(sup(c_emp), alpha) = sup(c_emp)^2 / (4 alpha)
     converts the realized trilinear constant through Young's inequality
     with weight alpha on ||d1 d2 u||^2, and weights ||u||^2 + ||d2 u||^2 and
-    ||u||^2_{H^{1,1}}.  diag holds the DIAG_NAMES columns over t on axis 0:
+    ||u||^2_{H^{1,1}}, the sum of the four recorded norms, as its weight is
+    (1 + k1^2)(1 + k2^2).  diag holds the DIAG_NAMES columns over t on axis 0:
     (n_steps+1,) for one path or (n_steps+1, B) for a batch, each path with
     its own sup and C(alpha).
     """
     steps = np.diff(t)
-    d1, d2 = diag["d1_sq"], diag["d2_sq"]
-    _, c_sup, big_c, h = absorb(diag["cross"], np.sqrt(diag["d1d2_sq"] * d1 * d2), d1, steps,
+    l2, d1, d2, d1d2 = (diag[name] for name in ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq"))
+    _, c_sup, big_c, h = absorb(diag["cross"], np.sqrt(d1d2 * d1 * d2), d1, steps,
                                 young_h01, alpha_tilde)
-    return WeightedSeries(big_c=big_c, c_emp_sup=c_sup, h=h,
-                          weighted_h01=np.exp(-h) * (diag["l2_sq"] + d2),
-                          int_weighted_h11=cumulative_trapezoid(np.exp(-h) * diag["h11_sq"],
-                                                                steps))
+    return WeightedSeries(big_c=big_c, c_emp_sup=c_sup, h=h, weighted_h01=np.exp(-h) * (l2 + d2),
+                          int_weighted_h11=cumulative_trapezoid(
+                              np.exp(-h) * (l2 + d1 + d2 + d1d2), steps))
 
 
 def run_sde(u0: SpectralField, model: NoiseModel, cfg: SdeConfig) -> Trajectory:
@@ -414,9 +413,7 @@ def single_mode_noise(grid: TorusGrid, mode: tuple[int, int], s: float) -> Noise
         raise ValueError("mode with k1 == k2 projects to zero; pick k1 != k2")
     knorm = float(np.hypot(k1, k2))
     a = s * knorm / ((k1 - k2) * np.sqrt(2.0) * np.pi)
-    c, b = (ScalarRecipe(()),), (ScalarRecipe(((a, k1, k2, "cos"),)),)
-    m1, m2 = required_budgets(c, b)
-    return NoiseModel(c=c, b=b, g_kind="one", m1=m1, m2=m2 * (1.0 + 1e-9), cg=1.0)
+    return NoiseModel(c=(ScalarRecipe(()),), b=(ScalarRecipe(((a, k1, k2, "cos"),)),))
 
 
 @dataclass

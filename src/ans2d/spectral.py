@@ -20,6 +20,7 @@ from .errors import BlowUpError
 BLOWUP_GUARD = 1e6
 # largest array a run may make, checked from its configuration before any is made
 MAX_ARRAY_BYTES = 2 ** 32
+ORACLE_MAX_POINTS = 1024  # largest n1*n2 of the direct-convolution oracle (quadratic cost)
 
 
 def check_array_bytes(what: str, nbytes: int, scope: str = "an array may take") -> None:
@@ -248,13 +249,13 @@ def nonlinear_term_oracle(u: SpectralField) -> SpectralField:
     """Advection term by direct truncated convolution, no FFT in the product.
 
     Quadratic in the mode count per output mode, so guarded to grids with
-    n1*n2 <= 1024.
+    n1*n2 <= ORACLE_MAX_POINTS.
     """
     from . import kernels  # scipy.signal loads slowly; only the oracle needs it
 
     grid = u.grid
-    if grid.n_points > 1024:
-        raise ValueError(f"oracle limited to n1*n2 <= 1024, got {grid.n_points}")
+    if grid.n_points > ORACLE_MAX_POINTS:
+        raise ValueError(f"oracle limited to n1*n2 <= {ORACLE_MAX_POINTS}, got {grid.n_points}")
     return SpectralField(grid, kernels.direct_advection(u.coeffs))
 
 

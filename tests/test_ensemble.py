@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ans2d.ensemble import EnsembleConfig, moment_bound_report, run_ensemble
+from ans2d.ensemble import SPREAD_BOUND, EnsembleConfig, moment_bound_report, run_ensemble
 from ans2d.noise import NoiseModel, condition_c_bounds, condition_c_gate, make_model
 from ans2d.sde import SdeConfig
 
@@ -30,8 +30,8 @@ def test_ensemble_runs_and_reports(grid16, make_field):
     assert len(report.levels) == 2
     gate = condition_c_gate(condition_c_bounds(_admissible()))
     assert gate.existence_ok
-    assert report.uniform.measured >= 1.0 and report.uniform.bound == 2.0
-    assert report.uniform.passed == (report.uniform.measured <= 2.0)
+    assert report.uniform.measured >= 1.0 and report.uniform.bound == SPREAD_BOUND
+    assert report.uniform.passed == (report.uniform.measured <= SPREAD_BOUND)
     for lv in report.levels:
         assert lv.n_paths == 10
         # the sup is often pinned at t=0 for decaying paths, so its SE may be 0

@@ -426,7 +426,7 @@ def test_cli_gates_honour_noise_eta(tmp_path):
 @pytest.mark.parametrize("command", ["run-sde", "ensemble"])
 def test_cli_out_of_band_recipe_is_config_error(tmp_path, recipe, command):
     # 16x16 resolves |k| <= 5: mode 9 would project to no noise, mode 11
-    # samples as mode 5, while the gates read the declared budget
+    # samples as mode 5, while the gates read the budget of the recipe as written
     cfg = _write_cfg(tmp_path, f"noise.c_recipes = \nnoise.b_recipes = {recipe}\n")
     out = tmp_path / "out"
     assert main([command, "--config", cfg, "--out", str(out)]) == 2
@@ -511,8 +511,10 @@ verify.n_fields = 3
 verify.band = 2
 """
 # rows with a fixed exit code: a run of no step, a square or a noise budget
-# that overflows, an infinite amplitude and an oversize battery are config
-# errors, while a finite amplitude that drives the flow past the guard blows up
+# that overflows, an infinite amplitude, an initial state whose squared norm
+# overflows and an oversize battery are config errors, while a finite
+# amplitude that drives the flow past the guard blows up; a value may carry
+# a second line, which overrides a key of the base
 _TABLE_EXPECT = {
     ("run-det", "det.dt", "1e300"): 2,
     ("run-det", "det.dt", str(10 ** 23)): 2,
@@ -524,6 +526,12 @@ _TABLE_EXPECT = {
     ("run-sde", "noise.c_recipes", "1e200*cos(0,1)"): 2,
     ("run-sde", "noise.b_recipes", "1e400*cos(1,0)"): 2,
     ("run-sde", "noise.b_recipes", "1e154*cos(1,0)"): 3,
+    ("run-det", "init.amplitude", "1e300"): 2,
+    ("run-sde", "init.amplitude", "1e300"): 2,
+    ("ensemble", "init.amplitude", "1e300"): 2,
+    ("run-det", "init.amplitude", "1e154\ninit.kind = taylor-green"): 2,  # 2 pi^2 1e308
+    ("run-det", "init.amplitude", str(10 ** 23)): 3,
+    ("uniqueness", "uniqueness.perturbation", "1e300"): 2,
     ("verify", "verify.n_fields", str(10 ** 23)): 2,
     ("oracle-check", "verify.n_fields", str(10 ** 23)): 2,
 }
@@ -566,7 +574,7 @@ def test_cli_config_table_exits_with_documented_codes(tmp_path):
                            json.dumps(cases)], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     results = json.loads((tmp_path / "results.json").read_text())
-    assert len(numeric) == 23 and len(results) == len(cases)
+    assert len(numeric) == 22 and len(results) == len(cases)
     bad = [f"{command} {key} = {value}: exit {code}, manifest {recorded}"
            for (command, key, value), (code, recorded) in zip(cases, results)
            if code not in (0, 1, 2, 3) or code != recorded

@@ -3,7 +3,7 @@ import pytest
 
 from ans2d.kernels import direct_advection
 from ans2d.sde import ORACLE_TOL, _Stepper, drift_oracle_error, oracle_levels
-from ans2d.spectral import TorusGrid, nonlinear_term_oracle
+from ans2d.spectral import ORACLE_MAX_POINTS, TorusGrid, nonlinear_term_oracle
 
 
 def test_oracle_matches_pseudospectral(make_field):
@@ -110,6 +110,7 @@ def test_oracle_catches_an_analysis_reading_one_side_of_the_pair(monkeypatch, ma
 
 def test_oracle_size_guard(make_field):
     grid = TorusGrid(64, 64)
+    assert grid.n_points > ORACLE_MAX_POINTS == 1024
     u = make_field(grid, band=2, seed=0)
     with pytest.raises(ValueError, match="1024"):
         nonlinear_term_oracle(u)

@@ -8,6 +8,7 @@ from ans2d.basis import max_level
 from ans2d.noise import (
     EXISTENCE_K2_LIMIT,
     EXISTENCE_KT2_LIMIT,
+    G_FUNCS,
     UNIQUENESS_L2_LIMIT,
     ConditionCConstants,
     NoiseModel,
@@ -63,16 +64,13 @@ def test_recipe_evaluate(grid16):
 def test_budget_validation():
     c = (ScalarRecipe.parse("0.5*cos(0,1)"),)
     b = (ScalarRecipe.parse("0.2"),)
-    # required M1 = (0.5 + 0 + 0.5)^2 = 1, M2 = 0.04
-    NoiseModel(c=c, b=b, g_kind="one", m1=1.0, m2=0.04, cg=1.0)
-    with pytest.raises(ValueError, match="M1"):
-        NoiseModel(c=c, b=b, g_kind="one", m1=0.9, m2=0.04, cg=1.0)
-    with pytest.raises(ValueError, match="M2"):
-        NoiseModel(c=c, b=b, g_kind="one", m1=1.0, m2=0.03, cg=1.0)
-    with pytest.raises(ValueError, match="Cg"):
-        NoiseModel(c=c, b=b, g_kind="tanh", m1=1.0, m2=0.04, cg=0.5)
+    # M1 = (0.5 + 0 + 0.5)^2 = 1, M2 = 0.04
+    model = NoiseModel(c=c, b=b)
+    assert (model.m1, model.m2) == (1.0, pytest.approx(0.04))
     with pytest.raises(ValueError, match="channels"):
-        NoiseModel(c=c, b=(), g_kind="one", m1=1.0, m2=0.0, cg=1.0)
+        NoiseModel(c=c, b=())
+    with pytest.raises(ValueError, match="unknown g kind"):
+        NoiseModel(c=c, b=b, g_kind="cosh")
 
 
 def test_make_model_budgets_tight():
@@ -90,8 +88,19 @@ def test_make_model_budgets_are_the_required_ones():
     c_text, b_text = ["0.1*cos(1,0)", "0.05"], ["0.2*sin(0,1)", "0.1*cos(1,1)"]
     model = make_model(c_text, b_text, "sin")
     assert (model.m1, model.m2) == required_budgets(model.c, model.b)
-    scaled = make_model(c_text, b_text, "sin", margin=2.0)
-    assert (scaled.m1, scaled.m2) == (2.0 * model.m1, 2.0 * model.m2)
+
+
+@pytest.mark.parametrize("g_kind", sorted(G_FUNCS))
+def test_model_budgets_are_those_of_its_recipes_and_g(g_kind):
+    # a model is its recipes and g: no budget is declared beside them
+    assert [f.name for f in dataclasses.fields(NoiseModel) if f.init] == ["c", "b", "g_kind"]
+    model = make_model(["0.1*cos(1,0)", "0.05"], ["0.2*sin(0,1)", "0.1*cos(1,1)"], g_kind)
+    assert (model.m1, model.m2) == required_budgets(model.c, model.b)
+    _, g_sup, g_lip = G_FUNCS[g_kind]
+    assert model.cg == max(g_sup, g_lip)
+    if g_kind == "zero":  # Cg = 0 zeroes every constant that reads M2 Cg^2
+        cc = condition_c_bounds(model)
+        assert model.cg == cc.k0 == cc.k1 == cc.l1 == 0.0
 
 
 def test_model_below_its_required_m2_is_rejected():
@@ -100,9 +109,8 @@ def test_model_below_its_required_m2_is_rejected():
     c = (ScalarRecipe(()),)
     m1, m2 = required_budgets(c, b)
     assert (m1, m2) == (0.0, pytest.approx(0.36))
-    NoiseModel(c=c, b=b, m1=m1, m2=m2)
-    with pytest.raises(ValueError, match="M2"):
-        NoiseModel(c=c, b=b, m1=m1, m2=0.09)
+    model = NoiseModel(c=c, b=b)  # a model holds what its recipes need, so none is below it
+    assert (model.m1, model.m2) == (m1, m2)
 
 
 @pytest.mark.parametrize("c_text,b_text,budget", [
@@ -276,19 +284,22 @@ def test_wiener_increment_variance():
 
 
 def test_condition_c_derived_values():
-    model = NoiseModel(c=(), b=(), g_kind="one", m1=0.1, m2=0.2, cg=1.0)
+    # constant recipes: M1 = 0.5^2 = 0.25 and M2 = 0.2^2 = 0.04
+    model = make_model(["0.5"], ["0.2"], "tanh")
+    assert (model.m1, model.m2, model.cg) == (0.25, pytest.approx(0.04), 1.0)
+    m1, m2 = 0.25, 0.04
     cc = condition_c_bounds(model, eta=0.1)
     pp = 1.0 + 1.0 / 0.1
-    assert cc.k2 == pytest.approx(1.1 * 0.1)
-    assert cc.kt2 == pytest.approx(2.0 * 1.1 * 0.1)
-    assert cc.l2 == pytest.approx(1.1 * 0.1)
-    assert cc.k1 == pytest.approx(2.0 * pp * 0.2)
-    assert cc.k0 == pytest.approx(16.0 * np.pi ** 2 * pp * 0.2)
-    assert cc.kt1 == pytest.approx(16.0 * pp * 0.2)
-    assert cc.kt0 == pytest.approx(128.0 * np.pi ** 2 * pp * 0.2)
-    assert cc.l1 == pytest.approx(pp * 0.2)
-    assert cc.k1p == pytest.approx(6.0 * 0.1 + 4.0 * 0.2)
-    assert cc.k0p == pytest.approx(32.0 * np.pi ** 2 * 0.2)
+    assert cc.k2 == pytest.approx(1.1 * m1)
+    assert cc.kt2 == pytest.approx(2.0 * 1.1 * m1)
+    assert cc.l2 == pytest.approx(1.1 * m1)
+    assert cc.k1 == pytest.approx(2.0 * pp * m2)
+    assert cc.k0 == pytest.approx(16.0 * np.pi ** 2 * pp * m2)
+    assert cc.kt1 == pytest.approx(16.0 * pp * m2)
+    assert cc.kt0 == pytest.approx(128.0 * np.pi ** 2 * pp * m2)
+    assert cc.l1 == pytest.approx(pp * m2)
+    assert cc.k1p == pytest.approx(6.0 * m1 + 4.0 * m2)
+    assert cc.k0p == pytest.approx(32.0 * np.pi ** 2 * m2)
     assert {f.name for f in dataclasses.fields(cc)} == {"k0p", "k1p", "k0", "k1", "k2",
                                                        "kt0", "kt1", "kt2", "l1", "l2", "eta"}
     with pytest.raises(ValueError):

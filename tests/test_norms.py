@@ -30,11 +30,10 @@ def test_sobolev_weights_single_mode(grid16):
     rows = norm_rows(u.coeffs, grid16)
     l2 = rows["l2_sq"]
     assert l2 == pytest.approx((2.0 * np.pi) ** 2 * 0.5, rel=1e-14)
-    # homogeneous weights |k1|^2, |k2|^2, |k1 k2|^2; H^{1,1} weight (1 + k1^2)(1 + k2^2)
+    # homogeneous weights |k1|^2, |k2|^2, |k1 k2|^2
     assert rows["d1_sq"] == pytest.approx(4.0 * l2, rel=1e-13)
     assert rows["d2_sq"] == pytest.approx(9.0 * l2, rel=1e-13)
     assert rows["d1d2_sq"] == pytest.approx(36.0 * l2, rel=1e-13)
-    assert rows["h11_sq"] == pytest.approx((1.0 + 4.0) * (1.0 + 9.0) * l2, rel=1e-13)
 
 
 def test_h01_inner_consistency(grid16, make_field):
@@ -142,7 +141,7 @@ def test_forward_transform_batch_friendly(grid16):
 def test_norm_rows_keep_batch_axes(grid16, make_field):
     fields = np.stack([make_field(grid16, band=4, seed=s).coeffs for s in range(3)])
     batch = norm_rows(fields, grid16)
-    assert set(batch) == {"l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "h11_sq"}
+    assert set(batch) == {"l2_sq", "d1_sq", "d2_sq", "d1d2_sq"}
     for j in range(3):
         one = norm_rows(fields[j], grid16)
         for name, col in batch.items():
@@ -157,7 +156,6 @@ def test_norm_rows_keep_batch_axes(grid16, make_field):
     assert batch["l2_sq"][0] == pytest.approx(sq["l2_sq"], rel=1e-14)
     for name in ("d1_sq", "d2_sq", "d1d2_sq"):
         assert batch[name][0] == pytest.approx(sq[name], rel=1e-13)
-    assert batch["h11_sq"][0] == pytest.approx(sum(sq.values()), rel=1e-13)
 
 
 def test_cumulative_trapezoid_steps_and_batch_axes():

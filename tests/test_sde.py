@@ -192,7 +192,7 @@ def _band_recipes(grid, seed):
     Its terms include a constant, wavevectors m and -m alike, terms outside
     low levels, and a channel with no term.
     """
-    from ans2d.noise import ScalarRecipe, required_budgets
+    from ans2d.noise import ScalarRecipe
 
     rng = np.random.default_rng(seed)
     band = [(m1, m2) for m1 in range(-grid.band1, grid.band1 + 1)
@@ -200,8 +200,7 @@ def _band_recipes(grid, seed):
     b = tuple(ScalarRecipe(tuple((float(rng.standard_normal()), m1, m2, phase)
                                  for m1, m2 in band for phase in ("cos", "sin")
                                  if rng.random() < 0.6)) for _ in range(2)) + (ScalarRecipe(),)
-    _, m2 = required_budgets((ScalarRecipe(),) * 3, b)
-    return NoiseModel(c=(ScalarRecipe(),) * 3, b=b, g_kind="one", m2=m2)
+    return NoiseModel(c=(ScalarRecipe(),) * 3, b=b)
 
 
 _SINGLE_MODES = ((1, 0), (0, 1), (2, -1), (-1, 2), (3, 1))
@@ -328,6 +327,15 @@ def test_weighted_series_recomputation(grid16, make_field):
     np.testing.assert_allclose(w.weighted_h01, np.exp(-h) * h01, rtol=1e-13)
     assert w.big_c == pytest.approx(w.c_emp_sup ** 2 / (4.0 * cfg.alpha_tilde))
     assert np.all(np.diff(w.int_weighted_h11) >= 0.0)
+    # the H^{1,1} norm, weight (1 + k1^2)(1 + k2^2), is the sum of the four recorded norms
+    h11 = sum(traj.diag[name] for name in ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq"))
+    k1sq, k2sq = traj.frame.k1sq, traj.frame.k2sq
+    assert h11[-1] == pytest.approx(np.sum((1.0 + k1sq) * (1.0 + k2sq) * traj.final_coords ** 2),
+                                    rel=1e-13)
+    integrand = np.exp(-h) * h11
+    int_h11 = np.zeros_like(h)
+    int_h11[1:] = np.cumsum(0.5 * np.diff(traj.t) * (integrand[:-1] + integrand[1:]))
+    np.testing.assert_allclose(w.int_weighted_h11, int_h11, rtol=1e-13)
     # the det columns alone give the same series: it reads no noise column
     ws = weighted_h01_series(traj.t, {name: traj.diag[name] for name in DIAG_NAMES},
                              cfg.alpha_tilde)
