@@ -234,8 +234,13 @@ def _philox() -> np.random.Generator:
 
 
 def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
-                            base_seed: int, traj_index: int = 0) -> np.ndarray:
+                            base_seed: int, traj_index: int = 0,
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Pregenerated increments, shape (n_steps, n_modes), entries N(0, dt).
+
+    The scaled draws are written into out when given (any (n_steps,
+    n_modes) float view, such as one path's strided column of a step-major
+    array), else into a new array; the array written is returned.
 
     Counter-based stream: each (base_seed, traj_index) pair keys an
     independent Philox stream, so paths are reproducible individually.  A
@@ -251,7 +256,7 @@ def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
                                "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
                                "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
                                "has_uint32": 0, "uinteger": 0}
-    return gen.standard_normal((n_steps, n_modes)) * np.sqrt(dt)
+    return np.multiply(gen.standard_normal((n_steps, n_modes)), np.sqrt(dt), out=out)
 
 
 def _channel_sum(y: np.ndarray, arr: np.ndarray, channels: Sequence[int] | None = None
@@ -285,14 +290,31 @@ def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, d1u_phys: np.ndarray | Non
     added.  g acts componentwise, on the float view of u_phys, whose
     (Re, Im) pairs are (u1, u2).  Returns the packed samples
     sigma1 + i sigma2 of sigma(u) y.
+
+    No buffer is zeroed unless there is no channel at all: the b-channel
+    sum multiplies g(u), a fresh array, in place when g(u) already has the
+    broadcast shape (a channel axis in y, as hs_sq and
+    condition_c_empirical_check pass, widens it, and then the product is a
+    new array); the c-channel product is then added, or returned alone
+    without b-channels.  IEEE addition commutes and 0 + x = x, so every
+    sample has the bits of the zeroed sum 0 + c-product + b-product, up to
+    the sign of an exact zero.
     """
-    lead = np.broadcast_shapes(u_phys.shape[:-2], y.shape[:-1])
-    out = np.zeros(lead + u_phys.shape[-2:], dtype=np.complex128)
-    if len(c_fields[0]):
-        out += _channel_sum(y, c_fields[1], c_fields[0]) * d1u_phys
-    if len(b_fields[0]):
-        g = model.g_eval(u_phys.view(np.float64)).view(np.complex128)
-        out += _channel_sum(y, b_fields[1], b_fields[0]) * g
+    c_channels, c_samples = c_fields
+    b_channels, b_samples = b_fields
+    if not len(b_channels):
+        if not len(c_channels):
+            lead = np.broadcast_shapes(u_phys.shape[:-2], y.shape[:-1])
+            return np.zeros(lead + u_phys.shape[-2:], dtype=np.complex128)
+        return _channel_sum(y, c_samples, c_channels) * d1u_phys
+    out = model.g_eval(u_phys.view(np.float64)).view(np.complex128)
+    bsum = _channel_sum(y, b_samples, b_channels)
+    if out.shape == np.broadcast_shapes(out.shape, bsum.shape):
+        out *= bsum
+    else:
+        out = out * bsum
+    if len(c_channels):
+        out += _channel_sum(y, c_samples, c_channels) * d1u_phys
     return out
 
 

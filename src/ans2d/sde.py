@@ -22,14 +22,18 @@ sigma(u) is not band-limited, so with it the samples come from the
 configured grid instead.  Initial coefficients must be Hermitian.
 Per-step diagnostics come out as (n_steps+1, B) columns, which keeps path
 ensembles in pure array arithmetic; the noise pairing (sigma dW, u) is
-formed only when a diagnostic row records it.  The engine steps on Wiener
-increments that its caller draws with draw_increments: one step-major
-(n_steps, B, n_modes) array, so a step reads the contiguous slab of its
-own increments, and callers that replay the same paths at several levels
-(the ensemble) draw them once.  Each trajectory's increments come from a
-dedicated counter-based stream keyed by (seed, path index), and every sum
-over noise channels runs channel by channel, so any path replays
-bit-for-bit regardless of batch layout, for every noise model.
+formed only when a diagnostic row records it.  Additive noise reaches
+only the coordinates of its channels' wavevectors (a term in cos(m.x)
+or sin(m.x) those of the pair of +-m), so its increment is formed and
+added on their contiguous span of columns alone.  The engine steps on
+Wiener increments that its caller draws with draw_increments: one
+step-major (n_steps, B, n_modes) array, so a step reads the contiguous
+slab of its own increments, and callers that replay the same paths at
+several levels (the ensemble) draw them once; each path's draws are
+scaled straight into its column.  Each trajectory's increments come
+from a dedicated counter-based stream keyed by (seed, path index), and
+every sum over noise channels runs channel by channel, so any path
+replays bit-for-bit regardless of batch layout, for every noise model.
 """
 
 from __future__ import annotations
@@ -104,6 +108,13 @@ class _Stepper:
     configured grid; additive channels are read off the recipes
     (_additive_coords).  Without noise (NoiseModel(), or a zero model) the
     additive case has no channel, and its increments are exact zeros.
+
+    span is the slice of columns a noise increment touches: every column
+    for a multiplicative sigma; for additive noise, the first to the last
+    column where a channel coordinate is non-zero, and span_channels holds
+    the channels there, (n_modes, len(span)).  A single-mode channel
+    touches one column, and a zero model none.  additive keeps the dense
+    (n_modes, n) channels, which hs_sq reads.
     """
 
     def __init__(self, grid: TorusGrid, model: NoiseModel, cfg: SdeConfig):
@@ -126,6 +137,13 @@ class _Stepper:
             self.fields = model.coefficient_fields(grid)
             self.rows = 2 if len(self.fields[0][0]) else 1
         multiplicative = self.additive is None
+        # the -0.0 that _from_pairs leaves in sine columns counts as untouched
+        self.span = slice(None)
+        if not multiplicative:
+            touched = np.flatnonzero(np.any(self.additive != 0.0, axis=0))
+            ends = (int(touched[0]), int(touched[-1]) + 1) if len(touched) else (0, 0)
+            self.span = slice(*ends)
+            self.span_channels = np.ascontiguousarray(self.additive[:, self.span])
         self.needs_phys = multiplicative or not cfg.drop_nonlinearity
         self.qgrid = grid if multiplicative else quadrature_grid(grid, cfg.galerkin_n)
         self.qframe = GalerkinFrame(self.qgrid, cfg.galerkin_n)
@@ -145,9 +163,13 @@ class _Stepper:
         return self.qframe.analyse(spectral._advection_raw(phys), self.qframe.drift_weights)
 
     def noise_increment(self, dw: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
-        """Coordinates of P_n sigma(u) dW; dw has shape (B, n_modes)."""
+        """Coordinates of P_n sigma(u) dW in the columns span; dw has shape (B, n_modes).
+
+        Every coordinate outside span is an exact zero, and the step adds
+        only the (B, len(span)) increment returned.
+        """
         if self.additive is not None:
-            return _channel_sum(dw, self.additive)
+            return _channel_sum(dw, self.span_channels)
         return sigma_coords(self.model, self.frame, phys, dw, self.fields)
 
     def hs_sq(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
@@ -218,9 +240,9 @@ def draw_increments(model: NoiseModel, cfg: SdeConfig,
     n_modes = 0 if model.is_zero else model.n_modes
     increments = np.empty((cfg.n_steps, len(paths), n_modes))
     if n_modes:
-        for col, j in enumerate(paths):
-            increments[:, col] = sample_wiener_increment(n_modes, cfg.n_steps, cfg.dt,
-                                                         cfg.seed, j)
+        for col, j in enumerate(paths):  # each path scaled straight into its column
+            sample_wiener_increment(n_modes, cfg.n_steps, cfg.dt, cfg.seed, j,
+                                    out=increments[:, col])
     return increments
 
 
@@ -234,9 +256,10 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
     Hermitian initial coefficients, (2, n1, n2) shared by every row or
     (B, 2, n1, n2).  The batch is projected to the level-n coordinates and
     stepped there; final and on_step see (B, n) coordinates.  The noise
-    pairing noise_work is formed only when with_diag records it.  with_hs
-    adds the Hilbert-Schmidt column hs_sq, one more sigma(u) evaluation per
-    channel and row; it reads 0 when left out.
+    pairing noise_work is formed only when with_diag records it, over the
+    columns stepper.span the increment touches, as is the increment's
+    addition.  with_hs adds the Hilbert-Schmidt column hs_sq, one more
+    sigma(u) evaluation per channel and row; it reads 0 when left out.
     """
     stepper = _Stepper(grid, model, cfg)
     frame = stepper.frame
@@ -258,6 +281,7 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
     # the integrating factor tiled to the batch: a (B, n) x (n,) product
     # runs one inner loop of length n per row, a (B, n) x (B, n) one loop
     ef = np.tile(stepper.ef, (bsize, 1))
+    span = stepper.span  # the increment's columns; the rest get no noise
     work = np.zeros(bsize)
     for i in range(n_steps + 1):
         # one synthesis and one advection per state feed its row and its step
@@ -269,9 +293,9 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
             break
         sig = stepper.noise_increment(increments[i], phys)
         if with_diag:  # only the next diagnostic row reads the pairing
-            work = np.sum(sig * a, axis=-1)
+            work = np.sum(sig * a[:, span], axis=-1)
         a = a + dt * drift  # a new array: on_step may hold the previous state
-        a += sig
+        a[:, span] += sig
         a *= ef
         spectral.check_rows(a, l2_0, t_last=i * dt, guard=cfg.blowup_factor)
 

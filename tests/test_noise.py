@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import fullgrid
-from ans2d.basis import max_level
+from ans2d.basis import GalerkinFrame, max_level
 from ans2d.noise import (
     EXISTENCE_K2_LIMIT,
     EXISTENCE_KT2_LIMIT,
@@ -18,7 +18,9 @@ from ans2d.noise import (
     condition_c_gate,
     make_model,
     required_budgets,
+    _channel_sum,
     _field_sigma_coords,
+    _sigma_raw,
     sample_wiener_increment,
 )
 from ans2d.sde import SdeConfig, _Stepper
@@ -133,10 +135,13 @@ def test_budget_that_is_not_finite_is_refused(c_text, b_text, budget):
 
 def _engine_sigma(model, u, ys):
     """P sigma(u) y for each row of ys, as the SDE engine forms it at the top
-    level of u's grid, lifted to (len(ys), 2, n1, n2) coefficients."""
+    level of u's grid, lifted to (len(ys), 2, n1, n2) coefficients.  The
+    engine's increment covers the columns st.span; the rest are zeros."""
     st = _Stepper(u.grid, model, SdeConfig(galerkin_n=max_level(u.grid)))
     a = np.tile(st.frame.coords(u.coeffs), (len(ys), 1))
-    return st.frame.lift(st.noise_increment(np.asarray(ys, dtype=np.float64), st.synth(a)))
+    dense = np.zeros_like(a)
+    dense[:, st.span] = st.noise_increment(np.asarray(ys, dtype=np.float64), st.synth(a))
+    return st.frame.lift(dense)
 
 
 def test_transport_channel_is_exact_derivative(grid16, make_field):
@@ -186,6 +191,42 @@ def test_sigma_channels_match_apply(grid16, make_field):
 
 
 CRITERION_09 = (["0.05*cos(0,1)"], ["0.05*cos(1,0)", "0.02*sin(1,1)"], "tanh")
+
+
+def _zero_buffer_sigma(model, u_phys, d1u_phys, y, c_fields, b_fields):
+    """sigma(u) y summed into a zeroed buffer: the c-channel product, then the b one."""
+    lead = np.broadcast_shapes(u_phys.shape[:-2], y.shape[:-1])
+    out = np.zeros(lead + u_phys.shape[-2:], dtype=np.complex128)
+    if len(c_fields[0]):
+        out += _channel_sum(y, c_fields[1], c_fields[0]) * d1u_phys
+    if len(b_fields[0]):
+        g = model.g_eval(u_phys.view(np.float64)).view(np.complex128)
+        out += _channel_sum(y, b_fields[1], b_fields[0]) * g
+    return out
+
+
+@pytest.mark.parametrize("g_kind", ["tanh", "sin", "one"])
+@pytest.mark.parametrize("c, b", [
+    (["0.05*cos(0,1)", "0.03*sin(1,0) + 0.02"], []),
+    ([], ["0.05*cos(1,0)", "0.02*sin(1,1)"]),
+    CRITERION_09[:2],
+    (["0.0"], ["0.0*cos(1,0)"]),
+    ([], []),
+], ids=["c-only", "b-only", "both", "zero-channel", "no-channel"])
+def test_sigma_raw_keeps_the_zero_buffer_bits(grid16, c, b, g_kind):
+    # the buffer-free sum against the zeroed one, for a batch of states with
+    # a y per row and with the channel axis that hs_sq and
+    # condition_c_empirical_check pass (y = eye, broadcast against the rows)
+    model = make_model(c, b, g_kind)
+    frame = GalerkinFrame(grid16, 16)
+    phys = frame.synth(np.random.default_rng(5).standard_normal((3, frame.n)), rows=2)
+    fields = model.coefficient_fields(grid16)
+    y = np.random.default_rng(6).standard_normal((3, model.n_modes))
+    for u, d1u, ys in ((phys[:, 0], phys[:, 1], y),
+                       (phys[:, None, 0], phys[:, None, 1], np.eye(model.n_modes))):
+        got = _sigma_raw(model, u, d1u, ys, *fields)
+        np.testing.assert_array_equal(got, _zero_buffer_sigma(model, u, d1u, ys, *fields))
+        assert got.shape == np.broadcast_shapes(u.shape[:-2], ys.shape[:-1]) + u.shape[-2:]
 
 
 def _channel_error(model, u):
@@ -271,6 +312,16 @@ def test_wiener_streams_are_fresh_philox_streams(seed, index):
     key = np.array([seed, index], dtype=np.uint64)
     fresh = np.random.Generator(np.random.Philox(key=key)).standard_normal((25, 2))
     assert got.tobytes() == again.tobytes() == (fresh * np.sqrt(1e-3)).tobytes()
+
+
+def test_wiener_draws_scale_straight_into_a_strided_column():
+    # out= writes the bits the call without it returns into one path's
+    # column of a step-major (n_steps, B, n_modes) array, and returns it
+    incs = np.full((40, 3, 2), np.nan)
+    col = incs[:, 1]
+    assert sample_wiener_increment(2, 40, 1e-3, base_seed=7, traj_index=4, out=col) is col
+    np.testing.assert_array_equal(incs[:, 1], sample_wiener_increment(2, 40, 1e-3, 7, 4))
+    assert np.all(np.isnan(incs[:, 0])) and np.all(np.isnan(incs[:, 2]))
 
 
 def test_wiener_increment_variance():

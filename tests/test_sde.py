@@ -176,14 +176,16 @@ def test_additive_fast_path_matches_channels(grid16):
     from ans2d.sde import _Stepper
 
     st = _Stepper(grid16, model, cfg)
-    # additive noise reads no samples of the state
-    fast = st.frame.lift(st.noise_increment(np.stack([dw, 2.0 * dw, -dw]), None))
+    # additive noise reads no samples of the state; its increment covers st.span
+    dense = np.zeros((3, 8))
+    dense[:, st.span] = st.noise_increment(np.stack([dw, 2.0 * dw, -dw]), None)
+    fast = st.frame.lift(dense)
     chans = fullgrid.channels(model, np.zeros((2, 16, 16)), grid16, 8)
     expected = dw[0] * chans[0] + dw[1] * chans[1]
     np.testing.assert_allclose(fast[0], expected, atol=1e-15)
     np.testing.assert_allclose(fast[1], 2.0 * expected, atol=1e-15)
     np.testing.assert_allclose(fast[2], -expected, atol=1e-15)
-    assert st.noise_increment(dw[None, :], None).shape == (1, 8)
+    assert st.noise_increment(dw[None, :], None).shape == (1, 2)  # columns 1-2 of 8
 
 
 def _band_recipes(grid, seed):
@@ -240,14 +242,85 @@ def test_additive_coords_match_the_quadrature_route(grid):
             assert np.max(np.abs(got - ref)) <= 1e-14 * scale, (n, model)
 
 
+# criterion 10's additive model, whose channels touch columns 1 and 2 at every level
+_CRITERION_10 = make_model([], ["0.1*cos(1,0)", "0.05*sin(0,1)"], "one")
+# three additive channels touching columns 0, 3 and 5 of level 8: a span with gaps
+_GAPPED = make_model([], ["0.1*cos(0,1)", "0.07*cos(1,1) - 0.02*sin(1,-1)", "0.05*sin(1,0)"],
+                     "one")
+
+
+@pytest.mark.parametrize("grid, model", [
+    (TorusGrid(16, 16), _band_recipes(TorusGrid(16, 16), 32)),
+    (TorusGrid(16, 16), _CRITERION_10),
+    (TorusGrid(16, 16), _GAPPED),
+    (TorusGrid(4, 4), single_mode_noise(TorusGrid(4, 4), (1, 0), 1.0)),
+    (TorusGrid(4, 4), single_mode_noise(TorusGrid(4, 4), (0, 1), 1.0)),
+], ids=["band", "criterion-10", "gapped", "damped-mode", "undamped-mode"])
+def test_additive_span_holds_every_touched_column(grid, model):
+    # span runs from the first to the last column a channel touches (none
+    # at level 1 for most: an empty span), the dense channels are exact
+    # zeros outside it, and span_channels are the dense ones restricted to
+    # it; the single-mode laws touch one column
+    from ans2d.sde import _Stepper
+
+    top = max_level(grid)
+    for n in sorted({min(n, top) for n in (1, 4, 8, 16, 32, top)}):
+        st = _Stepper(grid, model, SdeConfig(galerkin_n=n))
+        cols = range(n)[st.span]
+        touched = np.flatnonzero(np.any(st.additive != 0.0, axis=0))
+        assert cols == (range(touched[0], touched[-1] + 1) if len(touched) else range(0))
+        assert np.all(st.additive[:, np.setdiff1d(range(n), cols)] == 0.0)
+        np.testing.assert_array_equal(st.span_channels, st.additive[:, st.span])
+        if model is _CRITERION_10 and n >= 4:
+            assert cols == range(1, 3)
+        if model.n_modes == 1 and len(touched):
+            assert len(cols) == 1
+    if model is _GAPPED:
+        assert list(np.flatnonzero(np.any(_Stepper(grid, model, SdeConfig()).additive, axis=0))
+                    ) == [0, 3, 5]
+
+
+@pytest.mark.parametrize("model", [_CRITERION_10, _GAPPED,
+                                   single_mode_noise(TorusGrid(16, 16), (1, 0), 1.0)],
+                         ids=["criterion-10", "gapped", "single-mode"])
+def test_one_step_adds_noise_only_inside_the_span(grid16, make_field, model):
+    # every coordinate outside the span is stepped as a + dt drift, bit for bit
+    from ans2d.sde import _run_batched, _Stepper
+
+    cfg = SdeConfig(dt=2e-3, t_end=2e-3, galerkin_n=16, seed=3)
+    st = _Stepper(grid16, model, cfg)
+    u0 = make_field(grid16, band=3, seed=4)
+    a = np.tile(st.frame.coords(u0.coeffs), (3, 1))
+    noiseless = (a + cfg.dt * st.drift(a, st.synth(a))) * st.ef
+    final = _run_batched(u0.coeffs, grid16, model, cfg, draw_increments(model, cfg, range(3)),
+                         with_diag=False).final
+    outside = np.setdiff1d(range(st.frame.n), range(st.frame.n)[st.span])
+    assert len(outside)
+    np.testing.assert_array_equal(final[:, outside], noiseless[:, outside])
+    assert np.all(final[:, st.span] != noiseless[:, st.span], axis=0).any()
+
+
+def test_zero_model_has_an_empty_span_and_draws_nothing(grid16):
+    from ans2d.sde import _Stepper
+
+    cfg = SdeConfig(dt=2e-3, t_end=0.02, galerkin_n=8)
+    for model in (NoiseModel(), make_model([], ["0.0*cos(1,0)"], "one")):
+        st = _Stepper(grid16, model, cfg)
+        assert len(range(8)[st.span]) == 0
+        assert draw_increments(model, cfg, range(4)).shape == (cfg.n_steps, 4, 0)
+        assert st.noise_increment(np.zeros((4, 0)), None).shape == (4, 0)
+
+
 @pytest.mark.parametrize("model, drop", [
     (make_model([], ["0.1*cos(1,0) + 0.05*cos(0,1)", "0.07*cos(1,0) - 0.04*cos(0,1)"], "one"),
      False),
+    (_GAPPED, False),
     (_model_small(), False),
     (single_mode_noise(TorusGrid(16, 16), (1, 0), 1.0), True),
-], ids=["additive", "tanh", "single-mode"])
+], ids=["additive", "additive-gapped", "tanh", "single-mode"])
 def test_additive_paths_replay_across_batch_layout(grid16, make_field, model, drop):
-    # two noise channels sharing modes, additive or multiplicative, and the
+    # two noise channels sharing modes, additive or multiplicative, three
+    # additive channels on a span with untouched columns inside it, and the
     # single-mode law's shape (one channel, no nonlinearity); one batch of 9
     # paths against batches of 4, 2, 1 and 2, with and without diagnostics
     from ans2d.sde import _run_batched
