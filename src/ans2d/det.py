@@ -84,7 +84,9 @@ def run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
       (2 reach2 + 1) x n1 packed spectrum, twice for an SDE level and its quadrature frame;
     - per state, one drift's samples: 3 complex per sampling point (8 with
       a multiplicative sigma(u)) and 2 per spectrum entry;
-    - 16 MiB: modules loaded on first use (7.7 MiB), the allocator's heap.
+    - 16 MiB: modules loaded on first use (7.7 MiB), the allocator's heap,
+      and an SDE run's two noise blocks (a block of Wiener paths and a
+      slab of additive increments, at most 2 sde.BLOCK_BYTES together).
     The peak-RSS growth after imports of 2-step runs of each subcommand at
     512^2 and 1024^2 stays below it.
     """

@@ -238,9 +238,11 @@ def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
                             out: np.ndarray | None = None) -> np.ndarray:
     """Pregenerated increments, shape (n_steps, n_modes), entries N(0, dt).
 
-    The scaled draws are written into out when given (any (n_steps,
-    n_modes) float view, such as one path's strided column of a step-major
-    array), else into a new array; the array written is returned.
+    The scaled draws are written into out when given, else into a new
+    array; the array written is returned.  A C-contiguous float64 out (one
+    path's row of a block of paths) is drawn into and scaled in place; any
+    other (n_steps, n_modes) float view, such as a strided column, takes
+    the scaled draws through a temporary.  Both write the same bits.
 
     Counter-based stream: each (base_seed, traj_index) pair keys an
     independent Philox stream, so paths are reproducible individually.  A
@@ -256,6 +258,10 @@ def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
                                "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
                                "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
                                "has_uint32": 0, "uinteger": 0}
+    if out is not None and out.flags.c_contiguous and out.dtype == np.float64:
+        gen.standard_normal((n_steps, n_modes), out=out)
+        out *= np.sqrt(dt)
+        return out
     return np.multiply(gen.standard_normal((n_steps, n_modes)), np.sqrt(dt), out=out)
 
 

@@ -29,11 +29,17 @@ added on their contiguous span of columns alone.  The engine steps on
 Wiener increments that its caller draws with draw_increments: one
 step-major (n_steps, B, n_modes) array, so a step reads the contiguous
 slab of its own increments, and callers that replay the same paths at
-several levels (the ensemble) draw them once; each path's draws are
-scaled straight into its column.  Each trajectory's increments come
-from a dedicated counter-based stream keyed by (seed, path index), and
-every sum over noise channels runs channel by channel, so any path
-replays bit-for-bit regardless of batch layout, for every noise model.
+several levels (the ensemble) draw them once.  The additive noise path
+works in blocks of at most BLOCK_BYTES: draw_increments fills a block of
+whole paths, BLOCK_BYTES // (8 n_steps n_modes) of them, contiguously and
+copies it into the step-major array with one transposed assignment, and
+the step loop forms additive increments a slab of BLOCK_BYTES //
+(8 B len(span)) steps at a time, as they do not depend on the state
+(either block holds at least one path or step).  Each trajectory's
+increments come from a dedicated counter-based stream keyed by (seed,
+path index), and every sum over noise channels runs channel by channel,
+so any path replays bit-for-bit regardless of batch layout and blocking,
+for every noise model.
 """
 
 from __future__ import annotations
@@ -61,6 +67,7 @@ from .spectral import SpectralField, TorusGrid
 DIAG_NAMES = det.DIAG_NAMES + ("noise_work", "hs_sq")
 N_SE = 5.0      # standard errors allowed to the Monte Carlo audits
 BETA_HAT = 0.5  # Gronwall split of the noise's Lipschitz channel in the gap bound
+BLOCK_BYTES = 2 ** 18  # size of a block of Wiener paths and of a slab of additive increments
 
 
 @dataclass
@@ -166,7 +173,10 @@ class _Stepper:
         """Coordinates of P_n sigma(u) dW in the columns span; dw has shape (B, n_modes).
 
         Every coordinate outside span is an exact zero, and the step adds
-        only the (B, len(span)) increment returned.
+        only the (B, len(span)) increment returned.  Additive increments
+        do not depend on the state, so for them dw may also be a slab of
+        steps, (D, B, n_modes), which gives the (D, B, len(span))
+        increments of all D steps at once.
         """
         if self.additive is not None:
             return _channel_sum(dw, self.span_channels)
@@ -234,15 +244,28 @@ def draw_increments(model: NoiseModel, cfg: SdeConfig,
 
     Shape (n_steps, B, n_modes), B = len(paths): column j holds the stream
     (cfg.seed, paths[j]) of sample_wiener_increment, and a repeated index
-    repeats its path.  A model with no non-zero channel draws nothing
-    (n_modes = 0), as its noise increments are exact zeros.
+    repeats its path, drawn once and copied.  Paths are drawn a block at a
+    time, as many whole (n_steps, n_modes) paths as fit in BLOCK_BYTES (at
+    least one), each into its contiguous row of the block, and the block
+    goes into its columns in one transposed copy.  A model with no
+    non-zero channel draws nothing (n_modes = 0), as its noise increments
+    are exact zeros.
     """
     n_modes = 0 if model.is_zero else model.n_modes
-    increments = np.empty((cfg.n_steps, len(paths), n_modes))
+    distinct = list(dict.fromkeys(paths))
+    if len(distinct) < len(paths):
+        where = {j: col for col, j in enumerate(distinct)}
+        return np.take(draw_increments(model, cfg, distinct), [where[j] for j in paths], axis=1)
+    n_steps = cfg.n_steps
+    increments = np.empty((n_steps, len(distinct), n_modes))
     if n_modes:
-        for col, j in enumerate(paths):  # each path scaled straight into its column
-            sample_wiener_increment(n_modes, cfg.n_steps, cfg.dt, cfg.seed, j,
-                                    out=increments[:, col])
+        width = max(1, BLOCK_BYTES // (8 * n_steps * n_modes))
+        block = np.empty((min(width, len(distinct)), n_steps, n_modes))
+        for start in range(0, len(distinct), width):
+            chunk = distinct[start:start + width]
+            for row, j in enumerate(chunk):
+                sample_wiener_increment(n_modes, n_steps, cfg.dt, cfg.seed, j, out=block[row])
+            increments[:, start:start + len(chunk)] = block[:len(chunk)].swapaxes(0, 1)
     return increments
 
 
@@ -258,8 +281,11 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
     stepped there; final and on_step see (B, n) coordinates.  The noise
     pairing noise_work is formed only when with_diag records it, over the
     columns stepper.span the increment touches, as is the increment's
-    addition.  with_hs adds the Hilbert-Schmidt column hs_sq, one more
-    sigma(u) evaluation per channel and row; it reads 0 when left out.
+    addition.  Additive increments are formed a slab of steps at a time,
+    as many as fit in BLOCK_BYTES (at least one); a multiplicative
+    sigma(u) reads the step's state, one step at a time.  with_hs adds
+    the Hilbert-Schmidt column hs_sq, one more sigma(u) evaluation per
+    channel and row; it reads 0 when left out.
     """
     stepper = _Stepper(grid, model, cfg)
     frame = stepper.frame
@@ -282,6 +308,8 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
     # runs one inner loop of length n per row, a (B, n) x (B, n) one loop
     ef = np.tile(stepper.ef, (bsize, 1))
     span = stepper.span  # the increment's columns; the rest get no noise
+    if stepper.additive is not None:  # steps per slab of additive increments
+        slab = max(1, BLOCK_BYTES // max(1, 8 * bsize * stepper.span_channels.shape[1]))
     work = np.zeros(bsize)
     for i in range(n_steps + 1):
         # one synthesis and one advection per state feed its row and its step
@@ -291,7 +319,12 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
         record(i, work, drift, phys)
         if i == n_steps:
             break
-        sig = stepper.noise_increment(increments[i], phys)
+        if stepper.additive is None:
+            sig = stepper.noise_increment(increments[i], phys)
+        else:
+            if i % slab == 0:
+                sigs = stepper.noise_increment(increments[i:i + slab], phys)
+            sig = sigs[i % slab]
         if with_diag:  # only the next diagnostic row reads the pairing
             work = np.sum(sig * a[:, span], axis=-1)
         a = a + dt * drift  # a new array: on_step may hold the previous state
@@ -414,7 +447,7 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     """
     qgrid = quadrature_grid(u0.grid, cfg.galerkin_n)  # the gap's drift is alias-free there
     audit = _GapAudit(GalerkinFrame(qgrid, cfg.galerkin_n), cfg, base=0)
-    # path 0 twice: both rows see the same increments
+    # path 0 twice, drawn once: both rows see the same increments
     _run_batched(np.stack((u0.coeffs, v0.coeffs)), u0.grid, model, cfg,
                  draw_increments(model, cfg, (0, 0)), with_diag=False, on_step=audit.record)
     growth = (1.0 + 4.0 / BETA_HAT) * condition_c_bounds(model, eta=eta).l1 * audit.t

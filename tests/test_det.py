@@ -91,6 +91,23 @@ def test_energy_certificate_and_dt_order(grid32, make_field):
     assert 3.5 <= rels[0] / rels[1] <= 4.5  # second-order residual
 
 
+# observed orders must lie within ORDER_TOL * p of p: 0.1, 0.2 and 0.4 for
+# p = 1, 2 and 4, each well short of the next order up or down
+ORDER_TOL = 0.1
+
+
+def test_integrator_orders(grid32, make_field):
+    # the final state at dt = 2e-2 .. 2.5e-3 against if-rk4 at dt = 0.5 / 1600;
+    # an amplitude-8 field makes the advection, not the exact linear part, set the error
+    u0 = make_field(grid32, band=4, amplitude=8.0, seed=9)
+    ref = run_det(u0, DetConfig(dt=0.5 / 1600, t_end=0.5, integrator="if-rk4")).final_coords
+    for integrator, p in (("if-euler", 1), ("if-rk2", 2), ("if-rk4", 4)):
+        errs = [np.linalg.norm(run_det(u0, DetConfig(dt=dt, t_end=0.5, integrator=integrator))
+                               .final_coords - ref) for dt in (2e-2, 1e-2, 5e-3, 2.5e-3)]
+        orders = np.log2(np.array(errs[:-1]) / errs[1:])
+        assert np.all(np.abs(orders - p) <= ORDER_TOL * p), (integrator, orders)
+
+
 def test_h01_certificate(grid32, make_field):
     u0 = make_field(grid32, band=4, seed=6)
     traj = run_det(u0, DetConfig(dt=1e-3, t_end=0.25))

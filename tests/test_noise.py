@@ -324,6 +324,19 @@ def test_wiener_draws_scale_straight_into_a_strided_column():
     assert np.all(np.isnan(incs[:, 0])) and np.all(np.isnan(incs[:, 2]))
 
 
+def test_wiener_draws_are_the_same_bits_in_a_row_and_a_column():
+    # a contiguous row of a block of paths is drawn into in place, a strided
+    # column through a temporary: both hold the bits of a fresh array
+    block = np.full((3, 40, 2), np.nan)
+    incs = np.full((40, 3, 2), np.nan)
+    row, col = block[1], incs[:, 1]
+    assert sample_wiener_increment(2, 40, 1e-3, base_seed=7, traj_index=4, out=row) is row
+    assert sample_wiener_increment(2, 40, 1e-3, base_seed=7, traj_index=4, out=col) is col
+    fresh = sample_wiener_increment(2, 40, 1e-3, 7, 4)
+    assert row.tobytes() == np.ascontiguousarray(col).tobytes() == fresh.tobytes()
+    assert np.all(np.isnan(block[::2])) and np.all(np.isnan(incs[:, ::2]))
+
+
 def test_wiener_increment_variance():
     dt = 1e-3
     draws = sample_wiener_increment(1, 200_000, dt, base_seed=0)

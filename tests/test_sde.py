@@ -353,6 +353,60 @@ def test_draw_increments_are_step_major_per_path_streams():
         assert draw_increments(quiet, cfg, range(4)).shape == (cfg.n_steps, 4, 0)
 
 
+# budgets of 1-2 paths of 7 steps and 2 modes (112 bytes each) and of 1-3 steps
+# of 5 paths on 2 columns (80 bytes each); 100 bytes is less than one path
+_SMALL_BUDGETS = [80, 100, 160, 240]
+
+
+@pytest.mark.parametrize("budget", _SMALL_BUDGETS)
+def test_draw_increments_keep_every_bit_across_path_blocks(monkeypatch, budget):
+    from ans2d import sde
+
+    model = _CRITERION_10
+    cfg = SdeConfig(dt=2e-3, t_end=7 * 2e-3, seed=5)
+    assert cfg.n_steps == 7
+    paths = (3, 0, 3, 1, 2)
+    calls = []
+    monkeypatch.setattr(sde, "BLOCK_BYTES", budget)
+    monkeypatch.setattr(sde, "sample_wiener_increment",
+                        lambda *args, **kw: calls.append(args[4]) or sample_wiener_increment(
+                            *args, **kw))
+    incs = draw_increments(model, cfg, paths)
+    assert sorted(calls) == [0, 1, 2, 3]  # each distinct path drawn once
+    for col, path in enumerate(paths):
+        assert incs[:, col].tobytes() == sample_wiener_increment(
+            model.n_modes, cfg.n_steps, cfg.dt, 5, path).tobytes()
+
+
+@pytest.mark.parametrize("model, drop", [
+    (_CRITERION_10, False),
+    (make_model([], ["0.0*cos(1,0)"], "one"), False),
+    (_CRITERION_10, True),
+], ids=["criterion-10", "zero-model", "drop-nonlinearity"])
+def test_run_keeps_every_bit_across_noise_blocks(grid16, make_field, monkeypatch, model, drop):
+    # step slabs of 1, 1, 2 and 3 of 7 steps, and path blocks of 1 or 2 of 5
+    # paths, against the default budget, which holds every path and step at once
+    from ans2d import sde
+
+    cfg = SdeConfig(dt=2e-3, t_end=7 * 2e-3, galerkin_n=8, seed=5, drop_nonlinearity=drop)
+    u0 = make_field(grid16, band=3, seed=16).coeffs
+    whole = sde._run_batched(u0, grid16, model, cfg, draw_increments(model, cfg, range(5)))
+    calls = []
+    increment = sde._Stepper.noise_increment
+    monkeypatch.setattr(sde._Stepper, "noise_increment",
+                        lambda self, dw, phys: calls.append(len(dw)) or increment(self, dw, phys))
+    for budget in _SMALL_BUDGETS:
+        monkeypatch.setattr(sde, "BLOCK_BYTES", budget)
+        calls.clear()
+        run = sde._run_batched(u0, grid16, model, cfg, draw_increments(model, cfg, range(5)))
+        if not model.is_zero:
+            slab = budget // 80
+            assert calls == [slab] * (7 // slab) + [7 % slab] * bool(7 % slab)
+        assert run.final.tobytes() == whole.final.tobytes()
+        for name in sde.DIAG_NAMES:
+            assert run.diag[name].tobytes() == whole.diag[name].tobytes(), name
+
+
 @pytest.mark.parametrize("model", [NoiseModel(), _model_small()], ids=["no-noise", "tanh"])
 def test_nan_initial_state_blows_up_at_first_step(grid16, make_field, model):
     # the per-path norm must not drop NaNs: the first step already fails
