@@ -70,11 +70,10 @@ class GalerkinFrame:
     contiguous axis, where numpy's FFT is several times faster on the
     short batched transforms of a level.  pair_at indexes it flat, at
     (k2 mod m) n1 + (k1 mod n1): kc of every pair, then -kc, so every pair
-    fills both of its wavevectors.  synth gives the leading packed rows of
-    the table spec_gain, the coefficients per unit pair value
-    a_cos - i a_sin at kc (conjugated at -kc) of u1 + i u2 and
-    d1 u1 + i d1 u2: 0.5 amp (d1 + i d2), times i k1 for d1 u.  The
-    advection reads row 0; a sigma(u) with c-channels both.  analyse
+    fills both of its wavevectors.  synth gives the packed samples
+    u1 + i u2 through spec_gain, their coefficient per unit pair value
+    a_cos - i a_sin at kc (conjugated at -kc), 0.5 amp (d1 + i d2); the
+    advection and a sigma(u) whose b g(u) depends on u read them.  analyse
     weights two packed real fields w = f1 + i f2 per pair: with
     W = f1^ + i f2^, f1^(kc) = (W(kc) + conj W(-kc)) / 2 and
     f2^(kc) = (W(kc) - conj W(-kc)) / 2i, so the weighted value
@@ -130,10 +129,9 @@ class GalerkinFrame:
         # (source 2 n_pairs)
         self.spec_src = np.full(m * grid.n1, 2 * n_pairs)
         self.spec_src[self.pair_at] = np.arange(2 * n_pairs)
-        # coefficient of u1 + i u2 and of d1 u1 + i d1 u2 per unit pair value
-        gain = np.zeros((2, m * grid.n1), dtype=np.complex128)
-        gain[:, self.pair_at] = (np.stack((np.ones(2 * n_pairs), 1j * k[:, 0]))
-                                 * np.tile(0.5 * _AMP * (self.dirs[0] + 1j * self.dirs[1]), 2))
+        # coefficient of u1 + i u2 per unit pair value
+        gain = np.zeros(m * grid.n1, dtype=np.complex128)
+        gain[self.pair_at] = np.tile(0.5 * _AMP * (self.dirs[0] + 1j * self.dirs[1]), 2)
         self.spec_gain = gain
         # d . (-i k_j (u_j u)^) at kc from the products P = 2 u1 u2, Q = u2^2 - u1^2
         k1, k2 = pairs.T.astype(np.float64)
@@ -186,24 +184,23 @@ class GalerkinFrame:
         out[..., :, self.minus[0], self.minus[1]] = np.conj(half)
         return out
 
-    def synth(self, a: np.ndarray, rows: int = 1) -> np.ndarray:
-        """(..., rows, n1, n2) packed samples of the leading rows of spec_gain for coordinates a.
+    def synth(self, a: np.ndarray) -> np.ndarray:
+        """(..., n1, n2) packed samples u1 + i u2 of the field with coordinates a.
 
-        Row 0 is u1 + i u2, which feeds the advection
-        (spectral._advection_raw); a sigma(u) with c-channels also reads
-        row 1, d1 u1 + i d1 u2.  The gather writes the (..., rows, m, n1)
+        They feed the advection (spectral._advection_raw) and a sigma(u)
+        whose b g(u) depends on u.  The gather writes the (..., m, n1)
         packed spectrum spectral._phys reads, k1 last, straight from the
-        index map spec_src, and one transform call serves all the rows.
+        index map spec_src.
         """
         lead = a.shape[:-1]
         z = self._to_pairs(a)
         src = np.concatenate((z, np.conj(z), np.zeros(lead + (1,))), axis=-1)
         # the gathered factor has its batch axes innermost; numpy would lay
         # the product out like it, which is slow, so it goes into a C-ordered out
-        spec = np.empty(lead + (rows, self.spec_src.size), dtype=np.complex128)
-        np.multiply(src[..., None, self.spec_src], self.spec_gain[:rows], out=spec)
+        spec = np.empty(lead + (self.spec_src.size,), dtype=np.complex128)
+        np.multiply(src[..., self.spec_src], self.spec_gain, out=spec)
         del z, src  # not held through the transform: it would raise the peak heap
-        spec = spec.reshape(lead + (rows, 2 * self.reach2 + 1, self.grid.n1))
+        spec = spec.reshape(lead + (2 * self.reach2 + 1, self.grid.n1))
         return spectral._phys(spec, self.grid.n_points)
 
     def analyse(self, samples: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -32,7 +32,14 @@ from .basis import GalerkinFrame, max_level
 from .config import _parse_count, echo_config, load_config
 from .ensemble import EnsembleConfig, moment_bound_report, run_ensemble
 from .errors import BlowUpError, ConfigError, GateError, UsageError
-from .noise import GateResult, NoiseModel, condition_c_bounds, condition_c_gate, make_model
+from .noise import (
+    GateResult,
+    NoiseModel,
+    _samples_state,
+    condition_c_bounds,
+    condition_c_gate,
+    make_model,
+)
 from .norms import MEASURE, Verdict, cumulative_trapezoid, verdict
 from .snapshots import write_snapshot
 from .spectral import (
@@ -109,8 +116,8 @@ def _initial_field(grid: TorusGrid, cfg: dict[str, Any]) -> SpectralField:
 
 
 def _samples(frame: GalerkinFrame, a: np.ndarray) -> PhysicalField:
-    """Grid samples of coordinates a in frame: synth's row u1 + i u2, split."""
-    z = frame.synth(a)[0]
+    """Grid samples of coordinates a in frame: synth's u1 + i u2, split."""
+    z = frame.synth(a)
     return PhysicalField(frame.grid, np.stack((z.real, z.imag)))
 
 
@@ -157,7 +164,7 @@ def _check_step_arrays(scfg: sde_mod.SdeConfig, model: NoiseModel, batch: int) -
 def _check_run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
                      model: NoiseModel = NoiseModel()) -> None:
     """ConfigError when det.run_bytes of the run would exceed spectral.MAX_ARRAY_BYTES."""
-    nbytes = det_mod.run_bytes(grid, batch, levels, not (model.is_zero or model.is_additive))
+    nbytes = det_mod.run_bytes(grid, batch, levels, _samples_state(model))
     with _config_value():
         check_array_bytes(f"a run of {batch} state(s) on the {grid.n1}x{grid.n2} grid", nbytes,
                           scope="a run may hold at once")

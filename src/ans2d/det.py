@@ -70,20 +70,20 @@ class Clock:
 
 
 def run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
-              multiplicative: bool = False) -> int:
+              sampled: bool = False) -> int:
     """Bytes a run of batch states on grid holds at once, sized without building a frame.
 
     A deterministic run (no levels) steps max_level(grid) on grid; an SDE
     run steps its levels in turn, each on its quadrature grid (at most
-    3 reach + 4 points per axis, basis.level_reach), or on grid when sigma
-    is multiplicative.  The sum of:
+    3 reach + 4 points per axis, basis.level_reach), or on grid when
+    sampled, as a sigma(u) whose b g(u) depends on u is.  The sum of:
     - 32 bytes per grid point per coefficient array: 4, a random field's
       construction peak, and 2 more for a batch, such as the uniqueness
       pair's u0, v0 and their stack beside the heap the construction left;
     - per level, 192 bytes per mode pair and 40 per entry of its
       (2 reach2 + 1) x n1 packed spectrum, twice for an SDE level and its quadrature frame;
     - per state, one drift's samples: 3 complex per sampling point (8 with
-      a multiplicative sigma(u)) and 2 per spectrum entry;
+      a sampled sigma(u)) and 2 per spectrum entry;
     - 16 MiB: modules loaded on first use (7.7 MiB), the allocator's heap,
       and an SDE run's two noise blocks (a block of Wiener paths and a
       slab of additive increments, at most 2 sde.BLOCK_BYTES together).
@@ -95,9 +95,9 @@ def run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
                 * (192 * ((n + 1) // 2) + 40 * (2 * level_reach(grid, n)[1] + 1) * grid.n1)
                 for n in levels or (top,))
     reach = level_reach(grid, max(levels, default=top))
-    n1, n2 = (grid.n1, grid.n2) if multiplicative or not levels else (
+    n1, n2 = (grid.n1, grid.n2) if sampled or not levels else (
         min(n, 3 * k + 4) for n, k in zip((grid.n1, grid.n2), reach))
-    total += batch * 16 * ((8 if multiplicative else 3) * n1 * n2 + 2 * (2 * reach[1] + 1) * n1)
+    total += batch * 16 * ((8 if sampled else 3) * n1 * n2 + 2 * (2 * reach[1] + 1) * n1)
     return total + 32 * (4 if batch == 1 else 6) * grid.n_points + 2 ** 24
 
 

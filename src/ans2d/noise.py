@@ -5,9 +5,12 @@ The diffusion maps a Wiener increment with components y_k to
     sigma(u) y = sum_k ( c_k(x) d1 u + b_k(x) g(u) ) y_k
 
 followed by the projection P_n onto the span of the first n basis
-elements; sigma_coords gives its n coordinates from grid samples, which
-the SDE engine (for a multiplicative sigma) and condition_c_empirical_check
-share.  The c_k, b_k are finite trigonometric recipes; g acts
+elements; sigma_coords gives its n coordinates, which the SDE engine (for
+a sigma that depends on u) and condition_c_empirical_check share.  The
+transport part P_n (c_k d1 u) is a fixed sparse linear map of the state's
+coordinates, applied through a gather table read off the recipes
+(_transport_table); only a b g(u) that depends on u is sampled on the
+grid and analysed.  The c_k, b_k are finite trigonometric recipes; g acts
 componentwise, is bounded and Lipschitz.  The budgets the recipes need:
 
     M1 = sum_k (sup|c_k| + sup|d1 c_k| + sup|d2 c_k|)^2
@@ -238,11 +241,11 @@ def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
                             out: np.ndarray | None = None) -> np.ndarray:
     """Pregenerated increments, shape (n_steps, n_modes), entries N(0, dt).
 
-    The scaled draws are written into out when given, else into a new
-    array; the array written is returned.  A C-contiguous float64 out (one
-    path's row of a block of paths) is drawn into and scaled in place; any
-    other (n_steps, n_modes) float view, such as a strided column, takes
-    the scaled draws through a temporary.  Both write the same bits.
+    The draws are made and scaled in place in out when given, else in a
+    new array, and the array written is returned.  out must be a
+    C-contiguous float64 (n_steps, n_modes) array, such as one path's row
+    of a block of paths (sde.draw_increments); ValueError otherwise,
+    before anything is drawn.
 
     Counter-based stream: each (base_seed, traj_index) pair keys an
     independent Philox stream, so paths are reproducible individually.  A
@@ -252,17 +255,19 @@ def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
     generator's numbers, without building one (and the OS entropy its
     constructor gathers) per path.
     """
+    if out is None:
+        out = np.empty((n_steps, n_modes))
+    elif not (out.flags.c_contiguous and out.dtype == np.float64):
+        raise ValueError("out must be a C-contiguous float64 array")
     key = np.array([base_seed % 2 ** 64, traj_index % 2 ** 64], dtype=np.uint64)
     gen = _philox()
     gen.bit_generator.state = {"bit_generator": "Philox",
                                "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
                                "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
                                "has_uint32": 0, "uinteger": 0}
-    if out is not None and out.flags.c_contiguous and out.dtype == np.float64:
-        gen.standard_normal((n_steps, n_modes), out=out)
-        out *= np.sqrt(dt)
-        return out
-    return np.multiply(gen.standard_normal((n_steps, n_modes)), np.sqrt(dt), out=out)
+    gen.standard_normal((n_steps, n_modes), out=out)
+    out *= np.sqrt(dt)
+    return out
 
 
 def _channel_sum(y: np.ndarray, arr: np.ndarray, channels: Sequence[int] | None = None
@@ -285,60 +290,190 @@ def _channel_sum(y: np.ndarray, arr: np.ndarray, channels: Sequence[int] | None 
     return out
 
 
-def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, d1u_phys: np.ndarray | None,
-               y: np.ndarray, c_fields: Channels, b_fields: Channels) -> np.ndarray:
-    """sigma(u) y before projection, packed, from packed samples of u and d1 u.
+def _additive_coords(model: NoiseModel, frame: GalerkinFrame) -> np.ndarray:
+    """(n_modes, n) coordinates of the fields b_k (1, 1), read off the recipes.
 
-    u_phys, d1u_phys: (..., n1, n2) complex samples u1 + i u2 and
-    d1 u1 + i d1 u2 (d1u_phys is read only when c_fields has a channel);
-    y: (..., n_modes); batch axes broadcast.  c_fields, b_fields are the
-    non-zero channels of model.coefficient_fields, and only those are
-    added.  g acts componentwise, on the float view of u_phys, whose
-    (Re, Im) pairs are (u1, u2).  Returns the packed samples
-    sigma1 + i sigma2 of sigma(u) y.
-
-    No buffer is zeroed unless there is no channel at all: the b-channel
-    sum multiplies g(u), a fresh array, in place when g(u) already has the
-    broadcast shape (a channel axis in y, as hs_sq and
-    condition_c_empirical_check pass, widens it, and then the product is a
-    new array); the c-channel product is then added, or returned alone
-    without b-channels.  IEEE addition commutes and 0 + x = x, so every
-    sample has the bits of the zeroed sum 0 + c-product + b-product, up to
-    the sign of an exact zero.
+    amp cos(m.x) has coefficient amp/2 at m and -m, amp sin(m.x) -i amp/2 at m and i amp/2
+    at -m; per pair, d . (1, 1) b_k^(kc) is the value frame._from_pairs encodes.  These are
+    the channels of b g(u) for g = one, an additive sigma among them.
     """
-    c_channels, c_samples = c_fields
+    model.check_band(frame.grid)
+    kc = frame.wavevectors[::2]
+    beta = np.zeros((model.n_modes, len(kc)), dtype=np.complex128)
+    for j, recipe in enumerate(model.b):
+        for amp, m1, m2, phase in recipe.terms:
+            at_m, at_minus_m = (0.5 * amp * np.all(kc == (s * m1, s * m2), axis=1) for s in (1, -1))
+            beta[j] += at_m + at_minus_m if phase == "cos" else -1j * (at_m - at_minus_m)
+    return frame._from_pairs(beta * (frame.dirs[0] + frame.dirs[1]))
+
+
+# (channels, src, weight) of the c-channels in one frame; see _transport_table
+_Table = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
+def _transport_table(model: NoiseModel, frame: GalerkinFrame) -> _Table:
+    """Gather tables of the maps a -> coordinates of P_n (c_k d1 u), read off the recipes.
+
+    u has coordinates a in frame, and P_n (c_k d1 u) is a fixed linear map
+    of them.  d1 u has coefficient i s1 u^(s) at each wavevector s = +-kc
+    of the level, and a term amp cos(m.x) of c_k takes it to s + m and
+    s - m with weight amp/2, amp sin(m.x) with weight -i amp/2 to s + m
+    and i amp/2 to s - m (a bare constant is cos(0.x)).  Target kc_q thus
+    reads the sources kc_q -+ m, each kc_p or -kc_p of a level pair p
+    (s = 0 and sources or targets outside the level drop out), times
+    d_q . d_p: a cos term couples the cosine coordinates of one pair to
+    the sine ones of the other, a sin term cosine to cosine and sine to
+    sine.  So every target column reads at most two source columns per
+    term.  Duplicate (target, source) entries are summed, and zero
+    weights dropped.
+
+    channels indexes the c recipes whose map is not zero; src and weight,
+    both (len(channels), width, n), hold per channel and slot a source
+    column and its weight for every target column, zero-weight padding
+    (source 0) where a column reads fewer than width sources:
+
+        (table_k a)_j = sum_w weight[k, w, j] a[src[k, w, j]].
+
+    No product of a level against itself is sampled, so nothing aliases
+    and nothing depends on the grid beyond the level's enumeration.
+    """
+    model.check_band(frame.grid)
+    n = frame.n
+    kc = frame.wavevectors[::2]
+    d0, d1 = frame.dirs
+    r1, r2 = np.max(np.abs(kc), axis=0)
+    # lookup over the level's box: p + 1 at kc_p, -(p + 1) at -kc_p, 0 elsewhere
+    at = np.zeros((2 * r1 + 1, 2 * r2 + 1), dtype=np.int64)
+    code = np.arange(1, len(kc) + 1)
+    at[kc[:, 0] + r1, kc[:, 1] + r2] = code
+    at[r1 - kc[:, 0], r2 - kc[:, 1]] = -code
+    channels, entries = [], []
+    for ch, recipe in enumerate(model.c):
+        rows = []  # (target columns, source columns, weights)
+        for amp, m1, m2, phase in recipe.terms:
+            for sign in (1, -1):  # the source kc_q - sign m reaches kc_q through +-m
+                s = kc - (sign * m1, sign * m2)
+                inside = (np.abs(s[:, 0]) <= r1) & (np.abs(s[:, 1]) <= r2)
+                hit = np.zeros(len(kc), dtype=np.int64)
+                hit[inside] = at[s[inside, 0] + r1, s[inside, 1] + r2]
+                q = np.flatnonzero(hit)
+                p, eps = np.abs(hit[q]) - 1, np.sign(hit[q])
+                gamma = 0.5 * amp * s[q, 0] * (d0[q] * d0[p] + d1[q] * d1[p])
+                if phase == "cos":
+                    rows += [(2 * q, 2 * p + 1, eps * gamma), (2 * q + 1, 2 * p, -gamma)]
+                else:
+                    gamma = sign * gamma
+                    rows += [(2 * q, 2 * p, gamma), (2 * q + 1, 2 * p + 1, eps * gamma)]
+        if not rows:
+            continue
+        tgt, src, weight = (np.concatenate(x) for x in zip(*rows))
+        keep = (tgt < n) & (src < n)  # an odd n has no sine column in its last pair
+        key, where = np.unique(tgt[keep] * n + src[keep], return_inverse=True)
+        weight = np.bincount(where, weights=weight[keep], minlength=len(key))
+        key, weight = key[weight != 0.0], weight[weight != 0.0]
+        if len(key):
+            channels.append(ch)
+            entries.append((key // n, key % n, weight))
+    width = max((int(np.bincount(t).max()) for t, _, _ in entries), default=0)
+    src = np.zeros((len(entries), width, n), dtype=np.int64)
+    weight = np.zeros((len(entries), width, n))
+    for k, (t, j, w) in enumerate(entries):
+        # entries are sorted by target: the slot is the rank within the target's run
+        count = np.bincount(t, minlength=n)
+        slot = np.arange(len(t)) - (np.cumsum(count) - count)[t]
+        src[k, slot, t] = j
+        weight[k, slot, t] = w
+    return np.array(channels, dtype=np.int64), src, weight
+
+
+# (transport table, b channels sampled when b g(u) depends on u, (rows, n)
+# coordinates of b g(u) when it does not); see _sigma_parts
+_Parts = tuple[_Table, Channels, np.ndarray]
+
+
+def _sigma_parts(model: NoiseModel, frame: GalerkinFrame) -> _Parts:
+    """What sigma_coords needs of model in frame, built once per (frame, model).
+
+    The c-channels' transport table; for g = one the constant coordinates
+    of b (1, 1) (_additive_coords; no row when every b recipe is empty);
+    for a g that depends on u the b recipes sampled on frame.grid
+    (coefficient_fields), which sigma_coords reads through samples of u.
+    g = zero contributes nothing.  A model whose b g(u) does not depend
+    on u thus needs no samples of the state.
+    """
+    grid = frame.grid
+    fields = (np.zeros(0, dtype=np.int64), np.zeros((0, grid.n1, grid.n2)))
+    const = np.zeros((0, frame.n))
+    if model.g_kind == "one" and not all(r.is_zero for r in model.b):
+        const = _additive_coords(model, frame)
+    elif _samples_state(model):
+        fields = model.coefficient_fields(grid)[1]
+    return _transport_table(model, frame), fields, const
+
+
+def _samples_state(model: NoiseModel) -> bool:
+    """True when b g(u) depends on u: g is neither one nor zero and a b recipe has a term
+    of non-zero amplitude.  Only then does sigma(u) read samples of the state."""
+    return model.g_kind not in ("one", "zero") and not all(r.is_zero for r in model.b)
+
+
+def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, y: np.ndarray,
+               b_fields: Channels) -> np.ndarray:
+    """sum_k y_k b_k g(u) before projection, packed, from packed samples u1 + i u2.
+
+    u_phys: (..., n1, n2) complex samples; y: (..., n_modes); batch axes
+    broadcast.  b_fields are the non-zero b-channels of
+    model.coefficient_fields, and only those are added.  g acts
+    componentwise, on the float view of u_phys, whose (Re, Im) pairs are
+    (u1, u2).  Returns the packed samples of the b g(u) part of
+    sigma(u) y; the c-channels act on coordinates (_transport_table).
+
+    No buffer is zeroed: the b-channel sum multiplies g(u), a fresh array,
+    in place when g(u) already has the broadcast shape (a channel axis in
+    y, as hs_sq and condition_c_empirical_check pass, widens it, and then
+    the product is a new array).
+    """
     b_channels, b_samples = b_fields
-    if not len(b_channels):
-        if not len(c_channels):
-            lead = np.broadcast_shapes(u_phys.shape[:-2], y.shape[:-1])
-            return np.zeros(lead + u_phys.shape[-2:], dtype=np.complex128)
-        return _channel_sum(y, c_samples, c_channels) * d1u_phys
     out = model.g_eval(u_phys.view(np.float64)).view(np.complex128)
     bsum = _channel_sum(y, b_samples, b_channels)
     if out.shape == np.broadcast_shapes(out.shape, bsum.shape):
         out *= bsum
     else:
         out = out * bsum
-    if len(c_channels):
-        out += _channel_sum(y, c_samples, c_channels) * d1u_phys
     return out
 
 
-def sigma_coords(model: NoiseModel, frame: GalerkinFrame, phys: np.ndarray, y: np.ndarray,
-                 fields: tuple[Channels, Channels]) -> np.ndarray:
-    """(..., n) coordinates of P_n sigma(u) y in frame.
+def sigma_coords(model: NoiseModel, frame: GalerkinFrame, a: np.ndarray, phys: np.ndarray | None,
+                 y: np.ndarray, parts: _Parts) -> np.ndarray:
+    """(..., n) coordinates of P_n sigma(u) y in frame, for u with coordinates a.
 
-    phys holds the (..., rows, n1, n2) packed samples frame.synth gives,
-    of which u1 + i u2 (row 0) and, for a model with c-channels,
-    d1 u1 + i d1 u2 (row 1) are read; y: (..., n_modes); batch axes
-    broadcast.  fields are model.coefficient_fields(frame.grid), sampled
-    once by the caller.  The SDE engine (sde._Stepper) passes the one
-    synthesis of each step, and condition_c_empirical_check a field's
-    synthesis in the frame of all basis elements (_field_sigma_coords).
+    a: (..., n); y: (..., n_modes); batch axes broadcast.  parts are
+    _sigma_parts(model, frame), built once by the caller.  Into zeros goes
+    the b g(u) part first: when it depends on u, the analysis of
+    _sigma_raw's samples from phys, the (..., n1, n2) packed samples
+    u1 + i u2 on frame.grid (GalerkinFrame.synth), which nothing else
+    here reads and may be None otherwise; for g = one, the constant
+    channel coordinates.  Then each c-channel adds y_k (table_k a),
+    channel by channel and slot by slot, in elementwise
+    gather-multiply-adds: a BLAS product would round differently for
+    different batch shapes (_channel_sum).  The SDE
+    engine (sde._Stepper) passes the state and the one synthesis of each
+    step, and condition_c_empirical_check a field in the frame of all
+    basis elements (_field_sigma_coords).
     """
-    d1u = phys[..., 1, :, :] if len(fields[0][0]) else None
-    return frame.analyse(_sigma_raw(model, phys[..., 0, :, :], d1u, y, *fields),
-                         frame.field_weights)
+    table, fields, const = parts
+    out = np.zeros(np.broadcast_shapes(a.shape[:-1], y.shape[:-1]) + (frame.n,))
+    if len(fields[0]):
+        out += frame.analyse(_sigma_raw(model, phys, y, fields), frame.field_weights)
+    if len(const):
+        out += _channel_sum(y, const)
+    channels, src, weight = table
+    for k, ch in enumerate(channels):
+        ta = np.take(a, src[k, 0], axis=-1) * weight[k, 0]
+        for w in range(1, src.shape[1]):
+            ta += np.take(a, src[k, w], axis=-1) * weight[k, w]
+        out += y[..., ch, None] * ta
+    return out
 
 
 def _field_sigma_coords(model: NoiseModel, u: SpectralField,
@@ -347,12 +482,14 @@ def _field_sigma_coords(model: NoiseModel, u: SpectralField,
 
     u is read through its coordinates in that frame, so it must be
     Hermitian; a dealiased, solenoidal, mean-free u (every field the audit
-    takes) is its own projection there.
+    takes) is its own projection there.  It is synthesized only when its
+    b g(u) depends on it.
     """
     top = GalerkinFrame(u.grid, max_level(u.grid))
-    fields = model.coefficient_fields(u.grid)
-    phys = top.synth(top.coords(u.coeffs), rows=2 if len(fields[0][0]) else 1)
-    return sigma_coords(model, top, phys, y, fields), top
+    parts = _sigma_parts(model, top)
+    a = top.coords(u.coeffs)
+    phys = top.synth(a) if len(parts[1][0]) else None
+    return sigma_coords(model, top, a, phys, y, parts), top
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,17 @@ trajectories as (B, n) arrays, and hands back coordinates: its final
 state and on_step callback see (B, n) arrays, which the frame lifts to
 coefficients where a caller needs a field.  Every element is an
 eigenfunction of d1^2 and d2^2, so exp(L dt), P_n, additive noise
-and every diagnostic norm act on the coordinates directly; only the
-advection and a multiplicative sigma(u) (noise.sigma_coords) need grid
-samples of the state, synthesized once per step: the velocity u, whose
-products 2 u1 u2 and u2^2 - u1^2 give the advection in its divergence form
-(basis.GalerkinFrame), and d1 u as well when sigma has c-channels.  The
-advection runs on the level's quadrature grid, the smallest alias-free
-grid holding its wavevectors (basis.quadrature_grid); a multiplicative
-sigma(u) is not band-limited, so with it the samples come from the
-configured grid instead.  Initial coefficients must be Hermitian.
+and every diagnostic norm act on the coordinates directly, and so do the
+transport channels c_k d1 u of sigma(u), through a fixed table per level
+(noise._transport_table).  Only the advection and a b g(u) that depends
+on u (noise.sigma_coords) need grid samples of the state, synthesized
+once per step: the velocity u, whose products 2 u1 u2 and u2^2 - u1^2
+give the advection in its divergence form (basis.GalerkinFrame), and
+whose componentwise g(u) the b-channels multiply.  The advection runs on
+the level's quadrature grid, the smallest alias-free grid holding its
+wavevectors (basis.quadrature_grid); such a g(u) is not band-limited, so
+with it the samples come from the configured grid instead.  Initial
+coefficients must be Hermitian.
 Per-step diagnostics come out as (n_steps+1, B) columns, which keeps path
 ensembles in pure array arithmetic; the noise pairing (sigma dW, u) is
 formed only when a diagnostic row records it.  Additive noise reaches
@@ -56,7 +58,9 @@ from .noise import (
     DEFAULT_ETA,
     NoiseModel,
     ScalarRecipe,
+    _additive_coords,
     _channel_sum,
+    _sigma_parts,
     condition_c_bounds,
     sample_wiener_increment,
     sigma_coords,
@@ -85,41 +89,26 @@ class SdeConfig(Clock):
             raise ValueError("galerkin_n must be >= 1")
 
 
-def _additive_coords(model: NoiseModel, frame: GalerkinFrame) -> np.ndarray:
-    """(n_modes, n) coordinates of the additive channels b_k (1, 1), read off the recipes.
-
-    amp cos(m.x) has coefficient amp/2 at m and -m, amp sin(m.x) -i amp/2 at m and i amp/2
-    at -m; per pair, d . (1, 1) b_k^(kc) is the value frame._from_pairs encodes.
-    """
-    model.check_band(frame.grid)
-    kc = frame.wavevectors[::2]
-    beta = np.zeros((model.n_modes, len(kc)), dtype=np.complex128)
-    for j, recipe in enumerate(model.b):
-        for amp, m1, m2, phase in recipe.terms:
-            at_m, at_minus_m = (0.5 * amp * np.all(kc == (s * m1, s * m2), axis=1) for s in (1, -1))
-            beta[j] += at_m + at_minus_m if phase == "cos" else -1j * (at_m - at_minus_m)
-    return frame._from_pairs(beta * (frame.dirs[0] + frame.dirs[1]))
-
-
 class _Stepper:
     """Precomputed batched update for one (grid, model, config) triple.
 
     States are (B, n) coordinates in the level-n frame.  The step loop
-    synthesizes the packed row u1 + i u2 of a state on the quadrature
-    grid qgrid once (synth, through qframe.synth), plus d1 u1 + i d1 u2
-    when sigma has a non-zero c-channel (rows: 1 or 2), and hands the
-    samples to drift, noise_increment and hs_sq.  qgrid is the level's
+    synthesizes the packed samples u1 + i u2 of a state on the quadrature
+    grid qgrid once (synth, through qframe.synth) and hands them, with the
+    state, to drift, noise_increment and hs_sq.  qgrid is the level's
     smallest alias-free grid (basis.quadrature_grid), which gives the
     advection coordinates of the configured grid up to rounding.  A
-    multiplicative sigma(u) is not band-limited, so for it qgrid is the
-    configured grid; additive channels are read off the recipes
-    (_additive_coords).  Without noise (NoiseModel(), or a zero model) the
-    additive case has no channel, and its increments are exact zeros.
+    sigma(u) whose b g(u) depends on u is not band-limited, so for it
+    qgrid is the configured grid; its c-channels act on the coordinates
+    (noise._transport_table), and additive channels are read off the
+    recipes (noise._additive_coords), so no other noise samples the state.
+    Without noise (NoiseModel(), or a zero model) the additive case has no
+    channel, and its increments are exact zeros.
 
     span is the slice of columns a noise increment touches: every column
-    for a multiplicative sigma; for additive noise, the first to the last
-    column where a channel coordinate is non-zero, and span_channels holds
-    the channels there, (n_modes, len(span)).  A single-mode channel
+    for a sigma(u) that depends on u; for additive noise, the first to the
+    last column where a channel coordinate is non-zero, and span_channels
+    holds the channels there, (n_modes, len(span)).  A single-mode channel
     touches one column, and a zero model none.  additive keeps the dense
     (n_modes, n) channels, which hs_sq reads.
     """
@@ -135,29 +124,28 @@ class _Stepper:
         self.frame = GalerkinFrame(grid, cfg.galerkin_n)
         self.ef = np.exp(-cfg.dt * self.frame.k1sq)
         self.additive = None  # (channels, n) coordinates of the projected channels
-        self.rows = 1
+        sampled = False
         if model.is_zero:
             self.additive = np.zeros((0, self.frame.n))
         elif model.is_additive:
             self.additive = _additive_coords(model, self.frame)
         else:
-            self.fields = model.coefficient_fields(grid)
-            self.rows = 2 if len(self.fields[0][0]) else 1
-        multiplicative = self.additive is None
+            self.parts = _sigma_parts(model, self.frame)
+            sampled = len(self.parts[1][0]) > 0
         # the -0.0 that _from_pairs leaves in sine columns counts as untouched
         self.span = slice(None)
-        if not multiplicative:
+        if self.additive is not None:
             touched = np.flatnonzero(np.any(self.additive != 0.0, axis=0))
             ends = (int(touched[0]), int(touched[-1]) + 1) if len(touched) else (0, 0)
             self.span = slice(*ends)
             self.span_channels = np.ascontiguousarray(self.additive[:, self.span])
-        self.needs_phys = multiplicative or not cfg.drop_nonlinearity
-        self.qgrid = grid if multiplicative else quadrature_grid(grid, cfg.galerkin_n)
+        self.needs_phys = sampled or not cfg.drop_nonlinearity
+        self.qgrid = grid if sampled else quadrature_grid(grid, cfg.galerkin_n)
         self.qframe = GalerkinFrame(self.qgrid, cfg.galerkin_n)
 
     def synth(self, a: np.ndarray) -> np.ndarray | None:
-        """Samples of the leading rows of a on qgrid, or None when no layer reads them."""
-        return self.qframe.synth(a, self.rows) if self.needs_phys else None
+        """Samples u1 + i u2 of a on qgrid, or None when no layer reads them."""
+        return self.qframe.synth(a) if self.needs_phys else None
 
     def drift(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray | float:
         """Coordinates of -P_n (u.grad u); phys holds the samples of a.
@@ -169,27 +157,29 @@ class _Stepper:
             return 0.0
         return self.qframe.analyse(spectral._advection_raw(phys), self.qframe.drift_weights)
 
-    def noise_increment(self, dw: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
+    def noise_increment(self, dw: np.ndarray, a: np.ndarray,
+                        phys: np.ndarray | None) -> np.ndarray:
         """Coordinates of P_n sigma(u) dW in the columns span; dw has shape (B, n_modes).
 
-        Every coordinate outside span is an exact zero, and the step adds
-        only the (B, len(span)) increment returned.  Additive increments
-        do not depend on the state, so for them dw may also be a slab of
-        steps, (D, B, n_modes), which gives the (D, B, len(span))
-        increments of all D steps at once.
+        a is the state and phys its samples.  Every coordinate outside
+        span is an exact zero, and the step adds only the (B, len(span))
+        increment returned.  Additive increments do not depend on the
+        state, so for them dw may also be a slab of steps, (D, B, n_modes),
+        which gives the (D, B, len(span)) increments of all D steps at once.
         """
         if self.additive is not None:
             return _channel_sum(dw, self.span_channels)
-        return sigma_coords(self.model, self.frame, phys, dw, self.fields)
+        return sigma_coords(self.model, self.frame, a, phys, dw, self.parts)
 
     def hs_sq(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
         """||P_n sigma(u) Pi||_HS^2 per batch entry."""
         lead = a.shape[:-1]
         if self.additive is not None:
             return np.full(lead, float(np.sum(self.additive ** 2)))
-        # all channels at once: a channel axis before the rows
-        chans = sigma_coords(self.model, self.frame, phys[..., None, :, :, :],
-                             np.eye(self.model.n_modes), self.fields)
+        # all channels at once: a channel axis before the coordinates and the samples
+        chans = sigma_coords(self.model, self.frame, a[..., None, :],
+                             None if phys is None else phys[..., None, :, :],
+                             np.eye(self.model.n_modes), self.parts)
         return np.sum(chans ** 2, axis=(-2, -1))
 
 
@@ -320,10 +310,10 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
         if i == n_steps:
             break
         if stepper.additive is None:
-            sig = stepper.noise_increment(increments[i], phys)
+            sig = stepper.noise_increment(increments[i], a, phys)
         else:
             if i % slab == 0:
-                sigs = stepper.noise_increment(increments[i:i + slab], phys)
+                sigs = stepper.noise_increment(increments[i:i + slab], a, phys)
             sig = sigs[i % slab]
         if with_diag:  # only the next diagnostic row reads the pairing
             work = np.sum(sig * a[:, span], axis=-1)

@@ -231,16 +231,15 @@ def _advection_raw(phys: np.ndarray) -> np.ndarray:
     For div u = 0, u.grad(u) = div(u u), and the part of it that survives
     a projection onto divergence-free fields is fixed by P and Q alone
     (GalerkinFrame.drift_weights); analysed with those weights they give
-    the drift -P(u.grad u).  phys holds the packed rows of one synthesis
-    of a state (GalerkinFrame.synth), of which row 0, z = u1 + i u2, is
-    read, so that it can feed every consumer of it; batch axes are kept.
-    With z^2 = (u1^2 - u2^2) + 2 i u1 u2, the packed products are
+    the drift -P(u.grad u).  phys holds the packed samples z = u1 + i u2
+    of one synthesis of a state (GalerkinFrame.synth), which every
+    consumer of the state's samples shares; batch axes are kept.  With
+    z^2 = (u1^2 - u2^2) + 2 i u1 u2, the packed products are
     P + i Q = -i z^2: one complex square and one exact swap of parts,
     giving the one complex (..., n1, n2) array, P in .real and Q in
     .imag, that GalerkinFrame.analyse reads.
     """
-    z = phys[..., 0, :, :]
-    out = z * z
+    out = phys * phys
     out *= -1j
     return out
 

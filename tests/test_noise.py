@@ -20,10 +20,13 @@ from ans2d.noise import (
     required_budgets,
     _channel_sum,
     _field_sigma_coords,
+    _sigma_parts,
     _sigma_raw,
+    _transport_table,
     sample_wiener_increment,
+    sigma_coords,
 )
-from ans2d.sde import SdeConfig, _Stepper
+from ans2d.sde import SdeConfig, _Stepper, draw_increments
 from ans2d.spectral import PhysicalField, TorusGrid, forward_transform
 
 
@@ -140,7 +143,7 @@ def _engine_sigma(model, u, ys):
     st = _Stepper(u.grid, model, SdeConfig(galerkin_n=max_level(u.grid)))
     a = np.tile(st.frame.coords(u.coeffs), (len(ys), 1))
     dense = np.zeros_like(a)
-    dense[:, st.span] = st.noise_increment(np.asarray(ys, dtype=np.float64), st.synth(a))
+    dense[:, st.span] = st.noise_increment(np.asarray(ys, dtype=np.float64), a, st.synth(a))
     return st.frame.lift(dense)
 
 
@@ -193,12 +196,10 @@ def test_sigma_channels_match_apply(grid16, make_field):
 CRITERION_09 = (["0.05*cos(0,1)"], ["0.05*cos(1,0)", "0.02*sin(1,1)"], "tanh")
 
 
-def _zero_buffer_sigma(model, u_phys, d1u_phys, y, c_fields, b_fields):
-    """sigma(u) y summed into a zeroed buffer: the c-channel product, then the b one."""
+def _zero_buffer_sigma(model, u_phys, y, b_fields):
+    """The b g(u) part of sigma(u) y summed into a zeroed buffer."""
     lead = np.broadcast_shapes(u_phys.shape[:-2], y.shape[:-1])
     out = np.zeros(lead + u_phys.shape[-2:], dtype=np.complex128)
-    if len(c_fields[0]):
-        out += _channel_sum(y, c_fields[1], c_fields[0]) * d1u_phys
     if len(b_fields[0]):
         g = model.g_eval(u_phys.view(np.float64)).view(np.complex128)
         out += _channel_sum(y, b_fields[1], b_fields[0]) * g
@@ -214,18 +215,19 @@ def _zero_buffer_sigma(model, u_phys, d1u_phys, y, c_fields, b_fields):
     ([], []),
 ], ids=["c-only", "b-only", "both", "zero-channel", "no-channel"])
 def test_sigma_raw_keeps_the_zero_buffer_bits(grid16, c, b, g_kind):
-    # the buffer-free sum against the zeroed one, for a batch of states with
-    # a y per row and with the channel axis that hs_sq and
-    # condition_c_empirical_check pass (y = eye, broadcast against the rows)
+    # the buffer-free b g(u) sum against the zeroed one, for a batch of
+    # states with a y per row and with the channel axis that hs_sq and
+    # condition_c_empirical_check pass (y = eye, broadcast against the
+    # rows); the c-channels act on coordinates, so a c-only model has no
+    # b-channel here and sums to zeros
     model = make_model(c, b, g_kind)
     frame = GalerkinFrame(grid16, 16)
-    phys = frame.synth(np.random.default_rng(5).standard_normal((3, frame.n)), rows=2)
-    fields = model.coefficient_fields(grid16)
+    phys = frame.synth(np.random.default_rng(5).standard_normal((3, frame.n)))
+    b_fields = model.coefficient_fields(grid16)[1]
     y = np.random.default_rng(6).standard_normal((3, model.n_modes))
-    for u, d1u, ys in ((phys[:, 0], phys[:, 1], y),
-                       (phys[:, None, 0], phys[:, None, 1], np.eye(model.n_modes))):
-        got = _sigma_raw(model, u, d1u, ys, *fields)
-        np.testing.assert_array_equal(got, _zero_buffer_sigma(model, u, d1u, ys, *fields))
+    for u, ys in ((phys, y), (phys[:, None], np.eye(model.n_modes))):
+        got = _sigma_raw(model, u, ys, b_fields)
+        np.testing.assert_array_equal(got, _zero_buffer_sigma(model, u, ys, b_fields))
         assert got.shape == np.broadcast_shapes(u.shape[:-2], ys.shape[:-1]) + u.shape[-2:]
 
 
@@ -254,6 +256,51 @@ def test_sigma_coords_catch_g_applied_to_the_packed_value(make_field, monkeypatc
     monkeypatch.setattr(NoiseModel, "g_eval",
                         lambda self, x: np.tanh(x.view(np.complex128)).view(np.float64))
     assert _channel_error(model, u) > 1e-3
+
+
+# transport recipes: a bare constant, cos and sin terms with negative
+# components, several terms in one recipe, and a term that vanishes
+_TRANSPORT = {
+    "constant": ["0.3"],
+    "negative-components": ["0.2*cos(-1,2)", "0.15*sin(2,-1)", "0.1*sin(-1,-1)"],
+    "several-terms": ["0.1*cos(1,0) - 0.05*sin(0,1) + 0.02 + 0.07*cos(1,-1) - 0.1*sin(0,0)"],
+}
+
+
+@pytest.mark.parametrize("grid, n", [
+    (TorusGrid(16, 16), 8), (TorusGrid(16, 16), 9), (TorusGrid(16, 16), 16),
+    (TorusGrid(16, 16), 32), (TorusGrid(16, 16), max_level(TorusGrid(16, 16))),
+    (TorusGrid(24, 16), 17), (TorusGrid(24, 16), max_level(TorusGrid(24, 16))),
+], ids=lambda v: f"{v.n1}x{v.n2}" if isinstance(v, TorusGrid) else str(v))
+@pytest.mark.parametrize("recipes", list(_TRANSPORT.values()), ids=list(_TRANSPORT))
+def test_transport_table_matches_the_quadrature_route(grid, n, recipes):
+    # P_n (c_k d1 u) through the table against the route it replaces (d1 u
+    # synthesized, multiplied by the samples of c_k, analysed) and against
+    # the full-grid sigma; within 1e-13 of the largest coordinate.  A
+    # channel whose map is zero at the level (sin(-1,-1) at level 8) has no
+    # table and reads exact zeros
+    model = make_model(recipes, [], "one")
+    frame = GalerkinFrame(grid, n)
+    a = np.random.default_rng(n).standard_normal((3, n))
+    got = sigma_coords(model, frame, a[:, None, :], None, np.eye(model.n_modes),
+                       _sigma_parts(model, frame))
+    coeffs = frame.lift(a)
+    d1u = fullgrid.samples(fullgrid.deriv(coeffs, grid, 1), grid)
+    packed = d1u[:, 0] + 1j * d1u[:, 1]
+    quadrature = np.stack([frame.analyse(r.evaluate(grid)[None] * packed, frame.field_weights)
+                           for r in model.c], axis=1)
+    full = np.stack([frame.coords(fullgrid.channels(model, c, grid, n)) for c in coeffs])
+    scale = np.max(np.abs(full))
+    assert scale > 0.0 and got.shape == full.shape == quadrature.shape == (3, model.n_modes, n)
+    for ref in (quadrature, full):
+        assert np.max(np.abs(got - ref)) <= 1e-13 * scale
+    # each target column reads at most two source columns per term
+    channels, src, weight = _transport_table(model, frame)
+    nonzero = np.flatnonzero(np.max(np.abs(full), axis=(0, 2)) > 1e-13 * scale)
+    assert channels.tolist() == nonzero.tolist()
+    assert np.all(got[:, np.setdiff1d(range(model.n_modes), channels)] == 0.0)
+    assert src.shape == weight.shape and src.shape[-1] == n
+    assert src.shape[1] <= 2 * max(len(r.terms) for r in model.c)
 
 
 def test_sigma_adds_only_non_zero_channel_fields(grid16):
@@ -315,26 +362,27 @@ def test_wiener_streams_are_fresh_philox_streams(seed, index):
 
 
 def test_wiener_draws_scale_straight_into_a_strided_column():
-    # out= writes the bits the call without it returns into one path's
-    # column of a step-major (n_steps, B, n_modes) array, and returns it
-    incs = np.full((40, 3, 2), np.nan)
-    col = incs[:, 1]
-    assert sample_wiener_increment(2, 40, 1e-3, base_seed=7, traj_index=4, out=col) is col
-    np.testing.assert_array_equal(incs[:, 1], sample_wiener_increment(2, 40, 1e-3, 7, 4))
-    assert np.all(np.isnan(incs[:, 0])) and np.all(np.isnan(incs[:, 2]))
+    # out= is drawn into and scaled in place, so it must be a C-contiguous
+    # float64 (n_steps, n_modes) array: a strided column of a step-major
+    # array, or another dtype, is refused before anything is drawn
+    for out in (np.full((40, 3, 2), np.nan)[:, 1], np.full((40, 2), np.nan, dtype=np.float32)):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            sample_wiener_increment(2, 40, 1e-3, base_seed=7, traj_index=4, out=out)
+        assert np.all(np.isnan(out))
 
 
 def test_wiener_draws_are_the_same_bits_in_a_row_and_a_column():
-    # a contiguous row of a block of paths is drawn into in place, a strided
-    # column through a temporary: both hold the bits of a fresh array
+    # a contiguous row of a block of paths is drawn into in place and
+    # returned, and draw_increments copies the same bits into the path's
+    # column of the step-major array
     block = np.full((3, 40, 2), np.nan)
-    incs = np.full((40, 3, 2), np.nan)
-    row, col = block[1], incs[:, 1]
+    row = block[1]
     assert sample_wiener_increment(2, 40, 1e-3, base_seed=7, traj_index=4, out=row) is row
-    assert sample_wiener_increment(2, 40, 1e-3, base_seed=7, traj_index=4, out=col) is col
     fresh = sample_wiener_increment(2, 40, 1e-3, 7, 4)
+    model = make_model([], ["0.1*cos(1,0)", "0.05*sin(0,1)"], "one")
+    col = draw_increments(model, SdeConfig(dt=1e-3, t_end=40e-3, seed=7), (5, 4, 6))[:, 1]
     assert row.tobytes() == np.ascontiguousarray(col).tobytes() == fresh.tobytes()
-    assert np.all(np.isnan(block[::2])) and np.all(np.isnan(incs[:, ::2]))
+    assert np.all(np.isnan(block[::2]))
 
 
 def test_wiener_increment_variance():

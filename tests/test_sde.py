@@ -128,14 +128,27 @@ def _manual_diag_row(u, model, n, work):
     return row
 
 
+# sigma(u) whose b g(u) does not depend on u: transport channels alone, with
+# g = zero, and beside constant b channels (g = one)
+_C_ONLY = make_model(["0.05*cos(1,0)", "0.03*sin(1,-1) + 0.02"], [], "one")
+_C_G_ZERO = make_model(["0.05*sin(2,1)"], ["0.05*cos(1,0)"], "zero")
+_C_CONSTANT_B = make_model(["0.05*cos(0,1)", "0.02*sin(-1,2)"],
+                           ["0.1*cos(1,0)", "0.07*sin(1,1) - 0.03"], "one")
+
+
 @pytest.mark.parametrize("n", [8, 16, 32])
 @pytest.mark.parametrize("model", [
     make_model([], ["0.1*cos(1,0) + 0.05*cos(0,1)", "0.07*sin(1,1)"], "one"),
     NoiseModel(),
-], ids=["additive", "no-noise"])
+    _C_ONLY,
+    _C_G_ZERO,
+    _C_CONSTANT_B,
+], ids=["additive", "no-noise", "c-only", "c-g-zero", "c-constant-b"])
 def test_quadrature_grid_run_matches_manual_steps(grid16, make_field, model, n):
     # the engine advects on the level's smaller quadrature grid; repeated
-    # manual steps on the configured grid give the same coordinates and rows
+    # manual steps on the configured grid give the same coordinates and
+    # rows.  A sigma whose b g(u) does not depend on u runs there too: its
+    # c-channels act on the coordinates
     from ans2d.sde import _run_batched, _Stepper
 
     cfg = SdeConfig(dt=2e-3, t_end=0.01, galerkin_n=n, seed=8)
@@ -168,6 +181,22 @@ def test_multiplicative_noise_keeps_configured_grid(grid16):
         assert _Stepper(grid16, _model_small(), SdeConfig(galerkin_n=n)).qgrid == grid16
 
 
+@pytest.mark.parametrize("model", [_C_ONLY, _C_G_ZERO, _C_CONSTANT_B,
+                                   make_model(["0.05*cos(0,1)"], ["0.0*cos(1,0)"], "tanh")],
+                         ids=["c-only", "c-g-zero", "c-constant-b", "c-zero-b-tanh"])
+def test_sigma_without_state_dependent_b_samples_nothing(grid16, make_field, monkeypatch, model):
+    # no b g(u) that depends on u: the step loop synthesizes the state once
+    # per step on the quadrature grid, for the advection alone, and never
+    # samples sigma; the pairs are enumerated for the level's frame on the
+    # configured grid and on the quadrature grid
+    from ans2d.sde import _Stepper
+
+    assert _Stepper(grid16, model, SdeConfig(galerkin_n=9)).qgrid == quadrature_grid(grid16, 9)
+    calls, fields, n_steps = _count_step_loop(grid16, make_field, monkeypatch, model)
+    assert calls == {"phys": n_steps + 1, "adv": n_steps + 1, "sigma": 0, "pairs": 2}
+    assert fields == [2 * 3] * (n_steps + 1)
+
+
 def test_additive_fast_path_matches_channels(grid16):
     model = make_model([], ["0.1*cos(1,0)", "0.05*sin(0,1)"], "one")
     assert model.is_additive
@@ -178,14 +207,14 @@ def test_additive_fast_path_matches_channels(grid16):
     st = _Stepper(grid16, model, cfg)
     # additive noise reads no samples of the state; its increment covers st.span
     dense = np.zeros((3, 8))
-    dense[:, st.span] = st.noise_increment(np.stack([dw, 2.0 * dw, -dw]), None)
+    dense[:, st.span] = st.noise_increment(np.stack([dw, 2.0 * dw, -dw]), None, None)
     fast = st.frame.lift(dense)
     chans = fullgrid.channels(model, np.zeros((2, 16, 16)), grid16, 8)
     expected = dw[0] * chans[0] + dw[1] * chans[1]
     np.testing.assert_allclose(fast[0], expected, atol=1e-15)
     np.testing.assert_allclose(fast[1], 2.0 * expected, atol=1e-15)
     np.testing.assert_allclose(fast[2], -expected, atol=1e-15)
-    assert st.noise_increment(dw[None, :], None).shape == (1, 2)  # columns 1-2 of 8
+    assert st.noise_increment(dw[None, :], None, None).shape == (1, 2)  # columns 1-2 of 8
 
 
 def _band_recipes(grid, seed):
@@ -216,7 +245,7 @@ def test_additive_coords_match_the_quadrature_route(grid):
     # sampled on the grid and analysed, the route they replace; 4, 8 and
     # 12 are the single-mode law's grids of _SINGLE_MODES, and each grid
     # takes the single-mode models its band holds
-    from ans2d.noise import sigma_coords
+    from ans2d.noise import _sigma_raw
     from ans2d.sde import _Stepper
 
     models = [_band_recipes(grid, grid.n1 + grid.n2)]
@@ -226,8 +255,8 @@ def test_additive_coords_match_the_quadrature_route(grid):
 
     def quadrature(model, frame):
         zero = np.zeros((1, grid.n1, grid.n2), dtype=complex)  # phys of u = 0
-        return sigma_coords(model, frame, zero, np.eye(model.n_modes),
-                            model.coefficient_fields(grid))
+        raw = _sigma_raw(model, zero, np.eye(model.n_modes), model.coefficient_fields(grid)[1])
+        return frame.analyse(raw, frame.field_weights)
 
     for model in models:
         assert model.is_additive
@@ -308,7 +337,7 @@ def test_zero_model_has_an_empty_span_and_draws_nothing(grid16):
         st = _Stepper(grid16, model, cfg)
         assert len(range(8)[st.span]) == 0
         assert draw_increments(model, cfg, range(4)).shape == (cfg.n_steps, 4, 0)
-        assert st.noise_increment(np.zeros((4, 0)), None).shape == (4, 0)
+        assert st.noise_increment(np.zeros((4, 0)), None, None).shape == (4, 0)
 
 
 @pytest.mark.parametrize("model, drop", [
@@ -317,11 +346,13 @@ def test_zero_model_has_an_empty_span_and_draws_nothing(grid16):
     (_GAPPED, False),
     (_model_small(), False),
     (single_mode_noise(TorusGrid(16, 16), (1, 0), 1.0), True),
-], ids=["additive", "additive-gapped", "tanh", "single-mode"])
+    (_C_ONLY, False),
+], ids=["additive", "additive-gapped", "tanh", "single-mode", "c-only"])
 def test_additive_paths_replay_across_batch_layout(grid16, make_field, model, drop):
     # two noise channels sharing modes, additive or multiplicative, three
-    # additive channels on a span with untouched columns inside it, and the
-    # single-mode law's shape (one channel, no nonlinearity); one batch of 9
+    # additive channels on a span with untouched columns inside it, the
+    # single-mode law's shape (one channel, no nonlinearity), and two
+    # transport channels acting on the coordinates alone; one batch of 9
     # paths against batches of 4, 2, 1 and 2, with and without diagnostics
     from ans2d.sde import _run_batched
 
@@ -394,7 +425,7 @@ def test_run_keeps_every_bit_across_noise_blocks(grid16, make_field, monkeypatch
     calls = []
     increment = sde._Stepper.noise_increment
     monkeypatch.setattr(sde._Stepper, "noise_increment",
-                        lambda self, dw, phys: calls.append(len(dw)) or increment(self, dw, phys))
+                        lambda self, dw, *rest: calls.append(len(dw)) or increment(self, dw, *rest))
     for budget in _SMALL_BUDGETS:
         monkeypatch.setattr(sde, "BLOCK_BYTES", budget)
         calls.clear()
@@ -616,11 +647,11 @@ def _count_step_loop(grid, make_field, monkeypatch, model):
 
 def test_step_loop_shares_one_synthesis_per_state(grid16, make_field, monkeypatch):
     # per state: one _phys call, one advection, one sigma(u); the c-channel
-    # reads d1 u, so each of the 3 paths synthesizes (u1, u2, d1 u1, d1 u2)
-    # in 2 packed rows
+    # acts on the coordinates, so each of the 3 paths synthesizes (u1, u2),
+    # 1 packed row, which the advection and g(u) share
     calls, fields, n_steps = _count_step_loop(grid16, make_field, monkeypatch, _model_small())
     assert calls == {"phys": n_steps + 1, "adv": n_steps + 1, "sigma": n_steps, "pairs": 1}
-    assert fields == [4 * 3] * (n_steps + 1)
+    assert fields == [2 * 3] * (n_steps + 1)
 
 
 @pytest.mark.parametrize("g_kind", ["tanh", "one"])
