@@ -184,33 +184,44 @@ class GalerkinFrame:
         out[..., :, self.minus[0], self.minus[1]] = np.conj(half)
         return out
 
-    def synth(self, a: np.ndarray) -> np.ndarray:
+    def synth(self, a: np.ndarray, out: np.ndarray | None = None,
+              spec: np.ndarray | None = None) -> np.ndarray:
         """(..., n1, n2) packed samples u1 + i u2 of the field with coordinates a.
 
         They feed the advection (spectral._advection_raw) and a sigma(u)
         whose b g(u) depends on u.  The gather writes the (..., m, n1)
         packed spectrum spectral._phys reads, k1 last, straight from the
-        index map spec_src.
+        index map spec_src, into spec, and the samples go into out: both
+        C-ordered complex arrays that may hold anything, such as a step's
+        workspace (sde._Stepper), else new ones.
         """
         lead = a.shape[:-1]
         z = self._to_pairs(a)
         src = np.concatenate((z, np.conj(z), np.zeros(lead + (1,))), axis=-1)
-        # the gathered factor has its batch axes innermost; numpy would lay
-        # the product out like it, which is slow, so it goes into a C-ordered out
-        spec = np.empty(lead + (self.spec_src.size,), dtype=np.complex128)
-        np.multiply(src[..., self.spec_src], self.spec_gain, out=spec)
-        del z, src  # not held through the transform: it would raise the peak heap
-        spec = spec.reshape(lead + (2 * self.reach2 + 1, self.grid.n1))
-        return spectral._phys(spec, self.grid.n_points)
+        m = 2 * self.reach2 + 1
+        if spec is None:
+            spec = np.empty(lead + (m, self.grid.n1), dtype=np.complex128)
+        # np.take keeps the batch axes outermost (fancy indexing would put
+        # them innermost, which is slow); with mode="clip" it writes straight
+        # into spec, where the default mode would gather into a buffer first
+        flat = spec.reshape(lead + (self.spec_src.size,))
+        np.take(src, self.spec_src, axis=-1, out=flat, mode="clip")
+        del z, src  # not held through the transform: at max_level they are as large as spec
+        flat *= self.spec_gain
+        return spectral._phys(spec, self.grid.n_points, out)
 
-    def analyse(self, samples: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    def analyse(self, samples: np.ndarray, weights: np.ndarray,
+                spec: np.ndarray | None = None) -> np.ndarray:
         """(..., n) coordinates of packed (..., n1, n2) samples f1 + i f2, weighted per pair.
 
         With weights = field_weights, f = (f1, f2) is a vector field and
         these are the coords of its FFT; with drift_weights and the packed
         samples P + i Q of spectral._advection_raw, those of -P(u.grad u).
+        The analysis consumes samples (the x2 pass runs in place on them)
+        and writes the packed spectrum into spec when given, as synth
+        does; the coordinates are always a new array.
         """
-        spec = spectral._spec(samples, self.grid.n_points, self.reach2)
+        spec = spectral._spec(samples, self.grid.n_points, self.reach2, spec)
         # np.take keeps the batch axes outermost (fancy indexing would not)
         at = np.take(spec.reshape(spec.shape[:-2] + (self.spec_src.size,)), self.pair_at,
                      axis=-1)

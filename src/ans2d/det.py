@@ -82,8 +82,14 @@ def run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
       pair's u0, v0 and their stack beside the heap the construction left;
     - per level, 192 bytes per mode pair and 40 per entry of its
       (2 reach2 + 1) x n1 packed spectrum, twice for an SDE level and its quadrature frame;
-    - per state, one drift's samples: 3 complex per sampling point (8 with
-      a sampled sigma(u)) and 2 per spectrum entry;
+    - per state, 3 complex per sampling point (8 with a sampled sigma(u))
+      and 2 per spectrum entry.  An SDE step writes into its workspace
+      (sde._Stepper): the samples and products, 2 per point, the b-channel
+      sum and term of a sampled sigma(u), 1 more, and one spectrum; that
+      sigma(u)'s hs_sq allocates g(u), the sum, term and product over its
+      channel axis, 5 per point with two channels.  The deterministic
+      drift allocates its samples and products, 2 per point, and the
+      spectrum of each transform;
     - 16 MiB: modules loaded on first use (7.7 MiB), the allocator's heap,
       and an SDE run's two noise blocks (a block of Wiener paths and a
       slab of additive increments, at most 2 sde.BLOCK_BYTES together).

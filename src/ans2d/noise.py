@@ -115,8 +115,7 @@ def _g_funcs(kind: str):
     return G_FUNCS[kind]
 
 
-# (channel indices, their (len, n1, n2) samples) of one recipe family; see
-# NoiseModel.coefficient_fields
+# (channel indices, their (len, n1, n2) samples) of the b recipes; see NoiseModel.b_fields
 Channels = tuple[np.ndarray, np.ndarray]
 
 
@@ -177,8 +176,11 @@ class NoiseModel:
         return (all(r.is_zero for r in self.c)
                 and (self.g_kind == "zero" or all(r.is_zero for r in self.b)))
 
-    def g_eval(self, x: np.ndarray) -> np.ndarray:
-        return _g_funcs(self.g_kind)[0](x)
+    def g_eval(self, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """g(x), into out when given; out needs a ufunc g (tanh, sin), as every
+        g that depends on u is."""
+        g = _g_funcs(self.g_kind)[0]
+        return g(x) if out is None else g(x, out=out)
 
     def check_band(self, grid: TorusGrid) -> None:
         """Raise ValueError for a recipe wavevector outside grid's alias-free band.
@@ -195,26 +197,22 @@ class NoiseModel:
                         f"{phase}({k1},{k2}) lies outside the alias-free band |k1| <= "
                         f"{grid.band1}, |k2| <= {grid.band2} of the {grid.n1}x{grid.n2} grid")
 
-    def coefficient_fields(self, grid: TorusGrid) -> tuple[Channels, Channels]:
-        """The c and b recipes sampled on grid, each as (channels, samples).
+    def b_fields(self, grid: TorusGrid) -> Channels:
+        """The b recipes sampled on grid, as (channels, samples).
 
         channels indexes the recipes whose samples are not all zero, and
         samples holds those, (len(channels), n1, n2): sigma adds only
         these, so a channel that make_model padded with an empty recipe,
-        or a recipe that samples to zero, costs nothing per step.  Every
-        caller that samples the recipes on a grid does it here, so
-        check_band guards them all: an out-of-band recipe raises ValueError
-        instead of stepping noise that is not the declared one.
+        or a recipe that samples to zero, costs nothing per step.  The
+        recipes are sampled on a grid here alone, so check_band guards
+        it: an out-of-band recipe raises ValueError instead of stepping
+        noise that is not the declared one.  The c recipes act on
+        coordinates (_transport_table) and are never sampled.
         """
         self.check_band(grid)
-
-        def nonzero(recipes: tuple[ScalarRecipe, ...]) -> Channels:
-            arr = np.array([r.evaluate(grid) for r in recipes]).reshape(len(recipes), grid.n1,
-                                                                        grid.n2)
-            channels = np.flatnonzero(np.any(arr != 0.0, axis=(1, 2)))
-            return channels, arr[channels]
-
-        return nonzero(self.c), nonzero(self.b)
+        arr = np.array([r.evaluate(grid) for r in self.b]).reshape(len(self.b), grid.n1, grid.n2)
+        channels = np.flatnonzero(np.any(arr != 0.0, axis=(1, 2)))
+        return channels, arr[channels]
 
 
 def make_model(c_recipes: Sequence[str], b_recipes: Sequence[str],
@@ -270,23 +268,25 @@ def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
     return out
 
 
-def _channel_sum(y: np.ndarray, arr: np.ndarray, channels: Sequence[int] | None = None
-                 ) -> np.ndarray:
+def _channel_sum(y: np.ndarray, arr: np.ndarray, channels: Sequence[int] | None = None,
+                 out: np.ndarray | None = None, term: np.ndarray | None = None) -> np.ndarray:
     """sum_k y[..., channels[k]] arr[k], for y of shape (..., n_modes) and arr (len, ...).
 
     channels defaults to every channel, range(len(arr)).  Added channel by
     channel: a BLAS product (tensordot, @) rounds differently for
     different batch shapes, so paths would no longer replay bit-for-bit
-    across batch layouts.
+    across batch layouts.  The sum goes into out and each later channel's
+    product into term when given (arrays of the sum's shape, such as a
+    step's workspace), else into new arrays; the bits are the same.
     """
     if not len(arr):  # no channel (no noise, or a zero model): exact zeros
         return np.zeros(y.shape[:-1] + arr.shape[1:])
     if channels is None:
         channels = range(len(arr))
     tail = (None,) * (arr.ndim - 1)
-    out = y[(..., channels[0]) + tail] * arr[0]
+    out = np.multiply(y[(..., channels[0]) + tail], arr[0], out=out)
     for k in range(1, len(arr)):
-        out += y[(..., channels[k]) + tail] * arr[k]
+        out += np.multiply(y[(..., channels[k]) + tail], arr[k], out=term)
     return out
 
 
@@ -397,7 +397,7 @@ def _sigma_parts(model: NoiseModel, frame: GalerkinFrame) -> _Parts:
     The c-channels' transport table; for g = one the constant coordinates
     of b (1, 1) (_additive_coords; no row when every b recipe is empty);
     for a g that depends on u the b recipes sampled on frame.grid
-    (coefficient_fields), which sigma_coords reads through samples of u.
+    (NoiseModel.b_fields), which sigma_coords reads through samples of u.
     g = zero contributes nothing.  A model whose b g(u) does not depend
     on u thus needs no samples of the state.
     """
@@ -407,7 +407,7 @@ def _sigma_parts(model: NoiseModel, frame: GalerkinFrame) -> _Parts:
     if model.g_kind == "one" and not all(r.is_zero for r in model.b):
         const = _additive_coords(model, frame)
     elif _samples_state(model):
-        fields = model.coefficient_fields(grid)[1]
+        fields = model.b_fields(grid)
     return _transport_table(model, frame), fields, const
 
 
@@ -417,25 +417,31 @@ def _samples_state(model: NoiseModel) -> bool:
     return model.g_kind not in ("one", "zero") and not all(r.is_zero for r in model.b)
 
 
-def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, y: np.ndarray,
-               b_fields: Channels) -> np.ndarray:
+def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, y: np.ndarray, b_fields: Channels,
+               out: np.ndarray | None = None, sums: tuple = (None, None)) -> np.ndarray:
     """sum_k y_k b_k g(u) before projection, packed, from packed samples u1 + i u2.
 
     u_phys: (..., n1, n2) complex samples; y: (..., n_modes); batch axes
     broadcast.  b_fields are the non-zero b-channels of
-    model.coefficient_fields, and only those are added.  g acts
+    NoiseModel.b_fields, and only those are added.  g acts
     componentwise, on the float view of u_phys, whose (Re, Im) pairs are
     (u1, u2).  Returns the packed samples of the b g(u) part of
     sigma(u) y; the c-channels act on coordinates (_transport_table).
 
-    No buffer is zeroed: the b-channel sum multiplies g(u), a fresh array,
-    in place when g(u) already has the broadcast shape (a channel axis in
-    y, as hs_sq and condition_c_empirical_check pass, widens it, and then
-    the product is a new array).
+    No buffer is zeroed: g(u) goes into out, a complex array of the
+    samples' shape (a step's workspace), else into a new array, and is
+    multiplied in place by the b-channel sum, which _channel_sum forms in
+    sums = (sum, term), float arrays of that shape, when given.  A
+    channel axis in y, as hs_sq and condition_c_empirical_check pass,
+    widens the product beyond g(u), and then it is a new array.
     """
     b_channels, b_samples = b_fields
-    out = model.g_eval(u_phys.view(np.float64)).view(np.complex128)
-    bsum = _channel_sum(y, b_samples, b_channels)
+    x = u_phys.view(np.float64)
+    if out is None:
+        out = model.g_eval(x).view(np.complex128)
+    else:
+        model.g_eval(x, out.view(np.float64))
+    bsum = _channel_sum(y, b_samples, b_channels, *sums)
     if out.shape == np.broadcast_shapes(out.shape, bsum.shape):
         out *= bsum
     else:
@@ -444,7 +450,8 @@ def _sigma_raw(model: NoiseModel, u_phys: np.ndarray, y: np.ndarray,
 
 
 def sigma_coords(model: NoiseModel, frame: GalerkinFrame, a: np.ndarray, phys: np.ndarray | None,
-                 y: np.ndarray, parts: _Parts) -> np.ndarray:
+                 y: np.ndarray, parts: _Parts, samples: np.ndarray | None = None,
+                 spec: np.ndarray | None = None, sums: tuple = (None, None)) -> np.ndarray:
     """(..., n) coordinates of P_n sigma(u) y in frame, for u with coordinates a.
 
     a: (..., n); y: (..., n_modes); batch axes broadcast.  parts are
@@ -453,18 +460,22 @@ def sigma_coords(model: NoiseModel, frame: GalerkinFrame, a: np.ndarray, phys: n
     _sigma_raw's samples from phys, the (..., n1, n2) packed samples
     u1 + i u2 on frame.grid (GalerkinFrame.synth), which nothing else
     here reads and may be None otherwise; for g = one, the constant
-    channel coordinates.  Then each c-channel adds y_k (table_k a),
+    channel coordinates.  samples, spec and sums are the workspace those
+    samples, their packed spectrum and the b-channel sum are written into
+    (_sigma_raw, GalerkinFrame.analyse); left out, each is a new array.
+    Then each c-channel adds y_k (table_k a),
     channel by channel and slot by slot, in elementwise
     gather-multiply-adds: a BLAS product would round differently for
     different batch shapes (_channel_sum).  The SDE
-    engine (sde._Stepper) passes the state and the one synthesis of each
-    step, and condition_c_empirical_check a field in the frame of all
-    basis elements (_field_sigma_coords).
+    engine (sde._Stepper) passes the state, the one synthesis of each
+    step and its workspace, and condition_c_empirical_check a field in
+    the frame of all basis elements (_field_sigma_coords).
     """
     table, fields, const = parts
     out = np.zeros(np.broadcast_shapes(a.shape[:-1], y.shape[:-1]) + (frame.n,))
     if len(fields[0]):
-        out += frame.analyse(_sigma_raw(model, phys, y, fields), frame.field_weights)
+        out += frame.analyse(_sigma_raw(model, phys, y, fields, samples, sums),
+                             frame.field_weights, spec)
     if len(const):
         out += _channel_sum(y, const)
     channels, src, weight = table

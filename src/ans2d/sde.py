@@ -20,8 +20,13 @@ give the advection in its divergence form (basis.GalerkinFrame), and
 whose componentwise g(u) the b-channels multiply.  The advection runs on
 the level's quadrature grid, the smallest alias-free grid holding its
 wavevectors (basis.quadrature_grid); such a g(u) is not band-limited, so
-with it the samples come from the configured grid instead.  Initial
-coefficients must be Hermitian.
+with it the samples come from the configured grid instead.  Every array
+of the samples' size that a step writes (the samples, the advection's
+products, sigma(u)'s samples and b-channel sums, and the packed spectra
+of their transforms) lives in one workspace per run, allocated once for
+the run's batch (_Stepper) and overwritten by every step; the state, the
+final coordinates and what on_step sees are never workspace arrays.
+Initial coefficients must be Hermitian.
 Per-step diagnostics come out as (n_steps+1, B) columns, which keeps path
 ensembles in pure array arithmetic; the noise pairing (sigma dW, u) is
 formed only when a diagnostic row records it.  Additive noise reaches
@@ -105,6 +110,22 @@ class _Stepper:
     Without noise (NoiseModel(), or a zero model) the additive case has no
     channel, and its increments are exact zeros.
 
+    Built for a batch of B states (the engine's _run_batched), the stepper
+    holds the workspace its layers write into, allocated once and
+    overwritten by every step, so a step makes no array of the samples'
+    size: z, (B, q1, q2) complex, the packed samples u1 + i u2 of synth;
+    w, of the same shape, the advection's products, which the drift's
+    analysis consumes, and then a sampled sigma(u)'s samples
+    g(u) sum_k y_k b_k; spec, (B, m, q1) complex, the packed spectrum of
+    each of those transforms (GalerkinFrame.synth, analyse); and, only
+    when b g(u) samples the state, sums, the two (B, q1, q2) float arrays
+    of its b-channel sum and per-channel product.  So the samples synth
+    returns live until the next step's synth, and what drift,
+    noise_increment and hs_sq return (the state's coordinates, never the
+    workspace) stays the caller's.  hs_sq, whose channel axis widens the
+    samples, and a stepper built without a batch allocate each array they
+    write.
+
     span is the slice of columns a noise increment touches: every column
     for a sigma(u) that depends on u; for additive noise, the first to the
     last column where a channel coordinate is non-zero, and span_channels
@@ -113,7 +134,8 @@ class _Stepper:
     (n_modes, n) channels, which hs_sq reads.
     """
 
-    def __init__(self, grid: TorusGrid, model: NoiseModel, cfg: SdeConfig):
+    def __init__(self, grid: TorusGrid, model: NoiseModel, cfg: SdeConfig,
+                 batch: int | None = None):
         if cfg.galerkin_n > max_level(grid):
             raise ValueError(
                 f"galerkin_n={cfg.galerkin_n} exceeds the {max_level(grid)} basis "
@@ -142,10 +164,20 @@ class _Stepper:
         self.needs_phys = sampled or not cfg.drop_nonlinearity
         self.qgrid = grid if sampled else quadrature_grid(grid, cfg.galerkin_n)
         self.qframe = GalerkinFrame(self.qgrid, cfg.galerkin_n)
+        self.z = self.w = self.spec = None  # the workspace; see the class docstring
+        self.sums = (None, None)
+        if batch is not None and self.needs_phys:
+            q = (batch, self.qgrid.n1, self.qgrid.n2)
+            self.z = np.empty(q, dtype=np.complex128)
+            self.w = np.empty(q, dtype=np.complex128)
+            self.spec = np.empty((batch, 2 * self.qframe.reach2 + 1, self.qgrid.n1),
+                                 dtype=np.complex128)
+            if sampled:
+                self.sums = (np.empty(q), np.empty(q))
 
     def synth(self, a: np.ndarray) -> np.ndarray | None:
         """Samples u1 + i u2 of a on qgrid, or None when no layer reads them."""
-        return self.qframe.synth(a) if self.needs_phys else None
+        return self.qframe.synth(a, self.z, self.spec) if self.needs_phys else None
 
     def drift(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray | float:
         """Coordinates of -P_n (u.grad u); phys holds the samples of a.
@@ -155,7 +187,8 @@ class _Stepper:
         """
         if self.cfg.drop_nonlinearity:
             return 0.0
-        return self.qframe.analyse(spectral._advection_raw(phys), self.qframe.drift_weights)
+        return self.qframe.analyse(spectral._advection_raw(phys, self.w),
+                                   self.qframe.drift_weights, self.spec)
 
     def noise_increment(self, dw: np.ndarray, a: np.ndarray,
                         phys: np.ndarray | None) -> np.ndarray:
@@ -169,7 +202,8 @@ class _Stepper:
         """
         if self.additive is not None:
             return _channel_sum(dw, self.span_channels)
-        return sigma_coords(self.model, self.frame, a, phys, dw, self.parts)
+        return sigma_coords(self.model, self.frame, a, phys, dw, self.parts,
+                            self.w, self.spec, self.sums)
 
     def hs_sq(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
         """||P_n sigma(u) Pi||_HS^2 per batch entry."""
@@ -275,13 +309,15 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
     as many as fit in BLOCK_BYTES (at least one); a multiplicative
     sigma(u) reads the step's state, one step at a time.  with_hs adds
     the Hilbert-Schmidt column hs_sq, one more sigma(u) evaluation per
-    channel and row; it reads 0 when left out.
+    channel and row; it reads 0 when left out.  The stepper is built for
+    the batch, so the step writes its samples, products and spectra into
+    one workspace for the whole call (_Stepper).
     """
-    stepper = _Stepper(grid, model, cfg)
+    bsize = increments.shape[1]
+    stepper = _Stepper(grid, model, cfg, bsize)
     frame = stepper.frame
     n_steps = cfg.n_steps
     dt = cfg.dt
-    bsize = increments.shape[1]
     a = np.broadcast_to(frame.coords(coeffs0), (bsize, frame.n))
     diag = {name: np.zeros((n_steps + 1, bsize)) for name in DIAG_NAMES} if with_diag else {}
 

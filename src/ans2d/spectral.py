@@ -144,7 +144,7 @@ def forward_transform(f: PhysicalField) -> SpectralField:
     return SpectralField(f.grid, coeffs)
 
 
-def _phys(spec: np.ndarray, n_points: int) -> np.ndarray:
+def _phys(spec: np.ndarray, n_points: int, out: np.ndarray | None = None) -> np.ndarray:
     """Packed synthesis for internal pipelines; supports leading batch axes.
 
     spec holds the coefficients Z = c1 + i c2 of two real fields (u1, u2)
@@ -155,46 +155,51 @@ def _phys(spec: np.ndarray, n_points: int) -> np.ndarray:
     (..., n1, n2) array, n2 = n_points // n1: one complex transform
     carries two real fields (Cooley, Lewis & Welch, J. Sound Vib. 12,
     1970; Press et al., Numerical Recipes, sec. 12.3), and its .real and
-    .imag are the two fields.  A complex inverse transform along k1, the contiguous axis,
-    runs on the m rows only (numpy's FFT runs a batch of short
-    transforms several times faster along the contiguous axis than along
-    a strided one; Frigo & Johnson, Proc. IEEE 93, 2005); one transposed
-    copy writes them into a zeroed (..., n1, n2) buffer at k2 mod n2, and
-    one in-place complex inverse transform along x2 gives z.  Both run
-    unnormalized (norm="forward" leaves the inverse unscaled), as the
-    amplitude convention asks.
+    .imag are the two fields.  A complex inverse transform along k1, the
+    contiguous axis, runs in place on the m rows of spec, which it
+    consumes (numpy's FFT runs a batch of short transforms several times
+    faster along the contiguous axis than along a strided one; Frigo &
+    Johnson, Proc. IEEE 93, 2005); one transposed copy writes them at
+    k2 mod n2 into out, whose other columns are zeroed, and one in-place
+    complex inverse transform along x2 gives z there.  out, a C-ordered
+    complex (..., n1, n2) array, may hold anything (a step's workspace
+    holds the last step's samples); without it a new array is made.  Both
+    passes run unnormalized (norm="forward" leaves the inverse unscaled),
+    as the amplitude convention asks.
     """
     m, n1 = spec.shape[-2:]
     n2 = n_points // n1
     reach2 = m // 2
-    # the buffer is allocated before the k1 pass's output and outlives it,
-    # so that output is freed at the top of the heap, before the x2 pass
-    z = np.zeros(spec.shape[:-2] + (n1, n2), dtype=np.complex128)
-    rows = np.fft.ifft(spec, axis=-1, norm="forward").swapaxes(-1, -2)
+    z = np.empty(spec.shape[:-2] + (n1, n2), dtype=np.complex128) if out is None else out
+    rows = np.fft.ifft(spec, axis=-1, norm="forward", out=spec).swapaxes(-1, -2)
     z[..., :reach2 + 1] = rows[..., :reach2 + 1]
+    z[..., reach2 + 1:n2 - reach2] = 0.0
     z[..., n2 - reach2:] = rows[..., reach2 + 1:]
-    del rows
     return np.fft.ifft(z, axis=-1, norm="forward", out=z)
 
 
-def _spec(samples: np.ndarray, n_points: int, reach2: int) -> np.ndarray:
+def _spec(samples: np.ndarray, n_points: int, reach2: int,
+          out: np.ndarray | None = None) -> np.ndarray:
     """Packed coefficients W = P^ + i Q^ of complex samples w = P + i Q, for |k2| <= reach2.
 
-    The inverse of _phys: a complex transform along x2 keeps the columns
-    k2 = 0 .. reach2 and -reach2 .. -1; one transposed copy lays them out
-    (..., m, n1), m = 2 reach2 + 1, the layout _phys reads, and an in-place
-    complex transform along x1, the contiguous axis, runs on those only.
-    Each real field's own coefficients follow from W at k and -k,
-    P^(k) = (W(k) + conj W(-k)) / 2 and Q^(k) = (W(k) - conj W(-k)) / 2i
-    (GalerkinFrame.analyse).  Each pass scales by 1/n of its axis
-    (norm="forward"), so n_points, kept to match _phys, is not read.
+    The inverse of _phys: a complex transform along x2 runs in place on
+    samples, which it consumes, and the columns k2 = 0 .. reach2 and
+    -reach2 .. -1 are kept; one transposed copy lays them out
+    (..., m, n1), m = 2 reach2 + 1, the layout _phys reads, in out (a
+    C-ordered complex array of that shape, else a new one), and an
+    in-place complex transform along x1, the contiguous axis, runs on
+    those only.  Each real field's own coefficients follow from W at k
+    and -k, P^(k) = (W(k) + conj W(-k)) / 2 and
+    Q^(k) = (W(k) - conj W(-k)) / 2i (GalerkinFrame.analyse).  Each pass
+    scales by 1/n of its axis (norm="forward"), so n_points, kept to
+    match _phys, is not read.
     """
     n1, n2 = samples.shape[-2:]
-    cols = np.fft.fft(samples, axis=-1, norm="forward")
-    spec = np.empty(samples.shape[:-2] + (2 * reach2 + 1, n1), dtype=np.complex128)
+    cols = np.fft.fft(samples, axis=-1, norm="forward", out=samples)
+    spec = np.empty(samples.shape[:-2] + (2 * reach2 + 1, n1),
+                    dtype=np.complex128) if out is None else out
     spec[..., :reach2 + 1, :] = cols[..., :reach2 + 1].swapaxes(-1, -2)
     spec[..., reach2 + 1:, :] = cols[..., n2 - reach2:].swapaxes(-1, -2)
-    del cols  # the x2 pass's full output is not held through the x1 pass
     return np.fft.fft(spec, axis=-1, norm="forward", out=spec)
 
 
@@ -225,7 +230,7 @@ def zero_mean(u: SpectralField) -> SpectralField:
     return out
 
 
-def _advection_raw(phys: np.ndarray) -> np.ndarray:
+def _advection_raw(phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Packed samples P + i Q of P = 2 u1 u2 and Q = u2^2 - u1^2, the products of u.grad(u).
 
     For div u = 0, u.grad(u) = div(u u), and the part of it that survives
@@ -237,9 +242,10 @@ def _advection_raw(phys: np.ndarray) -> np.ndarray:
     z^2 = (u1^2 - u2^2) + 2 i u1 u2, the packed products are
     P + i Q = -i z^2: one complex square and one exact swap of parts,
     giving the one complex (..., n1, n2) array, P in .real and Q in
-    .imag, that GalerkinFrame.analyse reads.
+    .imag, that GalerkinFrame.analyse reads.  They are written into out
+    when given (a step's workspace), else into a new array.
     """
-    out = phys * phys
+    out = np.multiply(phys, phys, out=out)
     out *= -1j
     return out
 

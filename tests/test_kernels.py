@@ -91,8 +91,8 @@ def test_oracle_catches_an_analysis_reading_one_side_of_the_pair(monkeypatch, ma
     from ans2d import spectral
     from ans2d.basis import GalerkinFrame
 
-    def one_sided(self, samples, weights):
-        spec = spectral._spec(samples, self.grid.n_points, self.reach2)
+    def one_sided(self, samples, weights, spec=None):
+        spec = spectral._spec(samples, self.grid.n_points, self.reach2, spec)
         flat = spec.reshape(spec.shape[:-2] + (self.spec_src.size,))
         at = np.take(flat, self.pair_at[:len(self.dirs[0])], axis=-1)  # W(kc) alone
         return self._from_pairs(at * (weights[0] + weights[1]))  # c+ + c- = w0

@@ -223,12 +223,32 @@ def test_sigma_raw_keeps_the_zero_buffer_bits(grid16, c, b, g_kind):
     model = make_model(c, b, g_kind)
     frame = GalerkinFrame(grid16, 16)
     phys = frame.synth(np.random.default_rng(5).standard_normal((3, frame.n)))
-    b_fields = model.coefficient_fields(grid16)[1]
+    b_fields = model.b_fields(grid16)
     y = np.random.default_rng(6).standard_normal((3, model.n_modes))
     for u, ys in ((phys, y), (phys[:, None], np.eye(model.n_modes))):
         got = _sigma_raw(model, u, ys, b_fields)
         np.testing.assert_array_equal(got, _zero_buffer_sigma(model, u, ys, b_fields))
         assert got.shape == np.broadcast_shapes(u.shape[:-2], ys.shape[:-1]) + u.shape[-2:]
+
+
+@pytest.mark.parametrize("g_kind", ["tanh", "sin"])
+@pytest.mark.parametrize("c, b", [
+    ([], ["0.05*cos(1,0)", "0.02*sin(1,1)"]),
+    CRITERION_09[:2],
+], ids=["b-only", "both"])
+def test_sigma_raw_writes_over_a_used_workspace(grid16, c, b, g_kind):
+    # the engine's workspace holds the last step's g(u) and b-channel sums:
+    # written over NaN, the b g(u) samples keep the bits of new arrays
+    model = make_model(c, b, g_kind)
+    frame = GalerkinFrame(grid16, 16)
+    phys = frame.synth(np.random.default_rng(5).standard_normal((3, frame.n)))
+    b_fields = model.b_fields(grid16)
+    y = np.random.default_rng(6).standard_normal((3, model.n_modes))
+    out = np.full(phys.shape, complex(np.nan, np.nan))
+    sums = (np.full(phys.shape, np.nan), np.full(phys.shape, np.nan))
+    got = _sigma_raw(model, phys, y, b_fields, out, sums)
+    assert got is out
+    assert got.tobytes() == _sigma_raw(model, phys, y, b_fields).tobytes()
 
 
 def _channel_error(model, u):
@@ -304,17 +324,17 @@ def test_transport_table_matches_the_quadrature_route(grid, n, recipes):
 
 
 def test_sigma_adds_only_non_zero_channel_fields(grid16):
-    # make_model pads the c-channels with an empty recipe: it is dropped
-    # once, when the recipes are sampled, and so are recipes that sample
-    # to zero on the grid
+    # make_model pads the c-channels with an empty recipe; the b recipes
+    # are sampled once, and only channels that do not sample to zero are
+    # kept.  The c recipes act on coordinates: an empty or vanishing c
+    # recipe gives no channel of the transport table
     model = make_model(*CRITERION_09)
     assert [len(r.terms) for r in model.c] == [1, 0]
-    (c_idx, c_arr), (b_idx, b_arr) = model.coefficient_fields(grid16)
-    assert c_idx.tolist() == [0] and c_arr.shape == (1, 16, 16)
+    b_idx, b_arr = model.b_fields(grid16)
     assert b_idx.tolist() == [0, 1] and b_arr.shape == (2, 16, 16)
-    np.testing.assert_array_equal(c_arr[0], model.c[0].evaluate(grid16))
+    assert _transport_table(model, GalerkinFrame(grid16, 16))[0].tolist() == [0]
     vanishing = make_model(["0.1*sin(0,0)"], ["0.1*cos(1,0)"], "tanh")
-    assert len(vanishing.coefficient_fields(grid16)[0][0]) == 0
+    assert len(_transport_table(vanishing, GalerkinFrame(grid16, 16))[0]) == 0
 
 
 def test_hs_norm_options(grid16, make_field):

@@ -255,7 +255,7 @@ def test_additive_coords_match_the_quadrature_route(grid):
 
     def quadrature(model, frame):
         zero = np.zeros((1, grid.n1, grid.n2), dtype=complex)  # phys of u = 0
-        raw = _sigma_raw(model, zero, np.eye(model.n_modes), model.coefficient_fields(grid)[1])
+        raw = _sigma_raw(model, zero, np.eye(model.n_modes), model.b_fields(grid))
         return frame.analyse(raw, frame.field_weights)
 
     for model in models:
@@ -614,6 +614,55 @@ def test_batched_hs_matches_channel_norms(grid16, make_field):
     chans = fullgrid.channels(_model_small(), u, grid16, 9)
     expected = sum(fullgrid.inner(c, c, grid16) for c in chans)
     assert full.diag["hs_sq"][-1, 1] == pytest.approx(expected, rel=1e-12)
+
+
+def test_on_step_states_are_not_the_workspace(grid16, make_field):
+    # the step writes its samples, products and sigma(u) into one workspace
+    # per run; the states on_step sees must be the run's own arrays, so
+    # those kept as handed over equal copies taken in a second run
+    from ans2d.sde import _run_batched
+
+    model = _model_small()  # tanh b-channels and a transport channel
+    cfg = SdeConfig(dt=2e-3, t_end=0.02, galerkin_n=9, seed=6)
+    u0 = make_field(grid16, band=3, seed=14).coeffs
+    kept, copied = [], []
+    for states, keep in ((kept, lambda a: a), (copied, np.copy)):
+        _run_batched(u0, grid16, model, cfg, draw_increments(model, cfg, range(3)),
+                     on_step=lambda i, a, states=states, keep=keep: states.append(keep(a)))
+    assert len(kept) == cfg.n_steps + 1
+    for a, b in zip(kept, copied):
+        assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("model, drop", [
+    (_model_small(), False),
+    (_model_small(), True),
+    (make_model([], ["0.1*cos(1,0)", "0.05*sin(0,1)"], "one"), False),
+], ids=["tanh", "tanh-no-advection", "additive"])
+def test_workspace_runs_match_runs_that_allocate(grid16, make_field, monkeypatch, model, drop):
+    # runs of 5 and then 3 paths, each with its own workspace, against the
+    # same runs by a stepper built without a batch, which allocates every
+    # array it writes: the workspace changes where the step writes, not a bit
+    from ans2d import sde
+
+    cfg = SdeConfig(dt=2e-3, t_end=0.02, galerkin_n=9, seed=6, drop_nonlinearity=drop)
+    u0 = make_field(grid16, band=3, seed=14).coeffs
+
+    def runs():
+        return [sde._run_batched(u0, grid16, model, cfg, draw_increments(model, cfg, range(b)))
+                for b in (5, 3)]
+
+    spaced = runs()
+
+    class Allocating(sde._Stepper):
+        def __init__(self, grid, model, cfg, batch=None):
+            super().__init__(grid, model, cfg)
+
+    monkeypatch.setattr(sde, "_Stepper", Allocating)
+    for got, ref in zip(spaced, runs()):
+        assert got.final.tobytes() == ref.final.tobytes()
+        for name in sde.DIAG_NAMES:
+            assert got.diag[name].tobytes() == ref.diag[name].tobytes(), name
 
 
 def _count_step_loop(grid, make_field, monkeypatch, model):
