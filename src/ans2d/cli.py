@@ -357,30 +357,6 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
     return ["uniqueness_series.csv"], [rep.verdict], extra
 
 
-def _cmd_plot_data(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
-    src = args.input
-    if not src:
-        raise ConfigError("plot-data needs --input")
-    try:
-        with open(src, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            data = list(reader)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {src}: {exc}") from exc
-    if not header or "t" not in header:
-        raise ConfigError(f"{src} is not a time-series CSV (no 't' column)")
-    t_idx = header.index("t")
-    rows = []
-    for record in data:
-        for j, name in enumerate(header):
-            if j == t_idx:
-                continue
-            rows.append((name, record[t_idx], record[j]))
-    _write_csv(out / "plot_data.csv", ("series", "t", "value"), rows)
-    return ["plot_data.csv"], [], {"series": len(header) - 1, "points": len(rows)}
-
-
 # name -> (subcommand, help text)
 _COMMANDS = {
     "run-det": (_cmd_run_det, "deterministic run with energy and vertical-decay certificates"),
@@ -389,7 +365,6 @@ _COMMANDS = {
     "verify": (_cmd_verify, "random-field battery for the norm inequalities"),
     "oracle-check": (_cmd_oracle_check, "solver drift at a ladder of levels vs direct convolution"),
     "uniqueness": (_cmd_uniqueness, "two-solution gap audit (det or sde)"),
-    "plot-data": (_cmd_plot_data, "reshape a series CSV into long (series,t,value) form"),
 }
 
 
@@ -427,8 +402,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="override " + ", ".join(_SEED_KEYS))
         p.add_argument("--force", action="store_true",
                        help="run even when a noise gate fails")
-        if name == "plot-data":
-            p.add_argument("--input", default=None, help="series CSV to reshape")
     return parser
 
 

@@ -12,10 +12,17 @@ of all max_level(grid) basis elements, so the state is its real coordinates
 in GalerkinFrame(grid, max_level(grid)): the deterministic system is the
 top Galerkin level of the stochastic engine.  Taking coordinates projects
 the initial data; run_det and uniqueness_experiment therefore require
-Hermitian input, c(-k) = conj(c(k)), as the SDE engine does.  One march
-(_march) steps every run and hands each state, with its drift, to the
-audit reading it; the state stays coordinates, which only frame.synth
-samples (the advection, and the CLI's snapshot of final_coords).
+Hermitian input, c(-k) = conj(c(k)), as the SDE engine does.  The state
+stays coordinates, which only frame.synth samples (the advection, and the
+CLI's snapshot of final_coords).
+
+One step loop, _march, steps every run of both engines and yields
+(i, a, drift, sig) per state: its drift, shared with the step, and sig,
+the noise increment of step i (None without noise and at the last state).
+Each audit is a consumer that keeps what it reads: run_det's rows,
+weak_form_residual, the gap audit and eps_sweep through _det_march (the
+integrator's stages), sde._run_batched's rows and the pathwise gap audit
+through sde._Stepper.march (Euler-Maruyama).
 """
 
 from __future__ import annotations
@@ -163,46 +170,48 @@ def _coord_rows(frame: GalerkinFrame, a: np.ndarray, drift: np.ndarray) -> dict[
     return row
 
 
-def _make_stepper(frame: GalerkinFrame, cfg: DetConfig
-                  ) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+def _march(a: np.ndarray, clock: Clock, drift: Callable, step: Callable,
+           noise: Callable | None = None) -> Iterator[tuple]:
+    """Yield (i, a, drift(a), sig) for every state of a run from (..., n) coordinates a.
+
+    The drift is evaluated once per state, the last one included, and is
+    shared with step(a, drift, sig), which returns the next state as a new
+    array, so a consumer may keep the states it is handed.  sig is
+    noise(i, a), the increment step i adds, or None without noise and at
+    the last state.  Every row of a batch is guarded against blow-up.
+    """
+    n_steps, l2_0 = clock.n_steps, spectral.max_sq_norm(a)
+    for i in range(n_steps + 1):
+        k = drift(a)
+        sig = None if noise is None or i == n_steps else noise(i, a)
+        yield i, a, k, sig
+        if i < n_steps:
+            a = step(a, k, sig)
+            spectral.check_rows(a, l2_0, t_last=i * clock.dt, guard=clock.blowup_factor)
+
+
+def _det_march(a: np.ndarray, frame: GalerkinFrame, cfg: DetConfig) -> Iterator[tuple]:
+    """_march of the deterministic system in frame, stepped by the integrator's stages."""
     dt = cfg.dt
     symbol = frame.k1sq + cfg.eps_v ** 2 * frame.k2sq
     ef = np.exp(-dt * symbol)
     eh = np.exp(-0.5 * dt * symbol)
 
-    # k1 is the drift at c, which the caller evaluates (and may share)
+    # k1 is the drift at c, which the march shares; the system has no noise
     if cfg.integrator == "if-euler":
-        def step(c: np.ndarray, k1: np.ndarray) -> np.ndarray:
+        def step(c: np.ndarray, k1: np.ndarray, _sig: None) -> np.ndarray:
             return ef * (c + dt * k1)
     elif cfg.integrator == "if-rk2":
-        def step(c: np.ndarray, k1: np.ndarray) -> np.ndarray:
+        def step(c: np.ndarray, k1: np.ndarray, _sig: None) -> np.ndarray:
             pred = ef * (c + dt * k1)
             return ef * c + 0.5 * dt * (ef * k1 + _drift(pred, frame))
     else:  # if-rk4
-        def step(c: np.ndarray, k1: np.ndarray) -> np.ndarray:
+        def step(c: np.ndarray, k1: np.ndarray, _sig: None) -> np.ndarray:
             k2 = _drift(eh * (c + 0.5 * dt * k1), frame)
             k3 = _drift(eh * c + 0.5 * dt * k2, frame)
             k4 = _drift(ef * c + dt * eh * k3, frame)
             return ef * c + dt / 6.0 * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
-    return step
-
-
-def _march(a: np.ndarray, frame: GalerkinFrame, cfg: DetConfig
-           ) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """Yield (i, a, drift) for every state of a run from (..., n) coordinates a.
-
-    One drift evaluation per state feeds both its consumer and the first
-    integrator stage.  Every row of a batch is guarded against blow-up.
-    """
-    step = _make_stepper(frame, cfg)
-    l2_0 = spectral.max_sq_norm(a)
-    drift = _drift(a, frame)
-    yield 0, a, drift
-    for i in range(1, cfg.n_steps + 1):
-        a = step(a, drift)
-        spectral.check_rows(a, l2_0, t_last=(i - 1) * cfg.dt, guard=cfg.blowup_factor)
-        drift = _drift(a, frame)
-        yield i, a, drift
+    return _march(a, cfg, lambda c: _drift(c, frame), step)
 
 
 def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
@@ -213,7 +222,7 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
     """
     frame = GalerkinFrame(u0.grid, max_level(u0.grid))
     diag = {name: np.zeros(cfg.n_steps + 1) for name in DIAG_NAMES}
-    for i, a, drift in _march(frame.coords(u0.coeffs), frame, cfg):
+    for i, a, drift, _ in _det_march(frame.coords(u0.coeffs), frame, cfg):
         for name, value in _coord_rows(frame, a, drift).items():
             diag[name][i] = value
     return Trajectory(config=cfg, t=cfg.times, diag=diag, final_coords=a, frame=frame)
@@ -321,7 +330,7 @@ def weak_form_residual(u0: SpectralField, cfg: DetConfig, test_mode: tuple[int, 
     t = cfg.times
     a = np.zeros_like(t)                        # (u, e_k)
     b = np.zeros_like(t)                        # (u.grad u, e_k)
-    for i, state, drift in _march(frame.coords(u0.coeffs), frame, cfg):
+    for i, state, drift, _ in _det_march(frame.coords(u0.coeffs), frame, cfg):
         a[i], b[i] = state[j], -drift[j]
     chi_v = np.array([chi.fn(s) for s in t])
     dchi_v = np.array([chi.dfn(s) for s in t])
@@ -438,7 +447,8 @@ def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
     """
     frame = GalerkinFrame(u0.grid, max_level(u0.grid))
     audit = _GapAudit(frame, cfg, base=1)
-    for i, pair, _ in _march(frame.coords(np.stack((u0.coeffs, v0.coeffs))), frame, cfg):
+    for i, pair, _, _ in _det_march(frame.coords(np.stack((u0.coeffs, v0.coeffs))),
+                                     frame, cfg):
         audit.record(i, pair)
     return audit.report(YOUNG_WEIGHT, 0.0, tol)
 
@@ -455,11 +465,11 @@ def eps_sweep(u0: SpectralField, cfg: DetConfig, eps_values: list[float]) -> lis
     frame = GalerkinFrame(u0.grid, max_level(u0.grid))
 
     def march(eps: float):
-        return _march(frame.coords(mollify(u0, eps).coeffs), frame, replace(cfg, eps_v=eps))
+        return _det_march(frame.coords(mollify(u0, eps).coeffs), frame, replace(cfg, eps_v=eps))
 
     t = cfg.times
     diff_sq = np.zeros((len(eps_values), len(t)))
-    for (i, base, _), *runs in zip(march(0.0), *map(march, eps_values)):
-        for m, (_, a, _) in enumerate(runs):
+    for (i, base, _, _), *runs in zip(march(0.0), *map(march, eps_values)):
+        for m, (_, a, _, _) in enumerate(runs):
             diff_sq[m, i] = np.sum((a - base) ** 2)
     return [float(np.sqrt(np.trapezoid(row, t))) for row in diff_sq]

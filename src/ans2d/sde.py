@@ -7,10 +7,12 @@ basis elements:
 
 with L = -k1^2 applied exactly.  The engine steps the n real coordinates
 of the state in that basis (basis.GalerkinFrame), batched over
-trajectories as (B, n) arrays, and hands back coordinates: its final
-state and on_step callback see (B, n) arrays, which the frame lifts to
-coefficients where a caller needs a field.  Every element is an
-eigenfunction of d1^2 and d2^2, so exp(L dt), P_n, additive noise
+trajectories as (B, n) arrays, through the one step loop of both engines,
+det._march: _Stepper.march hands it the drift and the Euler-Maruyama step
+of a level, and its consumers (_run_batched's diagnostic rows, the
+pathwise gap audit) see every state as (B, n) coordinates, which the
+frame lifts to coefficients where a caller needs a field.  Every element
+is an eigenfunction of d1^2 and d2^2, so exp(L dt), P_n, additive noise
 and every diagnostic norm act on the coordinates directly, and so do the
 transport channels c_k d1 u of sigma(u), through a fixed table per level
 (noise._transport_table).  Only the advection and a b g(u) that depends
@@ -24,8 +26,8 @@ with it the samples come from the configured grid instead.  Every array
 of the samples' size that a step writes (the samples, the advection's
 products, sigma(u)'s samples and b-channel sums, and the packed spectra
 of their transforms) lives in one workspace per run, allocated once for
-the run's batch (_Stepper) and overwritten by every step; the state, the
-final coordinates and what on_step sees are never workspace arrays.
+the run's batch (_Stepper) and overwritten by every step; the states the
+march yields are never workspace arrays.
 Initial coefficients must be Hermitian.
 Per-step diagnostics come out as (n_steps+1, B) columns, which keeps path
 ensembles in pure array arithmetic; the noise pairing (sigma dW, u) is
@@ -40,7 +42,7 @@ several levels (the ensemble) draw them once.  The additive noise path
 works in blocks of at most BLOCK_BYTES: draw_increments fills a block of
 whole paths, BLOCK_BYTES // (8 n_steps n_modes) of them, contiguously and
 copies it into the step-major array with one transposed assignment, and
-the step loop forms additive increments a slab of BLOCK_BYTES //
+the march forms additive increments a slab of BLOCK_BYTES //
 (8 B len(span)) steps at a time, as they do not depend on the state
 (either block holds at least one path or step).  Each trajectory's
 increments come from a dedicated counter-based stream keyed by (seed,
@@ -97,12 +99,12 @@ class SdeConfig(Clock):
 class _Stepper:
     """Precomputed batched update for one (grid, model, config) triple.
 
-    States are (B, n) coordinates in the level-n frame.  The step loop
-    synthesizes the packed samples u1 + i u2 of a state on the quadrature
-    grid qgrid once (synth, through qframe.synth) and hands them, with the
-    state, to drift, noise_increment and hs_sq.  qgrid is the level's
-    smallest alias-free grid (basis.quadrature_grid), which gives the
-    advection coordinates of the configured grid up to rounding.  A
+    States are (B, n) coordinates in the level-n frame.  drift synthesizes
+    the packed samples u1 + i u2 of a state on the quadrature grid qgrid
+    (qframe.synth) and keeps them as phys, which noise_increment and hs_sq
+    read for the same state.  qgrid is the level's smallest alias-free grid
+    (basis.quadrature_grid), which gives the advection coordinates of the
+    configured grid up to rounding.  A
     sigma(u) whose b g(u) depends on u is not band-limited, so for it
     qgrid is the configured grid; its c-channels act on the coordinates
     (noise._transport_table), and additive channels are read off the
@@ -113,18 +115,17 @@ class _Stepper:
     Built for a batch of B states (the engine's _run_batched), the stepper
     holds the workspace its layers write into, allocated once and
     overwritten by every step, so a step makes no array of the samples'
-    size: z, (B, q1, q2) complex, the packed samples u1 + i u2 of synth;
+    size: z, (B, q1, q2) complex, the packed samples u1 + i u2 of phys;
     w, of the same shape, the advection's products, which the drift's
     analysis consumes, and then a sampled sigma(u)'s samples
     g(u) sum_k y_k b_k; spec, (B, m, q1) complex, the packed spectrum of
     each of those transforms (GalerkinFrame.synth, analyse); and, only
     when b g(u) samples the state, sums, the two (B, q1, q2) float arrays
-    of its b-channel sum and per-channel product.  So the samples synth
-    returns live until the next step's synth, and what drift,
-    noise_increment and hs_sq return (the state's coordinates, never the
-    workspace) stays the caller's.  hs_sq, whose channel axis widens the
-    samples, and a stepper built without a batch allocate each array they
-    write.
+    of its b-channel sum and per-channel product.  So phys lives until the
+    next drift, and what drift, noise_increment and hs_sq return (the
+    state's coordinates, never the workspace) stays the caller's.  hs_sq,
+    whose channel axis widens the samples, and a stepper built without a
+    batch allocate each array they write.
 
     span is the slice of columns a noise increment touches: every column
     for a sigma(u) that depends on u; for additive noise, the first to the
@@ -164,7 +165,7 @@ class _Stepper:
         self.needs_phys = sampled or not cfg.drop_nonlinearity
         self.qgrid = grid if sampled else quadrature_grid(grid, cfg.galerkin_n)
         self.qframe = GalerkinFrame(self.qgrid, cfg.galerkin_n)
-        self.z = self.w = self.spec = None  # the workspace; see the class docstring
+        self.z = self.w = self.spec = self.phys = None  # the workspace; see the class docstring
         self.sums = (None, None)
         if batch is not None and self.needs_phys:
             q = (batch, self.qgrid.n1, self.qgrid.n2)
@@ -175,52 +176,81 @@ class _Stepper:
             if sampled:
                 self.sums = (np.empty(q), np.empty(q))
 
-    def synth(self, a: np.ndarray) -> np.ndarray | None:
-        """Samples u1 + i u2 of a on qgrid, or None when no layer reads them."""
-        return self.qframe.synth(a, self.z, self.spec) if self.needs_phys else None
-
-    def drift(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray | float:
-        """Coordinates of -P_n (u.grad u); phys holds the samples of a.
+    def drift(self, a: np.ndarray) -> np.ndarray | float:
+        """Coordinates of -P_n (u.grad u); keeps the samples of a as phys.
 
         Without the nonlinearity the drift is the scalar 0.0, which
         broadcasts against a.
         """
+        self.phys = self.qframe.synth(a, self.z, self.spec) if self.needs_phys else None
         if self.cfg.drop_nonlinearity:
             return 0.0
-        return self.qframe.analyse(spectral._advection_raw(phys, self.w),
+        return self.qframe.analyse(spectral._advection_raw(self.phys, self.w),
                                    self.qframe.drift_weights, self.spec)
 
-    def noise_increment(self, dw: np.ndarray, a: np.ndarray,
-                        phys: np.ndarray | None) -> np.ndarray:
+    def noise_increment(self, dw: np.ndarray, a: np.ndarray | None) -> np.ndarray:
         """Coordinates of P_n sigma(u) dW in the columns span; dw has shape (B, n_modes).
 
-        a is the state and phys its samples.  Every coordinate outside
-        span is an exact zero, and the step adds only the (B, len(span))
-        increment returned.  Additive increments do not depend on the
-        state, so for them dw may also be a slab of steps, (D, B, n_modes),
-        which gives the (D, B, len(span)) increments of all D steps at once.
+        a is the state, whose samples the last drift kept.  Every coordinate
+        outside span is an exact zero, and the step adds only the
+        (B, len(span)) increment returned.  Additive increments do not
+        depend on the state, so for them dw may also be a slab of steps,
+        (D, B, n_modes), which gives the (D, B, len(span)) increments of
+        all D steps at once.
         """
         if self.additive is not None:
             return _channel_sum(dw, self.span_channels)
-        return sigma_coords(self.model, self.frame, a, phys, dw, self.parts,
+        return sigma_coords(self.model, self.frame, a, self.phys, dw, self.parts,
                             self.w, self.spec, self.sums)
 
-    def hs_sq(self, a: np.ndarray, phys: np.ndarray | None) -> np.ndarray:
-        """||P_n sigma(u) Pi||_HS^2 per batch entry."""
+    def hs_sq(self, a: np.ndarray) -> np.ndarray:
+        """||P_n sigma(u) Pi||_HS^2 per batch entry of a, whose samples the last drift kept."""
         lead = a.shape[:-1]
         if self.additive is not None:
             return np.full(lead, float(np.sum(self.additive ** 2)))
         # all channels at once: a channel axis before the coordinates and the samples
         chans = sigma_coords(self.model, self.frame, a[..., None, :],
-                             None if phys is None else phys[..., None, :, :],
+                             None if self.phys is None else self.phys[..., None, :, :],
                              np.eye(self.model.n_modes), self.parts)
         return np.sum(chans ** 2, axis=(-2, -1))
 
+    def march(self, coeffs0: np.ndarray, increments: np.ndarray):
+        """det._march of one trajectory per column of increments, (n_steps, B, n_modes).
+
+        coeffs0 holds Hermitian initial coefficients, (2, n1, n2) shared by
+        every row or (B, 2, n1, n2), projected to the level's coordinates.
+        The step is a + dt drift, then + sig on span, then exp(L dt).  Step i
+        reads the slab increments[i]; additive increments, which do not
+        depend on the state, are formed a slab of steps per noise_increment
+        call, as many as fit in BLOCK_BYTES (at least one).
+        """
+        bsize, dt, span = increments.shape[1], self.cfg.dt, self.span
+        # the integrating factor tiled to the batch: a (B, n) x (n,) product
+        # runs one inner loop of length n per row, a (B, n) x (B, n) one loop
+        ef = np.tile(self.ef, (bsize, 1))
+
+        def step(a: np.ndarray, drift: np.ndarray | float, sig: np.ndarray) -> np.ndarray:
+            a = a + dt * drift
+            a[:, span] += sig
+            a *= ef
+            return a
+
+        if self.additive is not None:
+            slab = max(1, BLOCK_BYTES // max(1, 8 * bsize * self.span_channels.shape[1]))
+            sigs = (sig for i in range(0, len(increments), slab)
+                    for sig in self.noise_increment(increments[i:i + slab], None))
+
+        def noise(i: int, a: np.ndarray) -> np.ndarray:
+            return self.noise_increment(increments[i], a) if self.additive is None else next(sigs)
+
+        a0 = np.broadcast_to(self.frame.coords(coeffs0), (bsize, self.frame.n))
+        return det._march(a0, self.cfg, self.drift, step, noise)
+
 
 def _diag_row(stepper: _Stepper, a: np.ndarray, drift: np.ndarray, noise_work: np.ndarray,
-              with_hs: bool, phys: np.ndarray | None) -> dict[str, np.ndarray]:
-    """Diagnostics of a batch of coordinates a; drift and phys are the step's."""
-    hs = stepper.hs_sq(a, phys) if with_hs else np.zeros(a.shape[:-1])
+              with_hs: bool) -> dict[str, np.ndarray]:
+    """Diagnostics of a batch of coordinates a, whose drift the march handed over."""
+    hs = stepper.hs_sq(a) if with_hs else np.zeros(a.shape[:-1])
     return {**_coord_rows(stepper.frame, a, drift), "noise_work": noise_work, "hs_sq": hs}
 
 
@@ -248,8 +278,7 @@ def drift_oracle_error(u: SpectralField, n: int) -> float:
     if n == max_level(grid):
         drift = det._drift(a, frame)  # looked up per call, as a test may replace it
     else:
-        stepper = _Stepper(grid, NoiseModel(), SdeConfig(galerkin_n=n))
-        drift = stepper.drift(a, stepper.synth(a))
+        drift = _Stepper(grid, NoiseModel(), SdeConfig(galerkin_n=n)).drift(a)
     scale = float(np.max(np.abs(ref)))
     return float(np.max(np.abs(drift - ref))) / scale if scale > 0.0 else np.inf
 
@@ -295,70 +324,29 @@ def draw_increments(model: NoiseModel, cfg: SdeConfig,
 
 def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
                  cfg: SdeConfig, increments: np.ndarray, with_diag: bool = True,
-                 with_hs: bool = True, on_step=None) -> BatchedRun:
-    """Advance one trajectory per column of increments.
+                 with_hs: bool = True) -> BatchedRun:
+    """Advance one trajectory per column of increments and record its diagnostic rows.
 
-    increments is step-major, (n_steps, B, n_modes), as draw_increments
-    returns it; step i reads the slab increments[i].  coeffs0 holds
-    Hermitian initial coefficients, (2, n1, n2) shared by every row or
-    (B, 2, n1, n2).  The batch is projected to the level-n coordinates and
-    stepped there; final and on_step see (B, n) coordinates.  The noise
-    pairing noise_work is formed only when with_diag records it, over the
-    columns stepper.span the increment touches, as is the increment's
-    addition.  Additive increments are formed a slab of steps at a time,
-    as many as fit in BLOCK_BYTES (at least one); a multiplicative
-    sigma(u) reads the step's state, one step at a time.  with_hs adds
-    the Hilbert-Schmidt column hs_sq, one more sigma(u) evaluation per
-    channel and row; it reads 0 when left out.  The stepper is built for
-    the batch, so the step writes its samples, products and spectra into
-    one workspace for the whole call (_Stepper).
+    coeffs0 and increments are as in _Stepper.march; the rows read its
+    (B, n) states, and final holds the last.  The noise pairing
+    noise_work is formed only when with_diag records it, over the columns
+    stepper.span the increment touches.  with_hs adds the Hilbert-Schmidt
+    column hs_sq, one more sigma(u) evaluation per channel and row; it
+    reads 0 when left out.  The stepper is built for the batch, so the
+    step writes its samples, products and spectra into one workspace for
+    the whole call (_Stepper).
     """
     bsize = increments.shape[1]
     stepper = _Stepper(grid, model, cfg, bsize)
-    frame = stepper.frame
-    n_steps = cfg.n_steps
-    dt = cfg.dt
-    a = np.broadcast_to(frame.coords(coeffs0), (bsize, frame.n))
-    diag = {name: np.zeros((n_steps + 1, bsize)) for name in DIAG_NAMES} if with_diag else {}
-
-    def record(i: int, noise_work: np.ndarray, drift: np.ndarray | float | None,
-               phys: np.ndarray | None) -> None:
-        if with_diag:
-            for name, value in _diag_row(stepper, a, drift, noise_work, with_hs, phys).items():
-                diag[name][i] = value
-        if on_step is not None:
-            on_step(i, a)
-
-    l2_0 = spectral.max_sq_norm(a)
-    # the integrating factor tiled to the batch: a (B, n) x (n,) product
-    # runs one inner loop of length n per row, a (B, n) x (B, n) one loop
-    ef = np.tile(stepper.ef, (bsize, 1))
-    span = stepper.span  # the increment's columns; the rest get no noise
-    if stepper.additive is not None:  # steps per slab of additive increments
-        slab = max(1, BLOCK_BYTES // max(1, 8 * bsize * stepper.span_channels.shape[1]))
+    diag = {name: np.zeros((cfg.n_steps + 1, bsize)) for name in DIAG_NAMES} if with_diag else {}
     work = np.zeros(bsize)
-    for i in range(n_steps + 1):
-        # one synthesis and one advection per state feed its row and its step
-        shared = i < n_steps or with_diag
-        phys = stepper.synth(a) if shared else None
-        drift = stepper.drift(a, phys) if shared else None
-        record(i, work, drift, phys)
-        if i == n_steps:
-            break
-        if stepper.additive is None:
-            sig = stepper.noise_increment(increments[i], a, phys)
-        else:
-            if i % slab == 0:
-                sigs = stepper.noise_increment(increments[i:i + slab], a, phys)
-            sig = sigs[i % slab]
-        if with_diag:  # only the next diagnostic row reads the pairing
-            work = np.sum(sig * a[:, span], axis=-1)
-        a = a + dt * drift  # a new array: on_step may hold the previous state
-        a[:, span] += sig
-        a *= ef
-        spectral.check_rows(a, l2_0, t_last=i * dt, guard=cfg.blowup_factor)
-
-    return BatchedRun(t=cfg.times, diag=diag, final=a, frame=frame)
+    for i, a, drift, sig in stepper.march(coeffs0, increments):
+        if with_diag:
+            for name, value in _diag_row(stepper, a, drift, work, with_hs).items():
+                diag[name][i] = value
+            if sig is not None:  # only the next row reads the pairing
+                work = np.sum(sig * a[:, stepper.span], axis=-1)
+    return BatchedRun(t=cfg.times, diag=diag, final=a, frame=stepper.frame)
 
 
 @dataclass
@@ -474,8 +462,10 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     qgrid = quadrature_grid(u0.grid, cfg.galerkin_n)  # the gap's drift is alias-free there
     audit = _GapAudit(GalerkinFrame(qgrid, cfg.galerkin_n), cfg, base=0)
     # path 0 twice, drawn once: both rows see the same increments
-    _run_batched(np.stack((u0.coeffs, v0.coeffs)), u0.grid, model, cfg,
-                 draw_increments(model, cfg, (0, 0)), with_diag=False, on_step=audit.record)
+    march = _Stepper(u0.grid, model, cfg, 2).march(np.stack((u0.coeffs, v0.coeffs)),
+                                                   draw_increments(model, cfg, (0, 0)))
+    for i, pair, _, _ in march:
+        audit.record(i, pair)
     growth = (1.0 + 4.0 / BETA_HAT) * condition_c_bounds(model, eta=eta).l1 * audit.t
     return audit.report(cfg.alpha_tilde, growth, tol)
 

@@ -44,7 +44,7 @@ def _run_det(a0, kicks, factor, monkeypatch):
     monkeypatch.setattr(det_mod, "_drift", drift)
     cfg = det_mod.DetConfig(dt=DT, t_end=N_STEPS * DT, integrator="if-euler",
                             blowup_factor=factor)
-    for _, a, _ in det_mod._march(a0, FRAME, cfg):
+    for _, a, _, _ in det_mod._det_march(a0, FRAME, cfg):
         pass
     return a
 

@@ -4,7 +4,7 @@ import pytest
 from ans2d import det as det_mod
 from ans2d.det import (
     DetConfig,
-    _march,
+    _det_march,
     energy_certificate,
     eps_sweep,
     h01_certificate,
@@ -146,7 +146,8 @@ def test_trajectory_final_lifts_last_stored_coordinates(grid16, make_field):
     traj = run_det(u0, DetConfig(dt=1e-2, t_end=0.05))
     assert traj.final_coords.shape == (traj.frame.n,)
     # the final coordinates are those of the last state of the march
-    *_, (_, last, _) = _march(traj.frame.coords(u0.coeffs), traj.frame, traj.config)
+    for _, last, _, _ in _det_march(traj.frame.coords(u0.coeffs), traj.frame, traj.config):
+        pass
     np.testing.assert_array_equal(traj.final_coords, last)
     assert traj.frame.grid == grid16
 

@@ -221,7 +221,7 @@ def test_cli_run_det(tmp_path):
     _assert_final_samples(state, traj)
 
 
-def test_cli_run_sde_and_plot(tmp_path):
+def test_cli_run_sde(tmp_path):
     cfg = _write_cfg(tmp_path)
     out = tmp_path / "sde"
     assert main(["run-sde", "--config", cfg, "--out", str(out)]) == 0
@@ -239,16 +239,6 @@ def test_cli_run_sde_and_plot(tmp_path):
     traj = run_sde(_initial_field(state.grid, conf), _noise_model(conf, state.grid),
                    _section(conf, SdeConfig, "sde"))
     _assert_final_samples(state, traj)
-    plot_out = tmp_path / "plot"
-    assert main(["plot-data", "--input", str(out / "sde_series.csv"),
-                 "--out", str(plot_out)]) == 0
-    with open(plot_out / "plot_data.csv", newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["series", "t", "value"]
-    series = {row[0] for row in rows[1:]}
-    assert series == {"l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "int_d1_sq",
-                      "int_d1d2_sq", "h_t", "weighted_h01", "noise_work",
-                      "hs_norm_sq"}
 
 
 def test_cli_seed_override_changes_output(tmp_path):
@@ -379,7 +369,15 @@ def test_cli_config_error_exit_code(tmp_path):
     assert main(["run-det", "--config", str(tmp_path / "absent.cfg"),
                  "--out", str(tmp_path / "y")]) == 2
     assert main(["no-such-command"]) == 2
-    assert main(["plot-data", "--out", str(tmp_path / "p")]) == 2  # no input
+
+
+def test_cli_plot_data_is_an_unknown_subcommand(tmp_path, capsys):
+    out = tmp_path / "p"
+    assert main(["plot-data", "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["exit_code"] == 2 and man["error"]["class"] == "UsageError"
+    assert "plot-data" in man["error"]["message"]
+    assert "invalid choice" in capsys.readouterr().err
 
 
 def test_cli_blowup_exit_code(tmp_path):

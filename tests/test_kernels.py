@@ -75,7 +75,7 @@ def test_oracle_catches_a_wrong_solver_drift(monkeypatch, make_field, subject):
     else:
         drift = _Stepper.drift
         monkeypatch.setattr(_Stepper, "drift",
-                            lambda self, a, phys: drift(self, a, phys) * (1 + 1e-9))
+                            lambda self, a: drift(self, a) * (1 + 1e-9))
     grid = TorusGrid(8, 8)
     u = make_field(grid, band=2, seed=1)
     failed = {level: drift_oracle_error(u, level) > ORACLE_TOL for level in oracle_levels(grid)}

@@ -139,11 +139,13 @@ def test_budget_that_is_not_finite_is_refused(c_text, b_text, budget):
 def _engine_sigma(model, u, ys):
     """P sigma(u) y for each row of ys, as the SDE engine forms it at the top
     level of u's grid, lifted to (len(ys), 2, n1, n2) coefficients.  The
-    engine's increment covers the columns st.span; the rest are zeros."""
+    engine's increment covers the columns st.span; the rest are zeros, and
+    the samples it reads are those the state's drift kept."""
     st = _Stepper(u.grid, model, SdeConfig(galerkin_n=max_level(u.grid)))
     a = np.tile(st.frame.coords(u.coeffs), (len(ys), 1))
     dense = np.zeros_like(a)
-    dense[:, st.span] = st.noise_increment(np.asarray(ys, dtype=np.float64), a, st.synth(a))
+    st.drift(a)
+    dense[:, st.span] = st.noise_increment(np.asarray(ys, dtype=np.float64), a)
     return st.frame.lift(dense)
 
 
