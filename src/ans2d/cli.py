@@ -150,17 +150,6 @@ def _section(cfg: dict[str, Any], cls: type, prefix: str):
         return cls(**{name: cfg[key] for name, key in keys.items() if key in cfg})
 
 
-def _check_step_arrays(scfg: sde_mod.SdeConfig, model: NoiseModel, batch: int) -> None:
-    """ConfigError when a batch's step-major arrays would exceed spectral.MAX_ARRAY_BYTES.
-
-    They are its Wiener increments, (n_steps, batch, n_modes), and each
-    diagnostic column, (n_steps + 1, batch).
-    """
-    with _config_value():
-        check_array_bytes(f"the step-major arrays of {batch} paths over {scfg.n_steps} steps",
-                          8 * (scfg.n_steps + 1) * batch * max(model.n_modes, 1))
-
-
 def _check_run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
                      model: NoiseModel = NoiseModel()) -> None:
     """ConfigError when det.run_bytes of the run would exceed spectral.MAX_ARRAY_BYTES."""
@@ -170,10 +159,27 @@ def _check_run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = ()
                           scope="a run may hold at once")
 
 
-def _check_level(grid: TorusGrid, key: str, n: int) -> None:
-    if not 1 <= n <= max_level(grid):
-        raise ConfigError(f"{key}={n} must lie in [1, {max_level(grid)}], the basis "
-                          f"elements of the {grid.n1}x{grid.n2} grid")
+def _sde_setup(cfg: dict[str, Any], grid: TorusGrid, batch: int, key: str,
+               levels: Sequence[int]) -> tuple[sde_mod.SdeConfig, NoiseModel]:
+    """The SdeConfig and noise model of an SDE run of batch paths at levels, checked.
+
+    A ConfigError names key for a level outside [1, max_level(grid)], and
+    reports a batch whose step-major arrays, its Wiener increments
+    (n_steps, batch, n_modes) and each diagnostic column (n_steps + 1,
+    batch), or whose run (_check_run_bytes) would exceed
+    spectral.MAX_ARRAY_BYTES.
+    """
+    scfg = _section(cfg, sde_mod.SdeConfig, "sde")
+    model = _noise_model(cfg, grid)
+    for n in levels:
+        if not 1 <= n <= max_level(grid):
+            raise ConfigError(f"{key}={n} must lie in [1, {max_level(grid)}], the basis "
+                              f"elements of the {grid.n1}x{grid.n2} grid")
+    with _config_value():
+        check_array_bytes(f"the step-major arrays of {batch} paths over {scfg.n_steps} steps",
+                          8 * (scfg.n_steps + 1) * batch * max(model.n_modes, 1))
+    _check_run_bytes(grid, batch, levels, model)
+    return scfg, model
 
 
 # ---------------------------------------------------------------------------
@@ -212,15 +218,11 @@ def _cmd_run_det(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
 
 def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
-    scfg = _section(cfg, sde_mod.SdeConfig, "sde")
-    _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
-    model = _noise_model(cfg, grid)
-    _check_step_arrays(scfg, model, 1)
-    _check_run_bytes(grid, 1, (scfg.galerkin_n,), model)
+    scfg, model = _sde_setup(cfg, grid, 1, "sde.galerkin_n", (cfg["sde.galerkin_n"],))
     u0 = _initial_field(grid, cfg)
     gate = _gate(cfg, args, model, "existence")
     traj = sde_mod.run_sde(u0, model, scfg)
-    weighted = sde_mod.weighted_h01_series(traj.t, traj.diag, scfg.alpha_tilde)
+    weighted = sde_mod.weighted_h01_series(traj.t, traj.diag)
     rows = zip(*_leading_columns(traj), weighted.h, weighted.weighted_h01,
                traj.diag["noise_work"], traj.diag["hs_sq"])
     _write_csv(out / "sde_series.csv", SDE_CSV_COLUMNS, list(rows))
@@ -236,13 +238,9 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
 
 def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> CmdResult:
     grid = _grid(cfg)
-    scfg = _section(cfg, sde_mod.SdeConfig, "sde")
-    model = _noise_model(cfg, grid)
     ens = _section(cfg, EnsembleConfig, "ensemble")
-    for level in ens.levels:
-        _check_level(grid, "ensemble.levels", level)
-    _check_step_arrays(scfg, model, min(ens.batch, ens.n_paths))
-    _check_run_bytes(grid, min(ens.batch, ens.n_paths), ens.levels, model)
+    scfg, model = _sde_setup(cfg, grid, min(ens.batch, ens.n_paths), "ensemble.levels",
+                             ens.levels)
     u0 = _initial_field(grid, cfg)
     gate = _gate(cfg, args, model, "existence")
     report = run_ensemble(u0, model, scfg, ens)
@@ -324,14 +322,10 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
         _check_run_bytes(grid, 2)
         frame = GalerkinFrame(grid, max_level(grid))
     else:
-        model = _noise_model(cfg, grid)
+        scfg, model = _sde_setup(cfg, grid, 2, "sde.galerkin_n", (cfg["sde.galerkin_n"],))
         if not model.n_modes:
             raise ConfigError("sde uniqueness needs a noise model "
                               "(noise.c_recipes / noise.b_recipes)")
-        scfg = _section(cfg, sde_mod.SdeConfig, "sde")
-        _check_level(grid, "sde.galerkin_n", scfg.galerkin_n)
-        _check_step_arrays(scfg, model, 2)
-        _check_run_bytes(grid, 2, (scfg.galerkin_n,), model)
         frame = GalerkinFrame(grid, scfg.galerkin_n)
     unit = np.zeros(frame.n)
     # the perturbation is an element of the run's own frame: P_n would drop any other
@@ -340,16 +334,13 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
     u0 = _initial_field(grid, cfg)
     v0 = _finite_norm(SpectralField(grid, u0.coeffs + cfg["uniqueness.perturbation"]
                                     * frame.lift(unit)), cfg, "uniqueness.perturbation")
-    tol = cfg["uniqueness.tol"]
 
     extra = {"kind": cfg["uniqueness.kind"]}
     if cfg["uniqueness.kind"] == "det":
-        rep = det_mod.uniqueness_experiment(u0, v0, _section(cfg, det_mod.DetConfig, "det"),
-                                            tol=tol)
+        rep = det_mod.uniqueness_experiment(u0, v0, _section(cfg, det_mod.DetConfig, "det"))
     else:
         extra["uniqueness_gate"] = _gate(cfg, args, model, "uniqueness").uniqueness_ok
-        rep = sde_mod.pathwise_uniqueness_experiment(u0, v0, model, scfg, tol=tol,
-                                                     eta=cfg["noise.eta"])
+        rep = sde_mod.pathwise_uniqueness_experiment(u0, v0, model, scfg, eta=cfg["noise.eta"])
     # one layout for both kinds: the det growth G(t) is 0, its exponent E(t) is q
     rows = zip(rep.t, rep.w_l2_sq, rep.q, rep.growth)
     _write_csv(out / "uniqueness_series.csv", ("t", "w_l2_sq", "q", "growth"), list(rows))

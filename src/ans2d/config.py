@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, fields, replace
 from typing import Any, Callable
 
-from .det import GAP_TOL, INTEGRATORS, DetConfig
+from .det import INTEGRATORS, DetConfig
 from .ensemble import EnsembleConfig
 from .errors import ConfigError
 from .noise import DEFAULT_ETA, G_FUNCS
@@ -41,13 +41,6 @@ def _parse_positive(text: str) -> float:
     value = _parse_finite(text)
     if value <= 0.0:
         raise ValueError(f"must be > 0, got {value!r}")
-    return value
-
-
-def _parse_non_negative(text: str) -> float:
-    value = _parse_finite(text)
-    if value < 0.0:
-        raise ValueError(f"must be >= 0, got {value!r}")
     return value
 
 
@@ -113,8 +106,7 @@ SCHEMA: tuple[_Key, ...] = (
              _str_key("integrator", choices=INTEGRATORS), _Key("eps_v", _parse_finite)),
     *_fields("sde", SdeConfig,
              _Key("dt", _parse_finite), _Key("t_end", _parse_finite), _Key("galerkin_n", int),
-             _Key("seed", _parse_count), _Key("drop_nonlinearity", _parse_bool),
-             _Key("alpha_tilde", _parse_finite)),
+             _Key("seed", _parse_count), _Key("drop_nonlinearity", _parse_bool)),
     _str_key("noise.c_recipes"),
     _str_key("noise.b_recipes"),
     _str_key("noise.g", "one", tuple(G_FUNCS)),
@@ -125,7 +117,6 @@ SCHEMA: tuple[_Key, ...] = (
     _str_key("uniqueness.kind", "det", ("det", "sde")),
     _Key("uniqueness.perturbation", _parse_finite, 1e-8),
     _str_key("uniqueness.pert_mode", "1,0"),
-    _Key("uniqueness.tol", _parse_non_negative, GAP_TOL),
     _Key("verify.n_fields", _parse_positive_count, 100),
     _Key("verify.band", _parse_positive_count, 5),
     _Key("verify.seed", _parse_count, 0),

@@ -41,7 +41,7 @@ from .spectral import SpectralField, TorusGrid
 INTEGRATORS = ("if-rk2", "if-rk4", "if-euler")
 ENERGY_REL_TOL = 1e-4  # energy residual allowed, relative to ||u0||^2
 H01_SLACK = 1e-6       # weighted vertical-energy increase allowed, relative to its start
-GAP_TOL = 0.05         # slack (1 + tol) of both two-solution gap bounds
+GAP_TOL = 0.05         # slack (1 + GAP_TOL) of both two-solution gap bounds
 MAX_STEPS = 10 ** 7    # most steps a run may take; a run's arrays hold n_steps + 1 rows
 # the recorded columns, those of _coord_rows; cross is (d2(u.grad u), d2 u)
 DIAG_NAMES = ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "cross")
@@ -49,11 +49,11 @@ DIAG_NAMES = ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq", "cross")
 
 @dataclass
 class Clock:
-    """Step size, run length and blow-up guard of a run (DetConfig, sde.SdeConfig)."""
+    """Step size and run length of a run (DetConfig, sde.SdeConfig); its blow-up
+    guard is spectral.BLOWUP_GUARD, which no run overrides."""
 
     dt: float = 1e-3
     t_end: float = 1.0
-    blowup_factor: float = spectral.BLOWUP_GUARD
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
@@ -187,7 +187,7 @@ def _march(a: np.ndarray, clock: Clock, drift: Callable, step: Callable,
         yield i, a, k, sig
         if i < n_steps:
             a = step(a, k, sig)
-            spectral.check_rows(a, l2_0, t_last=i * clock.dt, guard=clock.blowup_factor)
+            spectral.check_rows(a, l2_0, t_last=i * clock.dt)
 
 
 def _det_march(a: np.ndarray, frame: GalerkinFrame, cfg: DetConfig) -> Iterator[tuple]:
@@ -346,7 +346,7 @@ class GapReport:
     """Report of a two-solution gap audit (see _GapAudit).
 
     q is the absorbed exponent and growth the Gronwall exponent G(t);
-    verdict holds exp(-q) ||w||^2 <= ||w(0)||^2 exp(growth) (1 + tol), and
+    verdict holds exp(-q) ||w||^2 <= ||w(0)||^2 exp(growth) (1 + GAP_TOL), and
     max_ratio is the largest ratio of the two sides (0 for a bitwise-zero
     gap).  c1 is the measured trilinear constant.
     """
@@ -376,12 +376,14 @@ class _GapAudit:
     The pairing is read from the drift of w, the solver's own advection:
     w and b are solenoidal and lie in the span.  report() turns the rows
     into the measured constant c1, the absorbed exponent
-    q(t) = 2 C int dissipation, C = young_gap(c1, alpha), and the check
+    q(t) = 2 C int dissipation, C = young_gap(c1, YOUNG_WEIGHT), and the check
 
-        exp(-q(t)) ||w(t)||^2 <= ||w(0)||^2 exp(growth(t)) (1 + tol).
+        exp(-q(t)) ||w(t)||^2 <= ||w(0)||^2 exp(growth(t)) (1 + GAP_TOL).
 
-    Identical inputs keep w bitwise zero, since both rows of the pair see
-    identical arithmetic; both sides of the check are then 0 at every step.
+    Both engines' audits share that weight and slack, which no run
+    overrides.  Identical inputs keep w bitwise zero, since both rows of
+    the pair see identical arithmetic; both sides of the check are then 0
+    at every step.
     """
 
     def __init__(self, frame: GalerkinFrame, clock: Clock, base: int):
@@ -411,13 +413,13 @@ class _GapAudit:
         self.den[i] = (wn["d1_sq"] ** 0.25 * (d1 ** 0.25 + d2 ** 0.25) * d1d2 ** 0.25
                        * self.w_l2[i] ** 0.75)
 
-    def report(self, alpha: float, growth: float | np.ndarray, tol: float) -> GapReport:
-        """The report of the recorded rows, absorbed with Young weight alpha."""
-        _, c1, _, q = absorb(self.tri, self.den, self.dissip, self.dt, young_gap, alpha)
+    def report(self, growth: float | np.ndarray) -> GapReport:
+        """The report of the recorded rows against the Gronwall exponent growth."""
+        _, c1, _, q = absorb(self.tri, self.den, self.dissip, self.dt, young_gap, YOUNG_WEIGHT)
         growth = np.zeros_like(self.t) + growth
         # a bitwise-zero gap has lhs = bound = 0 at every step
         lhs = np.exp(-q) * self.w_l2
-        bound = self.w_l2[0] * np.exp(growth) * (1.0 + tol)
+        bound = self.w_l2[0] * np.exp(growth) * (1.0 + GAP_TOL)
         with np.errstate(divide="ignore", invalid="ignore"):
             max_ratio = 0.0 if self.bitwise else float(
                 np.max(np.where(bound > 0.0, lhs / bound, np.inf)))
@@ -426,12 +428,11 @@ class _GapAudit:
                          verdict=verdict("passed", lhs, bound, self.t))
 
 
-def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
-                          tol: float = GAP_TOL) -> GapReport:
+def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig) -> GapReport:
     """Two-solution stability audit.
 
     Runs u and v in lockstep, as one batch, and checks the difference
-    w = u - v against ||w(t)||^2 <= ||w(0)||^2 exp(E(t)) (1 + tol) with
+    w = u - v against ||w(t)||^2 <= ||w(0)||^2 exp(E(t)) (1 + GAP_TOL) with
 
         E(t) = 2 C0 int ( ||d1 v||^{2/3} + ||d2 v||^{2/3} ) ||d1 d2 v||^{2/3} ds
 
@@ -440,17 +441,17 @@ def uniqueness_experiment(u0: SpectralField, v0: SpectralField, cfg: DetConfig,
         c1 = sup |(w.grad v, w)| / ( ||d1 w||^{1/2}
              ( ||d1 v||^{1/2} + ||d2 v||^{1/2} ) ||d1 d2 v||^{1/2} ||w||^{3/2} )
 
-    through Young's inequality (young_gap) with weight 1/2 on ||d1 w||^2.  The
-    report's q is E(t) and its growth is 0.  Identical inputs keep the
-    gap bitwise zero.  A blow-up of either solution raises BlowUpError.
-    u0 and v0 must be Hermitian.
+    through Young's inequality (young_gap) with weight YOUNG_WEIGHT = 1/2
+    on ||d1 w||^2.  The report's q is E(t) and its growth is 0.  Identical
+    inputs keep the gap bitwise zero.  A blow-up of either solution raises
+    BlowUpError.  u0 and v0 must be Hermitian.
     """
     frame = GalerkinFrame(u0.grid, max_level(u0.grid))
     audit = _GapAudit(frame, cfg, base=1)
     for i, pair, _, _ in _det_march(frame.coords(np.stack((u0.coeffs, v0.coeffs))),
                                      frame, cfg):
         audit.record(i, pair)
-    return audit.report(YOUNG_WEIGHT, 0.0, tol)
+    return audit.report(0.0)
 
 
 def eps_sweep(u0: SpectralField, cfg: DetConfig, eps_values: list[float]) -> list[float]:

@@ -82,7 +82,7 @@ def _level_estimates(u0: SpectralField, model: NoiseModel, cfg_n: SdeConfig,
     """Per-path MOMENTS samples of one batch of increments at the level of cfg_n."""
     # the moments read no Hilbert-Schmidt column
     run = _run_batched(u0.coeffs, u0.grid, model, cfg_n, increments, with_hs=False)
-    ws = weighted_h01_series(run.t, run.diag, cfg_n.alpha_tilde)
+    ws = weighted_h01_series(run.t, run.diag)
     return {name: sample(run.diag, ws, cfg_n.dt) for name, (sample, _) in MOMENTS.items()}
 
 

@@ -167,11 +167,6 @@ class NoiseModel:
         return len(self.c)
 
     @property
-    def is_additive(self) -> bool:
-        """True when sigma does not depend on the state."""
-        return all(r.is_zero for r in self.c) and self.g_kind in ("one", "zero")
-
-    @property
     def is_zero(self) -> bool:
         return (all(r.is_zero for r in self.c)
                 and (self.g_kind == "zero" or all(r.is_zero for r in self.b)))

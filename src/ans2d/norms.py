@@ -69,8 +69,8 @@ def cumulative_trapezoid(y: np.ndarray, dx: float | np.ndarray) -> np.ndarray:
     return out
 
 
-# Young weight alpha left on the dissipation by the deterministic bounds;
-# also the default of SdeConfig.alpha_tilde
+# Young weight alpha left on the dissipation by every h01 and gap bound,
+# deterministic and stochastic; no run overrides it
 YOUNG_WEIGHT = 0.5
 
 

@@ -60,12 +60,11 @@ import numpy as np
 
 from . import det, spectral
 from .basis import GalerkinFrame, is_canonical, max_level, quadrature_grid
-from .det import GAP_TOL, Clock, GapReport, Trajectory, _coord_rows, _GapAudit
+from .det import Clock, GapReport, Trajectory, _coord_rows, _GapAudit
 from .noise import (
     DEFAULT_ETA,
     NoiseModel,
     ScalarRecipe,
-    _additive_coords,
     _channel_sum,
     _sigma_parts,
     condition_c_bounds,
@@ -79,6 +78,7 @@ DIAG_NAMES = det.DIAG_NAMES + ("noise_work", "hs_sq")
 N_SE = 5.0      # standard errors allowed to the Monte Carlo audits
 BETA_HAT = 0.5  # Gronwall split of the noise's Lipschitz channel in the gap bound
 BLOCK_BYTES = 2 ** 18  # size of a block of Wiener paths and of a slab of additive increments
+MODE_LAW_BATCH = 2500  # paths per engine call of the single-mode law
 
 
 @dataclass
@@ -86,12 +86,9 @@ class SdeConfig(Clock):
     galerkin_n: int = 8
     seed: int = 0
     drop_nonlinearity: bool = False
-    alpha_tilde: float = YOUNG_WEIGHT
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.0 < self.alpha_tilde < 1.0:
-            raise ValueError("alpha_tilde must lie in (0, 1)")
         if self.galerkin_n < 1:
             raise ValueError("galerkin_n must be >= 1")
 
@@ -107,10 +104,13 @@ class _Stepper:
     configured grid up to rounding.  A
     sigma(u) whose b g(u) depends on u is not band-limited, so for it
     qgrid is the configured grid; its c-channels act on the coordinates
-    (noise._transport_table), and additive channels are read off the
-    recipes (noise._additive_coords), so no other noise samples the state.
-    Without noise (NoiseModel(), or a zero model) the additive case has no
-    channel, and its increments are exact zeros.
+    (noise._transport_table), and the channels of a constant b g(u) are
+    read off the recipes (noise._additive_coords), so no other noise
+    samples the state.  The structure of sigma is read from these parts
+    (noise._sigma_parts) alone: with no transport channel and no sampled
+    b-channel sigma is additive, and additive holds the parts' constant
+    rows, none without noise (NoiseModel(), or a zero model), whose
+    increments are exact zeros.
 
     Built for a batch of B states (the engine's _run_batched), the stepper
     holds the workspace its layers write into, allocated once and
@@ -146,15 +146,11 @@ class _Stepper:
         self.cfg = cfg
         self.frame = GalerkinFrame(grid, cfg.galerkin_n)
         self.ef = np.exp(-cfg.dt * self.frame.k1sq)
-        self.additive = None  # (channels, n) coordinates of the projected channels
-        sampled = False
-        if model.is_zero:
-            self.additive = np.zeros((0, self.frame.n))
-        elif model.is_additive:
-            self.additive = _additive_coords(model, self.frame)
-        else:
-            self.parts = _sigma_parts(model, self.frame)
-            sampled = len(self.parts[1][0]) > 0
+        self.parts = _sigma_parts(model, self.frame)
+        (channels, _, _), (b_channels, _), const = self.parts
+        sampled = len(b_channels) > 0
+        # the (rows, n) constant coordinates of a sigma that does not depend on u
+        self.additive = None if sampled or len(channels) else const
         # the -0.0 that _from_pairs leaves in sine columns counts as untouched
         self.span = slice(None)
         if self.additive is not None:
@@ -364,22 +360,22 @@ class WeightedSeries:
     int_weighted_h11: np.ndarray
 
 
-def weighted_h01_series(t: np.ndarray, diag: dict[str, np.ndarray],
-                        alpha_tilde: float = YOUNG_WEIGHT) -> WeightedSeries:
-    """Damping exponent h(t) = 2 C(alpha) int ||d1 u||^2 and its weighted norms.
+def weighted_h01_series(t: np.ndarray, diag: dict[str, np.ndarray]) -> WeightedSeries:
+    """Damping exponent h(t) = 2 C int ||d1 u||^2 and its weighted norms.
 
-    C(alpha) = young_h01(sup(c_emp), alpha) = sup(c_emp)^2 / (4 alpha)
-    converts the realized trilinear constant through Young's inequality
-    with weight alpha on ||d1 d2 u||^2, and weights ||u||^2 + ||d2 u||^2 and
+    C = young_h01(sup(c_emp), YOUNG_WEIGHT) = sup(c_emp)^2 / 2 converts the
+    realized trilinear constant through Young's inequality with weight
+    YOUNG_WEIGHT = 1/2 on ||d1 d2 u||^2, the weight of the deterministic
+    h01 bound (det.h01_certificate), and weights ||u||^2 + ||d2 u||^2 and
     ||u||^2_{H^{1,1}}, the sum of the four recorded norms, as its weight is
     (1 + k1^2)(1 + k2^2).  diag holds the DIAG_NAMES columns over t on axis 0:
     (n_steps+1,) for one path or (n_steps+1, B) for a batch, each path with
-    its own sup and C(alpha).
+    its own sup and C.
     """
     steps = np.diff(t)
     l2, d1, d2, d1d2 = (diag[name] for name in ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq"))
     _, c_sup, big_c, h = absorb(diag["cross"], np.sqrt(d1d2 * d1 * d2), d1, steps,
-                                young_h01, alpha_tilde)
+                                young_h01, YOUNG_WEIGHT)
     return WeightedSeries(big_c=big_c, c_emp_sup=c_sup, h=h, weighted_h01=np.exp(-h) * (l2 + d2),
                           int_weighted_h11=cumulative_trapezoid(
                               np.exp(-h) * (l2 + d1 + d2 + d1d2), steps))
@@ -439,7 +435,6 @@ def ito_isometry_audit(u0: SpectralField, model: NoiseModel, cfg: SdeConfig,
 
 def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
                                    model: NoiseModel, cfg: SdeConfig,
-                                   tol: float = GAP_TOL,
                                    eta: float = DEFAULT_ETA) -> GapReport:
     """Drive two solutions with the same Wiener path and audit their gap.
 
@@ -447,12 +442,13 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     the same increments and the same arithmetic.  For distinct inputs the
     difference w = u - v is tested against
 
-        exp(-q(t)) ||w(t)||^2 <= ||w(0)||^2 exp(G(t)) (1 + tol),
+        exp(-q(t)) ||w(t)||^2 <= ||w(0)||^2 exp(G(t)) (1 + GAP_TOL),
 
-    where q(t) = int 2 C(alpha) (||d1 u||^{2/3} + ||d2 u||^{2/3})
+    where q(t) = int 2 C (||d1 u||^{2/3} + ||d2 u||^{2/3})
     ||d1 d2 u||^{2/3} ds absorbs the advection coupling through the
-    run-measured trilinear constant c1 (Young weight alpha = alpha_tilde,
-    C(alpha) = young_gap(c1, alpha) = (3/4) (2 alpha)^{-1/3} c1^{4/3}), and
+    run-measured trilinear constant c1 (Young weight alpha = YOUNG_WEIGHT
+    and slack GAP_TOL, as in the deterministic audit, so
+    C = young_gap(c1, alpha) = (3/4) c1^{4/3}), and
     G(t) = (1 + 4/BETA_HAT) L1 t is the Gronwall factor of the Lipschitz
     channel of the noise; the dissipation margin 2 - 2 alpha - L2 > 0 and
     the martingale fluctuation are covered by the slack.  L1 is taken with
@@ -467,14 +463,14 @@ def pathwise_uniqueness_experiment(u0: SpectralField, v0: SpectralField,
     for i, pair, _, _ in march:
         audit.record(i, pair)
     growth = (1.0 + 4.0 / BETA_HAT) * condition_c_bounds(model, eta=eta).l1 * audit.t
-    return audit.report(cfg.alpha_tilde, growth, tol)
+    return audit.report(growth)
 
 
 # ---------------------------------------------------------------------------
 # single-mode validation against the exact linear-SDE law
 
 
-def single_mode_noise(grid: TorusGrid, mode: tuple[int, int], s: float) -> NoiseModel:
+def single_mode_noise(mode: tuple[int, int], s: float) -> NoiseModel:
     """Additive one-channel model whose projected channel is s * e_mode.
 
     Realized through b_1 = a cos(k.x) acting on g = 1: the Leray projection
@@ -500,8 +496,8 @@ class OuModeReport:
     passed: bool
 
 
-def _mode_law(mode: tuple[int, int], s: float, m0: float, n_paths: int, cfg: SdeConfig,
-              batch: int = 2500) -> OuModeReport:
+def _mode_law(mode: tuple[int, int], s: float, m0: float, n_paths: int,
+              cfg: SdeConfig) -> OuModeReport:
     """Second moment of the driven amplitude at t_end against its exact law.
 
     The amplitude is the coordinate along the cosine element of the mode's
@@ -514,15 +510,15 @@ def _mode_law(mode: tuple[int, int], s: float, m0: float, n_paths: int, cfg: Sde
         raise ValueError("single-mode law requires drop_nonlinearity=True")
     side = 4 * max(1, abs(mode[0]), abs(mode[1]))
     grid = TorusGrid(side, side)
-    model = single_mode_noise(grid, mode, s)
+    model = single_mode_noise(mode, s)
     frame = GalerkinFrame(grid, cfg.galerkin_n)
     col = frame.column(mode if is_canonical(mode) else (-mode[0], -mode[1]))
     a0 = np.zeros(frame.n)
     a0[col] = np.sqrt(m0)
     u0 = frame.lift(a0)
     finals = np.zeros(n_paths)
-    for done in range(0, n_paths, batch):
-        paths = range(done, min(done + batch, n_paths))
+    for done in range(0, n_paths, MODE_LAW_BATCH):
+        paths = range(done, min(done + MODE_LAW_BATCH, n_paths))
         run = _run_batched(u0, grid, model, cfg, draw_increments(model, cfg, paths),
                            with_diag=False)
         finals[done:paths.stop] = run.final[:, col]

@@ -264,15 +264,14 @@ def nonlinear_term_oracle(u: SpectralField) -> SpectralField:
     return SpectralField(grid, kernels.direct_advection(u.coeffs))
 
 
-def check_finite(l2_sq: float, l2_sq_initial: float, t_last: float,
-                 guard: float = BLOWUP_GUARD) -> None:
+def check_finite(l2_sq: float, l2_sq_initial: float, t_last: float) -> None:
     """Raise BlowUpError on a non-finite squared norm l2_sq (a NaN or inf
-    coordinate makes it one) or on runaway growth."""
+    coordinate makes it one) or on a norm above BLOWUP_GUARD times the initial one."""
     if not np.isfinite(l2_sq):
         raise BlowUpError("non-finite norm", last_finite_time=t_last)
-    if l2_sq_initial > 0.0 and l2_sq > guard ** 2 * l2_sq_initial:
+    if l2_sq_initial > 0.0 and l2_sq > BLOWUP_GUARD ** 2 * l2_sq_initial:
         raise BlowUpError(
-            f"L2 norm exceeded {guard:.1e} x initial", last_finite_time=t_last
+            f"L2 norm exceeded {BLOWUP_GUARD:.1e} x initial", last_finite_time=t_last
         )
 
 
@@ -285,13 +284,12 @@ def max_sq_norm(a: np.ndarray) -> float:
     return float(np.einsum("...j,...j->...", a, a).max())
 
 
-def check_rows(a: np.ndarray, l2_sq_initial: float, t_last: float,
-               guard: float = BLOWUP_GUARD) -> None:
+def check_rows(a: np.ndarray, l2_sq_initial: float, t_last: float) -> None:
     """check_finite on the largest squared row norm of (..., n) coordinates a.
 
     The blow-up guard of both engines.  One dot product over the whole
     batch settles the common case: no row exceeds a finite total, so a
-    total within guard^2 l2_sq_initial (or any finite total when
+    total within BLOWUP_GUARD^2 l2_sq_initial (or any finite total when
     l2_sq_initial is 0) clears every row.  Only otherwise is the row
     maximum taken and checked by check_finite, with its exceptions.  The
     total rounds differently from a row's own sum, so a row that sits at
@@ -299,9 +297,9 @@ def check_rows(a: np.ndarray, l2_sq_initial: float, t_last: float,
     row maximum alone; the guard's value reaches no output.
     """
     total = float(np.vdot(a, a))  # NaN or inf on a non-finite row
-    if total < np.inf and (l2_sq_initial <= 0.0 or total <= guard ** 2 * l2_sq_initial):
+    if total < np.inf and (l2_sq_initial <= 0.0 or total <= BLOWUP_GUARD ** 2 * l2_sq_initial):
         return
-    check_finite(max_sq_norm(a), l2_sq_initial, t_last, guard)
+    check_finite(max_sq_norm(a), l2_sq_initial, t_last)
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from ans2d import det as det_mod
+from ans2d import spectral
 from ans2d.basis import GalerkinFrame
 from ans2d.errors import BlowUpError
 from ans2d.sde import SdeConfig, _run_batched, single_mode_noise
@@ -25,9 +26,9 @@ PUSHED = FRAME.column((1, 0))
 
 
 def _run_sde(a0, kicks, factor, monkeypatch):
-    model = single_mode_noise(GRID, (1, 0), 1.0)  # its projected channel is e_PUSHED
-    cfg = SdeConfig(dt=DT, t_end=N_STEPS * DT, galerkin_n=4, drop_nonlinearity=True,
-                    blowup_factor=factor)
+    model = single_mode_noise((1, 0), 1.0)  # its projected channel is e_PUSHED
+    cfg = SdeConfig(dt=DT, t_end=N_STEPS * DT, galerkin_n=4, drop_nonlinearity=True)
+    monkeypatch.setattr(spectral, "BLOWUP_GUARD", factor)
     return _run_batched(FRAME.lift(a0), GRID, model, cfg, kicks[..., None],
                         with_diag=False).final
 
@@ -42,8 +43,8 @@ def _run_det(a0, kicks, factor, monkeypatch):
         return out
 
     monkeypatch.setattr(det_mod, "_drift", drift)
-    cfg = det_mod.DetConfig(dt=DT, t_end=N_STEPS * DT, integrator="if-euler",
-                            blowup_factor=factor)
+    monkeypatch.setattr(spectral, "BLOWUP_GUARD", factor)
+    cfg = det_mod.DetConfig(dt=DT, t_end=N_STEPS * DT, integrator="if-euler")
     for _, a, _, _ in det_mod._det_march(a0, FRAME, cfg):
         pass
     return a
@@ -96,13 +97,14 @@ def test_zero_initial_norm_checks_finiteness_only(run, monkeypatch):
     assert err.value.last_finite_time == pytest.approx(3 * DT)
 
 
-def test_check_rows_reads_rows_not_the_total():
+def test_check_rows_reads_rows_not_the_total(monkeypatch):
+    monkeypatch.setattr(spectral, "BLOWUP_GUARD", 1.01)
     rows = np.ones((100, 3))  # each row 3, the total 300
-    check_rows(rows, 3.0, t_last=0.0, guard=1.01)
-    check_rows(rows[0], 3.0, t_last=0.0, guard=1.01)  # one unbatched row
+    check_rows(rows, 3.0, t_last=0.0)
+    check_rows(rows[0], 3.0, t_last=0.0)  # one unbatched row
     rows[7, 1] = 2.0
     with pytest.raises(BlowUpError, match="exceeded") as err:
-        check_rows(rows, 3.0, t_last=0.5, guard=1.01)
+        check_rows(rows, 3.0, t_last=0.5)
     assert err.value.last_finite_time == 0.5
     # every row finite, but their squares overflow the total: not a blow-up
     check_rows(np.full((4, 1), 1e154), 0.0, t_last=0.0)

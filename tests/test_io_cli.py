@@ -119,7 +119,9 @@ def test_config_defaults_and_parse():
     ("det.integrator = rk9", "one of"),
     ("ensemble.levels = ", "bad value"),
     ("sde.drop_nonlinearity = maybe", "bad value"),
-    ("uniqueness.tol = -0.5", ">= 0"),  # a slack below 0 is out of range, not a failed audit
+    # the gap slack and the Young weight have one source each, det.GAP_TOL and norms.YOUNG_WEIGHT
+    ("uniqueness.tol = 0.5", "unknown key"),
+    ("sde.alpha_tilde = 0.4", "unknown key"),
 ])
 def test_config_rejects(line, fragment):
     with pytest.raises(ConfigError, match=fragment):
@@ -295,8 +297,7 @@ def test_cli_uniqueness_det_series_layout(tmp_path):
     u0 = _initial_field(grid, conf)
     pert = fullgrid.basis_element(grid, _parse_mode(conf["uniqueness.pert_mode"]))
     v0 = SpectralField(grid, u0.coeffs + conf["uniqueness.perturbation"] * pert.coeffs)
-    rep = uniqueness_experiment(u0, v0, _section(conf, DetConfig, "det"),
-                                tol=conf["uniqueness.tol"])
+    rep = uniqueness_experiment(u0, v0, _section(conf, DetConfig, "det"))
     np.testing.assert_array_equal([float(r["q"]) for r in rows], rep.q)
     assert np.all(rep.q[1:] > 0.0)
     assert all(float(r["growth"]) == 0.0 for r in rows)
@@ -572,7 +573,7 @@ def test_cli_config_table_exits_with_documented_codes(tmp_path):
                            json.dumps(cases)], capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     results = json.loads((tmp_path / "results.json").read_text())
-    assert len(numeric) == 22 and len(results) == len(cases)
+    assert len(numeric) == 20 and len(results) == len(cases)
     bad = [f"{command} {key} = {value}: exit {code}, manifest {recorded}"
            for (command, key, value), (code, recorded) in zip(cases, results)
            if code not in (0, 1, 2, 3) or code != recorded

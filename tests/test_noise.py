@@ -83,9 +83,11 @@ def test_make_model_budgets_tight():
     assert model.m1 == pytest.approx(1.0)
     assert model.m2 == pytest.approx(0.04)
     assert model.n_modes == 1
-    assert not model.is_additive  # transport part present
+    # the stepper reads sigma's structure from its parts: a transport part is not additive
+    assert _Stepper(TorusGrid(16, 16), model, SdeConfig()).additive is None
     additive = make_model([], ["0.2*cos(1,0)"], "one")
-    assert additive.is_additive and not additive.is_zero
+    assert not additive.is_zero
+    assert _Stepper(TorusGrid(16, 16), additive, SdeConfig()).additive is not None
     assert make_model([], [], "zero").is_zero
 
 

@@ -5,7 +5,7 @@ import fullgrid
 from ans2d.basis import GalerkinFrame, max_level, quadrature_grid
 from ans2d.det import DIAG_NAMES, DetConfig, run_det
 from ans2d.noise import NoiseModel, make_model, sample_wiener_increment
-from ans2d.norms import norm_rows
+from ans2d.norms import YOUNG_WEIGHT, norm_rows
 from ans2d.sde import (
     SdeConfig,
     draw_increments,
@@ -25,8 +25,6 @@ def _model_small():
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        SdeConfig(alpha_tilde=1.0)
     with pytest.raises(ValueError):
         SdeConfig(galerkin_n=0)
     assert SdeConfig(dt=1e-3, t_end=0.5).n_steps == 500
@@ -200,12 +198,12 @@ def test_sigma_without_state_dependent_b_samples_nothing(grid16, make_field, mon
 
 def test_additive_fast_path_matches_channels(grid16):
     model = make_model([], ["0.1*cos(1,0)", "0.05*sin(0,1)"], "one")
-    assert model.is_additive
     cfg = SdeConfig(dt=1e-3, t_end=1e-3, galerkin_n=8)
     dw = np.array([0.3, -0.2])
     from ans2d.sde import _Stepper
 
     st = _Stepper(grid16, model, cfg)
+    assert st.additive is not None  # the stepper classifies the model as additive
     # additive noise reads no samples of the state; its increment covers st.span
     dense = np.zeros((3, 8))
     dense[:, st.span] = st.noise_increment(np.stack([dw, 2.0 * dw, -dw]), None)
@@ -250,7 +248,7 @@ def test_additive_coords_match_the_quadrature_route(grid):
     from ans2d.sde import _Stepper
 
     models = [_band_recipes(grid, grid.n1 + grid.n2)]
-    models += [single_mode_noise(grid, m, 0.7) for m in _SINGLE_MODES
+    models += [single_mode_noise(m, 0.7) for m in _SINGLE_MODES
                if max(abs(m[0]), abs(m[1])) <= min(grid.band1, grid.band2)]
     top = max_level(grid)
 
@@ -260,7 +258,6 @@ def test_additive_coords_match_the_quadrature_route(grid):
         return frame.analyse(raw, frame.field_weights)
 
     for model in models:
-        assert model.is_additive
         # the model's largest coordinate: a level without its modes reads
         # exact zeros, against the transforms' rounding on the quadrature route
         scale = np.max(np.abs(quadrature(model, GalerkinFrame(grid, top))))
@@ -268,6 +265,7 @@ def test_additive_coords_match_the_quadrature_route(grid):
         for n in sorted({min(n, top) for n in (1, 4, 7, 8, 16, 33, top)}):
             ref = quadrature(model, GalerkinFrame(grid, n))
             got = _Stepper(grid, model, SdeConfig(galerkin_n=n)).additive
+            assert got is not None  # the stepper classifies the model as additive
             assert got.shape == ref.shape == (model.n_modes, n)
             assert np.max(np.abs(got - ref)) <= 1e-14 * scale, (n, model)
 
@@ -283,8 +281,8 @@ _GAPPED = make_model([], ["0.1*cos(0,1)", "0.07*cos(1,1) - 0.02*sin(1,-1)", "0.0
     (TorusGrid(16, 16), _band_recipes(TorusGrid(16, 16), 32)),
     (TorusGrid(16, 16), _CRITERION_10),
     (TorusGrid(16, 16), _GAPPED),
-    (TorusGrid(4, 4), single_mode_noise(TorusGrid(4, 4), (1, 0), 1.0)),
-    (TorusGrid(4, 4), single_mode_noise(TorusGrid(4, 4), (0, 1), 1.0)),
+    (TorusGrid(4, 4), single_mode_noise((1, 0), 1.0)),
+    (TorusGrid(4, 4), single_mode_noise((0, 1), 1.0)),
 ], ids=["band", "criterion-10", "gapped", "damped-mode", "undamped-mode"])
 def test_additive_span_holds_every_touched_column(grid, model):
     # span runs from the first to the last column a channel touches (none
@@ -311,7 +309,7 @@ def test_additive_span_holds_every_touched_column(grid, model):
 
 
 @pytest.mark.parametrize("model", [_CRITERION_10, _GAPPED,
-                                   single_mode_noise(TorusGrid(16, 16), (1, 0), 1.0)],
+                                   single_mode_noise((1, 0), 1.0)],
                          ids=["criterion-10", "gapped", "single-mode"])
 def test_one_step_adds_noise_only_inside_the_span(grid16, make_field, model):
     # every coordinate outside the span is stepped as a + dt drift, bit for bit
@@ -346,7 +344,7 @@ def test_zero_model_has_an_empty_span_and_draws_nothing(grid16):
      False),
     (_GAPPED, False),
     (_model_small(), False),
-    (single_mode_noise(TorusGrid(16, 16), (1, 0), 1.0), True),
+    (single_mode_noise((1, 0), 1.0), True),
     (_C_ONLY, False),
 ], ids=["additive", "additive-gapped", "tanh", "single-mode", "c-only"])
 def test_additive_paths_replay_across_batch_layout(grid16, make_field, model, drop):
@@ -474,9 +472,9 @@ def test_out_of_band_recipe_is_refused_where_recipes_are_sampled():
 
 def test_weighted_series_recomputation(grid16, make_field):
     u0 = make_field(grid16, band=4, seed=6)
-    cfg = SdeConfig(dt=2e-3, t_end=0.1, galerkin_n=12, seed=2, alpha_tilde=0.4)
+    cfg = SdeConfig(dt=2e-3, t_end=0.1, galerkin_n=12, seed=2)
     traj = run_sde(u0, _model_small(), cfg)
-    w = weighted_h01_series(traj.t, traj.diag, cfg.alpha_tilde)
+    w = weighted_h01_series(traj.t, traj.diag)
     # rebuild h from the recorded d1 column
     d1 = traj.diag["d1_sq"]
     h = np.zeros_like(d1)
@@ -484,7 +482,7 @@ def test_weighted_series_recomputation(grid16, make_field):
     np.testing.assert_allclose(w.h, h, atol=1e-15)
     h01 = traj.diag["l2_sq"] + traj.diag["d2_sq"]
     np.testing.assert_allclose(w.weighted_h01, np.exp(-h) * h01, rtol=1e-13)
-    assert w.big_c == pytest.approx(w.c_emp_sup ** 2 / (4.0 * cfg.alpha_tilde))
+    assert w.big_c == pytest.approx(w.c_emp_sup ** 2 / (4.0 * YOUNG_WEIGHT))
     assert np.all(np.diff(w.int_weighted_h11) >= 0.0)
     # the H^{1,1} norm, weight (1 + k1^2)(1 + k2^2), is the sum of the four recorded norms
     h11 = sum(traj.diag[name] for name in ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq"))
@@ -496,8 +494,7 @@ def test_weighted_series_recomputation(grid16, make_field):
     int_h11[1:] = np.cumsum(0.5 * np.diff(traj.t) * (integrand[:-1] + integrand[1:]))
     np.testing.assert_allclose(w.int_weighted_h11, int_h11, rtol=1e-13)
     # the det columns alone give the same series: it reads no noise column
-    ws = weighted_h01_series(traj.t, {name: traj.diag[name] for name in DIAG_NAMES},
-                             cfg.alpha_tilde)
+    ws = weighted_h01_series(traj.t, {name: traj.diag[name] for name in DIAG_NAMES})
     np.testing.assert_allclose(ws.weighted_h01, w.weighted_h01, atol=0.0)
 
 
@@ -522,7 +519,7 @@ def test_pathwise_uniqueness_perturbed(grid16, make_field):
     pert = make_field(grid16, band=3, seed=10)
     v0 = SpectralField(grid16, u0.coeffs + 1e-7 * pert.coeffs)
     cfg = SdeConfig(dt=2e-3, t_end=0.2, galerkin_n=10, seed=4)
-    report = pathwise_uniqueness_experiment(u0, v0, _model_small(), cfg, tol=0.05)
+    report = pathwise_uniqueness_experiment(u0, v0, _model_small(), cfg)
     assert not report.bitwise_zero
     assert report.verdict.passed
     assert report.max_ratio <= 1.0
@@ -531,8 +528,8 @@ def test_pathwise_uniqueness_perturbed(grid16, make_field):
 
 def test_single_mode_noise_guard(grid16):
     with pytest.raises(ValueError, match="k1 != k2"):
-        single_mode_noise(grid16, (1, 1), 0.1)
-    model = single_mode_noise(grid16, (1, 0), 0.1)
+        single_mode_noise((1, 1), 0.1)
+    model = single_mode_noise((1, 0), 0.1)
     from ans2d.norms import MEASURE
     from ans2d.sde import _Stepper
 
@@ -578,10 +575,13 @@ def test_undamped_validation_small():
         undamped_mode_validation((1, 0), s=0.2, n_paths=10, cfg=cfg)
 
 
-def test_blowup_guard_in_batched_run(grid16, make_field):
+def test_blowup_guard_in_batched_run(grid16, make_field, monkeypatch):
     u0 = SpectralField(grid16, make_field(grid16, band=3, seed=13).coeffs * 1e4)
-    cfg = SdeConfig(dt=0.5, t_end=5.0, galerkin_n=max_level(grid16), blowup_factor=10.0)
+    cfg = SdeConfig(dt=0.5, t_end=5.0, galerkin_n=max_level(grid16))
+    from ans2d import spectral
     from ans2d.errors import BlowUpError
+
+    monkeypatch.setattr(spectral, "BLOWUP_GUARD", 10.0)
 
     with pytest.raises(BlowUpError):
         run_sde(u0, NoiseModel(), cfg)
@@ -718,11 +718,10 @@ def test_step_loop_synthesizes_two_rows_without_c_channels(grid16, make_field, m
 
 def test_weighted_series_batch_matches_per_path(grid16, make_field):
     run = _batch_run(grid16, make_field, with_hs=False, n_paths=5, t_end=0.04)
-    batch = weighted_h01_series(run.t, run.diag, 0.4)
+    batch = weighted_h01_series(run.t, run.diag)
     assert batch.c_emp_sup.shape == (5,)
     for j in range(5):
-        one = weighted_h01_series(run.t, {name: col[:, j] for name, col in run.diag.items()},
-                                  0.4)
+        one = weighted_h01_series(run.t, {name: col[:, j] for name, col in run.diag.items()})
         assert batch.c_emp_sup[j] == one.c_emp_sup
         assert batch.big_c[j] == one.big_c
         for field in ("h", "weighted_h01", "int_weighted_h11"):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import fullgrid
+from ans2d import spectral
 from ans2d.errors import BlowUpError
 from ans2d.norms import MEASURE, norm_rows
 from ans2d.spectral import (
@@ -143,15 +144,16 @@ def test_advection_vanishes_for_pure_shear(grid16):
         assert np.max(np.abs(adv.coeffs)) <= 1e-15
 
 
-def test_check_finite_raises():
+def test_check_finite_raises(monkeypatch):
     # a NaN or inf coordinate reaches the guard through the norm
     for bad in (np.nan, np.inf):
         with pytest.raises(BlowUpError, match="non-finite") as info:
             check_finite(bad, 1.0, t_last=0.25)
         assert info.value.last_finite_time == 0.25
+    monkeypatch.setattr(spectral, "BLOWUP_GUARD", 1e6)
     with pytest.raises(BlowUpError, match="exceeded"):
-        check_finite(1e20, 1.0, t_last=0.5, guard=1e6)
-    check_finite(1e11, 1.0, t_last=0.5, guard=1e6)  # within the guard
+        check_finite(1e20, 1.0, t_last=0.5)
+    check_finite(1e11, 1.0, t_last=0.5)  # within the guard
 
 
 def test_shear_field_orientation(grid16):
