@@ -164,8 +164,8 @@ def _sde_setup(cfg: dict[str, Any], grid: TorusGrid, batch: int, key: str,
     """The SdeConfig and noise model of an SDE run of batch paths at levels, checked.
 
     A ConfigError names key for a level outside [1, max_level(grid)], and
-    reports a batch whose step-major arrays, its Wiener increments
-    (n_steps, batch, n_modes) and each diagnostic column (n_steps + 1,
+    reports a batch whose per-step arrays, its path-major Wiener increments
+    (batch, n_steps, n_modes) and each diagnostic column (n_steps + 1,
     batch), or whose run (_check_run_bytes) would exceed
     spectral.MAX_ARRAY_BYTES.
     """
@@ -176,7 +176,7 @@ def _sde_setup(cfg: dict[str, Any], grid: TorusGrid, batch: int, key: str,
             raise ConfigError(f"{key}={n} must lie in [1, {max_level(grid)}], the basis "
                               f"elements of the {grid.n1}x{grid.n2} grid")
     with _config_value():
-        check_array_bytes(f"the step-major arrays of {batch} paths over {scfg.n_steps} steps",
+        check_array_bytes(f"the per-step arrays of {batch} paths over {scfg.n_steps} steps",
                           8 * (scfg.n_steps + 1) * batch * max(model.n_modes, 1))
     _check_run_bytes(grid, batch, levels, model)
     return scfg, model
@@ -407,6 +407,19 @@ def _out_arg(argv: Sequence[str]) -> str | None:
     return out
 
 
+def _digests(out: Path, names: Sequence[str]) -> dict[str, dict[str, Any]]:
+    """{name: {"bytes": size, "sha256": hex digest}} of each named file in out."""
+    # imported on first use, as numpy.random is (which loads it too): its
+    # OpenSSL bindings take about 3 ms that importing the CLI does not pay
+    import hashlib
+
+    digests = {}
+    for name in names:
+        data = (out / name).read_bytes()
+        digests[name] = {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    return digests
+
+
 def _write_manifest(out: Path, manifest: dict[str, Any], started: float) -> None:
     manifest["wall_time_s"] = time.monotonic() - started
     out.mkdir(parents=True, exist_ok=True)
@@ -428,7 +441,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     manifest: dict[str, Any] = {
         "command": None, "timestamp": datetime.now(timezone.utc).isoformat(),
         "wall_time_s": None, "seeds": None, "config": None, "outputs": [],
-        "certificates": [], "verdicts": {}, "exit_code": 2}
+        "output_digests": {}, "certificates": [], "verdicts": {}, "exit_code": 2}
     try:
         args = build_parser().parse_args(argv)
     except UsageError as exc:
@@ -453,7 +466,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         outputs, records, extra = _COMMANDS[args.command][0](cfg, out, args)
         # the one exit rule: 1 exactly when a certificate record fails
         code = 0 if all(r.passed for r in records) else 1
-        manifest.update(outputs=outputs, certificates=[asdict(r) for r in records],
+        manifest.update(outputs=outputs, output_digests=_digests(out, outputs),
+                        certificates=[asdict(r) for r in records],
                         verdicts={**{r.name: r.passed for r in records}, **extra})
     except tuple(_ERRORS) as exc:
         code, prefix = _ERRORS[type(exc)]

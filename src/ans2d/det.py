@@ -98,8 +98,8 @@ def run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
       drift allocates its samples and products, 2 per point, and the
       spectrum of each transform;
     - 16 MiB: modules loaded on first use (7.7 MiB), the allocator's heap,
-      and an SDE run's two noise blocks (a block of Wiener paths and a
-      slab of additive increments, at most 2 sde.BLOCK_BYTES together).
+      and an SDE run's noise slab (a slab of additive increments, at most
+      sde.BLOCK_BYTES).
     The peak-RSS growth after imports of 2-step runs of each subcommand at
     512^2 and 1024^2 stays below it.
     """

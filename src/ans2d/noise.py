@@ -221,12 +221,20 @@ def make_model(c_recipes: Sequence[str], b_recipes: Sequence[str],
 
 
 @functools.cache
-def _philox() -> np.random.Generator:
+def _philox() -> tuple[np.random.Generator, dict]:
     """The one Philox generator, re-keyed for every path; not safe to share between threads.
 
-    Built on first use: importing the package does not load numpy.random.
+    Returned with the state of a fresh Philox generator (counter 0, an
+    empty buffer) as a dict, whose key array sample_wiener_increment
+    overwrites on every call.  Built on first use: importing the package
+    does not load numpy.random.
     """
-    return np.random.Generator(np.random.Philox(0))
+    fresh = {"bit_generator": "Philox",
+             "state": {"counter": np.zeros(4, dtype=np.uint64),
+                       "key": np.zeros(2, dtype=np.uint64)},
+             "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+             "has_uint32": 0, "uinteger": 0}
+    return np.random.Generator(np.random.Philox(0)), fresh
 
 
 def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
@@ -236,15 +244,16 @@ def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
 
     The draws are made and scaled in place in out when given, else in a
     new array, and the array written is returned.  out must be a
-    C-contiguous float64 (n_steps, n_modes) array, such as one path's row
-    of a block of paths (sde.draw_increments); ValueError otherwise,
-    before anything is drawn.
+    C-contiguous float64 (n_steps, n_modes) array, such as a row of
+    sde.draw_increments' array; ValueError otherwise, before anything is
+    drawn.
 
     Counter-based stream: each (base_seed, traj_index) pair keys an
     independent Philox stream, so paths are reproducible individually.  A
-    Philox stream is its (key, counter) pair, so the call resets one
-    generator to the state of a fresh Philox(key=(base_seed, traj_index)):
-    counter 0 and an empty buffer.  That draws exactly the fresh
+    Philox stream is its (key, counter) pair, so the call writes the key
+    into the prebuilt fresh state and resets one generator to it: counter
+    0 and an empty buffer, the state of a fresh
+    Philox(key=(base_seed, traj_index)).  That draws exactly the fresh
     generator's numbers, without building one (and the OS entropy its
     constructor gathers) per path.
     """
@@ -252,14 +261,12 @@ def sample_wiener_increment(n_modes: int, n_steps: int, dt: float,
         out = np.empty((n_steps, n_modes))
     elif not (out.flags.c_contiguous and out.dtype == np.float64):
         raise ValueError("out must be a C-contiguous float64 array")
-    key = np.array([base_seed % 2 ** 64, traj_index % 2 ** 64], dtype=np.uint64)
-    gen = _philox()
-    gen.bit_generator.state = {"bit_generator": "Philox",
-                               "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-                               "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                               "has_uint32": 0, "uinteger": 0}
+    gen, fresh = _philox()
+    key = fresh["state"]["key"]
+    key[0], key[1] = base_seed % 2 ** 64, traj_index % 2 ** 64
+    gen.bit_generator.state = fresh  # copied into the generator
     gen.standard_normal((n_steps, n_modes), out=out)
-    out *= np.sqrt(dt)
+    out *= math.sqrt(dt)
     return out
 
 

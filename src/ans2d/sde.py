@@ -36,19 +36,15 @@ only the coordinates of its channels' wavevectors (a term in cos(m.x)
 or sin(m.x) those of the pair of +-m), so its increment is formed and
 added on their contiguous span of columns alone.  The engine steps on
 Wiener increments that its caller draws with draw_increments: one
-step-major (n_steps, B, n_modes) array, so a step reads the contiguous
-slab of its own increments, and callers that replay the same paths at
-several levels (the ensemble) draw them once.  The additive noise path
-works in blocks of at most BLOCK_BYTES: draw_increments fills a block of
-whole paths, BLOCK_BYTES // (8 n_steps n_modes) of them, contiguously and
-copies it into the step-major array with one transposed assignment, and
-the march forms additive increments a slab of BLOCK_BYTES //
-(8 B len(span)) steps at a time, as they do not depend on the state
-(either block holds at least one path or step).  Each trajectory's
-increments come from a dedicated counter-based stream keyed by (seed,
-path index), and every sum over noise channels runs channel by channel,
-so any path replays bit-for-bit regardless of batch layout and blocking,
-for every noise model.
+path-major (B, n_steps, n_modes) array, each path drawn straight into its
+own contiguous row, so callers that replay the same paths at several
+levels (the ensemble) draw them once, and step i reads the view
+increments[:, i].  Additive increments do not depend on the state, so
+the march forms them a slab of BLOCK_BYTES // (8 B len(span)) steps at a
+time (at least one).  Each trajectory's increments come from a dedicated
+counter-based stream keyed by (seed, path index), and every sum over
+noise channels runs channel by channel, so any path replays bit-for-bit
+regardless of batch layout and slab size, for every noise model.
 """
 
 from __future__ import annotations
@@ -77,7 +73,7 @@ from .spectral import SpectralField, TorusGrid
 DIAG_NAMES = det.DIAG_NAMES + ("noise_work", "hs_sq")
 N_SE = 5.0      # standard errors allowed to the Monte Carlo audits
 BETA_HAT = 0.5  # Gronwall split of the noise's Lipschitz channel in the gap bound
-BLOCK_BYTES = 2 ** 18  # size of a block of Wiener paths and of a slab of additive increments
+BLOCK_BYTES = 2 ** 18  # size of a slab of additive increments
 MODE_LAW_BATCH = 2500  # paths per engine call of the single-mode law
 
 
@@ -191,7 +187,7 @@ class _Stepper:
         outside span is an exact zero, and the step adds only the
         (B, len(span)) increment returned.  Additive increments do not
         depend on the state, so for them dw may also be a slab of steps,
-        (D, B, n_modes), which gives the (D, B, len(span)) increments of
+        (B, D, n_modes), which gives the (B, D, len(span)) increments of
         all D steps at once.
         """
         if self.additive is not None:
@@ -211,16 +207,17 @@ class _Stepper:
         return np.sum(chans ** 2, axis=(-2, -1))
 
     def march(self, coeffs0: np.ndarray, increments: np.ndarray):
-        """det._march of one trajectory per column of increments, (n_steps, B, n_modes).
+        """det._march of one trajectory per row of increments, (B, n_steps, n_modes).
 
         coeffs0 holds Hermitian initial coefficients, (2, n1, n2) shared by
         every row or (B, 2, n1, n2), projected to the level's coordinates.
         The step is a + dt drift, then + sig on span, then exp(L dt).  Step i
-        reads the slab increments[i]; additive increments, which do not
-        depend on the state, are formed a slab of steps per noise_increment
-        call, as many as fit in BLOCK_BYTES (at least one).
+        reads the view increments[:, i]; additive increments, which do not
+        depend on the state, are formed a slab of D steps per
+        noise_increment call, as many as fit in BLOCK_BYTES (at least one),
+        and step i adds the view [:, i % D] of its slab.
         """
-        bsize, dt, span = increments.shape[1], self.cfg.dt, self.span
+        bsize, dt, span = len(increments), self.cfg.dt, self.span
         # the integrating factor tiled to the batch: a (B, n) x (n,) product
         # runs one inner loop of length n per row, a (B, n) x (B, n) one loop
         ef = np.tile(self.ef, (bsize, 1))
@@ -231,13 +228,19 @@ class _Stepper:
             a *= ef
             return a
 
-        if self.additive is not None:
-            slab = max(1, BLOCK_BYTES // max(1, 8 * bsize * self.span_channels.shape[1]))
-            sigs = (sig for i in range(0, len(increments), slab)
-                    for sig in self.noise_increment(increments[i:i + slab], None))
+        if self.additive is None:
+            def noise(i: int, a: np.ndarray) -> np.ndarray:
+                return self.noise_increment(increments[:, i], a)
+        else:
+            depth = max(1, BLOCK_BYTES // max(1, 8 * bsize * self.span_channels.shape[1]))
+            slab = None
 
-        def noise(i: int, a: np.ndarray) -> np.ndarray:
-            return self.noise_increment(increments[i], a) if self.additive is None else next(sigs)
+            def noise(i: int, _a: np.ndarray) -> np.ndarray:
+                nonlocal slab
+                k = i % depth
+                if not k:
+                    slab = self.noise_increment(increments[:, i:i + depth], None)
+                return slab[:, k]
 
         a0 = np.broadcast_to(self.frame.coords(coeffs0), (bsize, self.frame.n))
         return det._march(a0, self.cfg, self.drift, step, noise)
@@ -289,39 +292,30 @@ class BatchedRun:
 
 def draw_increments(model: NoiseModel, cfg: SdeConfig,
                     paths: Sequence[int]) -> np.ndarray:
-    """Wiener increments of one trajectory per index in paths, step-major.
+    """Wiener increments of one trajectory per index in paths, path-major.
 
-    Shape (n_steps, B, n_modes), B = len(paths): column j holds the stream
-    (cfg.seed, paths[j]) of sample_wiener_increment, and a repeated index
-    repeats its path, drawn once and copied.  Paths are drawn a block at a
-    time, as many whole (n_steps, n_modes) paths as fit in BLOCK_BYTES (at
-    least one), each into its contiguous row of the block, and the block
-    goes into its columns in one transposed copy.  A model with no
-    non-zero channel draws nothing (n_modes = 0), as its noise increments
-    are exact zeros.
+    Shape (B, n_steps, n_modes), B = len(paths): row j holds the stream
+    (cfg.seed, paths[j]) of sample_wiener_increment, drawn straight into
+    the row, and a repeated index repeats its path, drawn once and copied.
+    A model with no non-zero channel draws nothing (n_modes = 0), as its
+    noise increments are exact zeros.
     """
     n_modes = 0 if model.is_zero else model.n_modes
     distinct = list(dict.fromkeys(paths))
     if len(distinct) < len(paths):
-        where = {j: col for col, j in enumerate(distinct)}
-        return np.take(draw_increments(model, cfg, distinct), [where[j] for j in paths], axis=1)
-    n_steps = cfg.n_steps
-    increments = np.empty((n_steps, len(distinct), n_modes))
+        where = {j: row for row, j in enumerate(distinct)}
+        return np.take(draw_increments(model, cfg, distinct), [where[j] for j in paths], axis=0)
+    increments = np.empty((len(distinct), cfg.n_steps, n_modes))
     if n_modes:
-        width = max(1, BLOCK_BYTES // (8 * n_steps * n_modes))
-        block = np.empty((min(width, len(distinct)), n_steps, n_modes))
-        for start in range(0, len(distinct), width):
-            chunk = distinct[start:start + width]
-            for row, j in enumerate(chunk):
-                sample_wiener_increment(n_modes, n_steps, cfg.dt, cfg.seed, j, out=block[row])
-            increments[:, start:start + len(chunk)] = block[:len(chunk)].swapaxes(0, 1)
+        for row, j in enumerate(distinct):
+            sample_wiener_increment(n_modes, cfg.n_steps, cfg.dt, cfg.seed, j, out=increments[row])
     return increments
 
 
 def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
                  cfg: SdeConfig, increments: np.ndarray, with_diag: bool = True,
                  with_hs: bool = True) -> BatchedRun:
-    """Advance one trajectory per column of increments and record its diagnostic rows.
+    """Advance one trajectory per row of increments and record its diagnostic rows.
 
     coeffs0 and increments are as in _Stepper.march; the rows read its
     (B, n) states, and final holds the last.  The noise pairing
@@ -332,7 +326,7 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
     step writes its samples, products and spectra into one workspace for
     the whole call (_Stepper).
     """
-    bsize = increments.shape[1]
+    bsize = len(increments)
     stepper = _Stepper(grid, model, cfg, bsize)
     diag = {name: np.zeros((cfg.n_steps + 1, bsize)) for name in DIAG_NAMES} if with_diag else {}
     work = np.zeros(bsize)

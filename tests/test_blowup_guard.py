@@ -4,8 +4,9 @@ Every run steps rows of coordinates in the level-4 frame of an 8x8 grid,
 where element 0, cos(0,1), is undamped and element 2, cos(1,0), is the one
 the runs push: per step, kicks[i, b] is added to that coordinate of row b
 before the integrating factor.  The SDE engine gets the kicks as Wiener
-increments of a one-channel additive model on (1,0); the deterministic
-march gets them through its drift, replaced by the prescribed forcing.
+increments of a one-channel additive model on (1,0), row b of its
+path-major increments holding kicks[:, b]; the deterministic march gets
+them through its drift, replaced by the prescribed forcing.
 """
 
 import numpy as np
@@ -29,7 +30,7 @@ def _run_sde(a0, kicks, factor, monkeypatch):
     model = single_mode_noise((1, 0), 1.0)  # its projected channel is e_PUSHED
     cfg = SdeConfig(dt=DT, t_end=N_STEPS * DT, galerkin_n=4, drop_nonlinearity=True)
     monkeypatch.setattr(spectral, "BLOWUP_GUARD", factor)
-    return _run_batched(FRAME.lift(a0), GRID, model, cfg, kicks[..., None],
+    return _run_batched(FRAME.lift(a0), GRID, model, cfg, kicks.T[..., None],
                         with_diag=False).final
 
 

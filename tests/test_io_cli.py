@@ -411,6 +411,26 @@ def test_cli_manifest_reproducibility_fields(tmp_path):
     assert effective["init.seed"] == 5
 
 
+@pytest.mark.parametrize("command", ["run-det", "ensemble"])
+def test_cli_manifest_digests_match_the_outputs(tmp_path, command):
+    import hashlib
+
+    out = tmp_path / command
+    assert main([command, "--config", _write_cfg(tmp_path), "--out", str(out)]) in (0, 1)
+    man = _manifest(out)
+    # one entry per listed output, the manifest itself not among them
+    assert man["outputs"] and list(man["output_digests"]) == man["outputs"]
+    assert "manifest.json" not in man["output_digests"]
+    for name, digest in man["output_digests"].items():
+        data = (out / name).read_bytes()
+        assert digest == {"bytes": len(data), "sha256": hashlib.sha256(data).hexdigest()}
+    # a run that ends in an error lists no output and no digest
+    bad = _write_cfg(tmp_path, "grid.n1 = 0\n")
+    assert main([command, "--config", bad, "--out", str(tmp_path / "bad")]) == 2
+    man = _manifest(tmp_path / "bad")
+    assert man["outputs"] == [] and man["output_digests"] == {}
+
+
 def test_cli_gates_honour_noise_eta(tmp_path):
     # K2 = (1 + eta) M1 with M1 = 0.1296: below 2/11 at eta = 0.1, above at 0.9
     cfg = _write_cfg(tmp_path, "noise.c_recipes = 0.18*cos(0,1)\nnoise.b_recipes = \n")
@@ -841,14 +861,19 @@ def test_cli_import_loads_no_scipy():
     # scipy.signal alone takes over a second to import, and scipy.fft about
     # 0.3 s, more than twice a benchmark run's whole set-up; the transforms
     # run on numpy.fft, and only the oracle (kernels, imported on first
-    # use) may load scipy
+    # use) may load scipy.  Nor does the import load numpy.random (about
+    # 12 ms): the Wiener sampler builds its generator on first use
+    # (noise._philox), so that cost stays with the first draw
     import ans2d
 
     src = str(Path(ans2d.__file__).resolve().parents[1])
     script = (f"import sys; sys.path.insert(0, {src!r}); import ans2d, ans2d.cli; "
-              "print([m for m in sys.modules if m.split('.')[0] == 'scipy'])")
+              "print([m for m in sys.modules if m.split('.')[0] == 'scipy']); "
+              "print([m for m in sys.modules if m.startswith('numpy.random')])")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert "scipy.fft" not in proc.stdout and "scipy.signal" not in proc.stdout
-    assert proc.stdout.strip() == "[]"
+    scipy_modules, random_modules = proc.stdout.splitlines()
+    assert "scipy.fft" not in scipy_modules and "scipy.signal" not in scipy_modules
+    assert scipy_modules == "[]"
+    assert random_modules == "[]"

@@ -387,8 +387,8 @@ def test_wiener_streams_are_fresh_philox_streams(seed, index):
 
 def test_wiener_draws_scale_straight_into_a_strided_column():
     # out= is drawn into and scaled in place, so it must be a C-contiguous
-    # float64 (n_steps, n_modes) array: a strided column of a step-major
-    # array, or another dtype, is refused before anything is drawn
+    # float64 (n_steps, n_modes) array: a strided column of a (n_steps, B,
+    # n_modes) array, or another dtype, is refused before anything is drawn
     for out in (np.full((40, 3, 2), np.nan)[:, 1], np.full((40, 2), np.nan, dtype=np.float32)):
         with pytest.raises(ValueError, match="C-contiguous float64"):
             sample_wiener_increment(2, 40, 1e-3, base_seed=7, traj_index=4, out=out)
@@ -396,17 +396,20 @@ def test_wiener_draws_scale_straight_into_a_strided_column():
 
 
 def test_wiener_draws_are_the_same_bits_in_a_row_and_a_column():
-    # a contiguous row of a block of paths is drawn into in place and
-    # returned, and draw_increments copies the same bits into the path's
-    # column of the step-major array
+    # a contiguous row of an array of paths is drawn into in place and
+    # returned, draw_increments draws the same bits into the path's row of
+    # its path-major array, and the step's column of that array, the view
+    # the engine reads, holds each path's draw of the step
     block = np.full((3, 40, 2), np.nan)
     row = block[1]
     assert sample_wiener_increment(2, 40, 1e-3, base_seed=7, traj_index=4, out=row) is row
     fresh = sample_wiener_increment(2, 40, 1e-3, 7, 4)
     model = make_model([], ["0.1*cos(1,0)", "0.05*sin(0,1)"], "one")
-    col = draw_increments(model, SdeConfig(dt=1e-3, t_end=40e-3, seed=7), (5, 4, 6))[:, 1]
-    assert row.tobytes() == np.ascontiguousarray(col).tobytes() == fresh.tobytes()
+    incs = draw_increments(model, SdeConfig(dt=1e-3, t_end=40e-3, seed=7), (5, 4, 6))
+    assert row.tobytes() == incs[1].tobytes() == fresh.tobytes()
     assert np.all(np.isnan(block[::2]))
+    step = np.stack([sample_wiener_increment(2, 40, 1e-3, 7, j)[9] for j in (5, 4, 6)])
+    assert np.ascontiguousarray(incs[:, 9]).tobytes() == step.tobytes()
 
 
 def test_wiener_increment_variance():

@@ -335,7 +335,7 @@ def test_zero_model_has_an_empty_span_and_draws_nothing(grid16):
     for model in (NoiseModel(), make_model([], ["0.0*cos(1,0)"], "one")):
         st = _Stepper(grid16, model, cfg)
         assert len(range(8)[st.span]) == 0
-        assert draw_increments(model, cfg, range(4)).shape == (cfg.n_steps, 4, 0)
+        assert draw_increments(model, cfg, range(4)).shape == (4, cfg.n_steps, 0)
         assert st.noise_increment(np.zeros((4, 0)), None).shape == (4, 0)
 
 
@@ -369,42 +369,47 @@ def test_additive_paths_replay_across_batch_layout(grid16, make_field, model, dr
             np.testing.assert_array_equal(part.diag[name], whole.diag[name][:, sl])
 
 
-def test_draw_increments_are_step_major_per_path_streams():
+def test_draw_increments_are_path_major_per_path_streams():
     model = make_model([], ["0.1*cos(1,0)", "0.05*sin(0,1)"], "one")
     cfg = SdeConfig(dt=2e-3, t_end=0.02, seed=5)
     incs = draw_increments(model, cfg, (3, 0, 3))
-    assert incs.shape == (cfg.n_steps, 3, model.n_modes)
-    for col, path in enumerate((3, 0, 3)):
+    assert incs.shape == (3, cfg.n_steps, model.n_modes)
+    for row, path in enumerate((3, 0, 3)):
         np.testing.assert_array_equal(
-            incs[:, col], sample_wiener_increment(model.n_modes, cfg.n_steps, cfg.dt, 5, path))
+            incs[row], sample_wiener_increment(model.n_modes, cfg.n_steps, cfg.dt, 5, path))
     # no noise, or a zero model: nothing is drawn
     zero = make_model([], ["0.0*cos(1,0)"], "one")
     for quiet in (NoiseModel(), zero):
-        assert draw_increments(quiet, cfg, range(4)).shape == (cfg.n_steps, 4, 0)
+        assert draw_increments(quiet, cfg, range(4)).shape == (4, cfg.n_steps, 0)
 
 
-# budgets of 1-2 paths of 7 steps and 2 modes (112 bytes each) and of 1-3 steps
-# of 5 paths on 2 columns (80 bytes each); 100 bytes is less than one path
-_SMALL_BUDGETS = [80, 100, 160, 240]
-
-
-@pytest.mark.parametrize("budget", _SMALL_BUDGETS)
-def test_draw_increments_keep_every_bit_across_path_blocks(monkeypatch, budget):
+def test_draw_increments_draw_each_distinct_path_once_into_its_row(monkeypatch):
     from ans2d import sde
 
     model = _CRITERION_10
     cfg = SdeConfig(dt=2e-3, t_end=7 * 2e-3, seed=5)
     assert cfg.n_steps == 7
-    paths = (3, 0, 3, 1, 2)
+    paths = (3, 0, 3, 1, 2, 0)
     calls = []
-    monkeypatch.setattr(sde, "BLOCK_BYTES", budget)
-    monkeypatch.setattr(sde, "sample_wiener_increment",
-                        lambda *args, **kw: calls.append(args[4]) or sample_wiener_increment(
-                            *args, **kw))
+
+    def spy(*args, out=None):
+        calls.append((args[4], out))
+        return sample_wiener_increment(*args, out=out)
+
+    monkeypatch.setattr(sde, "sample_wiener_increment", spy)
     incs = draw_increments(model, cfg, paths)
-    assert sorted(calls) == [0, 1, 2, 3]  # each distinct path drawn once
-    for col, path in enumerate(paths):
-        assert incs[:, col].tobytes() == sample_wiener_increment(
+    # each distinct path drawn once, in order of first use, straight into a
+    # C-contiguous row of one path-major array
+    assert [path for path, _ in calls] == [3, 0, 1, 2]
+    rows = [out for _, out in calls]
+    assert all(out.flags.c_contiguous and out.shape == (7, 2) for out in rows)
+    assert all(out.base is rows[0].base for out in rows)
+    assert [out.ctypes.data - rows[0].ctypes.data for out in rows] == [
+        row * 7 * 2 * 8 for row in range(4)]
+    # every row, a repeated index's copy too, holds its stream's bits
+    assert incs.shape == (len(paths), 7, 2) and incs.flags.c_contiguous
+    for row, path in enumerate(paths):
+        assert incs[row].tobytes() == sample_wiener_increment(
             model.n_modes, cfg.n_steps, cfg.dt, 5, path).tobytes()
 
 
@@ -414,8 +419,9 @@ def test_draw_increments_keep_every_bit_across_path_blocks(monkeypatch, budget):
     (_CRITERION_10, True),
 ], ids=["criterion-10", "zero-model", "drop-nonlinearity"])
 def test_run_keeps_every_bit_across_noise_blocks(grid16, make_field, monkeypatch, model, drop):
-    # step slabs of 1, 1, 2 and 3 of 7 steps, and path blocks of 1 or 2 of 5
-    # paths, against the default budget, which holds every path and step at once
+    # step slabs of 1, 1, 2 and 3 of 7 steps (5 paths on 2 columns, 80 bytes
+    # a step; 100 bytes is more than one step and less than two) against the
+    # default budget, which holds every step at once
     from ans2d import sde
 
     cfg = SdeConfig(dt=2e-3, t_end=7 * 2e-3, galerkin_n=8, seed=5, drop_nonlinearity=drop)
@@ -424,8 +430,8 @@ def test_run_keeps_every_bit_across_noise_blocks(grid16, make_field, monkeypatch
     calls = []
     increment = sde._Stepper.noise_increment
     monkeypatch.setattr(sde._Stepper, "noise_increment",
-                        lambda self, dw, *rest: calls.append(len(dw)) or increment(self, dw, *rest))
-    for budget in _SMALL_BUDGETS:
+                        lambda self, dw, *rest: calls.append(dw.shape[1]) or increment(self, dw, *rest))
+    for budget in (80, 100, 160, 240):
         monkeypatch.setattr(sde, "BLOCK_BYTES", budget)
         calls.clear()
         run = sde._run_batched(u0, grid16, model, cfg, draw_increments(model, cfg, range(5)))
