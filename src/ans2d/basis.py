@@ -83,14 +83,20 @@ class GalerkinFrame:
 
     and the tables field_weights and drift_weights hold (c+, c-): of
     (w0, w1) = d for a field, and of the weights of the products
-    P = 2 u1 u2 and Q = u2^2 - u1^2 for the drift
-    (spectral._advection_raw).  With div u = 0,
+    P = 2 u1 u2 and Q = u2^2 - u1^2 for the drift.  With div u = 0,
 
         d . (u.grad u)^(k) = i ((k1^2 - k2^2) P^(k) / 2 + k1 k2 Q^(k)) / |k|
 
     (the divergence form; Basdevant, J. Comput. Phys. 50, 1983), so the
     drift's (w0, w1) are -i (k1^2 - k2^2) / 2|k| and -i k1 k2 / |k| at
-    kc, the minus of the drift -P(u.grad u) folded in.
+    kc, the minus of the drift -P(u.grad u) folded in.  The samples
+    squared, z^2 = (u1 + i u2)^2, are i (P + i Q) (spectral._advection_raw);
+    drift analyses them and turns by -i only the 2 n_pairs coefficients
+    it gathers, not every sample.  _from_pairs turns the weighted
+    per-pair values into coordinates with one product by coord_scale, and
+    power_weights, (4, n), holds 1, k1^2, k2^2 and k1^2 k2^2 per element,
+    so that the four squared norms of coordinates a are the sums of one
+    product of it with a^2 (det._coord_rows).
     Element j is attached to wavevectors[j] and is an eigenfunction of
     d1^2 and d2^2 with eigenvalues -k1sq[j], -k2sq[j].
 
@@ -138,9 +144,13 @@ class GalerkinFrame:
         drift = (-1j / np.hypot(k1, k2)) * np.stack((0.5 * (k1 * k1 - k2 * k2), k1 * k2))
         self.drift_weights = _packed_weights(drift)
         self.field_weights = _packed_weights(self.dirs)
+        # (cos, sin) per pair of the float view of beta: scale, and the sine's minus
+        self.coord_scale = np.tile([MEASURE * _AMP, -MEASURE * _AMP], n_pairs)
+        # ||u||^2, ||d1 u||^2, ||d2 u||^2, ||d1 d2 u||^2 per unit squared coordinate
+        self.power_weights = np.stack((np.ones(n), self.k1sq, self.k2sq, self.k1sq * self.k2sq))
         for arr in (*self.plus, *self.minus, self.dirs, self.wavevectors, self.k1sq, self.k2sq,
                     self.pair_at, self.spec_src, self.spec_gain, self.drift_weights,
-                    self.field_weights):
+                    self.field_weights, self.coord_scale, self.power_weights):
             arr.flags.writeable = False
 
     def column(self, k: tuple[int, int]) -> int:
@@ -156,11 +166,13 @@ class GalerkinFrame:
 
         The float view of a C-ordered complex beta interleaves (Re, Im) per
         pair, which is the (cos, sin) layout of the coordinates: one
-        multiply scales both, and one more gives the sine its minus.
+        multiply by coord_scale, (c, -c) per pair with c = (2pi)^2 amp,
+        scales both and gives the sine its minus (x (-c) is -(x c)
+        exactly, so this is the scale-then-negate of two passes, bit for
+        bit).
         """
         a = np.ascontiguousarray(beta, dtype=np.complex128).view(np.float64)
-        a *= MEASURE * _AMP
-        a[..., 1::2] *= -1.0
+        a *= self.coord_scale
         return a[..., :self.n]
 
     def _to_pairs(self, a: np.ndarray) -> np.ndarray:
@@ -188,25 +200,35 @@ class GalerkinFrame:
               spec: np.ndarray | None = None) -> np.ndarray:
         """(..., n1, n2) packed samples u1 + i u2 of the field with coordinates a.
 
-        They feed the advection (spectral._advection_raw) and a sigma(u)
-        whose b g(u) depends on u.  The gather writes the (..., m, n1)
-        packed spectrum spectral._phys reads, k1 last, straight from the
-        index map spec_src, into spec, and the samples go into out: both
-        C-ordered complex arrays that may hold anything, such as a step's
-        workspace (sde._Stepper), else new ones.
+        They feed the advection (drift) and a sigma(u) whose b g(u)
+        depends on u.  The gather source holds z = a_cos - i a_sin per
+        pair, then conj z = a_cos + i a_sin, then a zero (an odd n leaves
+        its last sine 0): its float view is written straight from a, the
+        conj z half a copy of it and the z half that copy with its sines
+        negated.  The gather writes the (..., m, n1) packed spectrum
+        spectral._phys reads, k1 last, from the index map spec_src, into
+        spec, and the samples go into out: both C-ordered complex arrays
+        that may hold anything, such as a step's workspace (sde._Stepper,
+        det._det_march), else new ones.
         """
         lead = a.shape[:-1]
-        z = self._to_pairs(a)
-        src = np.concatenate((z, np.conj(z), np.zeros(lead + (1,))), axis=-1)
+        n_pairs = len(self.dirs[0])
+        src = np.zeros(lead + (2 * n_pairs + 1,), dtype=np.complex128)
+        parts = src.view(np.float64)
+        z, conj_z = parts[..., :2 * n_pairs], parts[..., 2 * n_pairs:4 * n_pairs]
+        conj_z[..., :self.n] = a
+        z[..., 0::2] = conj_z[..., 0::2]
+        np.negative(conj_z[..., 1::2], out=z[..., 1::2])
         m = 2 * self.reach2 + 1
         if spec is None:
             spec = np.empty(lead + (m, self.grid.n1), dtype=np.complex128)
-        # np.take keeps the batch axes outermost (fancy indexing would put
+        # take keeps the batch axes outermost (fancy indexing would put
         # them innermost, which is slow); with mode="clip" it writes straight
-        # into spec, where the default mode would gather into a buffer first
+        # into spec, where the default mode would gather into a buffer first.
+        # The array method skips np.take's Python wrapper, as in _gather
         flat = spec.reshape(lead + (self.spec_src.size,))
-        np.take(src, self.spec_src, axis=-1, out=flat, mode="clip")
-        del z, src  # not held through the transform: at max_level they are as large as spec
+        src.take(self.spec_src, axis=-1, out=flat, mode="clip")
+        del src, parts, z, conj_z  # not held through the transform: at max_level as large as spec
         flat *= self.spec_gain
         return spectral._phys(spec, self.grid.n_points, out)
 
@@ -215,19 +237,46 @@ class GalerkinFrame:
         """(..., n) coordinates of packed (..., n1, n2) samples f1 + i f2, weighted per pair.
 
         With weights = field_weights, f = (f1, f2) is a vector field and
-        these are the coords of its FFT; with drift_weights and the packed
-        samples P + i Q of spectral._advection_raw, those of -P(u.grad u).
-        The analysis consumes samples (the x2 pass runs in place on them)
-        and writes the packed spectrum into spec when given, as synth
-        does; the coordinates are always a new array.
+        these are the coords of its FFT.  The analysis consumes samples
+        (the x2 pass runs in place on them) and writes the packed spectrum
+        into spec when given, as synth does; the coordinates are always a
+        new array.
         """
+        return self._weigh(self._gather(samples, spec), weights)
+
+    def drift(self, phys: np.ndarray, out: np.ndarray | None = None,
+              spec: np.ndarray | None = None) -> np.ndarray:
+        """(..., n) coordinates of -P(u.grad u) from the packed samples phys = u1 + i u2 of u.
+
+        spectral._advection_raw squares phys into out (phys itself may be
+        out), z^2 = i (P + i Q); the analysis gathers the coefficients
+        of z^2 at the 2 n_pairs wavevectors of the level, and multiplying
+        those by -i gives the ones of P + i Q that drift_weights weigh.
+        The FFT is linear and a product with -i only swaps parts and
+        negates one, so fft(-i x) == -i fft(x) bit for bit: this is the
+        analysis of P + i Q themselves at 2 n_pairs products instead of
+        one per sample.  Folding -i into drift_weights instead would not
+        be: numpy's complex product rounds (-i c) x and c (-i x)
+        differently.  spec is as in analyse.
+        """
+        at = self._gather(spectral._advection_raw(phys, out), spec)
+        at *= -1j
+        return self._weigh(at, self.drift_weights)
+
+    def _gather(self, samples: np.ndarray, spec: np.ndarray | None) -> np.ndarray:
+        """(..., 2 n_pairs) packed coefficients W at kc of every pair, then at -kc."""
         spec = spectral._spec(samples, self.grid.n_points, self.reach2, spec)
-        # np.take keeps the batch axes outermost (fancy indexing would not)
-        at = np.take(spec.reshape(spec.shape[:-2] + (self.spec_src.size,)), self.pair_at,
-                     axis=-1)
+        # take keeps the batch axes outermost (fancy indexing would not)
+        return spec.reshape(spec.shape[:-2] + (self.spec_src.size,)).take(self.pair_at, axis=-1)
+
+    def _weigh(self, at: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """Coordinates of c+ W(kc) + c- conj W(-kc) per pair, from _gather's at (overwritten)."""
         n_pairs = len(self.dirs[0])
+        minus = at[..., n_pairs:]
+        np.conjugate(minus, out=minus)
+        minus *= weights[1]
         beta = at[..., :n_pairs] * weights[0]
-        beta += np.conj(at[..., n_pairs:]) * weights[1]
+        beta += minus
         return self._from_pairs(beta)
 
 

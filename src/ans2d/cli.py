@@ -59,20 +59,23 @@ DET_CSV_COLUMNS = _LEADING_COLUMNS + ("energy_residual", "c_emp", "weighted_h01"
 SDE_CSV_COLUMNS = _LEADING_COLUMNS + ("h_t", "weighted_h01", "noise_work", "hs_norm_sq")
 
 
-def _fmt(value: Any) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return "true" if value else "false"
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
+def _write_csv(path: Path, header: Sequence[str], columns: Sequence[Sequence[Any]]) -> None:
+    """Write columns, each an array or a sequence of values of one type, under header.
 
-
-def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]]) -> None:
+    Each column goes to the csv writer as Python values (tolist()), which
+    writes a float with repr, so every value keeps its bits and a rerun
+    its bytes (a numpy float, a float subclass, would be written as its
+    own repr); a bool column is written true and false.
+    """
+    cells = []
+    for column in columns:
+        column = np.asarray(column)
+        cells.append(np.where(column, "true", "false").tolist() if column.dtype == bool
+                     else column.tolist())
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(zip(*cells))
 
 
 @contextmanager
@@ -208,8 +211,8 @@ def _cmd_run_det(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
     traj = det_mod.run_det(u0, _section(cfg, det_mod.DetConfig, "det"))
     energy = det_mod.energy_certificate(traj)
     h01 = det_mod.h01_certificate(traj)
-    rows = zip(*_leading_columns(traj), energy.residual, h01.c_emp, h01.weighted)
-    _write_csv(out / "det_series.csv", DET_CSV_COLUMNS, list(rows))
+    _write_csv(out / "det_series.csv", DET_CSV_COLUMNS,
+               [*_leading_columns(traj), energy.residual, h01.c_emp, h01.weighted])
     write_snapshot(out / "final_state.ans2", _samples(traj.frame, traj.final_coords), traj.t[-1])
     extra = {"energy_rel_residual": energy.verdict.measured,
              "energy_rel_tol": energy.verdict.bound, "c_emp_sup": h01.c_sup}
@@ -223,9 +226,9 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
     gate = _gate(cfg, args, model, "existence")
     traj = sde_mod.run_sde(u0, model, scfg)
     weighted = sde_mod.weighted_h01_series(traj.t, traj.diag)
-    rows = zip(*_leading_columns(traj), weighted.h, weighted.weighted_h01,
-               traj.diag["noise_work"], traj.diag["hs_sq"])
-    _write_csv(out / "sde_series.csv", SDE_CSV_COLUMNS, list(rows))
+    _write_csv(out / "sde_series.csv", SDE_CSV_COLUMNS,
+               [*_leading_columns(traj), weighted.h, weighted.weighted_h01,
+                traj.diag["noise_work"], traj.diag["hs_sq"]])
     write_snapshot(out / "final_state.ans2", _samples(traj.frame, traj.final_coords), traj.t[-1])
     extra = {
         "existence_gate": gate.existence_ok,
@@ -246,8 +249,7 @@ def _cmd_ensemble(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> C
     report = run_ensemble(u0, model, scfg, ens)
     rows = moment_bound_report(report, gate)
     header = list(rows[0].keys())
-    _write_csv(out / "ensemble_moments.csv", header,
-               [[row[k] for k in header] for row in rows])
+    _write_csv(out / "ensemble_moments.csv", header, [[row[k] for row in rows] for k in header])
     extra = {
         "existence_gate": gate.existence_ok,
         "uniqueness_gate": gate.uniqueness_ok,
@@ -283,7 +285,7 @@ def _cmd_verify(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cmd
         norms_mod.check_minkowski(grid, samples[0], p=4.0, q=2.0, report=report)
         norms_mod.check_minkowski(grid, samples[1], p=6.0, q=3.0, report=report)
     _write_csv(out / "verify_report.csv", ("check", "lhs", "rhs", "constant", "pass"),
-               report.rows)
+               list(zip(*report.rows)))
     n_failed = len(report.failures())
     return (["verify_report.csv"], [verdict("all_passed", n_failed, 0)],
             {"checks": len(report.rows), "failed": n_failed})
@@ -304,7 +306,7 @@ def _cmd_oracle_check(cfg: dict[str, Any], out: Path, args: argparse.Namespace) 
         level = levels[i % len(levels)]  # one oracle call per field
         rel = sde_mod.drift_oracle_error(u, level)
         rows.append((i, level, rel, rel <= tol))
-    _write_csv(out / "oracle_check.csv", ("field", "level", "rel_err", "pass"), rows)
+    _write_csv(out / "oracle_check.csv", ("field", "level", "rel_err", "pass"), list(zip(*rows)))
     check = verdict("all_passed", [row[2] for row in rows], tol)
     return ["oracle_check.csv"], [check], {"max_rel_err": check.measured, "tolerance": tol}
 
@@ -342,8 +344,8 @@ def _cmd_uniqueness(cfg: dict[str, Any], out: Path, args: argparse.Namespace) ->
         extra["uniqueness_gate"] = _gate(cfg, args, model, "uniqueness").uniqueness_ok
         rep = sde_mod.pathwise_uniqueness_experiment(u0, v0, model, scfg, eta=cfg["noise.eta"])
     # one layout for both kinds: the det growth G(t) is 0, its exponent E(t) is q
-    rows = zip(rep.t, rep.w_l2_sq, rep.q, rep.growth)
-    _write_csv(out / "uniqueness_series.csv", ("t", "w_l2_sq", "q", "growth"), list(rows))
+    _write_csv(out / "uniqueness_series.csv", ("t", "w_l2_sq", "q", "growth"),
+               [rep.t, rep.w_l2_sq, rep.q, rep.growth])
     extra.update(c1=rep.c1, bitwise_zero=rep.bitwise_zero, max_ratio=rep.max_ratio)
     return ["uniqueness_series.csv"], [rep.verdict], extra
 

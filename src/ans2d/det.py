@@ -34,8 +34,8 @@ import numpy as np
 
 from . import spectral
 from .basis import GalerkinFrame, level_reach, max_level
-from .norms import (YOUNG_WEIGHT, Verdict, absorb, cumulative_trapezoid, power_rows, verdict,
-                    young_gap, young_h01)
+from .norms import (YOUNG_WEIGHT, Verdict, absorb, cumulative_trapezoid, verdict, young_gap,
+                    young_h01)
 from .spectral import SpectralField, TorusGrid
 
 INTEGRATORS = ("if-rk2", "if-rk4", "if-euler")
@@ -87,16 +87,20 @@ def run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
     - 32 bytes per grid point per coefficient array: 4, a random field's
       construction peak, and 2 more for a batch, such as the uniqueness
       pair's u0, v0 and their stack beside the heap the construction left;
-    - per level, 192 bytes per mode pair and 40 per entry of its
-      (2 reach2 + 1) x n1 packed spectrum, twice for an SDE level and its quadrature frame;
-    - per state, 3 complex per sampling point (8 with a sampled sigma(u))
-      and 2 per spectrum entry.  An SDE step writes into its workspace
-      (sde._Stepper): the samples and products, 2 per point, the b-channel
-      sum and term of a sampled sigma(u), 1 more, and one spectrum; that
-      sigma(u)'s hs_sq allocates g(u), the sum, term and product over its
-      channel axis, 5 per point with two channels.  The deterministic
-      drift allocates its samples and products, 2 per point, and the
-      spectrum of each transform;
+    - per level, 272 bytes per mode pair (the frame's tables, among them
+      the (4, n) power_weights) and 40 per entry of its (2 reach2 + 1) x n1
+      packed spectrum, twice for an SDE level and its quadrature frame;
+    - per state, 3 complex per sampling point (8 with a sampled sigma(u)),
+      2 per spectrum entry and 64 bytes per mode pair of the top level,
+      the four products of a diagnostic row (_powers).  An SDE step
+      writes into its workspace (sde._Stepper): the samples and products,
+      2 per point, the b-channel sum and term of a sampled sigma(u), 1
+      more, and one spectrum; that sigma(u)'s hs_sq allocates g(u), the
+      sum, term and product over its channel axis, 5 per point with two
+      channels.  The deterministic march writes its samples, squared in
+      place, and one spectrum into its workspace (_det_march), and the
+      final snapshot synthesizes the last state and splits its samples, 2
+      more per point;
     - 16 MiB: modules loaded on first use (7.7 MiB), the allocator's heap,
       and an SDE run's noise slab (a slab of additive increments, at most
       sde.BLOCK_BYTES).
@@ -105,12 +109,14 @@ def run_bytes(grid: TorusGrid, batch: int = 1, levels: Sequence[int] = (),
     """
     top = max_level(grid)
     total = sum((2 if levels else 1)
-                * (192 * ((n + 1) // 2) + 40 * (2 * level_reach(grid, n)[1] + 1) * grid.n1)
+                * (272 * ((n + 1) // 2) + 40 * (2 * level_reach(grid, n)[1] + 1) * grid.n1)
                 for n in levels or (top,))
-    reach = level_reach(grid, max(levels, default=top))
+    top = max(levels, default=top)
+    reach = level_reach(grid, top)
     n1, n2 = (grid.n1, grid.n2) if sampled or not levels else (
         min(n, 3 * k + 4) for n, k in zip((grid.n1, grid.n2), reach))
-    total += batch * 16 * ((8 if sampled else 3) * n1 * n2 + 2 * (2 * reach[1] + 1) * n1)
+    total += batch * (16 * ((8 if sampled else 3) * n1 * n2 + 2 * (2 * reach[1] + 1) * n1)
+                      + 64 * ((top + 1) // 2))
     return total + 32 * (4 if batch == 1 else 6) * grid.n_points + 2 ** 24
 
 
@@ -154,20 +160,40 @@ def mollify(u: SpectralField, eps: float) -> SpectralField:
     return SpectralField(u.grid, u.coeffs * np.exp(-eps ** 2 * u.grid.ksq))
 
 
-def _drift(a: np.ndarray, frame: GalerkinFrame) -> np.ndarray:
-    """Coordinates of -P(u.grad u) for (..., n) coordinates a."""
-    return frame.analyse(spectral._advection_raw(frame.synth(a)), frame.drift_weights)
+def _drift(a: np.ndarray, frame: GalerkinFrame,
+           work: tuple = (None, None)) -> np.ndarray:
+    """Coordinates of -P(u.grad u) for (..., n) coordinates a.
 
-
-def _coord_rows(frame: GalerkinFrame, a: np.ndarray, drift: np.ndarray) -> dict[str, np.ndarray]:
-    """Squared norms of coordinates a (power_rows) and the cross pairing.
-
-    drift holds the coordinates of -P_n(u.grad u); on the span,
-    (d2 (u.grad u), d2 u) = sum_j k2_j^2 (u.grad u, e_j) a_j.
+    work is (z, spec): the (..., n1, n2) samples and the (..., m, n1)
+    packed spectrum the synthesis and analysis write into (a march's
+    workspace, _det_march), both new arrays when left out.  Nothing else
+    reads the samples, so the advection squares them in place.
     """
-    row = power_rows(a ** 2, frame.k1sq, frame.k2sq, axes=-1)
-    row["cross"] = np.sum(frame.k2sq * -drift * a, axis=-1)
-    return row
+    z, spec = work
+    z = frame.synth(a, z, spec)
+    return frame.drift(z, z, spec)
+
+
+def _powers(frame: GalerkinFrame, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(..., 4) squared norms ||u||^2, ||d1 u||^2, ||d2 u||^2, ||d1 d2 u||^2 of coordinates a.
+
+    One product of frame.power_weights with a^2 and one reduction over its
+    last axis, into out when given: each norm sums its row alone, as
+    norms.power_rows sums it, so the bits are those of four sums.
+    """
+    return np.add.reduce(frame.power_weights * (a * a)[..., None, :], axis=-1, out=out)
+
+
+def _coord_rows(frame: GalerkinFrame, a: np.ndarray, drift: np.ndarray | float,
+                out: np.ndarray) -> None:
+    """The DIAG_NAMES rows of (n,) or (B, n) coordinates a into out, (5,) or (5, B).
+
+    _powers, then the cross pairing: drift holds the coordinates of
+    -P_n(u.grad u) (the scalar 0.0 without the nonlinearity), and on the
+    span (d2 (u.grad u), d2 u) = sum_j k2_j^2 (u.grad u, e_j) a_j.
+    """
+    _powers(frame, a, out[:4].T)
+    np.add.reduce(-drift * frame.k2sq * a, axis=-1, out=out[4, ...])
 
 
 def _march(a: np.ndarray, clock: Clock, drift: Callable, step: Callable,
@@ -191,27 +217,48 @@ def _march(a: np.ndarray, clock: Clock, drift: Callable, step: Callable,
 
 
 def _det_march(a: np.ndarray, frame: GalerkinFrame, cfg: DetConfig) -> Iterator[tuple]:
-    """_march of the deterministic system in frame, stepped by the integrator's stages."""
+    """_march of the deterministic system in frame, stepped by the integrator's stages.
+
+    The march holds one workspace, (z, spec) of _drift for the batch
+    shape of a, allocated here and written by every drift of every stage;
+    what a drift returns is a new array.  _drift is looked up at each
+    call.
+    """
     dt = cfg.dt
     symbol = frame.k1sq + cfg.eps_v ** 2 * frame.k2sq
     ef = np.exp(-dt * symbol)
     eh = np.exp(-0.5 * dt * symbol)
+    lead = a.shape[:-1]
+    work = (np.empty(lead + (frame.grid.n1, frame.grid.n2), dtype=np.complex128),
+            np.empty(lead + (2 * frame.reach2 + 1, frame.grid.n1), dtype=np.complex128))
 
-    # k1 is the drift at c, which the march shares; the system has no noise
+    # k1 is the drift at c, which the march shares; the system has no noise.
+    # The stages run in place on their own new arrays, in the order of
+    # ef (c + dt k1) and ef c + dt/2 (ef k1 + k2) (a sum or product taken
+    # the other way round has the same bits)
     if cfg.integrator == "if-euler":
         def step(c: np.ndarray, k1: np.ndarray, _sig: None) -> np.ndarray:
-            return ef * (c + dt * k1)
+            out = dt * k1
+            out += c
+            out *= ef
+            return out
     elif cfg.integrator == "if-rk2":
         def step(c: np.ndarray, k1: np.ndarray, _sig: None) -> np.ndarray:
-            pred = ef * (c + dt * k1)
-            return ef * c + 0.5 * dt * (ef * k1 + _drift(pred, frame))
+            pred = dt * k1
+            pred += c
+            pred *= ef
+            out = ef * k1
+            out += _drift(pred, frame, work)
+            out *= 0.5 * dt
+            out += ef * c
+            return out
     else:  # if-rk4
         def step(c: np.ndarray, k1: np.ndarray, _sig: None) -> np.ndarray:
-            k2 = _drift(eh * (c + 0.5 * dt * k1), frame)
-            k3 = _drift(eh * c + 0.5 * dt * k2, frame)
-            k4 = _drift(ef * c + dt * eh * k3, frame)
+            k2 = _drift(eh * (c + 0.5 * dt * k1), frame, work)
+            k3 = _drift(eh * c + 0.5 * dt * k2, frame, work)
+            k4 = _drift(ef * c + dt * eh * k3, frame, work)
             return ef * c + dt / 6.0 * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
-    return _march(a, cfg, lambda c: _drift(c, frame), step)
+    return _march(a, cfg, lambda c: _drift(c, frame, work), step)
 
 
 def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
@@ -221,11 +268,11 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
     dealiased, solenoidal, mean-free span.
     """
     frame = GalerkinFrame(u0.grid, max_level(u0.grid))
-    diag = {name: np.zeros(cfg.n_steps + 1) for name in DIAG_NAMES}
+    diag = np.zeros((len(DIAG_NAMES), cfg.n_steps + 1))
     for i, a, drift, _ in _det_march(frame.coords(u0.coeffs), frame, cfg):
-        for name, value in _coord_rows(frame, a, drift).items():
-            diag[name][i] = value
-    return Trajectory(config=cfg, t=cfg.times, diag=diag, final_coords=a, frame=frame)
+        _coord_rows(frame, a, drift, diag[:, i])
+    return Trajectory(config=cfg, t=cfg.times, diag=dict(zip(DIAG_NAMES, diag)),
+                      final_coords=a, frame=frame)
 
 
 # ---------------------------------------------------------------------------
@@ -402,15 +449,13 @@ class _GapAudit:
         w = pair[0] - pair[1]
         b = pair[self.base]
         self.bitwise = self.bitwise and bool(np.all(pair[0] == pair[1]))
-        wn = power_rows(w ** 2, frame.k1sq, frame.k2sq, axes=-1)
-        bn = power_rows(b ** 2, frame.k1sq, frame.k2sq, axes=-1)
-        d1, d2, d1d2 = bn["d1_sq"], bn["d2_sq"], bn["d1d2_sq"]
-        self.w_l2[i] = wn["l2_sq"]
+        (w_l2, w_d1, _, _), (_, d1, d2, d1d2) = _powers(frame, np.stack((w, b)))
+        self.w_l2[i] = w_l2
         self.dissip[i] = (d1 ** (1.0 / 3.0) + d2 ** (1.0 / 3.0)) * d1d2 ** (1.0 / 3.0)
         # w is synthesized itself: u and v agree to many digits, so the
         # difference of their samples would lose them
         self.tri[i] = abs(float(_drift(w, frame) @ b))
-        self.den[i] = (wn["d1_sq"] ** 0.25 * (d1 ** 0.25 + d2 ** 0.25) * d1d2 ** 0.25
+        self.den[i] = (w_d1 ** 0.25 * (d1 ** 0.25 + d2 ** 0.25) * d1d2 ** 0.25
                        * self.w_l2[i] ** 0.75)
 
     def report(self, growth: float | np.ndarray) -> GapReport:

@@ -177,8 +177,7 @@ class _Stepper:
         self.phys = self.qframe.synth(a, self.z, self.spec) if self.needs_phys else None
         if self.cfg.drop_nonlinearity:
             return 0.0
-        return self.qframe.analyse(spectral._advection_raw(self.phys, self.w),
-                                   self.qframe.drift_weights, self.spec)
+        return self.qframe.drift(self.phys, self.w, self.spec)
 
     def noise_increment(self, dw: np.ndarray, a: np.ndarray | None) -> np.ndarray:
         """Coordinates of P_n sigma(u) dW in the columns span; dw has shape (B, n_modes).
@@ -247,10 +246,15 @@ class _Stepper:
 
 
 def _diag_row(stepper: _Stepper, a: np.ndarray, drift: np.ndarray, noise_work: np.ndarray,
-              with_hs: bool) -> dict[str, np.ndarray]:
-    """Diagnostics of a batch of coordinates a, whose drift the march handed over."""
-    hs = stepper.hs_sq(a) if with_hs else np.zeros(a.shape[:-1])
-    return {**_coord_rows(stepper.frame, a, drift), "noise_work": noise_work, "hs_sq": hs}
+              with_hs: bool, row: np.ndarray) -> None:
+    """Diagnostics of a batch of coordinates a, whose drift the march handed over.
+
+    They go into row, (len(DIAG_NAMES), B): det._coord_rows, then
+    noise_work and hs_sq (0 without with_hs).
+    """
+    _coord_rows(stepper.frame, a, drift, row)
+    row[-2] = noise_work
+    row[-1] = stepper.hs_sq(a) if with_hs else 0.0
 
 
 ORACLE_TOL = 1e-12  # relative error allowed against the direct-convolution oracle
@@ -328,15 +332,15 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
     """
     bsize = len(increments)
     stepper = _Stepper(grid, model, cfg, bsize)
-    diag = {name: np.zeros((cfg.n_steps + 1, bsize)) for name in DIAG_NAMES} if with_diag else {}
+    diag = np.zeros((len(DIAG_NAMES) if with_diag else 0, cfg.n_steps + 1, bsize))
     work = np.zeros(bsize)
     for i, a, drift, sig in stepper.march(coeffs0, increments):
         if with_diag:
-            for name, value in _diag_row(stepper, a, drift, work, with_hs).items():
-                diag[name][i] = value
+            _diag_row(stepper, a, drift, work, with_hs, diag[:, i])
             if sig is not None:  # only the next row reads the pairing
                 work = np.sum(sig * a[:, stepper.span], axis=-1)
-    return BatchedRun(t=cfg.times, diag=diag, final=a, frame=stepper.frame)
+    return BatchedRun(t=cfg.times, diag=dict(zip(DIAG_NAMES, diag)), final=a,
+                      frame=stepper.frame)
 
 
 @dataclass

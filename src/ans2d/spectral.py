@@ -231,23 +231,21 @@ def zero_mean(u: SpectralField) -> SpectralField:
 
 
 def _advection_raw(phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Packed samples P + i Q of P = 2 u1 u2 and Q = u2^2 - u1^2, the products of u.grad(u).
+    """Packed products z^2 = i (P + i Q) of P = 2 u1 u2 and Q = u2^2 - u1^2, those of u.grad(u).
 
     For div u = 0, u.grad(u) = div(u u), and the part of it that survives
     a projection onto divergence-free fields is fixed by P and Q alone
-    (GalerkinFrame.drift_weights); analysed with those weights they give
-    the drift -P(u.grad u).  phys holds the packed samples z = u1 + i u2
-    of one synthesis of a state (GalerkinFrame.synth), which every
-    consumer of the state's samples shares; batch axes are kept.  With
-    z^2 = (u1^2 - u2^2) + 2 i u1 u2, the packed products are
-    P + i Q = -i z^2: one complex square and one exact swap of parts,
-    giving the one complex (..., n1, n2) array, P in .real and Q in
-    .imag, that GalerkinFrame.analyse reads.  They are written into out
-    when given (a step's workspace), else into a new array.
+    (GalerkinFrame.drift_weights).  phys holds the packed samples
+    z = u1 + i u2 of one synthesis of a state (GalerkinFrame.synth), and
+    batch axes are kept.  With z^2 = (u1^2 - u2^2) + 2 i u1 u2 = -Q + i P,
+    one complex square gives both products; GalerkinFrame.drift turns
+    by -i the coefficients it gathers from their analysis, which are then
+    those of P + i Q (fft(-i x) == -i fft(x) exactly), rather than every
+    sample here.  The square is written into out when given (a step's
+    workspace, or phys itself when nothing else reads the samples), else
+    into a new array.
     """
-    out = np.multiply(phys, phys, out=out)
-    out *= -1j
-    return out
+    return np.multiply(phys, phys, out=out)
 
 
 def nonlinear_term_oracle(u: SpectralField) -> SpectralField:

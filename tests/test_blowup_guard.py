@@ -38,7 +38,7 @@ def _run_det(a0, kicks, factor, monkeypatch):
     # if-euler: a <- ef (a + dt drift), one drift per state (the last one unused)
     forcing = iter(np.concatenate((kicks, np.zeros((1, len(a0))))) / DT)
 
-    def drift(a, frame):
+    def drift(a, frame, *_work):
         out = np.zeros_like(a)
         out[:, PUSHED] = next(forcing)
         return out

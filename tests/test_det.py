@@ -158,7 +158,8 @@ def test_each_det_audit_evaluates_one_drift_per_state_and_stage(grid16, make_fie
     # second stage of every step: 2 n + 1 evaluations for n steps
     calls = []
     drift = det_mod._drift
-    monkeypatch.setattr(det_mod, "_drift", lambda a, frame: calls.append(1) or drift(a, frame))
+    monkeypatch.setattr(det_mod, "_drift",
+                        lambda a, frame, *work: calls.append(1) or drift(a, frame, *work))
     u0 = make_field(grid16, band=3, seed=17)
     v0 = make_field(grid16, band=3, seed=18)
     cfg = DetConfig(dt=1e-2, t_end=0.1, integrator="if-rk2")

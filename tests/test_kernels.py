@@ -84,23 +84,21 @@ def test_oracle_catches_a_wrong_solver_drift(monkeypatch, make_field, subject):
 
 
 def test_oracle_catches_an_analysis_reading_one_side_of_the_pair(monkeypatch, make_field):
-    # analyse reads two real fields packed as w = P + i Q, so P^(kc) needs
-    # W(kc) and conj W(-kc); an analysis that reads W(kc) alone, as it would
-    # for a single real field, takes Q for part of P and must fail at every
-    # level of the ladder
-    from ans2d import spectral
+    # the analysis reads two real fields packed as w = P + i Q, so P^(kc)
+    # needs W(kc) and conj W(-kc); an analysis that weighs W(kc) alone, as
+    # it would for a single real field, takes Q for part of P and must fail
+    # at every level of the ladder.  Both the drift and analyse weigh the
+    # gathered W through GalerkinFrame._weigh
     from ans2d.basis import GalerkinFrame
 
-    def one_sided(self, samples, weights, spec=None):
-        spec = spectral._spec(samples, self.grid.n_points, self.reach2, spec)
-        flat = spec.reshape(spec.shape[:-2] + (self.spec_src.size,))
-        at = np.take(flat, self.pair_at[:len(self.dirs[0])], axis=-1)  # W(kc) alone
+    def one_sided(self, at, weights):
+        at = at[..., :len(self.dirs[0])]  # W(kc) alone
         return self._from_pairs(at * (weights[0] + weights[1]))  # c+ + c- = w0
 
     grid = TorusGrid(8, 8)
     u = make_field(grid, band=2, seed=1)
     assert all(drift_oracle_error(u, level) <= ORACLE_TOL for level in oracle_levels(grid))
-    monkeypatch.setattr(GalerkinFrame, "analyse", one_sided)
+    monkeypatch.setattr(GalerkinFrame, "_weigh", one_sided)
     for level in oracle_levels(grid):
         assert drift_oracle_error(u, level) > ORACLE_TOL, level
     u16 = make_field(TorusGrid(16, 16), band=4, seed=2)
