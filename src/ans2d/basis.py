@@ -96,7 +96,7 @@ class GalerkinFrame:
     per-pair values into coordinates with one product by coord_scale, and
     power_weights, (4, n), holds 1, k1^2, k2^2 and k1^2 k2^2 per element,
     so that the four squared norms of coordinates a are the sums of one
-    product of it with a^2 (det._coord_rows).
+    product of it with a^2 (det._powers).
     Element j is attached to wavevectors[j] and is an eigenfunction of
     d1^2 and d2^2 with eigenvalues -k1sq[j], -k2sq[j].
 

@@ -175,24 +175,26 @@ def _drift(a: np.ndarray, frame: GalerkinFrame,
 
 
 def _powers(frame: GalerkinFrame, a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(..., 4) squared norms ||u||^2, ||d1 u||^2, ||d2 u||^2, ||d1 d2 u||^2 of coordinates a.
+    """(4, ...) squared norms ||u||^2, ||d1 u||^2, ||d2 u||^2, ||d1 d2 u||^2 of coordinates a.
 
-    One product of frame.power_weights with a^2 and one reduction over its
-    last axis, into out when given: each norm sums its row alone, as
-    norms.power_rows sums it, so the bits are those of four sums.
+    One product of frame.power_weights with a^2, (4, ..., n), and one
+    reduction over its last axis, into out when given: each norm sums its
+    row alone, as norms.power_rows sums it, so the bits are those of four
+    sums.
     """
-    return np.add.reduce(frame.power_weights * (a * a)[..., None, :], axis=-1, out=out)
+    weights = frame.power_weights.reshape((4,) + (1,) * (a.ndim - 1) + (frame.n,))
+    return np.add.reduce(weights * (a * a), axis=-1, out=out)
 
 
 def _coord_rows(frame: GalerkinFrame, a: np.ndarray, drift: np.ndarray | float,
                 out: np.ndarray) -> None:
-    """The DIAG_NAMES rows of (n,) or (B, n) coordinates a into out, (5,) or (5, B).
+    """The DIAG_NAMES rows of (..., n) coordinates a into out, (5, ...).
 
     _powers, then the cross pairing: drift holds the coordinates of
     -P_n(u.grad u) (the scalar 0.0 without the nonlinearity), and on the
     span (d2 (u.grad u), d2 u) = sum_j k2_j^2 (u.grad u, e_j) a_j.
     """
-    _powers(frame, a, out[:4].T)
+    _powers(frame, a, out[:4])
     np.add.reduce(-drift * frame.k2sq * a, axis=-1, out=out[4, ...])
 
 
@@ -449,7 +451,7 @@ class _GapAudit:
         w = pair[0] - pair[1]
         b = pair[self.base]
         self.bitwise = self.bitwise and bool(np.all(pair[0] == pair[1]))
-        (w_l2, w_d1, _, _), (_, d1, d2, d1d2) = _powers(frame, np.stack((w, b)))
+        (w_l2, _), (w_d1, d1), (_, d2), (_, d1d2) = _powers(frame, np.stack((w, b)))
         self.w_l2[i] = w_l2
         self.dissip[i] = (d1 ** (1.0 / 3.0) + d2 ** (1.0 / 3.0)) * d1d2 ** (1.0 / 3.0)
         # w is synthesized itself: u and v agree to many digits, so the

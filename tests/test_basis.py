@@ -11,6 +11,9 @@ from ans2d.basis import (
     max_level,
     quadrature_grid,
 )
+from ans2d import spectral
+from ans2d.basis import _AMP
+from ans2d.norms import MEASURE
 from ans2d.spectral import TorusGrid
 
 
@@ -152,7 +155,7 @@ def test_frames_are_built_once_and_read_only(grid16):
     assert GalerkinFrame(grid16, 9) is not frame
     for arr in (*frame.plus, *frame.minus, frame.dirs, frame.wavevectors, frame.k1sq,
                 frame.k2sq, frame.pair_at, frame.spec_src, frame.spec_gain, frame.drift_weights,
-                frame.field_weights):
+                frame.field_weights, frame.coord_scale, frame.power_weights):
         with pytest.raises(ValueError):
             arr[0] = 0
 
@@ -279,3 +282,114 @@ def test_drift_is_energy_neutral_at_max_level(n):
     a = np.random.default_rng(n).standard_normal(frame.n)
     drift = _drift(a, frame)
     assert abs(drift @ a) <= 1e-13 * np.linalg.norm(drift) * np.linalg.norm(a)
+
+
+# The frame's layers written the long way: -i over the whole grid of
+# products, the gather source from _to_pairs and concatenate, the scale
+# applied before the sines are negated.  The layers of GalerkinFrame must
+# give their bits.
+
+def _long_from_pairs(frame, beta):
+    a = np.ascontiguousarray(beta, dtype=np.complex128).view(np.float64)
+    a *= MEASURE * _AMP
+    a[..., 1::2] *= -1.0
+    return a[..., :frame.n]
+
+
+def _long_synth(frame, a):
+    lead = a.shape[:-1]
+    z = frame._to_pairs(a)
+    src = np.concatenate((z, np.conj(z), np.zeros(lead + (1,))), axis=-1)
+    spec = np.empty(lead + (2 * frame.reach2 + 1, frame.grid.n1), dtype=np.complex128)
+    flat = spec.reshape(lead + (frame.spec_src.size,))
+    np.take(src, frame.spec_src, axis=-1, out=flat, mode="clip")
+    flat *= frame.spec_gain
+    return spectral._phys(spec, frame.grid.n_points)
+
+
+def _long_analyse(frame, samples, weights):
+    spec = spectral._spec(samples, frame.grid.n_points, frame.reach2)
+    at = np.take(spec.reshape(spec.shape[:-2] + (frame.spec_src.size,)), frame.pair_at, axis=-1)
+    n_pairs = len(frame.dirs[0])
+    beta = at[..., :n_pairs] * weights[0]
+    beta += np.conj(at[..., n_pairs:]) * weights[1]
+    return _long_from_pairs(frame, beta)
+
+
+def _long_drift(frame, phys):
+    products = phys * phys
+    products *= -1j  # P + i Q = -i z^2 on every sample
+    return _long_analyse(frame, products, frame.drift_weights)
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# (grid, level, batch axes): det64's frame, a 24x16 frame, SDE levels with
+# an odd n (its last pair has no sine) and with batch axes
+LEAN_CASES = pytest.mark.parametrize("n1,n2,level,lead", [
+    (64, 64, "max", ()), (24, 16, "max", ()), (24, 16, "max", (2,)), (16, 16, 15, (3,)),
+    (16, 16, 7, (2, 3)), (10, 10, 32, (4,)), (16, 16, 8, (250,))])
+
+
+@LEAN_CASES
+def test_frame_layers_keep_the_bits_of_the_long_form(n1, n2, level, lead):
+    from ans2d.det import _drift
+
+    grid = TorusGrid(n1, n2)
+    frame = GalerkinFrame(grid, max_level(grid) if level == "max" else level)
+    rng = np.random.default_rng(n1 * n2 + frame.n + len(lead))
+    a = rng.standard_normal(lead + (frame.n,))
+    # a used workspace holds anything: NaN everywhere
+    nan = complex(np.nan, np.nan)
+    out = np.full(lead + (n1, n2), nan)
+    spec = np.full(lead + (2 * frame.reach2 + 1, n1), nan)
+    want = _long_synth(frame, a)
+    assert _same_bits(frame.synth(a, out, spec), want)
+    assert _same_bits(frame.synth(a), want)
+    x = rng.standard_normal(lead + (n1, n2)) + 1j * rng.standard_normal(lead + (n1, n2))
+    spec.fill(nan)
+    assert _same_bits(frame.analyse(x.copy(), frame.field_weights, spec),
+                      _long_analyse(frame, x.copy(), frame.field_weights))
+    drift = _long_drift(frame, want.copy())
+    out.fill(nan)
+    spec.fill(nan)
+    assert _same_bits(frame.drift(want.copy(), out, spec), drift)
+    assert _same_bits(frame.drift(want.copy()), drift)
+    # det._drift squares its own samples in place, in a march's workspace or not
+    out.fill(nan)
+    spec.fill(nan)
+    assert _same_bits(_drift(a, frame, (out, spec)), drift)
+    assert _same_bits(_drift(a, frame), drift)
+
+
+@pytest.mark.parametrize("n,batch", [(8, 250), (15, 3), (16, 2), (32, 5)])
+def test_sde_drift_keeps_the_bits_of_the_long_form(n, batch):
+    # the stepper advects on the level's quadrature grid, in its workspace
+    from ans2d.noise import NoiseModel
+    from ans2d.sde import SdeConfig, _Stepper
+
+    stepper = _Stepper(TorusGrid(16, 16), NoiseModel(), SdeConfig(galerkin_n=n), batch)
+    qframe = stepper.qframe
+    rng = np.random.default_rng(n + batch)
+    for _ in range(2):  # the second call writes over the first call's workspace
+        a = rng.standard_normal((batch, n))
+        assert _same_bits(stepper.drift(a), _long_drift(qframe, _long_synth(qframe, a)))
+
+
+@pytest.mark.parametrize("length", [4, 8, 10, 16, 64])
+def test_minus_i_commutes_with_the_batched_fft_bit_for_bit(length):
+    # the drift turns the gathered coefficients of z^2 by -i instead of the
+    # samples: fft(-i x) == -i fft(x) exactly, for the transform lengths of
+    # the workloads' packed transforms (levels 8, 16, 32 on 16x16 quadrature
+    # grids 4, 8, 10; 16x16 and 64x64 configured grids), either direction
+    rng = np.random.default_rng(length)
+    x = rng.standard_normal((5, 7, length)) + 1j * rng.standard_normal((5, 7, length))
+    x[0, 0] = 0.0  # exact zeros too
+    x *= 10.0 ** rng.integers(-8, 8, size=(5, 7, 1))
+    for transform in (np.fft.fft, np.fft.ifft):
+        turned = x * -1j
+        want = transform(x, axis=-1, norm="forward")
+        want *= -1j
+        assert np.array_equal(transform(turned, axis=-1, norm="forward"), want)

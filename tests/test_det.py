@@ -16,7 +16,7 @@ from ans2d.det import (
 )
 from ans2d.errors import BlowUpError
 from ans2d.sde import SdeConfig
-from ans2d.norms import MEASURE, norm_rows
+from ans2d.norms import MEASURE, norm_rows, power_rows
 from ans2d.spectral import (
     SpectralField,
     TorusGrid,
@@ -292,3 +292,25 @@ def test_blowup_detection(grid16, make_field, monkeypatch):
     with pytest.raises(BlowUpError) as info:
         run_det(big, cfg)
     assert info.value.last_finite_time >= 0.0
+
+
+@pytest.mark.parametrize("n1,n2,level,lead", [(64, 64, "max", ()), (24, 16, "max", ()),
+                                              (16, 16, 15, (3,)), (16, 16, 8, (250,))])
+def test_coord_rows_are_the_four_power_sums_and_the_cross_pairing(n1, n2, level, lead):
+    # one product with power_weights and one reduction give the bits of the
+    # four separate sums of norms.power_rows; the cross pairing those of
+    # sum(k2^2 * -drift * a), also for the scalar drift 0.0 of a run
+    # without the nonlinearity
+    from ans2d.basis import GalerkinFrame, max_level
+
+    grid = TorusGrid(n1, n2)
+    frame = GalerkinFrame(grid, max_level(grid) if level == "max" else level)
+    rng = np.random.default_rng(n1 + n2 + frame.n)
+    a = rng.standard_normal(lead + (frame.n,))
+    sums = power_rows(a ** 2, frame.k1sq, frame.k2sq, axes=-1)
+    for drift in (rng.standard_normal(lead + (frame.n,)), 0.0):
+        rows = np.full((len(det_mod.DIAG_NAMES),) + lead, np.nan)
+        det_mod._coord_rows(frame, a, drift, rows)
+        want = [sums[name] for name in ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq")]
+        want.append(np.sum(frame.k2sq * -drift * a, axis=-1))
+        assert np.asarray(want).tobytes() == rows.tobytes()

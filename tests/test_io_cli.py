@@ -877,3 +877,30 @@ def test_cli_import_loads_no_scipy():
     assert "scipy.fft" not in scipy_modules and "scipy.signal" not in scipy_modules
     assert scipy_modules == "[]"
     assert random_modules == "[]"
+
+
+def test_csv_columns_keep_the_bytes_of_formatting_each_value(tmp_path):
+    # _write_csv hands the csv writer Python values, which writes a float
+    # with repr: the bytes of formatting every value on its own (repr of
+    # the float, true/false for a bool, str otherwise)
+    from ans2d.cli import _write_csv
+
+    def fmt(value):
+        if isinstance(value, (bool, np.bool_)):
+            return "true" if value else "false"
+        if isinstance(value, (float, np.floating)):
+            return repr(float(value))
+        return str(value)
+
+    floats = np.array([-0.0, 1e-320, np.inf, -np.inf, np.nan, 0.1 + 0.2, 1e300, 5e-324])
+    columns = [floats, list(floats), [np.float64(v) for v in -floats], np.arange(8) - 3,
+               [2 ** 40, 0, -1, 7, 8, 9, 10, 11], np.arange(8) % 3 == 0,
+               [np.bool_(k % 2) for k in range(8)], [k > 4 for k in range(8)], list("abcdefgh")]
+    header = [f"c{k}" for k in range(len(columns))]
+    _write_csv(tmp_path / "columns.csv", header, columns)
+    with open(tmp_path / "values.csv", "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in zip(*columns):
+            writer.writerow([fmt(v) for v in row])
+    assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "values.csv").read_bytes()
