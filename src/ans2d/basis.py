@@ -64,16 +64,13 @@ class GalerkinFrame:
     synth and analyse do the same through packed transforms
     (spectral._phys, spectral._spec): each complex transform carries two
     real fields, u1 + i u2 in and P + i Q out.  The packed spectrum covers
-    the level's full k2 range |k2| <= reach2, laid out (m, n1),
-    m = 2 reach2 + 1, with the columns k2 = 0 .. reach2, then
-    -reach2 .. -1, and k1 last, so the transform along k1 runs on the
-    contiguous axis, where numpy's FFT is several times faster on the
-    short batched transforms of a level.  pair_at indexes it flat, at
-    (k2 mod m) n1 + (k1 mod n1): kc of every pair, then -kc, so every pair
-    fills both of its wavevectors.  synth gives the packed samples
-    u1 + i u2 through spec_gain, their coefficient per unit pair value
-    a_cos - i a_sin at kc (conjugated at -kc), 0.5 amp (d1 + i d2); the
-    advection and a sigma(u) whose b g(u) depends on u read them.  analyse
+    the level's full k2 range |k2| <= reach2, laid out (m, n1) as _phys
+    reads it, m = 2 reach2 + 1; pair_at indexes it flat, at
+    (k2 mod m) n1 + (k1 mod n1): kc of every pair, then -kc.  synth gives
+    the packed samples u1 + i u2 through spec_gain, their coefficient per
+    unit pair value a_cos - i a_sin at kc (conjugated at -kc),
+    0.5 amp (d1 + i d2); the advection and a sigma(u) whose b g(u)
+    depends on u read them.  analyse
     weights two packed real fields w = f1 + i f2 per pair: with
     W = f1^ + i f2^, f1^(kc) = (W(kc) + conj W(-kc)) / 2 and
     f2^(kc) = (W(kc) - conj W(-kc)) / 2i, so the weighted value
@@ -89,14 +86,8 @@ class GalerkinFrame:
 
     (the divergence form; Basdevant, J. Comput. Phys. 50, 1983), so the
     drift's (w0, w1) are -i (k1^2 - k2^2) / 2|k| and -i k1 k2 / |k| at
-    kc, the minus of the drift -P(u.grad u) folded in.  The samples
-    squared, z^2 = (u1 + i u2)^2, are i (P + i Q) (spectral._advection_raw);
-    drift analyses them and turns by -i only the 2 n_pairs coefficients
-    it gathers, not every sample.  _from_pairs turns the weighted
-    per-pair values into coordinates with one product by coord_scale, and
-    power_weights, (4, n), holds 1, k1^2, k2^2 and k1^2 k2^2 per element,
-    so that the four squared norms of coordinates a are the sums of one
-    product of it with a^2 (det._powers).
+    kc, the minus of the drift -P(u.grad u) folded in.  power_weights,
+    (4, n), holds 1, k1^2, k2^2 and k1^2 k2^2 per element (det._powers).
     Element j is attached to wavevectors[j] and is an eigenfunction of
     d1^2 and d2^2 with eigenvalues -k1sq[j], -k2sq[j].
 
@@ -200,16 +191,14 @@ class GalerkinFrame:
               spec: np.ndarray | None = None) -> np.ndarray:
         """(..., n1, n2) packed samples u1 + i u2 of the field with coordinates a.
 
-        They feed the advection (drift) and a sigma(u) whose b g(u)
-        depends on u.  The gather source holds z = a_cos - i a_sin per
-        pair, then conj z = a_cos + i a_sin, then a zero (an odd n leaves
-        its last sine 0): its float view is written straight from a, the
-        conj z half a copy of it and the z half that copy with its sines
-        negated.  The gather writes the (..., m, n1) packed spectrum
-        spectral._phys reads, k1 last, from the index map spec_src, into
-        spec, and the samples go into out: both C-ordered complex arrays
-        that may hold anything, such as a step's workspace (sde._Stepper,
-        det._det_march), else new ones.
+        The gather source holds z = a_cos - i a_sin per pair, then
+        conj z = a_cos + i a_sin, then a zero (an odd n leaves its last sine
+        0): its float view is written straight from a, the conj z half a
+        copy of it and the z half that copy with its sines negated.  The
+        gather writes the (..., m, n1) packed spectrum spectral._phys reads,
+        from the index map spec_src, into spec, and the samples go into out:
+        both C-ordered complex arrays that may hold anything, such as a
+        step's workspace (sde._Stepper, det._det_march), else new ones.
         """
         lead = a.shape[:-1]
         n_pairs = len(self.dirs[0])

@@ -213,7 +213,7 @@ def _cmd_run_det(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
     h01 = det_mod.h01_certificate(traj)
     _write_csv(out / "det_series.csv", DET_CSV_COLUMNS,
                [*_leading_columns(traj), energy.residual, h01.c_emp, h01.weighted])
-    write_snapshot(out / "final_state.ans2", _samples(traj.frame, traj.final_coords), traj.t[-1])
+    write_snapshot(out / "final_state.ans2", _samples(traj.frame, traj.final), traj.t[-1])
     extra = {"energy_rel_residual": energy.verdict.measured,
              "energy_rel_tol": energy.verdict.bound, "c_emp_sup": h01.c_sup}
     return ["det_series.csv", "final_state.ans2"], [energy.verdict, h01.monotone, h01.bound], extra
@@ -229,7 +229,7 @@ def _cmd_run_sde(cfg: dict[str, Any], out: Path, args: argparse.Namespace) -> Cm
     _write_csv(out / "sde_series.csv", SDE_CSV_COLUMNS,
                [*_leading_columns(traj), weighted.h, weighted.weighted_h01,
                 traj.diag["noise_work"], traj.diag["hs_sq"]])
-    write_snapshot(out / "final_state.ans2", _samples(traj.frame, traj.final_coords), traj.t[-1])
+    write_snapshot(out / "final_state.ans2", _samples(traj.frame, traj.final), traj.t[-1])
     extra = {
         "existence_gate": gate.existence_ok,
         "gate": gate.describe() if model.n_modes else "no noise",

@@ -14,15 +14,15 @@ top Galerkin level of the stochastic engine.  Taking coordinates projects
 the initial data; run_det and uniqueness_experiment therefore require
 Hermitian input, c(-k) = conj(c(k)), as the SDE engine does.  The state
 stays coordinates, which only frame.synth samples (the advection, and the
-CLI's snapshot of final_coords).
+CLI's snapshot of the final state).
 
-One step loop, _march, steps every run of both engines and yields
-(i, a, drift, sig) per state: its drift, shared with the step, and sig,
-the noise increment of step i (None without noise and at the last state).
-Each audit is a consumer that keeps what it reads: run_det's rows,
-weak_form_residual, the gap audit and eps_sweep through _det_march (the
-integrator's stages), sde._run_batched's rows and the pathwise gap audit
-through sde._Stepper.march (Euler-Maruyama).
+One step loop, _march, steps every run of both engines.  Each audit is
+a consumer that keeps what it reads: run_det's rows, weak_form_residual,
+the gap audit and eps_sweep through _det_march (the integrator's stages),
+sde._run_batched's rows and the pathwise gap audit through
+sde._Stepper.march (Euler-Maruyama).  run_det and sde._run_batched keep
+their rows in one record, Trajectory, a batch's as (n_steps + 1, B)
+columns.
 """
 
 from __future__ import annotations
@@ -138,18 +138,20 @@ class DetConfig(Clock):
 
 @dataclass
 class Trajectory:
-    """The record of a run of either engine (run_det, sde.run_sde).
+    """The record of a run of either engine: run_det, and sde._run_batched
+    for a batch of B paths, of which sde.run_sde keeps column 0.
 
     diag maps each recorded name (DIAG_NAMES, sde.DIAG_NAMES) to its column
-    over t; values derived from the columns are computed where they are
-    read.  final_coords holds the (n,) coordinates in frame (on
-    frame.grid) of the state at t[-1].
+    over t, (n_steps + 1,) for one state and (n_steps + 1, B) for a batch;
+    values derived from the columns are computed where they are read.
+    final holds the (n,) or (B, n) coordinates in frame (on frame.grid) of
+    the state at t[-1].
     """
 
     config: Clock
     t: np.ndarray
     diag: dict[str, np.ndarray]
-    final_coords: np.ndarray
+    final: np.ndarray
     frame: GalerkinFrame
 
 
@@ -273,8 +275,8 @@ def run_det(u0: SpectralField, cfg: DetConfig) -> Trajectory:
     diag = np.zeros((len(DIAG_NAMES), cfg.n_steps + 1))
     for i, a, drift, _ in _det_march(frame.coords(u0.coeffs), frame, cfg):
         _coord_rows(frame, a, drift, diag[:, i])
-    return Trajectory(config=cfg, t=cfg.times, diag=dict(zip(DIAG_NAMES, diag)),
-                      final_coords=a, frame=frame)
+    return Trajectory(config=cfg, t=cfg.times, diag=dict(zip(DIAG_NAMES, diag)), final=a,
+                      frame=frame)
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +330,8 @@ def h01_certificate(traj: Trajectory) -> H01Report:
     """
     d = traj.diag
     d1, d2 = d["d1_sq"], d["d2_sq"]
-    c_emp, c_sup, _, q = absorb(d["cross"], np.sqrt(d["d1d2_sq"] * d1 * d2), d1,
-                                traj.config.dt, young_h01, YOUNG_WEIGHT)
+    c_emp, c_sup, q = absorb(d["cross"], np.sqrt(d["d1d2_sq"] * d1 * d2), d1, traj.config.dt,
+                             young_h01, YOUNG_WEIGHT)
     weighted = np.exp(-q) * d2
     allowance = H01_SLACK * weighted[0] if weighted[0] > 0 else H01_SLACK
     bound = d2[0] * np.exp(q) * (1.0 + H01_SLACK) + allowance
@@ -462,7 +464,7 @@ class _GapAudit:
 
     def report(self, growth: float | np.ndarray) -> GapReport:
         """The report of the recorded rows against the Gronwall exponent growth."""
-        _, c1, _, q = absorb(self.tri, self.den, self.dissip, self.dt, young_gap, YOUNG_WEIGHT)
+        _, c1, q = absorb(self.tri, self.den, self.dissip, self.dt, young_gap, YOUNG_WEIGHT)
         growth = np.zeros_like(self.t) + growth
         # a bitwise-zero gap has lhs = bound = 0 at every step
         lhs = np.exp(-q) * self.w_l2

@@ -42,6 +42,8 @@ class EnsembleConfig:
             raise ValueError("batch must be >= 1")
         if not self.levels:
             raise ValueError("at least one Galerkin level required")
+        if len(set(self.levels)) < len(self.levels):
+            raise ValueError(f"levels {self.levels} repeat a level; each is stepped once")
         check_array_bytes(f"a per-path sample array of {self.n_paths} paths", 8 * self.n_paths)
 
 

@@ -465,13 +465,9 @@ def sigma_coords(model: NoiseModel, frame: GalerkinFrame, a: np.ndarray, phys: n
     channel coordinates.  samples, spec and sums are the workspace those
     samples, their packed spectrum and the b-channel sum are written into
     (_sigma_raw, GalerkinFrame.analyse); left out, each is a new array.
-    Then each c-channel adds y_k (table_k a),
-    channel by channel and slot by slot, in elementwise
-    gather-multiply-adds: a BLAS product would round differently for
-    different batch shapes (_channel_sum).  The SDE
-    engine (sde._Stepper) passes the state, the one synthesis of each
-    step and its workspace, and condition_c_empirical_check a field in
-    the frame of all basis elements (_field_sigma_coords).
+    Then each c-channel adds y_k (table_k a), channel by channel and slot
+    by slot, in elementwise gather-multiply-adds: a BLAS product would
+    round differently for different batch shapes (_channel_sum).
     """
     table, fields, const = parts
     out = np.zeros(np.broadcast_shapes(a.shape[:-1], y.shape[:-1]) + (frame.n,))

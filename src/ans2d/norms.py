@@ -88,19 +88,17 @@ def young_gap(c: float | np.ndarray, alpha: float) -> float | np.ndarray:
 
 def absorb(pairing: np.ndarray, denom: np.ndarray, integrand: np.ndarray,
            dx: float | np.ndarray, young: Callable, alpha: float) -> tuple:
-    """One absorbed step of an a priori bound: (ratio, sup, big_c, q).
+    """One absorbed step of an a priori bound: (ratio, sup, q).
 
     ratio is the realized trilinear constant |pairing| / denom of each row
-    (trilinear_ratio), sup its max over time (axis 0), big_c = young(sup,
-    alpha) with young one of young_h01, young_gap, and q(t) = 2 C int_0^t
-    integrand a running trapezoid with steps dx.  sup and big_c are per
-    path: scalars for (n_steps+1,) rows, (B,) arrays for (n_steps+1, B)
-    columns.
+    (trilinear_ratio), sup its max over time (axis 0), and q(t) = 2 C
+    int_0^t integrand a running trapezoid with steps dx, C = young(sup,
+    alpha) with young one of young_h01, young_gap.  sup is per path: a
+    scalar for (n_steps+1,) rows, a (B,) array for (n_steps+1, B) columns.
     """
     ratio = trilinear_ratio(pairing, denom)
     sup = np.max(ratio, axis=0, initial=0.0)
-    big_c = young(sup, alpha)
-    return ratio, sup, big_c, cumulative_trapezoid(integrand, dx) * 2.0 * big_c
+    return ratio, sup, cumulative_trapezoid(integrand, dx) * 2.0 * young(sup, alpha)
 
 
 def _lp_along(samples: np.ndarray, p: float, axis: int, h: float) -> np.ndarray:

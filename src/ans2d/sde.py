@@ -6,50 +6,30 @@ basis elements:
     u+ = exp(L dt) ( u + dt P_n P(-u.grad u) + P_n sigma(u) dW ),
 
 with L = -k1^2 applied exactly.  The engine steps the n real coordinates
-of the state in that basis (basis.GalerkinFrame), batched over
-trajectories as (B, n) arrays, through the one step loop of both engines,
-det._march: _Stepper.march hands it the drift and the Euler-Maruyama step
-of a level, and its consumers (_run_batched's diagnostic rows, the
-pathwise gap audit) see every state as (B, n) coordinates, which the
-frame lifts to coefficients where a caller needs a field.  Every element
-is an eigenfunction of d1^2 and d2^2, so exp(L dt), P_n, additive noise
-and every diagnostic norm act on the coordinates directly, and so do the
-transport channels c_k d1 u of sigma(u), through a fixed table per level
-(noise._transport_table).  Only the advection and a b g(u) that depends
-on u (noise.sigma_coords) need grid samples of the state, synthesized
-once per step: the velocity u, whose products 2 u1 u2 and u2^2 - u1^2
-give the advection in its divergence form (basis.GalerkinFrame), and
-whose componentwise g(u) the b-channels multiply.  The advection runs on
-the level's quadrature grid, the smallest alias-free grid holding its
-wavevectors (basis.quadrature_grid); such a g(u) is not band-limited, so
-with it the samples come from the configured grid instead.  Every array
-of the samples' size that a step writes (the samples, the advection's
-products, sigma(u)'s samples and b-channel sums, and the packed spectra
-of their transforms) lives in one workspace per run, allocated once for
-the run's batch (_Stepper) and overwritten by every step; the states the
-march yields are never workspace arrays.
-Initial coefficients must be Hermitian.
-Per-step diagnostics come out as (n_steps+1, B) columns, which keeps path
-ensembles in pure array arithmetic; the noise pairing (sigma dW, u) is
-formed only when a diagnostic row records it.  Additive noise reaches
-only the coordinates of its channels' wavevectors (a term in cos(m.x)
-or sin(m.x) those of the pair of +-m), so its increment is formed and
-added on their contiguous span of columns alone.  The engine steps on
-Wiener increments that its caller draws with draw_increments: one
-path-major (B, n_steps, n_modes) array, each path drawn straight into its
-own contiguous row, so callers that replay the same paths at several
-levels (the ensemble) draw them once, and step i reads the view
-increments[:, i].  Additive increments do not depend on the state, so
-the march forms them a slab of BLOCK_BYTES // (8 B len(span)) steps at a
-time (at least one).  Each trajectory's increments come from a dedicated
-counter-based stream keyed by (seed, path index), and every sum over
-noise channels runs channel by channel, so any path replays bit-for-bit
-regardless of batch layout and slab size, for every noise model.
+of the state (basis.GalerkinFrame), batched over trajectories as (B, n)
+arrays, through det._march, the one step loop of both engines:
+_Stepper.march hands it a level's drift and Euler-Maruyama step.  Every
+element is an eigenfunction of d1^2 and d2^2, so exp(L dt), P_n, additive
+noise, the transport channels c_k d1 u (noise._transport_table) and every
+diagnostic norm act on the coordinates directly.  Only the advection and
+a b g(u) that depends on u need grid samples of the state, synthesized
+once per step into one workspace per run (_Stepper).  Initial
+coefficients must be Hermitian.
+
+_run_batched records a batch in det.Trajectory, the record of both
+engines, as (n_steps+1, B) diagnostic columns and a (B, n) final state,
+which keeps path ensembles in pure array arithmetic; run_sde keeps its
+column 0.  The caller draws the Wiener increments (draw_increments), so
+the ensemble draws its paths once for every level that replays them.
+Each path's increments come from its own counter-based stream keyed by
+(seed, path index), and every sum over noise channels runs channel by
+channel (noise._channel_sum), so any path replays bit for bit regardless
+of batch layout and slab size, for every noise model.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -93,42 +73,34 @@ class _Stepper:
     """Precomputed batched update for one (grid, model, config) triple.
 
     States are (B, n) coordinates in the level-n frame.  drift synthesizes
-    the packed samples u1 + i u2 of a state on the quadrature grid qgrid
-    (qframe.synth) and keeps them as phys, which noise_increment and hs_sq
-    read for the same state.  qgrid is the level's smallest alias-free grid
-    (basis.quadrature_grid), which gives the advection coordinates of the
-    configured grid up to rounding.  A
-    sigma(u) whose b g(u) depends on u is not band-limited, so for it
-    qgrid is the configured grid; its c-channels act on the coordinates
-    (noise._transport_table), and the channels of a constant b g(u) are
-    read off the recipes (noise._additive_coords), so no other noise
-    samples the state.  The structure of sigma is read from these parts
-    (noise._sigma_parts) alone: with no transport channel and no sampled
-    b-channel sigma is additive, and additive holds the parts' constant
-    rows, none without noise (NoiseModel(), or a zero model), whose
-    increments are exact zeros.
+    the packed samples u1 + i u2 of a state on qgrid (qframe.synth) and
+    keeps them as phys, which noise_increment and hs_sq read for the same
+    state.  qgrid is the level's smallest alias-free grid
+    (basis.quadrature_grid), except for a sigma(u) whose b g(u) depends on
+    u: that is not band-limited, so its samples come from the configured
+    grid.  No other noise samples the state.  The structure of sigma is
+    read from its parts (noise._sigma_parts) alone: with no transport
+    channel and no sampled b-channel sigma is additive, and additive holds
+    the parts' constant rows, (n_modes, n), none without noise
+    (NoiseModel(), or a zero model), whose increments are exact zeros.
 
-    Built for a batch of B states (the engine's _run_batched), the stepper
-    holds the workspace its layers write into, allocated once and
-    overwritten by every step, so a step makes no array of the samples'
-    size: z, (B, q1, q2) complex, the packed samples u1 + i u2 of phys;
-    w, of the same shape, the advection's products, which the drift's
-    analysis consumes, and then a sampled sigma(u)'s samples
-    g(u) sum_k y_k b_k; spec, (B, m, q1) complex, the packed spectrum of
-    each of those transforms (GalerkinFrame.synth, analyse); and, only
-    when b g(u) samples the state, sums, the two (B, q1, q2) float arrays
-    of its b-channel sum and per-channel product.  So phys lives until the
-    next drift, and what drift, noise_increment and hs_sq return (the
-    state's coordinates, never the workspace) stays the caller's.  hs_sq,
-    whose channel axis widens the samples, and a stepper built without a
-    batch allocate each array they write.
+    Built for a batch of B states (_run_batched), the stepper holds the
+    workspace its layers write into, allocated once and overwritten by
+    every step, so a step makes no array of the samples' size: z,
+    (B, q1, q2) complex, the samples phys, which live until the next
+    drift; w, of the same shape, the advection's products, and then a
+    sampled sigma(u)'s samples g(u) sum_k y_k b_k; spec, (B, m, q1)
+    complex, the packed spectrum of each transform; and, only when b g(u)
+    samples the state, sums, the (B, q1, q2) float b-channel sum and
+    per-channel product.  What drift, noise_increment and hs_sq return is
+    never the workspace.  hs_sq, whose channel axis widens the samples,
+    and a stepper built without a batch allocate each array they write.
 
     span is the slice of columns a noise increment touches: every column
     for a sigma(u) that depends on u; for additive noise, the first to the
-    last column where a channel coordinate is non-zero, and span_channels
-    holds the channels there, (n_modes, len(span)).  A single-mode channel
-    touches one column, and a zero model none.  additive keeps the dense
-    (n_modes, n) channels, which hs_sq reads.
+    last column where a channel coordinate is non-zero (a term in cos(m.x)
+    or sin(m.x) reaches the pair of +-m), and span_channels holds the
+    channels there, (n_modes, len(span)).
     """
 
     def __init__(self, grid: TorusGrid, model: NoiseModel, cfg: SdeConfig,
@@ -286,14 +258,6 @@ def drift_oracle_error(u: SpectralField, n: int) -> float:
     return float(np.max(np.abs(drift - ref))) / scale if scale > 0.0 else np.inf
 
 
-@dataclass
-class BatchedRun:
-    t: np.ndarray
-    diag: dict[str, np.ndarray]  # each (n_steps+1, B)
-    final: np.ndarray            # (B, n) coordinates
-    frame: GalerkinFrame         # lifts coordinates to coefficients
-
-
 def draw_increments(model: NoiseModel, cfg: SdeConfig,
                     paths: Sequence[int]) -> np.ndarray:
     """Wiener increments of one trajectory per index in paths, path-major.
@@ -318,17 +282,17 @@ def draw_increments(model: NoiseModel, cfg: SdeConfig,
 
 def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
                  cfg: SdeConfig, increments: np.ndarray, with_diag: bool = True,
-                 with_hs: bool = True) -> BatchedRun:
+                 with_hs: bool = True) -> Trajectory:
     """Advance one trajectory per row of increments and record its diagnostic rows.
 
     coeffs0 and increments are as in _Stepper.march; the rows read its
-    (B, n) states, and final holds the last.  The noise pairing
-    noise_work is formed only when with_diag records it, over the columns
-    stepper.span the increment touches.  with_hs adds the Hilbert-Schmidt
-    column hs_sq, one more sigma(u) evaluation per channel and row; it
-    reads 0 when left out.  The stepper is built for the batch, so the
-    step writes its samples, products and spectra into one workspace for
-    the whole call (_Stepper).
+    (B, n) states into the record's (n_steps + 1, B) diag columns (none
+    without with_diag), and final holds the last, (B, n).  The noise
+    pairing noise_work is formed only when with_diag records it, over the
+    columns stepper.span the increment touches.  with_hs adds the
+    Hilbert-Schmidt column hs_sq, one more sigma(u) evaluation per channel
+    and row; it reads 0 when left out.  The stepper, and so its workspace,
+    is built for the batch.
     """
     bsize = len(increments)
     stepper = _Stepper(grid, model, cfg, bsize)
@@ -339,7 +303,7 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
             _diag_row(stepper, a, drift, work, with_hs, diag[:, i])
             if sig is not None:  # only the next row reads the pairing
                 work = np.sum(sig * a[:, stepper.span], axis=-1)
-    return BatchedRun(t=cfg.times, diag=dict(zip(DIAG_NAMES, diag)), final=a,
+    return Trajectory(config=cfg, t=cfg.times, diag=dict(zip(DIAG_NAMES, diag)), final=a,
                       frame=stepper.frame)
 
 
@@ -347,11 +311,10 @@ def _run_batched(coeffs0: np.ndarray, grid: TorusGrid, model: NoiseModel,
 class WeightedSeries:
     """Damped vertical-energy series built from recorded diagnostics.
 
-    big_c and c_emp_sup are per path: scalars for one path, (B,) arrays for
+    c_emp_sup is per path: a scalar for one path, a (B,) array for
     (n_steps+1, B) columns.
     """
 
-    big_c: float | np.ndarray
     c_emp_sup: float | np.ndarray
     h: np.ndarray
     weighted_h01: np.ndarray
@@ -372,9 +335,9 @@ def weighted_h01_series(t: np.ndarray, diag: dict[str, np.ndarray]) -> WeightedS
     """
     steps = np.diff(t)
     l2, d1, d2, d1d2 = (diag[name] for name in ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq"))
-    _, c_sup, big_c, h = absorb(diag["cross"], np.sqrt(d1d2 * d1 * d2), d1, steps,
-                                young_h01, YOUNG_WEIGHT)
-    return WeightedSeries(big_c=big_c, c_emp_sup=c_sup, h=h, weighted_h01=np.exp(-h) * (l2 + d2),
+    _, c_sup, h = absorb(diag["cross"], np.sqrt(d1d2 * d1 * d2), d1, steps, young_h01,
+                         YOUNG_WEIGHT)
+    return WeightedSeries(c_emp_sup=c_sup, h=h, weighted_h01=np.exp(-h) * (l2 + d2),
                           int_weighted_h11=cumulative_trapezoid(
                               np.exp(-h) * (l2 + d1 + d2 + d1d2), steps))
 
@@ -382,12 +345,12 @@ def weighted_h01_series(t: np.ndarray, diag: dict[str, np.ndarray]) -> WeightedS
 def run_sde(u0: SpectralField, model: NoiseModel, cfg: SdeConfig) -> Trajectory:
     """Single stochastic trajectory with full diagnostics (DIAG_NAMES).
 
-    The path uses trajectory index 0 of the seed's increment stream; u0
-    must be Hermitian.
+    The path uses trajectory index 0 of the seed's increment stream, and
+    the record is column 0 of _run_batched's; u0 must be Hermitian.
     """
     run = _run_batched(u0.coeffs, u0.grid, model, cfg, draw_increments(model, cfg, (0,)))
-    diag = {name: col[:, 0] for name, col in run.diag.items()}
-    return Trajectory(config=cfg, t=run.t, diag=diag, final_coords=run.final[0], frame=run.frame)
+    return replace(run, diag={name: col[:, 0] for name, col in run.diag.items()},
+                   final=run.final[0])
 
 
 @dataclass

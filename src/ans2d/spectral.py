@@ -238,10 +238,8 @@ def _advection_raw(phys: np.ndarray, out: np.ndarray | None = None) -> np.ndarra
     (GalerkinFrame.drift_weights).  phys holds the packed samples
     z = u1 + i u2 of one synthesis of a state (GalerkinFrame.synth), and
     batch axes are kept.  With z^2 = (u1^2 - u2^2) + 2 i u1 u2 = -Q + i P,
-    one complex square gives both products; GalerkinFrame.drift turns
-    by -i the coefficients it gathers from their analysis, which are then
-    those of P + i Q (fft(-i x) == -i fft(x) exactly), rather than every
-    sample here.  The square is written into out when given (a step's
+    one complex square gives both products; GalerkinFrame.drift turns its
+    analysis by -i.  The square is written into out when given (a step's
     workspace, or phys itself when nothing else reads the samples), else
     into a new array.
     """

@@ -80,7 +80,7 @@ def test_criterion_01_shear_decay():
     l2_0 = float(norm_rows(u0.coeffs, grid)["l2_sq"])
     exact = l2_0 * np.exp(-2.0 * traj.t)
     err = float(np.max(np.abs(traj.diag["l2_sq"] - exact)) / l2_0)
-    final = traj.frame.lift(traj.final_coords)
+    final = traj.frame.lift(traj.final)
     state_err = float(np.max(np.abs(final - np.exp(-1.0) * u0.coeffs)))
     elapsed = time.process_time() - start
     ok = err <= 1e-10 and state_err <= 1e-10 and elapsed < 1.0

@@ -68,7 +68,7 @@ def test_vertical_shear_is_steady_without_vertical_viscosity(grid16):
     traj = run_det(u0, DetConfig(dt=1e-2, t_end=0.3, eps_v=0.0))
     l2 = traj.diag["l2_sq"]
     assert np.max(np.abs(l2 - l2[0])) <= 1e-12
-    np.testing.assert_allclose(traj.frame.lift(traj.final_coords), u0.coeffs, atol=1e-13)
+    np.testing.assert_allclose(traj.frame.lift(traj.final), u0.coeffs, atol=1e-13)
 
 
 def test_vertical_shear_decays_with_regularization(grid16):
@@ -100,10 +100,10 @@ def test_integrator_orders(grid32, make_field):
     # the final state at dt = 2e-2 .. 2.5e-3 against if-rk4 at dt = 0.5 / 1600;
     # an amplitude-8 field makes the advection, not the exact linear part, set the error
     u0 = make_field(grid32, band=4, amplitude=8.0, seed=9)
-    ref = run_det(u0, DetConfig(dt=0.5 / 1600, t_end=0.5, integrator="if-rk4")).final_coords
+    ref = run_det(u0, DetConfig(dt=0.5 / 1600, t_end=0.5, integrator="if-rk4")).final
     for integrator, p in (("if-euler", 1), ("if-rk2", 2), ("if-rk4", 4)):
         errs = [np.linalg.norm(run_det(u0, DetConfig(dt=dt, t_end=0.5, integrator=integrator))
-                               .final_coords - ref) for dt in (2e-2, 1e-2, 5e-3, 2.5e-3)]
+                               .final - ref) for dt in (2e-2, 1e-2, 5e-3, 2.5e-3)]
         orders = np.log2(np.array(errs[:-1]) / errs[1:])
         assert np.all(np.abs(orders - p) <= ORDER_TOL * p), (integrator, orders)
 
@@ -144,11 +144,11 @@ def test_weak_form_rejects_modes_without_an_element(grid16, make_field):
 def test_trajectory_final_lifts_last_stored_coordinates(grid16, make_field):
     u0 = make_field(grid16, band=3, seed=16)
     traj = run_det(u0, DetConfig(dt=1e-2, t_end=0.05))
-    assert traj.final_coords.shape == (traj.frame.n,)
+    assert traj.final.shape == (traj.frame.n,)
     # the final coordinates are those of the last state of the march
     for _, last, _, _ in _det_march(traj.frame.coords(u0.coeffs), traj.frame, traj.config):
         pass
-    np.testing.assert_array_equal(traj.final_coords, last)
+    np.testing.assert_array_equal(traj.final, last)
     assert traj.frame.grid == grid16
 
 

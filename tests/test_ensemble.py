@@ -21,6 +21,8 @@ def test_config_validation():
         EnsembleConfig(levels=())
     with pytest.raises(ValueError):
         EnsembleConfig(batch=0)
+    with pytest.raises(ValueError, match="repeat a level"):
+        EnsembleConfig(levels=(8, 16, 8))
 
 
 def test_ensemble_runs_and_reports(grid16, make_field):

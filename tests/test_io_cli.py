@@ -196,7 +196,7 @@ def _assert_final_samples(state, traj):
     # the snapshot holds the final state's samples on the configured grid
     grid = traj.frame.grid
     assert state.grid == grid
-    expected = fullgrid.samples(traj.frame.lift(traj.final_coords), grid)
+    expected = fullgrid.samples(traj.frame.lift(traj.final), grid)
     assert np.max(np.abs(state.samples - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
@@ -692,6 +692,16 @@ def test_cli_galerkin_level_above_max_is_config_error(tmp_path):
     cfg = _write_cfg(tmp_path, "grid.n1 = 8\ngrid.n2 = 8\ninit.band = 2\n"
                                "ensemble.levels = 4,200\n")
     assert main(["ensemble", "--config", cfg, "--out", str(tmp_path / "ens")]) == 2
+
+
+def test_cli_repeated_ensemble_level_is_config_error(tmp_path):
+    # a repeated level would be stepped twice and written as two identical rows
+    cfg = _write_cfg(tmp_path, "ensemble.n_paths = 10\nensemble.levels = 8,16,8\n")
+    out = tmp_path / "ens"
+    assert main(["ensemble", "--config", cfg, "--out", str(out)]) == 2
+    man = _manifest(out)
+    assert man["exit_code"] == 2 and man["error"]["class"] == "ConfigError"
+    assert "repeat a level" in man["error"]["message"] and man["outputs"] == []
 
 
 def test_cli_level_beyond_alias_free_band_is_config_error(tmp_path):

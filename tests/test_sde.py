@@ -35,11 +35,11 @@ def test_run_is_deterministic(grid16, make_field):
     cfg = SdeConfig(dt=2e-3, t_end=0.05, galerkin_n=10, seed=9)
     a = run_sde(u0, _model_small(), cfg)
     b = run_sde(u0, _model_small(), cfg)
-    assert np.array_equal(a.final_coords, b.final_coords)
+    assert np.array_equal(a.final, b.final)
     for name in a.diag:
         assert np.array_equal(a.diag[name], b.diag[name])
     c = run_sde(u0, _model_small(), SdeConfig(dt=2e-3, t_end=0.05, galerkin_n=10, seed=10))
-    assert not np.array_equal(a.final_coords, c.final_coords)
+    assert not np.array_equal(a.final, c.final)
 
 
 def test_zero_noise_reduces_to_deterministic_euler(grid16, make_field):
@@ -49,7 +49,7 @@ def test_zero_noise_reduces_to_deterministic_euler(grid16, make_field):
     det = run_det(u0, DetConfig(dt=dt, t_end=t_end, integrator="if-euler", eps_v=0.0))
     # one march steps both: on a square grid the top level's quadrature grid
     # is the configured one, so every bit agrees
-    np.testing.assert_array_equal(sde.final_coords, det.final_coords)
+    np.testing.assert_array_equal(sde.final, det.final)
     for name in det.diag:
         np.testing.assert_array_equal(sde.diag[name], det.diag[name], err_msg=name)
 
@@ -59,7 +59,7 @@ def test_galerkin_projection_is_invariant(grid16, make_field):
     u0 = make_field(grid16, band=4, seed=3)
     cfg = SdeConfig(dt=2e-3, t_end=0.05, galerkin_n=6, seed=1)
     traj = run_sde(u0, _model_small(), cfg)
-    final = traj.frame.lift(traj.final_coords)
+    final = traj.frame.lift(traj.final)
     np.testing.assert_allclose(final, fullgrid.project(final, grid16, 6), atol=1e-14)
 
 
@@ -481,19 +481,19 @@ def test_weighted_series_recomputation(grid16, make_field):
     cfg = SdeConfig(dt=2e-3, t_end=0.1, galerkin_n=12, seed=2)
     traj = run_sde(u0, _model_small(), cfg)
     w = weighted_h01_series(traj.t, traj.diag)
-    # rebuild h from the recorded d1 column
+    # rebuild h from the recorded d1 column and C = young_h01(sup c_emp, YOUNG_WEIGHT)
     d1 = traj.diag["d1_sq"]
+    big_c = w.c_emp_sup ** 2 / (4.0 * YOUNG_WEIGHT)
     h = np.zeros_like(d1)
-    h[1:] = np.cumsum(0.5 * np.diff(traj.t) * (d1[:-1] + d1[1:])) * 2.0 * w.big_c
+    h[1:] = np.cumsum(0.5 * np.diff(traj.t) * (d1[:-1] + d1[1:])) * 2.0 * big_c
     np.testing.assert_allclose(w.h, h, atol=1e-15)
     h01 = traj.diag["l2_sq"] + traj.diag["d2_sq"]
     np.testing.assert_allclose(w.weighted_h01, np.exp(-h) * h01, rtol=1e-13)
-    assert w.big_c == pytest.approx(w.c_emp_sup ** 2 / (4.0 * YOUNG_WEIGHT))
     assert np.all(np.diff(w.int_weighted_h11) >= 0.0)
     # the H^{1,1} norm, weight (1 + k1^2)(1 + k2^2), is the sum of the four recorded norms
     h11 = sum(traj.diag[name] for name in ("l2_sq", "d1_sq", "d2_sq", "d1d2_sq"))
     k1sq, k2sq = traj.frame.k1sq, traj.frame.k2sq
-    assert h11[-1] == pytest.approx(np.sum((1.0 + k1sq) * (1.0 + k2sq) * traj.final_coords ** 2),
+    assert h11[-1] == pytest.approx(np.sum((1.0 + k1sq) * (1.0 + k2sq) * traj.final ** 2),
                                     rel=1e-13)
     integrand = np.exp(-h) * h11
     int_h11 = np.zeros_like(h)
@@ -729,6 +729,5 @@ def test_weighted_series_batch_matches_per_path(grid16, make_field):
     for j in range(5):
         one = weighted_h01_series(run.t, {name: col[:, j] for name, col in run.diag.items()})
         assert batch.c_emp_sup[j] == one.c_emp_sup
-        assert batch.big_c[j] == one.big_c
         for field in ("h", "weighted_h01", "int_weighted_h11"):
             np.testing.assert_array_equal(getattr(batch, field)[:, j], getattr(one, field))
